@@ -15,6 +15,12 @@ that malformed SQL answers a typed ``SqlParseError`` frame and an
 unsupported construct a ``SqlUnsupportedError`` frame, with the
 connection surviving both.
 
+Page-fault simulation is pay-per-use on the server: every reply of
+those laps must carry ``faults is None``.  One client then runs an
+extra lap with ``buffer_stats=True``; each reply's ``faults`` must
+equal this process's own cold-start simulation of the query, and the
+server's ``stats()["buffer"]`` must sum to exactly that lap.
+
 ``--wire`` picks the client wire format: ``json``, ``binary``, or
 ``both`` (default), which splits the client fleet between the two
 formats so a single run diffs binary-wire checksums against
@@ -40,6 +46,7 @@ import tempfile
 import threading
 import time
 
+from repro.bench import measure_query_faults
 from repro.errors import SqlParseError, SqlUnsupportedError
 from repro.monet.multiproc import result_checksum, ship_value
 from repro.server import QueryClient
@@ -59,14 +66,17 @@ def ensure_db(db_dir, sf, seed):
     load_tpcd(dataset, db_dir=db_dir)
 
 
-def serial_checksums(db_dir):
-    """Independent serial run: open our own kernel, execute, digest."""
+def serial_run(db_dir):
+    """Independent serial run: open our own kernel, execute, digest,
+    and simulate each query's cold-start page faults.  Returns
+    ``(checksums, faults)``, both keyed by query number."""
     db, _report = open_tpcd(db_dir)
-    checksums = {}
+    checksums, cold_faults = {}, {}
     for number in sorted(QUERIES):
         checksums[number] = result_checksum(
             ship_value(QUERIES[number].run(db)))
-    return checksums
+        cold_faults[number] = measure_query_faults(db, QUERIES[number])
+    return checksums, cold_faults
 
 
 def start_server(db_dir, procs, tmp_dir, spool_dir=None,
@@ -130,6 +140,11 @@ def client_pass(host, port, expected, failures, latencies, lock, tid,
                         raise AssertionError(
                             "client %d opted into spooling but Q%d "
                             "arrived inline" % (tid, number))
+                    if reply.faults is not None:
+                        raise AssertionError(
+                            "Q%d reported faults=%r to client %d, "
+                            "which never asked for a simulation"
+                            % (number, reply.faults, tid))
                     with lock:
                         latencies.append(reply.service_ms)
             if tid == 0:
@@ -137,6 +152,25 @@ def client_pass(host, port, expected, failures, latencies, lock, tid,
     except BaseException as exc:                # noqa: BLE001
         with lock:
             failures.append((tid, exc))
+
+
+def accounted_lap(host, port, expected, cold_faults):
+    """One lap with ``buffer_stats=True``: every reply's ``faults``
+    is this process's own cold-start count for the query, whatever
+    the serving worker ran before.  Returns the lap's fault total."""
+    with QueryClient(host, port) as client:
+        for number in sorted(QUERIES):
+            reply = client.tpcd(number, buffer_stats=True)
+            if reply.checksum != expected[number]:
+                raise AssertionError(
+                    "accounted Q%d diverged: served %s, serial %s"
+                    % (number, reply.checksum, expected[number]))
+            if reply.faults != cold_faults[number]:
+                raise AssertionError(
+                    "accounted Q%d reported %r faults, the in-process "
+                    "cold run counted %d"
+                    % (number, reply.faults, cold_faults[number]))
+    return sum(cold_faults.values())
 
 
 def _check_sql_errors(client):
@@ -184,7 +218,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     ensure_db(args.db_dir, args.sf, args.seed)
-    expected = serial_checksums(args.db_dir)
+    expected, cold_faults = serial_run(args.db_dir)
     print("serial run: %d queries digested" % len(expected))
 
     process, host, port = start_server(
@@ -221,6 +255,9 @@ def main(argv=None):
                 print("client %d FAILED: %r" % (tid, exc))
             return 1
         with QueryClient(host, port) as client:
+            unaccounted = client.stats()["buffer"]["faults"]
+        lap_faults = accounted_lap(host, port, expected, cold_faults)
+        with QueryClient(host, port) as client:
             stats = client.stats()
         plan = stats["plan_cache"]
         print("%d clients x %d queries: %d verified replies in %.2fs "
@@ -244,8 +281,15 @@ def main(argv=None):
             if cache["peak_bytes"] > cache["budget_bytes"]:
                 print("FAILED: result cache exceeded its byte budget")
                 return 1
-        print("buffer faults across the fleet: %d"
-              % stats["buffer"]["faults"])
+        print("buffer faults across the fleet: %d after the default "
+              "laps, %d after the accounted lap"
+              % (unaccounted, stats["buffer"]["faults"]))
+        if unaccounted != 0 or lap_faults <= 0 \
+                or stats["buffer"]["faults"] != lap_faults:
+            print("FAILED: fault simulation is not pay-per-use (the "
+                  "accounted lap alone should have summed to %d)"
+                  % lap_faults)
+            return 1
         # each client issues each Moa text once and caches are per
         # worker, so a fleet-wide hit is only pigeonhole-guaranteed
         # when more clients than workers executed each text

@@ -1,6 +1,6 @@
 """AST lint over the source tree: project invariants as CI checks.
 
-Four invariants, each of which has silently broken (or nearly broken)
+Six invariants, each of which has silently broken (or nearly broken)
 at least once in this repo's history and is cheap to enforce
 mechanically:
 
@@ -26,6 +26,12 @@ mechanically:
    node the lowering does not dispatch is a construct the parser can
    produce but the back half silently cannot handle (the mirror of
    the MIL interpreter's ``_OPS`` totality assertion).
+6. **Pay-per-use fault simulation** — the serving path
+   (``src/repro/server/`` and ``src/repro/monet/multiproc.py``) may
+   construct a ``BufferManager`` or call ``set_manager`` only inside
+   the per-task accounting helper ``_run_accounted``: a manager
+   installed anywhere else makes every served request pay for a
+   page-fault simulation nobody asked for.
 
 ``run_selfcheck`` returns a list of findings (empty = clean tree);
 ``python -m repro.analysis --selfcheck`` exits non-zero on any.
@@ -198,8 +204,8 @@ def check_bare_excepts(root):
 # ----------------------------------------------------------------------
 # invariant 4: fsync before publishing a .tmp staging write
 # ----------------------------------------------------------------------
-def _is_os_call(node, names):
-    """True for ``os.<name>(...)`` or a bare ``<name>(...)`` call."""
+def _is_call_to(node, names):
+    """True for ``<module>.<name>(...)`` or a bare ``<name>(...)``."""
     func = node.func
     if isinstance(func, ast.Attribute) and func.attr in names:
         return True
@@ -223,10 +229,10 @@ def check_fsync_before_rename(root):
             calls = [inner for inner in ast.walk(node)
                      if isinstance(inner, ast.Call)]
             renames = [c for c in calls
-                       if _is_os_call(c, ("replace", "rename"))]
+                       if _is_call_to(c, ("replace", "rename"))]
             if not renames:
                 continue
-            fsyncs = [c for c in calls if _is_os_call(c, ("fsync",))]
+            fsyncs = [c for c in calls if _is_call_to(c, ("fsync",))]
             first_rename = min(c.lineno for c in renames)
             if not any(c.lineno < first_rename for c in fsyncs):
                 findings.append(Finding(
@@ -308,6 +314,44 @@ def check_sql_lowering_totality(root):
 
 
 # ----------------------------------------------------------------------
+# invariant 6: the serving path simulates page faults only per task
+# ----------------------------------------------------------------------
+SERVER_DIR = os.path.join("src", "repro", "server")
+MULTIPROC_MODULE = os.path.join("src", "repro", "monet", "multiproc.py")
+
+#: functions allowed to install or construct a buffer manager there
+ACCOUNTING_HELPERS = ("_run_accounted",)
+
+
+def check_serving_path_accounting(root):
+    findings = []
+    for path in _python_files(root, SRC_DIR):
+        rel = _rel(root, path)
+        if rel != MULTIPROC_MODULE and \
+                not rel.startswith(SERVER_DIR + os.sep):
+            continue
+        tree = _parse(path)
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef,
+                                 ast.AsyncFunctionDef)) \
+                    and node.name in ACCOUNTING_HELPERS:
+                allowed.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in allowed \
+                    and _is_call_to(node, ("set_manager",
+                                           "BufferManager")):
+                findings.append(Finding(
+                    "error", "serving-path-buffer-manager", None,
+                    "%s:%d installs or constructs a buffer manager on "
+                    "the serving path outside %s — fault simulation "
+                    "there must stay per task (buffer_stats)"
+                    % (rel, node.lineno,
+                       "/".join(ACCOUNTING_HELPERS))))
+    return findings
+
+
+# ----------------------------------------------------------------------
 def run_selfcheck(root=None):
     """All invariant findings for the tree (empty list = clean)."""
     root = root or repo_root()
@@ -317,4 +361,5 @@ def run_selfcheck(root=None):
     findings += check_bare_excepts(root)
     findings += check_fsync_before_rename(root)
     findings += check_sql_lowering_totality(root)
+    findings += check_serving_path_accounting(root)
     return findings

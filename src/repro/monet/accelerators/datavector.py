@@ -16,10 +16,13 @@ The structure is per class:
   later semijoins against the same selection almost free (Figure 10,
   lines 10-11).
 
-Because the extent and the lookup cache are shared by all attributes
-of a class, they live in a :class:`DataVectorRegistry`; each attribute
-BAT carries a small :class:`DataVector` handle (``bat.accel`` slot
-``"datavector"``) pointing at the registry plus its own value vector.
+Because the extent is shared by all attributes of a class, it lives
+in a :class:`DataVectorRegistry`; each attribute BAT carries a small
+:class:`DataVector` handle (``bat.accel`` slot ``"datavector"``)
+pointing at the registry plus its own value vector.  A cached LOOKUP
+hangs off the *right operand* it was computed for (``bat.accel`` slot
+``"lookup:<class>"``), so it dies with that — usually intermediate —
+BAT instead of accumulating in a long-lived kernel.
 """
 
 import numpy as np
@@ -44,9 +47,10 @@ class DataVectorRegistry:
         self.class_name = class_name
         self.extent = extent
         self.extent_column = extent_column
-        #: right-operand identity -> (positions into extent, hit mask
-        #: positions into the right operand)  — the cached LOOKUP array.
-        self._lookup_cache = {}
+        self._lookup_slot = "lookup:%s" % class_name
+        #: a LOOKUP cached on a right operand is valid only while it
+        #: carries this token (see :meth:`invalidate`)
+        self._token = object()
         self.lookups_computed = 0
         self.lookups_reused = 0
 
@@ -59,11 +63,10 @@ class DataVectorRegistry:
         Cached per right operand, so "subsequent semijoins with B do
         not re-do the lookup effort".
         """
-        key = right_bat.identity
-        cached = self._lookup_cache.get(key)
-        if cached is not None:
+        cached = right_bat.accel.get(self._lookup_slot)
+        if cached is not None and cached[0] is self._token:
             self.lookups_reused += 1
-            return cached
+            return cached[1]
         heads = np.asarray(right_bat.head.logical(), dtype=np.int64)
         if charge_probes:
             manager = get_manager()
@@ -78,13 +81,13 @@ class DataVectorRegistry:
         else:
             valid = np.zeros(len(heads), dtype=bool)
         result = (positions[valid], np.nonzero(valid)[0])
-        self._lookup_cache[key] = result
+        right_bat.accel[self._lookup_slot] = (self._token, result)
         self.lookups_computed += 1
         return result
 
     def invalidate(self):
         """Drop cached lookups (after updates to the extent)."""
-        self._lookup_cache.clear()
+        self._token = object()
 
 
 class DataVector:

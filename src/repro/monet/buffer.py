@@ -7,9 +7,8 @@ analysis of the paper (sections 5.2.2 and 6) is entirely in terms of
 **page faults**: how many B-byte pages each execution strategy touches.
 
 This module reproduces that observable.  A :class:`BufferManager`
-tracks a resident set of ``(heap_id, page_number)`` pairs with an LRU
-policy and an optional memory budget; operators report their accesses
-through three patterns:
+tracks which pages of which heap are resident, under an optional
+memory budget; operators report their accesses through three patterns:
 
 * :meth:`BufferManager.access_range` — sequential scan of a byte range,
 * :meth:`BufferManager.access_positions` — scattered (unclustered)
@@ -20,6 +19,19 @@ through three patterns:
 Faults are attributed to the operator named by the surrounding
 :meth:`BufferManager.operator` context, which is how the per-statement
 fault counts of Figure 10 are produced.
+
+The cost of accounting is proportional to the **pages** an access
+covers, not to its positions.  With unbounded memory (every caller
+except the Figure 9 budget runs) nothing is ever evicted under
+pressure, so LRU order is unobservable and residency is one growable
+boolean bitmap per heap (:class:`_BitmapResidency`): a touch is a
+``count_nonzero`` and an assignment over a slice or a page index.
+Under a ``memory_pages`` budget the exact LRU order and the spill set
+decide which touch faults, so that mode keeps the per-page
+``OrderedDict`` (:class:`_LruResidency`).  Both are fed sorted distinct
+page numbers, and both produce identical ``faults``/``hits``/
+``evictions`` to the per-page reference kept under
+``tests/monet/buffer_reference.py``.
 
 A process-global *current* manager (default: disabled, zero overhead)
 is installed with :func:`use` or :func:`set_manager`.
@@ -34,10 +46,10 @@ import numpy as np
 class BufferStats:
     """Counters captured by :meth:`BufferManager.snapshot`.
 
-    Each worker process of the multi-process dispatcher
-    (:mod:`repro.monet.multiproc`) runs its own :class:`BufferManager`
-    over the shared mmap catalog; :meth:`merge` folds the per-worker
-    snapshots into one fleet-wide total on the parent side.
+    A worker of the multi-process dispatcher
+    (:mod:`repro.monet.multiproc`) ships one per task that asked for
+    ``buffer_stats``; :meth:`merge` folds them into one fleet-wide
+    total on the parent side.
     """
 
     __slots__ = ("faults", "hits", "evictions")
@@ -63,16 +75,136 @@ class BufferStats:
                 % (self.faults, self.hits, self.evictions))
 
 
+def _bitmap(bitmaps, heap_id, size):
+    """``bitmaps[heap_id]``, zero-extended to at least ``size`` pages."""
+    bitmap = bitmaps.get(heap_id)
+    if bitmap is None:
+        bitmap = bitmaps[heap_id] = np.zeros(size, dtype=bool)
+    elif len(bitmap) < size:
+        grown = np.zeros(max(size, 2 * len(bitmap)), dtype=bool)
+        grown[:len(bitmap)] = bitmap
+        bitmap = bitmaps[heap_id] = grown
+    return bitmap
+
+
+def _page_index(pages):
+    """``(index, stop)`` for the sorted distinct page numbers
+    ``pages``: a slice for a ``range`` (the sequential patterns), the
+    array itself otherwise; ``stop`` is one past the highest page."""
+    if isinstance(pages, range):
+        return slice(pages.start, pages.stop, pages.step), pages[-1] + 1
+    return pages, int(pages[-1]) + 1
+
+
+class _BitmapResidency:
+    """Residency under unbounded memory: one boolean bitmap per heap.
+
+    Without a budget a page leaves the resident set only through
+    :meth:`evict_heap`/``evict_all``, so recency never matters and a
+    touch reduces to counting and setting bits.
+    """
+
+    def __init__(self):
+        self._resident = {}
+        #: transient pages :meth:`evict_heap` pushed to disk
+        self._spilled = {}
+        self.count = 0
+
+    def touch(self, heap_id, persistent, pages):
+        """``(hits, misses, evictions)`` of touching ``pages``."""
+        index, stop = _page_index(pages)
+        resident = _bitmap(self._resident, heap_id, stop)
+        was_resident = resident[index]
+        hits = int(np.count_nonzero(was_resident))
+        cold = len(pages) - hits
+        if not cold:
+            return hits, 0, 0
+        if persistent:
+            misses = cold
+        elif heap_id in self._spilled:
+            spilled = _bitmap(self._spilled, heap_id, stop)[index]
+            misses = int(np.count_nonzero(spilled & ~was_resident))
+        else:
+            misses = 0
+        resident[index] = True
+        self.count += cold
+        return hits, misses, 0
+
+    def evict_heap(self, heap_id, persistent):
+        """Drop one heap's bitmap; returns the pages evicted."""
+        resident = self._resident.pop(heap_id, None)
+        if resident is None:
+            return 0
+        evicted = int(np.count_nonzero(resident))
+        self.count -= evicted
+        if not persistent:
+            spilled = _bitmap(self._spilled, heap_id, len(resident))
+            spilled[:len(resident)] |= resident
+        return evicted
+
+
+class _LruResidency:
+    """Residency under a ``budget`` of pages: exact LRU order.
+
+    Which page a touch evicts, and whether a later touch of a spilled
+    transient page faults, depend on the order of every earlier touch,
+    so each page moves through the ``OrderedDict`` one by one.
+    """
+
+    def __init__(self, budget):
+        self.budget = budget
+        #: (heap_id, page) -> persistent, least recently used first
+        self._resident = OrderedDict()
+        #: transient pages that were evicted; touching them again is
+        #: a real fault (spill re-read)
+        self._spilled = set()
+
+    @property
+    def count(self):
+        return len(self._resident)
+
+    def touch(self, heap_id, persistent, pages):
+        """``(hits, misses, evictions)`` of touching ``pages``."""
+        resident = self._resident
+        spilled = self._spilled
+        hits = misses = evictions = 0
+        if not isinstance(pages, range):
+            pages = pages.tolist()
+        for page in pages:
+            key = (heap_id, page)
+            if key in resident:
+                resident.move_to_end(key)
+                hits += 1
+                continue
+            if persistent or key in spilled:
+                misses += 1
+            resident[key] = persistent
+            if len(resident) > self.budget:
+                victim, victim_persistent = resident.popitem(last=False)
+                if not victim_persistent:
+                    spilled.add(victim)
+                evictions += 1
+        return hits, misses, evictions
+
+    def evict_heap(self, heap_id, _persistent):
+        """Drop one heap's pages; returns the pages evicted."""
+        doomed = [key for key in self._resident if key[0] == heap_id]
+        for key in doomed:
+            if not self._resident.pop(key):
+                self._spilled.add(key)
+        return len(doomed)
+
+
 class BufferManager:
-    """LRU resident-set simulation over heap pages.
+    """Resident-set simulation over heap pages.
 
     Parameters
     ----------
     page_size:
         Bytes per page; the paper uses B = 4096.
     memory_pages:
-        Resident-set budget in pages, or ``None`` for unbounded memory
-        (then only cold misses fault).
+        Resident-set budget in pages (LRU replacement), or ``None``
+        for unbounded memory (then only cold misses fault).
     enabled:
         When False every accounting call is a no-op, so the simulation
         can be switched off for pure-speed runs.
@@ -89,17 +221,14 @@ class BufferManager:
         self.memory_pages = memory_pages
         self.enabled = enabled
         self.track_pages = track_pages
-        #: heap_id -> set of touched page numbers (track_pages mode)
+        #: heap_id -> bitmap of touched page numbers (track_pages mode)
         self.heap_pages = {}
-        self._resident = OrderedDict()
-        #: transient pages that were evicted under memory pressure;
-        #: touching them again is a real fault (spill re-read)
-        self._spilled = set()
         self.faults = 0
         self.hits = 0
         self.evictions = 0
         self._op_stack = []
         self.op_faults = {}
+        self.evict_all()
 
     # ------------------------------------------------------------------
     # operator attribution
@@ -117,48 +246,47 @@ class BufferManager:
             if delta:
                 self.op_faults[label] = self.op_faults.get(label, 0) + delta
 
-    def _charge(self, count):
-        self.faults += count
-
     # ------------------------------------------------------------------
     # residency core
     # ------------------------------------------------------------------
     def _touch_pages(self, heap, pages):
-        """Touch an iterable of page numbers of one heap.
+        """Touch sorted distinct page numbers of one heap (a ``range``
+        or an integer array; not empty).
 
         Cold pages of *persistent* heaps fault; cold pages of
         transient heaps (intermediate results) are free the first time
-        — they are writes — and only fault again once evicted under
-        memory pressure (see :class:`~repro.monet.heap.Heap`).
+        — they are writes — and only fault again once evicted (see
+        :class:`~repro.monet.heap.Heap`).
         """
-        resident = self._resident
-        budget = self.memory_pages
-        persistent = getattr(heap, "persistent", True)
-        heap_id = heap.heap_id
         if self.track_pages:
-            touched = self.heap_pages.get(heap_id)
-            if touched is None:
-                touched = self.heap_pages[heap_id] = set()
-            pages = list(pages)
-            touched.update(pages)
-        misses = 0
-        for page in pages:
-            key = (heap_id, page)
-            if key in resident:
-                resident.move_to_end(key)
-                self.hits += 1
-            else:
-                if persistent or key in self._spilled:
-                    misses += 1
-                resident[key] = persistent
-                if budget is not None and len(resident) > budget:
-                    victim, victim_persistent = resident.popitem(
-                        last=False)
-                    if not victim_persistent:
-                        self._spilled.add(victim)
-                    self.evictions += 1
-        if misses:
-            self._charge(misses)
+            index, stop = _page_index(pages)
+            _bitmap(self.heap_pages, heap.heap_id, stop)[index] = True
+        hits, misses, evictions = self._residency.touch(
+            heap.heap_id, getattr(heap, "persistent", True), pages)
+        self.hits += hits
+        self.faults += misses
+        self.evictions += evictions
+
+    def _distinct_pages(self, positions, width):
+        """Sorted distinct page numbers under entries ``positions``.
+
+        O(positions) without a sort: positions already in page order
+        (selections, slices) keep each page's first occurrence; any
+        other order is scattered into a flag array whose set indices
+        come back sorted.
+        """
+        positions = np.asarray(positions)
+        entries, ragged = divmod(self.page_size, width)
+        if ragged:
+            pages = positions.astype(np.int64) * width // self.page_size
+        else:
+            pages = positions // entries
+        ahead, behind = pages[1:], pages[:-1]
+        if (ahead >= behind).all():
+            return np.concatenate((pages[:1], ahead[ahead != behind]))
+        flags = np.zeros(int(pages.max()) + 1, dtype=bool)
+        flags[pages] = True
+        return np.flatnonzero(flags)
 
     # ------------------------------------------------------------------
     # access patterns
@@ -187,13 +315,9 @@ class BufferManager:
         of a random gather match the ``pages * (1-(1-s)^C)`` term of
         the analytic model.
         """
-        if not self.enabled or width == 0:
+        if not self.enabled or width == 0 or len(positions) == 0:
             return
-        positions = np.asarray(positions)
-        if positions.size == 0:
-            return
-        pages = np.unique(positions.astype(np.int64) * width // self.page_size)
-        self._touch_pages(heap, pages.tolist())
+        self._touch_pages(heap, self._distinct_pages(positions, width))
 
     def access_positions_chunks(self, heap, position_chunks, width):
         """Scattered access reported once for several horizontal chunks.
@@ -202,22 +326,17 @@ class BufferManager:
         kernels; accounting it chunk by chunk would re-touch pages
         shared between chunk ranges (boundary pages, or the hot head
         of a shared accelerator heap), inflating hit counts and — under
-        a memory budget — reordering the LRU.  The page sets of all
-        chunks are therefore unioned *before* touching, so a shared
-        page is charged exactly once and the resulting fault trace is
-        the one the serial (merged) gather produces.
+        a memory budget — reordering the LRU.  The chunks are therefore
+        merged *before* touching, so a shared page is charged exactly
+        once and the resulting fault trace is the one the serial
+        (merged) gather produces.
         """
-        if not self.enabled or width == 0:
+        if not self.enabled:
             return
-        pages = set()
-        for positions in position_chunks:
-            positions = np.asarray(positions)
-            if positions.size:
-                pages.update(
-                    np.unique(positions.astype(np.int64) * width
-                              // self.page_size).tolist())
-        if pages:
-            self._touch_pages(heap, sorted(pages))
+        chunks = [chunk for chunk in map(np.asarray, position_chunks)
+                  if chunk.size]
+        if chunks:
+            self.access_positions(heap, np.concatenate(chunks), width)
 
     def access_probes(self, heap, n_probes, n_entries, width):
         """``n_probes`` binary searches over ``n_entries`` sorted entries.
@@ -281,33 +400,30 @@ class BufferManager:
         Intermediates of finished queries are dead, so the spill set
         is cleared too: the next query starts from cold base data.
         """
-        self._resident.clear()
-        self._spilled.clear()
+        self._residency = _BitmapResidency() if self.memory_pages is None \
+            else _LruResidency(self.memory_pages)
 
     def evict_heap(self, heap):
         """Drop one heap's pages (the "save intermediate results to
         disk" behaviour the paper describes for query 1).
 
         Evicted *transient* pages join the spill set, exactly like
-        budget evictions in :meth:`_touch_pages`: an intermediate that
-        was pushed to disk must fault its pages back in when re-touched
-        — it is no longer a free first-time write.
+        budget evictions: an intermediate that was pushed to disk must
+        fault its pages back in when re-touched — it is no longer a
+        free first-time write.
         """
-        doomed = [key for key in self._resident if key[0] == heap.heap_id]
-        for key in doomed:
-            if not self._resident.pop(key):
-                self._spilled.add(key)
-        self.evictions += len(doomed)
+        self.evictions += self._residency.evict_heap(
+            heap.heap_id, getattr(heap, "persistent", True))
 
     def resident_pages(self):
-        return len(self._resident)
+        return self._residency.count
 
     def snapshot(self):
         return BufferStats(self.faults, self.hits, self.evictions)
 
     def touched_page_counts(self):
         """heap_id -> number of distinct pages touched (track_pages)."""
-        return {heap_id: len(pages)
+        return {heap_id: int(np.count_nonzero(pages))
                 for heap_id, pages in self.heap_pages.items()}
 
     def reset_counters(self):

@@ -14,9 +14,13 @@ of **worker processes**; each worker
   (``expected_generation``), so a save racing the fan-out surfaces as
   a typed :class:`~repro.errors.CatalogChangedError` instead of
   workers silently serving different snapshots,
-* installs its own per-process
-  :class:`~repro.monet.buffer.BufferManager`, so simulated fault
-  accounting stays per-worker and is shipped back with each result.
+* runs with simulated page-fault accounting **off** (the disabled
+  :class:`~repro.monet.buffer.BufferManager`): accounting is a
+  property of one *task*.  A task submitted with ``buffer_stats=True``
+  executes under a fresh, cold manager and ships its
+  :class:`~repro.monet.buffer.BufferStats` back, so the reported
+  faults never depend on what the worker ran before and nobody else
+  pays for the simulation.
 
 Tasks are whole TPC-D queries (:meth:`MultiprocExecutor.run_queries`)
 or MIL programs (:meth:`MultiprocExecutor.run_programs`); a straight-
@@ -75,7 +79,7 @@ import numpy as np
 
 from .. import faults
 from ..errors import MILError, QueryTimeoutError, WorkerCrashedError
-from .buffer import BufferManager, BufferStats, set_manager
+from .buffer import BufferManager, BufferStats, use as use_manager
 from .mil import MILInterpreter, partition_independent
 
 __all__ = [
@@ -214,7 +218,8 @@ class TaskOutcome:
         self.checksum = checksum
         self.payload = payload
         self.elapsed_ms = elapsed_ms
-        #: per-task BufferStats of the worker's private manager
+        #: the task's cold-start BufferStats when it was submitted
+        #: with ``buffer_stats=True``, else ``None``
         self.stats = stats
         self.generation = generation
         self.pid = pid
@@ -305,13 +310,11 @@ def _worker_init(db_dir, expected_generation, page_size, ship,
                  worker_options=None, fault_plan=None):
     import importlib
 
-    manager = BufferManager(page_size=page_size)
-    set_manager(manager)
     # the executor's fault plan rides the init args (picklable), so
     # injection works under spawn too; None = chaos layer off
     faults.set_plan(fault_plan)
     _STATE.update(db_dir=db_dir, generation=expected_generation,
-                  manager=manager, ship=ship, result_dir=result_dir,
+                  page_size=page_size, ship=ship, result_dir=result_dir,
                   lock_timeout=lock_timeout, kernel=None, db=None,
                   seq=0, options=dict(worker_options or {}))
     for module in task_modules:
@@ -377,7 +380,20 @@ register_task_kind("query", _task_query, warmup=_task_query_warmup)
 register_task_kind("mil", _task_mil, warmup=_task_mil_warmup)
 
 
-def _run_task(task):
+def _run_accounted(run, ctx, task):
+    """Run one task under a fresh, cold :class:`BufferManager`.
+
+    The only place a worker simulates page faults: nothing survives
+    the task, so a long-lived worker holds no resident set and the
+    counts equal an in-process cold run of the same plan.
+    """
+    manager = BufferManager(page_size=_STATE["page_size"])
+    with use_manager(manager):
+        canonical, extra = run(ctx, task)
+    return canonical, extra, manager.snapshot()
+
+
+def _run_task(task, buffer_stats=False):
     kind, key = task[0], task[1]
     entry = _TASK_KINDS.get(kind)
     if entry is None:
@@ -388,10 +404,12 @@ def _run_task(task):
         # resolve the catalog before the timer: the first task on each
         # worker pays the (milliseconds-scale) mmap open, not the query
         warmup(ctx, task)
-    manager = _STATE["manager"]
-    manager.reset_counters()
+    stats = None
     started = time.perf_counter()
-    canonical, extra = run(ctx, task)
+    if buffer_stats:
+        canonical, extra, stats = _run_accounted(run, ctx, task)
+    else:
+        canonical, extra = run(ctx, task)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     checksum = result_checksum(canonical)
     if _STATE["ship"] == "file":
@@ -412,16 +430,16 @@ def _run_task(task):
         else _STATE["kernel"]
     generation = opened.generation if opened is not None \
         else _STATE["generation"]
-    return TaskOutcome(key, checksum, payload, elapsed_ms,
-                       manager.snapshot(), generation,
-                       os.getpid(), extra=extra)
+    return TaskOutcome(key, checksum, payload, elapsed_ms, stats,
+                       generation, os.getpid(), extra=extra)
 
 
 def _worker_main(parent_conn, conn, init_args):
-    """The worker process loop: recv task, execute, send outcome.
+    """The worker process loop: recv ``(task, buffer_stats)``,
+    execute, send outcome.
 
     Exceptions are shipped back per task — the worker survives a
-    failing task.  A ``None`` task is the shutdown sentinel.  The
+    failing task.  ``None`` is the shutdown sentinel.  The
     parent's copy of its own pipe end is closed first so worker death
     is observable as EOF/EPIPE on the parent side.
     """
@@ -430,14 +448,15 @@ def _worker_main(parent_conn, conn, init_args):
     _worker_init(*init_args)
     while True:
         try:
-            task = conn.recv()
+            job = conn.recv()
         except (EOFError, OSError):
             break                      # parent died or terminated us
-        if task is None:
+        if job is None:
             break
+        task, buffer_stats = job
         try:
             faults.fire("multiproc.task.start")
-            message = ("ok", _run_task(task))
+            message = ("ok", _run_task(task, buffer_stats))
             # between execution and the reply: a crash here loses a
             # finished result (the parent must treat it as crashed),
             # a delay here overruns the per-task timeout
@@ -472,12 +491,13 @@ class PendingTask:
     :class:`~repro.errors.QueryTimeoutError`.
     """
 
-    __slots__ = ("task", "timeout", "dispatched", "_done", "_outcome",
-                 "_error", "pid")
+    __slots__ = ("task", "timeout", "buffer_stats", "dispatched",
+                 "_done", "_outcome", "_error", "pid")
 
-    def __init__(self, task, timeout=None):
+    def __init__(self, task, timeout=None, buffer_stats=False):
         self.task = task
         self.timeout = timeout
+        self.buffer_stats = buffer_stats
         self.dispatched = threading.Event()
         self._done = threading.Event()
         self._outcome = None
@@ -662,14 +682,18 @@ class MultiprocExecutor:
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def submit(self, task, timeout=None):
+    def submit(self, task, timeout=None, buffer_stats=False):
         """Queue one raw task tuple; returns a :class:`PendingTask`.
 
         ``timeout`` (seconds) starts when the task is handed to a
         worker; an overdue worker is killed and respawned and the task
         fails with :class:`~repro.errors.QueryTimeoutError`.
+        ``buffer_stats=True`` makes the worker simulate the task's
+        page faults from a cold start and ship them as
+        :attr:`TaskOutcome.stats` (``None`` otherwise).
         """
-        pending = PendingTask(task, timeout=timeout)
+        pending = PendingTask(task, timeout=timeout,
+                              buffer_stats=buffer_stats)
         with self._cv:
             if self._closing:
                 raise MILError("executor is shut down")
@@ -718,7 +742,7 @@ class MultiprocExecutor:
                 # noticed the death before handing the task over:
                 # identical to the send-failure path below
                 raise BrokenPipeError("worker died while idle")
-            worker.conn.send(pending.task)
+            worker.conn.send((pending.task, pending.buffer_stats))
         except (BrokenPipeError, OSError, ValueError):
             # the worker died while idle: the task never started, so
             # replace the worker and retry transparently (once — a
@@ -804,20 +828,23 @@ class MultiprocExecutor:
                 "resubmit the task)" % (pending.pid, pending.task[1])))
 
     # ------------------------------------------------------------------
-    def map_tasks(self, tasks, timeout=None):
+    def map_tasks(self, tasks, timeout=None, buffer_stats=False):
         """Execute raw task tuples; returns outcomes in task order."""
         # greedy per-task dispatch (the Pool-era chunksize=1): tasks
         # are coarse (whole queries), so load balance beats batching
-        pendings = [self.submit(task, timeout=timeout)
+        pendings = [self.submit(task, timeout=timeout,
+                                buffer_stats=buffer_stats)
                     for task in tasks]
         return [pending.result() for pending in pendings]
 
-    def run_queries(self, numbers=None, overrides=None):
+    def run_queries(self, numbers=None, overrides=None,
+                    buffer_stats=False):
         """Fan TPC-D queries over the workers.
 
         ``numbers`` defaults to the whole query set; ``overrides`` is
-        an optional ``{number: params}`` dict.  Returns ``{number:
-        TaskOutcome}``.
+        an optional ``{number: params}`` dict; ``buffer_stats`` asks
+        for each query's cold-start fault simulation (see
+        :meth:`submit`).  Returns ``{number: TaskOutcome}``.
         """
         if numbers is None:
             from ..tpcd.queries import QUERIES
@@ -825,7 +852,7 @@ class MultiprocExecutor:
         numbers = list(numbers)       # consumed twice: tasks + zip
         tasks = [("query", "q%d" % number, number,
                   (overrides or {}).get(number)) for number in numbers]
-        outcomes = self.map_tasks(tasks)
+        outcomes = self.map_tasks(tasks, buffer_stats=buffer_stats)
         return dict(zip(numbers, outcomes))
 
     def run_programs(self, jobs):
@@ -870,7 +897,8 @@ class MultiprocExecutor:
     # ------------------------------------------------------------------
     @staticmethod
     def merged_stats(outcomes):
-        """Fleet-wide BufferStats across an outcome collection."""
+        """Fleet-wide BufferStats across an outcome collection (of
+        tasks submitted with ``buffer_stats=True``)."""
         total = BufferStats()
         values = outcomes.values() if isinstance(outcomes, dict) \
             else outcomes

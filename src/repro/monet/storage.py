@@ -1201,6 +1201,7 @@ def residency_report(kernel, manager, before=None, page_size=PAGESIZE):
     """
     before = before or {}
     rss_table = _smaps_rss_by_path()
+    touched = manager.touched_page_counts()
     rows = []
     total_sim = total_real = 0
     for heap in iter_catalog_heaps(kernel):
@@ -1208,7 +1209,7 @@ def residency_report(kernel, manager, before=None, page_size=PAGESIZE):
         if real is None:
             continue
         real_delta = max(0, real - before.get(heap.heap_id, 0))
-        simulated = len(manager.heap_pages.get(heap.heap_id, ()))
+        simulated = touched.get(heap.heap_id, 0)
         if real_delta == 0 and simulated == 0:
             continue
         total_sim += simulated

@@ -81,6 +81,8 @@ class ClientReply:
         self.plan_cached = response.get("plan_cached")
         #: True when the parent-side result cache answered
         self.result_cached = response.get("result_cached", False)
+        #: simulated cold-start page faults of this execution; None
+        #: unless the request asked with ``buffer_stats=True``
         self.faults = response.get("faults")
         #: canonical byte weight of the payload, as the server sees it
         self.payload_bytes = response.get("payload_bytes")
@@ -350,7 +352,11 @@ class QueryClient:
                     self._connect()
                     self.reconnects += 1
 
-    def _result(self, request):
+    def _result(self, request, timeout=None, buffer_stats=False):
+        if timeout is not None:
+            request["timeout"] = timeout
+        if buffer_stats:
+            request["buffer_stats"] = True
         attempts = 0
         while True:
             response = self._request(request)
@@ -387,43 +393,42 @@ class QueryClient:
 
     # ------------------------------------------------------------------
     # request types
+    #
+    # Every executable request takes ``timeout`` (seconds, server-side
+    # kill of an overdue query) and ``buffer_stats``: True makes the
+    # worker simulate this execution's page faults from a cold start
+    # and fills :attr:`ClientReply.faults` (the result cache is
+    # bypassed); by default nothing is simulated and it stays None.
     # ------------------------------------------------------------------
-    def moa(self, query_text, timeout=None):
+    def moa(self, query_text, timeout=None, buffer_stats=False):
         """Execute a textual MOA query; returns a :class:`ClientReply`."""
-        request = {"type": "moa", "query": query_text}
-        if timeout is not None:
-            request["timeout"] = timeout
-        return self._result(request)
+        return self._result({"type": "moa", "query": query_text},
+                            timeout, buffer_stats)
 
-    def sql(self, query_text, timeout=None):
+    def sql(self, query_text, timeout=None, buffer_stats=False):
         """Execute SQL text through the server's SQL front-end
         (parse -> bind -> lower to the same MIL pipeline as ``moa``);
         returns a :class:`ClientReply`.  Malformed text answers a
         typed :class:`~repro.errors.SqlParseError`, an unsupported
         construct a :class:`~repro.errors.SqlUnsupportedError` —
         neither is retryable, and the connection survives both."""
-        request = {"type": "sql", "query": query_text}
-        if timeout is not None:
-            request["timeout"] = timeout
-        return self._result(request)
+        return self._result({"type": "sql", "query": query_text},
+                            timeout, buffer_stats)
 
-    def tpcd(self, number, params=None, timeout=None):
+    def tpcd(self, number, params=None, timeout=None,
+             buffer_stats=False):
         """Run TPC-D query ``number`` (optional param overrides)."""
         request = {"type": "tpcd", "number": int(number)}
         if params:
             request["params"] = dict(params)
-        if timeout is not None:
-            request["timeout"] = timeout
-        return self._result(request)
+        return self._result(request, timeout, buffer_stats)
 
-    def mil(self, program, fetch, timeout=None):
+    def mil(self, program, fetch, timeout=None, buffer_stats=False):
         """Execute a :class:`~repro.monet.mil.MILProgram`; the reply
         value maps each name in ``fetch`` to its result."""
-        request = {"type": "mil", "program": encode_program(program),
-                   "fetch": list(fetch)}
-        if timeout is not None:
-            request["timeout"] = timeout
-        return self._result(request)
+        return self._result(
+            {"type": "mil", "program": encode_program(program),
+             "fetch": list(fetch)}, timeout, buffer_stats)
 
     def stats(self):
         """The server's aggregate stats dict."""

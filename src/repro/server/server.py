@@ -19,6 +19,12 @@ request type       response
 ``close``          connection shut down cleanly
 ================  ====================================================
 
+The four executable requests (``moa``/``sql``/``tpcd``/``mil``) take
+two optional fields: ``timeout`` (seconds) and ``buffer_stats``
+(boolean).  Page-fault simulation is pay-per-use: a ``result`` frame
+carries ``faults`` only when its request set ``buffer_stats`` — the
+count is that one execution's, simulated from a cold start.
+
 The hello frame advertises ``wire_formats`` (``json`` and ``binary``)
 and whether a spool directory is configured; a ``wire`` request then
 switches the connection's *reply* encoding — requests stay JSON

@@ -26,9 +26,15 @@ the multi-process dispatcher:
   outcome, and an optional parent-side **result cache** short-circuits
   repeated identical requests against the same generation;
 * **stats** — :meth:`QueryService.stats` aggregates request counters,
-  latency percentiles over a sliding window, cache hit rates, merged
-  :class:`~repro.monet.buffer.BufferStats`, and per-pool health
-  (sessions, pids, respawns/crashes/timeouts).
+  latency percentiles over a sliding window, cache hit rates, the
+  merged :class:`~repro.monet.buffer.BufferStats` of the requests
+  that asked for them, and per-pool health (sessions, pids,
+  respawns/crashes/timeouts);
+* **pay-per-use fault simulation** — workers simulate no page faults
+  unless a request carries ``"buffer_stats": true``; that request
+  runs under a fresh, cold buffer manager, bypasses the result cache
+  (a cached answer executes nothing to account), and only its reply
+  carries ``faults``.
 
 The service is transport-agnostic: :mod:`repro.server.server` drives
 it from sockets, the benchmark harness drives it in-process.
@@ -372,11 +378,15 @@ class QueryService:
         started = time.monotonic()
         self._count("requests")
         timeout = request.get("timeout", self.default_timeout)
+        buffer_stats = request.get("buffer_stats", False)
+        if not isinstance(buffer_stats, bool):
+            raise ProtocolError("'buffer_stats' must be a boolean")
         task, cache_key = self._task_for(request)
         if task[0] == "mil":
             self._verify_admission(session, task)
         full_key = (session.generation, cache_key)
-        cached = self.result_cache.get(full_key)
+        cached = None if buffer_stats \
+            else self.result_cache.get(full_key)
         if cached is not None:
             self._count("result_cache_hits")
             # a fresh structural copy per hit: mutating one served
@@ -395,12 +405,14 @@ class QueryService:
             return response
         self._admit(timeout)
         try:
-            outcome = self._submit_with_retry(session, task, timeout)
+            outcome = self._submit_with_retry(session, task, timeout,
+                                              buffer_stats)
         finally:
             self._leave()
         extra = outcome.extra or {}
         with self._stats_lock:
-            self._buffer.merge(outcome.stats)
+            if outcome.stats is not None:
+                self._buffer.merge(outcome.stats)
             if "plan_cache" in extra:
                 self._plan_stats[(outcome.generation, outcome.pid)] = \
                     extra["plan_cache"]
@@ -414,12 +426,15 @@ class QueryService:
             "pid": outcome.pid,
             "plan_cached": extra.get("plan_cached"),
             "result_cached": False,
-            "faults": int(outcome.stats.faults),
             "payload_bytes": extra.get("result_bytes",
                                        payload_nbytes(payload)),
         }
-        entry = self.result_cache.put(full_key, outcome.checksum,
-                                      payload, meta)
+        if outcome.stats is not None:
+            # cold-start simulated faults of this very execution;
+            # never cached, so no hit can replay a stale count
+            meta["faults"] = int(outcome.stats.faults)
+        entry = None if buffer_stats else self.result_cache.put(
+            full_key, outcome.checksum, payload, meta)
         if entry is not None:
             # serve the interned form: the same isolation guarantee as
             # a hit, and the reply shares the deduplicated buffers
@@ -436,7 +451,8 @@ class QueryService:
         self._record_latency(started)
         return response
 
-    def _submit_with_retry(self, session, task, timeout):
+    def _submit_with_retry(self, session, task, timeout,
+                           buffer_stats=False):
         """Submit, transparently resubmitting over worker crashes.
 
         Every request here is an idempotent read against a pinned
@@ -450,7 +466,8 @@ class QueryService:
         while True:
             try:
                 return session.entry.executor.submit(
-                    task, timeout=timeout).result()
+                    task, timeout=timeout,
+                    buffer_stats=buffer_stats).result()
             except WorkerCrashedError as exc:
                 if attempts >= self.crash_retries:
                     if self.crash_retries == 0:

@@ -123,3 +123,36 @@ def test_unsynced_tmp_rename_is_found(tmp_path):
     _tree(tmp_path / "clean", src_files=[("good.py", good)],
           test_files=[("test_ok.py", "from x import GoodError\n")])
     assert _codes(tmp_path / "clean") == []
+
+
+def test_buffer_manager_on_the_serving_path_is_found(tmp_path):
+    """Invariant 6: only the per-task accounting helper may install
+    or construct a buffer manager under server/ or in multiproc.py."""
+    bad = '''
+        from .buffer import BufferManager, set_manager
+
+        def _worker_init():
+            set_manager(BufferManager())
+        '''
+    good = '''
+        from .buffer import BufferManager
+
+        def _run_accounted(run):
+            manager = BufferManager()
+            return run(), manager
+        '''
+    _tree(tmp_path, test_files=[("test_ok.py",
+                                 "from x import GoodError\n")])
+    (tmp_path / "src" / "repro" / "monet").mkdir()
+    module = tmp_path / "src" / "repro" / "monet" / "multiproc.py"
+    module.write_text(textwrap.dedent(bad))
+    findings = selfcheck.run_selfcheck(str(tmp_path))
+    assert [f.code for f in findings] == \
+        ["serving-path-buffer-manager"] * 2      # the call + the ctor
+    # the same calls anywhere else in src/ are none of its business
+    module.rename(tmp_path / "src" / "repro" / "monet" / "bench.py")
+    assert _codes(tmp_path) == []
+    (tmp_path / "src" / "repro" / "server").mkdir()
+    (tmp_path / "src" / "repro" / "server" / "tasks.py").write_text(
+        textwrap.dedent(good))
+    assert _codes(tmp_path) == []

@@ -171,6 +171,25 @@ def test_datavector_semijoin_and_lookup_cache():
     ops.semijoin(kernel.get("T_b"), selection)
     assert registry.lookups_computed == computed       # cached
     assert registry.lookups_reused >= 1
+    # invalidation forces a recompute
+    registry.invalidate()
+    ops.semijoin(kernel.get("T_b"), selection)
+    assert registry.lookups_computed == computed + 1
+
+    # regression: the LOOKUP lives on (and dies with) the right operand;
+    # a registry keeping one per operand it ever saw grew a long-lived
+    # server worker by ~100 KB per query
+    def held(registry):
+        return sum(len(value) for value in vars(registry).values()
+                   if isinstance(value, (dict, list, set)))
+
+    before = held(registry)
+    for oid in range(20):
+        fresh = bat_from_pairs("oid", "int", [(oid, 0)])
+        fresh.props = compute_props(fresh)
+        ops.semijoin(kernel.get("T_a"), fresh)
+    assert registry.lookups_computed == computed + 21
+    assert held(registry) == before
 
 
 def test_datavector_results_synced_across_attributes():

@@ -1,9 +1,9 @@
 """Multi-process dispatcher: fan-out equality, shipping, partitioning.
 
-Workers reopen one saved TPC-D db_dir (zero-copy mmap, per-process
-BufferManager, pinned catalog generation) and the parent asserts their
-shipped sha1 checksums against serial execution of the same queries
-and MIL programs.
+Workers reopen one saved TPC-D db_dir (zero-copy mmap, pinned catalog
+generation, page-fault simulation only for tasks that ask for it) and
+the parent asserts their shipped sha1 checksums against serial
+execution of the same queries and MIL programs.
 """
 
 import multiprocessing
@@ -13,12 +13,16 @@ import signal
 
 import pytest
 
+from repro import faults
+from repro.bench import measure_query_faults
 from repro.errors import (MILError, QueryTimeoutError,
                           StaleCatalogError, WorkerCrashedError)
 from repro.monet import (MILProgram, MonetKernel, MultiprocExecutor,
                          Var, partition_independent, result_checksum,
                          run_program_serial, ship_value)
-from repro.monet.multiproc import run_queries_multiproc
+from repro.monet import buffer
+from repro.monet.multiproc import (register_task_kind,
+                                   run_queries_multiproc)
 from repro.tpcd import QUERIES, load_tpcd, open_tpcd
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -71,9 +75,8 @@ def test_outcomes_report_worker_provenance(executor, db_dir):
         assert outcome.pid != os.getpid()          # really off-process
         assert outcome.generation == executor.generation == 1
         assert outcome.elapsed_ms >= 0.0
-        # the per-process manager accounted the run (faults on a cold
-        # worker, hits once the resident set warmed across tasks)
-        assert outcome.stats.faults + outcome.stats.hits > 0
+        # nobody asked for a fault simulation, so none ran
+        assert outcome.stats is None
 
 
 def test_inline_payload_roundtrip(executor, serial_db):
@@ -85,11 +88,66 @@ def test_inline_payload_roundtrip(executor, serial_db):
 
 
 def test_merged_stats_accumulate(executor):
-    outcomes = executor.run_queries(QUERY_SLICE)
+    outcomes = executor.run_queries(QUERY_SLICE, buffer_stats=True)
     total = MultiprocExecutor.merged_stats(outcomes)
+    assert total.faults > 0
     assert total.faults == sum(outcome.stats.faults
                                for outcome in outcomes.values())
     assert total.as_dict()["faults"] == total.faults
+
+
+# ----------------------------------------------------------------------
+# per-task fault simulation: cold, history-free, and leak-free
+# ----------------------------------------------------------------------
+def _probe_worker(ctx, task):
+    """Test task kind: what buffer manager does this worker hold, and
+    how big is the process?  (Forked workers inherit the
+    registration.)"""
+    with open("/proc/self/status") as handle:
+        rss_kb = next(int(line.split()[1]) for line in handle
+                      if line.startswith("VmRSS:"))
+    manager = buffer.get_manager()
+    return ship_value({"disabled": manager is buffer._DISABLED,
+                       "resident": manager.resident_pages(),
+                       "rss_kb": rss_kb}), None
+
+
+register_task_kind("probe_worker", _probe_worker)
+
+
+def test_accounted_faults_do_not_depend_on_worker_history(db_dir):
+    """Regression: the worker's one long-lived manager was never
+    evicted, so a query's reported faults were whatever its
+    predecessors had left non-resident (0 on the second run)."""
+    db, _report = open_tpcd(db_dir)
+    expected = {number: measure_query_faults(db, QUERIES[number])
+                for number in QUERY_SLICE}     # in-process, cold
+    assert all(expected.values())
+    with MultiprocExecutor(db_dir, procs=1) as pool:
+        for order in (QUERY_SLICE, QUERY_SLICE[::-1], QUERY_SLICE):
+            pool.run_queries(order)                # unaccounted noise
+            outcomes = pool.run_queries(order, buffer_stats=True)
+            assert {number: outcome.stats.faults
+                    for number, outcome in outcomes.items()} == expected
+
+
+def test_worker_buffer_state_and_rss_stay_flat_over_200_tasks(db_dir):
+    """Regression: every task used to add its intermediates' pages to
+    the worker's resident set for good (~640 keys per Q6)."""
+    def probe(pool):
+        outcome = pool.submit(("probe_worker", "probe")).result(60)
+        return outcome.value()["value"]
+
+    with MultiprocExecutor(db_dir, procs=1) as pool:
+        for round_ in range(10):       # caches + allocator arenas warm
+            pool.run_queries(QUERY_SLICE, buffer_stats=round_ % 2 == 1)
+        before = probe(pool)
+        for round_ in range(50):
+            pool.run_queries(QUERY_SLICE, buffer_stats=round_ % 2 == 1)
+        after = probe(pool)
+    assert before["disabled"] and after["disabled"]
+    assert before["resident"] == after["resident"] == 0
+    assert after["rss_kb"] - before["rss_kb"] < 8 * 1024, (before, after)
 
 
 def test_run_queries_accepts_any_iterable(executor):
@@ -256,7 +314,12 @@ def test_idle_worker_death_respawns_transparently(db_dir):
 
 
 def test_midtask_crash_surfaces_typed_error_and_respawns(db_dir):
-    with MultiprocExecutor(db_dir, procs=1) as pool:
+    # every worker parks its second task for a minute before running
+    # it, so the kill below lands mid-task by construction instead of
+    # racing a query that may already have answered
+    plan = faults.FaultPlan().arm("multiproc.task.start",
+                                  action="delay", delay_s=60.0, skip=1)
+    with MultiprocExecutor(db_dir, procs=1, fault_plan=plan) as pool:
         pool.run_queries((6,))                   # catalog mapped
         [pid] = pool.worker_pids()
         pending = pool.submit(("query", "qcrash", 13, None))

@@ -447,12 +447,55 @@ def test_stats_shape_and_latency_percentiles(server):
     assert latency["count"] >= 3
     assert latency["p50"] <= latency["p95"] <= latency["p99"]
     assert stats["counters"]["requests"] >= 3
-    assert stats["buffer"]["faults"] >= 0
+    assert sorted(stats["buffer"]) == ["evictions", "faults", "hits"]
     pools = stats["pools"]
     assert "1" in pools
     assert pools["1"]["procs"] == 2
     assert len(pools["1"]["pids"]) == 2
     assert stats["inflight"] == 0
+
+
+def test_fault_simulation_is_pay_per_use(db_dir, serial_checksums):
+    """Default requests simulate nothing and report no ``faults``; a
+    ``buffer_stats`` request reports its own cold-start count — the
+    in-process one, whatever the worker ran before — moves
+    ``stats()["buffer"]`` by exactly that, and never meets the result
+    cache in either direction."""
+    from repro.bench import measure_query_faults
+
+    db, _report = open_tpcd(db_dir)
+    cold = measure_query_faults(db, QUERIES[6])
+    assert cold > 0
+
+    service = QueryService(db_dir, procs=1,
+                           result_cache_bytes=1 << 20)
+    with QueryServer(service) as srv:
+        host, port = srv.address
+        total = 0
+        for wire in ("json", "binary"):
+            with QueryClient(host, port, wire=wire) as client:
+                assert client.wire == wire
+                plain = client.tpcd(6)
+                assert plain.faults is None
+                assert client.stats()["buffer"]["faults"] == total
+                for _ in range(2):       # the second one: a warm worker
+                    accounted = client.tpcd(6, buffer_stats=True)
+                    assert accounted.checksum == serial_checksums[6]
+                    assert accounted.faults == cold
+                    # `plain` sits in the result cache; an accounted
+                    # request must execute to have anything to count
+                    assert accounted.result_cached is False
+                    total += cold
+                    assert client.stats()["buffer"]["faults"] == total
+                hit = client.tpcd(6)
+                assert hit.result_cached is True
+                assert hit.faults is None           # nothing stale
+                assert client.stats()["buffer"]["faults"] == total
+        with service.session() as session:
+            with pytest.raises(ProtocolError):
+                session.execute({"type": "tpcd", "number": 6,
+                                 "buffer_stats": "yes"})
+    service.close()
 
 
 # ----------------------------------------------------------------------
@@ -620,7 +663,16 @@ def test_caches_stay_correct_while_workers_crash(rewritable_db,
     fresh worker's grace window) and the plan/result caches must never
     convert a crash into a wrong or cross-generation answer — every
     reply that reaches a client still checksums against its session's
-    pinned snapshot."""
+    pinned snapshot.
+
+    The schedule is event-driven.  A session issues four distinct
+    queries, so the fourth task of each generation's pool — the crash —
+    happens whatever the result cache absorbs; the writer bumps only
+    once ``crash_retries`` shows that crash absorbed, and only while
+    both readers are parked between sessions: a worker respawned for a
+    generation no longer on disk can answer nothing but a typed
+    ``CatalogChangedError``, which is right and not this test's
+    subject."""
     plan = faults.FaultPlan().arm("multiproc.task.start",
                                   action="crash", skip=3, times=1)
     service = QueryService(rewritable_db, procs=1, crash_retries=1,
@@ -628,6 +680,18 @@ def test_caches_stay_correct_while_workers_crash(rewritable_db,
                            fault_plan=plan)
     failures = []
     stop = threading.Event()
+    pause = threading.Event()
+    parked = threading.Barrier(3)           # two readers + the writer
+
+    def crash_retries():
+        return service.stats()["counters"]["crash_retries"]
+
+    def await_absorbed_crash(seen):
+        deadline = time.monotonic() + 60.0
+        while crash_retries() <= seen and not failures:
+            assert time.monotonic() < deadline, \
+                "no worker crash was absorbed within 60s"
+            time.sleep(0.01)
 
     with QueryServer(service) as srv:
         host, port = srv.address
@@ -635,11 +699,14 @@ def test_caches_stay_correct_while_workers_crash(rewritable_db,
         def reader(tid):
             try:
                 while not stop.is_set():
+                    if pause.is_set():
+                        parked.wait(60)     # no session is open
+                        parked.wait(60)     # the bump is on disk
                     # retries absorb a resubmit that crashes *again*
                     # (surfacing as retryable ServerOverloadedError)
                     with QueryClient(host, port, retries=4,
                                      backoff_base=0.01) as client:
-                        for number in (1, 6, 12):
+                        for number in (1, 6, 12, 3):
                             reply = client.tpcd(number)
                             assert reply.generation == \
                                 client.generation
@@ -647,15 +714,30 @@ def test_caches_stay_correct_while_workers_crash(rewritable_db,
                                 serial_checksums[number]
             except BaseException as exc:     # noqa: BLE001
                 failures.append((tid, exc))
+                parked.abort()               # never strand the writer
 
         threads = [threading.Thread(target=reader, args=(tid,))
                    for tid in range(2)]
         for thread in threads:
             thread.start()
+        absorbed = 0
         try:
             for _round in range(2):
-                time.sleep(0.3)
+                await_absorbed_crash(absorbed)
+                pause.set()
+                parked.wait(60)
+                pause.clear()
+                # nothing is in flight: whatever this generation's
+                # pool crashed is counted, the next one starts here
+                absorbed = crash_retries()
                 _bump_generation(rewritable_db)
+                parked.wait(60)
+            await_absorbed_crash(absorbed)
+        except threading.BrokenBarrierError:
+            pass                 # a reader failed; reported below
+        except BaseException:
+            parked.abort()       # release parked readers, then fail
+            raise
         finally:
             stop.set()
             for thread in threads:
@@ -663,8 +745,9 @@ def test_caches_stay_correct_while_workers_crash(rewritable_db,
         counters = service.stats()["counters"]
     service.close()
     assert not failures, failures[:2]
-    # the fault actually fired and the degraded path absorbed it
-    assert counters["crash_retries"] >= 1, counters
+    # the fault fired in all three generations' pools and the degraded
+    # path absorbed it every time
+    assert counters["crash_retries"] >= 3, counters
     assert counters["errors"] == 0, counters
 
 

@@ -90,6 +90,8 @@ def test_quick_bench_db_dir_warm_start(tmp_path):
     assert set(section["queries"]) == set(cold["queries"])
     for number, entry in section["queries"].items():
         assert entry["checksum"] == cold["queries"][number]["checksum"]
+        # the accounted lap simulated every query from a cold start
+        assert entry["faults"] > 0
     serve = warm["serve"]
     assert serve["checksums_match"] is True
     assert serve["clients_swept"] == [1, 2]
@@ -103,6 +105,8 @@ def test_quick_bench_db_dir_warm_start(tmp_path):
         assert entry["p50_ms"] <= entry["p95_ms"] <= entry["p99_ms"]
     # the acceptance observable: repeated rounds hit the plan caches
     assert serve["plan_cache"]["hits"] > 0
+    # ...and the one accounted lap after the sweep filled the totals
+    assert serve["buffer"]["faults"] > 0
 
 
 def test_regression_gate():
