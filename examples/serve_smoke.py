@@ -15,6 +15,12 @@ that malformed SQL answers a typed ``SqlParseError`` frame and an
 unsupported construct a ``SqlUnsupportedError`` frame, with the
 connection surviving both.
 
+Set-of-tuples results stay columnar end to end: every SQL reply's
+``.value`` must be a :class:`~repro.moa.values.RowBatch` whose
+iterated rows equal the rows this process computed serially, and —
+when the result cache is on — a cache hit must hand back an equal
+batch under the same checksum.
+
 Page-fault simulation is pay-per-use on the server: every reply of
 those laps must carry ``faults is None``.  One client then runs an
 extra lap with ``buffer_stats=True``; each reply's ``faults`` must
@@ -48,6 +54,7 @@ import time
 
 from repro.bench import measure_query_faults
 from repro.errors import SqlParseError, SqlUnsupportedError
+from repro.moa.values import RowBatch
 from repro.monet.multiproc import result_checksum, ship_value
 from repro.server import QueryClient
 from repro.sql.suite import sql_text
@@ -69,14 +76,14 @@ def ensure_db(db_dir, sf, seed):
 def serial_run(db_dir):
     """Independent serial run: open our own kernel, execute, digest,
     and simulate each query's cold-start page faults.  Returns
-    ``(checksums, faults)``, both keyed by query number."""
+    ``(checksums, faults, values)``, each keyed by query number."""
     db, _report = open_tpcd(db_dir)
-    checksums, cold_faults = {}, {}
+    checksums, cold_faults, values = {}, {}, {}
     for number in sorted(QUERIES):
-        checksums[number] = result_checksum(
-            ship_value(QUERIES[number].run(db)))
+        values[number] = QUERIES[number].run(db)
+        checksums[number] = result_checksum(ship_value(values[number]))
         cold_faults[number] = measure_query_faults(db, QUERIES[number])
-    return checksums, cold_faults
+    return checksums, cold_faults, values
 
 
 def start_server(db_dir, procs, tmp_dir, spool_dir=None,
@@ -110,8 +117,43 @@ def start_server(db_dir, procs, tmp_dir, spool_dir=None,
     return process, host, int(port)
 
 
+def check_batch(number, reply, serial_value):
+    """A served set of tuples is a RowBatch equal, row for row, to
+    the serial result (scalars and the empty set pass through)."""
+    if not isinstance(serial_value, RowBatch):
+        return
+    if not isinstance(reply.value, RowBatch):
+        raise AssertionError("Q%d arrived as %s, not as a RowBatch"
+                             % (number, type(reply.value).__name__))
+    if reply.value != serial_value:
+        raise AssertionError("Q%d's served rows differ from the "
+                             "serial rows" % number)
+
+
+def cache_hit_lap(host, port, expected):
+    """With the result cache on, asking twice must hit, and the hit
+    must carry an equal batch under the same checksum."""
+    with QueryClient(host, port) as client:
+        for number in sorted(QUERIES):
+            first = client.sql(sql_text(number))
+            second = client.sql(sql_text(number))
+            if not second.result_cached:
+                raise AssertionError("Q%d was not served from the "
+                                     "result cache" % number)
+            if not first.checksum == second.checksum \
+                    == expected[number] \
+                    or result_checksum(ship_value(second.value)) \
+                    != expected[number]:
+                raise AssertionError("Q%d's cache hit changed its "
+                                     "checksum" % number)
+            if isinstance(first.value, RowBatch) \
+                    and second.value != first.value:
+                raise AssertionError("Q%d's cache hit returned a "
+                                     "different batch" % number)
+
+
 def client_pass(host, port, expected, failures, latencies, lock, tid,
-                wire="json", spool=False):
+                values, wire="json", spool=False):
     try:
         with QueryClient(host, port, wire=wire, spool=spool,
                          spool_threshold=0 if spool else None) as client:
@@ -129,6 +171,7 @@ def client_pass(host, port, expected, failures, latencies, lock, tid,
                 # third lap as SQL text: the front-end must serve the
                 # very checksum the Moa path does, over this wire
                 replies.append(client.sql(sql_text(number)))
+                check_batch(number, replies[-1], values[number])
                 for reply in replies:
                     if reply.checksum != expected[number]:
                         raise AssertionError(
@@ -218,7 +261,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     ensure_db(args.db_dir, args.sf, args.seed)
-    expected, cold_faults = serial_run(args.db_dir)
+    expected, cold_faults, values = serial_run(args.db_dir)
     print("serial run: %d queries digested" % len(expected))
 
     process, host, port = start_server(
@@ -240,7 +283,7 @@ def main(argv=None):
         threads = [threading.Thread(target=client_pass,
                                     args=(host, port, expected,
                                           failures, latencies, lock,
-                                          tid),
+                                          tid, values),
                                     kwargs={"wire": wires[tid],
                                             "spool":
                                                 args.spool is not None})
@@ -274,6 +317,7 @@ def main(argv=None):
               % (wires.count("binary"), wires.count("json"),
                  " (spool fast path)" if args.spool else ""))
         if args.result_cache_bytes:
+            cache_hit_lap(host, port, expected)
             cache = stats["result_cache"]
             print("result cache: %(hits)d hits, %(bytes)d/"
                   "%(budget_bytes)d bytes (peak %(peak_bytes)d)"

@@ -1,6 +1,6 @@
 """AST lint over the source tree: project invariants as CI checks.
 
-Six invariants, each of which has silently broken (or nearly broken)
+Seven invariants, each of which has silently broken (or nearly broken)
 at least once in this repo's history and is cheap to enforce
 mechanically:
 
@@ -32,6 +32,16 @@ mechanically:
    the per-task accounting helper ``_run_accounted``: a manager
    installed anywhere else makes every served request pay for a
    page-fault simulation nobody asked for.
+7. **Canonical value walkers** — a shipped result is walked by seven
+   functions in four modules (the digest ``multiproc._feed``, the wire
+   codec ``protocol.encode_value``/``decode_value``/``payload_nbytes``,
+   the result cache's ``materialize``/``_intern``, the client's
+   ``_bare_value``).  ``multiproc.CANONICAL_KINDS`` is the one
+   registry of what such a value can be made of; every walker must
+   name every kind (test for it, or look for its wire marker) unless
+   :data:`VALUE_WALKERS` records that the walker's fall-through
+   covers it — so a new kind cannot land handled by four walkers out
+   of seven.
 
 ``run_selfcheck`` returns a list of findings (empty = clean tree);
 ``python -m repro.analysis --selfcheck`` exits non-zero on any.
@@ -352,6 +362,131 @@ def check_serving_path_accounting(root):
 
 
 # ----------------------------------------------------------------------
+# invariant 7: every walker over shipped values handles every kind
+# ----------------------------------------------------------------------
+PROTOCOL_MODULE = os.path.join(SERVER_DIR, "protocol.py")
+CACHE_MODULE = os.path.join(SERVER_DIR, "cache.py")
+CLIENT_MODULE = os.path.join(SERVER_DIR, "client.py")
+
+#: How walker code names each kind of ``multiproc.CANONICAL_KINDS``:
+#: the type it isinstance-tests, the predicate it calls, or — for
+#: ``decode_value``, which walks the wire form — the marker key.
+KIND_TOKENS = {
+    "none": ("None",), "bool": ("bool",), "int": ("int",),
+    "float": ("float",), "str": ("str",),
+    "bytes": ("bytes", "__bytes__"),
+    "ndarray": ("ndarray", "__nd__"),
+    "list": ("list",), "tuple": ("tuple", "__tuple__"),
+    "dict": ("dict",),
+    "row": ("is_row", "__row__"), "ref": ("is_ref", "__ref__"),
+    "batch": ("is_batch", "__batch__"),
+}
+
+_SCALARS = ("none", "bool", "int", "float")
+
+#: (module, function, kinds its fall-through covers by design).
+VALUE_WALKERS = (
+    (MULTIPROC_MODULE, "_feed", ()),
+    (PROTOCOL_MODULE, "encode_value", ()),
+    (PROTOCOL_MODULE, "decode_value", ()),
+    # anything without a buffer weighs a flat 8 bytes
+    (PROTOCOL_MODULE, "payload_nbytes", _SCALARS + ("ref",)),
+    # immutable leaves are shared, not copied
+    (CACHE_MODULE, "materialize", _SCALARS + ("str", "bytes", "ref")),
+    (CACHE_MODULE, "_intern", _SCALARS + ("ref",)),
+    # only unwraps the {"kind": ...} envelopes; the rest passes through
+    (CLIENT_MODULE, "_bare_value",
+     tuple(kind for kind in KIND_TOKENS if kind != "dict")),
+)
+
+
+def _canonical_kinds(root):
+    """The string items of ``CANONICAL_KINDS`` in the multiproc
+    module, or ``None`` when the tuple is not declared."""
+    path = os.path.join(root, MULTIPROC_MODULE)
+    if not os.path.isfile(path):
+        return None
+    for node in _parse(path).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "CANONICAL_KINDS"
+                for t in node.targets) \
+                and isinstance(node.value, (ast.Tuple, ast.List)):
+            return [elt.value for elt in node.value.elts
+                    if isinstance(elt, ast.Constant)
+                    and isinstance(elt.value, str)]
+    return None
+
+
+def _tokens_named(function):
+    """Every name, attribute and string constant in ``function``,
+    plus ``"None"`` when it compares against ``None``."""
+    tokens = set()
+    for node in ast.walk(function):
+        if isinstance(node, ast.Name):
+            tokens.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            tokens.add(node.attr)
+        elif isinstance(node, ast.Constant) \
+                and isinstance(node.value, str):
+            tokens.add(node.value)
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(operand, ast.Constant)
+                and operand.value is None
+                for operand in node.comparators):
+            tokens.add("None")
+    return tokens
+
+
+def check_canonical_value_walkers(root):
+    if not os.path.isfile(os.path.join(root, PROTOCOL_MODULE)):
+        return []                   # no wire codec, no shipped values
+    kinds = _canonical_kinds(root)
+    if kinds is None:
+        return [Finding(
+            "error", "canonical-kinds-untracked", None,
+            "%s declares no CANONICAL_KINDS tuple — the value-walker "
+            "invariant has nothing to check against"
+            % MULTIPROC_MODULE)]
+    findings = []
+    for kind in kinds:
+        if kind not in KIND_TOKENS:
+            findings.append(Finding(
+                "error", "canonical-kind-unknown", None,
+                "%s lists kind %r but selfcheck.KIND_TOKENS does not "
+                "say how walkers name it — no walker can be checked "
+                "for it" % (MULTIPROC_MODULE, kind)))
+    for rel, name, defaults in VALUE_WALKERS:
+        path = os.path.join(root, rel)
+        function = None
+        if os.path.isfile(path):
+            function = next(
+                (node for node in ast.walk(_parse(path))
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == name), None)
+        if function is None:
+            findings.append(Finding(
+                "error", "value-walker-missing", None,
+                "%s no longer defines %s() — update "
+                "selfcheck.VALUE_WALKERS to wherever shipped values "
+                "are walked now" % (rel, name)))
+            continue
+        tokens = _tokens_named(function)
+        for kind in kinds:
+            if kind in defaults or kind not in KIND_TOKENS:
+                continue
+            if not tokens & set(KIND_TOKENS[kind]):
+                findings.append(Finding(
+                    "error", "canonical-value-walkers", None,
+                    "%s:%d: %s() has no branch for canonical kind %r "
+                    "(looked for %s) — handle it, or record in "
+                    "selfcheck.VALUE_WALKERS that its fall-through "
+                    "covers the kind"
+                    % (rel, function.lineno, name, kind,
+                       "/".join(KIND_TOKENS[kind]))))
+    return findings
+
+
+# ----------------------------------------------------------------------
 def run_selfcheck(root=None):
     """All invariant findings for the tree (empty list = clean)."""
     root = root or repo_root()
@@ -362,4 +497,5 @@ def run_selfcheck(root=None):
     findings += check_fsync_before_rename(root)
     findings += check_sql_lowering_totality(root)
     findings += check_serving_path_accounting(root)
+    findings += check_canonical_value_walkers(root)
     return findings

@@ -18,7 +18,8 @@ from .typecheck import ResolvedQuery, resolve
 from .types import (BOOLEAN, CHAR, DOUBLE, FLOAT, INSTANT, INT, LONG,
                     STRING, BaseType, ClassRef, MOAType, SetType, TupleType)
 from .rewriter import RewriteResult, Rewriter, rewrite
-from .values import Bag, Ref, Row, equivalent, sequences_equivalent
+from .values import (Bag, Ref, Row, RowBatch, equivalent,
+                     sequences_equivalent)
 
 __all__ = [
     "Evaluator", "evaluate",
@@ -32,5 +33,6 @@ __all__ = [
     "BOOLEAN", "CHAR", "DOUBLE", "FLOAT", "INSTANT", "INT", "LONG",
     "STRING", "BaseType", "ClassRef", "MOAType", "SetType", "TupleType",
     "RewriteResult", "Rewriter", "rewrite",
-    "Bag", "Ref", "Row", "equivalent", "sequences_equivalent",
+    "Bag", "Ref", "Row", "RowBatch", "equivalent",
+    "sequences_equivalent",
 ]

@@ -21,9 +21,12 @@ gray arrow of the paper's Figure 6.  Object values materialise as
 cyclic TPC-D schema finite.
 """
 
+import numpy as np
+
 from ..errors import MOAError
 from ..monet.mil import Var
-from .values import Bag, Ref, Row
+from ..monet.vectorized import MultiMap
+from .values import Bag, RowBatch, column_values
 
 
 class Rep:
@@ -190,103 +193,106 @@ def _render_source(source):
 # materialization (the upward arrow of Figure 6)
 # ----------------------------------------------------------------------
 class Materializer:
-    """Rebuilds logical values from a rep tree.
+    """Rebuilds logical values from a rep tree, column-wise.
 
-    ``resolver(source)`` maps a rep source (Var or BAT) to a BAT;
-    ``schema``/``catalog_get`` serve ObjectRep attribute lookups when
-    deep materialisation is requested (sessions use shallow Refs).
+    ``resolver(source)`` maps a rep source (Var or BAT) to a BAT.  The
+    rep tree's BATs are read as whole columns: every node answers
+    "your values for these element ids, in this order" with one array
+    (:meth:`column`), found by a vectorized gather through the BAT's
+    head — no per-element dict, no per-element ``Row``.  Python
+    objects appear only where the logical value *is* one: a nested
+    set's :class:`~repro.moa.values.Bag`, a nested tuple's ``Row``.
     """
 
     def __init__(self, resolver):
         self.resolver = resolver
 
-    # -- id -> value maps ------------------------------------------------
-    def value_map(self, rep):
-        """dict element-id -> logical value for an inner rep."""
-        if isinstance(rep, AtomRep):
-            bat = resolve_source(rep.source, self.resolver)
-            return dict(bat.to_pairs())
-        if isinstance(rep, RefRep):
-            bat = resolve_source(rep.source, self.resolver)
-            return {identifier: Ref(rep.class_name, oid)
-                    for identifier, oid in bat.to_pairs()}
-        if isinstance(rep, ObjectRep):
-            return _IdentityMap(lambda oid: Ref(rep.class_name, oid))
-        if isinstance(rep, InlineAtomRep):
-            return _IdentityMap(lambda value: value)
-        if isinstance(rep, InlineRefRep):
-            return _IdentityMap(lambda oid: Ref(rep.class_name, oid))
-        if isinstance(rep, TupleRep):
-            field_maps = [(name, self.value_map(field_rep))
-                          for name, field_rep in rep.fields]
-            return _TupleMap(field_maps)
-        if isinstance(rep, SetRep):
-            index = resolve_source(rep.index, self.resolver)
-            inner = self.value_map(rep.inner)
-            grouped = {}
-            for owner, elem in index.to_pairs():
-                grouped.setdefault(owner, Bag()).add(inner[elem])
-            return _SetMap(grouped)
-        if isinstance(rep, ViaRep):
-            mapping = resolve_source(rep.map_source, self.resolver)
-            inner = self.value_map(rep.inner)
-            return {new_id: inner[old_id]
-                    for new_id, old_id in mapping.to_pairs()}
-        raise MOAError("cannot materialize rep %r" % rep)
-
     def top_level(self, rep):
-        """Materialise a top-level SET rep into an ordered value list.
+        """Materialise a top-level SET rep in index BUN order (which
+        is how the flattened engine carries ORDER BY information).
 
-        The order follows the index BAT's BUN order, which is how the
-        flattened engine carries ORDER BY information.
+        A set of tuples comes back as one
+        :class:`~repro.moa.values.RowBatch`; a set of anything else
+        (atoms, references) as a list of its values.
         """
         if not isinstance(rep, SetRep):
             raise MOAError("top-level result must be a SET rep, got %r"
                            % rep)
-        index = resolve_source(rep.index, self.resolver)
-        inner = self.value_map(rep.inner)
-        return [inner[elem] for _owner, elem in index.to_pairs()]
+        ids = resolve_source(rep.index, self.resolver).tail.logical()
+        if isinstance(rep.inner, TupleRep):
+            return self.batch(rep.inner, ids)
+        return self.values(rep.inner, ids)
+
+    def batch(self, rep, ids):
+        """The tuples of a TUPLE rep at ``ids``, as a RowBatch."""
+        columns = [self.column(field_rep, ids)
+                   for _name, field_rep in rep.fields]
+        return RowBatch([name for name, _rep in rep.fields],
+                        [column for column, _class in columns],
+                        [ref_class for _column, ref_class in columns])
+
+    def values(self, rep, ids):
+        """The logical values of ``rep`` at ``ids``, as a list."""
+        if isinstance(rep, TupleRep):
+            return list(self.batch(rep, ids))
+        return column_values(*self.column(rep, ids))
+
+    def column(self, rep, ids):
+        """``(array, ref_class)``: one value of ``rep`` per element id
+        in ``ids``; with a ``ref_class`` the array holds the oids of
+        references to that class."""
+        if isinstance(rep, AtomRep):
+            return self._lookup(rep.source, ids), None
+        if isinstance(rep, RefRep):
+            return self._lookup(rep.source, ids), rep.class_name
+        if isinstance(rep, (ObjectRep, InlineRefRep)):
+            return np.asarray(ids), rep.class_name
+        if isinstance(rep, InlineAtomRep):
+            return np.asarray(ids), None
+        if isinstance(rep, ViaRep):
+            return self.column(rep.inner,
+                               self._lookup(rep.map_source, ids))
+        if isinstance(rep, TupleRep):
+            return _object_column(self.values(rep, ids)), None
+        if isinstance(rep, SetRep):
+            index = resolve_source(rep.index, self.resolver)
+            grouped = {}
+            for owner, value in zip(
+                    index.head.logical().tolist(),
+                    self.values(rep.inner, index.tail.logical())):
+                grouped.setdefault(owner, Bag()).add(value)
+            # absent owners own the empty bag, each its own
+            return _object_column([
+                grouped[owner] if owner in grouped else Bag()
+                for owner in ids.tolist()]), None
+        raise MOAError("cannot materialize rep %r" % rep)
+
+    def _lookup(self, source, ids):
+        """Tail values of the head-unique BAT ``source`` at ``ids``."""
+        bat = resolve_source(source, self.resolver)
+        heads = bat.head.logical()
+        if len(heads) == len(ids) and (heads == ids).all():
+            # synchronous with the asking set and in its order: the
+            # tail already is the answer
+            return np.asarray(bat.tail.logical())
+        if bat.props.hordered and len(heads):
+            positions = np.minimum(np.searchsorted(heads, ids),
+                                   len(heads) - 1)
+            missing = heads[positions] != ids
+        else:
+            positions = MultiMap(heads).lookup_first(ids)
+            missing = positions < 0
+        if missing.any():
+            raise MOAError("rep source %s has no value for element "
+                           "id %r" % (_render_source(source),
+                                      ids[int(missing.argmax())]))
+        return np.asarray(bat.tail.take(positions).logical())
 
 
-class _IdentityMap:
-    """Lazy id->value map where the value is a function of the id."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __getitem__(self, key):
-        return self.fn(key)
-
-    def get(self, key, default=None):
-        return self.fn(key)
-
-
-class _TupleMap:
-    """Lazy id->Row map over synchronous field maps."""
-
-    __slots__ = ("field_maps",)
-
-    def __init__(self, field_maps):
-        self.field_maps = field_maps
-
-    def __getitem__(self, key):
-        return Row([(name, mapping[key])
-                    for name, mapping in self.field_maps])
-
-
-class _SetMap:
-    """id->Bag map where absent owners own the empty bag."""
-
-    __slots__ = ("grouped",)
-
-    def __init__(self, grouped):
-        self.grouped = grouped
-
-    def __getitem__(self, key):
-        value = self.grouped.get(key)
-        return value if value is not None else Bag()
+def _object_column(values):
+    # fromiter never looks inside the values, where ``np.array`` would
+    # unpack equally long Bags and Rows into a 2-D array
+    return np.fromiter(values, dtype=object, count=len(values))
 
 
 def materialize(rep, resolver):

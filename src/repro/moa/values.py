@@ -13,12 +13,19 @@ tests), plus the value kinds the logical data model needs:
 * :class:`Bag` — a multiset; MOA sets are identified value sets, so
   two elements may carry equal values (e.g. equal revenues), which
   materialises as a duplicate-preserving bag.
+* :class:`RowBatch` — an ordered set of tuples held column-wise: the
+  paper's ``SET(A, TUPLE(f1..fn))`` over synchronous BATs *is* a
+  struct of arrays, and a top-level query result stays one from the
+  materializer to the client, building :class:`Row` objects only when
+  somebody iterates.
 
 Deep equality with float tolerance is provided by :func:`equivalent`,
 the comparator used by the Figure 6 commuting-diagram tests.
 """
 
 import math
+
+import numpy as np
 
 from ..errors import EvaluationError
 
@@ -54,8 +61,14 @@ class Row:
 
     __slots__ = ("_names", "_values")
 
-    def __init__(self, fields):
-        """``fields`` is an iterable of (name, value) pairs."""
+    def __init__(self, fields, values=None):
+        """``fields`` is an iterable of (name, value) pairs — or, with
+        ``values``, an already-validated tuple of distinct names (what
+        a :class:`RowBatch` hands each row it yields)."""
+        if values is not None:
+            self._names = fields
+            self._values = values
+            return
         fields = list(fields)
         self._names = tuple(name for name, _v in fields)
         self._values = tuple(v for _n, v in fields)
@@ -132,6 +145,96 @@ class Bag:
         if not isinstance(other, Bag):
             return NotImplemented
         return equivalent(self, other)
+
+
+def column_values(column, ref_class=None):
+    """One column as a list of Python values: ``Ref`` s to
+    ``ref_class`` when the array holds oids, its items otherwise."""
+    if ref_class is None:
+        return column.tolist()
+    return [Ref(ref_class, oid) for oid in column.tolist()]
+
+
+class RowBatch:
+    """An ordered set of flat tuples as a struct of arrays.
+
+    ``names`` are the field names, ``columns`` one equally long 1-D
+    ndarray per field, ``ref_classes`` a class name for each field
+    whose column holds the oids of object references (``None`` for
+    plain values).  Fixed-width fields are bool/int/float arrays;
+    anything else (strings, nested sets, ``None``-bearing fields)
+    rides as an object array.
+
+    A batch is a read-only sequence of :class:`Row`: ``len``, indexing,
+    slicing (a batch over column views), iteration and equality with a
+    row list all work, and every ``Row`` is built at that moment — a
+    result nobody iterates never leaves its columns.
+    """
+
+    __slots__ = ("names", "columns", "ref_classes")
+
+    __hash__ = None
+
+    def __init__(self, names, columns, ref_classes=None):
+        self.names = tuple(names)
+        self.columns = list(columns)
+        self.ref_classes = (None,) * len(self.names) \
+            if ref_classes is None else tuple(ref_classes)
+        if not self.names:
+            raise EvaluationError("a row batch needs at least one field")
+        if len(set(self.names)) != len(self.names):
+            raise EvaluationError("duplicate field names in batch: %r"
+                                  % (self.names,))
+        if not len(self.names) == len(self.columns) \
+                == len(self.ref_classes):
+            raise EvaluationError(
+                "batch has %d names, %d columns, %d ref classes"
+                % (len(self.names), len(self.columns),
+                   len(self.ref_classes)))
+        for column, ref_class in zip(self.columns, self.ref_classes):
+            if not isinstance(column, np.ndarray) or column.ndim != 1 \
+                    or len(column) != len(self.columns[0]):
+                raise EvaluationError(
+                    "batch columns must be equally long 1-D arrays")
+            if ref_class is not None and column.dtype.kind not in "iu":
+                raise EvaluationError(
+                    "a reference column holds integer oids, not %s"
+                    % column.dtype)
+
+    def __len__(self):
+        return len(self.columns[0])
+
+    def __iter__(self):
+        names = self.names
+        for values in zip(*map(column_values, self.columns,
+                               self.ref_classes)):
+            yield Row(names, values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RowBatch(self.names,
+                            [column[index] for column in self.columns],
+                            self.ref_classes)
+        values = []
+        for column, ref_class in zip(self.columns, self.ref_classes):
+            value = column[index]
+            if isinstance(value, np.generic):
+                value = value.item()
+            values.append(value if ref_class is None
+                          else Ref(ref_class, value))
+        return Row(self.names, tuple(values))
+
+    def __eq__(self, other):
+        if not isinstance(other, (RowBatch, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other))
+
+    def __repr__(self):
+        shown = ", ".join(repr(row) for row in self[:6])
+        if len(self) > 6:
+            shown += ", ... (%d rows)" % len(self)
+        return "[%s]" % shown
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,10 @@ Result shipping
 
 Every task result is reduced to a canonical picklable form
 (:func:`ship_value`) and fingerprinted with **sha1**
-(:func:`result_checksum`) *inside the worker*.  The payload then ships
+(:func:`result_checksum`) *inside the worker*.  A set-of-tuples
+result is one columnar ``RowBatch`` there and stays one all the way to
+the client; its digest is computed over its columns and equals the
+digest of the same rows held as a Python list.  The payload then ships
 either inline through the worker pipe (``ship="inline"``, the default)
 or as a per-worker result file (``ship="file"``) that the parent loads
 and re-verifies against the shipped checksum.  The checksum is the
@@ -83,9 +86,11 @@ from .buffer import BufferManager, BufferStats, use as use_manager
 from .mil import MILInterpreter, partition_independent
 
 __all__ = [
-    "MultiprocExecutor", "PendingTask", "TaskOutcome", "WorkerContext",
-    "default_start_method", "register_task_kind", "result_checksum",
+    "CANONICAL_KINDS", "MultiprocExecutor", "PendingTask",
+    "TaskOutcome", "WorkerContext", "default_start_method", "is_batch",
+    "is_ref", "is_row", "register_task_kind", "result_checksum",
     "run_program_serial", "run_queries_multiproc", "ship_value",
+    "utf8_column",
 ]
 
 DEFAULT_PROCS = 2
@@ -122,7 +127,9 @@ def ship_value(value):
     BATs become ``{"kind": "bat", "head": array, "tail": array}`` of
     their logical values (materialised — the worker's memmaps never
     cross the process boundary); everything else (scalars, ``None``,
-    materialised row lists) ships as ``{"kind": "value", ...}``.
+    a set of tuples as the ``RowBatch`` the materializer built — its
+    columns pickle as the arrays they are) ships as ``{"kind":
+    "value", ...}``.
     """
     if hasattr(value, "head") and hasattr(value, "tail"):
         return {"kind": "bat",
@@ -131,14 +138,54 @@ def ship_value(value):
     return {"kind": "value", "value": value}
 
 
+#: The kinds of value a shipped result is made of.  Every walker over
+#: shipped values — the digest below, the wire codec, the result
+#: cache, the client — decides what it does with each of them;
+#: selfcheck invariant 7 (``repro.analysis.selfcheck``) reads this
+#: tuple and lints the walkers against it, so a kind added here cannot
+#: land handled by some walkers and silently mangled by the rest.
+CANONICAL_KINDS = ("none", "bool", "int", "float", "str", "bytes",
+                   "ndarray", "list", "tuple", "dict", "row", "ref",
+                   "batch")
+
+
+def is_row(value):
+    """``repro.moa.values.Row`` (duck-typed: monet imports no moa)."""
+    return hasattr(value, "names") and hasattr(value, "values")
+
+
+def is_ref(value):
+    """``repro.moa.values.Ref``."""
+    return hasattr(value, "class_name") and hasattr(value, "oid")
+
+
+def is_batch(value):
+    """``repro.moa.values.RowBatch``."""
+    return hasattr(value, "columns") and hasattr(value, "ref_classes")
+
+
 def result_checksum(value):
     """sha1 hex digest of a result under a canonical encoding.
 
     Stable across processes for everything query execution produces:
     ``None``, bools, ints, exact floats (``float.hex``), strings,
-    numpy arrays (dtype + raw bytes; object arrays element-wise),
-    lists/tuples/dicts, and the MOA value types (``Row`` via its
-    field names + values, ``Ref`` via class name + oid).
+    numpy arrays (dtype + raw bytes, every NaN as the one quiet NaN;
+    object arrays element-wise), lists/tuples/dicts, and the MOA value
+    types (``Row`` via its field names + values, ``Ref`` via class
+    name + oid).
+
+    A **set of flat tuples** is digested over its columns, however it
+    is held: a ``RowBatch`` and the equal list of ``Row`` s (one or
+    more rows, all with the same field names) feed the same bytes —
+    the field and row counts, then per field its name and a typed
+    column: bools as single bytes, ints as little-endian int64, floats
+    as float64 with one canonical NaN, strings as their UTF-8 lengths
+    (int64) then the concatenated UTF-8, references to one class as
+    the class name then int64 oids, anything else element by element.
+    The digest therefore depends on neither the representation nor
+    the storage width of a column, which is what lets every path (Moa
+    drivers, SQL, worker, wire, cache hit) be compared by checksum.  A
+    set with no rows digests as the empty list.
     """
     digest = hashlib.sha1()
     _feed(digest, value)
@@ -149,7 +196,7 @@ def _feed(digest, value):
     update = digest.update
     if value is None:
         update(b"N;")
-    elif isinstance(value, bool):
+    elif isinstance(value, (bool, np.bool_)):
         update(b"B%d;" % value)
     elif isinstance(value, (int, np.integer)):
         update(b"I" + str(int(value)).encode() + b";")
@@ -171,8 +218,20 @@ def _feed(digest, value):
         else:
             update(b"A" + value.dtype.str.encode()
                    + str(value.shape).encode() + b":")
+            if value.dtype.kind == "f":
+                value = _one_nan(value)
             update(np.ascontiguousarray(value).tobytes())
+    elif is_batch(value):
+        _feed_table(digest, value.names, len(value),
+                    zip(value.ref_classes, value.columns))
     elif isinstance(value, (list, tuple)):
+        names = value[0].names if value and is_row(value[0]) else None
+        if names and all(is_row(item) and item.names == names
+                         for item in value):
+            _feed_table(digest, names, len(value),
+                        ((None, column) for column in
+                         zip(*[item.values for item in value])))
+            return
         update(b"L%d[" % len(value))
         for item in value:
             _feed(digest, item)
@@ -183,19 +242,112 @@ def _feed(digest, value):
             _feed(digest, key)
             _feed(digest, value[key])
         update(b"}")
-    elif hasattr(value, "names") and hasattr(value, "values"):
-        # repro.moa.values.Row (duck-typed: no moa import from monet)
+    elif is_row(value):
         update(b"R[")
         _feed(digest, list(value.names))
         _feed(digest, list(value.values))
         update(b"]")
-    elif hasattr(value, "class_name") and hasattr(value, "oid"):
-        # repro.moa.values.Ref
+    elif is_ref(value):
         update(b"G" + value.class_name.encode("utf-8")
                + b":" + str(int(value.oid)).encode() + b";")
     else:
         raise TypeError("cannot checksum result value of type %s"
                         % type(value).__name__)
+
+
+def _one_nan(floats):
+    """``floats`` with every NaN payload replaced by the quiet NaN."""
+    nans = np.isnan(floats)
+    if not nans.any():
+        return floats
+    return np.where(nans, floats.dtype.type(np.nan), floats)
+
+
+def _feed_table(digest, names, rows, columns):
+    """A set of ``rows`` flat tuples, column by column (the encoding
+    :func:`result_checksum` documents).  ``columns`` yields one
+    ``(ref_class, values)`` per field; ``values`` is an array or a
+    sequence of Python values, oids when ``ref_class`` is given."""
+    if not rows:
+        digest.update(b"L0[]")
+        return
+    digest.update(b"T%d,%d[" % (len(names), rows))
+    for name, (ref_class, values) in zip(names, columns):
+        _feed(digest, name)
+        _feed_column(digest, ref_class, values)
+    digest.update(b"]")
+
+
+def _all(kinds, *bases):
+    return all(issubclass(kind, bases) for kind in kinds)
+
+
+def _fixed_width(items):
+    """Python values as the bool/int64/float64 array they amount to,
+    or ``None`` when they are not all of one such kind."""
+    kinds = set(map(type, items))
+    try:
+        if _all(kinds, bool, np.bool_):
+            return np.array(items, dtype=np.bool_)
+        if bool not in kinds and _all(kinds, int, np.integer):
+            return np.array(items, dtype=np.int64)
+        if _all(kinds, float, np.floating):
+            return np.array(items, dtype=np.float64)
+    except OverflowError:               # an int beyond int64
+        pass
+    return None
+
+
+def _feed_column(digest, ref_class, values):
+    update = digest.update
+    if not isinstance(values, np.ndarray) or values.dtype.kind not in "bif":
+        # Python values (an object column, or one field across a row
+        # list; also the odd dtypes, via tolist): typed by what the
+        # column holds, so it digests like the equal fixed-width array
+        items = values.tolist() if isinstance(values, np.ndarray) \
+            else values
+        values = _fixed_width(items)
+        if values is None:
+            if _all(set(map(type, items)), str):
+                lengths, data = utf8_column(items)
+                update(b"s")
+                update(lengths.astype("<i8", copy=False))
+                update(data)
+            elif all(map(is_ref, items)) and len(
+                    {item.class_name for item in items}) == 1:
+                _feed_column(digest, items[0].class_name, np.fromiter(
+                    (item.oid for item in items), dtype=np.int64,
+                    count=len(items)))
+            else:
+                update(b"o")
+                for item in items:
+                    _feed(digest, item)
+            return
+    if ref_class is not None:
+        update(b"r")
+        _feed(digest, ref_class)
+    kind = values.dtype.kind
+    if kind == "b":
+        update(b"b")
+        update(np.ascontiguousarray(values, dtype=np.uint8))
+    elif kind == "i":
+        update(b"i")
+        update(np.ascontiguousarray(values, dtype="<i8"))
+    else:
+        update(b"f")
+        update(np.ascontiguousarray(_one_nan(values), dtype="<f8"))
+
+
+def utf8_column(strings):
+    """``(lengths, data)``: the UTF-8 byte length of every string as
+    an int64 array, and their encodings back to back."""
+    joined = "".join(strings)
+    data = joined.encode("utf-8")
+    if len(data) == len(joined):        # pure ASCII: bytes == chars
+        sizes = map(len, strings)
+    else:
+        sizes = (len(item.encode("utf-8")) for item in strings)
+    return np.fromiter(sizes, dtype=np.int64, count=len(strings)), data
 
 
 # ----------------------------------------------------------------------

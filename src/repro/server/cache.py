@@ -26,6 +26,8 @@ from collections import OrderedDict
 
 import numpy as np
 
+from ..monet.multiproc import is_batch, is_row
+
 
 class CacheStats:
     """Cumulative counters of one cache instance.
@@ -188,11 +190,12 @@ def _buffer_key(data):
 def materialize(value):
     """A structurally fresh copy of an interned value.
 
-    Containers (dicts, lists, tuples, Rows) are rebuilt so no caller
-    can mutate the cached entry through a served response; read-only
-    ndarrays, strings, bytes, and Refs are shared — they are immutable
-    (or frozen by interning), and sharing them is the entire point of
-    the buffer dedup.
+    Containers (dicts, lists, tuples, Rows, RowBatches) are rebuilt so
+    no caller can mutate the cached entry through a served response;
+    read-only ndarrays, strings, bytes, and Refs are shared — they are
+    immutable (or frozen by interning), and sharing them is the entire
+    point of the buffer dedup.  For a batch that is O(fields): a new
+    container over the same frozen columns.
     """
     if isinstance(value, dict):
         return {key: materialize(item) for key, item in value.items()}
@@ -202,7 +205,10 @@ def materialize(value):
         return tuple(materialize(item) for item in value)
     if isinstance(value, np.ndarray):
         return value
-    if hasattr(value, "names") and hasattr(value, "values"):
+    if is_batch(value):
+        return type(value)(value.names, value.columns,
+                           value.ref_classes)
+    if is_row(value):
         return type(value)([(name, materialize(item))
                             for name, item in zip(value.names,
                                                   value.values)])
@@ -325,7 +331,13 @@ class ResultCache:
         if isinstance(value, tuple):
             return tuple(self._intern(item, buffer_keys, tally)
                          for item in value)
-        if hasattr(value, "names") and hasattr(value, "values"):
+        if is_batch(value):
+            return type(value)(
+                value.names,
+                [self._intern(column, buffer_keys, tally)
+                 for column in value.columns],
+                value.ref_classes)
+        if is_row(value):
             return type(value)([
                 (name, self._intern(item, buffer_keys, tally))
                 for name, item in zip(value.names, value.values)])

@@ -70,7 +70,11 @@ class ClientReply:
     def __init__(self, canonical, response, spooled=False):
         #: the canonical shipped form ({"kind": ...}-style)
         self.canonical = canonical
-        #: the bare result (rows list, scalar, or {name: value} env)
+        #: the bare result: a scalar, a ``{name: value}`` MIL env, or —
+        #: for a set of tuples — a :class:`~repro.moa.values.RowBatch`
+        #: over the received column buffers, which is a sequence of
+        #: ``Row`` (``len``, indexing, slicing, iteration, ``==`` with a
+        #: row list) that builds each row only when asked for it
         self.value = _bare_value(canonical)
         self.checksum = response["checksum"]
         self.elapsed_ms = response.get("elapsed_ms")

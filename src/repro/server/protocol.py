@@ -57,9 +57,15 @@ not JSON-native: numpy arrays, ``Row``/``Ref`` values, bytes.
 respect to the sha1 result checksum**: fixed-dtype arrays travel as
 base64 of their raw little-endian bytes (bit-exact), object arrays
 element-wise, tuples degrade to lists (checksum-equivalent by design),
-and numpy scalars degrade to Python numbers (likewise).  The client
-re-checksums the decoded payload against the worker's shipped digest,
-so any codec asymmetry is caught per response, not trusted.
+and numpy scalars degrade to Python numbers (likewise).  A
+``RowBatch`` (a set of flat tuples held column-wise) travels as
+``{"__batch__": names, "refs": classes, "cols": [...]}``: each
+fixed-width column is an array like any other (``__ndbuf__`` on the
+binary wire, ``__nd__`` on JSON), a string column is its UTF-8 bytes
+plus every string's end offset, and no ``Row`` exists on either side
+until the receiver iterates.  The client re-checksums the decoded
+payload against the worker's shipped digest, so any codec asymmetry
+is caught per response, not trusted.
 
 Non-finite floats ride on Python's JSON ``NaN``/``Infinity`` literals
 (both ends of this protocol are this package).
@@ -75,8 +81,10 @@ import struct
 import numpy as np
 
 from .. import faults
-from ..errors import FrameTooLargeError, ProtocolError, SpoolError
+from ..errors import (EvaluationError, FrameTooLargeError, ProtocolError,
+                      SpoolError)
 from ..monet.mil import MILProgram, MILStmt, Var
+from ..monet.multiproc import is_batch, is_ref, is_row, utf8_column
 
 #: Refuse frames above this many payload bytes (2**28 = 256 MiB).
 MAX_FRAME_BYTES = 1 << 28
@@ -108,7 +116,7 @@ faults.declare("protocol.send.reset", "protocol.send.torn",
 #: them (or non-string keys) is encoded in the explicit pair-list form.
 _MARKERS = frozenset(("__nd__", "__ndo__", "__ndbuf__", "__row__",
                       "__ref__", "__bytes__", "__tuple__", "__dict__",
-                      "__var__"))
+                      "__var__", "__batch__"))
 
 
 # ----------------------------------------------------------------------
@@ -260,6 +268,11 @@ def encode_value(value, sink=None):
         return {"__nd__": data.dtype.str,
                 "shape": list(data.shape),
                 "b64": base64.b64encode(data.tobytes()).decode("ascii")}
+    if is_batch(value):
+        return {"__batch__": list(value.names),
+                "refs": list(value.ref_classes),
+                "cols": [_encode_column(column, sink)
+                         for column in value.columns]}
     if isinstance(value, tuple):
         return {"__tuple__": [encode_value(item, sink)
                               for item in value]}
@@ -273,16 +286,45 @@ def encode_value(value, sink=None):
         return {"__dict__": [[encode_value(key, sink),
                               encode_value(item, sink)]
                              for key, item in value.items()]}
-    if hasattr(value, "names") and hasattr(value, "values"):
-        # repro.moa.values.Row (duck-typed, like the checksum canon)
+    if is_row(value):
         return {"__row__": [[name, encode_value(item, sink)]
                             for name, item in zip(value.names,
                                                   value.values)]}
-    if hasattr(value, "class_name") and hasattr(value, "oid"):
-        # repro.moa.values.Ref
+    if is_ref(value):
         return {"__ref__": [value.class_name, int(value.oid)]}
     raise ProtocolError("cannot encode value of type %s"
                         % type(value).__name__)
+
+
+def _encode_column(column, sink):
+    """One batch column: a string column ships as its UTF-8 bytes plus
+    the end offset of every string (two buffers instead of one JSON
+    string per row); every other column as the array it is."""
+    items = column.tolist() if column.dtype == object else ()
+    if items and set(map(type, items)) == {str}:
+        lengths, data = utf8_column(items)
+        ends = np.cumsum(lengths)
+        if len(data) < 1 << 31:
+            ends = ends.astype(np.int32)
+        return {"utf8": encode_value(
+                    np.frombuffer(data, dtype=np.uint8), sink),
+                "ends": encode_value(ends, sink)}
+    return encode_value(column, sink)
+
+
+def _decode_column(obj):
+    if isinstance(obj, dict) and "utf8" in obj:
+        data = decode_value(obj["utf8"]).tobytes()
+        ends = decode_value(obj["ends"]).tolist()
+        spans = list(zip([0] + ends, ends))
+        text = data.decode("utf-8")
+        if len(text) == len(data):      # ASCII: chars are bytes
+            strings = [text[start:end] for start, end in spans]
+        else:
+            strings = [data[start:end].decode("utf-8")
+                       for start, end in spans]
+        return np.fromiter(strings, dtype=object, count=len(strings))
+    return decode_value(obj)
 
 
 def decode_value(obj):
@@ -330,6 +372,17 @@ def decode_value(obj):
             from ..moa.values import Ref
             class_name, oid = obj["__ref__"]
             return Ref(class_name, oid)
+        if "__batch__" in obj:
+            from ..moa.values import RowBatch
+            try:
+                return RowBatch(obj["__batch__"],
+                                [_decode_column(column)
+                                 for column in obj["cols"]],
+                                obj["refs"])
+            except (KeyError, TypeError, ValueError, AttributeError,
+                    EvaluationError) as exc:
+                raise ProtocolError("malformed row batch on the wire: "
+                                    "%r" % (exc,)) from exc
         return {key: decode_value(item) for key, item in obj.items()}
     raise ProtocolError("cannot decode wire value %r" % (obj,))
 
@@ -446,7 +499,11 @@ def payload_nbytes(value):
                    for key, item in value.items()) + 8
     if isinstance(value, (list, tuple)):
         return sum(payload_nbytes(item) for item in value) + 8
-    if hasattr(value, "names") and hasattr(value, "values"):
+    if is_batch(value):
+        # O(fields) for a flat batch: the column buffers are the size
+        return sum(payload_nbytes(column)
+                   for column in value.columns) + 8
+    if is_row(value):
         return sum(payload_nbytes(name) + payload_nbytes(item)
                    for name, item in zip(value.names, value.values))
     return 8

@@ -23,8 +23,11 @@ Each outcome ships ``extra = {"plan_cached": bool, "plan_cache":
 {hits, misses, evictions, size, capacity}, "result_bytes": int}`` —
 the cumulative counters of *this worker's* cache plus the canonical
 byte weight of the result (what the wire/result-cache layers charge
-for it) — which the parent-side service aggregates into the
-``stats`` response.
+for it; for a :class:`~repro.moa.values.RowBatch` the sum of its
+column buffers, never a walk over rows) — which the parent-side
+service aggregates into the ``stats`` response.  A set-of-tuples
+result leaves here as the batch the materializer built: no ``Row``
+exists in the worker.
 """
 
 from ..analysis.verify import (PlanBudget, catalog_stats_from_kernel,

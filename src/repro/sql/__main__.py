@@ -99,6 +99,7 @@ def _run_suite(args):
 
 
 def _run_query(args, text):
+    from ..moa.values import RowBatch
     from .runtime import execute_sql
     if args.oracle:
         from .oracle import check_query, load_oracle
@@ -109,7 +110,7 @@ def _run_query(args, text):
     else:
         _dataset_, db = _dataset(args)
     result = execute_sql(db, text)
-    if isinstance(result, list):
+    if isinstance(result, (list, RowBatch)):
         for row in result:
             print(row)
         print("(%d rows)" % len(result))

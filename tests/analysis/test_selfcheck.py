@@ -156,3 +156,68 @@ def test_buffer_manager_on_the_serving_path_is_found(tmp_path):
     (tmp_path / "src" / "repro" / "server" / "tasks.py").write_text(
         textwrap.dedent(good))
     assert _codes(tmp_path) == []
+
+
+# ----------------------------------------------------------------------
+# invariant 7: every value walker handles every canonical kind
+# ----------------------------------------------------------------------
+WALKER_MODULES = [os.path.join("repro", "monet", "multiproc.py"),
+                  os.path.join("repro", "server", "protocol.py"),
+                  os.path.join("repro", "server", "cache.py"),
+                  os.path.join("repro", "server", "client.py")]
+
+
+def _walker_tree(tmp_path, edit=None):
+    """A synthetic tree holding verbatim copies of the four modules
+    that walk shipped values, optionally with one of them edited."""
+    _tree(tmp_path, test_files=[("test_ok.py",
+                                 "from x import GoodError\n")])
+    real = os.path.join(selfcheck.repo_root(), "src")
+    for rel in WALKER_MODULES:
+        with open(os.path.join(real, rel)) as handle:
+            text = handle.read()
+        if edit is not None and rel.endswith(edit[0]):
+            assert edit[1] in text
+            text = text.replace(edit[1], edit[2])
+        target = tmp_path / "src" / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text)
+    return selfcheck.check_canonical_value_walkers(str(tmp_path))
+
+
+def test_value_walkers_are_total_over_the_canonical_kinds(tmp_path):
+    assert _walker_tree(tmp_path) == []
+
+
+def test_walker_that_forgets_a_kind_is_found(tmp_path):
+    # the byte-weight walker loses its batch branch: rows would be
+    # weighed as one opaque 8-byte leaf
+    findings = _walker_tree(tmp_path, edit=(
+        "protocol.py", "    if is_batch(value):\n        # O(fields)",
+        "    if False:\n        # O(fields)"))
+    assert [f.code for f in findings] == ["canonical-value-walkers"]
+    assert "payload_nbytes" in findings[0].message
+    assert "'batch'" in findings[0].message
+
+
+def test_new_kind_cannot_land_without_every_walker(tmp_path,
+                                                   monkeypatch):
+    # registering a kind without teaching the lint how walkers name it
+    findings = _walker_tree(tmp_path, edit=(
+        "multiproc.py", '"batch")', '"batch", "decimal")'))
+    assert [f.code for f in findings] == ["canonical-kind-unknown"]
+    # ... and teaching it flags all seven walkers until each decides
+    monkeypatch.setattr(selfcheck, "KIND_TOKENS", dict(
+        selfcheck.KIND_TOKENS, decimal=("Decimal",)))
+    findings = selfcheck.check_canonical_value_walkers(str(tmp_path))
+    assert [f.code for f in findings] \
+        == ["canonical-value-walkers"] * len(selfcheck.VALUE_WALKERS)
+
+
+def test_renamed_walker_and_missing_registry_are_found(tmp_path):
+    findings = _walker_tree(tmp_path, edit=(
+        "client.py", "def _bare_value(", "def _unwrap("))
+    assert [f.code for f in findings] == ["value-walker-missing"]
+    findings = _walker_tree(tmp_path / "again", edit=(
+        "multiproc.py", "CANONICAL_KINDS = (", "KINDS = ("))
+    assert [f.code for f in findings] == ["canonical-kinds-untracked"]

@@ -1,8 +1,9 @@
 """Structure functions + the flattening mapping (paper section 3.3)."""
 
+import numpy as np
 import pytest
 
-from repro.errors import MappingError
+from repro.errors import MappingError, MOAError
 from repro.moa import (Bag, MOADatabase, Ref, Row, Schema, ref, setof,
                        tupleof)
 from repro.moa.mapping import flatten
@@ -172,20 +173,23 @@ def test_materialize_via_rep():
     values = bat_from_pairs("oid", "string", [(1, "a"), (2, "b")])
     rep = ViaRep(mapping, AtomRep(values, "string"))
     materializer = Materializer(lambda s: s)
-    value_map = materializer.value_map(rep)
-    assert value_map[100] == "a" and value_map[101] == "b"
+    # asked in another order than the mapping BAT's: a real gather
+    assert materializer.values(rep, np.array([101, 100])) == ["b", "a"]
+    with pytest.raises(MOAError):
+        materializer.values(rep, np.array([100, 999]))
 
 
 def test_materialize_inline_ref():
     index = bat_from_pairs("oid", "oid", [(7, 42)])
     rep = SetRep(index, InlineRefRep("Dept"))
-    value_map = Materializer(lambda s: s).value_map(rep)
-    assert value_map[7] == Bag([Ref("Dept", 42)])
+    values = Materializer(lambda s: s).values(rep, np.array([7, 8]))
+    assert values == [Bag([Ref("Dept", 42)]), Bag()]
 
 
 def test_object_rep_identity():
-    value_map = Materializer(lambda s: s).value_map(ObjectRep("Emp"))
-    assert value_map[10] == Ref("Emp", 10)
+    values = Materializer(lambda s: s).values(ObjectRep("Emp"),
+                                              np.array([10]))
+    assert values == [Ref("Emp", 10)]
 
 
 # ----------------------------------------------------------------------

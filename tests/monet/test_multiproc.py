@@ -334,12 +334,17 @@ def test_midtask_crash_surfaces_typed_error_and_respawns(db_dir):
 
 
 def test_timeout_kills_overdue_worker_and_recovers(db_dir, serial_db):
-    with MultiprocExecutor(db_dir, procs=1) as pool:
+    # every worker parks its second task, so the task is overdue by
+    # construction — a 0.1 ms budget alone loses the race whenever the
+    # pump thread is descheduled for longer than the query takes
+    plan = faults.FaultPlan().arm("multiproc.task.start",
+                                  action="delay", delay_s=60.0, skip=1)
+    with MultiprocExecutor(db_dir, procs=1, fault_plan=plan) as pool:
         pool.run_queries((6,))
         [pid] = pool.worker_pids()
         with pytest.raises(QueryTimeoutError):
             pool.submit(("query", "qslow", 13, None),
-                        timeout=0.0001).result(timeout=60)
+                        timeout=0.2).result(timeout=60)
         assert pool.timeouts == 1
         assert pool.worker_pids() != [pid]
         outcome = pool.run_queries((13,))[13]
@@ -383,3 +388,33 @@ def test_result_checksum_distinguishes_types():
 def test_result_checksum_rejects_unknown_types():
     with pytest.raises(TypeError):
         result_checksum(object())
+
+
+def test_result_checksum_treats_numpy_bool_as_bool():
+    """Regression: ``np.bool_`` matched neither the bool nor the
+    integer branch and raised TypeError, although the wire codec
+    ships it as a plain bool."""
+    import numpy as np
+    assert result_checksum(np.bool_(True)) == result_checksum(True)
+    assert result_checksum(np.bool_(False)) == result_checksum(False)
+    assert result_checksum([np.bool_(True), 1]) \
+        != result_checksum([np.bool_(False), 1])
+
+
+def test_result_checksum_has_one_nan_in_arrays_too():
+    """Regression: two NaN payloads hashed identically as scalars
+    (``float.hex`` says 'nan' for both) but differently inside an
+    array, whose raw bytes went into the digest."""
+    import struct
+    import numpy as np
+    odd = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000ABC))[0]
+    assert result_checksum(odd) == result_checksum(float("nan"))
+    quiet = np.array([1.0, float("nan")])
+    noisy = np.array([1.0, odd])
+    assert quiet.tobytes() != noisy.tobytes()
+    assert result_checksum(noisy) == result_checksum(quiet)
+    assert result_checksum(noisy.astype(np.float32)) \
+        == result_checksum(quiet.astype(np.float32))
+    # still a digest of the values otherwise
+    assert result_checksum(np.array([1.0, 2.0])) \
+        != result_checksum(quiet)

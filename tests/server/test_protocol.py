@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.errors import FrameTooLargeError, ProtocolError, SpoolError
-from repro.moa.values import Ref, Row
+from repro.moa.values import Ref, Row, RowBatch
 from repro.monet.mil import MILProgram, Var
 from repro.monet.multiproc import result_checksum
 from repro.server import (LRUCache, ResultCache, decode_program,
@@ -417,6 +417,62 @@ def test_result_cache_source_array_mutation_cannot_corrupt():
     cache.put((1, "q"), "sha", {"col": column}, {})
     column[0] = -999
     assert cache.get((1, "q")).response()["payload"]["col"][0] == 0
+
+
+def _wide_batch(rows=500):
+    return RowBatch(
+        ["k", "v", "s"],
+        [np.arange(rows, dtype=np.int64), np.linspace(0.0, 1.0, rows),
+         np.fromiter(("s%d" % i for i in range(rows)), dtype=object,
+                     count=rows)],
+        ["Order", None, None])
+
+
+def test_result_cache_batches_are_mutation_isolated():
+    """The batch twin of the two tests above: neither a served
+    response nor the source value can reach the cached columns."""
+    cache = ResultCache(1 << 20)
+    source = _wide_batch()
+    digest = result_checksum(source)
+    cache.put((1, "q"), digest, {"kind": "value", "value": source}, {})
+    first = cache.get((1, "q")).response()["payload"]["value"]
+    assert isinstance(first, RowBatch) and first is not source
+    with pytest.raises(ValueError):
+        first.columns[0][0] = -999              # frozen buffers
+    first.columns[1] = np.zeros(len(first))     # a fresh container ...
+    first.columns.pop()
+    source.columns[0][0] = -999                 # ... and copied bytes
+    second = cache.get((1, "q")).response()["payload"]["value"]
+    assert result_checksum(second) == digest
+    assert second[0]["k"] == Ref("Order", 0)
+    # hits share the frozen column buffers instead of copying them
+    third = cache.get((1, "q")).response()["payload"]["value"]
+    assert third.columns[0] is second.columns[0]
+
+
+def test_batch_bookkeeping_never_builds_a_row(monkeypatch):
+    """``payload_nbytes`` (worker, per request), the interning walk
+    and ``materialize`` (parent, per hit) used to rebuild every Row;
+    for a batch they touch columns only."""
+    built = []
+    original = Row.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Row, "__init__", counting)
+    batch = _wide_batch()
+    # numeric buffers + the object column's per-string estimate
+    assert 500 * 16 <= payload_nbytes(batch) <= 500 * 16 + 500 * 16
+    cache = ResultCache(1 << 20)
+    cache.put((1, "q"), "sha", {"kind": "value", "value": batch}, {})
+    for _ in range(3):
+        cache.get((1, "q")).response()
+    encode_value(batch)
+    result_checksum(batch)
+    assert built == []
+    assert len(list(batch)) == 500 and len(built) == 500
 
 
 def test_result_cache_byte_budget_is_a_hard_ceiling():

@@ -210,6 +210,77 @@ def test_four_concurrent_clients_full_query_set(server,
 # ----------------------------------------------------------------------
 # caches
 # ----------------------------------------------------------------------
+# flat results stay flat: the Row-construction cost gate
+# ----------------------------------------------------------------------
+ROWS_WIDE_K5 = ("select l_orderkey, l_partkey, l_quantity, "
+                "l_extendedprice from lineitem where l_quantity < 5")
+
+NESTED_MOA = "project[<name : n, supplies : s>](Supplier)"
+
+
+def test_rows_wide_request_builds_no_row_until_iterated(
+        db_dir, tiny_tpcd_db, monkeypatch):
+    """A count, not a timing: serving a set of flat tuples end to end
+    — worker, parent, either wire, client — constructs zero ``Row``
+    objects; iterating the reply builds exactly one per row.  The
+    counter is a shared-memory integer the forked workers inherit, so
+    their constructions are counted too (the nested query proves it
+    can see them).  Then, coarsely and uncounted: building every row of
+    the reply costs less than the request that fetched it."""
+    from repro.moa.values import Row, RowBatch
+    from repro.sql import execute_sql
+
+    built = multiprocessing.Value("q", 0)
+    original = Row.__init__
+
+    def counting(self, *args, **kwargs):
+        with built.get_lock():
+            built.value += 1
+        original(self, *args, **kwargs)
+
+    expected = list(execute_sql(tiny_tpcd_db, ROWS_WIDE_K5))
+    monkeypatch.setattr(Row, "__init__", counting)
+    service = QueryService(db_dir, procs=2)
+    try:
+        with QueryServer(service) as srv:
+            host, port = srv.address
+            for wire in ("binary", "json"):
+                with QueryClient(host, port, wire=wire) as client:
+                    for _ in range(4):      # reaches both workers
+                        reply = client.sql(ROWS_WIDE_K5)
+                    assert built.value == 0, wire
+                    assert isinstance(reply.value, RowBatch)
+                    assert len(reply.value) == len(expected) > 100
+                    assert reply.value[0] == expected[0]
+                    assert built.value == 1, wire   # the one indexed
+                    built.value = 0
+                    assert list(reply.value) == expected
+                    assert built.value == len(expected), wire
+                    built.value = 0
+            with QueryClient(host, port) as client:
+                # a nested set needs Rows inside the worker, and the
+                # counter sees them (Bags do not ship: typed error)
+                with pytest.raises(ServerError):
+                    client.moa(NESTED_MOA)
+                assert built.value > 0
+                monkeypatch.undo()          # time the real Row
+                reply = client.sql(ROWS_WIDE_K5)
+                request_s = min(_timed(client.sql, ROWS_WIDE_K5)
+                                for _ in range(7))
+                list_s = min(_timed(list, reply.value)
+                             for _ in range(7))
+                assert list_s < request_s, (list_s, request_s)
+    finally:
+        service.close()
+
+
+def _timed(function, *args):
+    started = time.perf_counter()
+    function(*args)
+    return time.perf_counter() - started
+
+
+# ----------------------------------------------------------------------
 def test_plan_cache_hits_are_observable(db_dir, serial_checksums):
     # a dedicated single-worker service: the second identical Moa text
     # must land on the same (only) worker and hit its plan cache
@@ -544,13 +615,17 @@ def test_queue_wait_past_timeout_budget_overloads(db_dir):
 
 def test_query_timeout_kills_worker_and_recovers(db_dir,
                                                  serial_checksums):
-    service = QueryService(db_dir, procs=1)
+    # every worker parks its second task: overdue by construction,
+    # where a 0.1 ms budget races the pump thread's scheduling
+    plan = faults.FaultPlan().arm("multiproc.task.start",
+                                  action="delay", delay_s=60.0, skip=1)
+    service = QueryService(db_dir, procs=1, fault_plan=plan)
     with QueryServer(service) as srv:
         with _connect(srv) as client:
             client.tpcd(6)                       # warm the worker
             before = service.stats()["pools"]["1"]["pids"]
             with pytest.raises(QueryTimeoutError):
-                client.tpcd(13, timeout=0.0001)
+                client.tpcd(13, timeout=0.2)
             # the worker was killed and respawned; the session serves on
             reply = client.tpcd(13)
             assert reply.checksum == serial_checksums[13]
