@@ -3,7 +3,8 @@
 Equivalent to ``PYTHONPATH=src python -m repro.bench.run`` but
 bootstraps ``src/`` onto ``sys.path`` itself; see
 :mod:`repro.bench.run` for the flags (``--sf``, ``--reps``,
-``--quick``, ``--out``, ``--db-dir``, ``--validate``, ``--workers``)
+``--quick``, ``--out``, ``--db-dir``, ``--validate``, ``--procs``,
+``--serve``)
 and the ``BENCH_operators.json`` format.
 """
 

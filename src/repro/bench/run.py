@@ -37,30 +37,18 @@ accounting with the pages the OS really faulted in (resident-set
 deltas of the mapped files) — the paper's Figure 9/10 observable
 checked against a real pager.
 
-``--workers N`` (repeatable) sweeps the chunked parallel execution
-layer (:mod:`repro.monet.parallel`): the join/semijoin/group/aggregate
-operators are re-timed under a ``ParallelConfig`` per requested worker
-count — the chunk plan is forced small enough that the merge path runs
-even at ``--quick`` scale — and a ``parallel`` section records the
-per-thread-count medians, speedups vs the first count, and a result
-checksum.  The checksum is asserted identical across the sweep (the
-chunk plan never depends on the worker count, so results are
-bit-identical), which is what the CI equality gate diffs between a
-``--workers 1`` and a ``--workers 4`` run.  The default sweep is
-``1,4``; ``--workers 0`` skips the sweep entirely.  Query timings and
-``--validate`` runs always stay serial so fault traces remain
-deterministic.
-
 ``--procs N`` (needs ``--db-dir``) additionally executes the whole
 TPC-D query set through the **multi-process dispatcher**
 (:mod:`repro.monet.multiproc`): N worker processes each mmap-reopen
 the saved database at the generation the parent pinned, run their
-share of the queries with a per-process BufferManager, and ship
-results back with sha1 checksums.  The harness asserts every worker
-checksum identical to the serial run of the same query (hard
-``RuntimeError`` on divergence) and records a ``multiproc`` section —
-per-query worker milliseconds, checksums, faults, the worker pids
-used, and the catalog generation served.  Serial query entries always
+share of the queries with page-fault simulation off, and ship results
+back with sha1 checksums.  The harness asserts every worker checksum
+identical to the serial run of the same query (hard ``RuntimeError``
+on divergence) and records a ``multiproc`` section — per-query worker
+milliseconds, checksums, the worker pids used, and the catalog
+generation served.  The ``faults`` column comes from a second,
+accounted lap in which each task runs cold under its own
+BufferManager.  Serial query entries always
 record their own ``checksum``, which is what the CI step diffs
 between a serial and a ``--procs 2`` run.
 
@@ -108,7 +96,6 @@ import time
 import numpy as np
 
 from ..monet import bat_from_columns_values, compute_props
-from ..monet import parallel as par
 from ..monet.buffer import BufferManager
 from ..monet.buffer import use as use_manager
 from ..monet.column import equality_keys
@@ -393,85 +380,6 @@ def _operator_cases(operands):
 
 #: Worker processes per pool when --serve runs without --procs.
 DEFAULT_PROCS_SERVE = 2
-
-#: Operators re-timed under the parallel sweep — the four whose hot
-#: kernels chunk (MultiMap probe, membership, factorize, grouped sum).
-#: Keys into :func:`_operator_cases`, whose thunks the sweep reuses.
-PARALLEL_OPS = ("hashjoin", "semijoin", "group", "aggregate")
-
-DEFAULT_WORKER_SWEEP = (1, 4)
-
-
-def _result_fingerprint(bat):
-    """Checksum of a result BAT's BUNs (head + tail, in BUN order) —
-    the same canonical sha1 the multiproc section and the serial query
-    entries use, so checksums are comparable across sections."""
-    return result_checksum(ship_value(bat))
-
-
-def _parallel_section(operands, cases, reps, workers_sweep):
-    """Per-worker-count timings of the chunked operators.
-
-    The operator thunks come from :func:`_operator_cases` (the exact
-    closures the serial table times), filtered to ``PARALLEL_OPS``.
-    One fixed chunk plan serves the whole sweep; ``chunk_bytes`` is
-    derived from the operand size (≈4 chunks for 8-byte keys, ≈8 for
-    the 16-byte grouped-sum rows) so every chunked path — the
-    partial-width grouped-sum gate included — really runs even at
-    --quick scale; when the operands are too small to chunk at all the
-    sweep is *skipped* with a note (returns ``None``) rather than
-    silently timing the serial paths.  Results are checksummed and
-    must come back bit-identical across worker counts before any
-    timing is recorded.
-    """
-    sweep_cases = {name: cases[name][0] for name in PARALLEL_OPS}
-    grouped = operands["order_price"]
-    n_rows = len(operands["item_order"])
-    chunk_bytes = max(4096, 2 * n_rows)
-    probe = par.ParallelConfig(workers=1, chunk_bytes=chunk_bytes,
-                               min_rows=1)
-    n_groups = len(np.unique(grouped.head.keys()))
-    with par.use(probe):
-        engaged = probe.plan(n_rows, 8) is not None and \
-            vz.grouped_weighted_sum_plan(len(grouped),
-                                         n_groups) is not None
-    if not engaged:
-        print("  parallel sweep skipped: %d rows are too few to chunk "
-              "(pass --workers 0 to silence)" % n_rows)
-        return None
-    section = {
-        "chunk_bytes": chunk_bytes,
-        "cpus": os.cpu_count() or 1,
-        "workers_swept": list(workers_sweep),
-        "operators": {name: {"median_ms": {}, "speedup": {}}
-                      for name in sweep_cases},
-    }
-    base_workers = workers_sweep[0]
-    for workers in workers_sweep:
-        config = par.ParallelConfig(workers=workers,
-                                    chunk_bytes=chunk_bytes, min_rows=1)
-        with par.use(config):
-            for name, fn in sweep_cases.items():
-                entry = section["operators"][name]
-                result = fn()
-                fingerprint = _result_fingerprint(result)
-                if "checksum" not in entry:
-                    entry["checksum"] = fingerprint
-                    entry["rows"] = int(len(result))
-                elif entry["checksum"] != fingerprint:
-                    # a hard error, not an assert: the bit-identity
-                    # contract must hold under python -O too
-                    raise RuntimeError(
-                        "parallel results diverged for %s at "
-                        "workers=%d" % (name, workers))
-                entry["median_ms"][str(workers)] = round(
-                    _median_ms(fn, reps), 4)
-    for entry in section["operators"].values():
-        base_ms = entry["median_ms"][str(base_workers)]
-        for workers in workers_sweep[1:]:
-            entry["speedup"][str(workers)] = round(
-                base_ms / max(entry["median_ms"][str(workers)], 1e-9), 2)
-    return section
 
 
 def _kernel_equal(a, b):
@@ -968,8 +876,7 @@ def _sql_section(db, serial, reps):
 
 
 def run(sf, reps, quick, out_path, db_dir=None, validate=False,
-        seed=DEFAULT_SEED, workers_sweep=DEFAULT_WORKER_SWEEP,
-        procs=0, serve_sweep=()):
+        seed=DEFAULT_SEED, procs=0, serve_sweep=()):
     db, source, load_s, warm = _load_database(sf, seed, db_dir)
     operands = _operand_bats(source)
     # mergejoin inner: head-ordered + key [oid, extendedprice]
@@ -1010,12 +917,6 @@ def run(sf, reps, quick, out_path, db_dir=None, validate=False,
             entry["speedup"] = round(
                 entry["reference_ms"] / max(entry["kernel_ms"], 1e-9), 2)
         results["operators"][name] = entry
-
-    if workers_sweep:
-        section = _parallel_section(operands, cases, reps,
-                                    list(workers_sweep))
-        if section is not None:
-            results["parallel"] = section
 
     for number in sorted(QUERIES):
         query = QUERIES[number]
@@ -1119,19 +1020,7 @@ def main(argv=None):
     parser.add_argument("--validate", action="store_true",
                         help="compare simulated page faults against "
                              "real resident-set deltas of the mapped "
-                             "heap files (needs --db-dir); the "
-                             "parallel layer stays off so fault "
-                             "traces are deterministic")
-    parser.add_argument("--workers", action="append", type=int,
-                        default=None, metavar="N",
-                        help="parallel sweep thread count; repeatable "
-                             "(--workers 1 --workers 4).  Each count "
-                             "re-times the chunked join/semijoin/"
-                             "group/aggregate operators under a "
-                             "ParallelConfig and the results are "
-                             "asserted bit-identical across the "
-                             "sweep.  Default: 1 and 4; "
-                             "--workers 0 skips the sweep entirely")
+                             "heap files (needs --db-dir)")
     parser.add_argument("--procs", type=int, default=0, metavar="N",
                         help="fan the TPC-D query set across N worker "
                              "processes sharing the --db-dir catalog "
@@ -1176,13 +1065,6 @@ def main(argv=None):
                      "reopen the saved catalog)")
     if any(clients < 1 for clients in serve_sweep):
         parser.error("--serve client counts must be at least 1")
-    workers_sweep = tuple(args.workers) if args.workers \
-        else DEFAULT_WORKER_SWEEP
-    if workers_sweep == (0,):
-        workers_sweep = ()               # opt out of the sweep
-    elif any(workers < 1 for workers in workers_sweep):
-        parser.error("--workers must be at least 1 "
-                     "(a single --workers 0 disables the sweep)")
     out_path = args.out
     if out_path is None:
         repo_root = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -1201,8 +1083,7 @@ def main(argv=None):
             previous = None
 
     results = run(sf, reps, args.quick, out_path, db_dir=args.db_dir,
-                  validate=args.validate, workers_sweep=workers_sweep,
-                  procs=args.procs, serve_sweep=serve_sweep)
+                  validate=args.validate, procs=args.procs, serve_sweep=serve_sweep)
     ops_table = results["operators"]
     print("BENCH sf=%s reps=%d -> %s" % (sf, reps, out_path))
     print("  load: %s in %.2fs"
@@ -1217,19 +1098,6 @@ def main(argv=None):
         print("  %-12s %8.3f ms  rows=%-7d faults=%-6d%s"
               % (name, entry["median_ms"], entry["rows"],
                  entry["faults"], extra))
-    if "parallel" in results:
-        section = results["parallel"]
-        print("  parallel sweep (cpus=%d, chunk_bytes=%d, "
-              "results identical across workers):"
-              % (section["cpus"], section["chunk_bytes"]))
-        for name, entry in sorted(section["operators"].items()):
-            timings = "  ".join(
-                "w%s=%.3fms" % (workers, entry["median_ms"][workers])
-                for workers in sorted(entry["median_ms"], key=int))
-            speedups = "  ".join(
-                "x%.2f@w%s" % (entry["speedup"][workers], workers)
-                for workers in sorted(entry["speedup"], key=int))
-            print("    %-10s %s  %s" % (name, timings, speedups))
     slowest = max(results["queries"].items(),
                   key=lambda kv: kv[1]["median_ms"])
     print("  %d queries; slowest Q%s at %.1f ms"

@@ -1,8 +1,7 @@
 """Deterministic fault injection for storage, workers, and the wire.
 
-The chaos layer mirrors :mod:`repro.monet.parallel`: a process-global
-plan installed with :func:`use` (or :func:`set_plan`), **off by
-default** — with no plan installed, every :func:`fire` call is a
+The chaos layer is a process-global plan installed with :func:`use`
+(or :func:`set_plan`), **off by default** — with no plan installed, every :func:`fire` call is a
 single ``None`` check, so fault-simulation traces and benchmark
 medians stay byte-identical to a build without the layer.
 

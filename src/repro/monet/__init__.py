@@ -9,7 +9,7 @@ simulated virtual-memory pager with page-fault accounting, and the MIL
 program representation + interpreter.
 """
 
-from . import atoms, operators, parallel
+from . import atoms, operators
 from .atoms import Atom, atom
 from .bat import (BAT, bat_dense_head, bat_from_columns_values,
                   bat_from_pairs, concat_bats, empty_bat)
@@ -26,15 +26,13 @@ from .mil import (MILInterpreter, MILProgram, MILStmt, MILTrace, Var,
                   partition_independent)
 from .multiproc import (MultiprocExecutor, PendingTask, TaskOutcome,
                         register_task_kind, result_checksum,
-                        run_program_serial, run_queries_multiproc,
-                        ship_value)
+                        run_program_serial, ship_value)
 from .optimizer import Optimizer, dispatch_disabled, get_optimizer
-from .parallel import ParallelConfig
 from .properties import Props, compute_props, synced, verify
 
 __all__ = [
-    "atoms", "operators", "parallel",
-    "Atom", "atom", "ParallelConfig",
+    "atoms", "operators",
+    "Atom", "atom",
     "BAT", "bat_dense_head", "bat_from_columns_values", "bat_from_pairs",
     "concat_bats", "empty_bat",
     "BufferManager", "get_manager", "set_manager", "use",
@@ -49,7 +47,7 @@ __all__ = [
     "partition_independent",
     "MultiprocExecutor", "PendingTask", "TaskOutcome",
     "register_task_kind", "result_checksum",
-    "run_program_serial", "run_queries_multiproc", "ship_value",
+    "run_program_serial", "ship_value",
     "Optimizer", "dispatch_disabled", "get_optimizer",
     "Props", "compute_props", "synced", "verify",
 ]

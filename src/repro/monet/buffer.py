@@ -319,25 +319,6 @@ class BufferManager:
             return
         self._touch_pages(heap, self._distinct_pages(positions, width))
 
-    def access_positions_chunks(self, heap, position_chunks, width):
-        """Scattered access reported once for several horizontal chunks.
-
-        The parallel layer executes one logical gather as per-chunk
-        kernels; accounting it chunk by chunk would re-touch pages
-        shared between chunk ranges (boundary pages, or the hot head
-        of a shared accelerator heap), inflating hit counts and — under
-        a memory budget — reordering the LRU.  The chunks are therefore
-        merged *before* touching, so a shared page is charged exactly
-        once and the resulting fault trace is the one the serial
-        (merged) gather produces.
-        """
-        if not self.enabled:
-            return
-        chunks = [chunk for chunk in map(np.asarray, position_chunks)
-                  if chunk.size]
-        if chunks:
-            self.access_positions(heap, np.concatenate(chunks), width)
-
     def access_probes(self, heap, n_probes, n_entries, width):
         """``n_probes`` binary searches over ``n_entries`` sorted entries.
 
@@ -370,19 +351,6 @@ class BufferManager:
                     # var heap bodies: approximate with average width
                     avg = max(1, heap.nbytes // max(1, len(heap)))
                     self.access_positions(heap, positions, avg)
-
-    def access_column_chunks(self, column, position_chunks):
-        """Chunked-gather accounting for one column: the union of the
-        chunks' pages per heap, charged once (see
-        :meth:`access_positions_chunks`)."""
-        if not self.enabled:
-            return
-        for heap in column.heaps:
-            width = getattr(heap, "width", None)
-            if not width:
-                # var heap bodies: approximate with average width
-                width = max(1, heap.nbytes // max(1, len(heap)))
-            self.access_positions_chunks(heap, position_chunks, width)
 
     def access_bat(self, bat, positions=None):
         """Account access to both columns of a BAT."""

@@ -36,11 +36,9 @@ Every task result is reduced to a canonical picklable form
 (:func:`result_checksum`) *inside the worker*.  A set-of-tuples
 result is one columnar ``RowBatch`` there and stays one all the way to
 the client; its digest is computed over its columns and equals the
-digest of the same rows held as a Python list.  The payload then ships
-either inline through the worker pipe (``ship="inline"``, the default)
-or as a per-worker result file (``ship="file"``) that the parent loads
-and re-verifies against the shipped checksum.  The checksum is the
-contract the benchmarks and CI assert: a multi-process run must be
+digest of the same rows held as a Python list.  The payload ships
+inline through the worker pipe.  The checksum is the contract the
+benchmarks and CI assert: a multi-process run must be
 checksum-identical to the serial execution of the same queries.
 
 Warm pool
@@ -82,14 +80,14 @@ import numpy as np
 
 from .. import faults
 from ..errors import MILError, QueryTimeoutError, WorkerCrashedError
-from .buffer import BufferManager, BufferStats, use as use_manager
+from .buffer import BufferManager, use as use_manager
 from .mil import MILInterpreter, partition_independent
 
 __all__ = [
     "CANONICAL_KINDS", "MultiprocExecutor", "PendingTask",
     "TaskOutcome", "WorkerContext", "default_start_method", "is_batch",
     "is_ref", "is_row", "register_task_kind", "result_checksum",
-    "run_program_serial", "run_queries_multiproc", "ship_value",
+    "run_program_serial", "ship_value",
     "utf8_column",
 ]
 
@@ -356,9 +354,8 @@ def utf8_column(strings):
 class TaskOutcome:
     """One executed task, shipped back from a worker.
 
-    ``payload`` is ``("inline", canonical_value)`` or ``("file",
-    path)`` — use :meth:`value` on the parent side, which loads and
-    re-verifies file payloads against ``checksum``.
+    ``payload`` is the canonical value (:func:`ship_value` form) the
+    worker fingerprinted as ``checksum``.
     """
 
     __slots__ = ("key", "checksum", "payload", "elapsed_ms", "stats",
@@ -379,18 +376,9 @@ class TaskOutcome:
         #: ships ``plan_cached`` + cumulative plan-cache stats here)
         self.extra = extra
 
-    def value(self, verify=True):
-        """The shipped result (loading the result file when needed)."""
-        mode, body = self.payload
-        if mode == "inline":
-            return body
-        with open(body, "rb") as handle:
-            loaded = pickle.load(handle)
-        if verify and result_checksum(loaded) != self.checksum:
-            raise MILError(
-                "result file %s does not match its shipped checksum"
-                % body)
-        return loaded
+    def value(self):
+        """The shipped result."""
+        return self.payload
 
     def __repr__(self):
         return ("TaskOutcome(%r, %.2fms, sha1=%s, gen=%s, pid=%d)"
@@ -457,8 +445,8 @@ class WorkerContext:
         return _worker_db()
 
 
-def _worker_init(db_dir, expected_generation, page_size, ship,
-                 result_dir, lock_timeout, task_modules=(),
+def _worker_init(db_dir, expected_generation, page_size,
+                 lock_timeout, task_modules=(),
                  worker_options=None, fault_plan=None):
     import importlib
 
@@ -466,9 +454,8 @@ def _worker_init(db_dir, expected_generation, page_size, ship,
     # injection works under spawn too; None = chaos layer off
     faults.set_plan(fault_plan)
     _STATE.update(db_dir=db_dir, generation=expected_generation,
-                  page_size=page_size, ship=ship, result_dir=result_dir,
-                  lock_timeout=lock_timeout, kernel=None, db=None,
-                  seq=0, options=dict(worker_options or {}))
+                  page_size=page_size, lock_timeout=lock_timeout,
+                  kernel=None, db=None, options=dict(worker_options or {}))
     for module in task_modules:
         # registrations must exist in every process: under spawn the
         # child starts from a fresh interpreter, so importing here is
@@ -564,25 +551,11 @@ def _run_task(task, buffer_stats=False):
         canonical, extra = run(ctx, task)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
     checksum = result_checksum(canonical)
-    if _STATE["ship"] == "file":
-        # pid + per-process sequence number: unique across tasks and
-        # across repeated run_* calls on one executor, so a retained
-        # TaskOutcome's file is never overwritten by a later round
-        _STATE["seq"] += 1
-        path = os.path.join(_STATE["result_dir"],
-                            "result-%s-%d-%d.pkl"
-                            % (key, os.getpid(), _STATE["seq"]))
-        with open(path, "wb") as handle:
-            pickle.dump(canonical, handle,
-                        protocol=pickle.HIGHEST_PROTOCOL)
-        payload = ("file", path)
-    else:
-        payload = ("inline", canonical)
     opened = _STATE["db"].kernel if _STATE.get("db") is not None \
         else _STATE["kernel"]
     generation = opened.generation if opened is not None \
         else _STATE["generation"]
-    return TaskOutcome(key, checksum, payload, elapsed_ms, stats,
+    return TaskOutcome(key, checksum, canonical, elapsed_ms, stats,
                        generation, os.getpid(), extra=extra)
 
 
@@ -733,13 +706,6 @@ class MultiprocExecutor:
         generation on disk when the executor is created, so a save
         racing the fan-out fails loudly instead of splitting the fleet
         across snapshots.
-    ship:
-        ``"inline"`` returns result payloads through the worker pipe;
-        ``"file"`` writes one pickle per task under ``result_dir``
-        (default ``<db_dir>/_results``) and ships only the path — the
-        parent re-verifies the file against the sha1 on load.  File
-        names are unique per task, and the caller owns the directory's
-        lifecycle (nothing is deleted automatically).
     start_method:
         ``fork``/``spawn``/``forkserver``; default picks ``fork``
         where the platform offers it.
@@ -757,34 +723,18 @@ class MultiprocExecutor:
 
     def __init__(self, db_dir, procs=DEFAULT_PROCS, start_method=None,
                  expected_generation=None, page_size=4096,
-                 ship="inline", result_dir=None, lock_timeout=None,
-                 task_modules=(), worker_options=None,
-                 fault_plan=None):
-        if ship not in ("inline", "file"):
-            raise ValueError("ship must be 'inline' or 'file'")
+                 lock_timeout=None, task_modules=(),
+                 worker_options=None, fault_plan=None):
         from .storage import catalog_generation
         self.db_dir = os.fspath(db_dir)
         self.procs = max(1, int(procs))
         if expected_generation is None:
             expected_generation = catalog_generation(self.db_dir)
         self.generation = expected_generation
-        self.ship = ship
-        if ship == "file":
-            result_dir = os.fspath(
-                result_dir if result_dir is not None
-                else os.path.join(self.db_dir, "_results"))
-            os.makedirs(result_dir, exist_ok=True)
-        self.result_dir = result_dir
         method = start_method or default_start_method()
-        if method == "fork":
-            # join any thread pool the chunked-parallel layer cached:
-            # forking with live worker threads can deadlock children
-            # on lock state copied mid-hold
-            from . import parallel
-            parallel.shutdown_pools()
         self._context = multiprocessing.get_context(method)
         self._init_args = (self.db_dir, self.generation, page_size,
-                           ship, result_dir, lock_timeout,
+                           lock_timeout,
                            tuple(task_modules),
                            dict(worker_options or {}), fault_plan)
         #: tasks crashed + workers respawned since start (observability)
@@ -852,11 +802,6 @@ class MultiprocExecutor:
             self._queue.append(pending)
             self._cv.notify()
         return pending
-
-    def pending_count(self):
-        """Tasks queued but not yet handed to a worker."""
-        with self._cv:
-            return len(self._queue)
 
     def _next_task(self):
         with self._cv:
@@ -1047,17 +992,6 @@ class MultiprocExecutor:
         return env, outcomes
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def merged_stats(outcomes):
-        """Fleet-wide BufferStats across an outcome collection (of
-        tasks submitted with ``buffer_stats=True``)."""
-        total = BufferStats()
-        values = outcomes.values() if isinstance(outcomes, dict) \
-            else outcomes
-        for outcome in values:
-            total.merge(outcome.stats)
-        return total
-
     def close(self):
         """Finish queued work, then stop the workers gracefully."""
         with self._cv:
@@ -1091,13 +1025,6 @@ class MultiprocExecutor:
             self.close()
         else:
             self.terminate()
-
-
-def run_queries_multiproc(db_dir, numbers=None, procs=DEFAULT_PROCS,
-                          **kwargs):
-    """One-shot convenience: fan queries over a fresh executor."""
-    with MultiprocExecutor(db_dir, procs=procs, **kwargs) as executor:
-        return executor.run_queries(numbers)
 
 
 def run_program_serial(kernel, program, fetch):

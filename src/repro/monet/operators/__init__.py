@@ -56,17 +56,8 @@ BUN-at-a-time algorithms survive in :mod:`.naive` as the executable
 specification the differential tests and the benchmark harness compare
 against.
 
-When a :class:`~repro.monet.parallel.ParallelConfig` is installed
-(``repro.monet.parallel.use(...)``; off by default), the probe/scan
-side of the hot kernels — MultiMap probe, membership, factorize,
-grouped sums — is split into horizontal chunks behind a size threshold
-and fanned over a thread pool; per-chunk results merge in chunk order.
-Output is bit-identical across worker counts, and BUN-identical to the
-serial kernels for the position/code paths (float aggregate sums may
-differ from the serial single-pass ``bincount`` by last-ulp rounding —
-the chunked association differs, deterministically).  Fault traces are
-unchanged: accounting happens once, from the calling thread, with
-per-chunk pages union-deduplicated.
+Every kernel runs serially in the calling thread; parallelism is
+across queries, in worker processes (:mod:`repro.monet.multiproc`).
 """
 
 from .aggregate import (AGGREGATES, aggregate_all, fill_zero,

@@ -60,9 +60,6 @@ def set_aggregate(func, ab, name=None):
 
 
 def _grouped(func, tail_col, inverse, n_groups):
-    # the sum kernels (grouped_sum / grouped_weighted_sum) self-chunk
-    # under an installed ParallelConfig: per-chunk partials are added
-    # in chunk order, exact for integers and deterministic for floats
     if func == "count":
         counts = np.bincount(inverse, minlength=n_groups)
         return FixedColumn(_atoms.LONG, counts.astype(np.int64))

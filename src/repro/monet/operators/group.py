@@ -37,9 +37,6 @@ def group1(ab, name=None):
     optimizer.record("group", "unary")
     with manager.operator("group"):
         manager.access_column(ab.tail)
-        # factorize self-chunks under an installed ParallelConfig:
-        # per-chunk distinct scans into one merged domain, then
-        # per-chunk coding — group oids identical to the serial kernel
         codes, n_groups = factorize(ab.tail.keys())
         manager.access_column(ab.head)
     tail = FixedColumn(_atoms.OID, codes)

@@ -27,8 +27,7 @@ from ..buffer import get_manager
 from ..column import column_from_values, equality_keys
 from ..optimizer import get_optimizer
 from ..properties import Props
-from ..vectorized import (combine_codes_pair, joint_codes,
-                          merge_match_segments)
+from ..vectorized import combine_codes_pair, joint_codes
 from .common import build_multimap, require_nonempty_signature, result_bat
 
 
@@ -212,12 +211,6 @@ def _mergejoin(ab, cd, name):
 
 
 def _hashjoin(ab, cd, name):
-    # the chunked parallel path splits the probe side into horizontal
-    # ranges (ParallelConfig size threshold; see repro.monet.parallel)
-    # and matches them on the worker pool; segments merge in chunk
-    # order, so the BUN output is identical to the serial probe, and
-    # the per-chunk gathers are accounted through the union-dedup
-    # buffer call so the fault trace is identical too
     manager = get_manager()
     with manager.operator("join.hashjoin"):
         manager.access_column(ab.tail)
@@ -229,15 +222,7 @@ def _hashjoin(ab, cd, name):
             index = hash_of(cd, "head")
             manager.access_heap(index.heap)
         left_keys, multimap = _probe_map(ab, cd, index)
-        segments = multimap.match_chunks(left_keys)
-        if segments is None:
-            left_pos, right_pos = multimap.match(left_keys)
-            manager.access_column(ab.head, left_pos)
-            manager.access_column(cd.tail, right_pos)
-        else:
-            left_pos, right_pos = merge_match_segments(segments)
-            manager.access_column_chunks(
-                ab.head, [seg[2] for seg in segments])
-            manager.access_column_chunks(
-                cd.tail, [seg[3] for seg in segments])
+        left_pos, right_pos = multimap.match(left_keys)
+        manager.access_column(ab.head, left_pos)
+        manager.access_column(cd.tail, right_pos)
     return _finish(ab, cd, left_pos, right_pos, name)

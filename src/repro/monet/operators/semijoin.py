@@ -64,11 +64,7 @@ def antijoin(ab, cd, name=None):
 
 def _membership_mask(ab, cd, manager):
     # fixed-width atoms go through the sort-based np.isin kernel; the
-    # per-BUN Python set probe survives only for object-dtype keys.
-    # membership_mask self-chunks the probe side under an installed
-    # ParallelConfig (one shared sorted right side, per-chunk probes
-    # merged in plan order), so large semijoins fan across workers
-    # while the mask stays BUN-identical to the serial kernel
+    # per-BUN Python set probe survives only for object-dtype keys
     left_keys, right_keys = equality_keys(ab.head, cd.head)
     manager.access_column(ab.head)
     manager.access_column(cd.head)

@@ -25,11 +25,6 @@ member of the other operand, and survives ``unique`` untouched.  (The
 coded paths used to inherit ``np.unique``'s ``equal_nan`` collapse,
 which silently diverged from the naive kernels; :func:`factorize` now
 assigns every NaN key its own code.)
-
-Membership and dedup scans self-chunk under an installed
-:class:`~repro.monet.parallel.ParallelConfig` — the direct-address (or
-sorted) right side is built once and probed per chunk — with chunk
-masks merged in plan order, so parallel results are BUN-identical.
 """
 
 import numpy as np

@@ -35,24 +35,18 @@ NaN objects as distinct keys).  The coded paths enforce this by
 masking NaN keys to their own fresh codes instead of letting
 ``np.unique`` collapse them (its ``equal_nan`` default).
 
-When a :class:`~repro.monet.parallel.ParallelConfig` is installed, the
-probe/scan side of each kernel is split into horizontal chunks and
-fanned over the worker pool; per-chunk results are merged in chunk
-order, so chunked output is BUN-identical to the serial kernel's (for
-the position/code kernels) and bit-identical across worker counts (for
-every kernel, float sums included — the chunk plan never depends on
-the worker count).
+Every kernel runs in the calling thread.  Parallelism lives one level
+up, in worker processes (:mod:`repro.monet.multiproc`): splitting one
+operator over threads measured slower than serial on the TPC-D plans
+and reordered float sums.
 """
 
 import numpy as np
-
-from . import parallel
 
 __all__ = [
     "MultiMap", "join_match", "membership_mask", "factorize",
     "joint_codes", "combine_codes", "combine_codes_pair",
     "first_occurrence", "grouped_sum", "grouped_weighted_sum",
-    "grouped_weighted_sum_plan", "merge_match_segments",
 ]
 
 
@@ -191,47 +185,11 @@ class MultiMap:
 
         Returns ``(probe_pos, match_pos)`` int64 arrays in probe-major
         order with ascending match positions per probe — BUN-for-BUN
-        the order the naive dict loop produced.  Under an installed
-        :class:`~repro.monet.parallel.ParallelConfig` the probe side
-        is chunked and matched on the worker pool; segments are merged
-        in chunk order, so output is identical to the serial probe.
+        the order the naive dict loop produced.
         """
         probe_keys = np.asarray(probe_keys)
         if self.table is not None or _is_object(probe_keys):
             return self._match_slow(probe_keys)
-        segments = self.match_chunks(probe_keys)
-        if segments is not None:
-            return merge_match_segments(segments)
-        return self._match_range(probe_keys, 0)
-
-    def match_chunks(self, probe_keys):
-        """Per-chunk match segments under the active parallel config.
-
-        Returns ``[(lo, hi, probe_pos, match_pos), ...]`` — one entry
-        per planned probe chunk, probe positions already rebased to the
-        full probe array — or ``None`` when the parallel layer is off,
-        the probe side is below the size threshold, or either side is
-        dict-backed.  Operators that want per-chunk buffer accounting
-        (see :meth:`BufferManager.access_positions_chunks`) call this
-        directly and merge with :func:`merge_match_segments`.
-        """
-        probe_keys = np.asarray(probe_keys)
-        if self.table is not None or _is_object(probe_keys):
-            return None
-        plan = parallel.chunk_plan(len(probe_keys),
-                                   probe_keys.dtype.itemsize)
-        if plan is None:
-            return None
-
-        def one(lo, hi):
-            probe_pos, match_pos = self._match_range(probe_keys[lo:hi], lo)
-            return (lo, hi, probe_pos, match_pos)
-
-        return parallel.run_chunks(one, plan)
-
-    def _match_range(self, probe_keys, base):
-        """Serial match of one probe slice; probe positions offset by
-        ``base`` so chunk outputs concatenate into the full answer."""
         if self.starts is not None and probe_keys.dtype.kind in "iu":
             lo, hi = self._dense_ranges(probe_keys)
         else:
@@ -245,8 +203,6 @@ class MultiMap:
         total = int(counts.sum())
         probe_pos = np.repeat(
             np.arange(len(probe_keys), dtype=np.int64), counts)
-        if base:
-            probe_pos += base
         if total == 0:
             return probe_pos, np.empty(0, dtype=np.int64)
         # ramp[j] walks lo[i] .. hi[i]-1 for each surviving probe i
@@ -312,17 +268,6 @@ def join_match(left_keys, right_keys):
     return MultiMap(right_keys).match(left_keys)
 
 
-def merge_match_segments(segments):
-    """Merge per-chunk match segments in chunk order (left-major).
-
-    ``segments`` is the list :meth:`MultiMap.match_chunks` returns;
-    concatenating in plan order reproduces exactly the serial
-    probe-major output.
-    """
-    return (np.concatenate([seg[2] for seg in segments]),
-            np.concatenate([seg[3] for seg in segments]))
-
-
 #: A direct-address membership table is used when the (hinted) code
 #: domain stays below this many entries — one transient byte each.
 _TABLE_CAP = 1 << 22
@@ -335,12 +280,7 @@ def membership_mask(left_keys, right_keys, domain=None):
     hashing); object keys keep the set probe.  When the keys are known
     non-negative codes bounded by ``domain`` (e.g. from
     :func:`joint_codes`) and the domain is compact, a direct-address
-    bool table replaces the sort entirely.
-
-    Under an installed parallel config the probe side is chunked: the
-    right side is prepared once (bool table, or one shared sort) and
-    each chunk probes it concurrently; chunk masks concatenate in plan
-    order, identical to the serial mask.  NaN keys are members of
+    bool table replaces the sort entirely.  NaN keys are members of
     nothing on every path (IEEE semantics, like the set reference).
     """
     left_keys = np.asarray(left_keys)
@@ -351,27 +291,12 @@ def membership_mask(left_keys, right_keys, domain=None):
                            dtype=bool, count=len(left_keys))
     if len(right_keys) == 0 or len(left_keys) == 0:
         return np.zeros(len(left_keys), dtype=bool)
-    plan = parallel.chunk_plan(len(left_keys), left_keys.dtype.itemsize)
     if domain is not None and domain <= max(
             _TABLE_CAP, _DENSE_FACTOR * (len(left_keys)
                                          + len(right_keys))):
         table = np.zeros(int(domain), dtype=bool)
         table[right_keys] = True
-        if plan is not None:
-            return np.concatenate(parallel.run_chunks(
-                lambda lo, hi: table[left_keys[lo:hi]], plan))
         return table[left_keys]
-    if plan is not None:
-        sorted_right = np.sort(right_keys)
-        top = len(sorted_right) - 1
-
-        def probe(lo, hi):
-            chunk = left_keys[lo:hi]
-            at = np.searchsorted(sorted_right, chunk, side="left")
-            return (sorted_right[np.minimum(at, top)] == chunk) \
-                & (at <= top)
-
-        return np.concatenate(parallel.run_chunks(probe, plan))
     return np.isin(left_keys, right_keys)
 
 
@@ -385,8 +310,7 @@ def factorize(keys):
     NaN keys are **pairwise distinct** (IEEE: NaN != NaN, which is also
     what the dict reference computes): each NaN row receives its own
     fresh code after the finite codes, in BUN order — ``np.unique``'s
-    ``equal_nan`` collapse is explicitly undone.  Chunked execution
-    under a parallel config reproduces the serial coding exactly.
+    ``equal_nan`` collapse is explicitly undone.
     """
     keys = np.asarray(keys)
     if len(keys) == 0:
@@ -400,9 +324,6 @@ def factorize(keys):
                 code = table[key] = len(table)
             codes[pos] = code
         return codes, len(table)
-    plan = parallel.chunk_plan(len(keys), keys.dtype.itemsize)
-    if plan is not None:
-        return _factorize_chunked(keys, plan)
     if keys.dtype.kind == "f":
         nan_mask = np.isnan(keys)
         n_nan = int(nan_mask.sum())
@@ -416,52 +337,6 @@ def factorize(keys):
             return codes, len(uniq) + n_nan
     uniq, inverse = np.unique(keys, return_inverse=True)
     return inverse.astype(np.int64), len(uniq)
-
-
-def _factorize_chunked(keys, plan):
-    """Chunked :func:`factorize`: per-chunk distinct scan, one merged
-    domain, per-chunk coding — identical output to the serial kernel.
-
-    Pass one collects each chunk's distinct finite keys (and NaN
-    count); the merged sorted domain is built once; pass two codes
-    every chunk by binary search into the shared domain.  NaN rows get
-    ``n_finite + (global NaN ordinal)``, with per-chunk ordinal offsets
-    from a serial prefix sum — the same codes the serial kernel
-    assigns in BUN order.
-    """
-    is_float = keys.dtype.kind == "f"
-
-    def distinct(lo, hi):
-        chunk = keys[lo:hi]
-        if is_float:
-            finite = chunk[~np.isnan(chunk)]
-            return np.unique(finite), len(chunk) - len(finite)
-        return np.unique(chunk), 0
-
-    scans = parallel.run_chunks(distinct, plan)
-    uniq = np.unique(np.concatenate([uniq_c for uniq_c, _n in scans]))
-    n_finite = len(uniq)
-    nan_counts = [n for _uniq_c, n in scans]
-    n_nan = sum(nan_counts)
-    nan_offsets = {}
-    running = n_finite
-    for (lo, _hi), count in zip(plan, nan_counts):
-        nan_offsets[lo] = running
-        running += count
-
-    def code(lo, hi):
-        chunk = keys[lo:hi]
-        out = np.searchsorted(uniq, chunk).astype(np.int64)
-        if is_float:
-            mask = np.isnan(chunk)
-            hits = int(mask.sum())
-            if hits:
-                out[mask] = nan_offsets[lo] + np.arange(hits,
-                                                        dtype=np.int64)
-        return out
-
-    codes = np.concatenate(parallel.run_chunks(code, plan))
-    return codes, n_finite + n_nan
 
 
 def joint_codes(left_keys, right_keys):
@@ -604,28 +479,11 @@ def grouped_sum(values, codes, n_groups):
     ``0..n_groups-1`` must be non-empty — which holds for codes coming
     from :func:`factorize` — because ``np.add.reduceat`` returns the
     *element* (not 0) at a repeated boundary.
-
-    Chunked execution computes per-chunk partial sums (scattered into
-    full-width group vectors) and adds the partials in chunk order:
-    exact and identical to the serial kernel for integer dtypes, and
-    bit-identical across worker counts for floats.
     """
     values = np.asarray(values)
     if n_groups == 0:
         return np.zeros(0, dtype=values.dtype)
     codes = np.asarray(codes, dtype=np.int64)
-    plan = parallel.chunk_plan(len(values),
-                               values.dtype.itemsize + codes.dtype.itemsize)
-    if plan is not None and _partials_worthwhile(n_groups, len(values),
-                                                 len(plan)):
-        partials = parallel.run_chunks(
-            lambda lo, hi: _grouped_sum_scatter(values[lo:hi],
-                                                codes[lo:hi], n_groups),
-            plan)
-        total = partials[0]
-        for partial in partials[1:]:
-            total = total + partial
-        return total
     order = np.argsort(codes, kind="stable")
     starts = np.searchsorted(codes[order],
                              np.arange(n_groups, dtype=np.int64),
@@ -633,73 +491,10 @@ def grouped_sum(values, codes, n_groups):
     return np.add.reduceat(values[order], starts)
 
 
-def _partials_worthwhile(n_groups, n_rows, n_chunks):
-    """Gate on the chunked-sum merge cost.
-
-    Every chunk materialises a full-width ``n_groups`` partial and the
-    serial merge adds them all, so the parallel path costs
-    ``O(n_chunks * n_groups)`` time and memory *on top of* the row
-    work.  That only pays off while the partials stay small next to
-    the input; for high-cardinality groupings (worst case: near-unique
-    keys, ``n_groups ~ n_rows``) it would dwarf the serial
-    argsort/bincount kernel — stay serial there.  The gate depends
-    only on plan and operand shape, never the worker count, so it
-    keeps results bit-identical across worker counts.
-    """
-    return n_groups * n_chunks <= 4 * n_rows
-
-
-def _grouped_sum_scatter(values, codes, n_groups):
-    """One chunk's per-group partial sums, scattered into a
-    full-width vector (groups absent from the chunk stay 0)."""
-    out = np.zeros(n_groups, dtype=values.dtype)
-    if len(values) == 0:
-        return out
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    starts = np.nonzero(
-        np.r_[True, sorted_codes[1:] != sorted_codes[:-1]])[0]
-    out[sorted_codes[starts]] = np.add.reduceat(values[order], starts)
-    return out
-
-
-def grouped_weighted_sum_plan(n_rows, n_groups):
-    """The chunk plan :func:`grouped_weighted_sum` would execute under
-    the active parallel config, or ``None`` when it stays serial.
-
-    The single source of truth for the kernel's own dispatch — and the
-    public probe the bench sweep uses to check that its chunk sizing
-    really engages the chunked path (instead of re-deriving the
-    internal gates and silently desynchronizing from them).
-    """
-    # int64 codes + float64 weights: 16 bytes per row
-    plan = parallel.chunk_plan(n_rows, 16)
-    if plan is None or not _partials_worthwhile(n_groups, n_rows,
-                                                len(plan)):
-        return None
-    return plan
-
-
 def grouped_weighted_sum(codes, weights, n_groups):
-    """Float per-group sums — the ``np.bincount`` aggregation kernel.
-
-    The chunk-aware variant the aggregate operator dispatches onto for
-    float sums and averages: per-chunk ``bincount`` partials are added
-    in chunk order.  For a fixed chunk plan the result is bit-identical
-    across worker counts (the merge order never changes); the chunked
-    association may differ from the serial single-pass ``bincount`` by
-    float rounding, which is within the operator's contract.
+    """Float per-group sums — the ``np.bincount`` aggregation kernel
+    the aggregate operator dispatches onto for float sums and averages.
     """
     codes = np.asarray(codes, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    plan = grouped_weighted_sum_plan(len(codes), n_groups)
-    if plan is None:
-        return np.bincount(codes, weights=weights, minlength=n_groups)
-    partials = parallel.run_chunks(
-        lambda lo, hi: np.bincount(codes[lo:hi], weights=weights[lo:hi],
-                                   minlength=n_groups),
-        plan)
-    total = partials[0]
-    for partial in partials[1:]:
-        total = total + partial
-    return total
+    return np.bincount(codes, weights=weights, minlength=n_groups)

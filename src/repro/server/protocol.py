@@ -43,9 +43,7 @@ never see a flagged frame.
 
 The same payload body, minus the outer length word, is what the
 server writes to a **spool file** for the local-client fast path
-(:func:`write_spooled_payload` / :func:`read_spooled_payload`) — the
-same shape :class:`~repro.monet.multiproc.MultiprocExecutor` uses to
-ship per-worker result files, lifted to the serving layer.
+(:func:`write_spooled_payload` / :func:`read_spooled_payload`).
 
 Value codec
 -----------

@@ -149,30 +149,6 @@ class ReferenceBufferManager:
         pages = np.unique(positions.astype(np.int64) * width // self.page_size)
         self._touch_pages(heap, pages.tolist())
 
-    def access_positions_chunks(self, heap, position_chunks, width):
-        """Scattered access reported once for several horizontal chunks.
-
-        The parallel layer executes one logical gather as per-chunk
-        kernels; accounting it chunk by chunk would re-touch pages
-        shared between chunk ranges (boundary pages, or the hot head
-        of a shared accelerator heap), inflating hit counts and — under
-        a memory budget — reordering the LRU.  The page sets of all
-        chunks are therefore unioned *before* touching, so a shared
-        page is charged exactly once and the resulting fault trace is
-        the one the serial (merged) gather produces.
-        """
-        if not self.enabled or width == 0:
-            return
-        pages = set()
-        for positions in position_chunks:
-            positions = np.asarray(positions)
-            if positions.size:
-                pages.update(
-                    np.unique(positions.astype(np.int64) * width
-                              // self.page_size).tolist())
-        if pages:
-            self._touch_pages(heap, sorted(pages))
-
     def access_probes(self, heap, n_probes, n_entries, width):
         """``n_probes`` binary searches over ``n_entries`` sorted entries.
 
@@ -205,19 +181,6 @@ class ReferenceBufferManager:
                     # var heap bodies: approximate with average width
                     avg = max(1, heap.nbytes // max(1, len(heap)))
                     self.access_positions(heap, positions, avg)
-
-    def access_column_chunks(self, column, position_chunks):
-        """Chunked-gather accounting for one column: the union of the
-        chunks' pages per heap, charged once (see
-        :meth:`access_positions_chunks`)."""
-        if not self.enabled:
-            return
-        for heap in column.heaps:
-            width = getattr(heap, "width", None)
-            if not width:
-                # var heap bodies: approximate with average width
-                width = max(1, heap.nbytes // max(1, len(heap)))
-            self.access_positions_chunks(heap, position_chunks, width)
 
     def access_bat(self, bat, positions=None):
         """Account access to both columns of a BAT."""

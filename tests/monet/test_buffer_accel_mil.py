@@ -102,24 +102,6 @@ def test_evict_heap_only_targets_one_heap():
     assert manager.faults == faults + 2
 
 
-def test_chunked_position_accounting_no_double_charge():
-    """Per-chunk gathers of one parallel operator are unioned before
-    touching: pages shared between chunk ranges are charged once, and
-    the trace equals the serial (merged) gather's."""
-    import numpy as np
-    chunks = [np.arange(0, 1024), np.arange(512, 2048)]   # overlap
-    chunked = BufferManager(page_size=4096)
-    heap = _persistent_heap(4096 * 8)
-    chunked.access_positions_chunks(heap, chunks, 4)
-    assert chunked.faults == 2           # pages {0, 1}, page 0 shared
-    assert chunked.hits == 0             # ... but charged exactly once
-
-    merged = BufferManager(page_size=4096)
-    merged.access_positions(heap, np.concatenate(chunks), 4)
-    assert (chunked.faults, chunked.hits) == (merged.faults,
-                                              merged.hits)
-
-
 def test_operator_attribution():
     manager = BufferManager(page_size=4096)
     heap = _persistent_heap(4096 * 3)

@@ -81,19 +81,15 @@ def position_lists(draw):
     return np.asarray(values, dtype=np.int64) if as_array else values
 
 
-chunk_lists = st.lists(position_lists(), max_size=4)
-
 steps = st.one_of(
     st.tuples(st.just("range"), heap_index, st.integers(0, 50000),
               st.one_of(st.none(), st.integers(-5, 30000))),
     st.tuples(st.just("heap"), heap_index),
     st.tuples(st.just("positions"), heap_index, position_lists(), width),
-    st.tuples(st.just("chunks"), heap_index, chunk_lists, width),
     st.tuples(st.just("probes"), heap_index, st.integers(0, 40),
               st.integers(0, 20000), width),
     st.tuples(st.just("column"), column_index,
               st.one_of(st.none(), position_lists())),
-    st.tuples(st.just("column_chunks"), column_index, chunk_lists),
     st.tuples(st.just("evict_heap"), heap_index),
     st.tuples(st.just("evict_all")),
     st.tuples(st.just("enter"), st.sampled_from("abc")),
@@ -111,14 +107,10 @@ def _apply(manager, open_labels, step):
         manager.access_heap(HEAPS[args[0]])
     elif kind == "positions":
         manager.access_positions(HEAPS[args[0]], args[1], args[2])
-    elif kind == "chunks":
-        manager.access_positions_chunks(HEAPS[args[0]], args[1], args[2])
     elif kind == "probes":
         manager.access_probes(HEAPS[args[0]], *args[1:])
     elif kind == "column":
         manager.access_column(COLUMNS[args[0]], args[1])
-    elif kind == "column_chunks":
-        manager.access_column_chunks(COLUMNS[args[0]], args[1])
     elif kind == "evict_heap":
         manager.evict_heap(HEAPS[args[0]])
     elif kind == "evict_all":
@@ -199,8 +191,7 @@ def test_edge_scripts_match_the_per_page_reference(name, memory_pages):
 def test_disabled_manager_accounts_nothing():
     manager = BufferManager(enabled=False)
     for step in (("heap", 0), ("positions", 1, [1, 2, 3], 8),
-                 ("chunks", 1, [[1], [900]], 8), ("probes", 0, 2, 99, 8),
-                 ("column", 2, [5, 6]), ("column_chunks", 2, [[5]])):
+                 ("probes", 0, 2, 99, 8), ("column", 2, [5, 6])):
         _apply(manager, [], step)
     assert (manager.faults, manager.hits, manager.resident_pages()) \
         == (0, 0, 0)

@@ -8,7 +8,6 @@ execution of the same queries and MIL programs.
 
 import multiprocessing
 import os
-import pickle
 import signal
 
 import pytest
@@ -21,8 +20,7 @@ from repro.monet import (MILProgram, MonetKernel, MultiprocExecutor,
                          Var, partition_independent, result_checksum,
                          run_program_serial, ship_value)
 from repro.monet import buffer
-from repro.monet.multiproc import (register_task_kind,
-                                   run_queries_multiproc)
+from repro.monet.multiproc import register_task_kind
 from repro.tpcd import QUERIES, load_tpcd, open_tpcd
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -87,15 +85,6 @@ def test_inline_payload_roundtrip(executor, serial_db):
     assert result_checksum(shipped) == outcome.checksum
 
 
-def test_merged_stats_accumulate(executor):
-    outcomes = executor.run_queries(QUERY_SLICE, buffer_stats=True)
-    total = MultiprocExecutor.merged_stats(outcomes)
-    assert total.faults > 0
-    assert total.faults == sum(outcome.stats.faults
-                               for outcome in outcomes.values())
-    assert total.as_dict()["faults"] == total.faults
-
-
 # ----------------------------------------------------------------------
 # per-task fault simulation: cold, history-free, and leak-free
 # ----------------------------------------------------------------------
@@ -153,46 +142,6 @@ def test_worker_buffer_state_and_rss_stay_flat_over_200_tasks(db_dir):
 def test_run_queries_accepts_any_iterable(executor):
     outcomes = executor.run_queries(iter((6, 12)))
     assert sorted(outcomes) == [6, 12]           # iterator not eaten
-
-
-def test_run_queries_multiproc_convenience(db_dir, serial_db):
-    outcomes = run_queries_multiproc(db_dir, numbers=(6,), procs=2)
-    serial = result_checksum(ship_value(QUERIES[6].run(serial_db)))
-    assert outcomes[6].checksum == serial
-
-
-# ----------------------------------------------------------------------
-# result files
-# ----------------------------------------------------------------------
-def test_file_shipping_roundtrip(db_dir, tmp_path, serial_db):
-    with MultiprocExecutor(db_dir, procs=2, ship="file",
-                           result_dir=tmp_path) as pool:
-        outcomes = pool.run_queries((3, 6))
-        # a later round must not overwrite the first round's files:
-        # the retained outcomes still verify after the re-run
-        pool.run_queries((3, 6))
-    for number, outcome in outcomes.items():
-        mode, path = outcome.payload
-        assert mode == "file"
-        assert str(path).startswith(str(tmp_path))
-        shipped = outcome.value()                  # verifies the sha1
-        assert result_checksum(shipped) == outcome.checksum
-        serial = result_checksum(
-            ship_value(QUERIES[number].run(serial_db)))
-        assert outcome.checksum == serial
-
-
-def test_file_shipping_detects_corruption(db_dir, tmp_path):
-    with MultiprocExecutor(db_dir, procs=1, ship="file",
-                           result_dir=tmp_path) as pool:
-        outcome = pool.run_queries((6,))[6]
-    _mode, path = outcome.payload
-    with open(path, "wb") as handle:
-        pickle.dump({"kind": "value", "value": -1.0}, handle)
-    with pytest.raises(MILError):
-        outcome.value()
-    assert outcome.value(verify=False) == {"kind": "value",
-                                           "value": -1.0}
 
 
 # ----------------------------------------------------------------------

@@ -1,26 +1,22 @@
-"""Property-based differential query fuzzer (three-engine equality).
+"""Property-based differential query fuzzer (two-engine equality).
 
 Hypothesis generates random typed BATs — int/float/string columns,
 NaN keys, duplicates, empty operands — and random operator plans over
-them.  Every operator application is executed three ways:
+them.  Every operator application is executed two ways:
 
 * **naive** — the BUN-at-a-time reference semantics, rebuilt here from
   the :mod:`repro.monet.operators.naive` kernels and plain Python
   dict/set loops (the executable specification),
-* **vectorized serial** — the real operators, parallel layer off,
-* **chunked parallel** — the same operators under a
-  :class:`~repro.monet.parallel.ParallelConfig` with a deliberately
-  tiny chunk budget (2 rows of 8-byte keys per chunk) and two workers,
-  so every chunked kernel path and merge really runs.
+* **vectorized** — the real operators.
 
-Position/code/gather results must be **bit-identical** across all
-three; float aggregate sums compare to the last ulp
-(``np.allclose(rtol=1e-9)``) because the naive accumulation order and
-the chunked partial-sum association legitimately differ.
+Position/code/gather results must be **bit-identical** across both;
+float aggregate sums compare to the last ulp
+(``np.allclose(rtol=1e-9)``) because the naive accumulation order
+legitimately differs from the kernels'.
 
 NaN semantics are pinned throughout: a NaN key equals nothing (no join
 match, no membership), and every NaN occurrence forms its own group /
-survives dedup — the contract PR 3 established across the kernels.
+survives dedup — the contract every kernel keeps.
 """
 
 import numpy as np
@@ -29,17 +25,12 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.monet import bat_from_columns_values, compute_props
 from repro.monet import operators as ops
-from repro.monet import parallel as par
 from repro.monet.column import equality_keys
 from repro.monet.multiproc import result_checksum
 from repro.monet.operators import naive
 
 SETTINGS = dict(max_examples=25, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
-
-#: 2 rows of 8-byte keys per chunk: every operand of 3+ rows chunks,
-#: so the merge paths run even on hypothesis-sized inputs
-TINY_CHUNKS = dict(workers=2, chunk_bytes=16, min_rows=1)
 
 
 def _bat(head_atom, heads, tail_atom, tails, props=False):
@@ -56,27 +47,21 @@ def _buns(bat):
             np.asarray(bat.tail.logical()))
 
 
-def _assert_three_ways(op_fn, expected_buns, exact=True):
-    """Run an operator serially and chunked-parallel; compare both
-    against the naive-engine expectation."""
-    serial = _buns(op_fn())
-    with par.use(par.ParallelConfig(**TINY_CHUNKS)):
-        chunked = _buns(op_fn())
-    for label, got in (("serial", serial), ("parallel", chunked)):
-        for side, expected_col, got_col in zip(
-                ("head", "tail"), expected_buns, got):
-            if exact or got_col.dtype.kind not in "fc":
-                assert result_checksum(got_col) == \
-                    result_checksum(np.asarray(expected_col,
-                                               dtype=got_col.dtype)), \
-                    "%s engine diverges from naive on %s" % (label, side)
-            else:
-                assert np.allclose(got_col,
-                                   np.asarray(expected_col,
-                                              dtype=np.float64),
-                                   rtol=1e-9, atol=0.0, equal_nan=True)
-    # serial and chunked must agree bit-for-bit on shapes regardless
-    assert len(serial[0]) == len(chunked[0])
+def _assert_matches_naive(op_fn, expected_buns, exact=True):
+    """Run an operator and compare it against the naive-engine
+    expectation."""
+    got = _buns(op_fn())
+    for side, expected_col, got_col in zip(
+            ("head", "tail"), expected_buns, got):
+        if exact or got_col.dtype.kind not in "fc":
+            assert result_checksum(got_col) == \
+                result_checksum(np.asarray(expected_col,
+                                           dtype=got_col.dtype)), \
+                "vectorized engine diverges from naive on %s" % side
+        else:
+            assert np.allclose(got_col,
+                               np.asarray(expected_col, dtype=np.float64),
+                               rtol=1e-9, atol=0.0, equal_nan=True)
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +227,7 @@ def test_join_differential_int(left, right, props):
     ab = _bat("oid", _heads(len(left)), "long", left, props=props)
     cd = _bat("long", right, "long", [v * 10 for v in right],
               props=props)
-    _assert_three_ways(lambda: ops.join(ab, cd), naive_join(ab, cd))
+    _assert_matches_naive(lambda: ops.join(ab, cd), naive_join(ab, cd))
 
 
 @given(string_lists, string_lists)
@@ -250,7 +235,7 @@ def test_join_differential_int(left, right, props):
 def test_join_differential_strings(left, right):
     ab = _bat("oid", _heads(len(left)), "string", left)
     cd = _bat("string", right, "long", _heads(len(right)))
-    _assert_three_ways(lambda: ops.join(ab, cd), naive_join(ab, cd))
+    _assert_matches_naive(lambda: ops.join(ab, cd), naive_join(ab, cd))
 
 
 @given(float_lists, float_lists, st.booleans())
@@ -258,7 +243,7 @@ def test_join_differential_strings(left, right):
 def test_join_differential_nan_keys(left, right, props):
     ab = _bat("oid", _heads(len(left)), "double", left, props=props)
     cd = _bat("double", right, "long", _heads(len(right)), props=props)
-    _assert_three_ways(lambda: ops.join(ab, cd), naive_join(ab, cd))
+    _assert_matches_naive(lambda: ops.join(ab, cd), naive_join(ab, cd))
 
 
 @given(int_lists, int_lists, st.booleans())
@@ -266,9 +251,9 @@ def test_join_differential_nan_keys(left, right, props):
 def test_semijoin_differential(left, right, props):
     ab = _bat("long", left, "long", _heads(len(left)), props=props)
     cd = _bat("long", right, "long", _heads(len(right)), props=props)
-    _assert_three_ways(lambda: ops.semijoin(ab, cd),
+    _assert_matches_naive(lambda: ops.semijoin(ab, cd),
                        naive_semijoin(ab, cd))
-    _assert_three_ways(lambda: ops.antijoin(ab, cd),
+    _assert_matches_naive(lambda: ops.antijoin(ab, cd),
                        naive_antijoin(ab, cd))
 
 
@@ -277,7 +262,7 @@ def test_semijoin_differential(left, right, props):
 def test_semijoin_differential_strings(left, right):
     ab = _bat("string", left, "long", _heads(len(left)))
     cd = _bat("string", right, "long", _heads(len(right)))
-    _assert_three_ways(lambda: ops.semijoin(ab, cd),
+    _assert_matches_naive(lambda: ops.semijoin(ab, cd),
                        naive_semijoin(ab, cd))
 
 
@@ -287,7 +272,7 @@ def test_semijoin_differential_nan_keys(keys, props):
     ab = _bat("double", keys, "long", _heads(len(keys)), props=props)
     cd = _bat("double", list(reversed(keys)), "long",
               _heads(len(keys)), props=props)
-    _assert_three_ways(lambda: ops.semijoin(ab, cd),
+    _assert_matches_naive(lambda: ops.semijoin(ab, cd),
                        naive_semijoin(ab, cd))
 
 
@@ -295,9 +280,9 @@ def test_semijoin_differential_nan_keys(keys, props):
 @settings(**SETTINGS)
 def test_select_range_differential(tails, low, high, props):
     ab = _bat("oid", _heads(len(tails)), "long", tails, props=props)
-    _assert_three_ways(lambda: ops.select_range(ab, low, high),
+    _assert_matches_naive(lambda: ops.select_range(ab, low, high),
                        naive_select_range(ab, low, high))
-    _assert_three_ways(lambda: ops.select_range(ab, low, None),
+    _assert_matches_naive(lambda: ops.select_range(ab, low, None),
                        naive_select_range(ab, low, None))
 
 
@@ -305,7 +290,7 @@ def test_select_range_differential(tails, low, high, props):
 @settings(**SETTINGS)
 def test_select_eq_differential(tails, value, props):
     ab = _bat("oid", _heads(len(tails)), "long", tails, props=props)
-    _assert_three_ways(lambda: ops.select_eq(ab, value),
+    _assert_matches_naive(lambda: ops.select_eq(ab, value),
                        naive_select_eq(ab, value))
 
 
@@ -316,7 +301,7 @@ def test_group1_differential(tails):
             else "double" if not any(isinstance(v, str) for v in tails)
             else "string")
     ab = _bat("oid", _heads(len(tails)), atom, tails)
-    _assert_three_ways(lambda: ops.group1(ab), naive_group1(ab))
+    _assert_matches_naive(lambda: ops.group1(ab), naive_group1(ab))
 
 
 @given(int_lists, st.sampled_from(ops.AGGREGATES), st.booleans())
@@ -328,7 +313,7 @@ def test_aggregate_differential_int(keys, func, floats_tail):
     ab = _bat("long", keys, atom, tails)
     exact = func in ("count", "min", "max") or \
         (func == "sum" and not floats_tail)
-    _assert_three_ways(lambda: ops.set_aggregate(func, ab),
+    _assert_matches_naive(lambda: ops.set_aggregate(func, ab),
                        naive_aggregate(func, ab), exact=exact)
 
 
@@ -337,12 +322,12 @@ def test_aggregate_differential_int(keys, func, floats_tail):
 def test_setops_differential(left, right):
     ab = _bat("long", left, "long", [v % 3 for v in left])
     cd = _bat("long", right, "long", [v % 3 for v in right])
-    _assert_three_ways(lambda: ops.unique(ab), naive_unique(ab))
-    _assert_three_ways(lambda: ops.difference(ab, cd),
+    _assert_matches_naive(lambda: ops.unique(ab), naive_unique(ab))
+    _assert_matches_naive(lambda: ops.difference(ab, cd),
                        naive_difference(ab, cd))
-    _assert_three_ways(lambda: ops.intersection(ab, cd),
+    _assert_matches_naive(lambda: ops.intersection(ab, cd),
                        naive_intersection(ab, cd))
-    _assert_three_ways(lambda: ops.union(ab, cd), naive_union(ab, cd))
+    _assert_matches_naive(lambda: ops.union(ab, cd), naive_union(ab, cd))
 
 
 @given(float_lists, float_lists)
@@ -351,15 +336,15 @@ def test_setops_differential_nan_tails(left, right):
     ab = _bat("oid", [v % 4 for v in _heads(len(left))], "double", left)
     cd = _bat("oid", [v % 4 for v in _heads(len(right))], "double",
               right)
-    _assert_three_ways(lambda: ops.unique(ab), naive_unique(ab))
-    _assert_three_ways(lambda: ops.difference(ab, cd),
+    _assert_matches_naive(lambda: ops.unique(ab), naive_unique(ab))
+    _assert_matches_naive(lambda: ops.difference(ab, cd),
                        naive_difference(ab, cd))
-    _assert_three_ways(lambda: ops.intersection(ab, cd),
+    _assert_matches_naive(lambda: ops.intersection(ab, cd),
                        naive_intersection(ab, cd))
 
 
 def test_empty_bats_every_op():
-    """Empty operands flow through every fuzzed operator, three ways."""
+    """Empty operands flow through every fuzzed operator, both ways."""
     empty = _bat("long", [], "long", [])
     other = _bat("long", [1, 2, 2], "long", [0, 1, 2])
     cases = [
@@ -382,7 +367,7 @@ def test_empty_bats_every_op():
         (lambda: ops.group1(empty), naive_group1(empty)),
     ]
     for op_fn, expected in cases:
-        _assert_three_ways(op_fn, expected)
+        _assert_matches_naive(op_fn, expected)
 
 
 # ----------------------------------------------------------------------
@@ -399,8 +384,8 @@ _PLAN_OPS = ("join", "semijoin", "select", "unique", "difference",
 def test_random_plan_differential(left, right, steps):
     """Random multi-operator plans, checked step by step.
 
-    The serial engine drives the plan; at every step the naive mirror
-    and the chunked-parallel engine run on the *same* inputs, so each
+    The vectorized engine drives the plan; at every step the naive
+    mirror runs on the *same* inputs, so each
     operator is exercised on realistically-shaped intermediates (join
     outputs, deduped sets, group codes) instead of only on fresh base
     BATs.
@@ -439,7 +424,7 @@ def test_random_plan_differential(left, right, steps):
         else:
             op_fn = lambda a=ab: ops.group1(a)
             expected = naive_group1(ab)
-        _assert_three_ways(op_fn, expected)
+        _assert_matches_naive(op_fn, expected)
         if op_name != "group":
             # every other op is closed over [long, long] BATs; group1
             # introduces an oid tail, which later set operations could

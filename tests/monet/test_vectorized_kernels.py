@@ -134,6 +134,32 @@ def test_membership_mask_matches_naive(pair):
                           naive.membership_mask(la, ra))
 
 
+@pytest.mark.parametrize("domain", [None, 60], ids=["sorted", "domain"])
+def test_membership_mask_domain_table_matches_isin(domain):
+    # the direct-address bool table (domain hint) and the sort-based
+    # np.isin path must each give the set reference's mask
+    rng = np.random.default_rng(3)
+    left = rng.integers(0, 60, size=900)
+    right = rng.integers(0, 60, size=200)
+    assert np.array_equal(vz.membership_mask(left, right, domain=domain),
+                          naive.membership_mask(left, right))
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint64],
+                         ids=["int64", "uint64"])
+def test_joint_codes_wide_int_keys_preserve_equality(dtype):
+    # keys too spread for offset coding take the factorize path
+    rng = np.random.default_rng(8)
+    left = (rng.integers(0, 1000, size=700) * (2 ** 40)).astype(dtype)
+    right = (rng.integers(0, 1000, size=400) * (2 ** 40)).astype(dtype)
+    lc, rc, n = vz.joint_codes(left, right)
+    both_keys = np.concatenate([left, right])
+    both_codes = np.concatenate([lc, rc])
+    assert np.array_equal(_equality_partition(both_keys),
+                          _equality_partition(both_codes))
+    assert both_codes.max() < n
+
+
 @settings(max_examples=60, deadline=None)
 @given(_ints, _ints)
 def test_lookup_first_matches_naive(right, probes):

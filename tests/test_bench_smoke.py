@@ -33,14 +33,6 @@ def test_quick_bench_writes_trajectory(tmp_path):
     for name in ("hashjoin", "semijoin", "group", "aggregate",
                  "join_str", "semijoin_str"):
         assert "speedup" in results["operators"][name]
-    # the default run sweeps the chunked parallel layer at 1 and 4
-    # workers and asserts bit-identical results before recording
-    section = results["parallel"]
-    assert section["workers_swept"] == [1, 4]
-    for entry in section["operators"].values():
-        assert set(entry["median_ms"]) == {"1", "4"}
-        assert entry["checksum"]
-        assert entry["rows"] >= 0
     assert len(results["queries"]) == 15
     for entry in results["queries"].values():
         assert entry["median_ms"] >= 0
@@ -60,19 +52,17 @@ def test_quick_bench_db_dir_warm_start(tmp_path):
 
     # gate disabled: this test asserts warm/cold *result* equality,
     # not timing stability of reps=2 micro-medians on a busy machine;
-    # --workers 0 opts out of the parallel sweep entirely, --procs 2
-    # runs the query set through the multi-process dispatcher (the
-    # harness hard-errors unless every worker checksum equals the
-    # serial run's)
+    # --procs 2 runs the query set through the multi-process
+    # dispatcher (the harness hard-errors unless every worker checksum
+    # equals the serial run's)
     # --serve 1 --serve 2 additionally drives the query set through
     # the socket query service at two concurrency levels (closed-loop
     # clients; reply checksums hard-asserted against the serial run)
     assert main(["--quick", "--out", str(out), "--db-dir", str(db_dir),
-                 "--no-regression-check", "--workers", "0",
+                 "--no-regression-check",
                  "--procs", "2", "--serve", "1", "--serve", "2"]) == 0
     warm = json.loads(out.read_text())
     assert warm["load"]["warm_start"] is True
-    assert "parallel" not in warm
     # warm-start operands are BUN-identical: same result cardinalities
     for name in EXPECTED_OPS:
         assert warm["operators"][name]["rows"] == \
