@@ -7,8 +7,10 @@ Three modes, combinable with budget knobs:
     over the repository tree; non-zero exit on any finding.
 ``--tpcd``
     Compile every TPC-D query (all phases) against a TPC-D database
-    and verify each plan, reporting per-plan findings, static bounds,
-    and verifier wall time — the QueryTorque-style per-plan report.
+    and verify each plan, reporting per-plan findings, statement
+    counts before -> after the optimizer's passes, static bounds, and
+    verifier wall time — the QueryTorque-style per-plan report.  A
+    plan the passes made longer fails.
     ``--db-dir`` reopens a saved database (warm, no dbgen); without
     it a tiny dataset is generated in memory.
 ``FILE``
@@ -76,22 +78,31 @@ def _database(args):
     return db
 
 
-def _report_plan(label, plan, fail_on_warnings):
+def _report_plan(label, plan, fail_on_warnings, emitted=None):
+    """One report line; ``emitted`` is the statement count the rewriter
+    produced before the optimizer's passes (a plan the passes grew
+    fails)."""
     errors, warnings = plan.errors, plan.warnings
-    status = "FAIL" if errors or (fail_on_warnings and warnings) \
+    grew = emitted is not None and len(plan.program) > emitted
+    status = "FAIL" if errors or grew or (fail_on_warnings and warnings) \
         else "ok"
     bounds = "rows<=%s bytes<=%s pages<=%s" % (
         plan.max_rows if plan.max_rows is not None else "?",
         plan.total_bytes if plan.total_bytes is not None else "?",
         plan.total_pages if plan.total_pages is not None else "?")
-    print("%-10s %-4s %3d stmts  %s  %.2fms"
-          % (label, status, len(plan.program), bounds, plan.verify_ms))
+    stmts = "%3d" % len(plan.program) if emitted is None \
+        else "%3d -> %3d" % (emitted, len(plan.program))
+    print("%-10s %-4s %s stmts  %s  %.2fms"
+          % (label, status, stmts, bounds, plan.verify_ms))
+    if grew:
+        print("    the optimizer's passes grew the plan")
     for finding in errors + warnings:
         print("    " + finding.render())
     return status == "ok"
 
 
 def _lint_tpcd(args):
+    from ..moa.rewriter import Rewriter
     from ..tpcd import QUERIES
     db = _database(args)
     stats = catalog_stats_from_kernel(db.kernel)
@@ -99,12 +110,13 @@ def _lint_tpcd(args):
     clean = True
     for number in sorted(QUERIES):
         for phase, text in enumerate(QUERIES[number].texts()):
-            _resolved, result = db.compile(text)
+            resolved, result = db.compile(text)
+            emitted = len(Rewriter(resolved, db.flat).rewrite().program)
             plan = verify_program(result.program, catalog=stats,
                                   budget=budget)
             label = "Q%d" % number if phase == 0 \
                 else "Q%d.%d" % (number, phase)
-            clean &= _report_plan(label, plan, args.warnings)
+            clean &= _report_plan(label, plan, args.warnings, emitted)
     return clean
 
 

@@ -10,7 +10,9 @@ atoms, properties and cardinality bound derive from the operands.
 
 The registry is asserted complete against ``mil._OPS`` at import time
 (and again in the test suite), so adding a MIL operator without a
-signature fails loudly instead of silently weakening the verifier.
+signature — or a signature without its ``pure`` bit, which decides
+whether the optimizer may merge two identical statements — fails
+loudly instead of silently weakening the verifier or the optimizer.
 
 The rules are deliberately *no stricter than the kernel*: a plan is
 only rejected for conditions that make execution certain to raise.
@@ -515,14 +517,20 @@ class Signature:
     for variadic ops (which validate their own shape in ``rule``);
     ``rule`` maps ``(stmt, abstract_args)`` to the abstract result,
     raising :class:`SignatureError` on a statically certain violation.
+    ``pure`` (required, no default) says the op's result depends on
+    nothing but its operands and has no effect besides being returned;
+    only pure statements may be merged by the optimizer's
+    common-subexpression pass, so an effectful op added later cannot be
+    deduplicated silently.
     """
 
-    __slots__ = ("op", "arities", "rule")
+    __slots__ = ("op", "arities", "rule", "pure")
 
-    def __init__(self, op, arities, rule):
+    def __init__(self, op, arities, rule, pure):
         self.op = op
         self.arities = frozenset(arities) if arities is not None else None
         self.rule = rule
+        self.pure = pure
 
     def check(self, stmt, args):
         """Abstract result of ``stmt`` applied to abstract ``args``."""
@@ -538,31 +546,35 @@ class Signature:
             raise SignatureError("%s: %s" % (self.op, exc)) from None
 
 
-#: op name -> :class:`Signature`, complete over ``mil._OPS``.
+#: op name -> :class:`Signature`, complete over ``mil._OPS``.  Every
+#: BAT-algebra primitive materialises a fresh result from its operands
+#: and never mutates them (section 4.2), so all of them are pure.
 SIGNATURES = {
-    "select": Signature("select", (2, 3, 5), _sig_select),
-    "join": Signature("join", (2,), _sig_join),
-    "semijoin": Signature("semijoin", (2,), _sig_semijoin),
-    "antijoin": Signature("antijoin", (2,), _sig_headdiff("antijoin")),
-    "kdiff": Signature("kdiff", (2,), _sig_headdiff("kdiff")),
-    "mirror": Signature("mirror", (1,), _sig_mirror),
-    "ident": Signature("ident", (1,), _sig_ident),
-    "unique": Signature("unique", (1,), _sig_unique),
-    "group": Signature("group", (1, 2), _sig_group),
-    "multiplex": Signature("multiplex", None, _sig_multiplex),
-    "aggr": Signature("aggr", (1,), _sig_aggr),
-    "fillzero": Signature("fillzero", (2,), _sig_fillzero),
-    "aggr_all": Signature("aggr_all", (1,), _sig_aggr_all),
-    "mark": Signature("mark", (1, 2), _sig_mark),
-    "number": Signature("number", (1, 2), _sig_number),
-    "pairjoin": Signature("pairjoin", None, _sig_pairjoin),
-    "sort": Signature("sort", (1,), _sig_sort),
-    "sortby": Signature("sortby", None, _sig_sortby),
-    "slice": Signature("slice", (3,), _sig_slice),
-    "union": Signature("union", (2,), _sig_union),
-    "difference": Signature("difference", (2,), _sig_setop("difference")),
+    "select": Signature("select", (2, 3, 5), _sig_select, pure=True),
+    "join": Signature("join", (2,), _sig_join, pure=True),
+    "semijoin": Signature("semijoin", (2,), _sig_semijoin, pure=True),
+    "antijoin": Signature("antijoin", (2,), _sig_headdiff("antijoin"),
+                          pure=True),
+    "kdiff": Signature("kdiff", (2,), _sig_headdiff("kdiff"), pure=True),
+    "mirror": Signature("mirror", (1,), _sig_mirror, pure=True),
+    "ident": Signature("ident", (1,), _sig_ident, pure=True),
+    "unique": Signature("unique", (1,), _sig_unique, pure=True),
+    "group": Signature("group", (1, 2), _sig_group, pure=True),
+    "multiplex": Signature("multiplex", None, _sig_multiplex, pure=True),
+    "aggr": Signature("aggr", (1,), _sig_aggr, pure=True),
+    "fillzero": Signature("fillzero", (2,), _sig_fillzero, pure=True),
+    "aggr_all": Signature("aggr_all", (1,), _sig_aggr_all, pure=True),
+    "mark": Signature("mark", (1, 2), _sig_mark, pure=True),
+    "number": Signature("number", (1, 2), _sig_number, pure=True),
+    "pairjoin": Signature("pairjoin", None, _sig_pairjoin, pure=True),
+    "sort": Signature("sort", (1,), _sig_sort, pure=True),
+    "sortby": Signature("sortby", None, _sig_sortby, pure=True),
+    "slice": Signature("slice", (3,), _sig_slice, pure=True),
+    "union": Signature("union", (2,), _sig_union, pure=True),
+    "difference": Signature("difference", (2,), _sig_setop("difference"),
+                            pure=True),
     "intersection": Signature("intersection", (2,),
-                              _sig_setop("intersection")),
+                              _sig_setop("intersection"), pure=True),
 }
 
 
@@ -582,6 +594,12 @@ def _assert_complete():
             "operator signature registry out of sync with mil._OPS: "
             "missing %s, extra %s"
             % (sorted(missing) or "none", sorted(extra) or "none"))
+    undeclared = sorted(op for op, signature in SIGNATURES.items()
+                        if not isinstance(signature.pure, bool))
+    if undeclared:
+        raise AssertionError(
+            "operator signatures without a boolean pure bit: %s"
+            % ", ".join(undeclared))
 
 
 _assert_complete()

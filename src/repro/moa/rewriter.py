@@ -33,12 +33,11 @@ Published rewrite rules honoured literally:
   ``{g}(join(index, values))`` — "nested aggregates in one go".
 """
 
-from ..analysis.verify import (catalog_stats_from_kernel, check_program,
-                               live_statements)
+from ..analysis.verify import catalog_stats_from_kernel, check_program
 from ..errors import RewriteError
 from ..monet import atoms as _atoms
 from ..monet.mil import MILProgram, Var
-from ..monet.optimizer import get_optimizer
+from ..monet.optimizer import optimize
 from . import ast
 from .structures import (AtomRep, InlineAtomRep, InlineRefRep, Mirrored,
                          ObjectRep, RefRep, SetRep, TupleRep, ViaRep)
@@ -855,9 +854,11 @@ _SETOP_MIL = {
 def rep_root_names(result):
     """Variable names the result rep (or scalar) observes.
 
-    These are the roots of the liveness analysis: a MIL statement
+    These are the roots of the optimizer's passes: a MIL statement
     whose target none of them (transitively) depends on can be
-    eliminated without changing what the Materializer can see.
+    eliminated without changing what the Materializer can see, and a
+    root is read by name, so it is never merged into another
+    statement's target.
     """
     roots = set()
     if result.scalar_var is not None:
@@ -880,29 +881,31 @@ def _collect_rep_sources(rep, roots):
     _collect_rep_sources(getattr(rep, "inner", None), roots)
 
 
-def rewrite(resolved, flat, verify=True):
+def rewrite(resolved, flat, catalog=None, budget=None, verify=True):
     """Rewrite a resolved query to (MIL program, result structure).
 
-    Every compiled plan is statically verified against the operator
-    signature registry before it is returned, with catalog stats from
-    the flattened database — a miscompile (unbound reference, type
-    violation, malformed statement) surfaces here as a
+    The path every compiled plan takes: the rewriter emits the plan,
+    the optimizer's pass pipeline (:func:`repro.monet.optimizer.optimize`:
+    common-subexpression merging, then dead-code elimination, both
+    rooted at what the result rep reads) shrinks it, and the surviving
+    program is verified once against the operator signature registry —
+    a miscompile (unbound reference, type violation, malformed
+    statement) surfaces here as a
     :class:`~repro.errors.PlanVerificationError` instead of at run
-    time.  When the installed optimizer has ``eliminate_dead`` set,
-    statements the result rep provably never observes are dropped
-    (the analysis layer's liveness pass); the surviving program is
-    what gets verified.
+    time, and an optional admission ``budget`` (a
+    :class:`~repro.analysis.verify.PlanBudget`) is enforced in the same
+    pass as :class:`~repro.errors.PlanBudgetExceededError`.
+
+    ``catalog`` is the stats dict to verify against; callers compiling
+    many plans over one database pass it once instead of paying
+    :func:`~repro.analysis.verify.catalog_stats_from_kernel` per plan.
+    ``verify=False`` skips the check for callers that time it as a
+    layer of its own.
     """
     result = Rewriter(resolved, flat).rewrite()
-    optimizer = get_optimizer()
-    if getattr(optimizer, "eliminate_dead", False):
-        live = live_statements(result.program,
-                               roots=rep_root_names(result))
-        if len(live) != len(result.program.stmts):
-            optimizer.record_dce(len(result.program.stmts) - len(live))
-            result.program.stmts = [result.program.stmts[index]
-                                    for index in live]
+    optimize(result.program, rep_root_names(result))
     if verify:
-        stats = catalog_stats_from_kernel(flat.kernel)
-        check_program(result.program, catalog=stats)
+        if catalog is None:
+            catalog = catalog_stats_from_kernel(flat.kernel)
+        check_program(result.program, catalog=catalog, budget=budget)
     return result

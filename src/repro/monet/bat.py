@@ -22,6 +22,7 @@ guarded by the kernel") and are used by tests.
 """
 
 import itertools
+import weakref
 
 import numpy as np
 
@@ -38,7 +39,7 @@ class BAT:
     """A Binary Association Table over two :class:`Column` objects."""
 
     __slots__ = ("head", "tail", "props", "alignment", "name", "accel",
-                 "identity", "_mirror_cache")
+                 "identity", "_origin", "_mirror_ref", "__weakref__")
 
     def __init__(self, head, tail, name=None, props=None, alignment=None):
         if not isinstance(head, Column) or not isinstance(tail, Column):
@@ -54,7 +55,8 @@ class BAT:
         self.name = name
         self.accel = {}
         self.identity = next(_BAT_IDS)
-        self._mirror_cache = None
+        self._origin = None             # set on a mirror: the original
+        self._mirror_ref = None         # weakref to this BAT's mirror
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -77,18 +79,25 @@ class BAT:
     def mirror(self):
         """The mirrored view: head and tail swapped, zero cost.
 
-        The mirror shares this BAT's columns; its alignment token is the
-        ``mirror`` of this BAT's token, so ``b.mirror().mirror()`` is
-        synced with ``b``.
+        The mirror shares this BAT's columns; its alignment token is
+        :func:`~repro.monet.properties.mirror_alignment` of this BAT,
+        so ``b.mirror().mirror()`` is synced with ``b`` — it *is*
+        ``b``.  A mirror holds its original strongly, the original
+        its mirror only weakly: no reference cycle, so a BAT (and any
+        memory-mapped column it shares) dies with its last reference
+        instead of waiting for the garbage collector.
         """
-        if self._mirror_cache is None:
+        if self._origin is not None:
+            return self._origin
+        out = self._mirror_ref() if self._mirror_ref is not None else None
+        if out is None:
             out = BAT(self.tail, self.head,
                       name=None if self.name is None else self.name + ".mirror",
                       props=self.props.swapped(),
-                      alignment=mirror_alignment(self.alignment))
-            out._mirror_cache = self
-            self._mirror_cache = out
-        return self._mirror_cache
+                      alignment=mirror_alignment(self))
+            out._origin = self
+            self._mirror_ref = weakref.ref(out)
+        return out
 
     # ------------------------------------------------------------------
     # access helpers

@@ -25,10 +25,14 @@ from .heap import FixedHeap, VarHeap
 class Column:
     """Abstract column; see module docstring for the three layouts."""
 
-    __slots__ = ("atom",)
+    __slots__ = ("atom", "grouping")
 
     def __init__(self, atom):
         self.atom = _atoms.atom(atom)
+        #: ``(first_pos, inverse, n_groups)`` of this column's distinct
+        #: keys, cached by the first set-aggregate grouped on it (the
+        #: column is immutable, so the factorization never goes stale)
+        self.grouping = None
 
     def __len__(self):
         raise NotImplementedError

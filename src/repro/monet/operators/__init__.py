@@ -27,6 +27,8 @@ operator     implementation     chosen when / runs as
 select       binsearch          tail ``ordered``: two ``searchsorted``
                                 probes + contiguous slice
 select       scan               fallback: one vectorised mask pass
+join         syncjoin           outer tail synced with inner head, inner
+                                head key: no matching, no gather
 join         fetchjoin          inner head void: positional arithmetic
 join         mergejoin          inner head ordered+key, fixed atoms:
                                 ``searchsorted`` per outer BUN
@@ -34,7 +36,7 @@ join         hashjoin           fallback: MultiMap (argsort +
                                 ``searchsorted`` group expand); reuses the
                                 BAT's array-backed hash accelerator when
                                 present
-semijoin     syncsemijoin       operands synced: copy
+semijoin     syncsemijoin       operands synced: the left operand's columns
 semijoin     datavectorsemijoin left carries a datavector: cached LOOKUP
 semijoin     mergesemijoin      both heads ordered: binary-search mask
 semijoin     hashsemijoin       fallback: ``np.isin`` membership kernel
@@ -43,10 +45,11 @@ group        unary/binary       factorised int codes (``np.unique``),
 unique/      code path          joint int64 BUN pair codes +
 set ops                         ``np.unique``/``np.isin``; first-occurrence
                                 order preserved
-aggregate    grouped            ``np.bincount`` (count/avg/float sum),
-                                argsort + ``np.add.reduceat`` (int sum,
-                                exact), order-rank extremes (min/max incl.
-                                strings)
+aggregate    grouped            one ``np.unique`` per head column (cached on
+                                it), then ``np.bincount`` (count/avg/float
+                                sum), argsort + ``np.add.reduceat`` (int
+                                sum, exact), order-rank extremes (min/max
+                                incl. strings)
 ===========  =================  ===========================================
 
 Hash indexes (``bat.accel["hash"]``) are *array-backed* for

@@ -38,7 +38,11 @@ def set_aggregate(func, ab, name=None):
     """``{func}(AB)``: one aggregate per distinct head value.
 
     The result head holds the distinct head values in ascending order;
-    ``hkey`` and ``hordered`` are set by construction.
+    ``hkey`` and ``hordered`` are set by construction.  The grouping
+    of the head is computed once per head *column*: ``{sum}``,
+    ``{avg}`` and ``{count}`` over BATs sharing one head (what synced
+    joins and total semijoins produce) factorize it only the first
+    time.
     """
     if func not in AGGREGATES:
         raise OperatorError("unknown aggregate %r" % func)
@@ -46,17 +50,22 @@ def set_aggregate(func, ab, name=None):
     with manager.operator("{%s}" % func):
         manager.access_column(ab.head)
         manager.access_column(ab.tail)
-        keys = ab.head.keys()
-        uniq, first_pos, inverse = np.unique(
-            keys, return_index=True, return_inverse=True)
-        inverse = inverse.astype(np.int64)
-        n_groups = len(uniq)
+        first_pos, inverse, n_groups = _grouping(ab.head)
         head = ab.head.take(first_pos)
         tail = _grouped(func, ab.tail, inverse, n_groups)
     # heads come out in ascending key order; for var-size atoms key
     # order is heap order, not value order, so ordered cannot be set
     props = Props(hkey=True, hordered=not ab.head.atom.varsized)
     return result_bat(head, tail, name=name, props=props)
+
+
+def _grouping(column):
+    """``(first_pos, inverse, n_groups)`` of a head column, cached on it."""
+    if column.grouping is None:
+        uniq, first_pos, inverse = np.unique(
+            column.keys(), return_index=True, return_inverse=True)
+        column.grouping = (first_pos, inverse.astype(np.int64), len(uniq))
+    return column.grouping
 
 
 def _grouped(func, tail_col, inverse, n_groups):

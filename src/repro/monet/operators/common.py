@@ -1,7 +1,5 @@
 """Shared helpers for the BAT-algebra operator implementations."""
 
-import numpy as np
-
 from ...errors import OperatorError
 from ..bat import BAT
 from ..properties import Props
@@ -22,13 +20,15 @@ def subsequence_props(ab):
 def take_subsequence(ab, positions, name=None):
     """Result BAT = ``ab`` restricted to ``positions`` (monotonic).
 
-    Inherits properties; when *all* BUNs survive the result is synced
-    with the operand (alignment token preserved).
+    Inherits properties; when *all* BUNs survive the result is the
+    operand's own columns (shared, so a grouping cached on the head
+    column stays hot) under the operand's alignment token.
     """
-    positions = np.asarray(positions, dtype=np.int64)
-    total = len(positions) == len(ab)
-    out = ab.take(positions, name=name,
-                  alignment=ab.alignment if total else None)
+    if len(positions) == len(ab):
+        return result_bat(ab.head, ab.tail, name=name,
+                          props=subsequence_props(ab),
+                          alignment=ab.alignment)
+    out = ab.take(positions, name=name)
     out.props = subsequence_props(ab)
     return out
 

@@ -3,6 +3,12 @@
 The join columns are projected out to keep the operation closed in the
 binary model (section 4.2).  Implementations, chosen at run time:
 
+* ``syncjoin`` — the outer tail is *synced* with the inner head (the
+  token of ``AB``'s mirror equals ``CD``'s token, equal lengths) and
+  the inner head is a key: ``b_i = c_i`` position by position, so
+  ``AB.join(CD) = BAT(A, D)`` with no matching and no gather — the
+  positional re-alignment the rewriter emits after every
+  ``semijoin(values, mirror(index))``.
 * ``fetchjoin`` — the inner head is a void (virtual dense) column, so
   matching is pure positional arithmetic; used against datavector-style
   dense tables.
@@ -14,9 +20,10 @@ binary model (section 4.2).  Implementations, chosen at run time:
   accelerator on the inner head.
 
 The result is produced in outer (left) BUN order.  When every outer
-BUN finds exactly one match the result head equals the outer head, so
-the result is *synced* with the outer operand — the property that makes
-the Q13 multiplex chain positional.
+BUN finds exactly one match the result head *is* the outer head column
+(shared, not copied), so the result is *synced* with the outer
+operand — the property that makes the Q13 multiplex chain positional —
+and a later ``{aggr}`` over it reuses the head's cached grouping.
 """
 
 import numpy as np
@@ -26,7 +33,7 @@ from ..accelerators.hashidx import hash_of
 from ..buffer import get_manager
 from ..column import column_from_values, equality_keys
 from ..optimizer import get_optimizer
-from ..properties import Props
+from ..properties import Props, mirror_alignment
 from ..vectorized import combine_codes_pair, joint_codes
 from .common import build_multimap, require_nonempty_signature, result_bat
 
@@ -35,6 +42,10 @@ def join(ab, cd, name=None):
     """Dispatch on operand state, per section 5.1."""
     require_nonempty_signature(ab, cd, "join")
     optimizer = get_optimizer()
+    if (optimizer.dynamic and cd.props.hkey and len(ab) == len(cd)
+            and mirror_alignment(ab) == cd.alignment):
+        optimizer.record("join", "syncjoin")
+        return _syncjoin(ab, cd, name)
     if optimizer.dynamic and cd.head.is_void():
         optimizer.record("join", "fetchjoin")
         return _fetchjoin(ab, cd, name)
@@ -161,18 +172,24 @@ def _gather_keys(raw, positions):
 
 
 def _finish(ab, cd, left_pos, right_pos, name):
-    head = ab.head.take(left_pos)
     tail = cd.tail.take(right_pos)
-    props = Props()
-    props.hordered = ab.props.hordered      # left-major, non-strict order
-    props.hkey = ab.props.hkey and cd.props.hkey
-    out = result_bat(head, tail, name=name, props=props)
-    if len(out) == len(ab) and cd.props.hkey:
-        # total 1:1 match: result heads are exactly the outer heads
-        out.alignment = ab.alignment
-        out.props.hkey = ab.props.hkey
-        out.props.hordered = ab.props.hordered
-    return out
+    if len(left_pos) == len(ab) and cd.props.hkey:
+        # total 1:1 match: left_pos is 0..n-1, the result heads are
+        # exactly the outer heads
+        props = Props(hkey=ab.props.hkey, hordered=ab.props.hordered)
+        return result_bat(ab.head, tail, name=name, props=props,
+                          alignment=ab.alignment)
+    props = Props(hkey=ab.props.hkey and cd.props.hkey,
+                  hordered=ab.props.hordered)   # left-major order
+    return result_bat(ab.head.take(left_pos), tail, name=name, props=props)
+
+
+def _syncjoin(ab, cd, name):
+    # dispatch guarantees ab.tail[i] == cd.head[i] for every i and a
+    # key inner head: each outer BUN matches exactly its own position
+    props = Props(hkey=ab.props.hkey, hordered=ab.props.hordered)
+    return result_bat(ab.head, cd.tail, name=name, props=props,
+                      alignment=ab.alignment)
 
 
 def _fetchjoin(ab, cd, name):

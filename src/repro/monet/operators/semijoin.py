@@ -6,15 +6,18 @@ implementations exist, dispatched at run time on operand state
 (sections 5.1 and 5.2.1):
 
 * ``syncsemijoin`` — the operands are *synced* (identical head
-  sequences), so the result is just a copy of the left operand: "the
-  most particular variant".
+  sequences), so the result is the left operand itself (its columns,
+  shared — not copied): "the most particular variant".
 * ``datavectorsemijoin`` — the left operand carries a datavector
   accelerator (section 5.2.1): oids of the right operand are looked up
   in the sorted class extent with probe-based binary search, the
   resulting LOOKUP array is cached per right operand (the "blazed
   trail"), and values are fetched positionally from the value vector.
-  The result is produced in *right* operand order, so two datavector
-  semijoins against the same selection are synced with each other.
+  The result is produced in *right* operand order.  When every right
+  oid is found its head sequence *is* the right operand's, so it takes
+  the right operand's alignment token; otherwise it gets a token of its
+  own per (class, right operand).  Either way two datavector semijoins
+  against the same selection are synced with each other.
 * ``mergesemijoin`` — both head columns ordered: vectorised
   binary-search membership with sequential access.
 * ``hashsemijoin`` — the generic fallback.
@@ -72,11 +75,9 @@ def _membership_mask(ab, cd, manager):
 
 
 def _syncsemijoin(ab, name):
-    # synced operands: every left BUN qualifies; return a copy
-    out = ab.take(np.arange(len(ab), dtype=np.int64), name=name,
-                  alignment=ab.alignment)
-    out.props = ab.props.copy()
-    return out
+    # synced operands: every left BUN qualifies
+    return result_bat(ab.head, ab.tail, name=name, props=ab.props.copy(),
+                      alignment=ab.alignment)
 
 
 def _hashsemijoin(ab, cd, name):
@@ -125,5 +126,7 @@ def _datavectorsemijoin(ab, cd, name):
             width = getattr(heap, "width", None) or 4
             manager.access_positions(heap, extent_pos, width)
     props = Props(hkey=True, hordered=bool(cd.props.hordered))
+    alignment = cd.alignment if len(extent_pos) == len(cd) \
+        else ("dv", registry.class_name, cd.identity)
     return result_bat(head, tail, name=name, props=props,
-                      alignment=("dv", registry.class_name, cd.identity))
+                      alignment=alignment)

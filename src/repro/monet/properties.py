@@ -37,11 +37,19 @@ def fresh_alignment(tag="anon"):
     return (tag, next(_ALIGN_IDS))
 
 
-def mirror_alignment(token):
-    """Alignment of a BAT's mirror; an involution."""
-    if isinstance(token, tuple) and len(token) == 2 and token[0] == "mirror":
-        return token[1]
-    return ("mirror", token)
+def mirror_alignment(bat):
+    """Alignment of ``bat``'s mirror — a token for its *tail* sequence.
+
+    A token only vouches for head sequences.  The tail of a mirror *is*
+    its original's head, so its token is the original's (an
+    involution).  Any other BAT's tail is known only to that BAT — two
+    BATs may share a head token but not their tails, and operators
+    pass a head token on to results with new tails — so its mirror
+    token carries the BAT's identity.
+    """
+    if bat._origin is not None:
+        return bat._origin.alignment
+    return ("mirror", bat.alignment, bat.identity)
 
 
 def synced(left, right):

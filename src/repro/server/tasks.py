@@ -30,8 +30,8 @@ result leaves here as the batch the materializer built: no ``Row``
 exists in the worker.
 """
 
-from ..analysis.verify import (PlanBudget, catalog_stats_from_kernel,
-                               check_program)
+from ..analysis.verify import PlanBudget, catalog_stats_from_kernel
+from ..moa.rewriter import rewrite
 from ..monet.multiproc import register_task_kind, ship_value
 from .cache import LRUCache
 from .protocol import payload_nbytes
@@ -60,6 +60,16 @@ def _plan_budget(ctx):
                       max_pages=options.get("max_pages"))
 
 
+def _catalog(ctx):
+    """Catalog stats of the worker's database, derived once: a worker
+    serves one pinned generation for its whole life."""
+    catalog = ctx.state.get("catalog")
+    if catalog is None:
+        catalog = ctx.state["catalog"] = \
+            catalog_stats_from_kernel(ctx.db().kernel)
+    return catalog
+
+
 def _moa_warmup(ctx, task):
     ctx.db()
 
@@ -81,13 +91,10 @@ def _run_sql(ctx, task):
     hit = prepared is not None
     if not hit:
         from ..sql.runtime import prepare_sql
-        budget = _plan_budget(ctx)
-        catalog = catalog_stats_from_kernel(db.kernel) \
-            if budget is not None else None
         # an over-budget or malformed query raises here, before the
         # put: a rejected SQL plan never enters the cache either
-        prepared = prepare_sql(db, text, budget=budget,
-                               catalog=catalog)
+        prepared = prepare_sql(db, text, budget=_plan_budget(ctx),
+                               catalog=_catalog(ctx))
         cache.put(key, prepared)
     value = prepared.run()
     extra = {"plan_cached": hit, "plan_cache": cache.snapshot(),
@@ -103,17 +110,12 @@ def _run_moa(ctx, task):
     compiled = cache.get(key)
     hit = compiled is not None
     if not hit:
-        _resolved, compiled = db.compile(text)
-        # budget check between compile and execute: the rewriter has
-        # already type-verified the plan, this enforces the service's
-        # static admission budget before a single statement runs.  A
+        # the rewriter's one verification also enforces the service's
+        # static admission budget, before a single statement runs.  A
         # rejected plan never enters the cache, so every resubmission
         # is re-checked (and re-rejected) the same way.
-        budget = _plan_budget(ctx)
-        if budget is not None:
-            check_program(compiled.program,
-                          catalog=catalog_stats_from_kernel(db.kernel),
-                          budget=budget)
+        compiled = rewrite(db.prepare(text), db.flat,
+                           catalog=_catalog(ctx), budget=_plan_budget(ctx))
         cache.put(key, compiled)
     value = db.run_compiled(compiled)
     extra = {"plan_cached": hit, "plan_cache": cache.snapshot(),

@@ -20,6 +20,7 @@ admission budgets once); holed phases re-resolve per execution after
 their literals are known.
 """
 
+from ..analysis.verify import catalog_stats_from_kernel
 from ..errors import SqlUnsupportedError
 from ..moa import ast as moa_ast
 from ..moa.rewriter import rewrite
@@ -225,33 +226,30 @@ def eval_py(expr, values):
 class PreparedSql:
     """A lowered SQL query bound to a database, ready to re-execute.
 
-    Hole-free moa phases are compiled (resolve + rewrite) once here —
-    and budget-checked once, so a rejected plan never gets cached —
-    matching what the plan cache does for Moa text.  Holed phases are
-    re-resolved per run once their literals are known (they are tiny
-    scalar-threshold queries; the heavy phases have no holes)."""
+    Hole-free moa phases are compiled (resolve + rewrite, whose single
+    verification also enforces ``budget``) once here, so a rejected
+    plan never gets cached — matching what the plan cache does for Moa
+    text.  Holed phases are re-resolved per run once their literals are
+    known (they are tiny scalar-threshold queries; the heavy phases
+    have no holes).  The catalog stats every compile verifies against
+    are derived once per prepared query, unless the caller passes
+    them."""
 
     def __init__(self, db, lowered, budget=None, catalog=None):
         self.db = db
         self.lowered = lowered
-        self._compiled = []
-        for phase in lowered.phases:
-            if phase.kind == "moa" and not phase.has_holes:
-                compiled = self._compile(phase.tree, budget, catalog)
-            else:
-                compiled = None
-            self._compiled.append(compiled)
         self._budget = budget
-        self._catalog = catalog
+        self._catalog = catalog if catalog is not None \
+            else catalog_stats_from_kernel(db.kernel)
+        self._compiled = [
+            self._compile(phase.tree)
+            if phase.kind == "moa" and not phase.has_holes else None
+            for phase in lowered.phases]
 
-    def _compile(self, tree, budget, catalog):
+    def _compile(self, tree):
         resolved = resolve(tree, self.db.schema)
-        compiled = rewrite(resolved, self.db.flat)
-        if budget is not None:
-            from ..analysis.verify import check_program
-            check_program(compiled.program, catalog=catalog,
-                          budget=budget)
-        return compiled
+        return rewrite(resolved, self.db.flat, catalog=self._catalog,
+                       budget=self._budget)
 
     def run(self):
         values = []
@@ -260,9 +258,7 @@ class PreparedSql:
                 values.append(eval_py(phase.expr, values))
                 continue
             if compiled is None:
-                tree = fill_holes(phase.tree, values)
-                compiled = self._compile(tree, self._budget,
-                                         self._catalog)
+                compiled = self._compile(fill_holes(phase.tree, values))
             values.append(self.db.run_compiled(compiled))
         return values[-1]
 
