@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import MOAError
 from ..monet.mil import Var
-from ..monet.vectorized import MultiMap
+from ..monet.vectorized import MultiMap, sorted_lookup
 from .values import Bag, RowBatch, column_values
 
 
@@ -275,10 +275,9 @@ class Materializer:
             # synchronous with the asking set and in its order: the
             # tail already is the answer
             return np.asarray(bat.tail.logical())
-        if bat.props.hordered and len(heads):
-            positions = np.minimum(np.searchsorted(heads, ids),
-                                   len(heads) - 1)
-            missing = heads[positions] != ids
+        if bat.props.hordered:
+            hit, positions = sorted_lookup(heads, ids)
+            missing = ~hit
         else:
             positions = MultiMap(heads).lookup_first(ids)
             missing = positions < 0

@@ -23,13 +23,22 @@ pointing at the registry plus its own value vector.  A cached LOOKUP
 hangs off the *right operand* it was computed for (``bat.accel`` slot
 ``"lookup:<class>"``), so it dies with that — usually intermediate —
 BAT instead of accumulating in a long-lived kernel.
+
+The accelerator serves two operators: the datavector *semijoin*
+(``semijoin(attr, selection)``, the paper's use) and the datavector
+*join* (``join(nav, attr)``: oids in an outer tail probed into the
+extent, values fetched from the vector — a path-navigation step that
+would otherwise sort the attribute's head for a hash join).  Both
+probe the extent through :meth:`DataVectorRegistry.probe`: a binary
+search (:func:`~repro.monet.vectorized.sorted_lookup`), or a
+subtraction when the extent is one dense oid range.
 """
 
 import numpy as np
 
 from ...errors import OperatorError
 from ..buffer import get_manager
-from ..column import equality_keys
+from ..vectorized import sorted_lookup
 
 
 class DataVectorRegistry:
@@ -53,8 +62,12 @@ class DataVectorRegistry:
         self._token = object()
         self.lookups_computed = 0
         self.lookups_reused = 0
+        #: ``extent[0]`` when the extent is one dense oid range
+        #: (``extent[i] == extent[0] + i``), else ``None``; worked out on
+        #: the first probe, so opening a saved extent never reads it
+        self._dense_base = _UNKNOWN
 
-    def lookup(self, right_bat, charge_probes=True):
+    def lookup(self, right_bat):
         """LOOKUP array for ``right_bat`` (paper pseudo code lines 5-15).
 
         Returns ``(extent_positions, right_positions)``: for every BUN
@@ -68,26 +81,49 @@ class DataVectorRegistry:
             self.lookups_reused += 1
             return cached[1]
         heads = np.asarray(right_bat.head.logical(), dtype=np.int64)
-        if charge_probes:
-            manager = get_manager()
-            manager.access_column(right_bat.head)
-            for heap in self.extent_column.heaps:
-                manager.access_probes(heap, len(heads), len(self.extent),
-                                      heap.width)
-        positions = np.searchsorted(self.extent, heads)
-        positions = np.clip(positions, 0, max(0, len(self.extent) - 1))
-        if len(self.extent):
-            valid = self.extent[positions] == heads
-        else:
-            valid = np.zeros(len(heads), dtype=bool)
+        get_manager().access_column(right_bat.head)
+        valid, positions = self.probe(heads)
         result = (positions[valid], np.nonzero(valid)[0])
         right_bat.accel[self._lookup_slot] = (self._token, result)
         self.lookups_computed += 1
         return result
 
+    def probe(self, oids):
+        """``(hit_mask, positions)`` of ``oids`` in the extent, as
+        :func:`~repro.monet.vectorized.sorted_lookup` returns them.
+
+        A binary search per oid — or, when the extent is one dense oid
+        range (every class a bulk load numbers), plain subtraction.
+        Either way the buffer manager is charged the binary-search
+        probes of the paper's pseudo code.
+        """
+        oids = np.asarray(oids)
+        manager = get_manager()
+        for heap in self.extent_column.heaps:
+            manager.access_probes(heap, len(oids), len(self.extent),
+                                  heap.width)
+        if self._dense_base is _UNKNOWN:
+            self._dense_base = _dense_start(self.extent)
+        if self._dense_base is None or oids.dtype.kind not in "iu":
+            return sorted_lookup(self.extent, oids)
+        positions = oids.astype(np.int64) - self._dense_base
+        hit = (positions >= 0) & (positions < len(self.extent))
+        return hit, np.where(hit, positions, 0)
+
     def invalidate(self):
         """Drop cached lookups (after updates to the extent)."""
         self._token = object()
+        self._dense_base = _UNKNOWN
+
+
+_UNKNOWN = object()
+
+
+def _dense_start(extent):
+    """``extent[0]`` when the strictly ascending extent has no gaps."""
+    if len(extent) and int(extent[-1]) - int(extent[0]) == len(extent) - 1:
+        return int(extent[0])
+    return None
 
 
 class DataVector:
@@ -103,6 +139,15 @@ class DataVector:
         self.registry = registry
         self.vector = vector
 
+    def fetch(self, extent_positions):
+        """The values at ``extent_positions``, charged as a positional
+        gather from the vector's heaps."""
+        manager = get_manager()
+        for heap in self.vector.heaps:
+            width = getattr(heap, "width", None) or 4
+            manager.access_positions(heap, extent_positions, width)
+        return self.vector.take(extent_positions)
+
 
 def build_datavector(attr_bat, registry):
     """Create and attach a :class:`DataVector` to ``attr_bat``.
@@ -113,11 +158,8 @@ def build_datavector(attr_bat, registry):
     section 6 when the BAT is already oid-ordered.
     """
     heads = np.asarray(attr_bat.head.logical(), dtype=np.int64)
-    positions = np.searchsorted(registry.extent, heads)
-    if len(registry.extent) == 0 or not np.array_equal(
-            registry.extent[np.clip(positions, 0,
-                                    max(0, len(registry.extent) - 1))],
-            heads):
+    hit, positions = sorted_lookup(registry.extent, heads)
+    if len(registry.extent) == 0 or not hit.all():
         raise OperatorError("attribute BAT %r has oids outside the extent"
                             % (attr_bat.name,))
     order = np.argsort(positions, kind="stable")

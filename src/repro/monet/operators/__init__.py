@@ -27,11 +27,15 @@ operator     implementation     chosen when / runs as
 select       binsearch          tail ``ordered``: two ``searchsorted``
                                 probes + contiguous slice
 select       scan               fallback: one vectorised mask pass
-join         syncjoin           outer tail synced with inner head, inner
-                                head key: no matching, no gather
+join         syncjoin           outer tail synced with inner head (an
+                                ``ident`` tail is its head), inner head
+                                key: no matching, no gather
 join         fetchjoin          inner head void: positional arithmetic
 join         mergejoin          inner head ordered+key, fixed atoms:
                                 ``searchsorted`` per outer BUN
+join         datavectorjoin     inner carries a datavector, head key, fixed
+                                outer tail: probe the sorted extent, gather
+                                the value vector (no sort of the inner)
 join         hashjoin           fallback: MultiMap (argsort +
                                 ``searchsorted`` group expand); reuses the
                                 BAT's array-backed hash accelerator when
@@ -45,6 +49,12 @@ group        unary/binary       factorised int codes (``np.unique``),
 unique/      code path          joint int64 BUN pair codes +
 set ops                         ``np.unique``/``np.isin``; first-occurrence
                                 order preserved
+multiplex    heap codes         one BAT operand with a string tail: the
+                                function once per distinct heap value
+                                present, then one gather by heap index
+multiplex    synced             operands synced (or one BAT): one numpy
+                                expression over the tails
+multiplex    aligned            fallback: natural join on heads first
 aggregate    grouped            one ``np.unique`` per head column (cached on
                                 it), then ``np.bincount`` (count/avg/float
                                 sum), argsort + ``np.add.reduceat`` (int

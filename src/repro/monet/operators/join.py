@@ -8,7 +8,8 @@ binary model (section 4.2).  Implementations, chosen at run time:
   the inner head is a key: ``b_i = c_i`` position by position, so
   ``AB.join(CD) = BAT(A, D)`` with no matching and no gather — the
   positional re-alignment the rewriter emits after every
-  ``semijoin(values, mirror(index))``.
+  ``semijoin(values, mirror(index))``, and ``join(ident(x), col)`` for
+  a ``col`` synced with ``x`` (an ``ident`` tail *is* its head).
 * ``fetchjoin`` — the inner head is a void (virtual dense) column, so
   matching is pure positional arithmetic; used against datavector-style
   dense tables.
@@ -16,6 +17,12 @@ binary model (section 4.2).  Implementations, chosen at run time:
   ``searchsorted``) matching with sequential access patterns, "tend to
   work best ... because they have sequential access patterns"
   (section 5.2).
+* ``datavectorjoin`` — the inner operand carries a datavector (section
+  5.2) and its head is a key: the outer tail oids are probed into the
+  sorted class extent and the inner tails fetched positionally from
+  the value vector.  A datavector is a bijection of the inner heads
+  onto the extent, so this equals ``hashjoin`` without sorting the
+  inner head — the path-navigation joins (``join(nav, Item_price)``).
 * ``hashjoin`` — the generic fallback; builds (or reuses) a hash table
   accelerator on the inner head.
 
@@ -29,12 +36,13 @@ and a later ``{aggr}`` over it reuses the head's cached grouping.
 import numpy as np
 
 from ...errors import OperatorError
+from ..accelerators.datavector import has_datavector
 from ..accelerators.hashidx import hash_of
 from ..buffer import get_manager
 from ..column import column_from_values, equality_keys
 from ..optimizer import get_optimizer
 from ..properties import Props, mirror_alignment
-from ..vectorized import combine_codes_pair, joint_codes
+from ..vectorized import combine_codes_pair, joint_codes, sorted_lookup
 from .common import build_multimap, require_nonempty_signature, result_bat
 
 
@@ -53,6 +61,10 @@ def join(ab, cd, name=None):
             and not cd.head.atom.varsized and not ab.tail.atom.varsized):
         optimizer.record("join", "mergejoin")
         return _mergejoin(ab, cd, name)
+    if (optimizer.dynamic and has_datavector(cd) and cd.props.hkey
+            and not ab.tail.atom.varsized):
+        optimizer.record("join", "datavectorjoin")
+        return _datavectorjoin(ab, cd, name)
     optimizer.record("join", "hashjoin")
     return _hashjoin(ab, cd, name)
 
@@ -171,8 +183,7 @@ def _gather_keys(raw, positions):
     return raw[np.where(missing, 0, positions)], missing
 
 
-def _finish(ab, cd, left_pos, right_pos, name):
-    tail = cd.tail.take(right_pos)
+def _finish(ab, cd, left_pos, tail, name):
     if len(left_pos) == len(ab) and cd.props.hkey:
         # total 1:1 match: left_pos is 0..n-1, the result heads are
         # exactly the outer heads
@@ -204,7 +215,7 @@ def _fetchjoin(ab, cd, name):
         right_pos = positions[valid]
         manager.access_column(ab.head, left_pos)
         manager.access_column(cd.tail, right_pos)
-    return _finish(ab, cd, left_pos, right_pos, name)
+    return _finish(ab, cd, left_pos, cd.tail.take(right_pos), name)
 
 
 def _mergejoin(ab, cd, name):
@@ -214,17 +225,26 @@ def _mergejoin(ab, cd, name):
         left_keys, right_keys = equality_keys(ab.tail, cd.head)
         manager.access_column(ab.tail)
         manager.access_column(cd.head)
-        positions = np.searchsorted(right_keys, left_keys)
-        positions = np.clip(positions, 0, max(0, len(right_keys) - 1))
-        if len(right_keys):
-            valid = right_keys[positions] == left_keys
-        else:
-            valid = np.zeros(len(left_keys), dtype=bool)
-        left_pos = np.nonzero(valid)[0]
-        right_pos = positions[valid]
+        hit, positions = sorted_lookup(right_keys, left_keys)
+        left_pos = np.nonzero(hit)[0]
+        right_pos = positions[hit]
         manager.access_column(ab.head, left_pos)
         manager.access_column(cd.tail, right_pos)
-    return _finish(ab, cd, left_pos, right_pos, name)
+    return _finish(ab, cd, left_pos, cd.tail.take(right_pos), name)
+
+
+def _datavectorjoin(ab, cd, name):
+    # dispatch guarantees: cd's datavector holds its tails in extent
+    # order and its head is a key, so extent position = inner BUN
+    manager = get_manager()
+    accel = cd.accel["datavector"]
+    with manager.operator("join.datavector"):
+        manager.access_column(ab.tail)
+        hit, positions = accel.registry.probe(ab.tail.keys())
+        left_pos = np.nonzero(hit)[0]
+        manager.access_column(ab.head, left_pos)
+        tail = accel.fetch(positions[hit])
+    return _finish(ab, cd, left_pos, tail, name)
 
 
 def _hashjoin(ab, cd, name):
@@ -242,4 +262,4 @@ def _hashjoin(ab, cd, name):
         left_pos, right_pos = multimap.match(left_keys)
         manager.access_column(ab.head, left_pos)
         manager.access_column(cd.tail, right_pos)
-    return _finish(ab, cd, left_pos, right_pos, name)
+    return _finish(ab, cd, left_pos, cd.tail.take(right_pos), name)

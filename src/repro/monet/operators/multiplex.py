@@ -12,6 +12,13 @@ The fast path applies when all BAT operands are mutually *synced*
 alignment, and the whole multiplex is one vectorised numpy expression —
 this is why the kernel tracks ``synced`` through semijoin chains.
 
+A multiplex over a single string BAT runs on *heap codes*: the var
+heap's double elimination already stores every distinct string once,
+so the function is evaluated once per distinct value present in the
+column and the per-BUN result is one integer gather through the
+column's heap indices — ``[contains](names, "green")`` tests a few
+thousand part names, not every BUN.  No BUN is decoded.
+
 Scalar (non-BAT) arguments are broadcast, e.g. ``[-](1.0, discount)``.
 
 The function registry is extensible (:func:`register_function`),
@@ -48,6 +55,10 @@ _FUNCTIONS = {}
 def register_function(name, impl, result_atom, arity):
     """Add a multiplexable function; ``result_atom`` maps operand atoms
     to the result atom (or is a fixed :class:`~repro.monet.atoms.Atom`).
+
+    ``impl`` is a scalar function applied element by element over its
+    array operands (scalars broadcast); the kernel may evaluate it once
+    per distinct operand value instead of once per BUN.
     """
     if name in _FUNCTIONS:
         raise OperatorError("multiplex function %r already registered" % name)
@@ -80,19 +91,25 @@ def multiplex(fname, *operands, name=None):
     all_synced = all(synced(first, other) for other in bats[1:])
     with manager.operator("multiplex[%s]" % fname):
         if all_synced and optimizer.dynamic or len(bats) == 1:
-            optimizer.record("multiplex", "synced")
             head = first.head
-            head_positions = None
-            arrays = []
-            for op in operands:
-                if hasattr(op, "head"):
-                    manager.access_column(op.tail)
-                    arrays.append(op.tail.logical())
-                else:
-                    arrays.append(op)
             hkey = first.props.hkey
             hordered = first.props.hordered
             alignment = first.alignment
+            if (len(bats) == 1 and optimizer.dynamic
+                    and isinstance(first.tail, VarColumn)):
+                optimizer.record("multiplex", "codes")
+                manager.access_column(first.tail)
+                result = _over_codes(func, operands, first.tail)
+            else:
+                optimizer.record("multiplex", "synced")
+                arrays = []
+                for op in operands:
+                    if hasattr(op, "head"):
+                        manager.access_column(op.tail)
+                        arrays.append(op.tail.logical())
+                    else:
+                        arrays.append(op)
+                result = func.impl(*arrays)
         else:
             optimizer.record("multiplex", "aligned")
             head_positions, aligned = _align_on_heads(bats, manager)
@@ -108,12 +125,26 @@ def multiplex(fname, *operands, name=None):
             hkey = all(b.props.hkey for b in bats)
             hordered = first.props.hordered
             alignment = None
-        result = func.impl(*arrays)
+            result = func.impl(*arrays)
     atom = _result_atom(func, operands)
     tail = _column_from_array(atom, result)
     props = Props(hkey=hkey, hordered=hordered)
     return result_bat(head, tail, name=name, props=props,
                       alignment=alignment)
+
+
+def _over_codes(func, operands, column):
+    """``func`` over the one var-column operand, evaluated once per
+    distinct heap code present in ``column`` and gathered per BUN."""
+    present = np.zeros(len(column.heap), dtype=bool)
+    present[column.indices] = True
+    codes = np.flatnonzero(present)
+    distinct = column.heap.decode(codes)
+    per_code = np.asarray(func.impl(*[
+        distinct if hasattr(op, "head") else op for op in operands]))
+    table = np.zeros(len(present), dtype=per_code.dtype)
+    table[codes] = per_code
+    return table[column.indices]
 
 
 def _align_on_heads(bats, manager):
@@ -158,7 +189,7 @@ def _scalar_atom(value):
     if isinstance(value, float):
         return _atoms.DOUBLE
     if isinstance(value, str):
-        return _atoms.STRING if len(value) != 1 else _atoms.STRING
+        return _atoms.STRING
     raise OperatorError("cannot type scalar %r" % (value,))
 
 
@@ -207,9 +238,12 @@ def _month(days):
 
 
 def _str_op(fn):
+    # element by element in *both* operands (a scalar broadcasts),
+    # like every other function in the library
+    per_pair = np.frompyfunc(fn, 2, 1)
+
     def impl(values, pattern):
-        return np.fromiter((fn(v, pattern) for v in values), dtype=bool,
-                           count=len(values))
+        return np.asarray(per_pair(values, pattern), dtype=bool)
     return impl
 
 

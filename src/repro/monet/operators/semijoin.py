@@ -33,7 +33,7 @@ from ..buffer import get_manager
 from ..column import equality_keys
 from ..optimizer import get_optimizer
 from ..properties import Props, synced
-from ..vectorized import membership_mask
+from ..vectorized import membership_mask, sorted_lookup
 from .common import result_bat, take_subsequence
 
 
@@ -98,12 +98,7 @@ def _mergesemijoin(ab, cd, name):
         left_keys, right_keys = equality_keys(ab.head, cd.head)
         manager.access_column(ab.head)
         manager.access_column(cd.head)
-        positions_r = np.searchsorted(right_keys, left_keys)
-        positions_r = np.clip(positions_r, 0, max(0, len(right_keys) - 1))
-        if len(right_keys):
-            mask = right_keys[positions_r] == left_keys
-        else:
-            mask = np.zeros(len(left_keys), dtype=bool)
+        mask, _positions = sorted_lookup(right_keys, left_keys)
         positions = np.nonzero(mask)[0]
         manager.access_column(ab.tail, positions)
     out = take_subsequence(ab, positions, name=name)
@@ -121,10 +116,7 @@ def _datavectorsemijoin(ab, cd, name):
     with manager.operator("semijoin.datavector"):
         extent_pos, _right_pos = registry.lookup(cd)
         head = registry.extent_column.take(extent_pos)
-        tail = accel.vector.take(extent_pos)
-        for heap in accel.vector.heaps:
-            width = getattr(heap, "width", None) or 4
-            manager.access_positions(heap, extent_pos, width)
+        tail = accel.fetch(extent_pos)
     props = Props(hkey=True, hordered=bool(cd.props.hordered))
     alignment = cd.alignment if len(extent_pos) == len(cd) \
         else ("dv", registry.class_name, cd.identity)

@@ -42,13 +42,18 @@ def mirror_alignment(bat):
 
     A token only vouches for head sequences.  The tail of a mirror *is*
     its original's head, so its token is the original's (an
-    involution).  Any other BAT's tail is known only to that BAT — two
-    BATs may share a head token but not their tails, and operators
-    pass a head token on to results with new tails — so its mirror
-    token carries the BAT's identity.
+    involution).  The tail of an ``ident`` BAT *is* its head column
+    (the same object, not merely equal values), so its token is its
+    own — which makes ``join(ident(x), col)`` a synced join whenever
+    ``col`` is synced with ``x``.  Any other BAT's tail is known only
+    to that BAT — two BATs may share a head token but not their tails,
+    and operators pass a head token on to results with new tails — so
+    its mirror token carries the BAT's identity.
     """
     if bat._origin is not None:
         return bat._origin.alignment
+    if bat.tail is bat.head:
+        return bat.alignment
     return ("mirror", bat.alignment, bat.identity)
 
 

@@ -13,6 +13,8 @@ operator layer dispatches onto:
   ``operators/common.py`` and ``operators/join.py``.
 * :func:`join_match` — equi-join position matching in left-major
   order, fully vectorised for fixed-width keys.
+* :func:`sorted_lookup` — binary-search probes into an already sorted
+  key array (merge joins, the datavector extent): no sort at all.
 * :func:`membership_mask` — ``np.isin``-based membership for
   semijoin/antijoin and the set operations.
 * :func:`factorize` / :func:`joint_codes` / :func:`first_occurrence`
@@ -44,7 +46,8 @@ and reordered float sums.
 import numpy as np
 
 __all__ = [
-    "MultiMap", "join_match", "membership_mask", "factorize",
+    "MultiMap", "join_match", "sorted_lookup", "membership_mask",
+    "factorize",
     "joint_codes", "combine_codes", "combine_codes_pair",
     "first_occurrence", "grouped_sum", "grouped_weighted_sum",
 ]
@@ -266,6 +269,22 @@ class MultiMap:
 def join_match(left_keys, right_keys):
     """(left_pos, right_pos) of every equi-matching pair, left-major."""
     return MultiMap(right_keys).match(left_keys)
+
+
+def sorted_lookup(sorted_keys, probes):
+    """``(hit_mask, positions)`` of ``probes`` in ascending ``sorted_keys``.
+
+    One binary search per probe, no sort: ``positions[i]`` is the first
+    position whose key is not less than ``probes[i]`` (clipped into
+    range) and ``hit_mask[i]`` says whether the key there equals the
+    probe.  The merge-style kernel of mergejoin, mergesemijoin and the
+    datavector LOOKUP; a NaN probe hits nothing.
+    """
+    positions = np.searchsorted(sorted_keys, probes)
+    if len(sorted_keys) == 0:
+        return np.zeros(len(positions), dtype=bool), positions
+    positions = np.minimum(positions, len(sorted_keys) - 1)
+    return sorted_keys[positions] == probes, positions
 
 
 #: A direct-address membership table is used when the (hinted) code

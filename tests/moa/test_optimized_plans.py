@@ -8,18 +8,27 @@
   synced joins must not leak a false ``key``/``ordered`` flag);
 * **one grouping** — Q1's eight aggregates and two key extractions
   factorize their shared grouping once;
+* **stored layouts** — no ``hashjoin`` sorts the head of an attribute
+  with a datavector and no multiplex decodes a whole string column
+  (counted, not timed);
 * **Figure 10** — the paper's Q13 plan is pinned statement for
   statement, with and without the passes;
 * **shorter** — no plan grows, and the 15 TPC-D SQL plans lose the
   recomputed statements they carried.
 """
 
+import importlib
+from collections import Counter
+
 import pytest
 
 from plan_oracle import CountingNumpy, answers, passes_off, sql_texts
 from repro.moa import session
 from repro.moa.rewriter import Rewriter
-from repro.monet import MILInterpreter, verify
+from repro.monet import MILInterpreter, dispatch_disabled, mil, verify
+from repro.monet.accelerators.datavector import has_datavector
+from repro.monet.column import VarColumn
+from repro.monet.heap import VarHeap
 from repro.monet.operators import aggregate
 from repro.sql import prepare_sql
 from repro.sql.suite import sql_text
@@ -81,6 +90,58 @@ def test_q1_factorizes_its_one_grouping_once(sf005_db, monkeypatch):
     assert counting.unique_calls == 1
     QUERIES[1].run(sf005_db)              # the Moa driver: same plan
     assert counting.unique_calls == 2
+
+
+def test_no_hashjoin_on_a_datavector_and_no_string_decode_in_multiplex(
+        sf005_db, monkeypatch):
+    """A count, not a timing: over the 15 SQL plans and the 15 Moa
+    drivers no ``hashjoin`` re-sorts the head of an attribute BAT that
+    carries a datavector, and no multiplex decodes a whole string
+    column.  The counters are proven live with dispatch switched off,
+    where both paths come back."""
+    counts = Counter()
+    # the package re-exports the function ``join`` under the module's name
+    join_module = importlib.import_module("repro.monet.operators.join")
+    hashjoin = join_module._hashjoin
+
+    def counting_hashjoin(ab, cd, name):
+        counts["hashjoin"] += 1
+        counts["hashjoin on a datavector"] += has_datavector(cd)
+        return hashjoin(ab, cd, name)
+
+    reading = []          # index arrays of the running multiplex's strings
+    multiplex = mil.multiplex
+
+    def counting_multiplex(fname, *operands, name=None):
+        reading.append({id(op.tail.indices) for op in operands
+                        if isinstance(getattr(op, "tail", None), VarColumn)})
+        counts["multiplex over strings"] += bool(reading[-1])
+        try:
+            return multiplex(fname, *operands, name=name)
+        finally:
+            reading.pop()
+
+    decode = VarHeap.decode
+
+    def counting_decode(heap, indices):
+        counts["full-column decode in multiplex"] += bool(
+            reading and id(indices) in reading[-1])
+        return decode(heap, indices)
+
+    monkeypatch.setattr(join_module, "_hashjoin", counting_hashjoin)
+    monkeypatch.setattr(mil, "multiplex", counting_multiplex)
+    monkeypatch.setattr(VarHeap, "decode", counting_decode)
+    for number in sorted(QUERIES):
+        prepare_sql(sf005_db, sql_text(number)).run()
+        QUERIES[number].run(sf005_db)
+    assert counts["hashjoin on a datavector"] == 0
+    assert counts["full-column decode in multiplex"] == 0
+    assert counts["hashjoin"] > 0 and counts["multiplex over strings"] > 0
+    counts.clear()
+    with dispatch_disabled():
+        prepare_sql(sf005_db, sql_text(9)).run()
+    assert counts["hashjoin on a datavector"] > 0
+    assert counts["full-column decode in multiplex"] > 0
 
 
 #: The paper's Figure 10 plan for Q13 (clerk ``Clerk#000000001``) as

@@ -209,7 +209,12 @@ strings = st.sampled_from(["", "a", "b", "bb", "Clerk#1", "zz"])
 
 int_lists = st.lists(ints, max_size=24)
 float_lists = st.lists(floats, max_size=24)
-string_lists = st.lists(strings, max_size=24)
+string_lists = st.one_of(
+    st.lists(strings, max_size=24),
+    # duplicate-heavy: a heap of two values, every BUN a repeat
+    st.lists(st.sampled_from(["", "MAIL"]), min_size=8, max_size=24),
+    # a heap holding only the empty string
+    st.lists(st.just(""), max_size=8))
 finite_float_lists = st.lists(
     st.sampled_from([-1.5, 0.0, 0.5, 2.0, 3.25]), max_size=24)
 
@@ -274,6 +279,26 @@ def test_semijoin_differential_nan_keys(keys, props):
               _heads(len(keys)), props=props)
     _assert_matches_naive(lambda: ops.semijoin(ab, cd),
                        naive_semijoin(ab, cd))
+
+
+#: string predicates and their BUN-at-a-time Python meaning
+STRING_PREDICATES = {
+    "=": lambda v, p: v == p, "!=": lambda v, p: v != p,
+    "<": lambda v, p: v < p, ">=": lambda v, p: v >= p,
+    "startswith": lambda v, p: v.startswith(p),
+    "endswith": lambda v, p: v.endswith(p),
+    "contains": lambda v, p: p in v,
+}
+
+
+@given(string_lists, strings, st.sampled_from(sorted(STRING_PREDICATES)))
+@settings(**SETTINGS)
+def test_string_predicate_differential(tails, pattern, fname):
+    ab = _bat("oid", _heads(len(tails)), "string", tails)
+    expected = [STRING_PREDICATES[fname](v, pattern) for v in tails]
+    _assert_matches_naive(lambda: ops.multiplex(fname, ab, pattern),
+                          (np.arange(len(tails)),
+                           np.asarray(expected, dtype=bool)))
 
 
 @given(int_lists, ints, ints, st.booleans())

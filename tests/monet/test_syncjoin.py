@@ -5,7 +5,8 @@ The kernel half of the optimizer work:
 * ``syncjoin`` — ``join(AB, CD)`` where ``AB``'s tail is synced with
   ``CD``'s head is ``BAT(A, D)``: equal to what merge/hash join
   compute, and chosen only under its side conditions (head-key inner,
-  equal lengths, matching tokens, dispatch on);
+  equal lengths, matching tokens, dispatch on) — an ``ident`` BAT's
+  tail is its head column, so ``join(ident(x), col)`` is one;
 * mirror tokens are sound: two BATs sharing a head token but not their
   tails never get synced mirrors;
 * results where every BUN survives keep the operand's head column
@@ -68,6 +69,30 @@ def test_syncjoin_equals_mergejoin_on_synced_operands():
     assert out.to_pairs() == unsynced.to_pairs()
     assert out.props.hkey and out.props.hordered
     verify(out)
+
+
+def test_join_of_an_ident_is_a_syncjoin_with_its_source():
+    selection = _bat([(2, 0), (5, 0), (9, 0)])
+    column = _bat([(2, 20), (5, 50), (9, 90)])        # ordered key head
+    ids = ops.ident(selection)
+    assert ids.tail is ids.head
+    assert mirror_alignment(ids) == ids.alignment == selection.alignment
+    merged = ops.join(ids, column)
+    assert get_optimizer().last["join"] == "mergejoin"
+    column.alignment = selection.alignment
+    out = ops.join(ids, column)
+    assert get_optimizer().last["join"] == "syncjoin"
+    assert out.to_pairs() == merged.to_pairs() == [(2, 20), (5, 50),
+                                                   (9, 90)]
+    assert out.head is selection.head and out.tail is column.tail
+    assert out.props == merged.props
+    verify(out)
+    # a tail equal to its head by value is not the head column itself
+    lookalike = _bat([(2, 2), (5, 5), (9, 9)])
+    lookalike.alignment = selection.alignment
+    assert mirror_alignment(lookalike) != selection.alignment
+    assert ops.join(lookalike, column).to_pairs() == out.to_pairs()
+    assert get_optimizer().last["join"] == "mergejoin"
 
 
 def test_syncjoin_needs_a_head_key_inner_operand():
