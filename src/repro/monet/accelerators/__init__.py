@@ -1,20 +1,21 @@
 """Search accelerators attachable to BATs (paper sections 3.2, 5.2).
 
 Monet stores accelerators in extra heaps next to the BUN heap; here
-they are objects hung off ``BAT.accel``:
+they are objects hung off ``BAT.accel``.  The one persistent kind is
+``"datavector"`` —
+:class:`~repro.monet.accelerators.datavector.DataVector`, the
+accelerator of section 5.2 that links a tail-sorted attribute BAT to
+its class extent and a positionally synced value vector (plus the
+per-selection LOOKUP arrays it caches under ``"lookup:<class>"``).
 
-* ``"hash"`` — :class:`~repro.monet.accelerators.hashidx.HashIndex`
-  on the head column, used by hash join/semijoin variants.
-* ``"datavector"`` —
-  :class:`~repro.monet.accelerators.datavector.DataVector`, the
-  accelerator of section 5.2 that links a tail-sorted attribute BAT to
-  its class extent and a positionally synced value vector.
+There is no hash accelerator: joins whose inner head is a compact
+integer key address it directly (``keyjoin``), and the remaining
+fallback sorts its inner per call (``hashjoin``) — see
+:mod:`repro.monet.operators.join`.
 """
 
-from .hashidx import HashIndex, hash_index
 from .datavector import DataVector, DataVectorRegistry, build_datavector
 
 __all__ = [
-    "HashIndex", "hash_index",
     "DataVector", "DataVectorRegistry", "build_datavector",
 ]

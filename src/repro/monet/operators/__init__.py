@@ -36,14 +36,17 @@ join         mergejoin          inner head ordered+key, fixed atoms:
 join         datavectorjoin     inner carries a datavector, head key, fixed
                                 outer tail: probe the sorted extent, gather
                                 the value vector (no sort of the inner)
+join         keyjoin            inner head an integer key with a compact
+                                span: one ``slot[key - base]`` scatter,
+                                then a subtraction and gather per outer BUN
 join         hashjoin           fallback: MultiMap (argsort +
-                                ``searchsorted`` group expand); reuses the
-                                BAT's array-backed hash accelerator when
-                                present
+                                ``searchsorted`` group expand), per call
 semijoin     syncsemijoin       operands synced: the left operand's columns
 semijoin     datavectorsemijoin left carries a datavector: cached LOOKUP
-semijoin     mergesemijoin      both heads ordered: binary-search mask
-semijoin     hashsemijoin       fallback: ``np.isin`` membership kernel
+semijoin     mergesemijoin      both heads ordered: bool table over a
+                                compact integer span, else binary search
+semijoin     hashsemijoin       fallback: bool table over a compact
+                                integer span, else ``np.isin``
 group        unary/binary       factorised int codes (``np.unique``),
                                 pair codes combined in int64
 unique/      code path          joint int64 BUN pair codes +
@@ -62,10 +65,10 @@ aggregate    grouped            one ``np.unique`` per head column (cached on
                                 incl. strings)
 ===========  =================  ===========================================
 
-Hash indexes (``bat.accel["hash"]``) are *array-backed* for
-fixed-width atoms — a stable sort permutation plus sorted key array —
-and keep a Python dict only for object-dtype keys.  The naive
-BUN-at-a-time algorithms survive in :mod:`.naive` as the executable
+The direct-address tables (``keyjoin``'s slots, the semijoin bool
+table, ``MultiMap``'s buckets, offset codes) share one compactness
+rule: the integer key span may not exceed ``max(2**16, 4 n)``.  The
+naive BUN-at-a-time algorithms survive in :mod:`.naive` as the executable
 specification the differential tests and the benchmark harness compare
 against.
 

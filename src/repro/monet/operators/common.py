@@ -42,8 +42,8 @@ def build_multimap(keys):
     """Positions-by-key :class:`~repro.monet.vectorized.MultiMap`.
 
     Array-backed (argsort + searchsorted) for fixed-width keys, dict
-    backed for object keys; shared by join, pairjoin and the hash
-    accelerator so the per-BUN dict build exists in exactly one place.
+    backed for object keys; shared by join and pairjoin so the per-BUN
+    dict build exists in exactly one place.
     """
     return MultiMap(keys)
 

@@ -23,8 +23,14 @@ binary model (section 4.2).  Implementations, chosen at run time:
   the value vector.  A datavector is a bijection of the inner heads
   onto the extent, so this equals ``hashjoin`` without sorting the
   inner head — the path-navigation joins (``join(nav, Item_price)``).
-* ``hashjoin`` — the generic fallback; builds (or reuses) a hash table
-  accelerator on the inner head.
+* ``keyjoin`` — the inner head is an integer key whose value span is
+  compact (the oids of an intermediate inside a class extent): one
+  scatter builds ``slot[key - base] = position`` and every outer BUN
+  is a subtraction and a gather.  A key inner gives each outer BUN at
+  most one match, so this equals ``hashjoin`` without its sort and
+  multi-match expansion (section 5.2's positional oid lookup).
+* ``hashjoin`` — the generic fallback: a sorted multimap of the inner
+  head, built per call.
 
 The result is produced in outer (left) BUN order.  When every outer
 BUN finds exactly one match the result head *is* the outer head column
@@ -37,12 +43,12 @@ import numpy as np
 
 from ...errors import OperatorError
 from ..accelerators.datavector import has_datavector
-from ..accelerators.hashidx import hash_of
 from ..buffer import get_manager
 from ..column import column_from_values, equality_keys
 from ..optimizer import get_optimizer
 from ..properties import Props, mirror_alignment
-from ..vectorized import combine_codes_pair, joint_codes, sorted_lookup
+from ..vectorized import (combine_codes_pair, joint_codes, key_lookup,
+                          key_table, sorted_lookup)
 from .common import build_multimap, require_nonempty_signature, result_bat
 
 
@@ -65,31 +71,29 @@ def join(ab, cd, name=None):
             and not ab.tail.atom.varsized):
         optimizer.record("join", "datavectorjoin")
         return _datavectorjoin(ab, cd, name)
+    if (optimizer.dynamic and cd.props.hkey and _integer(ab.tail)
+            and _integer(cd.head)):
+        table = key_table(cd.head.keys())
+        if table is not None:
+            optimizer.record("join", "keyjoin")
+            return _keyjoin(ab, cd, table, name)
     optimizer.record("join", "hashjoin")
     return _hashjoin(ab, cd, name)
 
 
-def _probe_map(ab, cd, index=None):
-    """(probe keys, MultiMap) for matching ``ab.tail`` against
-    ``cd.head`` — the one place the key extraction and
-    accelerator-vs-fresh-multimap choice lives, shared by
-    :func:`join_positions` and the hashjoin operator."""
-    left_keys, right_keys = equality_keys(ab.tail, cd.head)
-    if index is not None:
-        return left_keys, index.map
-    return left_keys, build_multimap(right_keys)
+def _integer(column):
+    dtype = column.atom.dtype
+    return dtype is not None and dtype.kind in "iu"
 
 
-def join_positions(ab, cd, index=None):
+def join_positions(ab, cd):
     """(left_positions, right_positions) of every matching BUN pair.
 
-    Left-major order; shared by :func:`join` and by the MOA rewriter's
-    pair construction for explicit joins.  When a prebuilt hash
-    accelerator on ``cd``'s head is passed as ``index`` its sort
-    permutation is reused instead of building a fresh multimap.
+    Left-major order; shared by the hashjoin operator, grouping and
+    the aligned multiplex.
     """
-    left_keys, multimap = _probe_map(ab, cd, index)
-    return multimap.match(left_keys)
+    left_keys, right_keys = equality_keys(ab.tail, cd.head)
+    return build_multimap(right_keys).match(left_keys)
 
 
 def pairjoin(operands, name=None):
@@ -247,19 +251,26 @@ def _datavectorjoin(ab, cd, name):
     return _finish(ab, cd, left_pos, tail, name)
 
 
+def _keyjoin(ab, cd, table, name):
+    # dispatch guarantees: integer keys, cd head a key, ``table`` its
+    # direct-address slots — at most one match per outer BUN, so the
+    # result is hashjoin's, left-major
+    manager = get_manager()
+    with manager.operator("join.keyjoin"):
+        manager.access_column(ab.tail)
+        manager.access_column(cd.head)
+        left_pos, right_pos = key_lookup(table, ab.tail.keys())
+        manager.access_column(ab.head, left_pos)
+        manager.access_column(cd.tail, right_pos)
+    return _finish(ab, cd, left_pos, cd.tail.take(right_pos), name)
+
+
 def _hashjoin(ab, cd, name):
     manager = get_manager()
     with manager.operator("join.hashjoin"):
         manager.access_column(ab.tail)
         manager.access_column(cd.head)
-        index = None
-        if cd.head.atom.varsized == ab.tail.atom.varsized \
-                and not ab.tail.atom.varsized \
-                and "hash" in cd.accel:
-            index = hash_of(cd, "head")
-            manager.access_heap(index.heap)
-        left_keys, multimap = _probe_map(ab, cd, index)
-        left_pos, right_pos = multimap.match(left_keys)
+        left_pos, right_pos = join_positions(ab, cd)
         manager.access_column(ab.head, left_pos)
         manager.access_column(cd.tail, right_pos)
     return _finish(ab, cd, left_pos, cd.tail.take(right_pos), name)

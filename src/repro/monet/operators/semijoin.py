@@ -20,7 +20,13 @@ implementations exist, dispatched at run time on operand state
   against the same selection are synced with each other.
 * ``mergesemijoin`` — both head columns ordered: vectorised
   binary-search membership with sequential access.
-* ``hashsemijoin`` — the generic fallback.
+* ``hashsemijoin`` — the generic fallback: ``np.isin`` membership.
+
+Both mask variants (and ``antijoin``) first try a direct-address bool
+table over the right heads' span when the keys are integers and that
+span is compact — the oids of a selection inside a class extent — so
+membership is a scatter and a gather, not a search; the dispatch names
+stay as they are.
 
 ``antijoin`` (``{ ab | a not in heads(CD) }``) is the complement,
 needed by set difference and NOT EXISTS-style queries.
@@ -33,7 +39,7 @@ from ..buffer import get_manager
 from ..column import equality_keys
 from ..optimizer import get_optimizer
 from ..properties import Props, synced
-from ..vectorized import membership_mask, sorted_lookup
+from ..vectorized import membership_mask
 from .common import result_bat, take_subsequence
 
 
@@ -50,9 +56,10 @@ def semijoin(ab, cd, name=None):
     if (optimizer.dynamic and ab.props.hordered and cd.props.hordered
             and not ab.head.atom.varsized and not cd.head.atom.varsized):
         optimizer.record("semijoin", "mergesemijoin")
-        return _mergesemijoin(ab, cd, name)
+        return _masksemijoin(ab, cd, name, "semijoin.merge",
+                             right_sorted=True)
     optimizer.record("semijoin", "hashsemijoin")
-    return _hashsemijoin(ab, cd, name)
+    return _masksemijoin(ab, cd, name, "semijoin.hash")
 
 
 def antijoin(ab, cd, name=None):
@@ -65,13 +72,15 @@ def antijoin(ab, cd, name=None):
     return take_subsequence(ab, positions, name=name)
 
 
-def _membership_mask(ab, cd, manager):
-    # fixed-width atoms go through the sort-based np.isin kernel; the
-    # per-BUN Python set probe survives only for object-dtype keys
+def _membership_mask(ab, cd, manager, right_sorted=False):
+    # compact integer keys (oids inside a class extent) probe a bool
+    # table; other fixed-width keys fall back to a sort or a binary
+    # search; the per-BUN Python set probe survives only for
+    # object-dtype keys
     left_keys, right_keys = equality_keys(ab.head, cd.head)
     manager.access_column(ab.head)
     manager.access_column(cd.head)
-    return membership_mask(left_keys, right_keys)
+    return membership_mask(left_keys, right_keys, right_sorted)
 
 
 def _syncsemijoin(ab, name):
@@ -80,25 +89,10 @@ def _syncsemijoin(ab, name):
                       alignment=ab.alignment)
 
 
-def _hashsemijoin(ab, cd, name):
+def _masksemijoin(ab, cd, name, label, right_sorted=False):
     manager = get_manager()
-    with manager.operator("semijoin.hash"):
-        mask = _membership_mask(ab, cd, manager)
-        positions = np.nonzero(mask)[0]
-        manager.access_column(ab.tail, positions)
-    out = take_subsequence(ab, positions, name=name)
-    if len(out) != len(ab):
-        out.alignment = ("semijoin", ab.alignment, cd.identity)
-    return out
-
-
-def _mergesemijoin(ab, cd, name):
-    manager = get_manager()
-    with manager.operator("semijoin.merge"):
-        left_keys, right_keys = equality_keys(ab.head, cd.head)
-        manager.access_column(ab.head)
-        manager.access_column(cd.head)
-        mask, _positions = sorted_lookup(right_keys, left_keys)
+    with manager.operator(label):
+        mask = _membership_mask(ab, cd, manager, right_sorted)
         positions = np.nonzero(mask)[0]
         manager.access_column(ab.tail, positions)
     out = take_subsequence(ab, positions, name=name)

@@ -13,8 +13,9 @@ left operand survive.
 BUNs are compared through dense int64 *pair codes* (head and tail
 equality keys factorised jointly across both operands, then combined
 into one code per BUN — see :mod:`repro.monet.vectorized`), so the
-membership and dedup scans run as ``np.isin``/``np.unique`` over
-contiguous arrays instead of per-BUN Python set probes.  Object-dtype
+membership and dedup scans run over contiguous arrays (a bool table
+when the codes are compact, ``np.isin`` otherwise, and ``np.unique``)
+instead of per-BUN Python set probes.  Object-dtype
 keys (never produced by the column layouts, which compare var atoms on
 heap indices) fall back to the tuple-and-set path.
 
@@ -43,11 +44,10 @@ from ..bat import concat_bats
 def _bun_codes(ab, cd=None):
     """Per-BUN int64 pair codes for one or two BATs.
 
-    Returns ``(left_codes, right_codes, domain)`` (``right_codes`` is
-    ``None`` without a second operand); equal codes mean equal (head,
-    tail) BUN pairs, within and across the operands, and every code is
-    below ``domain``.  Falls back to :func:`_pair_keys` tuples (``None``
-    result) for object-dtype keys.
+    Returns ``(left_codes, right_codes)`` (``right_codes`` is ``None``
+    without a second operand); equal codes mean equal (head, tail) BUN
+    pairs, within and across the operands.  Falls back to
+    :func:`_pair_keys` tuples (``None`` result) for object-dtype keys.
     """
     hk_a, hk_c = (equality_keys(ab.head, cd.head) if cd is not None
                   else (ab.head.keys(), None))
@@ -57,16 +57,17 @@ def _bun_codes(ab, cd=None):
            for k in (hk_a, hk_c, tk_a, tk_c)):
         return None
     if cd is None:
-        h_codes, n_h = factorize(hk_a)
+        h_codes, _n_h = factorize(hk_a)
         t_codes, n_t = factorize(tk_a)
-        return (combine_codes(h_codes, t_codes, n_t), None,
-                max(1, n_h) * max(1, n_t))
-    h_left, h_right, n_h = joint_codes(hk_a, hk_c)
+        return combine_codes(h_codes, t_codes, n_t), None
+    h_left, h_right, _n_h = joint_codes(hk_a, hk_c)
     t_left, t_right, n_t = joint_codes(tk_a, tk_c)
     # the pair form keeps both operands jointly coded even when the
     # head x tail product would overflow int64 (wide offset-coded
-    # domains); its returned domain bound is also the tighter one
-    return combine_codes_pair(h_left, t_left, h_right, t_right, n_t)
+    # domains)
+    left, right, _domain = combine_codes_pair(h_left, t_left, h_right,
+                                              t_right, n_t)
+    return left, right
 
 
 def _pair_keys(ab, cd=None):
@@ -131,9 +132,7 @@ def difference(ab, cd, name=None):
         manager.access_bat(cd)
         codes = _bun_codes(ab, cd)
         if codes is not None:
-            left_codes, right_codes, domain = codes
-            positions = np.nonzero(~membership_mask(
-                left_codes, right_codes, domain=domain))[0]
+            positions = np.nonzero(~membership_mask(*codes))[0]
         else:
             left, right = _pair_keys(ab, cd)
             members = set(right)
@@ -151,10 +150,8 @@ def intersection(ab, cd, name=None):
         manager.access_bat(cd)
         codes = _bun_codes(ab, cd)
         if codes is not None:
-            left_codes, right_codes, domain = codes
-            shared = np.nonzero(membership_mask(
-                left_codes, right_codes, domain=domain))[0]
-            positions = shared[first_occurrence(left_codes[shared])]
+            shared = np.nonzero(membership_mask(*codes))[0]
+            positions = shared[first_occurrence(codes[0][shared])]
         else:
             left, right = _pair_keys(ab, cd)
             members = set(right)

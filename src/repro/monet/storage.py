@@ -14,7 +14,7 @@ kernel in :mod:`repro.monet.kernel`:
 * a JSON **catalog manifest** (``catalog.json``) describing every BAT:
   name, head/tail atom types and layouts, the declared properties
   (key/ordered), alignment groups (so ``synced`` relationships survive
-  a reopen), plus accelerator heaps — datavectors and hash indexes.
+  a reopen), plus the datavector accelerator heaps.
 * :func:`save_kernel` / :func:`open_kernel` — bulk persistence for a
   whole :class:`~repro.monet.kernel.MonetKernel` catalog.  Reopened
   fixed-width columns are served as zero-copy ``np.memmap`` views and
@@ -50,7 +50,10 @@ File layout (all arrays little-endian, ``tofile`` raw format)::
     <dir>/vh<N>.off, vh<N>.body   VarHeap offsets (int64) + NUL-
                                   terminated UTF-8 bodies
     <dir>/<bat>.dv.*              datavector value vector per attribute
-    <dir>/<bat>.<slot>.order/.keys  hash accelerator arrays
+
+A manifest from an older build may still list a ``hash``/``hash_tail``
+accelerator slot on a BAT.  Reopening ignores it, and the next save
+prunes its files like any other unreferenced heap.
 """
 
 import contextlib
@@ -71,12 +74,10 @@ from ..errors import (CatalogChangedError, CatalogError,
                       CatalogLockTimeout, HeapError, StaleCatalogError)
 from . import atoms as _atoms
 from .accelerators.datavector import DataVector, DataVectorRegistry
-from .accelerators.hashidx import HashIndex
 from .bat import BAT
 from .column import FixedColumn, VarColumn, VoidColumn
 from .heap import MappedVarHeap, VarHeap
 from .properties import Props, fresh_alignment
-from .vectorized import MultiMap
 
 FORMAT = "repro-bat-catalog"
 VERSION = 1
@@ -553,9 +554,8 @@ def save_kernel(kernel, target, meta=None, extra=None,
     """Persist a kernel catalog; returns the manifest dict.
 
     Every catalog BAT is written with its properties, alignment group
-    and accelerator heaps (datavector value vectors and array-backed
-    hash indexes); shared var heaps are written once and re-shared on
-    open.  The manifest is written last, so a crashed save never
+    and datavector value vector; shared var heaps are written once and
+    re-shared on open.  The manifest is written last, so a crashed save never
     leaves an openable-but-inconsistent database behind.
 
     The whole save runs under the backend's **exclusive** catalog lock
@@ -662,10 +662,6 @@ def _manifest_files(manifest):
         accel = entry.get("accel", {})
         if "datavector" in accel:
             column_files(accel["datavector"]["vector"])
-        for slot in ("hash", "hash_tail"):
-            if slot in accel:
-                keep.add(accel[slot]["order"])
-                keep.add(accel[slot]["keys"])
     for spec in manifest["var_heaps"].values():
         keep.add(spec["offsets"])
         keep.add(spec["body"])
@@ -771,19 +767,6 @@ def _save_accelerators(backend, var_heaps, prefix, name, bat,
             "vector": _save_column(backend, var_heaps, prefix,
                                    name + ".dv", vector.vector),
         }
-    for slot in ("hash", "hash_tail"):
-        index = bat.accel.get(slot)
-        if isinstance(index, HashIndex) and index.map.vectorised:
-            order_file = "%s%s.%s.order" % (prefix, name, slot)
-            keys_file = "%s%s.%s.keys" % (prefix, name, slot)
-            backend.write_array(order_file,
-                                np.asarray(index.map.order, dtype=np.int64))
-            keys = np.asarray(index.map.sorted_keys)
-            backend.write_array(keys_file, keys)
-            accel[slot] = {"order": order_file, "keys": keys_file,
-                           "dtype": _le(keys.dtype).str,
-                           "length": int(index.n_entries),
-                           "label": index.heap.label}
     return accel
 
 
@@ -1051,19 +1034,6 @@ def _open_accelerators(opener, registries, entry, bat):
         for heap in vector.heaps:
             heap.persistent = True
         bat.accel["datavector"] = DataVector(registry, vector)
-    for slot in ("hash", "hash_tail"):
-        spec = accel.get(slot)
-        if spec is None:
-            continue
-        order = opener.backend.read_array(spec["order"], "<i8",
-                                          spec["length"])
-        keys = opener.backend.read_array(spec["keys"], spec["dtype"],
-                                         spec["length"])
-        index = HashIndex(MultiMap.from_sorted(order, keys),
-                          label=spec.get("label", ""))
-        _note_mapped(index.heap, order, keys)
-        index.heap.persistent = True
-        bat.accel[slot] = index
 
 
 # ----------------------------------------------------------------------
@@ -1154,11 +1124,6 @@ def iter_catalog_heaps(kernel):
                 if heap.heap_id not in seen:
                     seen.add(heap.heap_id)
                     yield heap
-        for slot in ("hash", "hash_tail"):
-            index = bat.accel.get(slot)
-            if index is not None and index.heap.heap_id not in seen:
-                seen.add(index.heap.heap_id)
-                yield index.heap
 
 
 def heap_resident_pages(heap, page_size=PAGESIZE, rss_table=None):

@@ -13,10 +13,14 @@ operator layer dispatches onto:
   ``operators/common.py`` and ``operators/join.py``.
 * :func:`join_match` — equi-join position matching in left-major
   order, fully vectorised for fixed-width keys.
+* :func:`key_table` / :func:`key_lookup` — a direct-address slot
+  array over *unique* integer keys with a compact range: a probe is a
+  subtraction and a gather (the key joins).
 * :func:`sorted_lookup` — binary-search probes into an already sorted
   key array (merge joins, the datavector extent): no sort at all.
-* :func:`membership_mask` — ``np.isin``-based membership for
-  semijoin/antijoin and the set operations.
+* :func:`membership_mask` — membership for semijoin/antijoin and the
+  set operations: a direct-address bool table for compact integer
+  keys, ``np.isin`` (or a binary search into sorted keys) otherwise.
 * :func:`factorize` / :func:`joint_codes` / :func:`first_occurrence`
   — dense integer coding of key (pairs), the building block for
   group/unique/set-op kernels.
@@ -37,6 +41,12 @@ NaN objects as distinct keys).  The coded paths enforce this by
 masking NaN keys to their own fresh codes instead of letting
 ``np.unique`` collapse them (its ``equal_nan`` default).
 
+Integer keys compare exactly, whatever their dtypes: every
+direct-address table shares one compactness rule (:func:`_table_span`)
+that refuses keys past int64, offsets are computed so they cannot wrap
+(:func:`_offsets`), and a signed operand against a ``uint64`` one —
+whose common numpy type is float64 — takes the exact Python-int path.
+
 Every kernel runs in the calling thread.  Parallelism lives one level
 up, in worker processes (:mod:`repro.monet.multiproc`): splitting one
 operator over threads measured slower than serial on the TPC-D plans
@@ -46,8 +56,8 @@ and reordered float sums.
 import numpy as np
 
 __all__ = [
-    "MultiMap", "join_match", "sorted_lookup", "membership_mask",
-    "factorize",
+    "MultiMap", "join_match", "key_table", "key_lookup", "sorted_lookup",
+    "membership_mask", "factorize",
     "joint_codes", "combine_codes", "combine_codes_pair",
     "first_occurrence", "grouped_sum", "grouped_weighted_sum",
 ]
@@ -57,10 +67,57 @@ def _is_object(keys):
     return getattr(keys, "dtype", None) == object
 
 
+def _mixed_sign(left, right):
+    """True for integer operands with no exact common dtype (a signed
+    one against ``uint64``: numpy would compare them as float64)."""
+    return (left.dtype.kind in "iu" and right.dtype.kind in "iu"
+            and np.result_type(left.dtype, right.dtype).kind == "f")
+
+
+def _python_keys(keys):
+    """Keys as hashable values that compare exactly (Python ints for
+    integer arrays); object arrays pass through."""
+    return keys if _is_object(keys) else keys.tolist()
+
+
 #: Direct-address tables are built when the integer key domain spans at
 #: most ``max(_DENSE_FLOOR, _DENSE_FACTOR * n)`` values.
 _DENSE_FLOOR = 1 << 16
 _DENSE_FACTOR = 4
+
+#: Largest int64; keys beyond it never get a direct-address table.
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _table_span(lo, hi, n):
+    """Size of a direct-address table over integer keys in ``[lo, hi]``
+    serving ``n`` keys, or ``None`` when no table should be built.
+
+    The one compactness rule of this module: the span may not exceed
+    ``max(_DENSE_FLOOR, _DENSE_FACTOR * n)``, and keys past int64 (only
+    ``uint64`` has them) never qualify, so :func:`_offsets` is exact.
+    """
+    lo, hi = int(lo), int(hi)
+    span = hi - lo + 1
+    if hi > _INT64_MAX or span > max(_DENSE_FLOOR, _DENSE_FACTOR * n):
+        return None
+    return span
+
+
+def _offsets(keys, base, span):
+    """Table index per integer key: ``key - base`` for keys inside
+    ``[base, base + span)``, else ``span`` (the sentinel slot).
+
+    Exact for every integer dtype.  ``base`` and ``base + span - 1``
+    lie in int64, so the wrapped int64 difference, read unsigned, is
+    below ``span`` exactly when the key is in range; ``uint64`` keys
+    past int64 are sent to the sentinel explicitly.
+    """
+    shifted = keys.astype(np.int64, copy=False) - np.int64(base)
+    index = np.minimum(shifted.view(np.uint64), np.uint64(span))
+    if keys.dtype == np.uint64:
+        index[keys > np.uint64(_INT64_MAX)] = span
+    return index.view(np.int64)
 
 
 class MultiMap:
@@ -111,78 +168,40 @@ class MultiMap:
                 self.sorted_keys, np.inf, side="right"))
         if keys.dtype.kind in "iu" and self.n_entries:
             base = int(self.sorted_keys[0])
-            domain = int(self.sorted_keys[-1]) - base + 1
-            if domain <= max(_DENSE_FLOOR, _DENSE_FACTOR * self.n_entries):
-                counts = np.bincount(
-                    self.sorted_keys.astype(np.int64) - base,
-                    minlength=domain)
+            span = _table_span(base, self.sorted_keys[-1], self.n_entries)
+            if span is not None:
+                counts = np.bincount(_offsets(self.sorted_keys, base, span),
+                                     minlength=span)
                 self.base = base
+                # a trailing empty bucket answers the sentinel offset
                 self.starts = np.concatenate(
-                    ([0], np.cumsum(counts))).astype(np.int64)
-
-    @classmethod
-    def from_sorted(cls, order, sorted_keys):
-        """Rebuild a map from a persisted (order, sorted_keys) pair.
-
-        Skips the argsort entirely — the storage layer saves hash
-        accelerators as exactly these two arrays, so reopening a
-        database re-attaches working indexes without touching the key
-        data.  The direct-address table is *not* rebuilt (it would read
-        every page); probes fall back to binary search until the index
-        is rebuilt from live keys.
-        """
-        self = cls.__new__(cls)
-        self.n_entries = len(order)
-        self.base = None
-        self.starts = None
-        self.table = None
-        self.order = order
-        self.sorted_keys = sorted_keys
-        self._n_matchable = self.n_entries
-        if getattr(sorted_keys, "dtype", None) is not None \
-                and sorted_keys.dtype.kind == "f" and self.n_entries:
-            self._n_matchable = int(np.searchsorted(
-                sorted_keys, np.inf, side="right"))
-        return self
+                    ([0], np.cumsum(counts), [self.n_entries])
+                ).astype(np.int64)
 
     @property
     def vectorised(self):
         return self.table is None
 
-    def _dense_ranges(self, probe_keys):
-        """(lo, hi) bucket bounds per probe via the direct-address
-        table; absent keys get empty ranges."""
-        probes = probe_keys.astype(np.int64, copy=False)
-        kmax = self.base + len(self.starts) - 2
-        valid = (probes >= self.base) & (probes <= kmax)
-        idx = np.where(valid, probes - self.base, 0)
-        lo = self.starts[idx]
-        hi = np.where(valid, self.starts[idx + 1], lo)
+    def _slow(self, probe_keys):
+        """True when probes must go through the exact dict path."""
+        return (self.table is not None or _is_object(probe_keys)
+                or _mixed_sign(self.sorted_keys, probe_keys))
+
+    def _ranges(self, probe_keys):
+        """(lo, hi) bucket bounds per probe; absent keys get empty
+        ranges.  Direct-address for integer probes when the table
+        exists, two binary searches otherwise."""
+        if self.starts is not None and probe_keys.dtype.kind in "iu":
+            index = _offsets(probe_keys, self.base, len(self.starts) - 2)
+            return self.starts[index], self.starts[index + 1]
+        lo = np.minimum(np.searchsorted(self.sorted_keys, probe_keys,
+                                        side="left"),
+                        self._n_matchable)
+        hi = np.minimum(np.searchsorted(self.sorted_keys, probe_keys,
+                                        side="right"),
+                        self._n_matchable)
         return lo, hi
 
-    # ------------------------------------------------------------------
-    # scalar probes (accelerator API)
-    # ------------------------------------------------------------------
-    def positions(self, key):
-        """Positions whose key equals ``key``, ascending; ``()`` if none."""
-        if self.table is not None:
-            return self.table.get(key, ())
-        lo = min(int(np.searchsorted(self.sorted_keys, key,
-                                     side="left")), self._n_matchable)
-        hi = min(int(np.searchsorted(self.sorted_keys, key,
-                                     side="right")), self._n_matchable)
-        if lo == hi:
-            return ()
-        return self.order[lo:hi]
-
-    def first(self, key):
-        """Smallest position holding ``key``, or ``None``."""
-        hits = self.positions(key)
-        return int(hits[0]) if len(hits) else None
-
-    # ------------------------------------------------------------------
-    # vector probes
-    # ------------------------------------------------------------------
     def match(self, probe_keys):
         """All matches of ``probe_keys`` against the mapped keys.
 
@@ -191,17 +210,9 @@ class MultiMap:
         the order the naive dict loop produced.
         """
         probe_keys = np.asarray(probe_keys)
-        if self.table is not None or _is_object(probe_keys):
+        if self._slow(probe_keys):
             return self._match_slow(probe_keys)
-        if self.starts is not None and probe_keys.dtype.kind in "iu":
-            lo, hi = self._dense_ranges(probe_keys)
-        else:
-            lo = np.minimum(np.searchsorted(self.sorted_keys, probe_keys,
-                                            side="left"),
-                            self._n_matchable)
-            hi = np.minimum(np.searchsorted(self.sorted_keys, probe_keys,
-                                            side="right"),
-                            self._n_matchable)
+        lo, hi = self._ranges(probe_keys)
         counts = hi - lo
         total = int(counts.sum())
         probe_pos = np.repeat(
@@ -216,7 +227,7 @@ class MultiMap:
         return probe_pos, self.order[ramp].astype(np.int64)
 
     def _as_table(self):
-        """Dict view of the mapping (for object-dtype probes)."""
+        """Dict view of the mapping (for the exact slow path)."""
         if self.table is not None:
             return self.table
         table = {}
@@ -228,7 +239,7 @@ class MultiMap:
         table = self._as_table()
         lefts = []
         rights = []
-        for pos, key in enumerate(probe_keys):
+        for pos, key in enumerate(_python_keys(probe_keys)):
             hits = table.get(key)
             if hits:
                 lefts.extend([pos] * len(hits))
@@ -240,24 +251,14 @@ class MultiMap:
         """First-match position per probe key, ``-1`` when absent."""
         probe_keys = np.asarray(probe_keys)
         out = np.full(len(probe_keys), -1, dtype=np.int64)
-        if self.table is not None or _is_object(probe_keys):
+        if self._slow(probe_keys):
             table = self._as_table()
-            for pos, key in enumerate(probe_keys):
+            for pos, key in enumerate(_python_keys(probe_keys)):
                 hits = table.get(key)
                 if hits:
                     out[pos] = hits[0]
             return out
-        if self.n_entries == 0:
-            return out
-        if self.starts is not None and probe_keys.dtype.kind in "iu":
-            lo, hi = self._dense_ranges(probe_keys)
-        else:
-            lo = np.minimum(np.searchsorted(self.sorted_keys, probe_keys,
-                                            side="left"),
-                            self._n_matchable)
-            hi = np.minimum(np.searchsorted(self.sorted_keys, probe_keys,
-                                            side="right"),
-                            self._n_matchable)
+        lo, hi = self._ranges(probe_keys)
         found = hi > lo
         out[found] = self.order[lo[found]]
         return out
@@ -269,6 +270,37 @@ class MultiMap:
 def join_match(left_keys, right_keys):
     """(left_pos, right_pos) of every equi-matching pair, left-major."""
     return MultiMap(right_keys).match(left_keys)
+
+
+def key_table(keys):
+    """``(base, slot)`` direct-address table over *unique* integer keys.
+
+    ``slot[key - base]`` is the position holding ``key`` and ``-1``
+    where no position does; the extra last slot is the ``-1`` every
+    out-of-range probe lands on.  Returns ``None`` for non-integer or
+    empty keys and for keys whose span fails the compactness rule.
+    Built per call in one scatter — no sort.
+    """
+    keys = np.asarray(keys)
+    if keys.dtype.kind not in "iu" or len(keys) == 0:
+        return None
+    base = int(keys.min())
+    span = _table_span(base, keys.max(), len(keys))
+    if span is None:
+        return None
+    slot = np.full(span + 1, -1, dtype=np.int64)
+    slot[_offsets(keys, base, span)] = np.arange(len(keys), dtype=np.int64)
+    return base, slot
+
+
+def key_lookup(table, probe_keys):
+    """``(probe_pos, key_pos)`` of the probes that hit a
+    :func:`key_table`: one gather, probe order, at most one match each
+    — what :func:`join_match` returns against unique keys."""
+    base, slot = table
+    found = slot[_offsets(np.asarray(probe_keys), base, len(slot) - 1)]
+    probe_pos = np.nonzero(found >= 0)[0]
+    return probe_pos, found[probe_pos]
 
 
 def sorted_lookup(sorted_keys, probes):
@@ -287,35 +319,36 @@ def sorted_lookup(sorted_keys, probes):
     return sorted_keys[positions] == probes, positions
 
 
-#: A direct-address membership table is used when the (hinted) code
-#: domain stays below this many entries — one transient byte each.
-_TABLE_CAP = 1 << 22
-
-
-def membership_mask(left_keys, right_keys, domain=None):
+def membership_mask(left_keys, right_keys, right_sorted=False):
     """Boolean mask: ``left_keys[i] in right_keys``.
 
-    Fixed-width keys go through ``np.isin`` (sort-based, no Python
-    hashing); object keys keep the set probe.  When the keys are known
-    non-negative codes bounded by ``domain`` (e.g. from
-    :func:`joint_codes`) and the domain is compact, a direct-address
-    bool table replaces the sort entirely.  NaN keys are members of
-    nothing on every path (IEEE semantics, like the set reference).
+    Integer keys whose right-side span passes the compactness rule go
+    through a direct-address bool table over that span (one scatter,
+    one gather, no sort).  Other fixed-width keys use ``np.isin``, or
+    one binary search per left key when ``right_sorted`` says the right
+    keys ascend.  Object keys and mixed-sign integers keep the exact
+    set probe.  NaN keys are members of nothing on every path (IEEE
+    semantics, like the set reference).
     """
     left_keys = np.asarray(left_keys)
     right_keys = np.asarray(right_keys)
-    if _is_object(left_keys) or _is_object(right_keys):
-        members = set(right_keys)
-        return np.fromiter((k in members for k in left_keys),
+    if (_is_object(left_keys) or _is_object(right_keys)
+            or _mixed_sign(left_keys, right_keys)):
+        members = set(_python_keys(right_keys))
+        return np.fromiter((k in members for k in _python_keys(left_keys)),
                            dtype=bool, count=len(left_keys))
     if len(right_keys) == 0 or len(left_keys) == 0:
         return np.zeros(len(left_keys), dtype=bool)
-    if domain is not None and domain <= max(
-            _TABLE_CAP, _DENSE_FACTOR * (len(left_keys)
-                                         + len(right_keys))):
-        table = np.zeros(int(domain), dtype=bool)
-        table[right_keys] = True
-        return table[left_keys]
+    if left_keys.dtype.kind in "iu" and right_keys.dtype.kind in "iu":
+        base = int(right_keys.min())
+        span = _table_span(base, right_keys.max(),
+                           len(left_keys) + len(right_keys))
+        if span is not None:
+            table = np.zeros(span + 1, dtype=bool)
+            table[_offsets(right_keys, base, span)] = True
+            return table[_offsets(left_keys, base, span)]
+    if right_sorted:
+        return sorted_lookup(right_keys, left_keys)[0]
     return np.isin(left_keys, right_keys)
 
 
@@ -366,7 +399,9 @@ def joint_codes(left_keys, right_keys):
     operations to compare BUNs of two BATs.  Codes are non-negative
     and bounded by ``n`` but not necessarily dense: integer keys with
     a compact value domain are *offset-coded* (``key - min``), which
-    skips the sort entirely.
+    skips the sort entirely.  Offset codes lie in ``[0, n)`` with ``n``
+    itself compact, so a later :func:`membership_mask` over them always
+    takes its table path.
     """
     left_keys = np.asarray(left_keys)
     right_keys = np.asarray(right_keys)
@@ -375,7 +410,8 @@ def joint_codes(left_keys, right_keys):
     if total == 0:
         empty = np.empty(0, dtype=np.int64)
         return empty, empty.copy(), 0
-    if _is_object(left_keys) or _is_object(right_keys):
+    if (_is_object(left_keys) or _is_object(right_keys)
+            or _mixed_sign(left_keys, right_keys)):
         both = np.concatenate([left_keys.astype(object),
                                right_keys.astype(object)])
         codes, n = factorize(both)
@@ -384,24 +420,19 @@ def joint_codes(left_keys, right_keys):
         bounds = [(int(a.min()), int(a.max()))
                   for a in (left_keys, right_keys) if len(a)]
         lo = min(b[0] for b in bounds)
-        hi = max(b[1] for b in bounds)
-        domain = hi - lo + 1
-        if domain <= max(_DENSE_FLOOR, _DENSE_FACTOR * total):
-            return (left_keys.astype(np.int64) - lo,
-                    right_keys.astype(np.int64) - lo, domain)
+        domain = _table_span(lo, max(b[1] for b in bounds), total)
+        if domain is not None:
+            return (_offsets(left_keys, lo, domain),
+                    _offsets(right_keys, lo, domain), domain)
     both = np.concatenate([left_keys, right_keys])
     codes, n = factorize(both)
     return codes[:n_left], codes[n_left:], n
 
 
-#: Largest combined code representable; beyond it the mixed-radix
-#: arithmetic would wrap and alias distinct pairs.
-_INT64_MAX = np.iinfo(np.int64).max
-
-
 def _combine_overflows(max_high, n_low):
     """True when ``high * n_low + low`` can exceed int64 for codes
-    bounded by ``max_high`` / ``n_low`` (checked in Python ints)."""
+    bounded by ``max_high`` / ``n_low`` (checked in Python ints): the
+    mixed-radix arithmetic would wrap and alias distinct pairs."""
     return (int(max_high) + 1) * int(n_low) - 1 > _INT64_MAX
 
 

@@ -194,16 +194,6 @@ def test_datavector_results_synced_across_attributes():
     assert dict(product.to_pairs()) == {7: 7.0 * 49.0, 13: 13.0 * 169.0}
 
 
-def test_hash_index():
-    from repro.monet.accelerators.hashidx import hash_index
-    from repro.monet.column import column_from_values
-    col = column_from_values("int", [5, 7, 5, 9])
-    index = hash_index(col)
-    assert list(index.positions(5)) == [0, 2]
-    assert index.first(9) == 3
-    assert index.positions(42) == ()
-
-
 # ----------------------------------------------------------------------
 # kernel catalog
 # ----------------------------------------------------------------------

@@ -97,7 +97,13 @@ def test_join_dispatch_merge_and_hash():
     unsorted_cd = bat_from_pairs("oid", "int", [(20, 2), (10, 1)])
     unsorted_cd.props = compute_props(unsorted_cd)
     ops.join(ab, unsorted_cd)
+    assert get_optimizer().last["join"] == "keyjoin"
+    # a head that is not a key can match more than once: no slot array
+    unkeyed_cd = bat_from_pairs("oid", "int", [(20, 2), (10, 1), (20, 3)])
+    unkeyed_cd.props = compute_props(unkeyed_cd)
+    out = ops.join(ab, unkeyed_cd)
     assert get_optimizer().last["join"] == "hashjoin"
+    assert out.to_pairs() == [(1, 1), (2, 2), (2, 3)]
 
 
 def test_join_fetch_on_void_head():

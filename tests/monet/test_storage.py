@@ -2,7 +2,7 @@
 
 The round-trip contract is BUN-for-BUN equality across every atom
 kind, with properties, alignment (synced) groups, shared var heaps and
-accelerators preserved — and, for the mmap backend, *zero-copy*
+datavectors preserved — and, for the mmap backend, *zero-copy*
 reopening: columns come back as ``np.memmap`` views and var heaps do
 not decode until first use.
 """
@@ -16,7 +16,6 @@ import pytest
 from repro.errors import CatalogError, HeapError
 from repro.monet import (MemoryBackend, MmapBackend, MonetKernel,
                          operators as ops)
-from repro.monet.accelerators.hashidx import hash_of
 from repro.monet.buffer import BufferManager, use
 from repro.monet.heap import MappedVarHeap, VarHeap
 from repro.monet.properties import synced, verify
@@ -43,11 +42,6 @@ def build_kernel():
                       "1995-03-05"], group="T")
     kernel.create_extent("T", "T_name")
     kernel.create_datavectors("T", ["T_name", "T_price"])
-    # build a hash accelerator so persistence covers it (the ordered
-    # oid heads would dispatch joins to mergejoin, so build directly
-    # on the float tail — Figure 2's "hash heap" on a value column)
-    hash_of(kernel.get("T_price"), "tail")
-    assert "hash_tail" in kernel.get("T_price").accel
     return kernel
 
 
@@ -101,12 +95,35 @@ def test_round_trip_accelerators(backend):
         list(original_dv.vector.logical())
     assert np.array_equal(reopened_dv.registry.extent,
                           original_dv.registry.extent)
-    # hash index probes the same positions without re-sorting
-    original_hash = kernel.get("T_price").accel["hash_tail"]
-    reopened_hash = reopened.get("T_price").accel["hash_tail"]
-    for key in [9.5, 1.25, -3.0, 123.0]:
-        assert list(reopened_hash.positions(key)) == \
-            list(original_hash.positions(key))
+
+
+def test_stale_hash_accelerator_slot_is_ignored_and_pruned(tmp_path):
+    # builds that had a hash accelerator listed it as an accel slot
+    # with two array files; reopening ignores the slot and the next
+    # save prunes the files it no longer references
+    kernel = build_kernel()
+    kernel.save(tmp_path / "db")
+    manifest_path = tmp_path / "db" / "catalog.json"
+    manifest = json.loads(manifest_path.read_text())
+    stale = []
+    for slot in ("hash", "hash_tail"):
+        files = {part: "g1.T_price.%s.%s" % (slot, part)
+                 for part in ("order", "keys")}
+        for file_name in files.values():
+            np.arange(4, dtype="<i8").tofile(tmp_path / "db" / file_name)
+            stale.append(file_name)
+        manifest["bats"]["T_price"]["accel"][slot] = dict(
+            files, dtype="<i8", length=4, label="T_price." + slot)
+    manifest_path.write_text(json.dumps(manifest))
+    reopened = MonetKernel.open(tmp_path / "db")
+    assert set(reopened.get("T_price").accel) == {"datavector"}
+    assert reopened.get("T_price").to_pairs() == \
+        kernel.get("T_price").to_pairs()
+    reopened.save(tmp_path / "db")
+    left = set(os.listdir(tmp_path / "db"))
+    assert not left & set(stale)
+    assert MonetKernel.open(tmp_path / "db").get("T_price").to_pairs() \
+        == kernel.get("T_price").to_pairs()
 
 
 def test_mmap_reopen_is_zero_copy_and_lazy(tmp_path):
