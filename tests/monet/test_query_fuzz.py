@@ -1,7 +1,8 @@
 """Property-based differential query fuzzer (two-engine equality).
 
 Hypothesis generates random typed BATs — int/float/string columns,
-NaN keys, duplicates, empty operands — and random operator plans over
+NaN keys, duplicates, empty operands, oid subsets of a dense class
+extent — and random operator plans over
 them.  Every operator application is executed two ways:
 
 * **naive** — the BUN-at-a-time reference semantics, rebuilt here from
@@ -223,6 +224,19 @@ def _heads(n):
     return list(range(n))
 
 
+@st.composite
+def extent_subsets(draw):
+    """``(extent, subset)``: a dense oid extent ``base .. base+n-1`` and
+    a shuffled duplicate-free subset of it — the shape of a selection
+    inside a class extent, which key joins and the membership table
+    address directly."""
+    base = draw(st.sampled_from([0, 7, 120_000]))
+    extent = list(range(base, base + draw(st.integers(1, 40))))
+    subset = draw(st.lists(st.sampled_from(extent), unique=True,
+                           max_size=len(extent)))
+    return extent, draw(st.permutations(subset))
+
+
 # ----------------------------------------------------------------------
 # single-operator differentials
 # ----------------------------------------------------------------------
@@ -260,6 +274,24 @@ def test_semijoin_differential(left, right, props):
                        naive_semijoin(ab, cd))
     _assert_matches_naive(lambda: ops.antijoin(ab, cd),
                        naive_antijoin(ab, cd))
+
+
+@given(extent_subsets(), st.lists(st.integers(-2, 42), max_size=24),
+       st.booleans())
+@settings(**SETTINGS)
+def test_oid_subset_differential(case, offsets, props):
+    # outer oids inside, below and past the extent, some repeated,
+    # against a keyed subset: keyjoin, and the semijoin bool table
+    extent, subset = case
+    probes = [max(0, extent[0] + d) for d in offsets]
+    ab = _bat("oid", _heads(len(probes)), "oid", probes, props=props)
+    cd = _bat("oid", subset, "long", [v * 3 for v in subset], props=True)
+    _assert_matches_naive(lambda: ops.join(ab, cd), naive_join(ab, cd))
+    members = _bat("oid", extent, "long", _heads(len(extent)), props=props)
+    _assert_matches_naive(lambda: ops.semijoin(members, cd),
+                          naive_semijoin(members, cd))
+    _assert_matches_naive(lambda: ops.antijoin(members, cd),
+                          naive_antijoin(members, cd))
 
 
 @given(string_lists, string_lists)
