@@ -5,8 +5,9 @@ they are objects hung off ``BAT.accel``.  The one persistent kind is
 ``"datavector"`` —
 :class:`~repro.monet.accelerators.datavector.DataVector`, the
 accelerator of section 5.2 that links a tail-sorted attribute BAT to
-its class extent and a positionally synced value vector (plus the
-per-selection LOOKUP arrays it caches under ``"lookup:<class>"``).
+its class extent and a positionally synced value vector.  The LOOKUP
+arrays of its semijoin hang off the probing selection, under
+``"lookup:<class>"``.
 
 There is no hash accelerator: joins whose inner head is a compact
 integer key address it directly (``keyjoin``), and the remaining

@@ -80,7 +80,7 @@ def _membership_mask(ab, cd, manager, right_sorted=False):
     left_keys, right_keys = equality_keys(ab.head, cd.head)
     manager.access_column(ab.head)
     manager.access_column(cd.head)
-    return membership_mask(left_keys, right_keys, right_sorted)
+    return membership_mask(left_keys, right_keys, right_sorted=right_sorted)
 
 
 def _syncsemijoin(ab, name):

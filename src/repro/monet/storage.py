@@ -555,8 +555,8 @@ def save_kernel(kernel, target, meta=None, extra=None,
 
     Every catalog BAT is written with its properties, alignment group
     and datavector value vector; shared var heaps are written once and
-    re-shared on open.  The manifest is written last, so a crashed save never
-    leaves an openable-but-inconsistent database behind.
+    re-shared on open.  The manifest is written last, so a crashed save
+    never leaves an openable-but-inconsistent database behind.
 
     The whole save runs under the backend's **exclusive** catalog lock
     and bumps the manifest's generation counter, so concurrent savers

@@ -113,11 +113,12 @@ def _offsets(keys, base, span):
     below ``span`` exactly when the key is in range; ``uint64`` keys
     past int64 are sent to the sentinel explicitly.
     """
-    shifted = keys.astype(np.int64, copy=False) - np.int64(base)
-    index = np.minimum(shifted.view(np.uint64), np.uint64(span))
+    index = keys.astype(np.int64, copy=False) - np.int64(base)
+    unsigned = index.view(np.uint64)
+    np.minimum(unsigned, np.uint64(span), out=unsigned)
     if keys.dtype == np.uint64:
         index[keys > np.uint64(_INT64_MAX)] = span
-    return index.view(np.int64)
+    return index
 
 
 class MultiMap:
