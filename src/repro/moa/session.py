@@ -20,7 +20,8 @@ from ..monet.buffer import use as use_buffer
 from ..monet.kernel import MonetKernel
 from ..monet.mil import MILInterpreter, Var
 from .evaluator import evaluate
-from .mapping import create_datavectors, flatten, reorder_on_tail
+from .mapping import (create_datavectors, flatten, objects_to_columns,
+                      reorder_on_tail)
 from .parser import parse
 from .structures import Materializer
 from .typecheck import resolve
@@ -55,8 +56,10 @@ class MOADatabase:
     # ------------------------------------------------------------------
     def load(self, data, datavectors=False, reorder=False):
         """Flatten logical data into the kernel (section 3.3 / 6)."""
-        self.flat = flatten(self.schema, data, self.kernel,
-                            datavectors=datavectors, reorder=reorder)
+        self.flat = flatten(self.schema,
+                            objects_to_columns(self.schema, data),
+                            self.kernel, datavectors=datavectors,
+                            reorder=reorder, data=data)
         return self.flat
 
     def build_accelerators(self):

@@ -256,15 +256,75 @@ class VoidColumn(Column):
         return True
 
 
+#: built-in fixed atoms whose ``coerce`` a numeric array can be checked
+#: against in bulk: name -> (accepted dtype kinds, inclusive integer
+#: range or None).  ``instant``'s coerce has no range; its int32 store
+#: does.
+_BULK_FIXED = {
+    "bool": ("b", None),
+    "short": ("iu", (-(2 ** 15), 2 ** 15 - 1)),
+    "int": ("iu", (-(2 ** 31), 2 ** 31 - 1)),
+    "long": ("iu", (-(2 ** 63), 2 ** 63 - 1)),
+    "oid": ("iu", (0, 2 ** 63 - 1)),
+    "instant": ("iu", (-(2 ** 31), 2 ** 31 - 1)),
+    "float": ("iuf", None),
+    "double": ("iuf", None),
+}
+
+
 def column_from_values(atom, values, label=""):
-    """Build the appropriate column kind for ``atom`` from Python values."""
+    """Build the appropriate column kind for ``atom`` from Python values.
+
+    A one-dimensional numpy array is coerced a column at a time, with
+    ``Atom.coerce``'s semantics: a numeric array for a fixed atom is
+    kind- and range-checked once and cast, and a var atom's values
+    are interned in first-appearance order, coercing each *distinct*
+    value once.  Whatever that path cannot vouch for (lists, object
+    arrays of fixed atoms, a wrong kind, a value out of range) is
+    coerced value by value, which raises the per-value error.  The
+    column never aliases ``values``.
+    """
     spec = _atoms.atom(atom)
     if spec.name == "void":
         raise BATError("void columns are built with VoidColumn(seqbase, n)")
+    if isinstance(values, np.ndarray) and values.ndim == 1:
+        column = _column_from_array(spec, values, label)
+        if column is not None:
+            return column
     if spec.varsized:
         return VarColumn.from_values(spec, values, label=label)
     coerced = [spec.coerce(v) for v in values]
     return FixedColumn(spec, np.asarray(coerced, dtype=spec.dtype), label)
+
+
+def _column_from_array(spec, values, label):
+    """The bulk path of :func:`column_from_values`, or None."""
+    if spec.varsized:
+        distinct = {}
+        try:
+            codes = np.fromiter(
+                (distinct.setdefault(v, len(distinct))
+                 for v in values.tolist()),
+                dtype=np.int64, count=len(values))
+        except TypeError:           # an unhashable value: coerce rejects it
+            return None
+        heap = VarHeap(label)
+        interned = heap.insert_many([spec.coerce(v) for v in distinct])
+        return VarColumn(spec, interned[codes], heap, label)
+    bulk = _BULK_FIXED.get(spec.name)
+    if bulk is None or values.dtype.kind not in bulk[0]:
+        return None
+    bounds = bulk[1]
+    if bounds is not None and len(values) \
+            and not bounds[0] <= int(values.min()) <= int(values.max()) \
+            <= bounds[1]:
+        return None
+    if spec.dtype.kind == "f":
+        # through float64, like the per-value path's Python floats
+        data = values.astype(np.float64).astype(spec.dtype, copy=False)
+    else:
+        data = values.astype(spec.dtype)
+    return FixedColumn(spec, data, label)
 
 
 def equality_keys(left, right):

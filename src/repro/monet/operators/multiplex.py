@@ -195,7 +195,7 @@ def _scalar_atom(value):
 
 def _column_from_array(atom, array):
     if atom.varsized:
-        return column_from_values(atom, list(array))
+        return column_from_values(atom, array)
     return FixedColumn(atom, np.asarray(array, dtype=atom.dtype))
 
 

@@ -119,6 +119,11 @@ def _is_key(keys):
         return True
     if keys.dtype == object:
         return len(set(keys)) == len(keys)
+    # a strictly increasing column is a key, which O(n) settles for
+    # every extent and loaded oid head; anything else (NaN included)
+    # takes the sort
+    if np.all(keys[:-1] < keys[1:]):
+        return True
     return len(np.unique(keys)) == len(keys)
 
 

@@ -628,7 +628,7 @@ def _save_kernel_locked(kernel, backend, meta, extra):
         "generation": generation,
         "meta": dict(meta or {}),
         "alignment_groups": groups.tags,
-        "var_heaps": var_heaps,
+        "var_heaps": dict(var_heaps.values()),
         "bats": bats,
         "datavectors": datavectors,
     }
@@ -640,8 +640,8 @@ def _save_kernel_locked(kernel, backend, meta, extra):
     backend.write_manifest(manifest)
     faults.fire("storage.save.manifest_written")
     # with the new manifest durable, drop files it no longer
-    # references (heap ids are process-global, so a re-save would
-    # otherwise strand the previous save's files forever).  Readers
+    # references (every file name carries its generation, so a re-save
+    # would otherwise strand the previous save's files forever).  Readers
     # that mapped the previous generation keep their inodes alive;
     # only the directory entries go.
     backend.prune(_manifest_files(manifest))
@@ -731,9 +731,14 @@ def _save_column(backend, var_heaps, prefix, stem, column):
 
 
 def _save_var_heap(backend, var_heaps, prefix, heap):
-    key = "vh%d" % heap.heap_id
-    if key in var_heaps:
-        return key
+    """Write ``heap`` once per save; ``var_heaps`` maps heap id ->
+    (key, manifest spec).  Keys count heaps in save (catalog) order,
+    so equal catalogs save byte-identical directories whatever order
+    the process allocated their heaps in."""
+    saved = var_heaps.get(heap.heap_id)
+    if saved is not None:
+        return saved[0]
+    key = "vh%d" % len(var_heaps)
     if isinstance(heap, MappedVarHeap) and not heap.decoded:
         offsets = np.asarray(heap._offsets, dtype=np.int64)
         body = np.asarray(heap._body, dtype=np.uint8)
@@ -747,11 +752,12 @@ def _save_var_heap(backend, var_heaps, prefix, heap):
                              dtype=np.uint8)
     backend.write_array(prefix + key + ".off", offsets)
     backend.write_array(prefix + key + ".body", body)
-    var_heaps[key] = {"offsets": prefix + key + ".off",
-                      "body": prefix + key + ".body",
-                      "count": int(len(offsets) - 1),
-                      "body_bytes": int(offsets[-1]) if len(offsets) else 0,
-                      "label": heap.label}
+    var_heaps[heap.heap_id] = (key, {
+        "offsets": prefix + key + ".off",
+        "body": prefix + key + ".body",
+        "count": int(len(offsets) - 1),
+        "body_bytes": int(offsets[-1]) if len(offsets) else 0,
+        "label": heap.label})
     return key
 
 

@@ -21,22 +21,33 @@ Everything is driven by one ``numpy`` PCG64 generator seeded from the
 ``seed`` argument: equal (scale, seed) pairs produce identical
 databases on every platform.
 
-Two views of the same data are produced:
+The data is generated as columns and served in three shapes, columns
+first:
 
-* ``dataset.data`` — the logical object store used by the MOA layer
-  (flattening input and reference-evaluator input),
-* ``dataset.tables`` — columnar arrays per *relational* table
-  (region, nation, supplier, customer, part, partsupp, orders, item),
-  used by the row-store baseline of :mod:`repro.tpcd.rowstore`.
+* ``dataset.tables`` — arrays per *relational* table (region, nation,
+  supplier, customer, part, partsupp, orders, item), used by the
+  row-store baseline of :mod:`repro.tpcd.rowstore` and the reference
+  answers of :mod:`repro.tpcd.reference`,
+* ``dataset.columns`` — the same arrays per Figure 1 *class*, nested
+  sets as ``(owners, elements)`` arrays: the flattening input (see
+  :mod:`repro.moa.mapping`), which the loader turns into BATs a
+  column at a time,
+* ``dataset.data`` — the logical object store ``{class: {oid:
+  {attr: value}}}`` the reference evaluator reads, derived from
+  ``columns`` on first read (nothing on the load or query path reads
+  it).
 """
 
 import datetime
+import functools
 
 import numpy as np
 
 from ..errors import DBGenError
+from ..moa.mapping import columns_to_objects
 from ..monet.atoms import date_to_days
 from . import text
+from .schema import tpcd_schema
 
 #: TPC-D "current date" used for returnflag / linestatus rules
 CURRENT_DATE = date_to_days(datetime.date(1995, 6, 17))
@@ -45,14 +56,19 @@ END_DATE = date_to_days(datetime.date(1998, 8, 2))
 
 
 class TPCDDataset:
-    """The generated database, in logical and columnar form."""
+    """The generated database: tables, class columns, logical store."""
 
-    def __init__(self, scale, seed, data, tables, counts):
+    def __init__(self, scale, seed, tables, counts):
         self.scale = scale
         self.seed = seed
-        self.data = data
         self.tables = tables
         self.counts = counts
+        self.columns = _class_columns(tables)
+
+    @functools.cached_property
+    def data(self):
+        """The logical object store, built from ``columns`` once."""
+        return columns_to_objects(tpcd_schema(), self.columns)
 
     def __repr__(self):
         return ("TPCDDataset(scale=%g, seed=%d, %s)"
@@ -95,8 +111,7 @@ def generate(scale=0.001, seed=42):
     _gen_orders_items(rng, counts, tables)
     counts["item"] = len(tables["item"]["order"])
     counts["partsupp"] = len(tables["partsupp"]["part"])
-    data = _logical_view(tables)
-    return TPCDDataset(scale, seed, data, tables, counts)
+    return TPCDDataset(scale, seed, tables, counts)
 
 
 def _gen_supplier(rng, counts, tables):
@@ -282,88 +297,39 @@ def _gen_orders_items(rng, counts, tables):
     }
 
 
-def _logical_view(tables):
-    """Build the logical object store (nested, per Figure 1)."""
-    data = {}
-    data["Region"] = {
-        oid: {"name": name, "comment": "region %d" % oid}
-        for oid, name in enumerate(tables["region"]["name"])}
-    data["Nation"] = {
-        oid: {"name": tables["nation"]["name"][oid],
-              "region": int(tables["nation"]["region"][oid])}
-        for oid in range(len(tables["nation"]["name"]))}
+def _class_columns(tables):
+    """The Figure 1 classes as flattening columns.
 
-    supplies_by_supplier = {}
+    Every extent is ``0..n-1`` over its table's rows.  A nested set
+    is the child table's foreign key, stably sorted: the owners come
+    out in oid order and each owner's elements in row order.
+    """
+    def nested(foreign_key):
+        rows = np.argsort(foreign_key, kind="stable")
+        return foreign_key[rows], rows
+
     ps = tables["partsupp"]
-    for position in range(len(ps["part"])):
-        supplies_by_supplier.setdefault(
-            int(ps["supplier"][position]), []).append({
-                "part": int(ps["part"][position]),
-                "cost": float(ps["cost"][position]),
-                "available": int(ps["available"][position]),
-            })
-    sup = tables["supplier"]
-    data["Supplier"] = {
-        oid: {"name": sup["name"][oid], "address": sup["address"][oid],
-              "phone": sup["phone"][oid],
-              "acctbal": float(sup["acctbal"][oid]),
-              "nation": int(sup["nation"][oid]),
-              "supplies": supplies_by_supplier.get(oid, [])}
-        for oid in range(len(sup["name"]))}
-
-    part = tables["part"]
-    data["Part"] = {
-        oid: {"name": part["name"][oid],
-              "manufacturer": part["manufacturer"][oid],
-              "brand": part["brand"][oid], "type": part["type"][oid],
-              "size": int(part["size"][oid]),
-              "container": part["container"][oid],
-              "retailPrice": float(part["retailprice"][oid])}
-        for oid in range(len(part["name"]))}
-
-    orders_by_customer = {}
-    for oid, cust in enumerate(tables["orders"]["cust"]):
-        orders_by_customer.setdefault(int(cust), []).append(oid)
-    cus = tables["customer"]
-    data["Customer"] = {
-        oid: {"name": cus["name"][oid], "address": cus["address"][oid],
-              "phone": cus["phone"][oid],
-              "acctbal": float(cus["acctbal"][oid]),
-              "nation": int(cus["nation"][oid]),
-              "mktsegment": cus["mktsegment"][oid],
-              "orders": orders_by_customer.get(oid, [])}
-        for oid in range(len(cus["name"]))}
-
-    items_by_order = {}
-    for oid, order in enumerate(tables["item"]["order"]):
-        items_by_order.setdefault(int(order), []).append(oid)
-    orders = tables["orders"]
-    data["Order"] = {
-        oid: {"cust": int(orders["cust"][oid]),
-              "item": items_by_order.get(oid, []),
-              "status": orders["status"][oid],
-              "totalprice": float(orders["totalprice"][oid]),
-              "orderdate": int(orders["orderdate"][oid]),
-              "orderpriority": orders["orderpriority"][oid],
-              "clerk": orders["clerk"][oid],
-              "shippriority": orders["shippriority"][oid]}
-        for oid in range(len(orders["cust"]))}
-
-    item = tables["item"]
-    data["Item"] = {
-        oid: {"part": int(item["part"][oid]),
-              "supplier": int(item["supplier"][oid]),
-              "order": int(item["order"][oid]),
-              "quantity": int(item["quantity"][oid]),
-              "returnflag": item["returnflag"][oid],
-              "linestatus": item["linestatus"][oid],
-              "extendedprice": float(item["extendedprice"][oid]),
-              "discount": float(item["discount"][oid]),
-              "tax": float(item["tax"][oid]),
-              "shipdate": int(item["shipdate"][oid]),
-              "commitdate": int(item["commitdate"][oid]),
-              "receiptdate": int(item["receiptdate"][oid]),
-              "shipmode": item["shipmode"][oid],
-              "shipinstruct": item["shipinstruct"][oid]}
-        for oid in range(len(item["part"]))}
-    return data
+    supplies_owner, supplies_rows = nested(ps["supplier"])
+    orders_owner, orders_rows = nested(tables["orders"]["cust"])
+    items_owner, items_rows = nested(tables["item"]["order"])
+    n_region = len(tables["region"]["name"])
+    part = dict(tables["part"])
+    part["retailPrice"] = part.pop("retailprice")
+    attributes = {
+        "Region": {"name": tables["region"]["name"],
+                   "comment": np.array(["region %d" % oid
+                                        for oid in range(n_region)],
+                                       dtype=object)},
+        "Nation": tables["nation"],
+        "Part": part,
+        "Supplier": dict(tables["supplier"], supplies=(supplies_owner, {
+            field: ps[field][supplies_rows]
+            for field in ("part", "cost", "available")})),
+        "Customer": dict(tables["customer"],
+                         orders=(orders_owner, orders_rows)),
+        "Order": dict(tables["orders"], item=(items_owner, items_rows)),
+        "Item": tables["item"],
+    }
+    return {class_name: (np.arange(len(next(iter(columns.values()))),
+                                   dtype=np.int64), columns)
+            for class_name, columns in attributes.items()}

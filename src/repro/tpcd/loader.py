@@ -22,8 +22,8 @@ virtual memory" — and what lets benchmarks skip dbgen entirely.
 import time
 
 from ..errors import CatalogError
-from ..moa.mapping import FlattenedDatabase, create_datavectors, \
-    reorder_on_tail
+from ..moa.mapping import (FlattenedDatabase, create_datavectors, flatten,
+                           reorder_on_tail)
 from ..moa.session import MOADatabase
 from ..monet.kernel import MonetKernel
 from ..monet.storage import (as_backend, generation_prefix,
@@ -85,14 +85,16 @@ def load_tpcd(dataset, kernel=None, db_dir=None):
                 and meta.get("seed") == dataset.seed:
             db, report = open_tpcd(db_dir)
             # re-attach the logical store so the reference-evaluator
-            # path (db.evaluate / check_commutes) keeps working
-            db.flat.data = dataset.data
+            # path (db.evaluate / check_commutes) keeps working; it is
+            # built on first read, not here
+            db.flat.data = lambda: dataset.data
             return db, report
 
     db = MOADatabase(tpcd_schema(), kernel=kernel)
 
     started = time.perf_counter()
-    db.load(dataset.data)
+    db.flat = flatten(db.schema, dataset.columns, db.kernel,
+                      data=lambda: dataset.data)
     load_s = time.perf_counter() - started
     base_bytes = db.kernel.total_bytes()
 

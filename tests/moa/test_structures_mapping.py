@@ -6,7 +6,8 @@ import pytest
 from repro.errors import MappingError, MOAError
 from repro.moa import (Bag, MOADatabase, Ref, Row, Schema, ref, setof,
                        tupleof)
-from repro.moa.mapping import flatten
+from repro.moa.mapping import (columns_to_objects, flatten,
+                               objects_to_columns)
 from repro.moa.structures import (AtomRep, InlineAtomRep, InlineRefRep,
                                   Materializer, Mirrored, ObjectRep,
                                   RefRep, SetRep, TupleRep, ViaRep)
@@ -41,10 +42,15 @@ DATA = {
 }
 
 
+def _flatten(data, kernel):
+    schema = _schema()
+    return flatten(schema, objects_to_columns(schema, data), kernel)
+
+
 @pytest.fixture(scope="module")
 def flat():
     kernel = MonetKernel()
-    return flatten(_schema(), DATA, kernel)
+    return _flatten(DATA, kernel)
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +110,7 @@ def test_mapping_rejects_missing_attribute():
     bad = {"Dept": {0: {"name": "x"}},
            "Emp": {1: {"name": "y"}}}       # salary etc. missing
     with pytest.raises(MappingError):
-        flatten(_schema(), bad, MonetKernel())
+        _flatten(bad, MonetKernel())
 
 
 def test_mapping_rejects_wrong_ref_class():
@@ -114,7 +120,35 @@ def test_mapping_rejects_wrong_ref_class():
                        "dept": Ref("Emp", 0), "grades": [],
                        "projects": []}}}
     with pytest.raises(MappingError):
-        flatten(_schema(), bad, MonetKernel())
+        _flatten(bad, MonetKernel())
+
+
+def test_mapping_rejects_non_tuple_value():
+    bad = {"Dept": {0: {"name": "x"}},
+           "Emp": {1: {"name": "y", "salary": 1.0, "dept": 0,
+                       "grades": [], "projects": [5]}}}
+    with pytest.raises(MappingError):
+        _flatten(bad, MonetKernel())
+
+
+def test_flatten_rejects_malformed_columns():
+    schema = _schema()
+    good = objects_to_columns(schema, DATA)
+    oids, attributes = good["Emp"]
+    short = dict(good, Emp=(oids, dict(attributes, salary=[100.0])))
+    unpaired = dict(good, Emp=(oids, dict(attributes, grades=[1, 2])))
+    for columns in (DATA, short, unpaired, {"Dept": good["Dept"]}):
+        with pytest.raises(MappingError):
+            flatten(schema, columns, MonetKernel())
+
+
+def test_columns_round_trip_to_the_logical_store():
+    schema = _schema()
+    columns = objects_to_columns(schema, DATA)
+    assert columns["Emp"][1]["grades"] == ([10, 10], [1, 2])
+    assert columns_to_objects(schema, columns) == DATA
+    flat = flatten(schema, columns, MonetKernel())
+    assert flat.data == DATA              # derived on first read
 
 
 # ----------------------------------------------------------------------

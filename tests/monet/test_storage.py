@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import CatalogError, HeapError
 from repro.monet import (MemoryBackend, MmapBackend, MonetKernel,
-                         operators as ops)
+                         bat_from_pairs, operators as ops)
 from repro.monet.buffer import BufferManager, use
 from repro.monet.heap import MappedVarHeap, VarHeap
 from repro.monet.properties import synced, verify
@@ -159,8 +159,8 @@ def test_saving_reopened_kernel_does_not_decode(tmp_path):
 
 
 def test_resave_prunes_stale_heap_files(tmp_path):
-    # heap ids are process-global, so a re-save writes fresh vh<N>
-    # names; the previous generation must not be stranded on disk
+    # every save names its files after its own generation; the
+    # previous generation must not be stranded on disk
     kernel = build_kernel()
     kernel.save(tmp_path / "db")
     first = set(os.listdir(tmp_path / "db"))
@@ -174,6 +174,71 @@ def test_resave_prunes_stale_heap_files(tmp_path):
     assert foreign.exists()               # pruning never touches it
     assert MonetKernel.open(tmp_path / "db").get("T_name").to_pairs() \
         == kernel.get("T_name").to_pairs()
+
+
+def _kernel_with_heaps_born(order):
+    """Two string BATs, their var heaps allocated in ``order`` but
+    registered in one fixed order."""
+    values = {"T_a": ["x", "y", "x"], "T_b": ["q", "r", "q"]}
+    bats = {name: bat_from_pairs("oid", "string", enumerate(values[name]))
+            for name in order}
+    kernel = MonetKernel()
+    for name in sorted(bats):
+        kernel.register(name, bats[name])
+    return kernel
+
+
+def test_saves_of_equal_catalogs_are_byte_identical(tmp_path):
+    # var heap keys count heaps in save order, not the process-wide
+    # heap id, so allocation order cannot change a single byte
+    for label, order in (("ab", ["T_a", "T_b"]), ("ba", ["T_b", "T_a"])):
+        _kernel_with_heaps_born(order).save(tmp_path / label)
+    names = sorted(os.listdir(tmp_path / "ab"))
+    assert names == sorted(os.listdir(tmp_path / "ba"))
+    for name in names:
+        assert (tmp_path / "ab" / name).read_bytes() == \
+            (tmp_path / "ba" / name).read_bytes(), name
+    manifest = json.loads((tmp_path / "ab" / "catalog.json").read_text())
+    assert sorted(manifest["var_heaps"]) == ["vh0", "vh1"]
+
+
+def test_manifest_keyed_by_heap_id_still_opens_and_prunes(tmp_path):
+    # catalogs saved before keys counted save order named each var
+    # heap vh<heap id>: they reopen unchanged, and the next save
+    # replaces those files with save-order ones
+    kernel = build_kernel()
+    kernel.save(tmp_path / "db")
+    manifest_path = tmp_path / "db" / "catalog.json"
+    manifest = json.loads(manifest_path.read_text())
+    renamed = {}
+    old_files = set()
+    for number, (key, spec) in enumerate(sorted(
+            manifest["var_heaps"].items())):
+        old_key = "vh%d" % (4711 + number)
+        for part in ("offsets", "body"):
+            old_name = spec[part].replace(key + ".", old_key + ".")
+            os.rename(tmp_path / "db" / spec[part],
+                      tmp_path / "db" / old_name)
+            spec[part] = old_name
+            old_files.add(old_name)
+        renamed[key] = old_key
+        manifest["var_heaps"][old_key] = manifest["var_heaps"].pop(key)
+    for entry in manifest["bats"].values():
+        for side in [entry["head"], entry["tail"]] + [
+                slot["vector"] for slot in entry.get("accel", {}).values()]:
+            if side.get("heap") in renamed:
+                side["heap"] = renamed[side["heap"]]
+    assert renamed
+    manifest_path.write_text(json.dumps(manifest))
+    reopened = MonetKernel.open(tmp_path / "db")
+    for name in kernel.names():
+        assert reopened.get(name).to_pairs() == \
+            kernel.get(name).to_pairs(), name
+    reopened.save(tmp_path / "db")
+    assert not old_files & set(os.listdir(tmp_path / "db"))
+    again = MonetKernel.open(tmp_path / "db")
+    for name in kernel.names():
+        assert again.get(name).to_pairs() == kernel.get(name).to_pairs()
 
 
 def test_saving_back_to_the_same_directory(tmp_path):
