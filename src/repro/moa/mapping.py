@@ -138,6 +138,26 @@ class FlattenedDatabase:
         raise MappingError("unsupported attribute type %r" % attr_type)
 
 
+def _ref_oid(value, target_class):
+    if isinstance(value, Ref):
+        if value.class_name != target_class:
+            raise MappingError("reference to %s where %s expected"
+                               % (value.class_name, target_class))
+        return value.oid
+    if isinstance(value, int):
+        return value
+    raise MappingError("cannot interpret %r as a %s reference"
+                       % (value, target_class))
+
+
+def _row_of(value):
+    if isinstance(value, Row):
+        return value
+    if isinstance(value, dict):
+        return Row(list(value.items()))
+    raise MappingError("cannot interpret %r as a tuple value" % (value,))
+
+
 def flatten(schema, columns, kernel, datavectors=False, reorder=False,
             data=None):
     """Vertically decompose class ``columns`` into ``kernel`` BATs.
@@ -175,13 +195,13 @@ def _load_extent(kernel, flat, class_name, oids):
     # extent[oid, void], per section 6
     from ..monet.bat import BAT
     from ..monet.column import VoidColumn, column_from_values
-    from ..monet.kernel import mark_persistent
     from ..monet.properties import compute_props
     name = flat.extent_name(class_name)
     head = column_from_values("oid", oids, label=name + ".head")
     extent = BAT(head, VoidColumn(0, len(oids)),
                  alignment=kernel.group_alignment(class_name))
     extent.props = compute_props(extent)
+    from ..monet.kernel import mark_persistent
     mark_persistent(extent)
     kernel.register(name, extent)
 
@@ -305,26 +325,6 @@ def _value_column(value_type, values):
                                           [row[field_name] for row in rows])
                 for field_name, field_type in value_type.fields}
     return values
-
-
-def _ref_oid(value, target_class):
-    if isinstance(value, Ref):
-        if value.class_name != target_class:
-            raise MappingError("reference to %s where %s expected"
-                               % (value.class_name, target_class))
-        return value.oid
-    if isinstance(value, int):
-        return value
-    raise MappingError("cannot interpret %r as a %s reference"
-                       % (value, target_class))
-
-
-def _row_of(value):
-    if isinstance(value, Row):
-        return value
-    if isinstance(value, dict):
-        return Row(list(value.items()))
-    raise MappingError("cannot interpret %r as a tuple value" % (value,))
 
 
 def _attr_value(objects, oid, attr, class_name):

@@ -262,11 +262,11 @@ class VoidColumn(Column):
 #: does.
 _BULK_FIXED = {
     "bool": ("b", None),
-    "short": ("iu", (-(2 ** 15), 2 ** 15 - 1)),
-    "int": ("iu", (-(2 ** 31), 2 ** 31 - 1)),
-    "long": ("iu", (-(2 ** 63), 2 ** 63 - 1)),
-    "oid": ("iu", (0, 2 ** 63 - 1)),
-    "instant": ("iu", (-(2 ** 31), 2 ** 31 - 1)),
+    "short": ("iu", _atoms._I16),
+    "int": ("iu", _atoms._I32),
+    "long": ("iu", _atoms._I64),
+    "oid": ("iu", (0, _atoms._I64[1])),
+    "instant": ("iu", _atoms._I32),
     "float": ("iuf", None),
     "double": ("iuf", None),
 }
