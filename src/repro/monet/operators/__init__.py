@@ -46,11 +46,11 @@ semijoin     datavectorsemijoin left carries a datavector: cached LOOKUP
 semijoin     mergesemijoin      both heads ordered: bool table over a
                                 compact integer span, else binary search
 semijoin     hashsemijoin       fallback: bool table over a compact
-                                integer span, else ``np.isin``
+                                integer span, else sort + binary search
 group        unary/binary       factorised int codes (``np.unique``),
                                 pair codes combined in int64
-unique/      code path          joint int64 BUN pair codes +
-set ops                         ``np.unique``/``np.isin``; first-occurrence
+unique/      code path          joint int64 BUN pair codes; membership
+set ops                         as in hashsemijoin; first-occurrence
                                 order preserved
 multiplex    heap codes         one BAT operand with a string tail: the
                                 function once per distinct heap value

@@ -18,9 +18,9 @@ implementations exist, dispatched at run time on operand state
   the right operand's alignment token; otherwise it gets a token of its
   own per (class, right operand).  Either way two datavector semijoins
   against the same selection are synced with each other.
-* ``mergesemijoin`` — both head columns ordered: vectorised
-  binary-search membership with sequential access.
-* ``hashsemijoin`` — the generic fallback: ``np.isin`` membership.
+* ``mergesemijoin`` — both head columns ordered: the right heads
+  ascend already, so membership is a binary search with no sort.
+* ``hashsemijoin`` — the generic fallback: sort, then the same search.
 
 Both mask variants (and ``antijoin``) first try a direct-address bool
 table over the right heads' span when the keys are integers and that
@@ -56,8 +56,7 @@ def semijoin(ab, cd, name=None):
     if (optimizer.dynamic and ab.props.hordered and cd.props.hordered
             and not ab.head.atom.varsized and not cd.head.atom.varsized):
         optimizer.record("semijoin", "mergesemijoin")
-        return _masksemijoin(ab, cd, name, "semijoin.merge",
-                             right_sorted=True)
+        return _masksemijoin(ab, cd, name, "semijoin.merge")
     optimizer.record("semijoin", "hashsemijoin")
     return _masksemijoin(ab, cd, name, "semijoin.hash")
 
@@ -72,15 +71,15 @@ def antijoin(ab, cd, name=None):
     return take_subsequence(ab, positions, name=name)
 
 
-def _membership_mask(ab, cd, manager, right_sorted=False):
+def _membership_mask(ab, cd, manager):
     # compact integer keys (oids inside a class extent) probe a bool
-    # table; other fixed-width keys fall back to a sort or a binary
-    # search; the per-BUN Python set probe survives only for
+    # table; other fixed-width keys fall back to a binary search over
+    # the sorted right keys; the per-BUN Python set probe survives for
     # object-dtype keys
     left_keys, right_keys = equality_keys(ab.head, cd.head)
     manager.access_column(ab.head)
     manager.access_column(cd.head)
-    return membership_mask(left_keys, right_keys, right_sorted=right_sorted)
+    return membership_mask(left_keys, right_keys)
 
 
 def _syncsemijoin(ab, name):
@@ -89,10 +88,10 @@ def _syncsemijoin(ab, name):
                       alignment=ab.alignment)
 
 
-def _masksemijoin(ab, cd, name, label, right_sorted=False):
+def _masksemijoin(ab, cd, name, label):
     manager = get_manager()
     with manager.operator(label):
-        mask = _membership_mask(ab, cd, manager, right_sorted)
+        mask = _membership_mask(ab, cd, manager)
         positions = np.nonzero(mask)[0]
         manager.access_column(ab.tail, positions)
     out = take_subsequence(ab, positions, name=name)

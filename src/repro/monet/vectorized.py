@@ -20,7 +20,7 @@ operator layer dispatches onto:
   key array (merge joins, the datavector extent): no sort at all.
 * :func:`membership_mask` — membership for semijoin/antijoin and the
   set operations: a direct-address bool table for compact integer
-  keys, ``np.isin`` (or a binary search into sorted keys) otherwise.
+  keys, a binary search into the sorted right keys otherwise.
 * :func:`factorize` / :func:`joint_codes` / :func:`first_occurrence`
   — dense integer coding of key (pairs), the building block for
   group/unique/set-op kernels.
@@ -316,20 +316,20 @@ def sorted_lookup(sorted_keys, probes):
     positions = np.searchsorted(sorted_keys, probes)
     if len(sorted_keys) == 0:
         return np.zeros(len(positions), dtype=bool), positions
-    positions = np.minimum(positions, len(sorted_keys) - 1)
+    np.minimum(positions, len(sorted_keys) - 1, out=positions)
     return sorted_keys[positions] == probes, positions
 
 
-def membership_mask(left_keys, right_keys, right_sorted=False):
+def membership_mask(left_keys, right_keys):
     """Boolean mask: ``left_keys[i] in right_keys``.
 
     Integer keys whose right-side span passes the compactness rule go
     through a direct-address bool table over that span (one scatter,
-    one gather, no sort).  Other fixed-width keys use ``np.isin``, or
-    one binary search per left key when ``right_sorted`` says the right
-    keys ascend.  Object keys and mixed-sign integers keep the exact
-    set probe.  NaN keys are members of nothing on every path (IEEE
-    semantics, like the set reference).
+    one gather).  Other fixed-width keys take one binary search per
+    left key over the right keys, sorted first unless one comparison
+    pass finds them ascending already.  Object keys and mixed-sign
+    integers keep the exact set probe.  NaN keys are members of nothing
+    on every path (IEEE semantics, like the set reference).
     """
     left_keys = np.asarray(left_keys)
     right_keys = np.asarray(right_keys)
@@ -348,9 +348,9 @@ def membership_mask(left_keys, right_keys, right_sorted=False):
             table = np.zeros(span + 1, dtype=bool)
             table[_offsets(right_keys, base, span)] = True
             return table[_offsets(left_keys, base, span)]
-    if right_sorted:
-        return sorted_lookup(right_keys, left_keys)[0]
-    return np.isin(left_keys, right_keys)
+    if not np.all(right_keys[1:] >= right_keys[:-1]):
+        right_keys = np.sort(right_keys)
+    return sorted_lookup(right_keys, left_keys)[0]
 
 
 def factorize(keys):

@@ -176,21 +176,22 @@ def test_compact_membership_matches_naive(case, right_sorted):
     left, right = case
     if right_sorted:
         right = np.sort(right)
-    assert np.array_equal(vz.membership_mask(left, right, right_sorted),
+    assert np.array_equal(vz.membership_mask(left, right),
                           naive.membership_mask(left, right))
 
 
-@pytest.mark.parametrize("span, isin_calls", [(FLOOR, 0), (FLOOR + 1, 1)])
-def test_membership_table_span_threshold(monkeypatch, span, isin_calls):
+@pytest.mark.parametrize("span, search_calls",
+                         [(FLOOR, 0), (FLOOR + 1, 1)])
+def test_membership_table_span_threshold(monkeypatch, span, search_calls):
     calls = []
-    isin = np.isin
-    monkeypatch.setattr(np, "isin", lambda *a, **k: calls.append(1)
-                        or isin(*a, **k))
+    search = vz.sorted_lookup
+    monkeypatch.setattr(vz, "sorted_lookup", lambda *a: calls.append(1)
+                        or search(*a))
     right = np.asarray([span - 1, 0, 7, 7])
     left = np.asarray([0, 7, span - 1, span, -1, 3])
     assert np.array_equal(vz.membership_mask(left, right),
                           naive.membership_mask(left, right))
-    assert len(calls) == isin_calls
+    assert len(calls) == search_calls
 
 
 # ----------------------------------------------------------------------

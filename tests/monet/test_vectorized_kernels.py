@@ -117,27 +117,36 @@ def test_join_match_empty_operands():
         _assert_same(vz.join_match(la, ra), naive.join_match(la, ra))
 
 
+#: float keys for membership: NaN (a member of nothing), both zeros
+#: (equal to each other) and integral values an int key can equal
+_member_floats = st.lists(
+    st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0, 7.0, float("nan")]),
+    max_size=25)
+
+
+def _float_arr(values):
+    return np.asarray(values, dtype=np.float64)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(
-    st.tuples(_ints, _ints), st.tuples(_wide_ints, _wide_ints),
-    st.tuples(_strs, _strs)))
+    st.tuples(_ints.map(_int_arr), _ints.map(_int_arr)),
+    st.tuples(_wide_ints.map(_int_arr), _wide_ints.map(_int_arr)),
+    st.tuples(_strs.map(_obj_arr), _strs.map(_obj_arr)),
+    st.tuples(_member_floats.map(_float_arr),
+              _member_floats.map(_float_arr)),
+    st.tuples(_ints.map(_int_arr), _member_floats.map(_float_arr)),
+    st.tuples(_member_floats.map(_float_arr), _ints.map(_int_arr))))
 def test_membership_mask_matches_naive(pair):
-    left, right = pair
-    la = (_obj_arr(left) if left and isinstance(left[0], str)
-          else _int_arr(left))
-    ra = (_obj_arr(right) if right and isinstance(right[0], str)
-          else _int_arr(right))
-    if la.dtype != ra.dtype:
-        la = la.astype(object)
-        ra = ra.astype(object)
+    la, ra = pair
     assert np.array_equal(vz.membership_mask(la, ra),
                           naive.membership_mask(la, ra))
 
 
 @pytest.mark.parametrize("spread", [2 ** 40, 1], ids=["sorted", "domain"])
 def test_membership_mask_domain_table_matches_isin(spread):
-    # the direct-address bool table (a compact span) and the sort-based
-    # np.isin path (a spread-out one) must each give the set
+    # the direct-address bool table (a compact span) and the sort +
+    # binary-search path (a spread-out one) must each give the set
     # reference's mask
     rng = np.random.default_rng(3)
     left = rng.integers(0, 60, size=900) * spread
