@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.tpcd import RowStore, generate, load_tpcd
+from repro.tpcd import RowStore, generate, load_tpcd, save_tpcd
 
 SCALE = float(os.environ.get("REPRO_TPCD_SF", "0.002"))
 SEED = int(os.environ.get("REPRO_TPCD_SEED", "42"))
@@ -31,3 +31,12 @@ def tpcd_db(dataset):
 @pytest.fixture(scope="session")
 def rowstore(dataset):
     return RowStore(dataset)
+
+
+@pytest.fixture(scope="session")
+def saved_db_dir(tpcd_db, dataset, tmp_path_factory):
+    """The loaded database saved once, for benchmarks that reopen it
+    through mmap (each reopen starts with no page resident)."""
+    path = tmp_path_factory.mktemp("tpcd") / "db"
+    save_tpcd(tpcd_db, path, dataset)
+    return path

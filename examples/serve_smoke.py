@@ -7,13 +7,14 @@ sha1 checksum against a serial execution computed independently in
 this process.  Single-statement queries are additionally issued as
 textual Moa requests a second time, so the server's per-worker plan
 cache demonstrably engages (the run fails if the stats response shows
-zero plan-cache hits).  Every query is also submitted a third time as
-**SQL text** over the socket (:mod:`repro.sql.suite`'s formulation),
-asserting the SQL front-end's served checksum equals the Moa path's —
-on both wire formats when the fleet is split — and one client checks
-that malformed SQL answers a typed ``SqlParseError`` frame and an
-unsupported construct a ``SqlUnsupportedError`` frame, with the
-connection surviving both.
+zero plan-cache hits, or counts any request error besides the two
+this script provokes on purpose).  Every query is also submitted a
+third time as **SQL text** over the socket (:mod:`repro.sql.suite`'s
+formulation), asserting the SQL front-end's served checksum equals
+the Moa path's — on both wire formats when the fleet is split — and
+one client checks that malformed SQL answers a typed
+``SqlParseError`` frame and an unsupported construct a
+``SqlUnsupportedError`` frame, with the connection surviving both.
 
 Set-of-tuples results stay columnar end to end: every SQL reply's
 ``.value`` must be a :class:`~repro.moa.values.RowBatch` whose
@@ -216,6 +217,12 @@ def accounted_lap(host, port, expected, cold_faults):
     return sum(cold_faults.values())
 
 
+#: Requests :func:`_check_sql_errors` makes fail on purpose.  The
+#: server counts each in ``stats()["counters"]["errors"]``; any other
+#: error there fails the smoke.
+PROVOKED_ERRORS = 2
+
+
 def _check_sql_errors(client):
     """Malformed and unsupported SQL must answer typed error frames
     (re-raised client-side as the matching exception) and leave the
@@ -333,6 +340,11 @@ def main(argv=None):
             print("FAILED: fault simulation is not pay-per-use (the "
                   "accounted lap alone should have summed to %d)"
                   % lap_faults)
+            return 1
+        errors = stats["counters"]["errors"]
+        if errors != PROVOKED_ERRORS:
+            print("FAILED: the server counted %d request errors, %d of "
+                  "them provoked on purpose" % (errors, PROVOKED_ERRORS))
             return 1
         # each client issues each Moa text once and caches are per
         # worker, so a fleet-wide hit is only pigeonhole-guaranteed

@@ -9,11 +9,16 @@ The acceptance contract of this suite:
 * the write-after-read hazard the partitioner assumes away is a typed
   rejection, making ``partition_independent``'s read-only-catalog
   assumption an enforced invariant;
+* verifying a TPC-D plan costs at most 5 % of running it (floored at
+  1 ms), because the server verifies before it admits;
 * budget violations raise :class:`~repro.errors.
   PlanBudgetExceededError`, everything else :class:`~repro.errors.
   PlanVerificationError`, and manifest-derived stats agree with
   kernel-derived ones so the server can verify from metadata alone.
 """
+
+import statistics
+import time
 
 import pytest
 
@@ -189,3 +194,33 @@ def test_every_tpcd_plan_verifies_clean(tiny_tpcd_db):
                 % (number, phase)
             checked += 1
     assert checked >= 15
+
+
+#: Verification under this wall time always passes: at the test scale
+#: 5 % of a query's runtime is below timer resolution, and admission
+#: work under a millisecond is negligible whatever the query costs.
+VERIFY_FLOOR_MS = 1.0
+
+
+def test_verification_costs_at_most_5_percent_of_the_query(tiny_tpcd_db):
+    stats = catalog_stats_from_kernel(tiny_tpcd_db.kernel)
+    over = []
+    for number in sorted(QUERIES):
+        query = QUERIES[number]
+        runs = []
+        for _ in range(3):
+            started = time.perf_counter()
+            query.run(tiny_tpcd_db)
+            runs.append((time.perf_counter() - started) * 1000.0)
+        verify_ms = 0.0
+        for text in query.texts():
+            program = tiny_tpcd_db.compile(text)[1].program
+            # best of three: the check is deterministic, so its fastest
+            # run is its cost, not a collector pause inside it
+            verify_ms += min(verify_program(program, catalog=stats)
+                             .verify_ms for _ in range(3))
+        budget = max(0.05 * statistics.median(runs), VERIFY_FLOOR_MS)
+        if verify_ms > budget:
+            over.append("Q%d: %.3f ms > %.3f ms"
+                        % (number, verify_ms, budget))
+    assert not over, over

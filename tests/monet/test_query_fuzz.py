@@ -15,17 +15,28 @@ float aggregate sums compare to the last ulp
 (``np.allclose(rtol=1e-9)``) because the naive accumulation order
 legitimately differs from the kernels'.
 
+Besides the random BATs, every operator runs once, with and without
+property dispatch, on operands cut from a generated TPC-D database:
+a permuted join inner, string keys in two heaps, a float sum grouped
+by order id, and set operations whose pair codes are too spread out
+for a direct-address table.
+
 NaN semantics are pinned throughout: a NaN key equals nothing (no join
 match, no membership), and every NaN occurrence forms its own group /
 survives dedup — the contract every kernel keeps.
 """
 
+import contextlib
+
 import numpy as np
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.monet import bat_from_columns_values, compute_props
+from repro.monet import (bat_from_columns_values, compute_props,
+                         dispatch_disabled)
 from repro.monet import operators as ops
+from repro.monet import vectorized as vz
 from repro.monet.column import equality_keys
 from repro.monet.multiproc import result_checksum
 from repro.monet.operators import naive
@@ -425,6 +436,112 @@ def test_empty_bats_every_op():
     ]
     for op_fn, expected in cases:
         _assert_matches_naive(op_fn, expected)
+
+
+# ----------------------------------------------------------------------
+# TPC-D operand shapes: thousands of BUNs drawn from dbgen's columns, so
+# the kernels leave the compact-span tables (the set operations' pair
+# codes span ~50x the row count) and meet permuted, cross-heap operands
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def tpcd_operands(tiny_tpcd):
+    item = tiny_tpcd.tables["item"]
+    orders = tiny_tpcd.tables["orders"]
+    order_of = np.asarray(item["order"])
+    price = np.asarray(item["extendedprice"])
+    quantity = np.asarray(item["quantity"])
+    n_item, n_orders = len(order_of), len(orders["cust"])
+    item_oids = _heads(n_item)
+    perm = np.random.default_rng(tiny_tpcd.seed).permutation(n_orders)
+    clerks = list(orders["clerk"])
+    distinct = sorted(set(clerks))
+    half = n_item // 2
+    step5 = item_oids[::5]
+    return {
+        "item_order": _bat("oid", item_oids, "long", order_of, True),
+        # join inner keyed on order ids, permuted: not head-ordered
+        "orders_cust": _bat("long", perm, "long",
+                            np.asarray(orders["cust"])[perm], True),
+        "item_price": _bat("oid", item_oids, "double", price, True),
+        # float grouped sum over order ids
+        "order_price": _bat("long", order_of, "double", price, True),
+        "item_sel": _bat("oid", step5, "oid", step5, True),
+        "items_lo": _bat("oid", item_oids[:half + half // 2], "long",
+                         quantity[:half + half // 2]),
+        "items_hi": _bat("oid", item_oids[half // 2:], "long",
+                         quantity[half // 2:]),
+        # string keys in separate heaps: equality_keys re-encodes one
+        # side into the other's codes
+        "orders_clerk": _bat("long", _heads(n_orders), "string", clerks,
+                             True),
+        "clerk_names": _bat("string", distinct, "long",
+                            _heads(len(distinct)), True),
+        "clerk_orders": _bat("string", clerks, "long", _heads(n_orders),
+                             True),
+        "clerk_sel": _bat("string", distinct[::5], "long",
+                          _heads(len(distinct[::5])), True),
+    }
+
+
+_TPCD_CASES = {
+    "join": (lambda o: ops.join(o["item_order"], o["orders_cust"]),
+             lambda o: naive_join(o["item_order"], o["orders_cust"])),
+    "join_str": (lambda o: ops.join(o["orders_clerk"], o["clerk_names"]),
+                 lambda o: naive_join(o["orders_clerk"],
+                                      o["clerk_names"])),
+    "mergejoin": (lambda o: ops.join(o["item_sel"], o["item_price"]),
+                  lambda o: naive_join(o["item_sel"], o["item_price"])),
+    "semijoin": (lambda o: ops.semijoin(o["item_price"], o["item_sel"]),
+                 lambda o: naive_semijoin(o["item_price"],
+                                          o["item_sel"])),
+    "semijoin_str": (lambda o: ops.semijoin(o["clerk_orders"],
+                                            o["clerk_sel"]),
+                     lambda o: naive_semijoin(o["clerk_orders"],
+                                              o["clerk_sel"])),
+    "group": (lambda o: ops.group1(o["order_price"]),
+              lambda o: naive_group1(o["order_price"])),
+    "aggregate": (lambda o: ops.set_aggregate("sum", o["order_price"]),
+                  lambda o: naive_aggregate("sum", o["order_price"])),
+    "unique": (lambda o: ops.unique(o["items_lo"]),
+               lambda o: naive_unique(o["items_lo"])),
+    "difference": (lambda o: ops.difference(o["items_lo"], o["items_hi"]),
+                   lambda o: naive_difference(o["items_lo"],
+                                              o["items_hi"])),
+    "intersection": (lambda o: ops.intersection(o["items_lo"],
+                                                o["items_hi"]),
+                     lambda o: naive_intersection(o["items_lo"],
+                                                  o["items_hi"])),
+    "select": (lambda o: ops.select_range(o["item_price"], 1000.0,
+                                          50000.0),
+               lambda o: naive_select_range(o["item_price"], 1000.0,
+                                            50000.0)),
+}
+
+
+@pytest.mark.parametrize("dispatch", [True, False],
+                         ids=["dispatch", "fallback"])
+@pytest.mark.parametrize("name", sorted(_TPCD_CASES))
+def test_tpcd_operand_differential(tpcd_operands, name, dispatch):
+    op_fn, naive_fn = _TPCD_CASES[name]
+    with contextlib.nullcontext() if dispatch else dispatch_disabled():
+        _assert_matches_naive(lambda: op_fn(tpcd_operands),
+                              naive_fn(tpcd_operands),
+                              exact=name != "aggregate")
+
+
+def test_tpcd_string_keys_match_decoded_strings(tpcd_operands):
+    # cross-heap codes from equality_keys against the decoded strings
+    o = tpcd_operands
+    for left, right in ((o["orders_clerk"].tail, o["clerk_names"].head),
+                        (o["clerk_orders"].head, o["clerk_sel"].head)):
+        codes = equality_keys(left, right)
+        strings = [np.asarray(column.logical(), dtype=object)
+                   for column in (left, right)]
+        for got, want in zip(vz.join_match(*codes),
+                             naive.join_match(*strings)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(vz.membership_mask(*codes),
+                              naive.membership_mask(*strings))
 
 
 # ----------------------------------------------------------------------
