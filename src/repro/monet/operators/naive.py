@@ -1,15 +1,11 @@
 """Naive BUN-at-a-time reference kernels.
 
 These are the pre-vectorisation algorithms — Python dicts, sets and
-per-BUN ``for`` loops — kept as an executable specification.  Two
-consumers:
-
-* the differential/property tests, which assert the vectorised kernels
-  in :mod:`repro.monet.vectorized` are BUN-for-BUN identical to these
-  references for every atom mix;
-* ``benchmarks/run_bench.py``, which times them against the vectorised
-  operators so ``BENCH_operators.json`` records the measured speedup
-  instead of a claim.
+per-BUN ``for`` loops — kept as an executable specification: the
+kernel-level oracle.  The differential/property tests assert that the
+vectorised kernels in :mod:`repro.monet.vectorized` are BUN-for-BUN
+identical to these references for every atom mix.  Nothing times them;
+they are a correctness reference, not a speedup baseline.
 
 They are deliberately *not* wired into the operator dispatch: the
 operators import :mod:`repro.monet.vectorized` only.

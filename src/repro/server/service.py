@@ -37,7 +37,7 @@ the multi-process dispatcher:
   carries ``faults``.
 
 The service is transport-agnostic: :mod:`repro.server.server` drives
-it from sockets, the benchmark harness drives it in-process.
+it from sockets, the e2e benchmark's ladder drives it in-process.
 """
 
 import json
