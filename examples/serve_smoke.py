@@ -11,8 +11,7 @@ zero plan-cache hits, or counts any request error besides the two
 this script provokes on purpose).  Every query is also submitted a
 third time as **SQL text** over the socket (:mod:`repro.sql.suite`'s
 formulation), asserting the SQL front-end's served checksum equals
-the Moa path's — on both wire formats when the fleet is split — and
-one client checks that malformed SQL answers a typed
+the Moa path's — and one client checks that malformed SQL answers a typed
 ``SqlParseError`` frame and an unsupported construct a
 ``SqlUnsupportedError`` frame, with the connection surviving both.
 
@@ -28,13 +27,10 @@ extra lap with ``buffer_stats=True``; each reply's ``faults`` must
 equal this process's own cold-start simulation of the query, and the
 server's ``stats()["buffer"]`` must sum to exactly that lap.
 
-``--wire`` picks the client wire format: ``json``, ``binary``, or
-``both`` (default), which splits the client fleet between the two
-formats so a single run diffs binary-wire checksums against
-JSON-wire checksums against the serial run.  ``--spool DIR`` starts
-the server with a local spool directory and makes every client opt
-into the mmap spool fast path (threshold 0, so each result payload
-ships as a spool file).
+Replies arrive inline, as a header frame plus the worker-encoded
+payload frame.  ``--spool DIR`` starts the server with a local spool
+directory and makes every client opt into the mmap spool fast path
+(threshold 0, so each result payload ships as a spool file).
 
 This is both the README's client example and the CI server-smoke job::
 
@@ -154,14 +150,14 @@ def cache_hit_lap(host, port, expected):
 
 
 def client_pass(host, port, expected, failures, latencies, lock, tid,
-                values, wire="json", spool=False):
+                values, spool=False):
     try:
-        with QueryClient(host, port, wire=wire, spool=spool,
+        with QueryClient(host, port, spool=spool,
                          spool_threshold=0 if spool else None) as client:
-            if client.wire != wire:
+            if client.spooling != spool:
                 raise AssertionError(
-                    "client %d asked for the %s wire but negotiated "
-                    "%s" % (tid, wire, client.wire))
+                    "client %d asked for spool=%s but negotiated "
+                    "spool=%s" % (tid, spool, client.spooling))
             for number in sorted(QUERIES):
                 texts = QUERIES[number].texts()
                 replies = [client.tpcd(number)]
@@ -170,15 +166,15 @@ def client_pass(host, port, expected, failures, latencies, lock, tid,
                     # repeated texts warm the per-worker plan cache
                     replies.append(client.moa(texts[0]))
                 # third lap as SQL text: the front-end must serve the
-                # very checksum the Moa path does, over this wire
+                # very checksum the Moa path does
                 replies.append(client.sql(sql_text(number)))
                 check_batch(number, replies[-1], values[number])
                 for reply in replies:
                     if reply.checksum != expected[number]:
                         raise AssertionError(
-                            "Q%d diverged on client %d (%s wire): "
+                            "Q%d diverged on client %d: "
                             "served %s, serial %s"
-                            % (number, tid, wire, reply.checksum,
+                            % (number, tid, reply.checksum,
                                expected[number]))
                     if spool and not reply.spooled:
                         raise AssertionError(
@@ -254,11 +250,6 @@ def main(argv=None):
                         help="scale factor when the catalog must be "
                              "built first")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--wire", choices=("both", "json", "binary"),
-                        default="both",
-                        help="client wire format; 'both' splits the "
-                             "fleet so binary checksums are diffed "
-                             "against json checksums in one run")
     parser.add_argument("--spool", metavar="DIR", default=None,
                         help="serve results through the local mmap "
                              "spool fast path rooted at DIR")
@@ -277,12 +268,6 @@ def main(argv=None):
         spool_dir=args.spool,
         result_cache_bytes=args.result_cache_bytes)
     print("server up on %s:%d (pid %d)" % (host, port, process.pid))
-    if args.wire == "both":
-        # even tids ride the binary wire, odd ones classic JSON
-        wires = ["binary" if tid % 2 == 0 else "json"
-                 for tid in range(args.clients)]
-    else:
-        wires = [args.wire] * args.clients
     try:
         failures, latencies = [], []
         lock = threading.Lock()
@@ -291,8 +276,7 @@ def main(argv=None):
                                     args=(host, port, expected,
                                           failures, latencies, lock,
                                           tid, values),
-                                    kwargs={"wire": wires[tid],
-                                            "spool":
+                                    kwargs={"spool":
                                                 args.spool is not None})
                    for tid in range(args.clients)]
         for thread in threads:
@@ -320,16 +304,15 @@ def main(argv=None):
                  stats["latency_ms"]["count"]))
         print("plan cache: %(hits)d hits / %(misses)d misses "
               "(hit rate %(hit_rate)s)" % plan)
-        print("wire fleet: %d binary, %d json%s"
-              % (wires.count("binary"), wires.count("json"),
-                 " (spool fast path)" if args.spool else ""))
+        print("replies: %s" % ("spool fast path" if args.spool
+                               else "inline"))
         if args.result_cache_bytes:
             cache_hit_lap(host, port, expected)
             cache = stats["result_cache"]
-            print("result cache: %(hits)d hits, %(bytes)d/"
-                  "%(budget_bytes)d bytes (peak %(peak_bytes)d)"
+            print("result cache: %(hits)d hits, %(weight)d/"
+                  "%(capacity)d bytes (peak %(peak_weight)d)"
                   % cache)
-            if cache["peak_bytes"] > cache["budget_bytes"]:
+            if cache["peak_weight"] > cache["capacity"]:
                 print("FAILED: result cache exceeded its byte budget")
                 return 1
         print("buffer faults across the fleet: %d after the default "
@@ -353,7 +336,7 @@ def main(argv=None):
             print("FAILED: no plan-cache hits observed")
             return 1
         print("OK: every served checksum matches the independent "
-              "serial run across all wire modes")
+              "serial run")
         return 0
     finally:
         process.terminate()

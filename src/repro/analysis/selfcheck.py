@@ -32,16 +32,15 @@ mechanically:
    the per-task accounting helper ``_run_accounted``: a manager
    installed anywhere else makes every served request pay for a
    page-fault simulation nobody asked for.
-7. **Canonical value walkers** — a shipped result is walked by seven
-   functions in four modules (the digest ``multiproc._feed``, the wire
-   codec ``protocol.encode_value``/``decode_value``/``payload_nbytes``,
-   the result cache's ``materialize``/``_intern``, the client's
-   ``_bare_value``).  ``multiproc.CANONICAL_KINDS`` is the one
-   registry of what such a value can be made of; every walker must
-   name every kind (test for it, or look for its wire marker) unless
-   :data:`VALUE_WALKERS` records that the walker's fall-through
-   covers it — so a new kind cannot land handled by four walkers out
-   of seven.
+7. **Canonical value walkers** — a shipped result is walked by four
+   functions in three modules (the digest ``multiproc._feed``, the
+   wire codec ``protocol.encode_value``/``decode_value``, the
+   client's ``_bare_value``).  ``multiproc.CANONICAL_KINDS`` is the
+   one registry of what such a value can be made of; every walker
+   must name every kind (test for it, or look for its wire marker)
+   unless :data:`VALUE_WALKERS` records that the walker's
+   fall-through covers it — so a new kind cannot land handled by some
+   walkers and silently mangled by the rest.
 
 ``run_selfcheck`` returns a list of findings (empty = clean tree);
 ``python -m repro.analysis --selfcheck`` exits non-zero on any.
@@ -365,7 +364,6 @@ def check_serving_path_accounting(root):
 # invariant 7: every walker over shipped values handles every kind
 # ----------------------------------------------------------------------
 PROTOCOL_MODULE = os.path.join(SERVER_DIR, "protocol.py")
-CACHE_MODULE = os.path.join(SERVER_DIR, "cache.py")
 CLIENT_MODULE = os.path.join(SERVER_DIR, "client.py")
 
 #: How walker code names each kind of ``multiproc.CANONICAL_KINDS``:
@@ -375,25 +373,18 @@ KIND_TOKENS = {
     "none": ("None",), "bool": ("bool",), "int": ("int",),
     "float": ("float",), "str": ("str",),
     "bytes": ("bytes", "__bytes__"),
-    "ndarray": ("ndarray", "__nd__"),
+    "ndarray": ("ndarray", "__ndbuf__"),
     "list": ("list",), "tuple": ("tuple", "__tuple__"),
     "dict": ("dict",),
     "row": ("is_row", "__row__"), "ref": ("is_ref", "__ref__"),
     "batch": ("is_batch", "__batch__"),
 }
 
-_SCALARS = ("none", "bool", "int", "float")
-
 #: (module, function, kinds its fall-through covers by design).
 VALUE_WALKERS = (
     (MULTIPROC_MODULE, "_feed", ()),
     (PROTOCOL_MODULE, "encode_value", ()),
     (PROTOCOL_MODULE, "decode_value", ()),
-    # anything without a buffer weighs a flat 8 bytes
-    (PROTOCOL_MODULE, "payload_nbytes", _SCALARS + ("ref",)),
-    # immutable leaves are shared, not copied
-    (CACHE_MODULE, "materialize", _SCALARS + ("str", "bytes", "ref")),
-    (CACHE_MODULE, "_intern", _SCALARS + ("ref",)),
     # only unwraps the {"kind": ...} envelopes; the rest passes through
     (CLIENT_MODULE, "_bare_value",
      tuple(kind for kind in KIND_TOKENS if kind != "dict")),

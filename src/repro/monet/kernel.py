@@ -100,7 +100,7 @@ class MonetKernel:
     # ------------------------------------------------------------------
     # persistence (see repro.monet.storage)
     # ------------------------------------------------------------------
-    def save(self, target, meta=None, extra=None, lock_timeout=None):
+    def save(self, target, meta=None, lock_timeout=None):
         """Persist the whole catalog to a directory (or backend).
 
         Writes one raw little-endian file per heap plus a JSON catalog
@@ -110,7 +110,7 @@ class MonetKernel:
         :mod:`repro.monet.storage`).  Returns the manifest dict.
         """
         from .storage import save_kernel
-        return save_kernel(self, target, meta=meta, extra=extra,
+        return save_kernel(self, target, meta=meta,
                            lock_timeout=lock_timeout)
 
     @classmethod

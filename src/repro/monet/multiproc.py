@@ -31,15 +31,19 @@ statement-group-wise (:meth:`MultiprocExecutor.run_partitioned`).
 Result shipping
 ---------------
 
-Every task result is reduced to a canonical picklable form
-(:func:`ship_value`) and fingerprinted with **sha1**
-(:func:`result_checksum`) *inside the worker*.  A set-of-tuples
-result is one columnar ``RowBatch`` there and stays one all the way to
-the client; its digest is computed over its columns and equals the
-digest of the same rows held as a Python list.  The payload ships
-inline through the worker pipe.  The checksum is the contract the
-benchmarks and CI assert: a multi-process run must be
-checksum-identical to the serial execution of the same queries.
+Every task result is reduced to a canonical form (:func:`ship_value`),
+fingerprinted with **sha1** (:func:`result_checksum`) and encoded
+once as a binary columnar message
+(:func:`repro.server.protocol.encode_binary_message`) *inside the
+worker*.  The outcome carries those bytes through the pipe; nothing
+on the parent side decodes them unless a caller asks for the value
+(:meth:`TaskOutcome.value`) — the server forwards them to its clients
+as they are.  A set-of-tuples result is one columnar ``RowBatch`` in
+the worker and decodes back into one; its digest is computed over its
+columns and equals the digest of the same rows held as a Python list.
+The checksum is the contract the benchmarks and CI assert: a
+multi-process run must be checksum-identical to the serial execution
+of the same queries.
 
 Warm pool
 ---------
@@ -120,13 +124,13 @@ def default_start_method():
 # canonical result form + checksums
 # ----------------------------------------------------------------------
 def ship_value(value):
-    """A picklable canonical form of one MIL/query result.
+    """The canonical form of one MIL/query result.
 
     BATs become ``{"kind": "bat", "head": array, "tail": array}`` of
     their logical values (materialised — the worker's memmaps never
     cross the process boundary); everything else (scalars, ``None``,
     a set of tuples as the ``RowBatch`` the materializer built — its
-    columns pickle as the arrays they are) ships as ``{"kind":
+    columns encode as the buffers they are) ships as ``{"kind":
     "value", ...}``.
     """
     if hasattr(value, "head") and hasattr(value, "tail"):
@@ -137,8 +141,8 @@ def ship_value(value):
 
 
 #: The kinds of value a shipped result is made of.  Every walker over
-#: shipped values — the digest below, the wire codec, the result
-#: cache, the client — decides what it does with each of them;
+#: shipped values — the digest below, the wire codec, the client —
+#: decides what it does with each of them;
 #: selfcheck invariant 7 (``repro.analysis.selfcheck``) reads this
 #: tuple and lints the walkers against it, so a kind added here cannot
 #: land handled by some walkers and silently mangled by the rest.
@@ -354,18 +358,19 @@ def utf8_column(strings):
 class TaskOutcome:
     """One executed task, shipped back from a worker.
 
-    ``payload`` is the canonical value (:func:`ship_value` form) the
-    worker fingerprinted as ``checksum``.
+    ``body`` is the canonical value (:func:`ship_value` form) the
+    worker fingerprinted as ``checksum``, encoded once as a binary
+    columnar message: opaque bytes until :meth:`value` decodes them.
     """
 
-    __slots__ = ("key", "checksum", "payload", "elapsed_ms", "stats",
+    __slots__ = ("key", "checksum", "body", "elapsed_ms", "stats",
                  "generation", "pid", "extra")
 
-    def __init__(self, key, checksum, payload, elapsed_ms, stats,
+    def __init__(self, key, checksum, body, elapsed_ms, stats,
                  generation, pid, extra=None):
         self.key = key
         self.checksum = checksum
-        self.payload = payload
+        self.body = body
         self.elapsed_ms = elapsed_ms
         #: the task's cold-start BufferStats when it was submitted
         #: with ``buffer_stats=True``, else ``None``
@@ -377,8 +382,9 @@ class TaskOutcome:
         self.extra = extra
 
     def value(self):
-        """The shipped result."""
-        return self.payload
+        """The shipped result, decoded from :attr:`body`."""
+        from ..server.protocol import decode_binary_message, decode_value
+        return decode_value(decode_binary_message(self.body))
 
     def __repr__(self):
         return ("TaskOutcome(%r, %.2fms, sha1=%s, gen=%s, pid=%d)"
@@ -398,8 +404,8 @@ def register_task_kind(kind, run, warmup=None):
     ``run(ctx, task)`` receives a :class:`WorkerContext` and the raw
     task tuple and returns ``(canonical_value, extra)`` where
     ``canonical_value`` is the :func:`ship_value`-style payload to
-    checksum and ship, and ``extra`` is an optional picklable metadata
-    dict for :attr:`TaskOutcome.extra`.  ``warmup(ctx, task)`` runs
+    checksum and encode, and ``extra`` is an optional picklable
+    metadata dict for :attr:`TaskOutcome.extra`.  ``warmup(ctx, task)`` runs
     *before* the task timer — resolve catalogs there so the first task
     on a worker pays the (milliseconds-scale) mmap open, not the query.
 
@@ -533,6 +539,11 @@ def _run_accounted(run, ctx, task):
 
 
 def _run_task(task, buffer_stats=False):
+    # the codec lives with the wire protocol; imported here, inside
+    # the worker, so the monet layer never imports the server layer at
+    # module scope
+    from ..server.protocol import encode_binary_message
+
     kind, key = task[0], task[1]
     entry = _TASK_KINDS.get(kind)
     if entry is None:
@@ -550,12 +561,15 @@ def _run_task(task, buffer_stats=False):
     else:
         canonical, extra = run(ctx, task)
     elapsed_ms = (time.perf_counter() - started) * 1000.0
+    # encoding first: a value the codec cannot carry fails here with
+    # the codec's typed ProtocolError, shipped back like any failure
+    body = encode_binary_message(canonical)
     checksum = result_checksum(canonical)
     opened = _STATE["db"].kernel if _STATE.get("db") is not None \
         else _STATE["kernel"]
     generation = opened.generation if opened is not None \
         else _STATE["generation"]
-    return TaskOutcome(key, checksum, canonical, elapsed_ms, stats,
+    return TaskOutcome(key, checksum, body, elapsed_ms, stats,
                        generation, os.getpid(), extra=extra)
 
 

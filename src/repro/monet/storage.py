@@ -144,8 +144,8 @@ class CatalogLock:
     until ``timeout`` elapses and then raises
     :class:`~repro.errors.CatalogLockTimeout`.  Re-entrant per
     instance (a depth counter — backends hand out one cached instance
-    per directory) so ``save_tpcd`` can hold the writer lock around a
-    kernel save plus extra section writes.  On platforms without
+    per directory), so a caller already holding the writer lock can
+    delegate to a save that takes it again.  On platforms without
     ``fcntl`` the lock degrades to a no-op, and *readers* also degrade
     to lock-free when the lock file cannot be created (missing
     directory, read-only media) — opening a catalog never mutates the
@@ -277,11 +277,8 @@ class HeapStorage:
         """True when a manifest has been written to this backend."""
         raise NotImplementedError
 
-    def prune(self, keep, keep_prefix=None):
-        """Drop stored arrays not named in ``keep`` (best effort).
-
-        ``keep_prefix`` additionally protects every name starting with
-        it — the in-flight save's own freshly written files."""
+    def prune(self, keep):
+        """Drop stored arrays not named in ``keep`` (best effort)."""
 
     def sweep_stale(self, manifest):
         """Recovery sweep: drop staging litter and orphaned heap files
@@ -337,10 +334,8 @@ class MemoryBackend(HeapStorage):
     def exists(self):
         return self._manifest is not None
 
-    def prune(self, keep, keep_prefix=None):
-        for name in [n for n in self._arrays if n not in keep
-                     and not (keep_prefix
-                              and n.startswith(keep_prefix))]:
+    def prune(self, keep):
+        for name in [n for n in self._arrays if n not in keep]:
             del self._arrays[name]
 
 
@@ -450,15 +445,13 @@ class MmapBackend(HeapStorage):
     _OWNED_SUFFIXES = (".col", ".idx", ".off", ".body", ".order",
                        ".keys", ".extent", ".tmp")
 
-    def prune(self, keep, keep_prefix=None):
+    def prune(self, keep):
         try:
             names = os.listdir(self.path)
         except OSError:
             return
         for name in names:
             if name in keep or name == MANIFEST:
-                continue
-            if keep_prefix and name.startswith(keep_prefix):
                 continue
             if not name.endswith(self._OWNED_SUFFIXES):
                 continue
@@ -526,13 +519,6 @@ def _previous_generation(backend):
         return 0
 
 
-def next_generation(target):
-    """The generation the next save will assign.  Callers naming files
-    for that save (e.g. the TPC-D loader's row-store section) must
-    hold the exclusive catalog lock so the answer cannot move."""
-    return _previous_generation(as_backend(target)) + 1
-
-
 def generation_prefix(generation):
     """File-name prefix scoping heap files to one generation.
 
@@ -549,8 +535,7 @@ def generation_prefix(generation):
 # ----------------------------------------------------------------------
 # save
 # ----------------------------------------------------------------------
-def save_kernel(kernel, target, meta=None, extra=None,
-                lock_timeout=None):
+def save_kernel(kernel, target, meta=None, lock_timeout=None):
     """Persist a kernel catalog; returns the manifest dict.
 
     Every catalog BAT is written with its properties, alignment group
@@ -561,29 +546,23 @@ def save_kernel(kernel, target, meta=None, extra=None,
     The whole save runs under the backend's **exclusive** catalog lock
     and bumps the manifest's generation counter, so concurrent savers
     serialise and concurrent readers always observe a complete
-    generation.  ``extra`` merges additional top-level sections into
-    the manifest (e.g. the TPC-D loader's persisted row-store
-    baseline); their referenced files are protected from pruning.
+    generation.
     """
     backend = as_backend(target)
     with backend.lock().exclusive(lock_timeout):
-        return _save_kernel_locked(kernel, backend, meta, extra)
+        return _save_kernel_locked(kernel, backend, meta)
 
 
-def _save_kernel_locked(kernel, backend, meta, extra):
+def _save_kernel_locked(kernel, backend, meta):
     generation = _previous_generation(backend) + 1
     prefix = generation_prefix(generation)
     # recovery sweep before writing anything: a previously crashed
     # save may have left ``.tmp`` staging litter or orphaned heap
-    # files of a dead generation behind.  Files of *this* save's
-    # generation are protected — the TPC-D loader writes its row-store
-    # section under the same prefix before delegating here (inside the
-    # same re-entrant exclusive lock).
+    # files of a dead generation behind
     try:
-        backend.prune(_manifest_files(backend.read_manifest()),
-                      keep_prefix=prefix)
+        backend.prune(_manifest_files(backend.read_manifest()))
     except (CatalogError, KeyError):
-        backend.prune(set(), keep_prefix=prefix)
+        backend.prune(set())
     faults.fire("storage.save.begin")
     groups = _AlignmentGroups()
     var_heaps = {}
@@ -632,11 +611,6 @@ def _save_kernel_locked(kernel, backend, meta, extra):
         "bats": bats,
         "datavectors": datavectors,
     }
-    for key, section in sorted((extra or {}).items()):
-        if key in manifest:
-            raise CatalogError("extra manifest section %r collides "
-                               "with a reserved key" % key)
-        manifest[key] = section
     backend.write_manifest(manifest)
     faults.fire("storage.save.manifest_written")
     # with the new manifest durable, drop files it no longer
@@ -668,9 +642,6 @@ def _manifest_files(manifest):
     for entry in manifest.get("datavectors", {}).values():
         if "extent" in entry:
             keep.add(entry["extent"]["file"])
-    for table in manifest.get("rowstore", {}).get("tables", {}).values():
-        for spec in table.values():
-            column_files(spec)
     return keep
 
 
@@ -784,8 +755,7 @@ def open_with_protocol(backend, map_manifest, expected_generation=None,
     """Read the manifest and map its files under the open protocol.
 
     The one implementation of the reader side of the shared-catalog
-    protocol, shared by :func:`open_kernel` and the rowstore baseline
-    (:func:`repro.tpcd.rowstore.open_rowstore`): the manifest is read
+    protocol, used by :func:`open_kernel`: the manifest is read
     and ``map_manifest(manifest)`` invoked under the backend's shared
     lock; ``expected_generation`` pins the open (typed
     ``StaleCatalogError``/``CatalogChangedError`` on mismatch); a

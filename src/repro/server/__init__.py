@@ -4,14 +4,14 @@ The paper positions the flattened BAT algebra as the high-throughput
 kernel behind multi-user front-ends; this package is that serving
 layer.  A :class:`QueryServer` accepts Moa and MIL queries from many
 concurrent clients over a length-prefixed socket protocol
-(:mod:`repro.server.protocol`) — JSON frames by default, with a
-negotiated **binary columnar wire** that ships result columns as raw
-little-endian buffers (and, for local clients, as mmap'd spool
-files) — and executes them through a :class:`QueryService`:
-per-generation warm worker pools (workers ``MonetKernel.open`` the
-catalog once and stay resident), an LRU plan cache keyed by query
-text + catalog generation, an optional byte-weighted result cache
-with TTL and content-hash buffer dedup, admission control (max
+(:mod:`repro.server.protocol`) — JSON requests, and results as one
+**binary columnar message** that ships columns as raw little-endian
+buffers (for local clients optionally as mmap'd spool files) — and
+executes them through a :class:`QueryService`: per-generation warm
+worker pools (workers ``MonetKernel.open`` the catalog once, stay
+resident, and encode every result once), an LRU plan cache keyed by
+query text + catalog generation, an optional byte-weighted result
+cache with TTL over the encoded replies, admission control (max
 in-flight, bounded queue, per-query timeout), and a stats endpoint
 exposing latency percentiles, cache hit rates, and merged
 buffer-manager fault accounting.
@@ -44,27 +44,25 @@ injectable through :mod:`repro.faults` and swept by the
 ``tests/chaos`` suite.
 """
 
-from .cache import CacheStats, LRUCache, ResultCache
+from .cache import CacheStats, WeightedLRU
 from .client import ClientReply, QueryClient
-from .protocol import (MAX_FRAME_BYTES, WIRE_BINARY, WIRE_FORMATS,
-                       WIRE_JSON, decode_binary_message,
+from .protocol import (MAX_FRAME_BYTES, decode_binary_message,
                        decode_program, decode_value,
                        encode_binary_message, encode_program,
-                       encode_value, payload_nbytes,
-                       read_spooled_payload, recv_frame,
-                       send_binary_frame, send_frame,
+                       encode_value, read_spooled_payload, recv_frame,
+                       send_binary_frame, send_frame, send_reply,
                        write_spooled_payload)
 from .server import PROTOCOL_VERSION, QueryServer
 from .service import QueryService, Session
 
 __all__ = [
-    "CacheStats", "LRUCache", "ResultCache",
+    "CacheStats", "WeightedLRU",
     "ClientReply", "QueryClient",
     "MAX_FRAME_BYTES", "PROTOCOL_VERSION",
-    "WIRE_BINARY", "WIRE_FORMATS", "WIRE_JSON",
     "QueryServer", "QueryService", "Session",
     "decode_binary_message", "decode_program", "decode_value",
     "encode_binary_message", "encode_program", "encode_value",
-    "payload_nbytes", "read_spooled_payload", "recv_frame",
-    "send_binary_frame", "send_frame", "write_spooled_payload",
+    "read_spooled_payload", "recv_frame",
+    "send_binary_frame", "send_frame", "send_reply",
+    "write_spooled_payload",
 ]

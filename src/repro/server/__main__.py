@@ -46,9 +46,8 @@ def main(argv=None):
     parser.add_argument("--result-cache-bytes", type=int, default=0,
                         metavar="BYTES",
                         help="parent-side byte-weighted result-cache "
-                             "budget (0 = off); identical column "
-                             "buffers are deduplicated by content "
-                             "hash")
+                             "budget (0 = off); a result weighs its "
+                             "encoded reply's bytes")
     parser.add_argument("--result-cache-ttl", type=float, default=None,
                         metavar="S",
                         help="seconds a cached result stays servable "

@@ -11,14 +11,10 @@ frames re-raise as the matching typed exception from
 :mod:`repro.errors` (:class:`~repro.errors.ServerOverloadedError`,
 :class:`~repro.errors.QueryTimeoutError`, ...).
 
-By default the client negotiates the **binary columnar wire** right
-after the hello (``wire="binary"``): result payloads then arrive as
-raw little-endian column buffers decoded zero-copy into read-only
-ndarrays, instead of base64 inside JSON.  Against a server that does
-not advertise (or refuses) the format, the connection silently stays
-on the legacy JSON wire, and the checksum verification is identical
-either way.  ``spool=True`` additionally opts into the local-client
-fast path — large results ship as mmap'd files (see
+Result payloads arrive as one binary frame after their JSON header:
+raw little-endian column buffers, decoded zero-copy into read-only
+ndarrays.  ``spool=True`` opts into the local-client fast path —
+large results ship as mmap'd files holding the same bytes (see
 :func:`~repro.server.protocol.read_spooled_payload`).
 
 Resilience (opt-in via ``retries``)
@@ -56,7 +52,7 @@ from ..errors import (AuthError, ConnectionLostError, ProtocolError,
                       RetriesExhaustedError, ServerDrainingError,
                       ServerError, ServerOverloadedError, SpoolError)
 from ..monet.multiproc import result_checksum
-from .protocol import (WIRE_JSON, decode_value, encode_program,
+from .protocol import (decode_value, encode_program,
                        read_spooled_payload, recv_frame, send_frame)
 
 
@@ -88,7 +84,7 @@ class ClientReply:
         #: simulated cold-start page faults of this execution; None
         #: unless the request asked with ``buffer_stats=True``
         self.faults = response.get("faults")
-        #: canonical byte weight of the payload, as the server sees it
+        #: byte length of the encoded payload
         self.payload_bytes = response.get("payload_bytes")
         #: True when the payload arrived as an mmap'd spool file
         self.spooled = spooled
@@ -143,16 +139,9 @@ class QueryClient:
         Socket timeout while awaiting a reply (``None`` = wait
         forever); an expiry counts as a lost connection, which a
         retry budget turns into reconnect-and-resend.
-    wire:
-        Preferred reply encoding: ``"binary"`` (the default) asks the
-        server for raw-column-buffer frames; ``"json"`` keeps the
-        legacy base64-in-JSON wire.  A server that does not advertise
-        the preference in its hello (or refuses it) silently leaves
-        the connection on JSON — :attr:`wire` reports what was
-        actually negotiated.
     spool / spool_threshold:
-        Opt into the local-client fast path: results whose canonical
-        weight is at least ``spool_threshold`` bytes (server default
+        Opt into the local-client fast path: results whose encoded
+        payload is at least ``spool_threshold`` bytes (server default
         when ``None``) arrive as an mmap'd binary file instead of
         inline frame bytes.  Only meaningful when client and server
         share a filesystem; takes effect only when the server has a
@@ -162,7 +151,7 @@ class QueryClient:
     def __init__(self, host, port, connect_timeout=10.0,
                  verify=True, auth_token=None, retries=0,
                  backoff_base=0.05, backoff_max=2.0,
-                 request_timeout=None, wire="binary", spool=False,
+                 request_timeout=None, spool=False,
                  spool_threshold=None):
         self.host = host
         self.port = port
@@ -173,7 +162,6 @@ class QueryClient:
         self.backoff_base = float(backoff_base)
         self.backoff_max = float(backoff_max)
         self.request_timeout = request_timeout
-        self.wire_preference = wire
         self.spool_preference = bool(spool)
         self.spool_threshold = spool_threshold
         #: times the transport was re-established by the retry layer
@@ -220,7 +208,7 @@ class QueryClient:
                 if hello.get("type") != "hello":
                     raise ProtocolError(
                         "unexpected post-auth frame %r" % (hello,))
-            wire, spooling = self._negotiate_wire(sock, hello)
+            spooling = self._negotiate_spool(sock, hello)
         except BaseException:
             sock.close()
             raise
@@ -230,35 +218,22 @@ class QueryClient:
         self.protocol = hello.get("protocol")
         #: catalog generation this session is pinned to
         self.generation = hello.get("generation")
-        #: reply encoding actually negotiated for this connection
-        self.wire = wire
         #: True when the server accepted the spool fast path
         self.spooling = spooling
 
-    def _negotiate_wire(self, sock, hello):
-        """Ask for the preferred reply encoding; (format, spooling).
-
-        Skipped entirely when the client wants the legacy JSON wire
-        with no spooling, and degraded silently to JSON against a
-        server whose hello does not advertise the preference — old
-        client against new server, and new client against old server,
-        both keep working.
-        """
-        wanted = self.wire_preference
-        formats = hello.get("wire_formats") or [WIRE_JSON]
-        if wanted not in formats:
-            wanted = WIRE_JSON
-        spool = self.spool_preference and bool(hello.get("spool"))
-        if wanted == WIRE_JSON and not spool:
-            return WIRE_JSON, False
-        request = {"type": "wire", "format": wanted, "spool": spool}
+    def _negotiate_spool(self, sock, hello):
+        """Opt into the spool fast path when wanted and offered;
+        returns whether the server accepted."""
+        if not (self.spool_preference and hello.get("spool")):
+            return False
+        request = {"type": "wire", "spool": True}
         if self.spool_threshold is not None:
             request["spool_threshold"] = int(self.spool_threshold)
         send_frame(sock, request)
         reply = recv_frame(sock, meter=self._meter)
         if reply is None:
             raise ConnectionLostError(
-                "server closed the connection during wire "
+                "server closed the connection during spool "
                 "negotiation")
         if isinstance(reply, dict) and reply.get("type") == "error":
             raise _error_for(reply)
@@ -266,8 +241,7 @@ class QueryClient:
                 or reply.get("type") != "wire_ok":
             raise ProtocolError(
                 "unexpected wire-negotiation reply %r" % (reply,))
-        return reply.get("format", WIRE_JSON), \
-            bool(reply.get("spool"))
+        return bool(reply.get("spool"))
 
     def _meter(self, nbytes):
         self.bytes_received += nbytes
@@ -276,35 +250,43 @@ class QueryClient:
     def _next_id(self):
         return "%s-%d" % (self._id_prefix, next(self._ids))
 
+    def _recv(self):
+        """One frame; transport failures (EOF, reset, torn frame,
+        timeout) raise :class:`~repro.errors.ConnectionLostError`."""
+        try:
+            frame = recv_frame(self._sock, meter=self._meter)
+        except socket.timeout as exc:
+            raise ConnectionLostError(
+                "timed out after %.3gs awaiting the reply"
+                % self.request_timeout) from exc
+        except OSError as exc:
+            raise ConnectionLostError(
+                "transport failed awaiting the reply: %s"
+                % exc) from exc
+        except ProtocolError as exc:
+            raise ConnectionLostError(
+                "reply could not be read: %s" % exc) from exc
+        if frame is None:
+            raise ConnectionLostError("server closed the connection")
+        return frame
+
     def _recv_matching(self, rid):
         """The reply for request ``rid``.
 
-        Transport failures (EOF, reset, torn frame, timeout) raise
-        :class:`~repro.errors.ConnectionLostError`.  ``error`` frames
-        raise typed regardless of id — an id-less error (e.g. the
-        server's final drain frame) answers whatever is pending.
-        Stale ``result`` frames from an abandoned earlier attempt on
-        this connection are discarded.
+        ``error`` frames raise typed regardless of id — an id-less
+        error (e.g. the server's final drain frame) answers whatever
+        is pending.  An inline ``result`` header is followed by its
+        payload frame, which is read into ``payload``.  Stale
+        ``result`` replies from an abandoned earlier attempt on this
+        connection are discarded, payload frame included.
         """
         while True:
-            try:
-                response = recv_frame(self._sock, meter=self._meter)
-            except socket.timeout as exc:
-                raise ConnectionLostError(
-                    "timed out after %.3gs awaiting the reply"
-                    % self.request_timeout) from exc
-            except OSError as exc:
-                raise ConnectionLostError(
-                    "transport failed awaiting the reply: %s"
-                    % exc) from exc
-            except ProtocolError as exc:
-                raise ConnectionLostError(
-                    "reply could not be read: %s" % exc) from exc
-            if response is None:
-                raise ConnectionLostError(
-                    "server closed the connection")
+            response = self._recv()
             if response.get("type") == "error":
                 raise _error_for(response)
+            if response.get("type") == "result" \
+                    and "payload_spool" not in response:
+                response["payload"] = self._recv()
             if "id" in response and response["id"] != rid:
                 continue            # stale reply of an abandoned try
             return response

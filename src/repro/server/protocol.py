@@ -1,12 +1,13 @@
-"""Wire protocol: length-prefixed frames + a value codec.
+"""Wire protocol: length-prefixed frames + the one reply encoding.
 
 Framing
 -------
 
 Every message is one **frame**: a 4-byte big-endian length word
 followed by that many payload bytes.  With the top bit of the length
-word clear the payload is UTF-8 JSON; with it set the payload is a
-**binary columnar frame** (below).  Frames above
+word clear the payload is UTF-8 JSON (requests, control frames and
+reply headers); with it set the payload is a **binary columnar
+message** (below), the encoded body of one result.  Frames above
 :data:`MAX_FRAME_BYTES` are refused with a typed
 :class:`~repro.errors.ProtocolError` before any allocation, so a
 corrupt length prefix cannot balloon memory (the cap is below 2**31,
@@ -14,63 +15,58 @@ so the flag bit can never be mistaken for length).  ``recv_frame``
 returns ``None`` on a clean EOF at a frame boundary (peer closed) and
 raises on a mid-frame truncation.
 
-Binary columnar frames
-----------------------
+Binary columnar messages
+------------------------
 
-The base64-in-JSON array encoding taxes exactly the thing the flat
-BAT representation makes cheap — moving columns.  The binary frame
-(Arrow-IPC-shaped: one JSON header describing column buffers, then
-the raw buffers) ships every fixed-dtype ndarray as its raw
-little-endian bytes instead::
+A query result is encoded exactly once, by the worker that computed
+it (:func:`encode_binary_message`, called from
+:mod:`repro.monet.multiproc`); from there to the client the bytes are
+opaque — the server caches, spools and forwards them without decoding.
+The message (Arrow-IPC-shaped: one JSON header describing column
+buffers, then the raw buffers) ships every fixed-dtype ndarray as its
+raw little-endian bytes::
 
-    u32 BE  0x80000000 | payload_length
-    payload:
-        u32 BE  header_length
-        header  UTF-8 JSON {"msg": <message>, "buffers": [len, ...]}
-        pad to 8-byte alignment, then each buffer 8-aligned in order
+    u32 BE  header_length
+    header  UTF-8 JSON {"msg": <message>, "buffers": [len, ...]}
+    pad to 8-byte alignment, then each buffer 8-aligned in order
 
 In the header's ``msg`` tree an array leaf is a ``{"__ndbuf__": i,
 "dtype": ..., "shape": ...}`` marker naming buffer ``i``; buffer
 offsets are implicit (sequential, 8-aligned), so the header does not
-depend on its own length.  Identical buffer bytes are deduplicated by
-content hash — two columns with equal bytes ship once and both
-markers name the same buffer.  Decoding resolves markers to read-only
+depend on its own length.  Decoding resolves markers to read-only
 ndarray **views** over the received bytes (or over an ``mmap`` of a
-spooled payload file): zero copies on the reply path.  Whether a
-session speaks binary is negotiated per connection off the server's
-``hello`` frame (see :mod:`repro.server.server`); JSON-only clients
-never see a flagged frame.
+spooled payload file): zero copies on the reply path.
 
-The same payload body, minus the outer length word, is what the
-server writes to a **spool file** for the local-client fast path
-(:func:`write_spooled_payload` / :func:`read_spooled_payload`).
+A reply travels one of two ways: inline, as the JSON ``result``
+header frame followed by the body as one binary frame, or — for a
+client that negotiated the spool (see :mod:`repro.server.server`) —
+as the header frame alone, naming a **spool file** whose bytes are
+the body verbatim (:func:`write_spooled_payload` /
+:func:`read_spooled_payload`).
 
 Value codec
 -----------
 
-Query results travel in the same canonical form the multi-process
-dispatcher ships (:func:`repro.monet.multiproc.ship_value`), which is
-not JSON-native: numpy arrays, ``Row``/``Ref`` values, bytes.
+Query results travel in the canonical form the multi-process
+dispatcher produces (:func:`repro.monet.multiproc.ship_value`), which
+is not JSON-native: numpy arrays, ``Row``/``Ref`` values, bytes.
 :func:`encode_value`/:func:`decode_value` are exact inverses **with
 respect to the sha1 result checksum**: fixed-dtype arrays travel as
-base64 of their raw little-endian bytes (bit-exact), object arrays
-element-wise, tuples degrade to lists (checksum-equivalent by design),
-and numpy scalars degrade to Python numbers (likewise).  A
-``RowBatch`` (a set of flat tuples held column-wise) travels as
-``{"__batch__": names, "refs": classes, "cols": [...]}``: each
-fixed-width column is an array like any other (``__ndbuf__`` on the
-binary wire, ``__nd__`` on JSON), a string column is its UTF-8 bytes
-plus every string's end offset, and no ``Row`` exists on either side
-until the receiver iterates.  The client re-checksums the decoded
-payload against the worker's shipped digest, so any codec asymmetry
-is caught per response, not trusted.
+raw buffers (bit-exact), object arrays element-wise, tuples degrade
+to lists (checksum-equivalent by design), and numpy scalars degrade
+to Python numbers (likewise).  A ``RowBatch`` (a set of flat tuples
+held column-wise) travels as ``{"__batch__": names, "refs": classes,
+"cols": [...]}``: each fixed-width column is a buffer like any other,
+a string column is its UTF-8 bytes plus every string's end offset,
+and no ``Row`` exists on either side until the receiver iterates.
+The client re-checksums the decoded payload against the worker's
+digest, so any codec asymmetry is caught per response, not trusted.
 
 Non-finite floats ride on Python's JSON ``NaN``/``Infinity`` literals
 (both ends of this protocol are this package).
 """
 
 import base64
-import hashlib
 import json
 import mmap
 import os
@@ -86,11 +82,6 @@ from ..monet.multiproc import is_batch, is_ref, is_row, utf8_column
 
 #: Refuse frames above this many payload bytes (2**28 = 256 MiB).
 MAX_FRAME_BYTES = 1 << 28
-
-#: Wire formats a connection can negotiate (hello-frame handshake).
-WIRE_JSON = "json"
-WIRE_BINARY = "binary"
-WIRE_FORMATS = (WIRE_JSON, WIRE_BINARY)
 
 _LENGTH = struct.Struct(">I")
 
@@ -112,7 +103,7 @@ faults.declare("protocol.send.reset", "protocol.send.torn",
 
 #: Marker keys reserved by the codec; a plain dict containing any of
 #: them (or non-string keys) is encoded in the explicit pair-list form.
-_MARKERS = frozenset(("__nd__", "__ndo__", "__ndbuf__", "__row__",
+_MARKERS = frozenset(("__ndo__", "__ndbuf__", "__row__",
                       "__ref__", "__bytes__", "__tuple__", "__dict__",
                       "__var__", "__batch__"))
 
@@ -120,35 +111,51 @@ _MARKERS = frozenset(("__nd__", "__ndo__", "__ndbuf__", "__row__",
 # ----------------------------------------------------------------------
 # framing
 # ----------------------------------------------------------------------
-def _send_body(sock, body, flag=0):
-    """One frame on the wire, through the chaos injection points."""
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError("refusing to send %d-byte frame (max %d)"
-                            % (len(body), MAX_FRAME_BYTES))
+def _send_frames(sock, *frames):
+    """Write ``(flag, body)`` frames with one ``sendall``, through the
+    chaos injection points.  An oversized frame is refused before any
+    byte goes out."""
+    for _flag, body in frames:
+        if len(body) > MAX_FRAME_BYTES:
+            raise ProtocolError("refusing to send %d-byte frame (max %d)"
+                                % (len(body), MAX_FRAME_BYTES))
     faults.fire("protocol.send.reset")
+    data = b"".join(part for flag, body in frames
+                    for part in (_LENGTH.pack(flag | len(body)), body))
     spec = faults.fire("protocol.send.torn")
     if spec is not None:
-        sock.sendall(_LENGTH.pack(flag | len(body))
-                     + body[:int(len(body) * spec.fraction)])
+        sock.sendall(data[:_LENGTH.size + int(
+            (len(data) - _LENGTH.size) * spec.fraction)])
         spec.conclude()
-    sock.sendall(_LENGTH.pack(flag | len(body)) + body)
+    sock.sendall(data)
+
+
+def _json_bytes(obj):
+    return json.dumps(obj, allow_nan=True,
+                      separators=(",", ":")).encode("utf-8")
 
 
 def send_frame(sock, obj):
     """Serialise ``obj`` as JSON and write one frame."""
-    body = json.dumps(obj, allow_nan=True,
-                      separators=(",", ":")).encode("utf-8")
-    _send_body(sock, body)
+    _send_frames(sock, (0, _json_bytes(obj)))
 
 
-def send_binary_frame(sock, obj):
-    """Write ``obj`` as one binary columnar frame.
+def send_binary_frame(sock, body):
+    """Write an encoded message ``body`` (see
+    :func:`encode_binary_message`) as one binary frame.
 
     Same chaos injection points (``protocol.send.reset`` /
     ``protocol.send.torn``) and the same size cap as the JSON path —
-    the framing hardening does not fork per wire format.
+    the framing hardening does not fork per frame kind.
     """
-    _send_body(sock, encode_binary_message(obj), flag=_BINARY_FLAG)
+    _send_frames(sock, (_BINARY_FLAG, body))
+
+
+def send_reply(sock, header, body):
+    """An inline ``result`` reply: the JSON ``header`` frame, then the
+    encoded payload ``body`` as one binary frame — written together,
+    so a reply is refused whole or sent whole."""
+    _send_frames(sock, (0, _json_bytes(header)), (_BINARY_FLAG, body))
 
 
 def _recv_exact(sock, nbytes):
@@ -166,8 +173,8 @@ def _recv_exact(sock, nbytes):
 def recv_frame(sock, meter=None):
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
-    Handles both wire formats: a flagged length word parses the
-    payload as a binary columnar frame (array leaves come back as
+    Handles both frame kinds: a flagged length word parses the
+    payload as a binary columnar message (array leaves come back as
     read-only ndarray views over the received bytes), otherwise as
     JSON.  An announced length above :data:`MAX_FRAME_BYTES` raises
     the typed :class:`~repro.errors.FrameTooLargeError` (a
@@ -207,46 +214,31 @@ class BufferSink:
     """Collects the column buffers of one binary message.
 
     ``add`` registers an array's raw little-endian bytes and returns
-    its ``__ndbuf__`` marker.  Buffers are deduplicated by content
-    hash — identical bytes (whatever their dtype or shape, which live
-    in the marker) are stored once and shared by every marker naming
-    them, the wire-side twin of the result cache's replica detection.
+    its ``__ndbuf__`` marker.
     """
 
-    __slots__ = ("buffers", "nbytes", "dedup_hits", "_by_hash")
+    __slots__ = ("buffers",)
 
     def __init__(self):
         self.buffers = []               # memoryviews, in buffer order
-        self.nbytes = 0                 # unique buffer bytes collected
-        self.dedup_hits = 0             # markers that reused a buffer
-        self._by_hash = {}
 
     def add(self, array):
         data = np.ascontiguousarray(array)
         if data.dtype.byteorder == ">":
             data = np.ascontiguousarray(
                 data.astype(data.dtype.newbyteorder("<")))
-        view = memoryview(data).cast("B") if data.nbytes \
-            else memoryview(b"")
-        key = hashlib.sha1(view).digest()
-        index = self._by_hash.get(key)
-        if index is None:
-            index = len(self.buffers)
-            self._by_hash[key] = index
-            self.buffers.append(view)
-            self.nbytes += data.nbytes
-        else:
-            self.dedup_hits += 1
-        return {"__ndbuf__": index, "dtype": data.dtype.str,
-                "shape": list(data.shape)}
+        self.buffers.append(memoryview(data).cast("B") if data.nbytes
+                            else memoryview(b""))
+        return {"__ndbuf__": len(self.buffers) - 1,
+                "dtype": data.dtype.str, "shape": list(data.shape)}
 
 
-def encode_value(value, sink=None):
+def encode_value(value, sink):
     """Canonical shipped value -> JSON-safe structure.
 
-    With a :class:`BufferSink`, fixed-dtype ndarrays leave the tree as
-    ``__ndbuf__`` markers (their bytes go to the sink, for a binary
-    frame or a spool file); without one they ride inline as base64.
+    Fixed-dtype ndarrays leave the tree as ``__ndbuf__`` markers; their
+    bytes go to the :class:`BufferSink`, which
+    :func:`encode_binary_message` lays out after the header.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
@@ -260,12 +252,7 @@ def encode_value(value, sink=None):
         if value.dtype == object:
             return {"__ndo__": [encode_value(item, sink)
                                 for item in value.tolist()]}
-        if sink is not None:
-            return sink.add(value)
-        data = np.ascontiguousarray(value)
-        return {"__nd__": data.dtype.str,
-                "shape": list(data.shape),
-                "b64": base64.b64encode(data.tobytes()).decode("ascii")}
+        return sink.add(value)
     if is_batch(value):
         return {"__batch__": list(value.names),
                 "refs": list(value.ref_classes),
@@ -346,11 +333,6 @@ def decode_value(obj):
                                 "outside a binary frame")
         if "__bytes__" in obj:
             return base64.b64decode(obj["__bytes__"])
-        if "__nd__" in obj:
-            array = np.frombuffer(
-                base64.b64decode(obj["b64"]),
-                dtype=np.dtype(obj["__nd__"]))
-            return array.reshape(obj["shape"]).copy()
         if "__ndo__" in obj:
             array = np.empty(len(obj["__ndo__"]), dtype=object)
             for index, item in enumerate(obj["__ndo__"]):
@@ -474,52 +456,18 @@ def decode_binary_message(payload):
                             % exc) from exc
 
 
-def payload_nbytes(value):
-    """Approximate resident bytes of a canonical value.
-
-    Exact for the dominant term (fixed-dtype array buffers); strings,
-    bytes, and structure count their obvious sizes.  Used for spool
-    thresholds, result-cache weighting, and the served-bytes counter —
-    all places where "how big is this column data" matters and a few
-    bytes of slack per node do not.
-    """
-    if isinstance(value, np.ndarray):
-        if value.dtype == object:
-            return sum(payload_nbytes(item)
-                       for item in value.tolist()) + 8 * value.size
-        return int(value.nbytes)
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, dict):
-        return sum(payload_nbytes(key) + payload_nbytes(item)
-                   for key, item in value.items()) + 8
-    if isinstance(value, (list, tuple)):
-        return sum(payload_nbytes(item) for item in value) + 8
-    if is_batch(value):
-        # O(fields) for a flat batch: the column buffers are the size
-        return sum(payload_nbytes(column)
-                   for column in value.columns) + 8
-    if is_row(value):
-        return sum(payload_nbytes(name) + payload_nbytes(item)
-                   for name, item in zip(value.names, value.values))
-    return 8
-
-
 # ----------------------------------------------------------------------
 # spooled payloads (the local-client mmap fast path)
 # ----------------------------------------------------------------------
-def write_spooled_payload(path, value):
-    """Write ``value`` as a binary payload file; returns its size.
+def write_spooled_payload(path, body):
+    """Write an encoded message ``body`` verbatim; returns its size.
 
-    The file's bytes are exactly :func:`encode_binary_message` of the
-    value.  No staging rename: the path is only announced to the
-    client *after* this returns, and the file is transient (results,
-    not durable state), so a crash mid-write strands at worst an
-    unannounced partial file in the spool directory.
+    No staging rename: the path is only announced to the client
+    *after* this returns, and the file is transient (results, not
+    durable state), so a crash mid-write strands at worst an
+    unannounced partial file in the spool directory, which the
+    server removes when it stops.
     """
-    body = encode_binary_message(value)
     with open(path, "wb") as handle:
         handle.write(body)
     return len(body)
@@ -563,22 +511,31 @@ def read_spooled_payload(path, expected_bytes=None, unlink=True):
 # ----------------------------------------------------------------------
 # MIL program codec
 # ----------------------------------------------------------------------
+#: The literal argument types a MIL statement carries (JSON-native).
+_LITERALS = (type(None), bool, int, float, str)
+
+
+def _encode_arg(arg):
+    if isinstance(arg, Var):
+        return {"__var__": arg.name}
+    if isinstance(arg, (np.bool_, np.integer, np.floating)):
+        return arg.item()
+    if isinstance(arg, _LITERALS):
+        return arg
+    raise ProtocolError("MIL literal of type %s has no wire form"
+                        % type(arg).__name__)
+
+
 def encode_program(program):
     """A :class:`~repro.monet.mil.MILProgram` as a JSON structure.
 
     Statement arguments distinguish variable/catalog references
-    (``{"__var__": name}``) from literal scalars (encoded values).
+    (``{"__var__": name}``) from literal scalars, which ride as the
+    JSON values they are.
     """
-    stmts = []
-    for stmt in program:
-        stmts.append({
-            "target": stmt.target,
-            "op": stmt.op,
-            "args": [{"__var__": arg.name} if isinstance(arg, Var)
-                     else encode_value(arg) for arg in stmt.args],
-            "fn": stmt.fn,
-        })
-    return {"stmts": stmts}
+    return {"stmts": [{"target": stmt.target, "op": stmt.op,
+                       "args": [_encode_arg(arg) for arg in stmt.args],
+                       "fn": stmt.fn} for stmt in program]}
 
 
 def decode_program(obj):
@@ -588,9 +545,8 @@ def decode_program(obj):
     program = MILProgram()
     for stmt in obj["stmts"]:
         try:
-            args = [Var(arg["__var__"])
-                    if isinstance(arg, dict) and "__var__" in arg
-                    else decode_value(arg) for arg in stmt["args"]]
+            args = [arg if isinstance(arg, _LITERALS)
+                    else Var(arg["__var__"]) for arg in stmt["args"]]
             program.stmts.append(MILStmt(stmt["target"], stmt["op"],
                                          args, fn=stmt.get("fn")))
         except (KeyError, TypeError) as exc:

@@ -15,7 +15,7 @@ request type       response
 ``mil``            ``result`` ``{name: value}`` for the fetch list
 ``stats``          ``stats`` (latency percentiles, cache hit rates...)
 ``ping``           ``pong`` (generation echo, liveness)
-``wire``           ``wire_ok`` (reply-encoding / spool negotiation)
+``wire``           ``wire_ok`` (spool negotiation)
 ``close``          connection shut down cleanly
 ================  ====================================================
 
@@ -25,15 +25,14 @@ two optional fields: ``timeout`` (seconds) and ``buffer_stats``
 carries ``faults`` only when its request set ``buffer_stats`` — the
 count is that one execution's, simulated from a cold start.
 
-The hello frame advertises ``wire_formats`` (``json`` and ``binary``)
-and whether a spool directory is configured; a ``wire`` request then
-switches the connection's *reply* encoding — requests stay JSON
-frames either way, and a client that never negotiates keeps the
-legacy all-JSON protocol byte-for-byte.  On the binary wire, result
-payloads ship as raw little-endian column buffers after a JSON
-header (see :mod:`repro.server.protocol`); with spooling negotiated,
-replies past the client's threshold ship as mmap'd files instead —
-the local-client fast path.
+Requests and control frames are JSON.  A ``result`` reply is its JSON
+header frame followed by the payload as one binary frame: the bytes
+the worker encoded (see :mod:`repro.server.protocol`), forwarded
+without being decoded here.  The hello frame says whether a spool
+directory is configured; a ``wire`` request opts the connection into
+it, after which replies past the client's threshold ship as a header
+frame naming an mmap-able file holding those same bytes — the
+local-client fast path.
 
 Failures never tear the connection: any :class:`~repro.errors.
 ReproError` becomes an ``error`` frame ``{"error": <class name>,
@@ -60,6 +59,7 @@ Hardening knobs (all off by default):
   typed :class:`~repro.errors.ServerDrainingError` frame.
 """
 
+import glob
 import hmac
 import itertools
 import os
@@ -72,14 +72,17 @@ from .. import faults
 from ..errors import (AuthError, FrameTooLargeError, InjectedFaultError,
                       ProtocolError, QuotaExceededError, ReproError,
                       ServerDrainingError, WireFormatError, is_retryable)
-from .protocol import (WIRE_BINARY, WIRE_FORMATS, WIRE_JSON,
-                       encode_value, recv_frame, send_binary_frame,
-                       send_frame, write_spooled_payload)
+from .protocol import (recv_frame, send_frame, send_reply,
+                       write_spooled_payload)
 
 #: Payload bytes above which a spool-enabled connection receives its
 #: result as an mmap'd file instead of inline frame bytes (the client
 #: may negotiate its own threshold).
 DEFAULT_SPOOL_THRESHOLD = 64 * 1024
+
+#: Numbers the servers of one process, so their spool file names never
+#: collide in a shared spool directory.
+_SERVER_IDS = itertools.count()
 
 
 def _error_frame(exc):
@@ -95,7 +98,7 @@ def _error_frame(exc):
             "message": str(exc), "retryable": is_retryable(exc)}
 
 #: Bump when the frame/request shape changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Seconds an unauthenticated connection gets to present its token
 #: (bounds the slow-loris surface of the auth handshake).
@@ -113,6 +116,13 @@ faults.declare("server.handle.delay", "server.reply.drop",
 #: draining); ``ping``/``stats``/``close`` stay exempt so liveness
 #: checks keep answering under load and during drain.
 EXECUTABLE_TYPES = frozenset(("moa", "sql", "tpcd", "mil"))
+
+
+def _unlink_quietly(path):
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 class _TokenBucket:
@@ -163,6 +173,8 @@ class QueryServer:
         self.spool_threshold = DEFAULT_SPOOL_THRESHOLD \
             if spool_threshold is None else int(spool_threshold)
         self._spool_seq = itertools.count()
+        self._spool_prefix = "reply-%d-%d-" % (os.getpid(),
+                                               next(_SERVER_IDS))
         #: sustained executable requests/second per connection
         #: (0 = unlimited); burst defaults to max(1, quota_rps)
         self.quota_rps = float(quota_rps or 0.0)
@@ -175,8 +187,8 @@ class QueryServer:
         self._conn_lock = threading.Lock()
         self._running = False
         self._draining = False
-        #: executable requests currently inside _handle (drain waits
-        #: on this falling to zero)
+        #: executable requests being handled or replied to (drain
+        #: waits on this falling to zero)
         self._inflight = 0
         self._inflight_cv = threading.Condition()
 
@@ -287,17 +299,15 @@ class QueryServer:
             if burst is None:
                 burst = max(1.0, self.quota_rps)
             bucket = _TokenBucket(self.quota_rps, burst)
-        #: per-connection wire state, rewritten by ``wire`` requests;
-        #: every connection starts on the JSON wire, so clients that
-        #: never negotiate keep the legacy protocol byte-for-byte
-        wire = {"format": WIRE_JSON, "spool": False,
+        #: per-connection spool state, rewritten by ``wire`` requests;
+        #: every connection starts with replies inline
+        wire = {"spool": False,
                 "spool_threshold": self.spool_threshold}
         try:
             send_frame(conn, {"type": "hello",
                               "protocol": PROTOCOL_VERSION,
                               "generation": session.generation,
                               "procs": self.service.procs,
-                              "wire_formats": sorted(WIRE_FORMATS),
                               "spool": self.spool_dir is not None})
             while self._running:
                 try:
@@ -327,24 +337,22 @@ class QueryServer:
                     except ProtocolError as exc:
                         self._send_error(conn, exc, request)
                     continue
-                response = self._respond(session, request, rtype,
-                                         bucket)
-                if "id" in request:
-                    response["id"] = request["id"]
+                # an executable request stays in flight until its
+                # reply is out, so a drain never overtakes a reply
+                executable = rtype in EXECUTABLE_TYPES
+                if executable:
+                    with self._inflight_cv:
+                        self._inflight += 1
                 try:
-                    faults.fire("server.reply.drop")
-                except InjectedFaultError:
-                    continue          # reply swallowed: client retries
-                try:
-                    faults.fire("server.reply.reset")
-                except InjectedFaultError:
-                    break             # connection reset before reply
-                try:
-                    self._send_response(conn, response, wire)
-                except ProtocolError as exc:
-                    # an unshippable (oversized) result still answers
-                    # with a typed error frame — never a torn socket
-                    self._send_error(conn, exc, request)
+                    keep = self._reply(conn, session, request, rtype,
+                                       bucket, wire)
+                finally:
+                    if executable:
+                        with self._inflight_cv:
+                            self._inflight -= 1
+                            self._inflight_cv.notify_all()
+                if not keep:
+                    break
         except OSError:
             pass                             # peer vanished mid-frame
         finally:
@@ -356,20 +364,13 @@ class QueryServer:
             conn.close()
 
     def _negotiate_wire(self, wire, request):
-        """Handle a ``wire`` control request.
-
-        Switches the connection's reply encoding (``json`` stays the
-        default for clients that never send one) and opts into the
+        """Handle a ``wire`` control request: opt into (or out of) the
         spooled-result fast path when the server has a spool
-        directory.  A format the server does not speak answers a
-        typed :class:`~repro.errors.WireFormatError` frame and leaves
-        the connection (and its current wire state) intact.
+        directory, optionally with the client's own threshold.  A
+        malformed threshold answers a typed
+        :class:`~repro.errors.WireFormatError` frame and leaves the
+        connection (and its current state) intact.
         """
-        fmt = request.get("format", WIRE_BINARY)
-        if fmt not in WIRE_FORMATS:
-            return _error_frame(WireFormatError(
-                "unknown wire format %r (this server speaks %s)"
-                % (fmt, sorted(WIRE_FORMATS))))
         threshold = request.get("spool_threshold")
         if threshold is not None and (not isinstance(threshold, int)
                                       or isinstance(threshold, bool)
@@ -377,52 +378,66 @@ class QueryServer:
             return _error_frame(WireFormatError(
                 "spool_threshold must be a non-negative integer, "
                 "got %r" % (threshold,)))
-        wire["format"] = fmt
         wire["spool"] = bool(request.get("spool")) \
             and self.spool_dir is not None
         if threshold is not None:
             wire["spool_threshold"] = threshold
-        return {"type": "wire_ok", "format": fmt,
-                "spool": wire["spool"],
+        return {"type": "wire_ok", "spool": wire["spool"],
                 "spool_threshold": wire["spool_threshold"]}
 
     def _send_response(self, conn, response, wire):
-        """Ship one response in the connection's negotiated encoding.
+        """Ship one response.
 
-        ``result`` responses carry their payload as canonical values
-        (real ndarrays) straight from the service; this is the single
-        point where they meet the wire — base64-in-JSON for legacy
-        connections, raw column buffers for the binary wire, or an
-        mmap'd spool file for local clients past their threshold.
-        Everything else (errors, stats, pongs) is plain JSON data and
-        ships as a frame of the negotiated format.
+        A ``result`` response carries its payload as ``body``: the
+        bytes the worker encoded.  They go out as they are — inline as
+        one binary frame after the JSON header frame, or, for a spool
+        connection past its threshold, written verbatim to a spool file
+        the header frame names.  Everything else (errors, stats,
+        pongs) is one JSON frame.
         """
-        payload_present = response.get("type") == "result" \
-            and "payload" in response
-        if payload_present and wire["spool"] \
-                and response.get("payload_bytes", 0) \
-                >= wire["spool_threshold"]:
-            spooled = dict(response)
-            payload = spooled.pop("payload")
-            path = os.path.join(
-                self.spool_dir, "reply-%d-%d.bin"
-                % (os.getpid(), next(self._spool_seq)))
+        body = response.pop("body", None)
+        if body is None:
+            send_frame(conn, response)
+            return
+        if wire["spool"] and len(body) >= wire["spool_threshold"]:
+            path = os.path.join(self.spool_dir, "%s%d.bin" % (
+                self._spool_prefix, next(self._spool_seq)))
             try:
-                nbytes = write_spooled_payload(path, payload)
+                write_spooled_payload(path, body)
             except OSError:
                 pass    # spool dir gone/full: fall through to inline
             else:
-                spooled["payload_spool"] = {"path": path,
-                                            "bytes": nbytes}
-                send_frame(conn, spooled)
+                response["payload_spool"] = {"path": path,
+                                             "bytes": len(body)}
+                try:
+                    send_frame(conn, response)
+                except BaseException:
+                    # nobody was told about the file: nobody reads it
+                    _unlink_quietly(path)
+                    raise
                 return
-        if wire["format"] == WIRE_BINARY:
-            send_binary_frame(conn, response)
-            return
-        if payload_present:
-            response = dict(response)
-            response["payload"] = encode_value(response["payload"])
-        send_frame(conn, response)
+        send_reply(conn, response, body)
+
+    def _reply(self, conn, session, request, rtype, bucket, wire):
+        """Answer one request; False when the connection must close."""
+        response = self._respond(session, request, rtype, bucket)
+        if "id" in request:
+            response["id"] = request["id"]
+        try:
+            faults.fire("server.reply.drop")
+        except InjectedFaultError:
+            return True           # reply swallowed: client retries
+        try:
+            faults.fire("server.reply.reset")
+        except InjectedFaultError:
+            return False          # connection reset before reply
+        try:
+            self._send_response(conn, response, wire)
+        except ProtocolError as exc:
+            # an unshippable (oversized) result still answers with a
+            # typed error frame — never a torn socket
+            self._send_error(conn, exc, request)
+        return True
 
     def _respond(self, session, request, rtype, bucket):
         """Policy wrapper around :meth:`_handle`: drain + quota."""
@@ -438,14 +453,6 @@ class QueryServer:
                     % self.quota_rps)
                 self.service.count("quota_rejections")
                 return _error_frame(exc)
-            with self._inflight_cv:
-                self._inflight += 1
-            try:
-                return self._handle(session, request)
-            finally:
-                with self._inflight_cv:
-                    self._inflight -= 1
-                    self._inflight_cv.notify_all()
         return self._handle(session, request)
 
     def _handle(self, session, request):
@@ -520,7 +527,9 @@ class QueryServer:
                 pass
 
     def stop(self):
-        """Stop accepting, close every connection, join the threads."""
+        """Stop accepting, close every connection, join the threads,
+        and remove the spool files this server wrote that no client
+        read."""
         self._running = False
         self._close_listener()
         if self._accept_thread is not None:
@@ -540,6 +549,11 @@ class QueryServer:
                 pass
         for thread, _conn in conns:
             thread.join(timeout=5.0)
+        if self.spool_dir is not None:
+            for path in glob.glob(os.path.join(
+                    glob.escape(self.spool_dir),
+                    self._spool_prefix + "*.bin")):
+                _unlink_quietly(path)
 
     def __enter__(self):
         return self.start()

@@ -25,6 +25,10 @@ the multi-process dispatcher:
   :mod:`repro.server.tasks`) report their counters through every
   outcome, and an optional parent-side **result cache** short-circuits
   repeated identical requests against the same generation;
+* **opaque payloads** — a result arrives from the worker already
+  encoded (:attr:`~repro.monet.multiproc.TaskOutcome.body`); the
+  service caches and returns those bytes as they are, so the parent
+  never decodes or re-encodes a payload;
 * **stats** — :meth:`QueryService.stats` aggregates request counters,
   latency percentiles over a sliding window, cache hit rates, the
   merged :class:`~repro.monet.buffer.BufferStats` of the requests
@@ -52,8 +56,8 @@ from ..errors import (ProtocolError, ServerOverloadedError,
 from ..monet.buffer import BufferStats
 from ..monet.multiproc import MultiprocExecutor
 from ..monet.storage import as_backend, catalog_generation
-from .cache import ResultCache
-from .protocol import decode_program, payload_nbytes
+from .cache import WeightedLRU
+from .protocol import decode_program
 
 #: Sliding-window size for latency percentiles.
 LATENCY_WINDOW = 4096
@@ -94,10 +98,8 @@ class QueryService:
         the default — disables it; entries are keyed by canonical
         request **and** generation, so a bump can never serve stale
         rows, and a retired generation's entries are dropped wholesale
-        when its last pinned session ends).  Identical column buffers
-        across cached results are deduplicated by content hash, so
-        replicated results share bytes instead of multiplying resident
-        weight.
+        when its last pinned session ends).  A result weighs the byte
+        length of its encoded body.
     result_cache_ttl:
         Seconds a cached result stays servable (``None`` = no expiry).
     max_inflight / max_queue:
@@ -148,7 +150,7 @@ class QueryService:
         self.plan_budget = plan_budget
         #: generation -> manifest-derived admission stats (bounded)
         self._admission_stats = {}
-        self.result_cache = ResultCache(result_cache_bytes,
+        self.result_cache = WeightedLRU(result_cache_bytes,
                                         ttl_s=result_cache_ttl)
 
         self._pool_lock = threading.Lock()
@@ -374,7 +376,10 @@ class QueryService:
             raise
 
     def execute(self, session, request):
-        """One executable request -> one result response dict."""
+        """One executable request -> one result response dict.
+
+        The response's ``body`` is the encoded payload exactly as the
+        worker produced it; every other field is the JSON header."""
         started = time.monotonic()
         self._count("requests")
         timeout = request.get("timeout", self.default_timeout)
@@ -389,65 +394,48 @@ class QueryService:
             else self.result_cache.get(full_key)
         if cached is not None:
             self._count("result_cache_hits")
-            # a fresh structural copy per hit: mutating one served
-            # response can never leak into the cached entry or into
-            # any other response built from it
-            response = cached.response()
-            response["result_cached"] = True
-            response["service_ms"] = round(
-                (time.monotonic() - started) * 1000.0, 4)
-            # a hit is a served result too: requests stays the sum of
-            # results + refusals + errors whether or not the cache ran
-            self._count("results")
-            self._count("result_bytes",
-                        response.get("payload_bytes", 0))
-            self._record_latency(started)
-            return response
-        self._admit(timeout)
-        try:
-            outcome = self._submit_with_retry(session, task, timeout,
-                                              buffer_stats)
-        finally:
-            self._leave()
-        extra = outcome.extra or {}
-        with self._stats_lock:
-            if outcome.stats is not None:
-                self._buffer.merge(outcome.stats)
-            if "plan_cache" in extra:
-                self._plan_stats[(outcome.generation, outcome.pid)] = \
-                    extra["plan_cache"]
-        # the payload stays canonical (real ndarrays) here; the wire
-        # layer encodes it per connection — base64-in-JSON for legacy
-        # clients, raw column buffers for the binary wire
-        payload = outcome.value()
-        meta = {
-            "elapsed_ms": round(outcome.elapsed_ms, 4),
-            "generation": outcome.generation,
-            "pid": outcome.pid,
-            "plan_cached": extra.get("plan_cached"),
-            "result_cached": False,
-            "payload_bytes": extra.get("result_bytes",
-                                       payload_nbytes(payload)),
-        }
-        if outcome.stats is not None:
-            # cold-start simulated faults of this very execution;
-            # never cached, so no hit can replay a stale count
-            meta["faults"] = int(outcome.stats.faults)
-        entry = None if buffer_stats else self.result_cache.put(
-            full_key, outcome.checksum, payload, meta)
-        if entry is not None:
-            # serve the interned form: the same isolation guarantee as
-            # a hit, and the reply shares the deduplicated buffers
-            response = entry.response()
+            header, body = cached
+            response = dict(header, result_cached=True)
         else:
-            response = {"type": "result",
-                        "checksum": outcome.checksum,
-                        "payload": payload}
-            response.update(meta)
+            self._admit(timeout)
+            try:
+                outcome = self._submit_with_retry(session, task, timeout,
+                                                  buffer_stats)
+            finally:
+                self._leave()
+            extra = outcome.extra or {}
+            with self._stats_lock:
+                if outcome.stats is not None:
+                    self._buffer.merge(outcome.stats)
+                if "plan_cache" in extra:
+                    self._plan_stats[(outcome.generation,
+                                      outcome.pid)] = extra["plan_cache"]
+            body = outcome.body
+            header = {
+                "type": "result",
+                "checksum": outcome.checksum,
+                "elapsed_ms": round(outcome.elapsed_ms, 4),
+                "generation": outcome.generation,
+                "pid": outcome.pid,
+                "plan_cached": extra.get("plan_cached"),
+                "result_cached": False,
+                "payload_bytes": len(body),
+            }
+            if outcome.stats is not None:
+                # cold-start simulated faults of this very execution;
+                # never cached, so no hit can replay a stale count
+                header["faults"] = int(outcome.stats.faults)
+            else:
+                self.result_cache.put(full_key, (header, body),
+                                      weight=len(body))
+            response = dict(header)
+        response["body"] = body
         response["service_ms"] = round(
             (time.monotonic() - started) * 1000.0, 4)
+        # a hit is a served result too: requests stays the sum of
+        # results + refusals + errors whether or not the cache ran
         self._count("results")
-        self._count("result_bytes", meta["payload_bytes"])
+        self._count("result_bytes", len(body))
         self._record_latency(started)
         return response
 

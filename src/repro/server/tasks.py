@@ -9,7 +9,9 @@ never imports the moa/server layers at module scope.
 
 ``moa`` tasks — ``("moa", key, query_text)`` — execute a textual MOA
 query against the worker's pinned-generation TPC-D catalog through a
-per-worker **LRU plan cache**: query text + catalog generation ->
+per-worker **LRU plan cache** (a
+:class:`~repro.server.cache.WeightedLRU` whose entries weigh 1
+each): query text + catalog generation ->
 compiled :class:`~repro.moa.rewriter.RewriteResult` (flattened MIL
 program + result rep).  A hit skips parse/typecheck/rewrite entirely
 and re-executes the cached MIL plan
@@ -20,21 +22,17 @@ generation bump falls out of the keying (new generation = new pool =
 cold cache, and any shared cache keyed this way misses).
 
 Each outcome ships ``extra = {"plan_cached": bool, "plan_cache":
-{hits, misses, evictions, size, capacity}, "result_bytes": int}`` —
-the cumulative counters of *this worker's* cache plus the canonical
-byte weight of the result (what the wire/result-cache layers charge
-for it; for a :class:`~repro.moa.values.RowBatch` the sum of its
-column buffers, never a walk over rows) — which the parent-side
-service aggregates into the ``stats`` response.  A set-of-tuples
-result leaves here as the batch the materializer built: no ``Row``
-exists in the worker.
+{hits, misses, evictions, size, capacity, ...}}`` — the cumulative
+counters of *this worker's* cache — which the parent-side service
+aggregates into the ``stats`` response.  A set-of-tuples result leaves
+here as the batch the materializer built: no ``Row`` exists in the
+worker.
 """
 
 from ..analysis.verify import PlanBudget, catalog_stats_from_kernel
 from ..moa.rewriter import rewrite
 from ..monet.multiproc import register_task_kind, ship_value
-from .cache import LRUCache
-from .protocol import payload_nbytes
+from .cache import WeightedLRU
 
 #: Default per-worker plan-cache capacity (overridable through the
 #: executor's ``worker_options={"plan_cache_size": N}``).
@@ -46,7 +44,7 @@ def _plan_cache(ctx):
     if cache is None:
         size = ctx.options.get("plan_cache_size",
                                DEFAULT_PLAN_CACHE_SIZE)
-        cache = ctx.state["plan_cache"] = LRUCache(size)
+        cache = ctx.state["plan_cache"] = WeightedLRU(size)
     return cache
 
 
@@ -97,8 +95,7 @@ def _run_sql(ctx, task):
                                catalog=_catalog(ctx))
         cache.put(key, prepared)
     value = prepared.run()
-    extra = {"plan_cached": hit, "plan_cache": cache.snapshot(),
-             "result_bytes": payload_nbytes(value)}
+    extra = {"plan_cached": hit, "plan_cache": cache.snapshot()}
     return ship_value(value), extra
 
 
@@ -118,8 +115,7 @@ def _run_moa(ctx, task):
                            catalog=_catalog(ctx), budget=_plan_budget(ctx))
         cache.put(key, compiled)
     value = db.run_compiled(compiled)
-    extra = {"plan_cached": hit, "plan_cache": cache.snapshot(),
-             "result_bytes": payload_nbytes(value)}
+    extra = {"plan_cached": hit, "plan_cache": cache.snapshot()}
     return ship_value(value), extra
 
 

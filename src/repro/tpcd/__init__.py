@@ -14,7 +14,7 @@ from .loader import (LoadReport, load_tpcd, open_tpcd, peek_tpcd_meta,
                      save_tpcd)
 from .queries import QUERIES, TPCDQuery
 from .reference import REFERENCES, reference
-from .rowstore import RowStore, open_rowstore, save_rowstore_tables
+from .rowstore import RowStore
 from .schema import tpcd_schema
 
 __all__ = [
@@ -23,6 +23,6 @@ __all__ = [
     "save_tpcd",
     "QUERIES", "TPCDQuery",
     "REFERENCES", "reference",
-    "RowStore", "open_rowstore", "save_rowstore_tables",
+    "RowStore",
     "tpcd_schema",
 ]

@@ -26,8 +26,7 @@ from ..moa.mapping import (FlattenedDatabase, create_datavectors, flatten,
                            reorder_on_tail)
 from ..moa.session import MOADatabase
 from ..monet.kernel import MonetKernel
-from ..monet.storage import (as_backend, generation_prefix,
-                             next_generation)
+from ..monet.storage import as_backend
 from .schema import tpcd_schema
 
 
@@ -117,16 +116,11 @@ def load_tpcd(dataset, kernel=None, db_dir=None):
 def save_tpcd(db, db_dir, dataset=None, meta=None):
     """Persist a loaded TPC-D database; returns the manifest.
 
-    When the generating ``dataset`` is at hand, its n-ary base tables
-    are persisted alongside the BAT catalog (a ``rowstore`` manifest
-    section; see :func:`repro.tpcd.rowstore.open_rowstore`), so the
-    Figure 9 row-store comparator warm-starts from the same directory.
-    The whole save — heap files, row-store columns, manifest — runs
-    under the directory's exclusive catalog lock and bumps the
+    The generating ``dataset``, when at hand, contributes its scale,
+    seed and class counts to the manifest's ``meta``.  The save holds
+    the directory's exclusive catalog lock and bumps the
     shared-catalog generation once.
     """
-    from .rowstore import save_rowstore_tables
-
     full_meta = {"kind": "tpcd"}
     if dataset is not None:
         full_meta.update({
@@ -136,27 +130,7 @@ def save_tpcd(db, db_dir, dataset=None, meta=None):
                        for name, count in dataset.counts.items()},
         })
     full_meta.update(meta or {})
-    backend = as_backend(db_dir)
-    with backend.lock().exclusive():
-        extra = None
-        if dataset is not None:
-            # name the row-store columns under the generation the
-            # kernel save (below, same exclusive lock) will assign, so
-            # they are crash-isolated like every other heap file
-            prefix = generation_prefix(next_generation(backend))
-            extra = {"rowstore": save_rowstore_tables(
-                backend, dataset.tables, prefix=prefix)}
-        else:
-            # a dataset-less re-save must not destroy an already
-            # persisted baseline: carry the section forward so its
-            # files stay in the prune keep-set
-            try:
-                section = backend.read_manifest().get("rowstore")
-            except CatalogError:
-                section = None
-            if section is not None:
-                extra = {"rowstore": section}
-        return db.kernel.save(backend, meta=full_meta, extra=extra)
+    return db.kernel.save(db_dir, meta=full_meta)
 
 
 def open_tpcd(db_dir, expected_generation=None, lock_timeout=None,

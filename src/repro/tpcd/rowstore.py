@@ -22,19 +22,13 @@ flattened Monet execution.
 
 import numpy as np
 
-from ..errors import CatalogError
 from ..monet.atoms import date_to_days
 from ..monet.buffer import get_manager
 from ..monet.heap import Heap
-from ..monet.storage import as_backend
 from ..moa.values import Ref, Row
 
 #: uniform value width of the cost model (section 5.2.2: w = 4)
 VALUE_WIDTH = 4
-
-#: storage-name prefix of persisted row-store columns (kept distinct
-#: from the kernel's heap files, pruned through the manifest keep-set)
-ROWSTORE_PREFIX = "_rowstore."
 
 
 class _TableHeap(Heap):
@@ -77,10 +71,7 @@ class RowStore:
     """The baseline engine + its 15 query implementations.
 
     Constructed from a generated :class:`~repro.tpcd.dbgen.TPCDDataset`
-    or from a plain ``{table: {column: array}}`` dict — the latter is
-    what :func:`open_rowstore` reconstructs from a persisted database
-    directory, so the Figure 9 baseline warm-starts exactly like the
-    flattened engine.
+    or from a plain ``{table: {column: array}}`` dict.
     """
 
     def __init__(self, dataset):
@@ -88,8 +79,6 @@ class RowStore:
         self.dataset = dataset if hasattr(dataset, "tables") else None
         self.tables = {name: RowTable(name, columns)
                        for name, columns in tables.items()}
-        #: shared-catalog generation, set by :func:`open_rowstore`
-        self.generation = None
 
     # ------------------------------------------------------------------
     # access paths (where the page charging happens)
@@ -520,93 +509,3 @@ class RowStore:
                for s, v in revenue.items() if v >= best * (1 - 1e-9)]
         out.sort(key=lambda r: r["s_name"])
         return out
-
-
-# ----------------------------------------------------------------------
-# persistence (ROADMAP "Row-store baseline parity")
-# ----------------------------------------------------------------------
-def save_rowstore_tables(target, tables, prefix=""):
-    """Write the n-ary base tables through a HeapStorage backend.
-
-    One raw little-endian file per column (``[<prefix>]_rowstore.
-    <table>.<column>.col``); object-dtype string columns are stored as
-    fixed-width unicode and flagged so :func:`open_rowstore` restores
-    the original dtype.  ``prefix`` should be the upcoming save's
-    :func:`~repro.monet.storage.generation_prefix` (the caller holds
-    the exclusive lock), so these files are generation-scoped exactly
-    like the kernel heaps and a crashed save never overwrites the
-    previous generation's columns.  Returns the manifest ``rowstore``
-    section — pass it to ``save_kernel(..., extra={"rowstore":
-    section})`` so the files join the manifest's prune keep-set and
-    the section survives re-saves atomically with the rest of the
-    catalog.
-    """
-    backend = as_backend(target)
-    section = {"tables": {}}
-    for table_name, columns in sorted(tables.items()):
-        entry = {}
-        for column_name, values in sorted(columns.items()):
-            values = np.asarray(values)
-            spec = {"length": int(len(values))}
-            if values.dtype == object:
-                values = values.astype("U")
-                spec["object"] = True
-            file_name = "%s%s%s.%s.col" % (prefix, ROWSTORE_PREFIX,
-                                           table_name, column_name)
-            backend.write_array(file_name, values)
-            stored = values.dtype.str
-            if stored.startswith(">"):
-                stored = "<" + stored[1:]
-            spec.update({"file": file_name, "dtype": stored})
-            entry[column_name] = spec
-        section["tables"][table_name] = entry
-    return section
-
-
-def open_rowstore(target, expected_generation=None, lock_timeout=None):
-    """Reconstruct the Figure 9 baseline from a persisted database.
-
-    Reads the manifest's ``rowstore`` section (written by
-    ``save_tpcd``); raises :class:`~repro.errors.CatalogError` when
-    the directory was saved without the baseline.  Columns come back
-    as ``np.memmap`` views of the stored files (strings decode to the
-    original object dtype), so the row-store comparator warm-starts
-    without dbgen — parity with the flattened engine's ``open_tpcd``,
-    shared-catalog protocol included: the manifest is read and its
-    column files mapped under the shared lock, ``expected_generation``
-    pins the snapshot (so a fleet comparing both engines provably
-    measures one generation), and lock-free readers get the same
-    retry-on-rewrite behaviour as ``open_kernel``.
-    """
-    from ..monet.storage import open_with_protocol
-
-    backend = as_backend(target)
-    store, generation = open_with_protocol(
-        backend, lambda manifest: _map_rowstore(backend, manifest),
-        expected_generation=expected_generation,
-        lock_timeout=lock_timeout)
-    store.generation = generation
-    return store
-
-
-def _map_rowstore(backend, manifest):
-    section = manifest.get("rowstore")
-    if not isinstance(section, dict) or "tables" not in section:
-        raise CatalogError("no rowstore section in the catalog "
-                           "manifest (saved before the baseline was "
-                           "persisted?)")
-    tables = {}
-    for table_name, entry in sorted(section["tables"].items()):
-        columns = {}
-        for column_name, spec in sorted(entry.items()):
-            try:
-                values = backend.read_array(spec["file"], spec["dtype"],
-                                            spec["length"])
-            except KeyError as exc:
-                raise CatalogError("rowstore column spec misses key %s"
-                                   % exc) from None
-            if spec.get("object"):
-                values = values.astype(object)
-            columns[column_name] = values
-        tables[table_name] = columns
-    return RowStore(tables)

@@ -163,12 +163,11 @@ def test_buffer_manager_on_the_serving_path_is_found(tmp_path):
 # ----------------------------------------------------------------------
 WALKER_MODULES = [os.path.join("repro", "monet", "multiproc.py"),
                   os.path.join("repro", "server", "protocol.py"),
-                  os.path.join("repro", "server", "cache.py"),
                   os.path.join("repro", "server", "client.py")]
 
 
 def _walker_tree(tmp_path, edit=None):
-    """A synthetic tree holding verbatim copies of the four modules
+    """A synthetic tree holding verbatim copies of the three modules
     that walk shipped values, optionally with one of them edited."""
     _tree(tmp_path, test_files=[("test_ok.py",
                                  "from x import GoodError\n")])
@@ -190,13 +189,13 @@ def test_value_walkers_are_total_over_the_canonical_kinds(tmp_path):
 
 
 def test_walker_that_forgets_a_kind_is_found(tmp_path):
-    # the byte-weight walker loses its batch branch: rows would be
-    # weighed as one opaque 8-byte leaf
+    # the digest loses its batch branch: a batch would fall through
+    # to the unknown-type error instead of digesting as its rows
     findings = _walker_tree(tmp_path, edit=(
-        "protocol.py", "    if is_batch(value):\n        # O(fields)",
-        "    if False:\n        # O(fields)"))
+        "multiproc.py", "    elif is_batch(value):\n        _feed_table(",
+        "    elif False:\n        _feed_table("))
     assert [f.code for f in findings] == ["canonical-value-walkers"]
-    assert "payload_nbytes" in findings[0].message
+    assert "_feed" in findings[0].message
     assert "'batch'" in findings[0].message
 
 
@@ -206,7 +205,7 @@ def test_new_kind_cannot_land_without_every_walker(tmp_path,
     findings = _walker_tree(tmp_path, edit=(
         "multiproc.py", '"batch")', '"batch", "decimal")'))
     assert [f.code for f in findings] == ["canonical-kind-unknown"]
-    # ... and teaching it flags all seven walkers until each decides
+    # ... and teaching it flags every walker until each decides
     monkeypatch.setattr(selfcheck, "KIND_TOKENS", dict(
         selfcheck.KIND_TOKENS, decimal=("Decimal",)))
     findings = selfcheck.check_canonical_value_walkers(str(tmp_path))

@@ -136,16 +136,16 @@ def test_oversize_frame_answered_with_typed_error(server):
 def test_torn_binary_frame_is_detected_not_decoded():
     import numpy as np
 
-    from repro.server import send_binary_frame
+    from repro.server import encode_binary_message, send_binary_frame
     left, right = socket.socketpair()
     try:
         plan = faults.FaultPlan().arm("protocol.send.torn",
                                       action="tear", fraction=0.5)
+        body = encode_binary_message({"kind": "value",
+                                      "value": np.arange(4096)})
         with faults.use(plan):
             with pytest.raises(InjectedFaultError):
-                send_binary_frame(left, {"type": "result",
-                                         "payload":
-                                             np.arange(4096)})
+                send_binary_frame(left, body)
         left.close()
         # half a binary frame is as undecodable as half a JSON one
         with pytest.raises(ProtocolError):
@@ -160,7 +160,7 @@ def test_oversize_binary_frame_answered_with_typed_error(server):
     sock = socket.create_connection((host, port), timeout=10.0)
     try:
         hello = recv_frame(sock)
-        assert "binary" in hello["wire_formats"]
+        assert hello["type"] == "hello"
         # an oversize announcement with the binary flag bit set is
         # refused before any allocation, same as the JSON path
         word = proto._BINARY_FLAG | (MAX_FRAME_BYTES + 1)
@@ -171,9 +171,8 @@ def test_oversize_binary_frame_answered_with_typed_error(server):
         assert recv_frame(sock) is None
     finally:
         sock.close()
-    # a binary-negotiated client still round-trips fine afterwards
-    with _client(server, wire="binary") as client:
-        assert client.wire == "binary"
+    # the next client still round-trips fine afterwards
+    with _client(server) as client:
         assert client.ping() == client.generation
 
 
@@ -181,7 +180,7 @@ def test_binary_client_retries_through_reply_faults(
         server, serial_checksums):
     plan = faults.FaultPlan().arm("server.reply.reset", times=1)
     with faults.use(plan):
-        with _client(server, wire="binary", retries=3,
+        with _client(server, retries=3,
                      backoff_base=0.01) as client:
             reply = client.tpcd(6)
             assert reply.checksum == serial_checksums[6]

@@ -14,7 +14,7 @@ import pytest
 
 from repro import faults
 from repro.bench import measure_query_faults
-from repro.errors import (MILError, QueryTimeoutError,
+from repro.errors import (MILError, ProtocolError, QueryTimeoutError,
                           StaleCatalogError, WorkerCrashedError)
 from repro.monet import (MILProgram, MonetKernel, MultiprocExecutor,
                          Var, partition_independent, result_checksum,
@@ -102,6 +102,14 @@ def _probe_worker(ctx, task):
 
 
 register_task_kind("probe_worker", _probe_worker)
+
+
+def _unencodable(ctx, task):
+    """Test task kind: a result the wire codec has no form for."""
+    return ship_value({1, 2, 3}), None
+
+
+register_task_kind("unencodable", _unencodable)
 
 
 def test_accounted_faults_do_not_depend_on_worker_history(db_dir):
@@ -246,6 +254,20 @@ def test_unknown_task_kind_raises_without_killing_pool(executor):
         executor.submit(("nonsense", "x")).result(timeout=60)
     # the worker survived the failing task
     assert executor.run_queries((6,))[6].checksum
+
+
+def test_unencodable_result_is_typed_and_worker_survives(executor):
+    """The worker encodes every result once; a value the codec cannot
+    carry fails there with the codec's typed error, and the worker
+    goes on serving."""
+    pids = executor.worker_pids()
+    crashes = executor.crashes
+    for _ in range(executor.procs):
+        with pytest.raises(ProtocolError, match="cannot encode"):
+            executor.submit(("unencodable", "u")).result(timeout=60)
+    assert executor.run_queries((6,))[6].checksum
+    assert executor.worker_pids() == pids
+    assert executor.crashes == crashes
 
 
 def test_idle_worker_death_respawns_transparently(db_dir):

@@ -1,11 +1,11 @@
-"""Wire protocol units: framing, the value codec, the caches.
+"""Wire protocol units: framing, the value codec, the cache.
 
 The codec contract under test is *checksum-exact round-tripping*: for
-every value the executor can ship, ``decode(json(encode(v)))`` must
-carry the same sha1 result checksum as ``v`` — that is what lets the
-client re-verify a served payload byte-for-byte.  The binary columnar
-wire and the spool-file path are held to the identical contract: any
-encoding, any transport, same digest.
+every value the executor can ship, decoding its one binary encoding
+must carry the same sha1 result checksum as the value — that is what
+lets the client re-verify a served payload byte-for-byte.  Both ways
+a reply travels, an inline binary frame and a spool file, are held to
+the identical contract: any transport, same digest.
 """
 
 import json
@@ -19,9 +19,9 @@ from repro.errors import FrameTooLargeError, ProtocolError, SpoolError
 from repro.moa.values import Ref, Row, RowBatch
 from repro.monet.mil import MILProgram, Var
 from repro.monet.multiproc import result_checksum
-from repro.server import (LRUCache, ResultCache, decode_program,
-                          decode_value, encode_program, encode_value,
-                          payload_nbytes, read_spooled_payload,
+from repro.server import (WeightedLRU, decode_program, decode_value,
+                          encode_binary_message, encode_program,
+                          encode_value, read_spooled_payload,
                           recv_frame, send_binary_frame, send_frame,
                           write_spooled_payload)
 from repro.server import protocol as proto
@@ -110,23 +110,43 @@ CODEC_VALUES = [
 ]
 
 
+def _through_frame(value):
+    """``value`` encoded once, sent as one binary frame over a real
+    socket and decoded — the inline reply path."""
+    left, right = socket.socketpair()
+    try:
+        send_binary_frame(left, encode_binary_message(value))
+        return decode_value(recv_frame(right))
+    finally:
+        left.close()
+        right.close()
+
+
+def _through_spool(value, directory):
+    """``value`` encoded once, written to a spool file and read back
+    through its mmap — the spooled reply path."""
+    path = directory / "reply.bin"
+    nbytes = write_spooled_payload(path, encode_binary_message(value))
+    return decode_value(read_spooled_payload(path, expected_bytes=nbytes))
+
+
 @pytest.mark.parametrize("value", CODEC_VALUES,
                          ids=[repr(v)[:40] for v in CODEC_VALUES])
 def test_codec_checksum_exact(value):
-    # through real JSON text, exactly like the socket path
-    wire = json.loads(json.dumps(encode_value(value)))
-    decoded = decode_value(wire)
+    decoded = _through_frame(value)
     assert result_checksum(decoded) == result_checksum(value)
 
 
 def test_codec_rejects_unknown_types():
     with pytest.raises(ProtocolError):
-        encode_value(object())
+        encode_value(object(), proto.BufferSink())
+    with pytest.raises(ProtocolError):
+        encode_binary_message({"kind": "value", "value": {1, 2}})
 
 
 def test_ndarray_roundtrip_is_bit_exact():
     array = np.asarray([0.1, 1e-300, -0.0, 3.141592653589793])
-    decoded = decode_value(json.loads(json.dumps(encode_value(array))))
+    decoded = _through_frame(array)
     assert decoded.dtype == array.dtype
     assert decoded.tobytes() == array.tobytes()
 
@@ -144,7 +164,7 @@ BINARY_EDGE_VALUES = [
     np.arange(12, dtype=np.int32).reshape(3, 4).T,  # transposed view
     np.asarray([], dtype=object),
     {"__ndbuf__": "marker-collision"},
-    {"head": np.arange(4), "tail": np.arange(4)},   # dedup pair
+    {"head": np.arange(4), "tail": np.arange(4)},   # equal columns
 ]
 
 BINARY_VALUES = CODEC_VALUES + BINARY_EDGE_VALUES
@@ -160,14 +180,16 @@ def test_binary_message_checksum_exact(value):
 
 @pytest.mark.parametrize("value", BINARY_VALUES,
                          ids=[repr(v)[:40] for v in BINARY_VALUES])
-def test_json_and_binary_wires_agree(value):
-    """The differential contract: both encodings of the same value
-    decode to the same sha1 digest — a client cannot tell (and need
-    not know) which wire served it."""
-    via_json = decode_value(json.loads(json.dumps(encode_value(value))))
-    via_binary = decode_value(proto.decode_binary_message(
-        proto.encode_binary_message(value)))
-    assert result_checksum(via_json) == result_checksum(via_binary)
+def test_json_and_binary_wires_agree(value, tmp_path):
+    """The differential contract: the one encoding of a value decodes
+    to the same sha1 digest whichever way it travels — inline as a
+    binary frame after the JSON header, or as a spool file — so a
+    client cannot tell (and need not know) which path served it.
+    (The name dates from the retired base64-in-JSON reply wire.)"""
+    via_frame = _through_frame(value)
+    via_spool = _through_spool(value, tmp_path)
+    assert result_checksum(via_frame) == result_checksum(via_spool) \
+        == result_checksum(value)
 
 
 def test_binary_frame_socket_roundtrip_zero_copy():
@@ -179,7 +201,7 @@ def test_binary_frame_socket_roundtrip_zero_copy():
                                "tail": np.arange(1000) * 0.5},
                    "checksum": "abc"}
         metered = []
-        send_binary_frame(left, message)
+        send_binary_frame(left, encode_binary_message(message))
         received = recv_frame(right, meter=metered.append)
         decoded = decode_value(received["payload"])
         assert decoded["head"].tolist() == list(range(1000))
@@ -190,22 +212,6 @@ def test_binary_frame_socket_roundtrip_zero_copy():
     finally:
         left.close()
         right.close()
-
-
-def test_binary_buffers_are_content_deduplicated():
-    sink = proto.BufferSink()
-    array = np.arange(512, dtype=np.int64)
-    message = encode_value({"a": array, "b": array.copy(),
-                            "c": array * 2}, sink=sink)
-    assert len(sink.buffers) == 2           # a == b share, c differs
-    assert sink.dedup_hits == 1
-    assert message["a"]["__ndbuf__"] == message["b"]["__ndbuf__"]
-    assert message["c"]["__ndbuf__"] != message["a"]["__ndbuf__"]
-    # and the deduplicated message still decodes checksum-exact
-    blob = proto.encode_binary_message({"a": array, "b": array.copy()})
-    decoded = decode_value(proto.decode_binary_message(blob))
-    assert result_checksum(decoded) == result_checksum(
-        {"a": array, "b": array})
 
 
 def test_oversize_binary_frame_is_refused_before_allocation():
@@ -241,16 +247,6 @@ def test_unresolved_buffer_marker_rejected_in_json_context():
         decode_value({"__ndbuf__": 0, "dtype": "<i8", "shape": [1]})
 
 
-def test_payload_nbytes_is_exact_for_array_buffers():
-    assert payload_nbytes(np.arange(100, dtype=np.int64)) == 800
-    assert payload_nbytes(np.empty(0)) == 0
-    assert payload_nbytes("abcd") == 4
-    assert payload_nbytes(b"xyz") == 3
-    weight = payload_nbytes({"kind": "bat", "head": np.arange(10),
-                             "tail": np.arange(10) * 2.0})
-    assert weight >= 160                    # dominated by the buffers
-
-
 # ----------------------------------------------------------------------
 # spooled payloads
 # ----------------------------------------------------------------------
@@ -258,8 +254,9 @@ def test_spool_roundtrip_and_unlink(tmp_path):
     path = tmp_path / "reply-0.bin"
     value = {"kind": "bat", "head": np.arange(2048),
              "tail": np.arange(2048) % 7}
-    nbytes = write_spooled_payload(path, value)
-    assert path.stat().st_size == nbytes
+    body = encode_binary_message(value)
+    nbytes = write_spooled_payload(path, body)
+    assert nbytes == len(body) == path.stat().st_size
     decoded = read_spooled_payload(path, expected_bytes=nbytes)
     assert result_checksum(decode_value(decoded)) \
         == result_checksum(value)
@@ -276,7 +273,8 @@ def test_spool_missing_file_raises_retryable_spool_error(tmp_path):
 
 def test_spool_truncation_and_length_mismatch_raise_typed(tmp_path):
     path = tmp_path / "reply-1.bin"
-    nbytes = write_spooled_payload(path, {"col": np.arange(1000)})
+    nbytes = write_spooled_payload(
+        path, encode_binary_message({"col": np.arange(1000)}))
     # announced length contradicts the file
     with pytest.raises(SpoolError):
         read_spooled_payload(path, expected_bytes=nbytes + 1,
@@ -306,13 +304,21 @@ def test_program_codec_rejects_malformed():
         decode_program({"not": "a program"})
     with pytest.raises(ProtocolError):
         decode_program({"stmts": [{"target": "x"}]})
+    with pytest.raises(ProtocolError):
+        decode_program({"stmts": [{"target": "x", "op": "select",
+                                   "args": [[1, 2]]}]})
+    # literals are scalars: anything else has no wire form
+    program = MILProgram()
+    program.emit("select", [Var("Item_quantity"), (1, 2)])
+    with pytest.raises(ProtocolError):
+        encode_program(program)
 
 
 # ----------------------------------------------------------------------
-# LRU cache
+# the weighted LRU: plan-cache use (every entry weighs 1)
 # ----------------------------------------------------------------------
 def test_lru_eviction_order_and_stats():
-    cache = LRUCache(2)
+    cache = WeightedLRU(2)
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1          # refreshes a's recency
@@ -329,15 +335,15 @@ def test_lru_eviction_order_and_stats():
 
 
 def test_lru_capacity_zero_disables():
-    cache = LRUCache(0)
-    cache.put("a", 1)
+    cache = WeightedLRU(0)
+    assert cache.put("a", 1) is False
     assert cache.get("a") is None
     assert len(cache) == 0
     assert cache.stats.misses == 1
 
 
 def test_lru_invalidate_predicate():
-    cache = LRUCache(8)
+    cache = WeightedLRU(8)
     for generation in (1, 2):
         for name in ("x", "y"):
             cache.put((name, generation), name * generation)
@@ -352,7 +358,7 @@ def test_lru_invalidate_counts_evictions_and_invalidations():
     """Regression: invalidate() used to drop entries without touching
     the counters, so generation-bump sweeps were invisible in the
     server stats."""
-    cache = LRUCache(8)
+    cache = WeightedLRU(8)
     for generation in (1, 2):
         for name in ("x", "y"):
             cache.put((name, generation), name)
@@ -367,56 +373,70 @@ def test_lru_invalidate_counts_evictions_and_invalidations():
 
 
 # ----------------------------------------------------------------------
-# the byte-weighted result cache
+# the weighted LRU: result-cache use (a reply weighs its body's bytes)
 # ----------------------------------------------------------------------
 def _bat(base, n=64):
     return {"kind": "bat", "head": np.arange(n) + base,
             "tail": (np.arange(n) + base) * 0.5}
 
 
+def _put_reply(cache, key, value, **header):
+    """Cache a reply the way the service does: its header and the
+    encoded body, weighted by the body's length."""
+    body = encode_binary_message(value)
+    header.setdefault("checksum", result_checksum(value))
+    return cache.put(key, (dict(header, type="result"), body),
+                     weight=len(body))
+
+
+def _decoded_hit(cache, key):
+    _header, body = cache.get(key)
+    return decode_value(proto.decode_binary_message(body))
+
+
 def test_result_cache_hit_roundtrip_and_counters():
-    cache = ResultCache(1 << 20)
+    cache = WeightedLRU(1 << 20)
     value = _bat(0)
-    entry = cache.put((1, "q"), "sha", value, {"pid": 7})
-    assert entry is not None
-    hit = cache.get((1, "q"))
-    response = hit.response()
-    assert response["type"] == "result"
-    assert response["checksum"] == "sha"
-    assert response["pid"] == 7
-    assert result_checksum(response["payload"]) \
-        == result_checksum(value)
+    assert _put_reply(cache, (1, "q"), value, pid=7) is True
+    header, body = cache.get((1, "q"))
+    assert isinstance(body, bytes)
+    assert header["type"] == "result"
+    assert header["checksum"] == result_checksum(value)
+    assert header["pid"] == 7
+    assert result_checksum(decode_value(
+        proto.decode_binary_message(body))) == header["checksum"]
     assert cache.get((1, "other")) is None
     snap = cache.snapshot()
     assert snap["hits"] == 1 and snap["misses"] == 1
-    assert 0 < snap["bytes"] <= snap["peak_bytes"] \
-        <= snap["budget_bytes"]
+    assert snap["weight"] == len(body)
+    assert 0 < snap["weight"] <= snap["peak_weight"] <= snap["capacity"]
 
 
 def test_result_cache_responses_are_mutation_isolated():
     """Regression for the serving-path shallow copy: the cached entry
     and every served response used to share the same nested payload
     structure, so one client mutating its reply corrupted everyone
-    else's."""
-    cache = ResultCache(1 << 20)
+    else's.  A cached reply is immutable bytes now: every hit decodes
+    afresh, and nothing decoded can reach the cache."""
+    cache = WeightedLRU(1 << 20)
     source = {"kind": "value", "value": [1, 2, 3], "cols": _bat(5)}
-    cache.put((1, "q"), "sha", source, {})
-    first = cache.get((1, "q")).response()
-    first["payload"]["value"].append("poison")
-    first["payload"].clear()
-    # the source value the service handed in is also out of reach
+    _put_reply(cache, (1, "q"), source)
+    first = _decoded_hit(cache, (1, "q"))
+    first["value"].append("poison")
+    first.clear()
+    # the source value the worker encoded is also out of reach
     source["value"].append("poison")
-    second = cache.get((1, "q")).response()
-    assert second["payload"]["value"] == [1, 2, 3]
-    assert not second["payload"]["cols"]["head"].flags.writeable
+    second = _decoded_hit(cache, (1, "q"))
+    assert second["value"] == [1, 2, 3]
+    assert not second["cols"]["head"].flags.writeable
 
 
 def test_result_cache_source_array_mutation_cannot_corrupt():
-    cache = ResultCache(1 << 20)
+    cache = WeightedLRU(1 << 20)
     column = np.arange(32, dtype=np.int64)
-    cache.put((1, "q"), "sha", {"col": column}, {})
+    _put_reply(cache, (1, "q"), {"col": column})
     column[0] = -999
-    assert cache.get((1, "q")).response()["payload"]["col"][0] == 0
+    assert _decoded_hit(cache, (1, "q"))["col"][0] == 0
 
 
 def _wide_batch(rows=500):
@@ -431,29 +451,26 @@ def _wide_batch(rows=500):
 def test_result_cache_batches_are_mutation_isolated():
     """The batch twin of the two tests above: neither a served
     response nor the source value can reach the cached columns."""
-    cache = ResultCache(1 << 20)
+    cache = WeightedLRU(1 << 20)
     source = _wide_batch()
     digest = result_checksum(source)
-    cache.put((1, "q"), digest, {"kind": "value", "value": source}, {})
-    first = cache.get((1, "q")).response()["payload"]["value"]
+    _put_reply(cache, (1, "q"), {"kind": "value", "value": source})
+    first = _decoded_hit(cache, (1, "q"))["value"]
     assert isinstance(first, RowBatch) and first is not source
     with pytest.raises(ValueError):
-        first.columns[0][0] = -999              # frozen buffers
+        first.columns[0][0] = -999              # read-only views
     first.columns[1] = np.zeros(len(first))     # a fresh container ...
     first.columns.pop()
     source.columns[0][0] = -999                 # ... and copied bytes
-    second = cache.get((1, "q")).response()["payload"]["value"]
+    second = _decoded_hit(cache, (1, "q"))["value"]
     assert result_checksum(second) == digest
     assert second[0]["k"] == Ref("Order", 0)
-    # hits share the frozen column buffers instead of copying them
-    third = cache.get((1, "q")).response()["payload"]["value"]
-    assert third.columns[0] is second.columns[0]
 
 
 def test_batch_bookkeeping_never_builds_a_row(monkeypatch):
-    """``payload_nbytes`` (worker, per request), the interning walk
-    and ``materialize`` (parent, per hit) used to rebuild every Row;
-    for a batch they touch columns only."""
+    """Encoding (worker), checksumming, caching and decoding a batch
+    touch its columns only; a ``Row`` exists only once someone
+    iterates."""
     built = []
     original = Row.__init__
 
@@ -463,70 +480,48 @@ def test_batch_bookkeeping_never_builds_a_row(monkeypatch):
 
     monkeypatch.setattr(Row, "__init__", counting)
     batch = _wide_batch()
-    # numeric buffers + the object column's per-string estimate
-    assert 500 * 16 <= payload_nbytes(batch) <= 500 * 16 + 500 * 16
-    cache = ResultCache(1 << 20)
-    cache.put((1, "q"), "sha", {"kind": "value", "value": batch}, {})
+    cache = WeightedLRU(1 << 20)
+    _put_reply(cache, (1, "q"), {"kind": "value", "value": batch})
     for _ in range(3):
-        cache.get((1, "q")).response()
-    encode_value(batch)
-    result_checksum(batch)
+        decoded = _decoded_hit(cache, (1, "q"))["value"]
+    result_checksum(decoded)
     assert built == []
     assert len(list(batch)) == 500 and len(built) == 500
 
 
 def test_result_cache_byte_budget_is_a_hard_ceiling():
     budget = 4096
-    cache = ResultCache(budget)
+    cache = WeightedLRU(budget)
     for index in range(16):
-        cache.put((1, "q%d" % index), "sha", _bat(index * 100), {})
-        assert cache.bytes <= budget
+        _put_reply(cache, (1, "q%d" % index), _bat(index * 100))
+        assert cache.snapshot()["weight"] <= budget
     snap = cache.snapshot()
     assert snap["evictions"] >= 1
-    assert snap["bytes"] <= budget and snap["peak_bytes"] <= budget
+    assert snap["weight"] <= budget and snap["peak_weight"] <= budget
     # a single value larger than the whole budget is never admitted
-    assert cache.put((1, "big"), "sha",
-                     {"col": np.zeros(budget, dtype=np.int64)},
-                     {}) is None
+    assert _put_reply(cache, (1, "big"),
+                      {"col": np.zeros(budget, dtype=np.int64)}) is False
     assert cache.get((1, "big")) is None
-    assert cache.snapshot()["bytes"] <= budget
-
-
-def test_result_cache_dedups_identical_buffers_across_entries():
-    cache = ResultCache(1 << 20)
-    column = np.arange(4096, dtype=np.int64)     # 32 KiB
-    cache.put((1, "a"), "s1", {"col": column}, {})
-    before = cache.bytes
-    cache.put((1, "b"), "s2", {"col": column.copy()}, {})
-    snap = cache.snapshot()
-    assert snap["size"] == 2
-    assert snap["unique_buffers"] == 1
-    assert snap["dedup_hits"] == 1
-    # the second replica charged only structural overhead, not 32 KiB
-    assert cache.bytes - before < 1024
-    # evicting one replica keeps the shared buffer alive for the other
-    assert cache.invalidate(lambda key: key[1] == "a") == 1
-    assert cache.get((1, "b")).response()["payload"]["col"][-1] == 4095
-    assert cache.snapshot()["unique_buffers"] == 1
+    assert cache.snapshot()["weight"] <= budget
 
 
 def test_result_cache_ttl_expires_lazily():
     clock = [0.0]
-    cache = ResultCache(1 << 20, ttl_s=10.0, clock=lambda: clock[0])
-    cache.put((1, "q"), "sha", _bat(0), {})
+    cache = WeightedLRU(1 << 20, ttl_s=10.0, clock=lambda: clock[0])
+    _put_reply(cache, (1, "q"), _bat(0))
     clock[0] = 9.0
     assert cache.get((1, "q")) is not None
     clock[0] = 11.0
     assert cache.get((1, "q")) is None
     snap = cache.snapshot()
     assert snap["expirations"] == 1
-    assert snap["bytes"] == 0           # expiry returned the bytes
+    assert snap["weight"] == 0          # expiry returned the bytes
 
 
 def test_result_cache_generation_invalidation():
-    cache = ResultCache(1 << 20)
-    cache.put((1, "q"), "s1", _bat(0), {})
-    cache.put((2, "q"), "s2", _bat(1), {})
+    cache = WeightedLRU(1 << 20)
+    _put_reply(cache, (1, "q"), _bat(0))
+    _put_reply(cache, (2, "q"), _bat(1))
     dropped = cache.invalidate(lambda key: key[0] == 1)
     assert dropped == 1
     assert cache.get((1, "q")) is None
@@ -536,24 +531,26 @@ def test_result_cache_generation_invalidation():
 
 
 def test_result_cache_zero_budget_disables():
-    cache = ResultCache(0)
-    assert cache.put((1, "q"), "sha", _bat(0), {}) is None
+    cache = WeightedLRU(0)
+    assert _put_reply(cache, (1, "q"), _bat(0)) is False
     assert cache.get((1, "q")) is None
     assert len(cache) == 0
 
 
 def test_result_cache_is_thread_safe_under_contention():
-    cache = ResultCache(64 * 1024)
+    cache = WeightedLRU(64 * 1024)
+    bodies = [encode_binary_message(_bat(index)) for index in range(10)]
     errors = []
 
     def hammer(seed):
         try:
             for index in range(150):
-                key = (seed, index % 10)
-                cache.put(key, "sha", _bat(index), {"t": seed})
-                entry = cache.get((seed, (index * 7) % 10))
-                if entry is not None:
-                    entry.response()
+                body = bodies[index % 10]
+                cache.put((seed, index % 10), ({"t": seed}, body),
+                          weight=len(body))
+                hit = cache.get((seed, (index * 7) % 10))
+                if hit is not None:
+                    proto.decode_binary_message(hit[1])
         except Exception as exc:        # pragma: no cover
             errors.append(exc)
 
@@ -564,11 +561,11 @@ def test_result_cache_is_thread_safe_under_contention():
     for thread in threads:
         thread.join()
     assert not errors
-    assert cache.bytes <= 64 * 1024
+    assert cache.snapshot()["weight"] <= 64 * 1024
 
 
 def test_lru_is_thread_safe_under_contention():
-    cache = LRUCache(16)
+    cache = WeightedLRU(16)
     errors = []
 
     def hammer(seed):

@@ -3,9 +3,11 @@
 Random flat batches — int (several widths), float with NaN payloads,
 infinities and -0.0, bool, unicode and empty strings, reference
 columns, a ``None``-bearing object column; zero rows, one field;
-sliced, strided and big-endian columns — go through pickle (the worker
-pipe), the JSON wire, the binary wire, a spool file and a result-cache
-hit.  After each hop the value must still be a batch with the same
+sliced, strided and big-endian columns — take the path a served result
+takes: encoded once in the worker, its outcome pickled through the
+worker pipe, held in the result cache, then sent inline as a binary
+frame or written to a spool file, and decoded by the client.  Wherever
+it is decoded the value must still be a batch with the same
 ``result_checksum``, and that checksum must equal the one of the plain
 row list ``list(batch)``: the digest is a function of the rows, not of
 how they are held or how wide a column is stored.
@@ -17,8 +19,8 @@ leaking in, row order ignored, row lists digested per element); every
 mutant must fail the contract.
 """
 
-import json
 import pickle
+import socket
 import struct
 
 import numpy as np
@@ -29,9 +31,10 @@ from hypothesis import strategies as st
 from repro.errors import ProtocolError
 from repro.moa.values import Ref, Row, RowBatch
 from repro.monet import multiproc
-from repro.monet.multiproc import result_checksum
-from repro.server import (ResultCache, decode_value, encode_value,
-                          read_spooled_payload, write_spooled_payload)
+from repro.monet.multiproc import TaskOutcome, result_checksum
+from repro.server import (WeightedLRU, decode_value,
+                          read_spooled_payload, recv_frame,
+                          send_binary_frame, write_spooled_payload)
 from repro.server.protocol import (decode_binary_message,
                                    encode_binary_message)
 
@@ -106,27 +109,35 @@ def batches(draw):
                      for kind in kinds])
 
 
-def _through_json(batch):
-    return decode_value(json.loads(json.dumps(encode_value(batch),
-                                              allow_nan=True)))
-
-
 def _through_binary(batch):
     body = encode_binary_message({"payload": batch})
     return decode_value(decode_binary_message(body)["payload"])
 
 
-def _through_pickle(batch):
-    return pickle.loads(pickle.dumps(batch))
+def _from_worker(batch):
+    """The outcome a worker ships for ``batch``: the canonical value
+    checksummed and encoded once, pickled through the pipe."""
+    canonical = {"kind": "value", "value": batch}
+    outcome = TaskOutcome("q", result_checksum(canonical),
+                          encode_binary_message(canonical), 0.0, None,
+                          1, 0)
+    return pickle.loads(pickle.dumps(outcome))
 
 
-def _through_cache(batch):
-    cache = ResultCache(1 << 24)
-    cache.put((1, "q"), "sha", {"kind": "value", "value": batch}, {})
-    return cache.get((1, "q")).response()["payload"]["value"]
+def _through_cache(body):
+    cache = WeightedLRU(1 << 24)
+    cache.put((1, "q"), ({"type": "result"}, body), weight=len(body))
+    return cache.get((1, "q"))[1]
 
 
-HOPS = (_through_pickle, _through_json, _through_binary, _through_cache)
+def _inline(body):
+    left, right = socket.socketpair()
+    try:
+        send_binary_frame(left, body)
+        return decode_value(recv_frame(right))
+    finally:
+        left.close()
+        right.close()
 
 
 @pytest.fixture(scope="module")
@@ -143,19 +154,29 @@ def test_every_hop_keeps_the_digest(spool_dir, batch):
     assert result_checksum(rows) == digest
     assert len(rows) == len(batch)
 
-    def spool(value):
-        path = str(spool_dir / "reply.bin")
-        write_spooled_payload(path, {"payload": value})
-        return decode_value(read_spooled_payload(path)["payload"])
+    outcome = _from_worker(batch)
+    assert outcome.checksum == result_checksum(
+        {"kind": "value", "value": rows})
+    body = _through_cache(outcome.body)
+    assert body == outcome.body          # cached bytes, served as-is
 
-    for hop in HOPS + (spool,):
-        arrived = hop(batch)
-        assert isinstance(arrived, RowBatch), hop.__name__
+    def spooled(body):
+        path = str(spool_dir / "reply.bin")
+        nbytes = write_spooled_payload(path, body)
+        return decode_value(read_spooled_payload(
+            path, expected_bytes=nbytes))
+
+    arrivals = {"worker": outcome.value(), "inline": _inline(body),
+                "spool": spooled(body)}
+    for hop, canonical in arrivals.items():
+        assert result_checksum(canonical) == outcome.checksum, hop
+        arrived = canonical["value"]
+        assert isinstance(arrived, RowBatch), hop
         assert arrived.names == batch.names
         assert arrived.ref_classes == batch.ref_classes
-        assert result_checksum(arrived) == digest, hop.__name__
-        assert result_checksum(list(arrived)) == digest, hop.__name__
-        # chained: what arrived survives the other hops too
+        assert result_checksum(arrived) == digest, hop
+        assert result_checksum(list(arrived)) == digest, hop
+        # chained: what arrived survives another encoding too
         assert result_checksum(_through_binary(arrived)) == digest
 
 
@@ -179,7 +200,6 @@ def test_binary_wire_ships_columns_as_buffers_and_decodes_views():
 
 def test_marker_collision_and_malformed_batches():
     tricky = {"__batch__": ["not", "a", "batch"], "refs": 1}
-    assert _through_json(tricky) == tricky
     assert _through_binary(tricky) == tricky
     for wire in ({"__batch__": ["a"], "refs": [None], "cols": []},
                  {"__batch__": ["a", "a"], "refs": [None, None],

@@ -21,6 +21,8 @@ from repro.monet import MILProgram, MonetKernel, Var
 from repro.monet.multiproc import (result_checksum, run_program_serial,
                                    ship_value)
 from repro.server import QueryClient, QueryServer, QueryService
+from repro.server.protocol import (decode_binary_message, decode_value,
+                                   send_frame)
 from repro.tpcd import QUERIES, load_tpcd, open_tpcd
 from repro.tpcd.loader import save_tpcd
 
@@ -53,6 +55,17 @@ def server(db_dir):
     service.close()
 
 
+@pytest.fixture(scope="module")
+def spool_server(db_dir, tmp_path_factory):
+    """A server with a spool directory and no result cache, so every
+    request executes and each client picks inline or spooled replies."""
+    service = QueryService(db_dir, procs=2)
+    spool_dir = tmp_path_factory.mktemp("spool")
+    with QueryServer(service, spool_dir=str(spool_dir)) as srv:
+        yield srv
+    service.close()
+
+
 def _connect(server):
     host, port = server.address
     return QueryClient(host, port)
@@ -63,7 +76,7 @@ def _connect(server):
 # ----------------------------------------------------------------------
 def test_hello_and_ping(server):
     with _connect(server) as client:
-        assert client.protocol == 1
+        assert client.protocol == 2
         assert client.generation == 1
         assert client.ping() == 1
 
@@ -138,16 +151,20 @@ def test_sql_over_the_wire_matches_the_moa_path(server,
             assert reply.checksum == serial_checksums[number]
 
 
-def test_sql_served_on_both_wire_formats(server, serial_checksums):
+def test_sql_served_on_both_wire_formats(spool_server,
+                                        serial_checksums):
+    """Both ways a reply travels — inline after its header, or as a
+    spool file — serve the serial checksum."""
     from repro.sql.suite import sql_text
-    host, port = server.address
+    host, port = spool_server.address
     checksums = {}
-    for wire in ("json", "binary"):
-        with QueryClient(host, port, wire=wire) as client:
-            assert client.wire == wire
-            checksums[wire] = client.sql(sql_text(3)).checksum
-    assert checksums["json"] == checksums["binary"] \
-        == serial_checksums[3]
+    for spool in (False, True):
+        with QueryClient(host, port, spool=spool,
+                         spool_threshold=0) as client:
+            reply = client.sql(sql_text(3))
+            assert reply.spooled is spool
+            checksums[spool] = reply.checksum
+    assert checksums[False] == checksums[True] == serial_checksums[3]
 
 
 def test_sql_prepared_plans_are_cached_per_worker(server):
@@ -219,9 +236,9 @@ NESTED_MOA = "project[<name : n, supplies : s>](Supplier)"
 
 
 def test_rows_wide_request_builds_no_row_until_iterated(
-        db_dir, tiny_tpcd_db, monkeypatch):
+        db_dir, tiny_tpcd_db, monkeypatch, tmp_path):
     """A count, not a timing: serving a set of flat tuples end to end
-    — worker, parent, either wire, client — constructs zero ``Row``
+    — worker, parent, inline or spooled, client — constructs zero ``Row``
     objects; iterating the reply builds exactly one per row.  The
     counter is a shared-memory integer the forked workers inherit, so
     their constructions are counted too (the nested query proves it
@@ -242,12 +259,14 @@ def test_rows_wide_request_builds_no_row_until_iterated(
     monkeypatch.setattr(Row, "__init__", counting)
     service = QueryService(db_dir, procs=2)
     try:
-        with QueryServer(service) as srv:
+        with QueryServer(service, spool_dir=str(tmp_path)) as srv:
             host, port = srv.address
-            for wire in ("binary", "json"):
-                with QueryClient(host, port, wire=wire) as client:
+            for wire in ("inline", "spool"):
+                with QueryClient(host, port, spool=wire == "spool",
+                                 spool_threshold=0) as client:
                     for _ in range(4):      # reaches both workers
                         reply = client.sql(ROWS_WIDE_K5)
+                    assert reply.spooled is (wire == "spool")
                     assert built.value == 0, wire
                     assert isinstance(reply.value, RowBatch)
                     assert len(reply.value) == len(expected) > 100
@@ -322,7 +341,8 @@ def test_result_cache_short_circuits(db_dir, serial_checksums):
 def test_result_cache_hits_cannot_be_corrupted_by_clients(db_dir):
     """Regression for the serving-path shallow copy: every served
     response used to share its nested payload with the cached entry,
-    so one caller mutating a reply poisoned later hits."""
+    so one caller mutating a reply poisoned later hits.  A response's
+    header is a fresh dict per request and its body immutable bytes."""
     service = QueryService(db_dir, procs=1,
                            result_cache_bytes=1 << 20)
     try:
@@ -330,13 +350,15 @@ def test_result_cache_hits_cannot_be_corrupted_by_clients(db_dir):
             request = {"type": "tpcd", "number": 1}
             first = session.execute(request)
             expected = first["checksum"]
+            assert isinstance(first["body"], bytes)
             # trash the served structures in place
-            first["payload"].clear()
+            decode_value(decode_binary_message(first["body"])).clear()
             first.clear()
             second = session.execute(request)
             assert second["result_cached"] is True
             assert second["checksum"] == expected
-            assert result_checksum(second["payload"]) == expected
+            assert result_checksum(decode_value(decode_binary_message(
+                second["body"]))) == expected
     finally:
         service.close()
 
@@ -372,71 +394,153 @@ def test_result_cache_stays_within_budget_and_invalidates(db_dir):
             snap = client.stats()["result_cache"]
     service.close()
     assert snap["size"] >= 1
-    assert snap["bytes"] <= snap["budget_bytes"]
-    assert snap["peak_bytes"] <= snap["budget_bytes"]
+    assert snap["weight"] <= snap["capacity"] == 1 << 20
+    assert snap["peak_weight"] <= snap["capacity"]
 
 
 # ----------------------------------------------------------------------
-# wire formats: negotiation, differential checksums, spool fast path
+# the one reply path: worker-encoded bytes, inline or spooled
 # ----------------------------------------------------------------------
 def test_json_and_binary_wires_serve_identical_checksums(
-        server, serial_checksums):
-    host, port = server.address
-    with QueryClient(host, port, wire="json") as json_client, \
-            QueryClient(host, port, wire="binary") as bin_client:
-        assert json_client.wire == "json"
-        assert bin_client.wire == "binary"
+        spool_server, serial_checksums):
+    """Both ways the one reply encoding travels — inline after the
+    JSON header frame, or as a spool file — serve the serial checksums
+    (the name dates from the retired base64-in-JSON reply wire)."""
+    host, port = spool_server.address
+    with QueryClient(host, port) as inline_client, \
+            QueryClient(host, port, spool=True,
+                        spool_threshold=0) as spool_client:
+        assert inline_client.spooling is False
+        assert spool_client.spooling is True
         for number in sorted(QUERIES):
-            json_reply = json_client.tpcd(number)
-            bin_reply = bin_client.tpcd(number)
-            assert json_reply.checksum == bin_reply.checksum \
+            inline = inline_client.tpcd(number)
+            spooled = spool_client.tpcd(number)
+            assert not inline.spooled and spooled.spooled
+            assert inline.checksum == spooled.checksum \
                 == serial_checksums[number]
-        assert bin_client.bytes_received > 0
-        assert json_client.bytes_received > 0
+            assert inline.payload_bytes == spooled.payload_bytes
+        assert inline_client.bytes_received \
+            > spool_client.bytes_received > 0
 
 
-def test_binary_wire_ships_columns_smaller_than_json(server, db_dir):
-    """The point of the binary wire: a column-shipping MIL fetch costs
-    fewer reply bytes raw than base64-in-JSON (which inflates every
-    buffer by 4/3)."""
+def test_binary_wire_ships_columns_smaller_than_json(server):
+    """A column-shipping MIL fetch costs its raw column bytes plus a
+    small header — well under the 4/3 of base64-in-JSON, with no
+    per-value text."""
     program = MILProgram()
     window = program.emit("slice", [Var("Item_quantity"), 0, 4095])
     program.emit("multiplex", [window, 1.0], fn="*", target="col")
-    host, port = server.address
-    with QueryClient(host, port, wire="json") as json_client, \
-            QueryClient(host, port, wire="binary") as bin_client:
-        json_reply = json_client.mil(program, ["col"])
-        json_bytes = json_client.bytes_received
-        bin_reply = bin_client.mil(program, ["col"])
-        bin_bytes = bin_client.bytes_received
-    assert bin_reply.checksum == json_reply.checksum
-    assert bin_bytes < json_bytes, (bin_bytes, json_bytes)
+    with _connect(server) as client:
+        reply = client.mil(program, ["col"])
+        received = client.bytes_received
+    bat = reply.value["col"]
+    raw = bat["head"].nbytes + bat["tail"].nbytes
+    assert raw > 4096
+    assert raw <= reply.payload_bytes < raw + 512
+    assert reply.payload_bytes < received < reply.payload_bytes + 1024
+    assert received < raw * 4 / 3
 
 
 def test_unknown_wire_format_answers_typed_and_survives(server):
+    """A malformed ``wire`` request answers a typed error and leaves the
+    connection as it was.  (Requests no longer name a format — replies
+    have one encoding — so the spool threshold is what can be
+    malformed.)"""
     from repro.server.protocol import recv_frame as _recv
     from repro.server.protocol import send_frame as _send
-    host, port = server.address
-    with QueryClient(host, port, wire="json") as client:
-        _send(client._sock, {"type": "wire", "format": "capnproto"})
-        reply = _recv(client._sock)
-        assert reply["type"] == "error"
-        assert reply["error"] == "WireFormatError"
-        assert reply["retryable"] is False
-        # the connection (and its JSON wire state) survives
-        assert client.ping() == 1
-        _send(client._sock, {"type": "wire", "format": "binary",
-                             "spool_threshold": -3})
-        reply = _recv(client._sock)
-        assert reply["error"] == "WireFormatError"
-        assert client.ping() == 1
+    with _connect(server) as client:
+        for threshold in (-3, True, "big"):
+            _send(client._sock, {"type": "wire", "spool": True,
+                                 "spool_threshold": threshold})
+            reply = _recv(client._sock)
+            assert reply["type"] == "error"
+            assert reply["error"] == "WireFormatError"
+            assert reply["retryable"] is False
+            # the connection (and its inline replies) survive
+            assert client.ping() == 1
+        assert client.tpcd(6).spooled is False
 
 
-def test_client_degrades_to_json_when_format_unavailable(server):
-    host, port = server.address
-    with QueryClient(host, port, wire="msgpack") as client:
-        assert client.wire == "json"
-        assert client.tpcd(6).checksum
+def test_server_process_never_encodes_or_decodes_a_payload(
+        db_dir, serial_checksums, tmp_path, monkeypatch):
+    """The worker encodes a reply once; the server only forwards the
+    bytes.  With the value codec rigged to fail on the server's own
+    threads once its pool has started, inline, spooled and cache-hit
+    replies to sql, mil and tpcd requests still arrive, carrying the
+    serial checksums."""
+    from repro.server import protocol
+    from repro.sql.suite import sql_text
+
+    program = MILProgram()
+    window = program.emit("slice", [Var("Item_extendedprice"), 0, 999])
+    program.emit("multiplex", [window, 2.0], fn="*", target="col")
+    _env, mil_serial = run_program_serial(MonetKernel.open(db_dir),
+                                          program, ["col"])
+    calls = {"sql": (lambda client: client.sql(sql_text(3)),
+                     serial_checksums[3]),
+             "mil": (lambda client: client.mil(program, ["col"]),
+                     mil_serial),
+             "tpcd": (lambda client: client.tpcd(12),
+                      serial_checksums[12])}
+
+    service = QueryService(db_dir, procs=2, result_cache_bytes=1 << 20)
+    server = QueryServer(service, spool_dir=str(tmp_path))
+    server.start()
+    try:
+        host, port = server.address
+        with QueryClient(host, port) as client:
+            assert client.ping() == 1         # the pool is up
+        rigged = []
+
+        def rig(name):
+            real = getattr(protocol, name)
+
+            def codec(*args, **kwargs):
+                if threading.current_thread().name.startswith("serve-"):
+                    rigged.append(name)
+                    raise AssertionError("the server ran %s" % name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(protocol, name, codec)
+
+        for name in ("encode_value", "decode_value",
+                     "encode_binary_message", "decode_binary_message"):
+            rig(name)
+        for spool in (False, True):
+            with QueryClient(host, port, spool=spool,
+                             spool_threshold=0) as client:
+                for kind, (call, expected) in sorted(calls.items()):
+                    reply = call(client)
+                    assert reply.checksum == expected, kind
+                    assert reply.spooled is spool, kind
+                    assert reply.result_cached is spool, kind  # 2nd lap
+                    assert call(client).result_cached is True, kind
+        assert rigged == []
+    finally:
+        server.stop()
+        service.close()
+
+
+def test_unread_spool_file_is_removed_on_stop(db_dir, tmp_path):
+    """A spooled reply whose client never reads it does not outlive
+    the server."""
+    service = QueryService(db_dir, procs=1)
+    spool_dir = tmp_path / "spool"
+    server = QueryServer(service, spool_dir=str(spool_dir))
+    server.start()
+    try:
+        host, port = server.address
+        client = QueryClient(host, port, spool=True, spool_threshold=0)
+        assert client.spooling is True
+        send_frame(client._sock, {"type": "tpcd", "number": 6})
+        client._sock.close()                # gone without reading
+        deadline = time.monotonic() + 30
+        while service.stats()["counters"]["results"] < 1 \
+                and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        server.stop()
+        service.close()
+    assert list(spool_dir.iterdir()) == []
 
 
 def test_spool_fast_path_ships_files_and_cleans_up(
@@ -526,7 +630,8 @@ def test_stats_shape_and_latency_percentiles(server):
     assert stats["inflight"] == 0
 
 
-def test_fault_simulation_is_pay_per_use(db_dir, serial_checksums):
+def test_fault_simulation_is_pay_per_use(db_dir, serial_checksums,
+                                         tmp_path):
     """Default requests simulate nothing and report no ``faults``; a
     ``buffer_stats`` request reports its own cold-start count — the
     in-process one, whatever the worker ran before — moves
@@ -540,12 +645,13 @@ def test_fault_simulation_is_pay_per_use(db_dir, serial_checksums):
 
     service = QueryService(db_dir, procs=1,
                            result_cache_bytes=1 << 20)
-    with QueryServer(service) as srv:
+    with QueryServer(service, spool_dir=str(tmp_path)) as srv:
         host, port = srv.address
         total = 0
-        for wire in ("json", "binary"):
-            with QueryClient(host, port, wire=wire) as client:
-                assert client.wire == wire
+        for spool in (False, True):
+            with QueryClient(host, port, spool=spool,
+                             spool_threshold=0) as client:
+                assert client.spooling is spool
                 plain = client.tpcd(6)
                 assert plain.faults is None
                 assert client.stats()["buffer"]["faults"] == total

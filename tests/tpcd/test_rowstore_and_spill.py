@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.errors import CatalogError
 from repro.monet.buffer import BufferManager, use
 from repro.monet.multiproc import result_checksum
-from repro.tpcd import QUERIES, RowStore, load_tpcd, open_rowstore
+from repro.tpcd import QUERIES, RowStore, load_tpcd
 
 
 @pytest.fixture(scope="module")
@@ -98,55 +97,33 @@ def test_all_queries_produce_fault_attribution(store, tiny_tpcd_db):
         assert manager.op_faults
 
 
-def test_rowstore_persists_and_warm_starts(tmp_path, tiny_tpcd, store):
-    """ROADMAP "Row-store baseline parity": the comparator persists
-    through the same HeapStorage backend as the BAT catalog, and a
-    warm start answers the Figure 9 queries identically to the
-    dbgen-built engine."""
-    db_dir = tmp_path / "db"
-    load_tpcd(tiny_tpcd, db_dir=db_dir)     # saves catalog + rowstore
-    warm = open_rowstore(db_dir)
-    assert sorted(warm.tables) == sorted(store.tables)
-    for name, table in warm.tables.items():
-        cold_table = store.tables[name]
-        assert table.n_rows == cold_table.n_rows
-        assert table.row_width == cold_table.row_width
-        for column, values in table.columns.items():
-            cold_values = cold_table.columns[column]
-            assert values.dtype == cold_values.dtype   # object restored
-            assert np.array_equal(values, cold_values)
-    for number in (1, 6, 13):
-        params = QUERIES[number].params()
-        assert result_checksum(warm.run(number, params)) \
-            == result_checksum(store.run(number, params))
-    # the baseline honours the shared-catalog generation pin too
-    assert warm.generation == 1
-    assert open_rowstore(db_dir, expected_generation=1).generation == 1
-    from repro.errors import StaleCatalogError
-    with pytest.raises(StaleCatalogError):
-        open_rowstore(db_dir, expected_generation=9)
-
-
-def test_dataset_less_resave_keeps_the_baseline(tmp_path, tiny_tpcd):
-    """A metadata-only re-save (no dataset at hand) must carry the
-    persisted rowstore section forward instead of letting the pruner
-    delete the baseline's column files."""
+def test_old_rowstore_section_is_ignored_then_pruned(tmp_path, tiny_tpcd):
+    """Catalogs saved while the row-store baseline was persisted carry
+    a ``rowstore`` manifest section and ``_rowstore.*`` column files.
+    Opening such a catalog ignores the section; the next save drops it
+    and prunes its files."""
+    from repro.monet.storage import as_backend
     from repro.tpcd import open_tpcd, save_tpcd
     db_dir = tmp_path / "db"
     load_tpcd(tiny_tpcd, db_dir=db_dir)
+    backend = as_backend(db_dir)
+    manifest = backend.read_manifest()
+    quantity = np.asarray(tiny_tpcd.tables["item"]["quantity"])
+    old_file = "g1._rowstore.item.quantity.col"
+    backend.write_array(old_file, quantity)
+    manifest["rowstore"] = {"tables": {"item": {"quantity": {
+        "file": old_file, "dtype": quantity.dtype.str,
+        "length": len(quantity)}}}}
+    backend.write_manifest(manifest)
+
     db, _report = open_tpcd(db_dir)
-    save_tpcd(db, db_dir)                       # dataset=None
-    warm = open_rowstore(db_dir)
-    assert warm.tables["item"].n_rows > 0
-
-
-def test_open_rowstore_needs_the_persisted_section(tmp_path):
-    from repro.monet import MonetKernel
-    kernel = MonetKernel()
-    kernel.dense_bat("nums", "long", [1, 2, 3])
-    kernel.save(tmp_path / "db")            # no dataset, no baseline
-    with pytest.raises(CatalogError):
-        open_rowstore(tmp_path / "db")
+    expected = result_checksum(QUERIES[6].run(load_tpcd(tiny_tpcd)[0]))
+    assert result_checksum(QUERIES[6].run(db)) == expected
+    save_tpcd(db, db_dir)
+    assert "rowstore" not in backend.read_manifest()
+    assert not (db_dir / old_file).exists()
+    reopened, _report = open_tpcd(db_dir)
+    assert result_checksum(QUERIES[6].run(reopened)) == expected
 
 
 def test_qppd_metric():
