@@ -29,7 +29,7 @@ class Column:
 
     def __init__(self, atom):
         self.atom = _atoms.atom(atom)
-        #: ``(first_pos, inverse, n_groups)`` of this column's distinct
+        #: ``(inverse, first_pos, n_groups)`` of this column's distinct
         #: keys, cached by the first set-aggregate grouped on it (the
         #: column is immutable, so the factorization never goes stale)
         self.grouping = None

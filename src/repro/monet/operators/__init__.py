@@ -47,8 +47,10 @@ semijoin     mergesemijoin      both heads ordered: bool table over a
                                 compact integer span, else binary search
 semijoin     hashsemijoin       fallback: bool table over a compact
                                 integer span, else sort + binary search
-group        unary/binary       factorised int codes (``np.unique``),
-                                pair codes combined in int64
+group        unary/binary       factorised int codes: a direct-address
+                                pass for integer keys with a compact span
+                                (no sort), ``np.unique`` otherwise; pair
+                                codes combined in int64
 unique/      code path          joint int64 BUN pair codes; membership
 set ops                         as in hashsemijoin; first-occurrence
                                 order preserved
@@ -58,19 +60,21 @@ multiplex    heap codes         one BAT operand with a string tail: the
 multiplex    synced             operands synced (or one BAT): one numpy
                                 expression over the tails
 multiplex    aligned            fallback: natural join on heads first
-aggregate    grouped            one ``np.unique`` per head column (cached on
-                                it), then ``np.bincount`` (count/avg/float
+aggregate    grouped            one grouping per head column (cached on
+                                it; the same factorization as group),
+                                then ``np.bincount`` (count/avg/float
                                 sum), argsort + ``np.add.reduceat`` (int
-                                sum, exact), order-rank extremes (min/max
-                                incl. strings)
+                                sum past 2**53, exact), min/max by
+                                scatter-reduce over integer order ranks
+                                (ints, oids, strings), argsort over float
 ===========  =================  ===========================================
 
 The direct-address tables (``keyjoin``'s slots, the semijoin bool
-table, ``MultiMap``'s buckets, offset codes) share one compactness
-rule: the integer key span may not exceed ``max(2**16, 4 n)``.  The
-naive BUN-at-a-time algorithms survive in :mod:`.naive` as the executable
-specification the differential tests and the benchmark harness compare
-against.
+table, ``MultiMap``'s buckets, offset codes, the grouping table) share
+one compactness rule: the integer key span may not exceed
+``max(2**16, 4 n)``.  The naive BUN-at-a-time algorithms survive in
+:mod:`.naive` as the executable specification the differential tests
+compare against.
 
 Every kernel runs serially in the calling thread; parallelism is
 across queries, in worker processes (:mod:`repro.monet.multiproc`).

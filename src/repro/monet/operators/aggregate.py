@@ -11,6 +11,14 @@ collections."
 Supported aggregate functions: ``sum, count, avg, min, max``.  Grouped
 min/max on variable-size atoms (strings) work through the heap's value
 ranks, so every comparable atom is supported.
+
+Nothing here sorts on the common path.  The head's grouping is
+:func:`~repro.monet.vectorized.grouping`: a direct-address pass for
+integer keys with a compact span (oids, group ids, heap indices), with
+``np.unique`` only for wide spans and floats.  Grouped min/max over
+integer ranks (ints, oids, and strings through heap ranks) is an O(n)
+scatter-reduce (:func:`~repro.monet.vectorized.grouped_extreme`);
+float ranks keep a stable argsort.
 """
 
 import numpy as np
@@ -20,7 +28,8 @@ from .. import atoms as _atoms
 from ..buffer import get_manager
 from ..column import FixedColumn, equality_keys
 from ..properties import Props
-from ..vectorized import grouped_sum, grouped_weighted_sum, membership_mask
+from ..vectorized import (grouped_extreme, grouped_sum, grouped_weighted_sum,
+                          grouping, membership_mask)
 from .common import result_bat
 
 AGGREGATES = ("sum", "count", "avg", "min", "max")
@@ -38,11 +47,14 @@ def set_aggregate(func, ab, name=None):
     """``{func}(AB)``: one aggregate per distinct head value.
 
     The result head holds the distinct head values in ascending order;
-    ``hkey`` and ``hordered`` are set by construction.  The grouping
-    of the head is computed once per head *column*: ``{sum}``,
-    ``{avg}`` and ``{count}`` over BATs sharing one head (what synced
-    joins and total semijoins produce) factorize it only the first
-    time.
+    ``hkey`` and ``hordered`` are set by construction.  NaN heads
+    follow IEEE semantics like ``group``: each is its own group, placed
+    after the others, and such a head declares neither flag.  The
+    grouping of the head is computed once per head *column*:
+    aggregates over BATs sharing one head (what synced joins and total
+    semijoins produce) derive it only the first time.  Min and max
+    take the first position among tied minima and the last among tied
+    maxima.
     """
     if func not in AGGREGATES:
         raise OperatorError("unknown aggregate %r" % func)
@@ -50,21 +62,24 @@ def set_aggregate(func, ab, name=None):
     with manager.operator("{%s}" % func):
         manager.access_column(ab.head)
         manager.access_column(ab.tail)
-        first_pos, inverse, n_groups = _grouping(ab.head)
+        inverse, first_pos, n_groups = _grouping(ab.head)
         head = ab.head.take(first_pos)
         tail = _grouped(func, ab.tail, inverse, n_groups)
     # heads come out in ascending key order; for var-size atoms key
-    # order is heap order, not value order, so ordered cannot be set
-    props = Props(hkey=True, hordered=not ab.head.atom.varsized)
+    # order is heap order, not value order, so ordered cannot be set.
+    # NaN heads (one group each, after the others) are neither a key
+    # nor ordered as verify sees them (NaN != NaN).
+    keys = head.keys()
+    nan_heads = keys.dtype.kind == "f" and bool(np.isnan(keys).any())
+    props = Props(hkey=not nan_heads,
+                  hordered=not (nan_heads or ab.head.atom.varsized))
     return result_bat(head, tail, name=name, props=props)
 
 
 def _grouping(column):
-    """``(first_pos, inverse, n_groups)`` of a head column, cached on it."""
+    """``(inverse, first_pos, n_groups)`` of a head column, cached on it."""
     if column.grouping is None:
-        uniq, first_pos, inverse = np.unique(
-            column.keys(), return_index=True, return_inverse=True)
-        column.grouping = (first_pos, inverse.astype(np.int64), len(uniq))
+        column.grouping = grouping(column.keys())
     return column.grouping
 
 
@@ -95,15 +110,9 @@ def _grouped(func, tail_col, inverse, n_groups):
         counts = np.bincount(inverse, minlength=n_groups)
         return FixedColumn(_atoms.DOUBLE, sums / np.maximum(counts, 1))
     # min / max via order ranks so strings work too
-    ranks = np.asarray(tail_col.order_keys())
-    extreme = np.full(n_groups, -1, dtype=np.int64)
-    order = np.argsort(ranks, kind="stable")
-    if func == "min":
-        # walk descending rank so the smallest overwrites last
-        order = order[::-1]
-    np_positions = np.arange(len(ranks), dtype=np.int64)[order]
-    extreme[inverse[order]] = np_positions
-    if np.any(extreme < 0):
+    extreme = grouped_extreme(func, tail_col.order_keys(), inverse,
+                              n_groups)
+    if np.any((extreme < 0) | (extreme >= len(tail_col))):
         raise OperatorError("aggregate over empty group")
     return tail_col.take(extreme)
 

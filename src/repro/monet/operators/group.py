@@ -14,7 +14,12 @@ attributes are processed").
 
 Group oids are dense ``0..k-1`` in order of *sorted distinct key*, so
 the result tail can later be used as a dense head by the aggregation
-operators.
+operators.  Handing out those oids needs no sort when the keys are
+integers with a compact span — heap indices of a string column, oids,
+the previous group's codes: :func:`~repro.monet.vectorized.factorize`
+marks the keys present in a direct-address table over the span and
+numbers them in table order.  Wide spans and floats go through
+``np.unique``; NaN keys each get their own oid.
 """
 
 import numpy as np

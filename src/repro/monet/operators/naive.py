@@ -78,6 +78,23 @@ def grouped_sum(values, codes, n_groups):
     return np.asarray(sums, dtype=values.dtype)
 
 
+def grouped_extreme(func, ranks, codes, n_groups):
+    """Per-group position of the ``"min"`` or ``"max"`` rank, one BUN
+    at a time: min keeps the **first** position among ties, max the
+    **last**.  NaN ranks sit above every number and tie each other;
+    -0.0 ties 0.0.  A group no BUN reaches keeps ``-1``."""
+    best = [None] * int(n_groups)
+    positions = [-1] * int(n_groups)
+    for pos, (rank, code) in enumerate(zip(_values(np.asarray(ranks)),
+                                           np.asarray(codes).tolist())):
+        key = (1, 0) if rank != rank else (0, rank)
+        held = best[code]
+        if held is None or (key < held if func == "min" else key >= held):
+            best[code] = key
+            positions[code] = pos
+    return np.asarray(positions, dtype=np.int64)
+
+
 def factorize(keys):
     """(codes, n_distinct) with one dict probe per BUN (first-seen
     order, which preserves equality — the only property the set-op and

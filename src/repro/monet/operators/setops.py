@@ -14,8 +14,9 @@ BUNs are compared through dense int64 *pair codes* (head and tail
 equality keys factorised jointly across both operands, then combined
 into one code per BUN — see :mod:`repro.monet.vectorized`), so the
 membership and dedup scans run over contiguous arrays (a bool table
-when the codes are compact, ``np.isin`` otherwise, and ``np.unique``)
-instead of per-BUN Python set probes.  Object-dtype
+when the codes are compact, a binary search otherwise; first
+occurrences from a direct-address table over compact codes, else
+``np.unique``) instead of per-BUN Python set probes.  Object-dtype
 keys (never produced by the column layouts, which compare var atoms on
 heap indices) fall back to the tuple-and-set path.
 

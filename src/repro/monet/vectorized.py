@@ -21,11 +21,14 @@ operator layer dispatches onto:
 * :func:`membership_mask` — membership for semijoin/antijoin and the
   set operations: a direct-address bool table for compact integer
   keys, a binary search into the sorted right keys otherwise.
-* :func:`factorize` / :func:`joint_codes` / :func:`first_occurrence`
-  — dense integer coding of key (pairs), the building block for
-  group/unique/set-op kernels.
+* :func:`factorize` / :func:`grouping` / :func:`joint_codes` /
+  :func:`first_occurrence` — dense integer coding of key (pairs), the
+  building block for group/aggregate/unique/set-op kernels; compact
+  integer keys are coded by direct address, without a sort.
 * :func:`grouped_sum` — exact per-group sums via stable argsort +
   ``np.add.reduceat``.
+* :func:`grouped_extreme` — per-group min/max positions, an O(n)
+  scatter-reduce over integer ranks.
 
 Every kernel keeps a slow-path fallback for ``object``-dtype keys
 (variable-size atoms normally compare on heap *indices*, so the
@@ -57,9 +60,10 @@ import numpy as np
 
 __all__ = [
     "MultiMap", "join_match", "key_table", "key_lookup", "sorted_lookup",
-    "membership_mask", "factorize",
+    "membership_mask", "factorize", "grouping",
     "joint_codes", "combine_codes", "combine_codes_pair",
     "first_occurrence", "grouped_sum", "grouped_weighted_sum",
+    "grouped_extreme",
 ]
 
 
@@ -353,12 +357,44 @@ def membership_mask(left_keys, right_keys):
     return sorted_lookup(right_keys, left_keys)[0]
 
 
+def _table_codes(keys):
+    """``(codes, first_pos, n)`` of integer keys by direct address, or
+    ``None`` when the keys are not integers or their span fails the
+    compactness rule.
+
+    No sort: one ``np.minimum.at`` scatter of positions into a table
+    over the key span finds each present key's first position, and a
+    running count over the table's present slots numbers the keys
+    densely in sorted order.  The result is ``np.unique(keys,
+    return_index=True, return_inverse=True)``'s contract: codes in
+    sorted distinct-key order, ``first_pos[c]`` the first position of
+    code ``c``, ``n`` distinct keys.
+    """
+    if keys.dtype.kind not in "iu":
+        return None
+    if len(keys) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), 0
+    base = int(keys.min())
+    span = _table_span(base, keys.max(), len(keys))
+    if span is None:
+        return None
+    offsets = _offsets(keys, base, span)
+    first = np.full(span, len(keys), dtype=np.int64)
+    np.minimum.at(first, offsets, np.arange(len(keys), dtype=np.int64))
+    present = first < len(keys)
+    code = np.cumsum(present, dtype=np.int64) - 1
+    return code[offsets], first[present], int(code[-1]) + 1
+
+
 def factorize(keys):
     """(codes, n_distinct): dense int64 code per key.
 
     Fixed-width keys get codes in *sorted* distinct-key order (the
     contract the group operators rely on for dense group oids); object
     keys get first-seen codes, which preserves equality but not order.
+    Integer keys with a compact span are coded by direct address
+    (:func:`_table_codes`, no sort); ``np.unique`` codes the rest.
 
     NaN keys are **pairwise distinct** (IEEE: NaN != NaN, which is also
     what the dict reference computes): each NaN row receives its own
@@ -377,6 +413,9 @@ def factorize(keys):
                 code = table[key] = len(table)
             codes[pos] = code
         return codes, len(table)
+    coded = _table_codes(keys)
+    if coded is not None:
+        return coded[0], coded[2]
     if keys.dtype.kind == "f":
         nan_mask = np.isnan(keys)
         n_nan = int(nan_mask.sum())
@@ -390,6 +429,21 @@ def factorize(keys):
             return codes, len(uniq) + n_nan
     uniq, inverse = np.unique(keys, return_inverse=True)
     return inverse.astype(np.int64), len(uniq)
+
+
+def grouping(keys):
+    """(codes, first_pos, n): :func:`factorize` plus the first position
+    of each code — the grouping a set-aggregate derives from its head.
+
+    Compact integer keys take one direct-address pass; any other keys
+    are factorized first (NaN keys pairwise distinct), and their dense
+    codes then always take it.
+    """
+    keys = np.asarray(keys)
+    coded = _table_codes(keys)
+    if coded is None:
+        coded = _table_codes(factorize(keys)[0])
+    return coded
 
 
 def joint_codes(left_keys, right_keys):
@@ -514,12 +568,17 @@ def first_occurrence(codes):
     """Positions of the first occurrence of each code, ascending.
 
     The vectorised form of the ``seen``-set dedup loop: taking these
-    positions keeps first occurrences in original BUN order.
+    positions keeps first occurrences in original BUN order.  Compact
+    integer codes find them by direct address, others by ``np.unique``.
     """
     codes = np.asarray(codes)
     if len(codes) == 0:
         return np.empty(0, dtype=np.int64)
-    _uniq, first = np.unique(codes, return_index=True)
+    coded = _table_codes(codes)
+    if coded is not None:
+        first = coded[1]
+    else:
+        _uniq, first = np.unique(codes, return_index=True)
     return np.sort(first).astype(np.int64)
 
 
@@ -549,3 +608,36 @@ def grouped_weighted_sum(codes, weights, n_groups):
     codes = np.asarray(codes, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
     return np.bincount(codes, weights=weights, minlength=n_groups)
+
+
+def grouped_extreme(func, ranks, codes, n_groups):
+    """Position of each group's ``"min"`` or ``"max"`` rank.
+
+    Ties go to the **first** position for min and the **last** for
+    max.  Integer ranks take an O(n) scatter-reduce (``np.minimum.at``
+    / ``np.maximum.at``) and a second one over the positions holding
+    their group's extreme; float ranks keep a stable argsort, whose
+    order puts NaN above every number and ties -0.0 with 0.0.  A group
+    no position belongs to gets ``-1``, or ``len(ranks)`` for an
+    integer min — out of range either way.
+    """
+    ranks = np.asarray(ranks)
+    codes = np.asarray(codes, dtype=np.int64)
+    if ranks.dtype.kind in "iu":
+        reduce = np.minimum if func == "min" else np.maximum
+        bounds = np.iinfo(ranks.dtype)
+        best = np.full(n_groups, bounds.max if func == "min"
+                       else bounds.min, dtype=ranks.dtype)
+        reduce.at(best, codes, ranks)
+        hits = np.flatnonzero(ranks == best[codes])
+        positions = np.full(n_groups, len(ranks) if func == "min" else -1,
+                            dtype=np.int64)
+        reduce.at(positions, codes[hits], hits)
+        return positions
+    positions = np.full(n_groups, -1, dtype=np.int64)
+    order = np.argsort(ranks, kind="stable")
+    if func == "min":
+        # walk descending rank so the smallest overwrites last
+        order = order[::-1]
+    positions[codes[order]] = order
+    return positions

@@ -7,7 +7,8 @@
   declares only properties its data has (shared head columns and
   synced joins must not leak a false ``key``/``ordered`` flag);
 * **one grouping** — Q1's eight aggregates and two key extractions
-  factorize their shared grouping once;
+  derive their shared grouping once, and neither its ``group`` calls
+  nor its aggregates sort (counted);
 * **stored layouts** — no ``hashjoin`` runs at all (every join inner
   is synced, void, ordered, a datavector attribute or a compact integer
   key) and no multiplex decodes a whole string column (counted, not
@@ -23,14 +24,16 @@ from collections import Counter
 
 import pytest
 
-from plan_oracle import CountingNumpy, answers, passes_off, sql_texts
+from plan_oracle import (CountingCalls, CountingSorts, answers, passes_off,
+                         sql_texts)
 from repro.moa import session
 from repro.moa.rewriter import Rewriter
-from repro.monet import MILInterpreter, dispatch_disabled, mil, verify
+from repro.monet import (MILInterpreter, bat_from_pairs, dispatch_disabled,
+                         mil, vectorized, verify)
 from repro.monet.accelerators.datavector import has_datavector
 from repro.monet.column import VarColumn
 from repro.monet.heap import VarHeap
-from repro.monet.operators import aggregate
+from repro.monet.operators import aggregate, group
 from repro.sql import prepare_sql
 from repro.sql.suite import sql_text
 from repro.tpcd import QUERIES, generate, load_tpcd
@@ -85,12 +88,32 @@ def test_q1_factorizes_its_one_grouping_once(sf005_db, monkeypatch):
     (compiled,) = [c for c in prepared._compiled if c is not None]
     aggregates = [stmt for stmt in compiled.program if stmt.op == "aggr"]
     assert len(aggregates) == 10          # 8 aggregates + 2 group keys
-    counting = CountingNumpy()
-    monkeypatch.setattr(aggregate, "np", counting)
+    counting = CountingCalls(aggregate.grouping)
+    monkeypatch.setattr(aggregate, "grouping", counting)
     prepared.run()
-    assert counting.unique_calls == 1
+    assert counting.calls == 1
     QUERIES[1].run(sf005_db)              # the Moa driver: same plan
-    assert counting.unique_calls == 2
+    assert counting.calls == 2
+
+
+def test_q1_groups_and_aggregates_without_sorting(sf005_db, monkeypatch):
+    """A count, not a timing: one run of prepared Q1 makes no
+    ``np.unique``, ``np.argsort``, ``np.sort`` or ``np.lexsort`` call
+    inside ``group`` or an aggregate — every key it groups on is a
+    compact integer (heap indices, group oids) and every min/max runs
+    over integer ranks.  The counter is proven live on a wide-span
+    group and a float min, where the sorts come back."""
+    counting = CountingSorts()
+    for module in (vectorized, aggregate, group):
+        monkeypatch.setattr(module, "np", counting)
+    for name in ("group1", "group2", "set_aggregate"):
+        monkeypatch.setattr(mil, name, counting.inside(getattr(mil, name)))
+    prepare_sql(sf005_db, sql_text(1)).run()
+    assert counting.calls == Counter()
+    mil.group1(bat_from_pairs("oid", "long", [(0, 2 ** 40), (1, 0)]))
+    mil.set_aggregate("min", bat_from_pairs("oid", "double",
+                                            [(0, 1.5), (0, 0.5)]))
+    assert counting.calls["unique"] > 0 and counting.calls["argsort"] > 0
 
 
 def test_no_hashjoin_on_a_datavector_and_no_string_decode_in_multiplex(

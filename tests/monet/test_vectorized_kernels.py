@@ -306,6 +306,169 @@ def test_group_nan_tails_match_naive_partition():
 
 
 # ----------------------------------------------------------------------
+# direct-address coding at the compactness boundary, and grouped
+# min/max against the per-BUN oracle
+# ----------------------------------------------------------------------
+#: Widest span the direct-address table takes for fewer than 2**14 keys.
+_BOUNDARY = vz._DENSE_FLOOR
+
+
+@st.composite
+def _spanned_ints(draw):
+    """int64 keys spanning exactly the boundary or one past it (both
+    ends pinned), from a negative or positive base."""
+    span = draw(st.sampled_from([_BOUNDARY, _BOUNDARY + 1]))
+    base = draw(st.integers(-2 ** 40, 2 ** 40))
+    inner = draw(st.lists(st.integers(0, span - 1), max_size=20))
+    offsets = draw(st.permutations([0, span - 1] + inner))
+    return np.asarray(offsets, dtype=np.int64) + np.int64(base)
+
+
+@st.composite
+def _high_uint64(draw):
+    """uint64 keys around and past 2**63, compact spans."""
+    base = draw(st.sampled_from([0, 2 ** 63 - 3, 2 ** 63, 2 ** 64 - 40]))
+    offsets = draw(st.lists(st.integers(0, 30), min_size=1, max_size=20))
+    return np.asarray([base + o for o in offsets], dtype=np.uint64)
+
+
+_coded_keys = st.one_of(
+    _ints.map(_int_arr), _wide_ints.map(_int_arr), _spanned_ints(),
+    _high_uint64())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coded_keys)
+def test_factorize_and_first_occurrence_across_the_span_boundary(keys):
+    codes, n = vz.factorize(keys)
+    ref_codes, ref_n = naive.factorize(keys)
+    assert n == ref_n
+    assert np.array_equal(_equality_partition(codes),
+                          _equality_partition(ref_codes))
+    # codes number the distinct keys in sorted order, exactly
+    assert np.array_equal(np.unique(keys)[codes], keys)
+    assert np.array_equal(vz.first_occurrence(keys),
+                          naive.first_occurrence(keys))
+    grouped_codes, first_pos, grouped_n = vz.grouping(keys)
+    assert np.array_equal(grouped_codes, codes) and grouped_n == n
+    assert np.array_equal(np.sort(first_pos),
+                          naive.first_occurrence(keys))
+    assert np.array_equal(codes[first_pos], np.arange(n))
+    span = int(keys.max()) - int(keys.min()) + 1 if len(keys) else 0
+    compact = span <= _BOUNDARY and (span == 0 or int(keys.max()) < 2 ** 63)
+    assert (vz._table_codes(keys) is not None) == compact
+
+
+def test_table_codes_span_rule_scales_with_rows():
+    # past 2**14 keys the boundary is 4 n: exactly 4 n is coded by
+    # direct address, one more value of span is not
+    n = 2 ** 15
+    for span, coded in ((4 * n, True), (4 * n + 1, False)):
+        keys = np.arange(n, dtype=np.int64) * ((span - 1) // (n - 1))
+        keys[-1] = span - 1
+        assert (vz._table_codes(keys) is not None) is coded
+        assert np.array_equal(vz.factorize(keys)[0], np.arange(n))
+
+
+_extreme_ranks = st.one_of(
+    _ints.map(_int_arr), _wide_ints.map(_int_arr), _high_uint64(),
+    st.lists(st.sampled_from([-1.5, -0.0, 0.0, 2.0, float("inf"),
+                              float("nan")]),
+             max_size=25).map(lambda v: np.asarray(v, dtype=np.float64)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_extreme_ranks, st.data())
+def test_grouped_extreme_matches_naive(ranks, data):
+    heads = data.draw(st.lists(st.integers(0, 6), min_size=len(ranks),
+                               max_size=len(ranks)))
+    codes, n = vz.factorize(_int_arr(heads))
+    for func in ("min", "max"):
+        assert np.array_equal(
+            vz.grouped_extreme(func, ranks, codes, n),
+            naive.grouped_extreme(func, ranks, codes, n))
+
+
+_extreme_bats = st.one_of(
+    st.tuples(st.just("long"), st.lists(
+        st.tuples(st.integers(-3, 3) | st.integers(-2 ** 40, 2 ** 40),
+                  st.integers(-2 ** 62, 2 ** 62) | st.integers(-3, 3)),
+        max_size=20)),
+    st.tuples(st.just("double"), st.lists(
+        st.tuples(st.integers(-3, 3),
+                  st.sampled_from([-0.0, 0.0, 1.5, float("nan")])),
+        max_size=20)),
+    st.tuples(st.just("string"), st.lists(
+        st.tuples(st.integers(-3, 3), st.sampled_from(["a", "b", "abc", ""])),
+        max_size=20)))
+
+
+def _same_values(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    if got.dtype.kind == "f":
+        return (np.array_equal(got, want, equal_nan=True)
+                and np.array_equal(np.signbit(got), np.signbit(want)))
+    return got.tolist() == want.tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_extreme_bats)
+def test_set_aggregate_min_max_match_naive(case):
+    tail_atom, pairs = case
+    bat = bat_from_pairs("long", tail_atom, pairs)
+    heads = [h for h, _t in pairs]
+    tails = np.asarray([t for _h, t in pairs],
+                       dtype=object if tail_atom == "string" else None)
+    codes, n = naive.factorize(_int_arr(heads))
+    by_head = sorted(range(n), key=lambda c: heads[list(codes).index(c)])
+    for func in ("min", "max"):
+        out = ops.set_aggregate(func, bat)
+        verify(out)
+        picked = naive.grouped_extreme(func, tails, codes, n)
+        assert [h for h, _t in out.to_pairs()] == sorted(set(heads))
+        assert _same_values(out.tail.logical(),
+                            [tails[picked[c]] for c in by_head])
+
+
+def test_set_aggregate_nan_heads_each_their_own_group():
+    nan = float("nan")
+    bat = bat_from_pairs("double", "long", [(nan, 1), (nan, 2), (1.0, 3)])
+    out = ops.set_aggregate("count", bat)
+    verify(out)
+    pairs = out.to_pairs()
+    assert pairs[0] == (1.0, 1)
+    assert [t for _h, t in pairs[1:]] == [1, 1]
+    assert all(np.isnan(h) for h, _t in pairs[1:])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_nan_floats, st.data())
+def test_set_aggregate_nan_heads_match_per_bun_reference(heads, data):
+    tails = data.draw(st.lists(st.integers(-9, 9), min_size=len(heads),
+                               max_size=len(heads)))
+    bat = bat_from_pairs("double", "long", list(zip(heads, tails)))
+    codes, n = naive.factorize(np.asarray(heads, dtype=np.float64))
+    members = [[] for _ in range(n)]
+    for code, tail in zip(codes.tolist(), tails):
+        members[code].append(tail)
+    first = naive.first_occurrence(codes)
+
+    def head_order(code):
+        # finite heads ascending, then one group per NaN row in BUN order
+        head = heads[first[code]]
+        return (1, first[code]) if head != head else (0, head)
+    order = sorted(range(n), key=head_order)
+    for func, reduce in (("count", len), ("sum", sum), ("min", min),
+                         ("max", max)):
+        out = ops.set_aggregate(func, bat)
+        verify(out)
+        assert _same_values(out.head.logical(),
+                            [heads[first[c]] for c in order])
+        assert out.tail.logical().tolist() == [reduce(members[c])
+                                               for c in order]
+
+
+# ----------------------------------------------------------------------
 # combine_codes: int64 overflow guard
 # ----------------------------------------------------------------------
 def test_combine_codes_plain_arithmetic_unchanged():

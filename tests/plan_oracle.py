@@ -14,6 +14,7 @@ one dict comparison:
 """
 
 import contextlib
+from collections import Counter
 
 import numpy as np
 
@@ -35,20 +36,52 @@ def passes_off():
         rewriter.optimize = original
 
 
-class CountingNumpy:
-    """Stands in for ``np`` in one module (``monkeypatch.setattr(module,
-    "np", CountingNumpy())``) and counts that module's ``np.unique``
-    calls — how the tests see how often a grouping is factorized."""
+class CountingCalls:
+    """Stands in for one function (``monkeypatch.setattr(module, name,
+    CountingCalls(getattr(module, name)))``) and counts its calls —
+    how the tests see how often a grouping is derived."""
+
+    def __init__(self, func):
+        self.func = func
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.func(*args, **kwargs)
+
+
+class CountingSorts:
+    """Stands in for ``np`` in the modules it is installed in
+    (``monkeypatch.setattr(module, "np", counting)``) and counts their
+    sorting calls — ``unique``, ``argsort``, ``sort``, ``lexsort`` —
+    made while a function wrapped by :meth:`inside` runs."""
+
+    SORTS = ("unique", "argsort", "sort", "lexsort")
 
     def __init__(self):
-        self.unique_calls = 0
+        self.calls = Counter()
+        self.active = 0
 
     def __getattr__(self, name):
-        return getattr(np, name)
+        attr = getattr(np, name)
+        if name not in self.SORTS:
+            return attr
 
-    def unique(self, *args, **kwargs):
-        self.unique_calls += 1
-        return np.unique(*args, **kwargs)
+        def counted(*args, **kwargs):
+            if self.active:
+                self.calls[name] += 1
+            return attr(*args, **kwargs)
+        return counted
+
+    def inside(self, func):
+        """``func``, counting the sorts made while it runs."""
+        def counting(*args, **kwargs):
+            self.active += 1
+            try:
+                return func(*args, **kwargs)
+            finally:
+                self.active -= 1
+        return counting
 
 
 def sql_texts():
