@@ -3,15 +3,15 @@
 Starts ``python -m repro.server`` as a real subprocess on a saved
 TPC-D catalog, fans ``--clients`` concurrent :class:`QueryClient`
 connections over the **full query set**, and diffs every returned
-sha1 checksum against a serial execution computed independently in
-this process.  Single-statement queries are additionally issued as
-textual Moa requests a second time, so the server's per-worker plan
-cache demonstrably engages (the run fails if the stats response shows
-zero plan-cache hits, or counts any request error besides the two
-this script provokes on purpose).  Every query is also submitted a
-third time as **SQL text** over the socket (:mod:`repro.sql.suite`'s
-formulation), asserting the SQL front-end's served checksum equals
-the Moa path's — and one client checks that malformed SQL answers a typed
+sha1 checksum against a serial execution of the hand-written drivers
+computed independently in this process.  Every query is sent as
+**SQL text** (:mod:`repro.sql.suite`'s formulation) twice, so the
+server's per-worker plan cache demonstrably engages (the run fails if
+the stats response shows zero plan-cache hits, or counts any request
+error besides the two this script provokes on purpose);
+single-statement queries are also sent as textual Moa requests,
+asserting the Moa path serves the very checksum the SQL front-end
+does — and one client checks that malformed SQL answers a typed
 ``SqlParseError`` frame and an unsupported construct a
 ``SqlUnsupportedError`` frame, with the connection surviving both.
 
@@ -24,8 +24,8 @@ batch under the same checksum.
 Page-fault simulation is pay-per-use on the server: every reply of
 those laps must carry ``faults is None``.  One client then runs an
 extra lap with ``buffer_stats=True``; each reply's ``faults`` must
-equal this process's own cold-start simulation of the query, and the
-server's ``stats()["buffer"]`` must sum to exactly that lap.
+equal this process's own cold-start simulation of the same SQL text,
+and the server's ``stats()["buffer"]`` must sum to exactly that lap.
 
 Replies arrive inline, as a header frame plus the worker-encoded
 payload frame.  ``--spool DIR`` starts the server with a local spool
@@ -49,11 +49,12 @@ import tempfile
 import threading
 import time
 
-from repro.bench import measure_query_faults
 from repro.errors import SqlParseError, SqlUnsupportedError
 from repro.moa.values import RowBatch
+from repro.monet.buffer import BufferManager, use
 from repro.monet.multiproc import result_checksum, ship_value
 from repro.server import QueryClient
+from repro.sql import execute_sql
 from repro.sql.suite import sql_text
 from repro.tpcd import (QUERIES, generate, load_tpcd, open_tpcd,
                         peek_tpcd_meta)
@@ -71,15 +72,19 @@ def ensure_db(db_dir, sf, seed):
 
 
 def serial_run(db_dir):
-    """Independent serial run: open our own kernel, execute, digest,
-    and simulate each query's cold-start page faults.  Returns
-    ``(checksums, faults, values)``, each keyed by query number."""
+    """Independent serial run: open our own kernel, execute the
+    hand-written drivers, digest, and simulate each query's SQL text's
+    cold-start page faults.  Returns ``(checksums, faults, values)``,
+    each keyed by query number."""
     db, _report = open_tpcd(db_dir)
     checksums, cold_faults, values = {}, {}, {}
     for number in sorted(QUERIES):
         values[number] = QUERIES[number].run(db)
         checksums[number] = result_checksum(ship_value(values[number]))
-        cold_faults[number] = measure_query_faults(db, QUERIES[number])
+        manager = BufferManager()
+        with use(manager):
+            execute_sql(db, sql_text(number))
+        cold_faults[number] = manager.faults
     return checksums, cold_faults, values
 
 
@@ -160,14 +165,15 @@ def client_pass(host, port, expected, failures, latencies, lock, tid,
                     "spool=%s" % (tid, spool, client.spooling))
             for number in sorted(QUERIES):
                 texts = QUERIES[number].texts()
-                replies = [client.tpcd(number)]
+                replies = [client.sql(sql_text(number))]
                 if len(texts) == 1:
-                    # second lap as raw Moa text: same checksum, and
-                    # repeated texts warm the per-worker plan cache
+                    # second lap as raw Moa text: the Moa path must
+                    # serve the very checksum the SQL front-end does
                     replies.append(client.moa(texts[0]))
-                # third lap as SQL text: the front-end must serve the
-                # very checksum the Moa path does
+                # third lap as the same SQL text: repeated texts warm
+                # the per-worker plan cache
                 replies.append(client.sql(sql_text(number)))
+                check_batch(number, replies[0], values[number])
                 check_batch(number, replies[-1], values[number])
                 for reply in replies:
                     if reply.checksum != expected[number]:
@@ -200,7 +206,7 @@ def accounted_lap(host, port, expected, cold_faults):
     the serving worker ran before.  Returns the lap's fault total."""
     with QueryClient(host, port) as client:
         for number in sorted(QUERIES):
-            reply = client.tpcd(number, buffer_stats=True)
+            reply = client.sql(sql_text(number), buffer_stats=True)
             if reply.checksum != expected[number]:
                 raise AssertionError(
                     "accounted Q%d diverged: served %s, serial %s"

@@ -12,12 +12,10 @@ once, carrying an abstract environment of
   statement nor the catalog defines is an ``undefined-ref`` (or, when
   a *later* statement defines it, a ``use-before-def``) — this is
   exactly the set of plans on which ``MILInterpreter.resolve`` raises;
-* a statement that redefines a catalog BAT **after** an earlier
-  statement read it through the catalog is a ``war-hazard``: the one
-  anti-dependence :func:`~repro.monet.mil.partition_independent` does
-  not track, because it treats catalog references as read-only.  Such
-  a plan is rejected, which is what makes the partitioner's assumption
-  an invariant instead of a convention;
+* a statement that assigns a catalog BAT's name is a
+  ``shadows-catalog`` warning: later references resolve to the new
+  variable, earlier ones read the catalog, and the catalog itself is
+  never written (the interpreter assigns only its environment);
 * dead statements (results never observed) are reported as warnings
   and exposed through :func:`live_statements`, which is also the
   engine of the optimizer's flag-enabled dead-code elimination;
@@ -28,9 +26,9 @@ once, carrying an abstract environment of
   anything.
 
 The verifier is sound for acceptance: a plan it rejects with an
-``error`` finding is certain to raise at execution time (or to be
-unsafe to partition).  It is deliberately *not* complete — data
-dependent failures still surface at run time.
+``error`` finding is certain to raise at execution time.  It is
+deliberately *not* complete — data dependent failures still surface
+at run time.
 """
 
 import math
@@ -260,7 +258,6 @@ def verify_program(program, catalog=None, budget=None, roots=None):
     findings = []
     env = {}
     defined_at = {}
-    catalog_reads = {}
     stmts = list(program)
     all_targets = set(stmt.target for stmt in stmts)
     stmt_bounds = []
@@ -278,7 +275,6 @@ def verify_program(program, catalog=None, budget=None, roots=None):
             if name in env:
                 abstract_args.append(env[name])
             elif catalog is not None and name in catalog:
-                catalog_reads.setdefault(name, index)
                 abstract_args.append(catalog[name])
             elif catalog is None:
                 abstract_args.append(ANY)
@@ -295,18 +291,9 @@ def verify_program(program, catalog=None, budget=None, roots=None):
                 abstract_args.append(ANY)
 
         if catalog is not None and stmt.target in catalog:
-            read_at = catalog_reads.get(stmt.target)
-            if read_at is not None:
-                findings.append(Finding(
-                    "error", "war-hazard", index,
-                    "redefines catalog BAT %r after statement %d read "
-                    "it through the catalog — unsafe to partition "
-                    "(violates the read-only-catalog assumption of "
-                    "partition_independent)" % (stmt.target, read_at)))
-            else:
-                findings.append(Finding(
-                    "warning", "shadows-catalog", index,
-                    "shadows catalog BAT %r" % stmt.target))
+            findings.append(Finding(
+                "warning", "shadows-catalog", index,
+                "shadows catalog BAT %r" % stmt.target))
 
         signature = SIGNATURES.get(stmt.op)
         if signature is None:

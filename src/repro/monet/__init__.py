@@ -22,8 +22,7 @@ from .storage import (CatalogLock, HeapStorage, MemoryBackend,
                       MmapBackend, catalog_generation, open_kernel,
                       open_with_protocol, residency_report,
                       residency_snapshot, save_kernel)
-from .mil import (MILInterpreter, MILProgram, MILStmt, MILTrace, Var,
-                  partition_independent)
+from .mil import MILInterpreter, MILProgram, MILStmt, MILTrace, Var
 from .multiproc import (MultiprocExecutor, PendingTask, TaskOutcome,
                         register_task_kind, result_checksum,
                         run_program_serial, ship_value)
@@ -44,7 +43,6 @@ __all__ = [
     "catalog_generation", "open_kernel", "open_with_protocol",
     "residency_report", "residency_snapshot", "save_kernel",
     "MILInterpreter", "MILProgram", "MILStmt", "MILTrace", "Var",
-    "partition_independent",
     "MultiprocExecutor", "PendingTask", "TaskOutcome",
     "register_task_kind", "result_checksum",
     "run_program_serial", "ship_value",

@@ -110,77 +110,11 @@ class MILProgram:
     def render(self):
         return "\n".join(stmt.render() for stmt in self.stmts)
 
-    def defined_vars(self):
-        """Every variable name the program assigns, in order."""
-        seen = set()
-        names = []
-        for stmt in self.stmts:
-            if stmt.target not in seen:
-                seen.add(stmt.target)
-                names.append(stmt.target)
-        return names
-
     def __len__(self):
         return len(self.stmts)
 
     def __iter__(self):
         return iter(self.stmts)
-
-
-def partition_independent(program):
-    """Split a straight-line MIL program into independent subprograms.
-
-    Two statements belong to the same partition when they are connected
-    through the def-use graph: one reads a variable the other defined,
-    or both (re)define the same variable.  References that no statement
-    defines resolve to catalog BATs — the catalog is read-only during
-    execution, so sharing a base BAT does **not** connect statements.
-    Each partition preserves original statement order, so executing
-    every partition (in any order, on any process) and merging their
-    environments is equivalent to the serial run.  This is the unit the
-    multi-process dispatcher (:mod:`repro.monet.multiproc`) fans out.
-
-    Returns a list of :class:`MILProgram`; concatenating them in
-    partition order yields a permutation of the input statements that
-    is dependency-equivalent to the original.
-    """
-    stmts = list(program)
-    parent = list(range(len(stmts)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    def_site = {}
-    for index, stmt in enumerate(stmts):
-        for name in stmt.referenced_vars():
-            if name in def_site:                # read-after-write
-                union(index, def_site[name])
-        if stmt.target in def_site:             # write-after-write
-            union(index, def_site[stmt.target])
-        def_site[stmt.target] = index
-    groups = {}
-    order = []
-    for index in range(len(stmts)):
-        root = find(index)
-        if root not in groups:
-            groups[root] = []
-            order.append(root)
-        groups[root].append(index)
-    parts = []
-    for root in order:
-        part = MILProgram()
-        for index in groups[root]:
-            part.stmts.append(stmts[index])
-        parts.append(part)
-    return parts
 
 
 class TraceRow:

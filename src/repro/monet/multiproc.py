@@ -22,11 +22,11 @@ of **worker processes**; each worker
   faults never depend on what the worker ran before and nobody else
   pays for the simulation.
 
-Tasks are whole TPC-D queries (:meth:`MultiprocExecutor.run_queries`)
-or MIL programs (:meth:`MultiprocExecutor.run_programs`); a straight-
-line program can additionally be split into dependency-independent
-partitions (:func:`repro.monet.mil.partition_independent`) and fanned
-statement-group-wise (:meth:`MultiprocExecutor.run_partitioned`).
+A task is one raw tuple ``(kind, key, ...)`` handed to
+:meth:`MultiprocExecutor.submit`.  The built-in ``mil`` kind —
+``("mil", key, program, fetch)`` — interprets a whole MIL program
+against the worker's catalog; query text arrives through the kinds
+the server registers (``sql``/``moa``, see :mod:`repro.server.tasks`).
 
 Result shipping
 ---------------
@@ -65,11 +65,12 @@ one parent-side pump thread per worker) instead of delegating to
   transparently (the task that found it dead never started, so it is
   retried on the replacement).  Either way the pool keeps serving.
 
-Task kinds beyond the built-in ``query``/``mil`` are pluggable:
+Task kinds beyond the built-in ``mil`` are pluggable:
 :func:`register_task_kind` adds a handler, and ``task_modules`` names
 modules the workers import at start-up so registrations exist in every
 process under both ``fork`` and ``spawn`` (the server registers its
-plan-cached ``moa`` kind this way, see :mod:`repro.server.tasks`).
+plan-cached ``sql`` and ``moa`` kinds this way, see
+:mod:`repro.server.tasks`).
 """
 
 import hashlib
@@ -85,7 +86,7 @@ import numpy as np
 from .. import faults
 from ..errors import MILError, QueryTimeoutError, WorkerCrashedError
 from .buffer import BufferManager, use as use_manager
-from .mil import MILInterpreter, partition_independent
+from .mil import MILInterpreter
 
 __all__ = [
     "CANONICAL_KINDS", "MultiprocExecutor", "PendingTask",
@@ -499,16 +500,6 @@ def _worker_db():
     return _STATE["db"]
 
 
-def _task_query_warmup(ctx, task):
-    ctx.db()
-
-
-def _task_query(ctx, task):
-    from ..tpcd.queries import QUERIES
-    _kind, _key, number, overrides = task
-    return ship_value(QUERIES[number].run(ctx.db(), overrides)), None
-
-
 def _task_mil_warmup(ctx, task):
     ctx.kernel()
 
@@ -521,7 +512,6 @@ def _task_mil(ctx, task):
             for name in fetch}, None
 
 
-register_task_kind("query", _task_query, warmup=_task_query_warmup)
 register_task_kind("mil", _task_mil, warmup=_task_mil_warmup)
 
 
@@ -720,9 +710,6 @@ class MultiprocExecutor:
         generation on disk when the executor is created, so a save
         racing the fan-out fails loudly instead of splitting the fleet
         across snapshots.
-    start_method:
-        ``fork``/``spawn``/``forkserver``; default picks ``fork``
-        where the platform offers it.
     task_modules:
         Module names every worker imports at start-up, so their
         :func:`register_task_kind` calls exist in each process.
@@ -735,7 +722,7 @@ class MultiprocExecutor:
         the injection layer off.
     """
 
-    def __init__(self, db_dir, procs=DEFAULT_PROCS, start_method=None,
+    def __init__(self, db_dir, procs=DEFAULT_PROCS,
                  expected_generation=None, page_size=4096,
                  lock_timeout=None, task_modules=(),
                  worker_options=None, fault_plan=None):
@@ -745,8 +732,8 @@ class MultiprocExecutor:
         if expected_generation is None:
             expected_generation = catalog_generation(self.db_dir)
         self.generation = expected_generation
-        method = start_method or default_start_method()
-        self._context = multiprocessing.get_context(method)
+        self._context = multiprocessing.get_context(
+            default_start_method())
         self._init_args = (self.db_dir, self.generation, page_size,
                            lock_timeout,
                            tuple(task_modules),
@@ -939,73 +926,6 @@ class MultiprocExecutor:
                 "resubmit the task)" % (pending.pid, pending.task[1])))
 
     # ------------------------------------------------------------------
-    def map_tasks(self, tasks, timeout=None, buffer_stats=False):
-        """Execute raw task tuples; returns outcomes in task order."""
-        # greedy per-task dispatch (the Pool-era chunksize=1): tasks
-        # are coarse (whole queries), so load balance beats batching
-        pendings = [self.submit(task, timeout=timeout,
-                                buffer_stats=buffer_stats)
-                    for task in tasks]
-        return [pending.result() for pending in pendings]
-
-    def run_queries(self, numbers=None, overrides=None,
-                    buffer_stats=False):
-        """Fan TPC-D queries over the workers.
-
-        ``numbers`` defaults to the whole query set; ``overrides`` is
-        an optional ``{number: params}`` dict; ``buffer_stats`` asks
-        for each query's cold-start fault simulation (see
-        :meth:`submit`).  Returns ``{number: TaskOutcome}``.
-        """
-        if numbers is None:
-            from ..tpcd.queries import QUERIES
-            numbers = sorted(QUERIES)
-        numbers = list(numbers)       # consumed twice: tasks + zip
-        tasks = [("query", "q%d" % number, number,
-                  (overrides or {}).get(number)) for number in numbers]
-        outcomes = self.map_tasks(tasks, buffer_stats=buffer_stats)
-        return dict(zip(numbers, outcomes))
-
-    def run_programs(self, jobs):
-        """Execute whole MIL programs, one per task.
-
-        ``jobs`` is a list of ``(program, fetch_names)`` pairs; each
-        worker interprets its program against its own catalog and ships
-        ``{name: canonical value}`` for the requested variables.
-        Returns outcomes in job order.
-        """
-        tasks = [("mil", "p%d" % index, program, list(fetch))
-                 for index, (program, fetch) in enumerate(jobs)]
-        return self.map_tasks(tasks)
-
-    def run_partitioned(self, program, fetch):
-        """Split one MIL program into independent partitions and fan
-        them out (:func:`repro.monet.mil.partition_independent`).
-
-        Every partition executes — including ones that define no
-        fetched variable, keeping error behaviour identical to the
-        serial run.  Returns ``(env, outcomes)`` where ``env`` maps
-        each fetched variable to its canonical shipped value.
-        """
-        fetch = list(fetch)
-        parts = partition_independent(program)
-        jobs = []
-        for part in parts:
-            defined = set(part.defined_vars())
-            jobs.append((part, [name for name in fetch
-                                if name in defined]))
-        missing = set(fetch) - {name for _part, names in jobs
-                                for name in names}
-        if missing:
-            raise MILError("program never assigns fetched variable(s) "
-                           "%s" % sorted(missing))
-        outcomes = self.run_programs(jobs)
-        env = {}
-        for outcome in outcomes:
-            env.update(outcome.value())
-        return env, outcomes
-
-    # ------------------------------------------------------------------
     def close(self):
         """Finish queued work, then stop the workers gracefully."""
         with self._cv:
@@ -1045,9 +965,8 @@ def run_program_serial(kernel, program, fetch):
     """Serial reference execution of a MIL program.
 
     Returns ``(env, checksum)`` in the same canonical form the workers
-    ship, so callers can diff a serial run against
-    :meth:`MultiprocExecutor.run_partitioned` /
-    :meth:`~MultiprocExecutor.run_programs` byte for byte.
+    ship, so callers can diff a serial run against a submitted ``mil``
+    task's outcome byte for byte.
     """
     interpreter = MILInterpreter(kernel)
     interpreter.run(program)

@@ -401,14 +401,6 @@ class QueryClient:
         return self._result({"type": "sql", "query": query_text},
                             timeout, buffer_stats)
 
-    def tpcd(self, number, params=None, timeout=None,
-             buffer_stats=False):
-        """Run TPC-D query ``number`` (optional param overrides)."""
-        request = {"type": "tpcd", "number": int(number)}
-        if params:
-            request["params"] = dict(params)
-        return self._result(request, timeout, buffer_stats)
-
     def mil(self, program, fetch, timeout=None, buffer_stats=False):
         """Execute a :class:`~repro.monet.mil.MILProgram`; the reply
         value maps each name in ``fetch`` to its result."""

@@ -11,7 +11,6 @@ request type       response
 ================  ====================================================
 ``moa``            ``result`` (rows/scalar + sha1 checksum)
 ``sql``            ``result`` for SQL text (parse -> bind -> lower)
-``tpcd``           ``result`` for the numbered TPC-D query
 ``mil``            ``result`` ``{name: value}`` for the fetch list
 ``stats``          ``stats`` (latency percentiles, cache hit rates...)
 ``ping``           ``pong`` (generation echo, liveness)
@@ -19,11 +18,12 @@ request type       response
 ``close``          connection shut down cleanly
 ================  ====================================================
 
-The four executable requests (``moa``/``sql``/``tpcd``/``mil``) take
-two optional fields: ``timeout`` (seconds) and ``buffer_stats``
-(boolean).  Page-fault simulation is pay-per-use: a ``result`` frame
-carries ``faults`` only when its request set ``buffer_stats`` — the
-count is that one execution's, simulated from a cold start.
+The three executable requests (``moa``/``sql``/``mil``) take two
+optional fields: ``timeout`` (``null`` or a finite number of seconds
+> 0) and ``buffer_stats`` (boolean).  Page-fault simulation is
+pay-per-use: a ``result`` frame carries ``faults`` only when its
+request set ``buffer_stats`` — the count is that one execution's,
+simulated from a cold start.
 
 Requests and control frames are JSON.  A ``result`` reply is its JSON
 header frame followed by the payload as one binary frame: the bytes
@@ -115,7 +115,7 @@ faults.declare("server.handle.delay", "server.reply.drop",
 #: Request types that execute work (and are subject to quotas and
 #: draining); ``ping``/``stats``/``close`` stay exempt so liveness
 #: checks keep answering under load and during drain.
-EXECUTABLE_TYPES = frozenset(("moa", "sql", "tpcd", "mil"))
+EXECUTABLE_TYPES = frozenset(("moa", "sql", "mil"))
 
 
 def _unlink_quietly(path):

@@ -45,6 +45,7 @@ it from sockets, the e2e benchmark's ladder drives it in-process.
 """
 
 import json
+import math
 import threading
 import time
 from collections import deque
@@ -72,6 +73,18 @@ def _budget_options(budget):
         return None
     return {"max_rows": budget.max_rows, "max_bytes": budget.max_bytes,
             "max_pages": budget.max_pages}
+
+
+def _valid_timeout(timeout):
+    """``None`` (no limit) or a finite number of seconds > 0 — a bool
+    is not a number of seconds, and zero, negative or NaN would kill
+    the worker or silently mean no limit."""
+    if timeout is None:
+        return True
+    if isinstance(timeout, bool) or not isinstance(timeout, (int, float)):
+        return False
+    return timeout > 0 and (isinstance(timeout, int)
+                            or math.isfinite(timeout))
 
 
 class _PoolEntry:
@@ -134,7 +147,7 @@ class QueryService:
                  result_cache_bytes=0, result_cache_ttl=None,
                  max_inflight=8, max_queue=32,
                  default_timeout=None, lock_timeout=None,
-                 start_method=None, page_size=4096, crash_retries=1,
+                 page_size=4096, crash_retries=1,
                  fault_plan=None, plan_budget=None):
         self.db_dir = db_dir
         self.procs = max(1, int(procs))
@@ -144,7 +157,6 @@ class QueryService:
         self.default_timeout = default_timeout
         self.crash_retries = max(0, int(crash_retries))
         self._lock_timeout = lock_timeout
-        self._start_method = start_method
         self._page_size = page_size
         self._fault_plan = fault_plan
         self.plan_budget = plan_budget
@@ -192,7 +204,6 @@ class QueryService:
         return MultiprocExecutor(
             self.db_dir, procs=self.procs,
             expected_generation=generation,
-            start_method=self._start_method,
             page_size=self._page_size,
             lock_timeout=self._lock_timeout,
             task_modules=("repro.server.tasks",),
@@ -312,20 +323,6 @@ class QueryService:
                 raise ProtocolError("sql request needs a 'query' text")
             return ("sql", key, text), json.dumps(
                 ["sql", text], sort_keys=True)
-        if rtype == "tpcd":
-            from ..tpcd.queries import QUERIES
-            number = request.get("number")
-            if not isinstance(number, int):
-                raise ProtocolError(
-                    "tpcd request needs an integer 'number'")
-            if number not in QUERIES:
-                raise ProtocolError("no TPC-D query %d (have %s)"
-                                    % (number, sorted(QUERIES)))
-            params = request.get("params")
-            if params is not None and not isinstance(params, dict):
-                raise ProtocolError("tpcd 'params' must be an object")
-            return ("query", key, number, params), json.dumps(
-                ["tpcd", number, params], sort_keys=True)
         if rtype == "mil":
             program = decode_program(request.get("program"))
             fetch = request.get("fetch")
@@ -383,6 +380,10 @@ class QueryService:
         started = time.monotonic()
         self._count("requests")
         timeout = request.get("timeout", self.default_timeout)
+        if not _valid_timeout(timeout):
+            raise ProtocolError("'timeout' must be null or a finite "
+                                "number of seconds > 0, got %r"
+                                % (timeout,))
         buffer_stats = request.get("buffer_stats", False)
         if not isinstance(buffer_stats, bool):
             raise ProtocolError("'buffer_stats' must be a boolean")

@@ -3,9 +3,12 @@
 This module is imported *inside every worker process* of the service's
 warm pools (via ``MultiprocExecutor(task_modules=
 ("repro.server.tasks",))``), registering the ``moa`` and ``sql``
-task kinds with the dispatcher's registry.  Keeping it out of
-:mod:`repro.monet.multiproc` preserves the layering: the monet layer
-never imports the moa/server layers at module scope.
+task kinds with the dispatcher's registry.  With the dispatcher's
+built-in ``mil`` kind they are the only ways a query enters a worker
+pool: text takes the paper's one path, Moa -> flattened MIL -> BATs.
+Keeping it out of :mod:`repro.monet.multiproc` preserves the
+layering: the monet layer never imports the moa/server layers at
+module scope.
 
 ``moa`` tasks — ``("moa", key, query_text)`` — execute a textual MOA
 query against the worker's pinned-generation TPC-D catalog through a

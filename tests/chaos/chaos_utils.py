@@ -10,9 +10,18 @@ against the same catalog generation — a fault may cost an operation
 import multiprocessing
 
 from repro.monet.multiproc import result_checksum, ship_value
+from repro.sql.suite import sql_text
 from repro.tpcd import QUERIES, open_tpcd
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+#: The module registering the ``sql`` task kind in every pool worker.
+SQL_TASKS = ("repro.server.tasks",)
+
+
+def sql_task(number, key=None):
+    """The worker task running TPC-D query ``number``'s SQL text."""
+    return ("sql", key or "q%d" % number, sql_text(number))
 
 #: Queries the per-point differential checks replay — a spread of
 #: scan/aggregate (Q1, Q6) and join/order (Q12) shapes.  The full

@@ -21,13 +21,23 @@ from repro.errors import (InjectedFaultError, QueryTimeoutError,
                           WorkerCrashedError)
 from repro.monet.multiproc import MultiprocExecutor
 
-from chaos_utils import HAVE_FORK
+from chaos_utils import HAVE_FORK, SQL_TASKS, sql_task
 
 pytestmark = pytest.mark.skipif(
     not HAVE_FORK, reason="worker pools fork; spawn is too slow")
 
 MULTIPROC_POINTS = ("multiproc.task.start", "multiproc.task.mid",
                     "multiproc.task.post_result")
+
+
+def _pool(db_dir, plan):
+    return MultiprocExecutor(db_dir, procs=1, fault_plan=plan,
+                             task_modules=SQL_TASKS)
+
+
+def _run(pool, number, key=None, timeout=None):
+    return pool.submit(sql_task(number, key),
+                       timeout=timeout).result(timeout=120)
 
 
 def test_sweep_covers_every_declared_multiproc_point():
@@ -41,15 +51,15 @@ def test_sweep_covers_every_declared_multiproc_point():
 def test_worker_crash_at_point_is_typed_and_recoverable(
         db_dir, serial_checksums, point):
     plan = faults.FaultPlan().arm(point, action="crash", skip=1)
-    with MultiprocExecutor(db_dir, procs=1, fault_plan=plan) as pool:
-        first = pool.run_queries((6,))[6]          # hit 1: skipped
+    with _pool(db_dir, plan) as pool:
+        first = _run(pool, 6)                      # hit 1: skipped
         assert first.checksum == serial_checksums[6]
         with pytest.raises(WorkerCrashedError):    # hit 2: crash
-            pool.submit(("query", "q2", 12, None)).result(timeout=120)
+            _run(pool, 12, "q2")
         assert pool.crashes == 1
         # the respawned worker re-arms with skip=1, so the resubmit
         # (its hit 1) goes through — and matches the serial oracle
-        retry = pool.run_queries((12,))[12]
+        retry = _run(pool, 12)
         assert retry.checksum == serial_checksums[12]
         assert pool.respawns >= 1
 
@@ -64,17 +74,15 @@ def test_worker_crash_after_reply_never_loses_the_result(
     # wrong answer or a hang — and a resubmit recovers.
     plan = faults.FaultPlan().arm("multiproc.task.post_result",
                                   action="crash", times=None)
-    with MultiprocExecutor(db_dir, procs=1, fault_plan=plan) as pool:
-        first = pool.submit(("query", "q1", 1, None)).result(
-            timeout=120)
+    with _pool(db_dir, plan) as pool:
+        first = _run(pool, 1)
         assert first.checksum == serial_checksums[1]
         pids = {first.pid}
         for number in (6, 12):
             for attempt in range(10):
                 try:
-                    outcome = pool.submit(
-                        ("query", "q%d.%d" % (number, attempt),
-                         number, None)).result(timeout=120)
+                    outcome = _run(pool, number,
+                                   "q%d.%d" % (number, attempt))
                 except WorkerCrashedError:
                     continue           # raced a dying worker: retry
                 break
@@ -90,16 +98,16 @@ def test_worker_raise_at_point_is_typed_and_worker_survives(
         db_dir, serial_checksums):
     plan = faults.FaultPlan().arm("multiproc.task.start",
                                   action="raise", skip=1)
-    with MultiprocExecutor(db_dir, procs=1, fault_plan=plan) as pool:
-        pool.run_queries((6,))                     # hit 1: skipped
+    with _pool(db_dir, plan) as pool:
+        _run(pool, 6)                              # hit 1: skipped
         [pid] = pool.worker_pids()
         with pytest.raises(InjectedFaultError):    # hit 2: raises
-            pool.submit(("query", "qf", 12, None)).result(timeout=120)
+            _run(pool, 12, "qf")
         # a raised fault is an ordinary failing task: same worker,
         # no crash, no respawn
         assert pool.worker_pids() == [pid]
         assert pool.crashes == 0
-        retry = pool.run_queries((12,))[12]
+        retry = _run(pool, 12)
         assert retry.checksum == serial_checksums[12]
 
 
@@ -107,12 +115,11 @@ def test_delayed_reply_past_timeout_is_a_typed_timeout(
         db_dir, serial_checksums):
     plan = faults.FaultPlan().arm("multiproc.task.mid",
                                   action="delay", delay_s=1.5)
-    with MultiprocExecutor(db_dir, procs=1, fault_plan=plan) as pool:
+    with _pool(db_dir, plan) as pool:
         with pytest.raises(QueryTimeoutError):
-            pool.submit(("query", "qslow", 6, None),
-                        timeout=0.05).result(timeout=120)
+            _run(pool, 6, "qslow", timeout=0.05)
         assert pool.timeouts == 1
         # the overdue worker was killed; its replacement re-arms the
         # 1.5s delay but an unbounded resubmit just waits it out
-        outcome = pool.run_queries((6,))[6]
+        outcome = _run(pool, 6)
         assert outcome.checksum == serial_checksums[6]

@@ -23,6 +23,7 @@ from repro.errors import (AuthError, ConnectionLostError,
                           ServerOverloadedError)
 from repro.server import (MAX_FRAME_BYTES, QueryClient, QueryServer,
                           QueryService, recv_frame, send_frame)
+from repro.sql.suite import sql_text
 
 from chaos_utils import HAVE_FORK
 
@@ -182,7 +183,7 @@ def test_binary_client_retries_through_reply_faults(
     with faults.use(plan):
         with _client(server, retries=3,
                      backoff_base=0.01) as client:
-            reply = client.tpcd(6)
+            reply = client.sql(sql_text(6))
             assert reply.checksum == serial_checksums[6]
             assert client.retries_used >= 1
 
@@ -196,7 +197,7 @@ def test_client_retries_through_dropped_reply(server, serial_checksums):
                      request_timeout=1.0)
     try:
         with faults.use(plan):
-            reply = client.tpcd(6)
+            reply = client.sql(sql_text(6))
         assert reply.checksum == serial_checksums[6]
         assert plan.fired("server.reply.drop") == 1
         assert client.retries_used == 1
@@ -211,7 +212,7 @@ def test_client_retries_through_connection_reset(server,
     client = _client(server, retries=2, backoff_base=0.01)
     try:
         with faults.use(plan):
-            reply = client.tpcd(12)
+            reply = client.sql(sql_text(12))
         assert reply.checksum == serial_checksums[12]
         assert client.reconnects == 1
     finally:
@@ -224,7 +225,7 @@ def test_retries_exhausted_is_typed_and_chains_the_cause(server):
     try:
         with faults.use(plan):
             with pytest.raises(RetriesExhaustedError) as info:
-                client.tpcd(6)
+                client.sql(sql_text(6))
         assert info.value.attempts == 3
         assert isinstance(info.value.__cause__, ConnectionLostError)
     finally:
@@ -237,7 +238,7 @@ def test_zero_retries_surfaces_the_underlying_error(server):
     try:
         with faults.use(plan):
             with pytest.raises(ConnectionLostError) as info:
-                client.tpcd(6)
+                client.sql(sql_text(6))
         assert not isinstance(info.value, RetriesExhaustedError)
     finally:
         client.close()
@@ -252,9 +253,9 @@ def test_quota_exceeded_is_typed_and_connection_survives(db_dir):
     server.start()
     try:
         with _client(server) as client:
-            client.tpcd(6)                   # burst token spent
+            client.sql(sql_text(6))          # burst token spent
             with pytest.raises(QuotaExceededError):
-                client.tpcd(6)
+                client.sql(sql_text(6))
             assert client.ping() == client.generation   # exempt
             assert isinstance(QuotaExceededError(""),
                               ServerOverloadedError)
@@ -274,7 +275,7 @@ def test_retrying_client_rides_out_the_quota(db_dir, serial_checksums):
                          backoff_max=0.5)
         try:
             for number in (6, 6, 6):
-                assert client.tpcd(number).checksum == \
+                assert client.sql(sql_text(number)).checksum == \
                     serial_checksums[number]
             assert client.retries_used >= 1      # backoff did work
             assert client.reconnects == 0        # same connection
@@ -301,7 +302,7 @@ def test_auth_token_gate(db_dir, serial_checksums):
         with QueryClient(host, port,
                          auth_token="open-sesame") as client:
             assert client.generation is not None
-            assert client.tpcd(6).checksum == serial_checksums[6]
+            assert client.sql(sql_text(6)).checksum == serial_checksums[6]
             stats = client.stats()
         # two failed handshakes: the token-less client hung up at the
         # challenge, the wrong-token client was refused
@@ -327,8 +328,8 @@ def test_service_resubmits_over_one_crash_transparently(
     server.start()
     try:
         with _client(server) as client:
-            assert client.tpcd(1).checksum == serial_checksums[1]
-            assert client.tpcd(6).checksum == serial_checksums[6]
+            assert client.sql(sql_text(1)).checksum == serial_checksums[1]
+            assert client.sql(sql_text(6)).checksum == serial_checksums[6]
             stats = client.stats()
         assert stats["counters"]["crash_retries"] >= 1
         assert stats["counters"]["errors"] == 0
@@ -349,7 +350,7 @@ def test_pool_stuck_respawning_degrades_typed(db_dir):
     try:
         with _client(server) as client:
             with pytest.raises(ServerOverloadedError):
-                client.tpcd(6)
+                client.sql(sql_text(6))
             stats = client.stats()
         assert stats["counters"]["crash_retries"] >= 1
         assert stats["counters"]["overloads"] >= 1
@@ -370,14 +371,14 @@ def test_drain_finishes_stragglers_and_refuses_new_work(
     try:
         early = _client(server)
         bystander = _client(server)
-        early.tpcd(6)                        # pool warm
+        early.sql(sql_text(6))               # pool warm
 
         plan = faults.FaultPlan().arm("server.handle.delay",
                                       action="delay", delay_s=0.8)
 
         def slow_request():
             try:
-                straggler["reply"] = early.tpcd(12)
+                straggler["reply"] = early.sql(sql_text(12))
             except BaseException as exc:     # noqa: BLE001
                 straggler["error"] = exc
 
@@ -393,7 +394,7 @@ def test_drain_finishes_stragglers_and_refuses_new_work(
         # ...while new work was refused typed, and new connections
         # are no longer accepted
         with pytest.raises(ServerDrainingError):
-            bystander.tpcd(6)
+            bystander.sql(sql_text(6))
         host, port = server.address
         with pytest.raises((ConnectionError, OSError)):
             socket.create_connection((host, port), timeout=0.5)
@@ -411,13 +412,13 @@ def test_drain_deadline_sends_typed_error_to_stragglers(db_dir):
     straggler = {}
     try:
         client = _client(server)
-        client.tpcd(6)                       # pool warm
+        client.sql(sql_text(6))              # pool warm
         plan = faults.FaultPlan().arm("server.handle.delay",
                                       action="delay", delay_s=3.0)
 
         def slow_request():
             try:
-                straggler["reply"] = client.tpcd(12)
+                straggler["reply"] = client.sql(sql_text(12))
             except BaseException as exc:     # noqa: BLE001
                 straggler["error"] = exc
 

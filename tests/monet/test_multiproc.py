@@ -1,9 +1,11 @@
-"""Multi-process dispatcher: fan-out equality, shipping, partitioning.
+"""Multi-process dispatcher: fan-out equality, shipping, the warm pool.
 
 Workers reopen one saved TPC-D db_dir (zero-copy mmap, pinned catalog
 generation, page-fault simulation only for tasks that ask for it) and
 the parent asserts their shipped sha1 checksums against serial
-execution of the same queries and MIL programs.
+execution: each query is submitted as its SQL text and diffed against
+the hand-written driver, each MIL program against
+:func:`run_program_serial`.
 """
 
 import multiprocessing
@@ -13,14 +15,15 @@ import signal
 import pytest
 
 from repro import faults
-from repro.bench import measure_query_faults
 from repro.errors import (MILError, ProtocolError, QueryTimeoutError,
                           StaleCatalogError, WorkerCrashedError)
 from repro.monet import (MILProgram, MonetKernel, MultiprocExecutor,
-                         Var, partition_independent, result_checksum,
-                         run_program_serial, ship_value)
+                         Var, result_checksum, run_program_serial,
+                         ship_value)
 from repro.monet import buffer
 from repro.monet.multiproc import register_task_kind
+from repro.sql import execute_sql
+from repro.sql.suite import sql_text
 from repro.tpcd import QUERIES, load_tpcd, open_tpcd
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -33,6 +36,30 @@ pytestmark = pytest.mark.skipif(
 #: scalar aggregate (6), multiplex chain (13)
 QUERY_SLICE = (1, 3, 6, 13)
 
+#: the module registering the ``sql`` task kind in every worker
+SQL_TASKS = ("repro.server.tasks",)
+
+
+def _sql_task(number, key=None):
+    return ("sql", key or "q%d" % number, sql_text(number))
+
+
+def _run_sql(pool, numbers, buffer_stats=False):
+    """Submit each query's SQL text; ``{number: TaskOutcome}``."""
+    pendings = {number: pool.submit(_sql_task(number),
+                                    buffer_stats=buffer_stats)
+                for number in numbers}
+    return {number: pending.result(timeout=120)
+            for number, pending in pendings.items()}
+
+
+def _sql_cold_faults(db, number):
+    """In-process cold-start simulated faults of one query's SQL text."""
+    manager = buffer.BufferManager()
+    with buffer.use(manager):
+        execute_sql(db, sql_text(number))
+    return manager.faults
+
 
 @pytest.fixture(scope="module")
 def db_dir(tiny_tpcd, tmp_path_factory):
@@ -43,7 +70,8 @@ def db_dir(tiny_tpcd, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def executor(db_dir):
-    with MultiprocExecutor(db_dir, procs=2) as pool:
+    with MultiprocExecutor(db_dir, procs=2,
+                           task_modules=SQL_TASKS) as pool:
         yield pool
 
 
@@ -58,7 +86,7 @@ def serial_db(db_dir):
 # query fan-out
 # ----------------------------------------------------------------------
 def test_queries_match_serial_checksums(executor, serial_db):
-    outcomes = executor.run_queries()
+    outcomes = _run_sql(executor, sorted(QUERIES))
     assert sorted(outcomes) == sorted(QUERIES)
     for number in sorted(QUERIES):
         serial = result_checksum(
@@ -68,7 +96,7 @@ def test_queries_match_serial_checksums(executor, serial_db):
 
 def test_outcomes_report_worker_provenance(executor, db_dir):
     import os
-    outcomes = executor.run_queries((6, 12))
+    outcomes = _run_sql(executor, (6, 12))
     for outcome in outcomes.values():
         assert outcome.pid != os.getpid()          # really off-process
         assert outcome.generation == executor.generation == 1
@@ -78,7 +106,7 @@ def test_outcomes_report_worker_provenance(executor, db_dir):
 
 
 def test_inline_payload_roundtrip(executor, serial_db):
-    outcome = executor.run_queries((6,))[6]
+    outcome = _run_sql(executor, (6,))[6]
     shipped = outcome.value()
     assert shipped["kind"] == "value"
     assert shipped["value"] == pytest.approx(QUERIES[6].run(serial_db))
@@ -117,13 +145,14 @@ def test_accounted_faults_do_not_depend_on_worker_history(db_dir):
     evicted, so a query's reported faults were whatever its
     predecessors had left non-resident (0 on the second run)."""
     db, _report = open_tpcd(db_dir)
-    expected = {number: measure_query_faults(db, QUERIES[number])
+    expected = {number: _sql_cold_faults(db, number)
                 for number in QUERY_SLICE}     # in-process, cold
     assert all(expected.values())
-    with MultiprocExecutor(db_dir, procs=1) as pool:
+    with MultiprocExecutor(db_dir, procs=1,
+                           task_modules=SQL_TASKS) as pool:
         for order in (QUERY_SLICE, QUERY_SLICE[::-1], QUERY_SLICE):
-            pool.run_queries(order)                # unaccounted noise
-            outcomes = pool.run_queries(order, buffer_stats=True)
+            _run_sql(pool, order)                  # unaccounted noise
+            outcomes = _run_sql(pool, order, buffer_stats=True)
             assert {number: outcome.stats.faults
                     for number, outcome in outcomes.items()} == expected
 
@@ -135,12 +164,13 @@ def test_worker_buffer_state_and_rss_stay_flat_over_200_tasks(db_dir):
         outcome = pool.submit(("probe_worker", "probe")).result(60)
         return outcome.value()["value"]
 
-    with MultiprocExecutor(db_dir, procs=1) as pool:
+    with MultiprocExecutor(db_dir, procs=1,
+                           task_modules=SQL_TASKS) as pool:
         for round_ in range(10):       # caches + allocator arenas warm
-            pool.run_queries(QUERY_SLICE, buffer_stats=round_ % 2 == 1)
+            _run_sql(pool, QUERY_SLICE, buffer_stats=round_ % 2 == 1)
         before = probe(pool)
         for round_ in range(50):
-            pool.run_queries(QUERY_SLICE, buffer_stats=round_ % 2 == 1)
+            _run_sql(pool, QUERY_SLICE, buffer_stats=round_ % 2 == 1)
         after = probe(pool)
     assert before["disabled"] and after["disabled"]
     assert before["resident"] == after["resident"] == 0
@@ -148,8 +178,12 @@ def test_worker_buffer_state_and_rss_stay_flat_over_200_tasks(db_dir):
 
 
 def test_run_queries_accepts_any_iterable(executor):
-    outcomes = executor.run_queries(iter((6, 12)))
-    assert sorted(outcomes) == [6, 12]           # iterator not eaten
+    """Tasks queued from a one-shot iterator all run, and each
+    pending task resolves to the outcome of its own task."""
+    pendings = [executor.submit(task)
+                for task in iter([_sql_task(6), _sql_task(12)])]
+    assert [pending.result(timeout=120).key
+            for pending in pendings] == ["q6", "q12"]
 
 
 # ----------------------------------------------------------------------
@@ -165,53 +199,15 @@ def _two_chain_program():
     return program
 
 
-def test_partition_independent_structure():
-    program = _two_chain_program()
-    parts = partition_independent(program)
-    assert [len(part) for part in parts] == [3, 1]
-    assert parts[0].defined_vars()[-1] == "total"
-    assert parts[1].defined_vars() == ["groups"]
-    # catalog-only references never connect statements
-    assert sum(len(part) for part in parts) == len(program)
-
-
-def test_partition_redefinition_stays_ordered():
-    program = MILProgram()
-    program.emit("select", [Var("Item_quantity"), 10, 40], target="x")
-    program.emit("select", [Var("Item_quantity"), 0, 5], target="x")
-    program.emit("ident", [Var("x")], target="y")
-    parts = partition_independent(program)
-    # write-after-write + read keep all three statements together,
-    # in original order
-    assert len(parts) == 1
-    assert [stmt.target for stmt in parts[0]] == ["x", "x", "y"]
-
-
 def test_run_programs_match_serial(executor, db_dir):
     program = _two_chain_program()
     kernel = MonetKernel.open(db_dir)
     env, checksum = run_program_serial(kernel, program,
                                        ["total", "groups"])
-    outcomes = executor.run_programs([(program, ["total", "groups"])])
-    assert outcomes[0].checksum == checksum
-    assert outcomes[0].value().keys() == env.keys()
-
-
-def test_run_partitioned_matches_serial(executor, db_dir):
-    program = _two_chain_program()
-    kernel = MonetKernel.open(db_dir)
-    env_serial, checksum = run_program_serial(kernel, program,
-                                              ["total", "groups"])
-    env, outcomes = executor.run_partitioned(program,
-                                             ["total", "groups"])
-    assert result_checksum(env) == checksum
-    assert env["total"]["value"] == env_serial["total"]["value"]
-    assert len(outcomes) == 2
-
-
-def test_run_partitioned_unknown_fetch_raises(executor):
-    with pytest.raises(MILError):
-        executor.run_partitioned(_two_chain_program(), ["nonsense"])
+    outcome = executor.submit(
+        ("mil", "p0", program, ["total", "groups"])).result(timeout=60)
+    assert outcome.checksum == checksum
+    assert outcome.value().keys() == env.keys()
 
 
 # ----------------------------------------------------------------------
@@ -219,9 +215,9 @@ def test_run_partitioned_unknown_fetch_raises(executor):
 # ----------------------------------------------------------------------
 def test_workers_reject_mismatched_generation(db_dir):
     with pytest.raises(StaleCatalogError):
-        with MultiprocExecutor(db_dir, procs=1,
-                               expected_generation=99) as pool:
-            pool.run_queries((6,))
+        with MultiprocExecutor(db_dir, procs=1, expected_generation=99,
+                               task_modules=SQL_TASKS) as pool:
+            _run_sql(pool, (6,))
 
 
 def test_open_tpcd_pin_binds_preopened_kernels(db_dir):
@@ -241,7 +237,7 @@ def test_open_tpcd_pin_binds_preopened_kernels(db_dir):
 # warm pool: async submit, crash handling, timeouts, task registry
 # ----------------------------------------------------------------------
 def test_submit_returns_pending_task(executor, serial_db):
-    pending = executor.submit(("query", "qasync", 6, None))
+    pending = executor.submit(_sql_task(6, "qasync"))
     outcome = pending.result(timeout=60)
     assert pending.done()
     serial = result_checksum(ship_value(QUERIES[6].run(serial_db)))
@@ -253,7 +249,7 @@ def test_unknown_task_kind_raises_without_killing_pool(executor):
     with pytest.raises(MILError):
         executor.submit(("nonsense", "x")).result(timeout=60)
     # the worker survived the failing task
-    assert executor.run_queries((6,))[6].checksum
+    assert _run_sql(executor, (6,))[6].checksum
 
 
 def test_unencodable_result_is_typed_and_worker_survives(executor):
@@ -265,20 +261,21 @@ def test_unencodable_result_is_typed_and_worker_survives(executor):
     for _ in range(executor.procs):
         with pytest.raises(ProtocolError, match="cannot encode"):
             executor.submit(("unencodable", "u")).result(timeout=60)
-    assert executor.run_queries((6,))[6].checksum
+    assert _run_sql(executor, (6,))[6].checksum
     assert executor.worker_pids() == pids
     assert executor.crashes == crashes
 
 
 def test_idle_worker_death_respawns_transparently(db_dir):
-    with MultiprocExecutor(db_dir, procs=1) as pool:
-        pool.run_queries((6,))                   # worker warm
+    with MultiprocExecutor(db_dir, procs=1,
+                           task_modules=SQL_TASKS) as pool:
+        _run_sql(pool, (6,))                     # worker warm
         [pid] = pool.worker_pids()
         os.kill(pid, signal.SIGKILL)
         pool._workers[0].process.join(timeout=10)  # observe the death
         # the task never started on the dead worker, so it is retried
         # on the replacement instead of surfacing an error
-        outcome = pool.run_queries((6,))[6]
+        outcome = _run_sql(pool, (6,))[6]
         assert outcome.pid != pid
         assert pool.respawns == 1
         assert pool.crashes == 0
@@ -290,17 +287,18 @@ def test_midtask_crash_surfaces_typed_error_and_respawns(db_dir):
     # racing a query that may already have answered
     plan = faults.FaultPlan().arm("multiproc.task.start",
                                   action="delay", delay_s=60.0, skip=1)
-    with MultiprocExecutor(db_dir, procs=1, fault_plan=plan) as pool:
-        pool.run_queries((6,))                   # catalog mapped
+    with MultiprocExecutor(db_dir, procs=1, fault_plan=plan,
+                           task_modules=SQL_TASKS) as pool:
+        _run_sql(pool, (6,))                     # catalog mapped
         [pid] = pool.worker_pids()
-        pending = pool.submit(("query", "qcrash", 13, None))
+        pending = pool.submit(_sql_task(13, "qcrash"))
         assert pending.dispatched.wait(30)
         os.kill(pid, signal.SIGKILL)
         with pytest.raises(WorkerCrashedError):
             pending.result(timeout=60)
         assert pool.crashes == 1
         # the pool keeps serving through the respawned worker
-        outcome = pool.run_queries((6,))[6]
+        outcome = _run_sql(pool, (6,))[6]
         assert outcome.pid != pid
 
 
@@ -310,15 +308,16 @@ def test_timeout_kills_overdue_worker_and_recovers(db_dir, serial_db):
     # pump thread is descheduled for longer than the query takes
     plan = faults.FaultPlan().arm("multiproc.task.start",
                                   action="delay", delay_s=60.0, skip=1)
-    with MultiprocExecutor(db_dir, procs=1, fault_plan=plan) as pool:
-        pool.run_queries((6,))
+    with MultiprocExecutor(db_dir, procs=1, fault_plan=plan,
+                           task_modules=SQL_TASKS) as pool:
+        _run_sql(pool, (6,))
         [pid] = pool.worker_pids()
         with pytest.raises(QueryTimeoutError):
-            pool.submit(("query", "qslow", 13, None),
+            pool.submit(_sql_task(13, "qslow"),
                         timeout=0.2).result(timeout=60)
         assert pool.timeouts == 1
         assert pool.worker_pids() != [pid]
-        outcome = pool.run_queries((13,))[13]
+        outcome = _run_sql(pool, (13,))[13]
         serial = result_checksum(ship_value(QUERIES[13].run(serial_db)))
         assert outcome.checksum == serial
 

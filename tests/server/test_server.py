@@ -16,13 +16,15 @@ import pytest
 
 from repro import faults
 from repro.errors import (ProtocolError, QueryTimeoutError,
-                          ServerError, ServerOverloadedError)
+                          ServerError, ServerOverloadedError,
+                          SqlParseError)
 from repro.monet import MILProgram, MonetKernel, Var
 from repro.monet.multiproc import (result_checksum, run_program_serial,
                                    ship_value)
 from repro.server import QueryClient, QueryServer, QueryService
 from repro.server.protocol import (decode_binary_message, decode_value,
                                    send_frame)
+from repro.sql.suite import sql_text
 from repro.tpcd import QUERIES, load_tpcd, open_tpcd
 from repro.tpcd.loader import save_tpcd
 
@@ -84,7 +86,7 @@ def test_hello_and_ping(server):
 def test_tpcd_query_checksum_and_value(server, serial_checksums,
                                        tiny_tpcd_db):
     with _connect(server) as client:
-        reply = client.tpcd(6)
+        reply = client.sql(sql_text(6))
         assert reply.checksum == serial_checksums[6]
         assert reply.value == pytest.approx(QUERIES[6].run(tiny_tpcd_db))
         assert reply.generation == 1
@@ -94,8 +96,8 @@ def test_tpcd_query_checksum_and_value(server, serial_checksums,
 
 def test_tpcd_param_overrides_change_the_result(server):
     with _connect(server) as client:
-        base = client.tpcd(6)
-        widened = client.tpcd(6, params={"qty": 100})
+        base = client.sql(sql_text(6))
+        widened = client.sql(sql_text(6, {"qty": 100}))
         assert widened.checksum != base.checksum
 
 
@@ -121,12 +123,62 @@ def test_mil_program_over_the_wire(server, db_dir):
         assert "total" in reply.value
 
 
+def test_catalog_shadowing_mil_plan_is_served_like_serial(db_dir):
+    """A plan may read catalog ``Item_quantity`` and then assign that
+    name: admission lints it as a ``shadows-catalog`` warning, not an
+    error; the served answer is the serial one (the read before the
+    assignment sees the catalog BAT, the read after it the variable);
+    and a later request on the same worker still reads the catalog BAT
+    unchanged, because the interpreter writes only its environment."""
+    from repro.analysis.verify import (catalog_stats_from_manifest,
+                                       check_program)
+    from repro.monet.storage import as_backend
+
+    program = MILProgram()
+    program.emit("aggr_all", [Var("Item_quantity")], fn="sum",
+                 target="before")
+    program.emit("multiplex", [Var("Item_quantity"), 2.0], fn="*",
+                 target="Item_quantity")
+    program.emit("aggr_all", [Var("Item_quantity")], fn="sum",
+                 target="after")
+    probe = MILProgram()
+    probe.emit("ident", [Var("Item_quantity")], target="column")
+    kernel = MonetKernel.open(db_dir)
+    env, expected = run_program_serial(kernel, program,
+                                       ["before", "after"])
+    assert env["after"]["value"] == 2 * env["before"]["value"] > 0
+    _probe_env, probe_expected = run_program_serial(kernel, probe,
+                                                    ["column"])
+    stats = catalog_stats_from_manifest(
+        as_backend(db_dir).read_manifest())
+    plan = check_program(program, catalog=stats,
+                         roots={"before", "after"})
+    assert [(finding.level, finding.code, finding.index)
+            for finding in plan.findings] \
+        == [("warning", "shadows-catalog", 1)]
+
+    service = QueryService(db_dir, procs=1)
+    try:
+        with QueryServer(service) as srv, _connect(srv) as client:
+            reply = client.mil(program, ["before", "after"])
+            assert reply.checksum == expected
+            assert reply.value["after"] == 2 * reply.value["before"]
+            again = client.mil(probe, ["column"])
+            assert again.pid == reply.pid          # the same worker
+            assert again.checksum == probe_expected
+    finally:
+        service.close()
+
+
 def test_malformed_requests_raise_typed_errors(server):
     with _connect(server) as client:
         with pytest.raises(ProtocolError):
             client.moa("")
-        with pytest.raises(ServerError):
-            client.tpcd(999)             # unknown query number
+        # the retired hand-driver request is just an unknown type now
+        with pytest.raises(ProtocolError, match="unknown request type"):
+            client._request({"type": "tpcd", "number": 6})
+        with pytest.raises(SqlParseError):
+            client.sql("select frum lineitem")
         # the connection survives an error frame
         assert client.ping() == 1
 
@@ -144,7 +196,6 @@ def test_moa_syntax_error_is_typed_and_non_fatal(server):
 # ----------------------------------------------------------------------
 def test_sql_over_the_wire_matches_the_moa_path(server,
                                                 serial_checksums):
-    from repro.sql.suite import sql_text
     with _connect(server) as client:
         for number in (1, 3, 6):
             reply = client.sql(sql_text(number))
@@ -155,7 +206,6 @@ def test_sql_served_on_both_wire_formats(spool_server,
                                         serial_checksums):
     """Both ways a reply travels — inline after its header, or as a
     spool file — serve the serial checksum."""
-    from repro.sql.suite import sql_text
     host, port = spool_server.address
     checksums = {}
     for spool in (False, True):
@@ -168,7 +218,6 @@ def test_sql_served_on_both_wire_formats(spool_server,
 
 
 def test_sql_prepared_plans_are_cached_per_worker(server):
-    from repro.sql.suite import sql_text
     text = sql_text(6)
     with _connect(server) as client:
         procs = server.service.procs
@@ -179,7 +228,6 @@ def test_sql_prepared_plans_are_cached_per_worker(server):
 
 
 def test_sql_parse_error_is_typed_with_position(server):
-    from repro.errors import SqlParseError
     with _connect(server) as client:
         with pytest.raises(SqlParseError) as err:
             client.sql("select frum lineitem")
@@ -209,7 +257,7 @@ def test_four_concurrent_clients_full_query_set(server,
         try:
             with _connect(server) as client:
                 for number in sorted(QUERIES):
-                    reply = client.tpcd(number)
+                    reply = client.sql(sql_text(number))
                     assert reply.checksum == serial_checksums[number], \
                         "client %d diverged on Q%d" % (tid, number)
         except BaseException as exc:     # noqa: BLE001
@@ -326,8 +374,8 @@ def test_result_cache_short_circuits(db_dir, serial_checksums):
                            result_cache_bytes=1 << 20)
     with QueryServer(service) as srv:
         with _connect(srv) as client:
-            first = client.tpcd(12)
-            second = client.tpcd(12)
+            first = client.sql(sql_text(12))
+            second = client.sql(sql_text(12))
             assert first.result_cached is False
             assert second.result_cached is True
             assert second.checksum == first.checksum \
@@ -347,7 +395,7 @@ def test_result_cache_hits_cannot_be_corrupted_by_clients(db_dir):
                            result_cache_bytes=1 << 20)
     try:
         with service.session() as session:
-            request = {"type": "tpcd", "number": 1}
+            request = {"type": "sql", "query": sql_text(1)}
             first = session.execute(request)
             expected = first["checksum"]
             assert isinstance(first["body"], bytes)
@@ -372,9 +420,9 @@ def test_requests_equal_results_plus_errors_under_hits(db_dir):
     with QueryServer(service) as srv:
         with _connect(srv) as client:
             for _ in range(3):
-                client.tpcd(6)
-            with pytest.raises(ServerError):
-                client.tpcd(999)
+                client.sql(sql_text(6))
+            with pytest.raises(SqlParseError):
+                client.sql("select frum lineitem")
             counters = client.stats()["counters"]
     service.close()
     assert counters["result_cache_hits"] == 2, counters
@@ -390,7 +438,7 @@ def test_result_cache_stays_within_budget_and_invalidates(db_dir):
     with QueryServer(service) as srv:
         with _connect(srv) as client:
             for number in sorted(QUERIES):
-                client.tpcd(number)
+                client.sql(sql_text(number))
             snap = client.stats()["result_cache"]
     service.close()
     assert snap["size"] >= 1
@@ -413,8 +461,8 @@ def test_json_and_binary_wires_serve_identical_checksums(
         assert inline_client.spooling is False
         assert spool_client.spooling is True
         for number in sorted(QUERIES):
-            inline = inline_client.tpcd(number)
-            spooled = spool_client.tpcd(number)
+            inline = inline_client.sql(sql_text(number))
+            spooled = spool_client.sql(sql_text(number))
             assert not inline.spooled and spooled.spooled
             assert inline.checksum == spooled.checksum \
                 == serial_checksums[number]
@@ -458,7 +506,7 @@ def test_unknown_wire_format_answers_typed_and_survives(server):
             assert reply["retryable"] is False
             # the connection (and its inline replies) survive
             assert client.ping() == 1
-        assert client.tpcd(6).spooled is False
+        assert client.sql(sql_text(6)).spooled is False
 
 
 def test_server_process_never_encodes_or_decodes_a_payload(
@@ -466,10 +514,9 @@ def test_server_process_never_encodes_or_decodes_a_payload(
     """The worker encodes a reply once; the server only forwards the
     bytes.  With the value codec rigged to fail on the server's own
     threads once its pool has started, inline, spooled and cache-hit
-    replies to sql, mil and tpcd requests still arrive, carrying the
+    replies to sql, moa and mil requests still arrive, carrying the
     serial checksums."""
     from repro.server import protocol
-    from repro.sql.suite import sql_text
 
     program = MILProgram()
     window = program.emit("slice", [Var("Item_extendedprice"), 0, 999])
@@ -480,8 +527,8 @@ def test_server_process_never_encodes_or_decodes_a_payload(
                      serial_checksums[3]),
              "mil": (lambda client: client.mil(program, ["col"]),
                      mil_serial),
-             "tpcd": (lambda client: client.tpcd(12),
-                      serial_checksums[12])}
+             "moa": (lambda client: client.moa(QUERIES[1].texts()[0]),
+                     serial_checksums[1])}
 
     service = QueryService(db_dir, procs=2, result_cache_bytes=1 << 20)
     server = QueryServer(service, spool_dir=str(tmp_path))
@@ -531,7 +578,7 @@ def test_unread_spool_file_is_removed_on_stop(db_dir, tmp_path):
         host, port = server.address
         client = QueryClient(host, port, spool=True, spool_threshold=0)
         assert client.spooling is True
-        send_frame(client._sock, {"type": "tpcd", "number": 6})
+        send_frame(client._sock, {"type": "sql", "query": sql_text(6)})
         client._sock.close()                # gone without reading
         deadline = time.monotonic() + 30
         while service.stats()["counters"]["results"] < 1 \
@@ -555,7 +602,7 @@ def test_spool_fast_path_ships_files_and_cleans_up(
                          spool_threshold=0) as client:
             assert client.spooling is True
             for number in (1, 6, 12):
-                reply = client.tpcd(number)
+                reply = client.sql(sql_text(number))
                 assert reply.spooled is True
                 assert reply.checksum == serial_checksums[number]
             assert client.spool_bytes > 0
@@ -564,7 +611,7 @@ def test_spool_fast_path_ships_files_and_cleans_up(
         # a client that does not opt in never sees a spooled reply
         with QueryClient(host, port) as client:
             assert client.spooling is False
-            assert client.tpcd(6).spooled is False
+            assert client.sql(sql_text(6)).spooled is False
     finally:
         server.stop()
         service.close()
@@ -596,7 +643,7 @@ def test_spool_vanished_file_is_retried_via_spool_error(
                             flaky_read)
         with QueryClient(host, port, spool=True, spool_threshold=0,
                          retries=2, backoff_base=0.01) as client:
-            reply = client.tpcd(6)
+            reply = client.sql(sql_text(6))
             assert reply.checksum == serial_checksums[6]
             assert client.retries_used == 1
         # without a retry budget the typed error surfaces
@@ -604,7 +651,7 @@ def test_spool_vanished_file_is_retried_via_spool_error(
         with QueryClient(host, port, spool=True,
                          spool_threshold=0) as client:
             with pytest.raises(SpoolError):
-                client.tpcd(6)
+                client.sql(sql_text(6))
     finally:
         server.stop()
         service.close()
@@ -616,7 +663,7 @@ def test_spool_vanished_file_is_retried_via_spool_error(
 def test_stats_shape_and_latency_percentiles(server):
     with _connect(server) as client:
         for _ in range(3):
-            client.tpcd(12)
+            client.sql(sql_text(12))
         stats = client.stats()
     latency = stats["latency_ms"]
     assert latency["count"] >= 3
@@ -637,10 +684,14 @@ def test_fault_simulation_is_pay_per_use(db_dir, serial_checksums,
     in-process one, whatever the worker ran before — moves
     ``stats()["buffer"]`` by exactly that, and never meets the result
     cache in either direction."""
-    from repro.bench import measure_query_faults
+    from repro.monet.buffer import BufferManager, use
+    from repro.sql import execute_sql
 
     db, _report = open_tpcd(db_dir)
-    cold = measure_query_faults(db, QUERIES[6])
+    manager = BufferManager()
+    with use(manager):
+        execute_sql(db, sql_text(6))
+    cold = manager.faults
     assert cold > 0
 
     service = QueryService(db_dir, procs=1,
@@ -652,11 +703,11 @@ def test_fault_simulation_is_pay_per_use(db_dir, serial_checksums,
             with QueryClient(host, port, spool=spool,
                              spool_threshold=0) as client:
                 assert client.spooling is spool
-                plain = client.tpcd(6)
+                plain = client.sql(sql_text(6))
                 assert plain.faults is None
                 assert client.stats()["buffer"]["faults"] == total
                 for _ in range(2):       # the second one: a warm worker
-                    accounted = client.tpcd(6, buffer_stats=True)
+                    accounted = client.sql(sql_text(6), buffer_stats=True)
                     assert accounted.checksum == serial_checksums[6]
                     assert accounted.faults == cold
                     # `plain` sits in the result cache; an accounted
@@ -664,13 +715,13 @@ def test_fault_simulation_is_pay_per_use(db_dir, serial_checksums,
                     assert accounted.result_cached is False
                     total += cold
                     assert client.stats()["buffer"]["faults"] == total
-                hit = client.tpcd(6)
+                hit = client.sql(sql_text(6))
                 assert hit.result_cached is True
                 assert hit.faults is None           # nothing stale
                 assert client.stats()["buffer"]["faults"] == total
         with service.session() as session:
             with pytest.raises(ProtocolError):
-                session.execute({"type": "tpcd", "number": 6,
+                session.execute({"type": "sql", "query": sql_text(6),
                                  "buffer_stats": "yes"})
     service.close()
 
@@ -683,21 +734,44 @@ def test_admission_overload_is_typed(db_dir):
                            max_queue=0)
     with QueryServer(service) as srv:
         with _connect(srv) as client:
-            client.tpcd(6)               # pool warm, service healthy
+            client.sql(sql_text(6))      # pool warm, service healthy
             # occupy the only in-flight slot from the side
             with service._adm:
                 service._inflight += 1
             try:
                 with pytest.raises(ServerOverloadedError):
-                    client.tpcd(6)
+                    client.sql(sql_text(6))
             finally:
                 with service._adm:
                     service._inflight -= 1
                     service._adm.notify()
-            assert client.tpcd(6).checksum    # healthy again
+            assert client.sql(sql_text(6)).checksum   # healthy again
             stats = client.stats()
     service.close()
     assert stats["counters"]["overloads"] == 1
+
+
+@pytest.mark.parametrize("timeout", ["5", 0, -1.0, float("nan"), True],
+                         ids=["string", "zero", "negative", "nan",
+                              "bool"])
+def test_malformed_timeout_is_refused_before_admission(db_dir, timeout):
+    """Regression: a string timeout answered an untyped TypeError, zero
+    and negative ones killed and respawned the worker, NaN meant no
+    limit and ``true`` one second.  Only ``None`` or a finite number of
+    seconds > 0 is a timeout; anything else is a typed ProtocolError
+    and no worker sees the request."""
+    service = QueryService(db_dir, procs=1)
+    try:
+        with service.session() as session:
+            request = {"type": "sql", "query": sql_text(6)}
+            assert session.execute(dict(request, timeout=5))["checksum"]
+            respawns = service.stats()["pools"]["1"]["respawns"]
+            with pytest.raises(ProtocolError, match="'timeout'"):
+                session.execute(dict(request, timeout=timeout))
+            assert service.stats()["pools"]["1"]["respawns"] == respawns
+            assert session.execute(request)["checksum"]
+    finally:
+        service.close()
 
 
 def test_queue_wait_past_timeout_budget_overloads(db_dir):
@@ -710,7 +784,7 @@ def test_queue_wait_past_timeout_budget_overloads(db_dir):
             try:
                 started = time.monotonic()
                 with pytest.raises(ServerOverloadedError):
-                    client.tpcd(6, timeout=0.2)
+                    client.sql(sql_text(6), timeout=0.2)
                 assert time.monotonic() - started >= 0.2
             finally:
                 with service._adm:
@@ -728,12 +802,12 @@ def test_query_timeout_kills_worker_and_recovers(db_dir,
     service = QueryService(db_dir, procs=1, fault_plan=plan)
     with QueryServer(service) as srv:
         with _connect(srv) as client:
-            client.tpcd(6)                       # warm the worker
+            client.sql(sql_text(6))              # warm the worker
             before = service.stats()["pools"]["1"]["pids"]
             with pytest.raises(QueryTimeoutError):
-                client.tpcd(13, timeout=0.2)
+                client.sql(sql_text(13), timeout=0.2)
             # the worker was killed and respawned; the session serves on
-            reply = client.tpcd(13)
+            reply = client.sql(sql_text(13))
             assert reply.checksum == serial_checksums[13]
             stats = client.stats()
             after = stats["pools"]["1"]["pids"]
@@ -765,19 +839,19 @@ def test_sessions_pin_their_generation_across_bumps(rewritable_db,
         old = _connect(srv)
         try:
             assert old.generation == 1
-            assert old.tpcd(6).generation == 1
+            assert old.sql(sql_text(6)).generation == 1
 
             _bump_generation(rewritable_db)
 
             # the old session still serves its pinned snapshot
-            reply = old.tpcd(6)
+            reply = old.sql(sql_text(6))
             assert reply.generation == 1
             assert reply.checksum == serial_checksums[6]
 
             # a new session sees the bump and gets its own pool
             with _connect(srv) as fresh:
                 assert fresh.generation == 2
-                fresh_reply = fresh.tpcd(6)
+                fresh_reply = fresh.sql(sql_text(6))
                 assert fresh_reply.generation == 2
                 # a re-save of identical data: same rows, same sha1
                 assert fresh_reply.checksum == serial_checksums[6]
@@ -810,7 +884,7 @@ def test_clients_keep_serving_through_live_rewrites(rewritable_db,
                     with _connect(srv) as client:
                         generations_seen.add(client.generation)
                         for number in (1, 6, 12):
-                            reply = client.tpcd(number)
+                            reply = client.sql(sql_text(number))
                             assert reply.generation == \
                                 client.generation
                             assert reply.checksum == \
@@ -888,7 +962,7 @@ def test_caches_stay_correct_while_workers_crash(rewritable_db,
                     with QueryClient(host, port, retries=4,
                                      backoff_base=0.01) as client:
                         for number in (1, 6, 12, 3):
-                            reply = client.tpcd(number)
+                            reply = client.sql(sql_text(number))
                             assert reply.generation == \
                                 client.generation
                             assert reply.checksum == \
