@@ -26,6 +26,10 @@ those laps must carry ``faults is None``.  One client then runs an
 extra lap with ``buffer_stats=True``; each reply's ``faults`` must
 equal this process's own cold-start simulation of the same SQL text,
 and the server's ``stats()["buffer"]`` must sum to exactly that lap.
+The real page faults are reported too: the script prints the
+workers' minor faults per executed request from
+``stats()["counters"]["worker_minor_faults"]`` and fails if the
+counter is missing.
 
 Replies arrive inline, as a header frame plus the worker-encoded
 payload frame.  ``--spool DIR`` starts the server with a local spool
@@ -330,7 +334,17 @@ def main(argv=None):
                   "accounted lap alone should have summed to %d)"
                   % lap_faults)
             return 1
-        errors = stats["counters"]["errors"]
+        counters = stats["counters"]
+        if "worker_minor_faults" not in counters:
+            print("FAILED: the server's stats carry no "
+                  "worker_minor_faults counter")
+            return 1
+        executed = counters["results"] - counters["result_cache_hits"]
+        print("worker minor page faults: %d over %d executed requests "
+              "(%.0f per request)"
+              % (counters["worker_minor_faults"], executed,
+                 counters["worker_minor_faults"] / max(executed, 1)))
+        errors = counters["errors"]
         if errors != PROVOKED_ERRORS:
             print("FAILED: the server counted %d request errors, %d of "
                   "them provoked on purpose" % (errors, PROVOKED_ERRORS))

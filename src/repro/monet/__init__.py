@@ -28,6 +28,9 @@ from .multiproc import (MultiprocExecutor, PendingTask, TaskOutcome,
                         run_program_serial, ship_value)
 from .optimizer import Optimizer, dispatch_disabled, get_optimizer
 from .properties import Props, compute_props, synced, verify
+from .vectorized import pin_malloc_thresholds
+
+pin_malloc_thresholds()
 
 __all__ = [
     "atoms", "operators",

@@ -70,27 +70,29 @@ class DataVectorRegistry:
     def lookup(self, right_bat):
         """LOOKUP array for ``right_bat`` (paper pseudo code lines 5-15).
 
-        Returns ``(extent_positions, right_positions)``: for every BUN
-        of ``right_bat`` whose head oid exists in the extent, the
-        position of that oid in the extent and the BUN's own position.
-        Cached per right operand, so "subsequent semijoins with B do
-        not re-do the lookup effort".
+        The extent position of every BUN of ``right_bat`` whose head
+        oid exists in the extent, in BUN order.  Cached per right
+        operand, so "subsequent semijoins with B do not re-do the
+        lookup effort".
         """
         cached = right_bat.accel.get(self._lookup_slot)
         if cached is not None and cached[0] is self._token:
             self.lookups_reused += 1
             return cached[1]
-        heads = np.asarray(right_bat.head.logical(), dtype=np.int64)
+        # the heads as they are: a float head probes by exact equality
+        heads = np.asarray(right_bat.head.logical())
         get_manager().access_column(right_bat.head)
-        valid, positions = self.probe(heads)
-        result = (positions[valid], np.nonzero(valid)[0])
-        right_bat.accel[self._lookup_slot] = (self._token, result)
+        hit, positions = self.probe(heads)
+        if hit is not None:
+            positions = positions[hit]
+        right_bat.accel[self._lookup_slot] = (self._token, positions)
         self.lookups_computed += 1
-        return result
+        return positions
 
     def probe(self, oids):
         """``(hit_mask, positions)`` of ``oids`` in the extent, as
-        :func:`~repro.monet.vectorized.sorted_lookup` returns them.
+        :func:`~repro.monet.vectorized.sorted_lookup` returns them,
+        except that ``hit_mask`` is ``None`` when every oid hits.
 
         A binary search per oid — or, when the extent is one dense oid
         range (every class a bulk load numbers), plain subtraction.
@@ -107,6 +109,9 @@ class DataVectorRegistry:
         if self._dense_base is None or oids.dtype.kind not in "iu":
             return sorted_lookup(self.extent, oids)
         positions = oids.astype(np.int64) - self._dense_base
+        if not len(positions) or (positions.min() >= 0
+                                  and positions.max() < len(self.extent)):
+            return None, positions
         hit = (positions >= 0) & (positions < len(self.extent))
         return hit, np.where(hit, positions, 0)
 

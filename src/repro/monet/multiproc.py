@@ -83,6 +83,11 @@ from collections import deque
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:                         # not a POSIX platform
+    resource = None
+
 from .. import faults
 from ..errors import MILError, QueryTimeoutError, WorkerCrashedError
 from .buffer import BufferManager, use as use_manager
@@ -365,10 +370,10 @@ class TaskOutcome:
     """
 
     __slots__ = ("key", "checksum", "body", "elapsed_ms", "stats",
-                 "generation", "pid", "extra")
+                 "generation", "pid", "extra", "minor_faults")
 
     def __init__(self, key, checksum, body, elapsed_ms, stats,
-                 generation, pid, extra=None):
+                 generation, pid, extra=None, minor_faults=0):
         self.key = key
         self.checksum = checksum
         self.body = body
@@ -381,6 +386,9 @@ class TaskOutcome:
         #: handler-specific metadata (e.g. the server's ``moa`` kind
         #: ships ``plan_cached`` + cumulative plan-cache stats here)
         self.extra = extra
+        #: the worker's real minor page faults over the whole task,
+        #: encode and checksum included (0 without ``resource``)
+        self.minor_faults = minor_faults
 
     def value(self):
         """The shipped result, decoded from :attr:`body`."""
@@ -539,6 +547,7 @@ def _run_task(task, buffer_stats=False):
     if entry is None:
         raise MILError("unknown multiproc task kind %r" % (kind,))
     run, warmup = entry
+    faults_before = _minor_faults()
     ctx = WorkerContext()
     if warmup is not None:
         # resolve the catalog before the timer: the first task on each
@@ -560,7 +569,16 @@ def _run_task(task, buffer_stats=False):
     generation = opened.generation if opened is not None \
         else _STATE["generation"]
     return TaskOutcome(key, checksum, body, elapsed_ms, stats,
-                       generation, os.getpid(), extra=extra)
+                       generation, os.getpid(), extra=extra,
+                       minor_faults=_minor_faults() - faults_before)
+
+
+def _minor_faults():
+    """This process's minor page faults so far (0 without
+    :mod:`resource`)."""
+    if resource is None:
+        return 0
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _worker_main(parent_conn, conn, init_args):

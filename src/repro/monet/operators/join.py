@@ -245,9 +245,13 @@ def _datavectorjoin(ab, cd, name):
     with manager.operator("join.datavector"):
         manager.access_column(ab.tail)
         hit, positions = accel.registry.probe(ab.tail.keys())
-        left_pos = np.nonzero(hit)[0]
+        if hit is None:
+            left_pos = np.arange(len(positions))
+        else:
+            left_pos = np.nonzero(hit)[0]
+            positions = positions[hit]
         manager.access_column(ab.head, left_pos)
-        tail = accel.fetch(positions[hit])
+        tail = accel.fetch(positions)
     return _finish(ab, cd, left_pos, tail, name)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..accelerators.datavector import has_datavector
 from ..buffer import get_manager
-from ..column import equality_keys
+from ..column import FixedColumn, equality_keys
 from ..optimizer import get_optimizer
 from ..properties import Props, synced
 from ..vectorized import membership_mask
@@ -107,11 +107,19 @@ def _datavectorsemijoin(ab, cd, name):
     accel = ab.accel["datavector"]
     registry = accel.registry
     with manager.operator("semijoin.datavector"):
-        extent_pos, _right_pos = registry.lookup(cd)
-        head = registry.extent_column.take(extent_pos)
+        extent_pos = registry.lookup(cd)
         tail = accel.fetch(extent_pos)
     props = Props(hkey=True, hordered=bool(cd.props.hordered))
-    alignment = cd.alignment if len(extent_pos) == len(cd) \
+    found_all = len(extent_pos) == len(cd)
+    if found_all and cd.head.atom is registry.extent_column.atom \
+            and not cd.head.is_void():
+        # every right oid found: the result heads are the right heads,
+        # so a new column over their array replaces the gather (a new
+        # intermediate to the buffer manager, as the gather was)
+        head = FixedColumn(cd.head.atom, cd.head.logical())
+    else:
+        head = registry.extent_column.take(extent_pos)
+    alignment = cd.alignment if found_all \
         else ("dv", registry.class_name, cd.identity)
     return result_bat(head, tail, name=name, props=props,
                       alignment=alignment)

@@ -54,7 +54,15 @@ Every kernel runs in the calling thread.  Parallelism lives one level
 up, in worker processes (:mod:`repro.monet.multiproc`): splitting one
 operator over threads measured slower than serial on the TPC-D plans
 and reordered float sums.
+
+The kernels' temporaries are fresh arrays of a few MB per operator.
+:func:`pin_malloc_thresholds` (called once when :mod:`repro.monet` is
+imported) keeps glibc from handing those pages back to the OS and
+re-faulting them on the next query.
 """
+
+import ctypes
+import os
 
 import numpy as np
 
@@ -63,7 +71,7 @@ __all__ = [
     "membership_mask", "factorize", "grouping",
     "joint_codes", "combine_codes", "combine_codes_pair",
     "first_occurrence", "grouped_sum", "grouped_weighted_sum",
-    "grouped_extreme",
+    "grouped_extreme", "pin_malloc_thresholds",
 ]
 
 
@@ -641,3 +649,45 @@ def grouped_extreme(func, ranks, codes, n_groups):
         order = order[::-1]
     positions[codes[order]] = order
     return positions
+
+
+# ----------------------------------------------------------------------
+# allocator policy
+# ----------------------------------------------------------------------
+#: glibc's 64-bit ``DEFAULT_MMAP_THRESHOLD_MAX``: the ceiling its own
+#: dynamic mmap threshold climbs toward
+MMAP_THRESHOLD = 32 << 20
+#: twice the mmap threshold, the ratio glibc's dynamic rule keeps
+TRIM_THRESHOLD = 2 * MMAP_THRESHOLD
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3      # glibc <malloc.h>
+#: glibc's own malloc settings; any of them means the user chose
+_MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_",
+               "MALLOC_TOP_PAD_", "MALLOC_MMAP_MAX_")
+
+
+def pin_malloc_thresholds():
+    """Fix glibc's mmap and trim thresholds; ``True`` when applied.
+
+    By default glibc moves both thresholds with what the process has
+    freed so far: a kernel temporary of a few MB is either its own
+    ``mmap`` or lands at the top of the heap and is trimmed off when
+    freed, so every query page-faults its temporaries afresh.  With
+    the thresholds pinned at the ceilings the dynamic rule climbs
+    toward anyway, freed temporaries stay mapped and the next query
+    reuses their pages.  A no-op on a libc other than glibc, and when
+    the user configured glibc's malloc through its own environment
+    variables or ``GLIBC_TUNABLES``.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):
+        return False
+    if not libc or not libc.startswith("glibc"):
+        return False
+    if any(name in os.environ for name in _MALLOC_ENV) \
+            or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", ""):
+        return False
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    return bool(mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD))

@@ -32,8 +32,9 @@ the multi-process dispatcher:
 * **stats** — :meth:`QueryService.stats` aggregates request counters,
   latency percentiles over a sliding window, cache hit rates, the
   merged :class:`~repro.monet.buffer.BufferStats` of the requests
-  that asked for them, and per-pool health (sessions, pids,
-  respawns/crashes/timeouts);
+  that asked for them, the workers' real minor page faults summed
+  over every executed request (``counters["worker_minor_faults"]``),
+  and per-pool health (sessions, pids, respawns/crashes/timeouts);
 * **pay-per-use fault simulation** — workers simulate no page faults
   unless a request carries ``"buffer_stats": true``; that request
   runs under a fresh, cold buffer manager, bypasses the result cache
@@ -184,7 +185,7 @@ class QueryService:
                           "result_cache_hits": 0, "crash_retries": 0,
                           "quota_rejections": 0, "auth_failures": 0,
                           "drain_rejections": 0, "plan_rejections": 0,
-                          "result_bytes": 0}
+                          "result_bytes": 0, "worker_minor_faults": 0}
         self._latencies = deque(maxlen=LATENCY_WINDOW)
         self._buffer = BufferStats()
         #: (generation, pid) -> latest cumulative plan-cache snapshot
@@ -406,6 +407,8 @@ class QueryService:
                 self._leave()
             extra = outcome.extra or {}
             with self._stats_lock:
+                self._counters["worker_minor_faults"] += \
+                    outcome.minor_faults
                 if outcome.stats is not None:
                     self._buffer.merge(outcome.stats)
                 if "plan_cache" in extra:

@@ -33,7 +33,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.monet import (bat_from_columns_values, compute_props,
+from repro.monet import (MILInterpreter, MILProgram, Var,
+                         bat_from_columns_values, compute_props,
                          dispatch_disabled)
 from repro.monet import operators as ops
 from repro.monet import vectorized as vz
@@ -444,7 +445,7 @@ def test_empty_bats_every_op():
 # codes span ~50x the row count) and meet permuted, cross-heap operands
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def tpcd_operands(tiny_tpcd):
+def tpcd_operands(tiny_tpcd, tiny_tpcd_db):
     item = tiny_tpcd.tables["item"]
     orders = tiny_tpcd.tables["orders"]
     order_of = np.asarray(item["order"])
@@ -457,6 +458,11 @@ def tpcd_operands(tiny_tpcd):
     distinct = sorted(set(clerks))
     half = n_item // 2
     step5 = item_oids[::5]
+    # a catalog attribute carries a datavector: its semijoin probes
+    # the class extent with the right operand's heads as they are
+    item_quantity = tiny_tpcd_db.kernel.get("Item_quantity")
+    some_oids = np.asarray(item_quantity.head.logical())[:9]
+    float_oids = np.concatenate((some_oids, some_oids + 0.5))
     return {
         "item_order": _bat("oid", item_oids, "long", order_of, True),
         # join inner keyed on order ids, permuted: not head-ordered
@@ -480,6 +486,15 @@ def tpcd_operands(tiny_tpcd):
                              True),
         "clerk_sel": _bat("string", distinct[::5], "long",
                           _heads(len(distinct[::5])), True),
+        "item_quantity": item_quantity,
+        "oid_sel": _bat("oid", some_oids, "long",
+                        _heads(len(some_oids)), True),
+        # and one oid past the extent
+        "oid_miss": _bat("oid", np.append(some_oids, n_item + 7), "long",
+                         _heads(len(some_oids) + 1), True),
+        # half the heads are integral (they equal an oid), half not
+        "float_sel": _bat("double", float_oids, "long",
+                          _heads(len(float_oids)), True),
     }
 
 
@@ -494,6 +509,18 @@ _TPCD_CASES = {
     "semijoin": (lambda o: ops.semijoin(o["item_price"], o["item_sel"]),
                  lambda o: naive_semijoin(o["item_price"],
                                           o["item_sel"])),
+    "semijoin_dv": (lambda o: ops.semijoin(o["item_quantity"],
+                                           o["oid_sel"]),
+                    lambda o: naive_semijoin(o["item_quantity"],
+                                             o["oid_sel"])),
+    "semijoin_dv_miss": (lambda o: ops.semijoin(o["item_quantity"],
+                                                o["oid_miss"]),
+                         lambda o: naive_semijoin(o["item_quantity"],
+                                                  o["oid_miss"])),
+    "semijoin_dv_float": (lambda o: ops.semijoin(o["item_quantity"],
+                                                 o["float_sel"]),
+                          lambda o: naive_semijoin(o["item_quantity"],
+                                                   o["float_sel"])),
     "semijoin_str": (lambda o: ops.semijoin(o["clerk_orders"],
                                             o["clerk_sel"]),
                      lambda o: naive_semijoin(o["clerk_orders"],
@@ -527,6 +554,30 @@ def test_tpcd_operand_differential(tpcd_operands, name, dispatch):
         _assert_matches_naive(lambda: op_fn(tpcd_operands),
                               naive_fn(tpcd_operands),
                               exact=name != "aggregate")
+
+
+def test_datavector_semijoin_keeps_float_heads_exact(tiny_tpcd_db):
+    """``semijoin(Item_quantity, {min}(mirror(Item_discount)))``: the
+    right heads are discounts (0.0, 0.01, ...), and only 0.0 equals an
+    oid.  Dispatched to the datavector path or run on the fallback
+    kernels, the MIL plan answers what the naive semijoin does."""
+    program = MILProgram()
+    mirrored = program.emit("mirror", [Var("Item_discount")])
+    minima = program.emit("aggr", [mirrored], fn="min", target="g")
+    program.emit("semijoin", [Var("Item_quantity"), minima],
+                 target="r")
+    answers = []
+    for dispatch in (True, False):
+        with contextlib.nullcontext() if dispatch \
+                else dispatch_disabled():
+            interpreter = MILInterpreter(tiny_tpcd_db.kernel)
+            interpreter.run(program)
+        answers.append(interpreter.env["r"])
+    expected = naive_semijoin(tiny_tpcd_db.kernel.get("Item_quantity"),
+                              interpreter.env["g"])
+    assert 0 < len(expected[0]) < len(interpreter.env["g"])
+    for answer in answers:
+        _assert_matches_naive(lambda: answer, expected)
 
 
 def test_tpcd_string_keys_match_decoded_strings(tpcd_operands):

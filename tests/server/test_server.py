@@ -386,6 +386,38 @@ def test_result_cache_short_circuits(db_dir, serial_checksums):
     assert stats["counters"]["result_cache_hits"] == 1
 
 
+def test_worker_minor_faults_sum_the_executed_tasks(db_dir):
+    """Each outcome carries the worker's real minor page faults over
+    its task; the service adds exactly those to its counter, and a
+    result-cache hit adds nothing."""
+    service = QueryService(db_dir, procs=1,
+                           result_cache_bytes=1 << 20)
+    outcomes = []
+    submit = service._submit_with_retry
+
+    def recording(*args, **kwargs):
+        outcomes.append(submit(*args, **kwargs))
+        return outcomes[-1]
+
+    service._submit_with_retry = recording
+    try:
+        assert service.stats()["counters"]["worker_minor_faults"] == 0
+        with service.session() as session:
+            for number in (1, 6, 1):
+                session.execute({"type": "sql",
+                                 "query": sql_text(number)})
+        counters = service.stats()["counters"]
+    finally:
+        service.close()
+    assert len(outcomes) == 2 and counters["result_cache_hits"] == 1
+    assert all(isinstance(outcome.minor_faults, int)
+               and outcome.minor_faults >= 0 for outcome in outcomes)
+    # the first task opens the catalog and compiles: it faults
+    assert outcomes[0].minor_faults > 0
+    assert counters["worker_minor_faults"] \
+        == sum(outcome.minor_faults for outcome in outcomes)
+
+
 def test_result_cache_hits_cannot_be_corrupted_by_clients(db_dir):
     """Regression for the serving-path shallow copy: every served
     response used to share its nested payload with the cached entry,
