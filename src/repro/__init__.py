@@ -11,7 +11,7 @@ The package maps the paper's architecture one-to-one:
   term rewriter, and the reference evaluator for the Figure 6
   commuting diagram.
 * :mod:`repro.tpcd` — the TPC-D substrate: generator, nested schema,
-  Q1-Q15, reference oracle, load pipeline, row-store baseline.
+  Q1-Q15, load pipeline, row-store baseline.
 * :mod:`repro.costmodel` — the section 5.2.2 IO cost model.
 * :mod:`repro.bench` — shared benchmark harness utilities.
 

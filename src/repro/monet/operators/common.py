@@ -2,7 +2,6 @@
 
 from ...errors import OperatorError
 from ..bat import BAT
-from ..properties import Props
 from ..vectorized import MultiMap
 from ..vectorized import factorize as _factorize
 
@@ -60,12 +59,3 @@ def result_bat(head, tail, name=None, props=None, alignment=None):
     if props is not None:
         out.props = props
     return out
-
-
-def void_like(column):
-    """True when a column is virtual-dense (void)."""
-    return column.is_void()
-
-
-def props_none():
-    return Props()

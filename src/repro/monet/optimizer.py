@@ -74,11 +74,6 @@ def get_optimizer():
     return _current
 
 
-def set_optimizer(optimizer):
-    global _current
-    _current = optimizer
-
-
 @contextlib.contextmanager
 def use(optimizer):
     """Temporarily install a different optimizer (or policy switch)."""

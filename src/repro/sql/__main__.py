@@ -7,7 +7,9 @@ Three modes, sharing the dataset knobs (``--sf``/``--seed``):
     reproduced TPC-D queries, plus the ``EXTRAS`` constructs, executed
     through the Moa/MIL pipeline *and* through an in-memory sqlite3
     oracle over the same generated rows, asserting row-set equality.
-    Non-zero exit on any mismatch.
+    Each reproduced query's hand-written Moa driver (``q3/moa``) and
+    row-store baseline (``q3/rowstore``) answers are diffed against
+    sqlite's the same way.  Non-zero exit on any mismatch.
 ``--plan``
     Print the lowered phases (the MOA trees and py-phase arithmetic)
     for QUERY (a SQL file, ``-`` for stdin, or a suite name like
@@ -76,25 +78,38 @@ def _dataset(args):
     return dataset, db
 
 
+def _check(name, check):
+    """Run one suite check and print its line; True when it passed."""
+    try:
+        rows = check()
+    except (AssertionError, SqlError) as exc:
+        print("%-16s FAIL %s: %s" % (name, type(exc).__name__, exc))
+        return False
+    print("%-16s ok (%d rows)" % (name, rows))
+    return True
+
+
 def _run_suite(args):
-    from .oracle import check_query, load_oracle
+    from ..tpcd.queries import QUERIES
+    from ..tpcd.rowstore import RowStore
+    from .oracle import check_query, check_result, load_oracle
     from .suite import EXTRAS, sql_queries
     dataset, db = _dataset(args)
     conn = load_oracle(dataset)
-    queries = [("q%d" % n, text)
-               for n, text in sorted(sql_queries().items())]
-    queries += sorted(EXTRAS.items())
-    failures = 0
-    for name, text in queries:
-        try:
-            rows = check_query(db, conn, text)
-            print("%-16s ok (%d rows)" % (name, rows))
-        except (AssertionError, SqlError) as exc:
-            failures += 1
-            print("%-16s FAIL %s: %s"
-                  % (name, type(exc).__name__, exc))
-    print("suite: %d queries, %d failure(s)"
-          % (len(queries), failures))
+    store = RowStore(dataset)
+    passed = []
+    for n, text in sorted(sql_queries().items()):
+        query = QUERIES[n]
+        passed += [
+            _check("q%d" % n, lambda: check_query(db, conn, text)),
+            _check("q%d/moa" % n,
+                   lambda: check_result(conn, text, query.run(db))),
+            _check("q%d/rowstore" % n, lambda: check_result(
+                conn, text, store.run(n, query.params())))]
+    passed += [_check(name, lambda: check_query(db, conn, text))
+               for name, text in sorted(EXTRAS.items())]
+    failures = passed.count(False)
+    print("suite: %d checks, %d failure(s)" % (len(passed), failures))
     return 1 if failures else 0
 
 

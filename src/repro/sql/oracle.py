@@ -1,12 +1,15 @@
-"""SQLite differential oracle for the SQL front-end.
+"""SQLite differential oracle: the query-level answer key.
 
 The same generated TPC-D dataset is loaded into an in-memory stdlib
 ``sqlite3`` database (keys are the object oids, dates are epoch-day
-integers — the ``instant`` atom's representation), and every supported
-query is executed both ways: through parse -> lower -> Moa/MIL and
-through sqlite.  Row *sets* must match (after canonical ordering and
-float tolerance); order is deliberately not compared for unsorted
-queries, since SQL leaves it unspecified.
+integers — the ``instant`` atom's representation), and an answer
+computed by any engine is compared with sqlite's answer to the same
+SQL text (:func:`check_result`): the SQL path through parse -> lower
+-> Moa/MIL (:func:`check_query`), the hand-written Moa drivers of
+:mod:`repro.tpcd.queries` and the row-store baseline of
+:mod:`repro.tpcd.rowstore`.  Row *sets* must match (after canonical
+ordering and float tolerance); order is deliberately not compared for
+unsorted queries, since SQL leaves it unspecified.
 
 The oracle runs the **parsed AST**, re-rendered into sqlite dialect by
 :func:`to_sqlite` — so both engines execute the identical tree:
@@ -235,16 +238,24 @@ def canonical_rows(result):
     return out
 
 
-def _sort_key(row):
-    key = []
-    for value in row:
-        if value is None:
-            key.append((0, 0, ""))
-        elif isinstance(value, str):
-            key.append((2, 0, value))
-        else:
-            key.append((1, round(float(value), 2), ""))
-    return key
+def _float_columns(*sides):
+    """Positions holding a float in any row of any side."""
+    return {i for rows in sides for row in rows
+            for i, value in enumerate(row) if isinstance(value, float)}
+
+
+def _sort_key(row, floats):
+    """Exact non-float values first, floats after, unrounded: values
+    within the tolerance then sort to the same position on both sides
+    (rounding would split a pair straddling a rounding boundary)."""
+    def key(value):
+        if value is None:     # sorts as the 0 _values_match pairs it with
+            return (1, 0)
+        if isinstance(value, str):
+            return (2, value)
+        return (1, value)
+    return ([key(v) for i, v in enumerate(row) if i not in floats],
+            [key(v) for i, v in enumerate(row) if i in floats])
 
 
 def _values_match(ours, theirs):
@@ -263,8 +274,9 @@ def rows_equivalent(ours, theirs):
     """Multiset equality of canonical rows under float tolerance."""
     if len(ours) != len(theirs):
         return False
-    ours = sorted(ours, key=_sort_key)
-    theirs = sorted(theirs, key=_sort_key)
+    floats = _float_columns(ours, theirs)
+    ours = sorted(ours, key=lambda row: _sort_key(row, floats))
+    theirs = sorted(theirs, key=lambda row: _sort_key(row, floats))
     for mine, other in zip(ours, theirs):
         if len(mine) != len(other):
             return False
@@ -273,29 +285,27 @@ def rows_equivalent(ours, theirs):
     return True
 
 
-def check_query(db, conn, text, sqlite_text=None):
-    """Run ``text`` through both engines and compare; returns the row
-    count on success, raises AssertionError with details otherwise.
-    ``sqlite_text`` overrides the oracle side (tests use it to prove
-    the harness catches an injected divergence)."""
-    from .parser import parse_sql
-    from .runtime import execute_sql
-    stmt = parse_sql(text)
-    ours = canonical_rows(execute_sql(db, text))
+def check_result(conn, text, result, sqlite_text=None):
+    """Compare an already computed ``result`` with sqlite's answer to
+    the SQL ``text``; returns the row count on success, raises
+    AssertionError with details otherwise.  ``sqlite_text`` overrides
+    the oracle side (tests use it to prove the harness catches an
+    injected divergence)."""
     if sqlite_text is None:
-        sqlite_text = to_sqlite(stmt)
+        from .parser import parse_sql
+        sqlite_text = to_sqlite(parse_sql(text))
+    ours = canonical_rows(result)
     theirs = canonical_rows(conn.execute(sqlite_text).fetchall())
     if not rows_equivalent(ours, theirs):
         raise AssertionError(
-            "SQL/sqlite divergence for:\n%s\nours (%d rows): %r\n"
+            "divergence from sqlite for:\n%s\nours (%d rows): %r\n"
             "oracle (%d rows): %r"
             % (text.strip(), len(ours), ours[:5], len(theirs),
                theirs[:5]))
     return len(ours)
 
 
-def run_differential(db, conn, queries):
-    """Run a {name: sql} suite through :func:`check_query`; returns
-    {name: row count}.  Raises on the first divergence."""
-    return {name: check_query(db, conn, text)
-            for name, text in queries.items()}
+def check_query(db, conn, text, sqlite_text=None):
+    """:func:`check_result` of ``text`` run through the SQL path."""
+    from .runtime import execute_sql
+    return check_result(conn, text, execute_sql(db, text), sqlite_text)

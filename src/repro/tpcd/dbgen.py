@@ -26,8 +26,8 @@ first:
 
 * ``dataset.tables`` — arrays per *relational* table (region, nation,
   supplier, customer, part, partsupp, orders, item), used by the
-  row-store baseline of :mod:`repro.tpcd.rowstore` and the reference
-  answers of :mod:`repro.tpcd.reference`,
+  row-store baseline of :mod:`repro.tpcd.rowstore` and the sqlite
+  oracle of :mod:`repro.sql.oracle`,
 * ``dataset.columns`` — the same arrays per Figure 1 *class*, nested
   sets as ``(owners, elements)`` arrays: the flattening input (see
   :mod:`repro.moa.mapping`), which the loader turns into BATs a

@@ -3,8 +3,9 @@
 Every SQL formulation of the reproduced TPC-D queries is executed
 through parse -> bind -> lower -> resolve -> rewrite -> MIL on the
 tier-1 fixture database, and its canonical sha1 must equal the
-hand-written Moa driver's — the same byte-identity contract the bench
-``sql`` section and the serving path enforce.
+hand-written Moa driver's — the same byte-identity contract the
+serving path enforces.  ``tests/sql/test_oracle.py`` pins both to
+sqlite.
 """
 
 import pytest
