@@ -31,10 +31,8 @@ workers' minor faults per executed request from
 ``stats()["counters"]["worker_minor_faults"]`` and fails if the
 counter is missing.
 
-Replies arrive inline, as a header frame plus the worker-encoded
-payload frame.  ``--spool DIR`` starts the server with a local spool
-directory and makes every client opt into the mmap spool fast path
-(threshold 0, so each result payload ships as a spool file).
+Replies arrive as a header frame plus the worker-encoded payload
+frame.
 
 This is both the README's client example and the CI server-smoke job::
 
@@ -92,15 +90,11 @@ def serial_run(db_dir):
     return checksums, cold_faults, values
 
 
-def start_server(db_dir, procs, tmp_dir, spool_dir=None,
-                 result_cache_bytes=0):
+def start_server(db_dir, procs, tmp_dir, result_cache_bytes=0):
     port_file = os.path.join(tmp_dir, "server.port")
     command = [sys.executable, "-m", "repro.server", "--db-dir",
                str(db_dir), "--port", "0", "--procs", str(procs),
                "--port-file", port_file]
-    if spool_dir:
-        command += ["--spool-dir", str(spool_dir),
-                    "--spool-threshold", "0"]
     if result_cache_bytes:
         command += ["--result-cache-bytes", str(result_cache_bytes)]
     process = subprocess.Popen(
@@ -159,14 +153,9 @@ def cache_hit_lap(host, port, expected):
 
 
 def client_pass(host, port, expected, failures, latencies, lock, tid,
-                values, spool=False):
+                values):
     try:
-        with QueryClient(host, port, spool=spool,
-                         spool_threshold=0 if spool else None) as client:
-            if client.spooling != spool:
-                raise AssertionError(
-                    "client %d asked for spool=%s but negotiated "
-                    "spool=%s" % (tid, spool, client.spooling))
+        with QueryClient(host, port) as client:
             for number in sorted(QUERIES):
                 texts = QUERIES[number].texts()
                 replies = [client.sql(sql_text(number))]
@@ -186,10 +175,6 @@ def client_pass(host, port, expected, failures, latencies, lock, tid,
                             "served %s, serial %s"
                             % (number, tid, reply.checksum,
                                expected[number]))
-                    if spool and not reply.spooled:
-                        raise AssertionError(
-                            "client %d opted into spooling but Q%d "
-                            "arrived inline" % (tid, number))
                     if reply.faults is not None:
                         raise AssertionError(
                             "Q%d reported faults=%r to client %d, "
@@ -260,9 +245,6 @@ def main(argv=None):
                         help="scale factor when the catalog must be "
                              "built first")
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--spool", metavar="DIR", default=None,
-                        help="serve results through the local mmap "
-                             "spool fast path rooted at DIR")
     parser.add_argument("--result-cache-bytes", type=int, default=0,
                         help="byte budget for the server's result "
                              "cache (0 disables)")
@@ -275,7 +257,6 @@ def main(argv=None):
     process, host, port = start_server(
         args.db_dir, args.procs,
         tempfile.mkdtemp(prefix="serve-smoke-"),
-        spool_dir=args.spool,
         result_cache_bytes=args.result_cache_bytes)
     print("server up on %s:%d (pid %d)" % (host, port, process.pid))
     try:
@@ -285,9 +266,7 @@ def main(argv=None):
         threads = [threading.Thread(target=client_pass,
                                     args=(host, port, expected,
                                           failures, latencies, lock,
-                                          tid, values),
-                                    kwargs={"spool":
-                                                args.spool is not None})
+                                          tid, values))
                    for tid in range(args.clients)]
         for thread in threads:
             thread.start()
@@ -314,8 +293,6 @@ def main(argv=None):
                  stats["latency_ms"]["count"]))
         print("plan cache: %(hits)d hits / %(misses)d misses "
               "(hit rate %(hit_rate)s)" % plan)
-        print("replies: %s" % ("spool fast path" if args.spool
-                               else "inline"))
         if args.result_cache_bytes:
             cache_hit_lap(host, port, expected)
             cache = stats["result_cache"]

@@ -99,21 +99,6 @@ class FrameTooLargeError(ProtocolError):
     client sees this instead of a silent disconnect."""
 
 
-class WireFormatError(ProtocolError):
-    """A client asked the hello-frame negotiation for a wire format
-    the server does not speak (or sent a malformed negotiation
-    request).  The connection survives — the client can fall back to
-    the JSON wire — but resending the same negotiation cannot
-    succeed."""
-
-
-class SpoolError(ProtocolError):
-    """A spooled (mmap'd-file) result payload could not be read back:
-    the file vanished, was truncated, or decoded to bytes that do not
-    match the announced length.  Retryable — a resend re-ships the
-    payload, through a fresh spool file or inline."""
-
-
 class ServerOverloadedError(ServerError):
     """Admission control rejected the request: the in-flight limit is
     reached and the bounded wait queue is full (or the queue wait
@@ -276,8 +261,6 @@ RETRYABLE = {
     "ServerError": False,
     "ProtocolError": False,
     "FrameTooLargeError": False,
-    "WireFormatError": False,
-    "SpoolError": True,             # a resend re-ships the payload
     "ServerDrainingError": False,   # per policy: find another server
     "AuthError": False,
     "QueryTimeoutError": False,     # the budget is the caller's

@@ -6,12 +6,11 @@ layer.  A :class:`QueryServer` accepts Moa and MIL queries from many
 concurrent clients over a length-prefixed socket protocol
 (:mod:`repro.server.protocol`) — JSON requests, and results as one
 **binary columnar message** that ships columns as raw little-endian
-buffers (for local clients optionally as mmap'd spool files) — and
-executes them through a :class:`QueryService`: per-generation warm
+buffers — and executes them through a :class:`QueryService`: per-generation warm
 worker pools (workers ``MonetKernel.open`` the catalog once, stay
 resident, and encode every result once), an LRU plan cache keyed by
 query text + catalog generation, an optional byte-weighted result
-cache with TTL over the encoded replies, admission control (max
+cache over the encoded replies, admission control (max
 in-flight, bounded queue, per-query timeout), and a stats endpoint
 exposing latency percentiles, cache hit rates, and merged
 buffer-manager fault accounting.
@@ -49,9 +48,8 @@ from .client import ClientReply, QueryClient
 from .protocol import (MAX_FRAME_BYTES, decode_binary_message,
                        decode_program, decode_value,
                        encode_binary_message, encode_program,
-                       encode_value, read_spooled_payload, recv_frame,
-                       send_binary_frame, send_frame, send_reply,
-                       write_spooled_payload)
+                       encode_value, recv_frame, send_binary_frame,
+                       send_frame, send_reply)
 from .server import PROTOCOL_VERSION, QueryServer
 from .service import QueryService, Session
 
@@ -62,7 +60,5 @@ __all__ = [
     "QueryServer", "QueryService", "Session",
     "decode_binary_message", "decode_program", "decode_value",
     "encode_binary_message", "encode_program", "encode_value",
-    "read_spooled_payload", "recv_frame",
-    "send_binary_frame", "send_frame", "send_reply",
-    "write_spooled_payload",
+    "recv_frame", "send_binary_frame", "send_frame", "send_reply",
 ]

@@ -48,21 +48,6 @@ def main(argv=None):
                         help="parent-side byte-weighted result-cache "
                              "budget (0 = off); a result weighs its "
                              "encoded reply's bytes")
-    parser.add_argument("--result-cache-ttl", type=float, default=None,
-                        metavar="S",
-                        help="seconds a cached result stays servable "
-                             "(default: no expiry)")
-    parser.add_argument("--spool-dir", default=None,
-                        help="directory for the local-client result "
-                             "fast path: spool-negotiated replies "
-                             "past the threshold ship as mmap'd "
-                             "binary files (default: off)")
-    parser.add_argument("--spool-threshold", type=int, default=None,
-                        metavar="BYTES",
-                        help="default payload size above which "
-                             "spool-enabled connections receive "
-                             "files (clients may negotiate their "
-                             "own)")
     parser.add_argument("--max-inflight", type=int, default=8)
     parser.add_argument("--max-queue", type=int, default=32)
     parser.add_argument("--timeout", type=float, default=None,
@@ -111,22 +96,18 @@ def main(argv=None):
         args.db_dir, procs=args.procs,
         plan_cache_size=args.plan_cache,
         result_cache_bytes=args.result_cache_bytes,
-        result_cache_ttl=args.result_cache_ttl,
         max_inflight=args.max_inflight, max_queue=args.max_queue,
         default_timeout=args.timeout, plan_budget=plan_budget)
     server = QueryServer(service, host=args.host, port=args.port,
                          auth_token=auth_token,
                          quota_rps=args.quota_rps,
-                         quota_burst=args.quota_burst,
-                         spool_dir=args.spool_dir,
-                         spool_threshold=args.spool_threshold)
+                         quota_burst=args.quota_burst)
     server.start()
     host, port = server.address
     print("repro.server: serving %s on %s:%d (procs=%d, "
-          "plan_cache=%d, result_cache_bytes=%d, max_inflight=%d%s)"
+          "plan_cache=%d, result_cache_bytes=%d, max_inflight=%d)"
           % (args.db_dir, host, port, args.procs, args.plan_cache,
-             args.result_cache_bytes, args.max_inflight,
-             ", spool=%s" % args.spool_dir if args.spool_dir else ""),
+             args.result_cache_bytes, args.max_inflight),
           flush=True)
     if args.port_file:
         # write-then-rename: pollers that see the file see its content

@@ -1,4 +1,4 @@
-"""Server-side caching: one weighted LRU with TTL and invalidation.
+"""Server-side caching: one weighted LRU with invalidation.
 
 Two caches run inside the query service, both instances of
 :class:`WeightedLRU`.  The **plan cache** (one per worker process)
@@ -17,30 +17,25 @@ from the outside.
 """
 
 import threading
-import time
 from collections import OrderedDict
 
 
 class CacheStats:
     """Cumulative counters of one cache instance.
 
-    ``evictions`` counts every entry dropped for any reason (capacity,
-    TTL expiry, or invalidation); ``invalidations`` and
-    ``expirations`` break out the drops by cause, so a generation
-    bump's sweep is visible in the server stats rather than folded
-    silently into capacity pressure.
+    ``evictions`` counts every entry dropped for any reason (capacity
+    or invalidation); ``invalidations`` breaks out the invalidation
+    drops, so a generation bump's sweep is visible in the server stats
+    rather than folded silently into capacity pressure.
     """
 
-    __slots__ = ("hits", "misses", "evictions", "invalidations",
-                 "expirations")
+    __slots__ = ("hits", "misses", "evictions", "invalidations")
 
-    def __init__(self, hits=0, misses=0, evictions=0,
-                 invalidations=0, expirations=0):
+    def __init__(self, hits=0, misses=0, evictions=0, invalidations=0):
         self.hits = hits
         self.misses = misses
         self.evictions = evictions
         self.invalidations = invalidations
-        self.expirations = expirations
 
     @property
     def lookups(self):
@@ -55,14 +50,13 @@ class CacheStats:
         return {"hits": int(self.hits), "misses": int(self.misses),
                 "evictions": int(self.evictions),
                 "invalidations": int(self.invalidations),
-                "expirations": int(self.expirations),
                 "hit_rate": round(self.hit_rate, 4)}
 
     def __repr__(self):
         return ("CacheStats(hits=%d, misses=%d, evictions=%d, "
-                "invalidations=%d, expirations=%d)"
+                "invalidations=%d)"
                 % (self.hits, self.misses, self.evictions,
-                   self.invalidations, self.expirations))
+                   self.invalidations))
 
 
 class WeightedLRU:
@@ -77,19 +71,15 @@ class WeightedLRU:
         single entry heavier than the whole capacity is not admitted;
         the capacity is a hard ceiling, never exceeded even
         transiently between put and eviction.
-    ttl_s:
-        Seconds an entry stays servable after insertion (``None`` =
-        no expiry).  Expiry is lazy-on-get plus a sweep on every put,
-        so expired entries do not squat on the capacity.
-    clock:
-        Injectable monotonic clock (tests).
+
+    There is no expiry: every key carries its catalog generation and
+    its value never changes, so age cannot make an entry wrong, and the
+    capacity alone bounds memory.
     """
 
-    def __init__(self, capacity, ttl_s=None, clock=time.monotonic):
+    def __init__(self, capacity):
         self.capacity = int(capacity)
-        self.ttl_s = None if ttl_s is None else float(ttl_s)
-        self._clock = clock
-        self._items = OrderedDict()   # key -> (value, weight, stamp)
+        self._items = OrderedDict()   # key -> (value, weight)
         self._weight = 0
         self._peak_weight = 0
         self._lock = threading.Lock()
@@ -98,23 +88,11 @@ class WeightedLRU:
     def _drop(self, key):
         self._weight -= self._items.pop(key)[1]
 
-    def _expired(self, stamp, now):
-        return self.ttl_s is not None and (now - stamp) > self.ttl_s
-
-    def _expire(self, key):
-        self._drop(key)
-        self.stats.evictions += 1
-        self.stats.expirations += 1
-
     def get(self, key, default=None):
         """The cached value (refreshing recency), or ``default`` on a
-        miss or an expired entry."""
+        miss."""
         with self._lock:
             item = self._items.get(key)
-            if item is not None and self._expired(item[2],
-                                                  self._clock()):
-                self._expire(key)
-                item = None
             if item is None:
                 self.stats.misses += 1
                 return default
@@ -128,15 +106,11 @@ class WeightedLRU:
         if self.capacity <= 0:
             return False
         with self._lock:
-            now = self._clock()
-            for stale in [k for k, item in self._items.items()
-                          if self._expired(item[2], now)]:
-                self._expire(stale)
             if key in self._items:
                 self._drop(key)
             if weight > self.capacity:
                 return False
-            self._items[key] = (value, weight, now)
+            self._items[key] = (value, weight)
             self._weight += weight
             while self._weight > self.capacity:
                 self._drop(next(iter(self._items)))
@@ -177,7 +151,6 @@ class WeightedLRU:
             entry = {"size": len(self._items),
                      "capacity": self.capacity,
                      "weight": int(self._weight),
-                     "peak_weight": int(self._peak_weight),
-                     "ttl_s": self.ttl_s}
+                     "peak_weight": int(self._peak_weight)}
             entry.update(self.stats.as_dict())
         return entry

@@ -13,9 +13,7 @@ frames re-raise as the matching typed exception from
 
 Result payloads arrive as one binary frame after their JSON header:
 raw little-endian column buffers, decoded zero-copy into read-only
-ndarrays.  ``spool=True`` opts into the local-client fast path —
-large results ship as mmap'd files holding the same bytes (see
-:func:`~repro.server.protocol.read_spooled_payload`).
+ndarrays.
 
 Resilience (opt-in via ``retries``)
 -----------------------------------
@@ -50,10 +48,9 @@ import time
 from .. import errors as _errors
 from ..errors import (AuthError, ConnectionLostError, ProtocolError,
                       RetriesExhaustedError, ServerDrainingError,
-                      ServerError, ServerOverloadedError, SpoolError)
+                      ServerError, ServerOverloadedError)
 from ..monet.multiproc import result_checksum
-from .protocol import (decode_value, encode_program,
-                       read_spooled_payload, recv_frame, send_frame)
+from .protocol import decode_value, encode_program, recv_frame, send_frame
 
 
 class ClientReply:
@@ -61,9 +58,9 @@ class ClientReply:
 
     __slots__ = ("value", "canonical", "checksum", "elapsed_ms",
                  "service_ms", "generation", "pid", "plan_cached",
-                 "result_cached", "faults", "payload_bytes", "spooled")
+                 "result_cached", "faults", "payload_bytes")
 
-    def __init__(self, canonical, response, spooled=False):
+    def __init__(self, canonical, response):
         #: the canonical shipped form ({"kind": ...}-style)
         self.canonical = canonical
         #: the bare result: a scalar, a ``{name: value}`` MIL env, or —
@@ -86,8 +83,6 @@ class ClientReply:
         self.faults = response.get("faults")
         #: byte length of the encoded payload
         self.payload_bytes = response.get("payload_bytes")
-        #: True when the payload arrived as an mmap'd spool file
-        self.spooled = spooled
 
     def __repr__(self):
         return ("ClientReply(sha1=%s, gen=%s, %sms%s%s)"
@@ -139,20 +134,12 @@ class QueryClient:
         Socket timeout while awaiting a reply (``None`` = wait
         forever); an expiry counts as a lost connection, which a
         retry budget turns into reconnect-and-resend.
-    spool / spool_threshold:
-        Opt into the local-client fast path: results whose encoded
-        payload is at least ``spool_threshold`` bytes (server default
-        when ``None``) arrive as an mmap'd binary file instead of
-        inline frame bytes.  Only meaningful when client and server
-        share a filesystem; takes effect only when the server has a
-        spool directory configured.
     """
 
     def __init__(self, host, port, connect_timeout=10.0,
                  verify=True, auth_token=None, retries=0,
                  backoff_base=0.05, backoff_max=2.0,
-                 request_timeout=None, spool=False,
-                 spool_threshold=None):
+                 request_timeout=None):
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
@@ -162,16 +149,12 @@ class QueryClient:
         self.backoff_base = float(backoff_base)
         self.backoff_max = float(backoff_max)
         self.request_timeout = request_timeout
-        self.spool_preference = bool(spool)
-        self.spool_threshold = spool_threshold
         #: times the transport was re-established by the retry layer
         self.reconnects = 0
         #: retry attempts spent across all requests
         self.retries_used = 0
         #: cumulative frame bytes read off the socket (all replies)
         self.bytes_received = 0
-        #: cumulative payload bytes that arrived via spool files
-        self.spool_bytes = 0
         self._rng = random.Random()
         self._ids = itertools.count(1)
         self._id_prefix = "c%08x" % self._rng.getrandbits(32)
@@ -208,7 +191,6 @@ class QueryClient:
                 if hello.get("type") != "hello":
                     raise ProtocolError(
                         "unexpected post-auth frame %r" % (hello,))
-            spooling = self._negotiate_spool(sock, hello)
         except BaseException:
             sock.close()
             raise
@@ -218,30 +200,6 @@ class QueryClient:
         self.protocol = hello.get("protocol")
         #: catalog generation this session is pinned to
         self.generation = hello.get("generation")
-        #: True when the server accepted the spool fast path
-        self.spooling = spooling
-
-    def _negotiate_spool(self, sock, hello):
-        """Opt into the spool fast path when wanted and offered;
-        returns whether the server accepted."""
-        if not (self.spool_preference and hello.get("spool")):
-            return False
-        request = {"type": "wire", "spool": True}
-        if self.spool_threshold is not None:
-            request["spool_threshold"] = int(self.spool_threshold)
-        send_frame(sock, request)
-        reply = recv_frame(sock, meter=self._meter)
-        if reply is None:
-            raise ConnectionLostError(
-                "server closed the connection during spool "
-                "negotiation")
-        if isinstance(reply, dict) and reply.get("type") == "error":
-            raise _error_for(reply)
-        if not isinstance(reply, dict) \
-                or reply.get("type") != "wire_ok":
-            raise ProtocolError(
-                "unexpected wire-negotiation reply %r" % (reply,))
-        return bool(reply.get("spool"))
 
     def _meter(self, nbytes):
         self.bytes_received += nbytes
@@ -275,8 +233,8 @@ class QueryClient:
 
         ``error`` frames raise typed regardless of id — an id-less
         error (e.g. the server's final drain frame) answers whatever
-        is pending.  An inline ``result`` header is followed by its
-        payload frame, which is read into ``payload``.  Stale
+        is pending.  A ``result`` header is followed by its payload
+        frame, which is read into ``payload``.  Stale
         ``result`` replies from an abandoned earlier attempt on this
         connection are discarded, payload frame included.
         """
@@ -284,8 +242,7 @@ class QueryClient:
             response = self._recv()
             if response.get("type") == "error":
                 raise _error_for(response)
-            if response.get("type") == "result" \
-                    and "payload_spool" not in response:
+            if response.get("type") == "result":
                 response["payload"] = self._recv()
             if "id" in response and response["id"] != rid:
                 continue            # stale reply of an abandoned try
@@ -343,39 +300,17 @@ class QueryClient:
             request["timeout"] = timeout
         if buffer_stats:
             request["buffer_stats"] = True
-        attempts = 0
-        while True:
-            response = self._request(request)
-            if response.get("type") != "result":
-                raise ProtocolError("expected a result frame, got %r"
-                                    % (response.get("type"),))
-            spool = response.get("payload_spool")
-            try:
-                if spool is not None:
-                    payload = read_spooled_payload(
-                        spool["path"],
-                        expected_bytes=spool.get("bytes"))
-                    self.spool_bytes += int(spool.get("bytes") or 0)
-                else:
-                    payload = response["payload"]
-                break
-            except SpoolError:
-                # the spool file vanished or tore under us; a resend
-                # re-ships the payload through a fresh file (or
-                # inline), so spend the retry budget on it
-                if attempts >= self.retries:
-                    raise
-                attempts += 1
-                self.retries_used += 1
-                self._backoff(attempts)
-        canonical = decode_value(payload)
+        response = self._request(request)
+        if response.get("type") != "result":
+            raise ProtocolError("expected a result frame, got %r"
+                                % (response.get("type"),))
+        canonical = decode_value(response["payload"])
         if self.verify and \
                 result_checksum(canonical) != response["checksum"]:
             raise ProtocolError(
                 "shipped payload does not match its sha1 checksum "
                 "(%s)" % response["checksum"])
-        return ClientReply(canonical, response,
-                           spooled=spool is not None)
+        return ClientReply(canonical, response)
 
     # ------------------------------------------------------------------
     # request types

@@ -21,7 +21,7 @@ Binary columnar messages
 A query result is encoded exactly once, by the worker that computed
 it (:func:`encode_binary_message`, called from
 :mod:`repro.monet.multiproc`); from there to the client the bytes are
-opaque — the server caches, spools and forwards them without decoding.
+opaque — the server caches and forwards them without decoding.
 The message (Arrow-IPC-shaped: one JSON header describing column
 buffers, then the raw buffers) ships every fixed-dtype ndarray as its
 raw little-endian bytes::
@@ -34,15 +34,11 @@ In the header's ``msg`` tree an array leaf is a ``{"__ndbuf__": i,
 "dtype": ..., "shape": ...}`` marker naming buffer ``i``; buffer
 offsets are implicit (sequential, 8-aligned), so the header does not
 depend on its own length.  Decoding resolves markers to read-only
-ndarray **views** over the received bytes (or over an ``mmap`` of a
-spooled payload file): zero copies on the reply path.
+ndarray **views** over the received bytes: zero copies on the reply
+path.
 
-A reply travels one of two ways: inline, as the JSON ``result``
-header frame followed by the body as one binary frame, or — for a
-client that negotiated the spool (see :mod:`repro.server.server`) —
-as the header frame alone, naming a **spool file** whose bytes are
-the body verbatim (:func:`write_spooled_payload` /
-:func:`read_spooled_payload`).
+A reply travels one way: the JSON ``result`` header frame followed by
+the body as one binary frame (:func:`send_reply`).
 
 Value codec
 -----------
@@ -68,15 +64,12 @@ Non-finite floats ride on Python's JSON ``NaN``/``Infinity`` literals
 
 import base64
 import json
-import mmap
-import os
 import struct
 
 import numpy as np
 
 from .. import faults
-from ..errors import (EvaluationError, FrameTooLargeError, ProtocolError,
-                      SpoolError)
+from ..errors import EvaluationError, FrameTooLargeError, ProtocolError
 from ..monet.mil import MILProgram, MILStmt, Var
 from ..monet.multiproc import is_batch, is_ref, is_row, utf8_column
 
@@ -372,7 +365,7 @@ def _hashable(key):
 
 
 # ----------------------------------------------------------------------
-# binary columnar messages (frames + spool files)
+# binary columnar messages
 # ----------------------------------------------------------------------
 def _align(offset):
     return (offset + _BUFFER_ALIGN - 1) & ~(_BUFFER_ALIGN - 1)
@@ -419,7 +412,7 @@ def _resolve_buffers(obj, buffers):
 def decode_binary_message(payload):
     """Inverse of :func:`encode_binary_message`.
 
-    ``payload`` may be ``bytes``, a ``memoryview``, or an ``mmap`` —
+    ``payload`` may be any buffer (``bytes``, a ``memoryview``) —
     the resolved arrays are zero-copy read-only views into it, so the
     caller's buffer must outlive them (numpy keeps a reference).
     """
@@ -454,58 +447,6 @@ def decode_binary_message(payload):
     except (UnicodeDecodeError, ValueError, struct.error) as exc:
         raise ProtocolError("undecodable binary frame: %s"
                             % exc) from exc
-
-
-# ----------------------------------------------------------------------
-# spooled payloads (the local-client mmap fast path)
-# ----------------------------------------------------------------------
-def write_spooled_payload(path, body):
-    """Write an encoded message ``body`` verbatim; returns its size.
-
-    No staging rename: the path is only announced to the client
-    *after* this returns, and the file is transient (results, not
-    durable state), so a crash mid-write strands at worst an
-    unannounced partial file in the spool directory, which the
-    server removes when it stops.
-    """
-    with open(path, "wb") as handle:
-        handle.write(body)
-    return len(body)
-
-
-def read_spooled_payload(path, expected_bytes=None, unlink=True):
-    """mmap a spooled payload file back to its canonical value.
-
-    Array leaves are zero-copy views into the mapping (numpy keeps the
-    mmap alive).  ``unlink`` removes the file after a successful read
-    — on POSIX the mapping survives the unlink, so this is how the
-    transient file's lifetime is bounded to its one reader.  Any
-    failure (missing file, truncation, a length that contradicts
-    ``expected_bytes``) raises the retryable typed
-    :class:`~repro.errors.SpoolError`: resending the request re-ships
-    the payload through a fresh file.
-    """
-    try:
-        with open(path, "rb") as handle:
-            mapped = mmap.mmap(handle.fileno(), 0,
-                               access=mmap.ACCESS_READ)
-    except (OSError, ValueError) as exc:
-        raise SpoolError("cannot map spooled payload %s: %s"
-                         % (path, exc)) from exc
-    if expected_bytes is not None and len(mapped) != expected_bytes:
-        raise SpoolError("spooled payload %s is %d bytes, %d announced"
-                         % (path, len(mapped), expected_bytes))
-    try:
-        value = decode_binary_message(mapped)
-    except ProtocolError as exc:
-        raise SpoolError("spooled payload %s is corrupt: %s"
-                         % (path, exc)) from exc
-    if unlink:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass                  # best-effort: the server may sweep
-    return value
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ request type       response
 ``mil``            ``result`` ``{name: value}`` for the fetch list
 ``stats``          ``stats`` (latency percentiles, cache hit rates...)
 ``ping``           ``pong`` (generation echo, liveness)
-``wire``           ``wire_ok`` (spool negotiation)
 ``close``          connection shut down cleanly
 ================  ====================================================
 
@@ -28,11 +27,7 @@ simulated from a cold start.
 Requests and control frames are JSON.  A ``result`` reply is its JSON
 header frame followed by the payload as one binary frame: the bytes
 the worker encoded (see :mod:`repro.server.protocol`), forwarded
-without being decoded here.  The hello frame says whether a spool
-directory is configured; a ``wire`` request opts the connection into
-it, after which replies past the client's threshold ship as a header
-frame naming an mmap-able file holding those same bytes — the
-local-client fast path.
+without being decoded here.
 
 Failures never tear the connection: any :class:`~repro.errors.
 ReproError` becomes an ``error`` frame ``{"error": <class name>,
@@ -59,9 +54,7 @@ Hardening knobs (all off by default):
   typed :class:`~repro.errors.ServerDrainingError` frame.
 """
 
-import glob
 import hmac
-import itertools
 import os
 import socket
 import threading
@@ -71,18 +64,8 @@ import weakref
 from .. import faults
 from ..errors import (AuthError, FrameTooLargeError, InjectedFaultError,
                       ProtocolError, QuotaExceededError, ReproError,
-                      ServerDrainingError, WireFormatError, is_retryable)
-from .protocol import (recv_frame, send_frame, send_reply,
-                       write_spooled_payload)
-
-#: Payload bytes above which a spool-enabled connection receives its
-#: result as an mmap'd file instead of inline frame bytes (the client
-#: may negotiate its own threshold).
-DEFAULT_SPOOL_THRESHOLD = 64 * 1024
-
-#: Numbers the servers of one process, so their spool file names never
-#: collide in a shared spool directory.
-_SERVER_IDS = itertools.count()
+                      ServerDrainingError, is_retryable)
+from .protocol import recv_frame, send_frame, send_reply
 
 
 def _error_frame(exc):
@@ -98,7 +81,10 @@ def _error_frame(exc):
             "message": str(exc), "retryable": is_retryable(exc)}
 
 #: Bump when the frame/request shape changes incompatibly.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
+
+#: Pending connections the listener queues before refusing more.
+LISTEN_BACKLOG = 64
 
 #: Seconds an unauthenticated connection gets to present its token
 #: (bounds the slow-loris surface of the auth handshake).
@@ -116,13 +102,6 @@ faults.declare("server.handle.delay", "server.reply.drop",
 #: draining); ``ping``/``stats``/``close`` stay exempt so liveness
 #: checks keep answering under load and during drain.
 EXECUTABLE_TYPES = frozenset(("moa", "sql", "mil"))
-
-
-def _unlink_quietly(path):
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
 
 
 class _TokenBucket:
@@ -156,25 +135,13 @@ class QueryServer:
     service (pools, caches, admission) is injected and may outlive it.
     """
 
-    def __init__(self, service, host="127.0.0.1", port=0, backlog=64,
-                 auth_token=None, quota_rps=0.0, quota_burst=None,
-                 spool_dir=None, spool_threshold=None):
+    def __init__(self, service, host="127.0.0.1", port=0,
+                 auth_token=None, quota_rps=0.0, quota_burst=None):
         self.service = service
         self.host = host
         self.port = port
-        self.backlog = backlog
         #: shared secret every connection must present (None = open)
         self.auth_token = auth_token
-        #: directory for the local-client result fast path: replies
-        #: past the threshold ship as mmap'd binary files instead of
-        #: inline frame bytes (None = spooling off; clients must still
-        #: opt in through the ``wire`` negotiation)
-        self.spool_dir = spool_dir
-        self.spool_threshold = DEFAULT_SPOOL_THRESHOLD \
-            if spool_threshold is None else int(spool_threshold)
-        self._spool_seq = itertools.count()
-        self._spool_prefix = "reply-%d-%d-" % (os.getpid(),
-                                               next(_SERVER_IDS))
         #: sustained executable requests/second per connection
         #: (0 = unlimited); burst defaults to max(1, quota_rps)
         self.quota_rps = float(quota_rps or 0.0)
@@ -200,13 +167,11 @@ class QueryServer:
         return self._address
 
     def start(self):
-        if self.spool_dir is not None:
-            os.makedirs(self.spool_dir, exist_ok=True)
         self._sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._sock.bind((self.host, self.port))
         self._address = self._sock.getsockname()[:2]
-        self._sock.listen(self.backlog)
+        self._sock.listen(LISTEN_BACKLOG)
         # fork-based worker pools inherit the listening fd; without
         # this, the kernel keeps completing handshakes on the port
         # after stop()/drain() for as long as any worker lives (the
@@ -299,16 +264,11 @@ class QueryServer:
             if burst is None:
                 burst = max(1.0, self.quota_rps)
             bucket = _TokenBucket(self.quota_rps, burst)
-        #: per-connection spool state, rewritten by ``wire`` requests;
-        #: every connection starts with replies inline
-        wire = {"spool": False,
-                "spool_threshold": self.spool_threshold}
         try:
             send_frame(conn, {"type": "hello",
                               "protocol": PROTOCOL_VERSION,
                               "generation": session.generation,
-                              "procs": self.service.procs,
-                              "spool": self.spool_dir is not None})
+                              "procs": self.service.procs})
             while self._running:
                 try:
                     request = recv_frame(conn)
@@ -325,18 +285,6 @@ class QueryServer:
                 rtype = request.get("type")
                 if rtype == "close":
                     break
-                if rtype == "wire":
-                    # negotiation is handshake, not request/reply: it
-                    # answers before the reply fault points, like the
-                    # hello frame
-                    response = self._negotiate_wire(wire, request)
-                    if "id" in request:
-                        response["id"] = request["id"]
-                    try:
-                        self._send_response(conn, response, wire)
-                    except ProtocolError as exc:
-                        self._send_error(conn, exc, request)
-                    continue
                 # an executable request stays in flight until its
                 # reply is out, so a drain never overtakes a reply
                 executable = rtype in EXECUTABLE_TYPES
@@ -345,7 +293,7 @@ class QueryServer:
                         self._inflight += 1
                 try:
                     keep = self._reply(conn, session, request, rtype,
-                                       bucket, wire)
+                                       bucket)
                 finally:
                     if executable:
                         with self._inflight_cv:
@@ -363,63 +311,14 @@ class QueryServer:
                 pass
             conn.close()
 
-    def _negotiate_wire(self, wire, request):
-        """Handle a ``wire`` control request: opt into (or out of) the
-        spooled-result fast path when the server has a spool
-        directory, optionally with the client's own threshold.  A
-        malformed threshold answers a typed
-        :class:`~repro.errors.WireFormatError` frame and leaves the
-        connection (and its current state) intact.
-        """
-        threshold = request.get("spool_threshold")
-        if threshold is not None and (not isinstance(threshold, int)
-                                      or isinstance(threshold, bool)
-                                      or threshold < 0):
-            return _error_frame(WireFormatError(
-                "spool_threshold must be a non-negative integer, "
-                "got %r" % (threshold,)))
-        wire["spool"] = bool(request.get("spool")) \
-            and self.spool_dir is not None
-        if threshold is not None:
-            wire["spool_threshold"] = threshold
-        return {"type": "wire_ok", "spool": wire["spool"],
-                "spool_threshold": wire["spool_threshold"]}
-
-    def _send_response(self, conn, response, wire):
-        """Ship one response.
+    def _reply(self, conn, session, request, rtype, bucket):
+        """Answer one request; False when the connection must close.
 
         A ``result`` response carries its payload as ``body``: the
-        bytes the worker encoded.  They go out as they are — inline as
-        one binary frame after the JSON header frame, or, for a spool
-        connection past its threshold, written verbatim to a spool file
-        the header frame names.  Everything else (errors, stats,
+        bytes the worker encoded, sent as they are — one binary frame
+        after the JSON header frame.  Everything else (errors, stats,
         pongs) is one JSON frame.
         """
-        body = response.pop("body", None)
-        if body is None:
-            send_frame(conn, response)
-            return
-        if wire["spool"] and len(body) >= wire["spool_threshold"]:
-            path = os.path.join(self.spool_dir, "%s%d.bin" % (
-                self._spool_prefix, next(self._spool_seq)))
-            try:
-                write_spooled_payload(path, body)
-            except OSError:
-                pass    # spool dir gone/full: fall through to inline
-            else:
-                response["payload_spool"] = {"path": path,
-                                             "bytes": len(body)}
-                try:
-                    send_frame(conn, response)
-                except BaseException:
-                    # nobody was told about the file: nobody reads it
-                    _unlink_quietly(path)
-                    raise
-                return
-        send_reply(conn, response, body)
-
-    def _reply(self, conn, session, request, rtype, bucket, wire):
-        """Answer one request; False when the connection must close."""
         response = self._respond(session, request, rtype, bucket)
         if "id" in request:
             response["id"] = request["id"]
@@ -431,8 +330,12 @@ class QueryServer:
             faults.fire("server.reply.reset")
         except InjectedFaultError:
             return False          # connection reset before reply
+        body = response.pop("body", None)
         try:
-            self._send_response(conn, response, wire)
+            if body is None:
+                send_frame(conn, response)
+            else:
+                send_reply(conn, response, body)
         except ProtocolError as exc:
             # an unshippable (oversized) result still answers with a
             # typed error frame — never a torn socket
@@ -527,9 +430,7 @@ class QueryServer:
                 pass
 
     def stop(self):
-        """Stop accepting, close every connection, join the threads,
-        and remove the spool files this server wrote that no client
-        read."""
+        """Stop accepting, close every connection, join the threads."""
         self._running = False
         self._close_listener()
         if self._accept_thread is not None:
@@ -549,11 +450,6 @@ class QueryServer:
                 pass
         for thread, _conn in conns:
             thread.join(timeout=5.0)
-        if self.spool_dir is not None:
-            for path in glob.glob(os.path.join(
-                    glob.escape(self.spool_dir),
-                    self._spool_prefix + "*.bin")):
-                _unlink_quietly(path)
 
     def __enter__(self):
         return self.start()

@@ -114,8 +114,6 @@ class QueryService:
         rows, and a retired generation's entries are dropped wholesale
         when its last pinned session ends).  A result weighs the byte
         length of its encoded body.
-    result_cache_ttl:
-        Seconds a cached result stays servable (``None`` = no expiry).
     max_inflight / max_queue:
         Admission control: concurrent executing requests / bounded
         wait queue beyond them.
@@ -145,7 +143,7 @@ class QueryService:
     """
 
     def __init__(self, db_dir, procs=2, plan_cache_size=64,
-                 result_cache_bytes=0, result_cache_ttl=None,
+                 result_cache_bytes=0,
                  max_inflight=8, max_queue=32,
                  default_timeout=None, lock_timeout=None,
                  page_size=4096, crash_retries=1,
@@ -163,8 +161,7 @@ class QueryService:
         self.plan_budget = plan_budget
         #: generation -> manifest-derived admission stats (bounded)
         self._admission_stats = {}
-        self.result_cache = WeightedLRU(result_cache_bytes,
-                                        ttl_s=result_cache_ttl)
+        self.result_cache = WeightedLRU(result_cache_bytes)
 
         self._pool_lock = threading.Lock()
         #: serialises executor construction only — never held while
@@ -194,7 +191,7 @@ class QueryService:
         #: (keeps totals cumulative while _plan_stats stays bounded to
         #: live workers)
         self._plan_retired = {"hits": 0, "misses": 0, "evictions": 0,
-                              "invalidations": 0, "expirations": 0}
+                              "invalidations": 0}
         self._seq = 0
         self._started = time.time()
 
@@ -530,8 +527,7 @@ class QueryService:
             plan = dict(self._plan_retired)
             plan["workers"] = len(self._plan_stats)
             for snapshot in self._plan_stats.values():
-                for name in ("hits", "misses", "evictions",
-                             "invalidations", "expirations"):
+                for name in self._plan_retired:
                     plan[name] += snapshot.get(name, 0)
         lookups = plan["hits"] + plan["misses"]
         plan["hit_rate"] = round(plan["hits"] / lookups, 4) \

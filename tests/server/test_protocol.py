@@ -3,9 +3,7 @@
 The codec contract under test is *checksum-exact round-tripping*: for
 every value the executor can ship, decoding its one binary encoding
 must carry the same sha1 result checksum as the value — that is what
-lets the client re-verify a served payload byte-for-byte.  Both ways
-a reply travels, an inline binary frame and a spool file, are held to
-the identical contract: any transport, same digest.
+lets the client re-verify a served payload byte-for-byte.
 """
 
 import json
@@ -15,15 +13,14 @@ import threading
 import numpy as np
 import pytest
 
-from repro.errors import FrameTooLargeError, ProtocolError, SpoolError
+from repro.errors import FrameTooLargeError, ProtocolError
 from repro.moa.values import Ref, Row, RowBatch
 from repro.monet.mil import MILProgram, Var
 from repro.monet.multiproc import result_checksum
 from repro.server import (WeightedLRU, decode_program, decode_value,
                           encode_binary_message, encode_program,
-                          encode_value, read_spooled_payload,
-                          recv_frame, send_binary_frame, send_frame,
-                          write_spooled_payload)
+                          encode_value, recv_frame, send_binary_frame,
+                          send_frame)
 from repro.server import protocol as proto
 
 
@@ -112,7 +109,7 @@ CODEC_VALUES = [
 
 def _through_frame(value):
     """``value`` encoded once, sent as one binary frame over a real
-    socket and decoded — the inline reply path."""
+    socket and decoded — the reply path."""
     left, right = socket.socketpair()
     try:
         send_binary_frame(left, encode_binary_message(value))
@@ -120,21 +117,6 @@ def _through_frame(value):
     finally:
         left.close()
         right.close()
-
-
-def _through_spool(value, directory):
-    """``value`` encoded once, written to a spool file and read back
-    through its mmap — the spooled reply path."""
-    path = directory / "reply.bin"
-    nbytes = write_spooled_payload(path, encode_binary_message(value))
-    return decode_value(read_spooled_payload(path, expected_bytes=nbytes))
-
-
-@pytest.mark.parametrize("value", CODEC_VALUES,
-                         ids=[repr(v)[:40] for v in CODEC_VALUES])
-def test_codec_checksum_exact(value):
-    decoded = _through_frame(value)
-    assert result_checksum(decoded) == result_checksum(value)
 
 
 def test_codec_rejects_unknown_types():
@@ -180,16 +162,11 @@ def test_binary_message_checksum_exact(value):
 
 @pytest.mark.parametrize("value", BINARY_VALUES,
                          ids=[repr(v)[:40] for v in BINARY_VALUES])
-def test_json_and_binary_wires_agree(value, tmp_path):
-    """The differential contract: the one encoding of a value decodes
-    to the same sha1 digest whichever way it travels — inline as a
-    binary frame after the JSON header, or as a spool file — so a
-    client cannot tell (and need not know) which path served it.
-    (The name dates from the retired base64-in-JSON reply wire.)"""
-    via_frame = _through_frame(value)
-    via_spool = _through_spool(value, tmp_path)
-    assert result_checksum(via_frame) == result_checksum(via_spool) \
-        == result_checksum(value)
+def test_codec_checksum_exact(value):
+    """The one encoding of a value, sent as a binary frame over a real
+    socket (the reply path), decodes to the same sha1 digest."""
+    decoded = _through_frame(value)
+    assert result_checksum(decoded) == result_checksum(value)
 
 
 def test_binary_frame_socket_roundtrip_zero_copy():
@@ -245,45 +222,6 @@ def test_corrupt_binary_payloads_raise_typed():
 def test_unresolved_buffer_marker_rejected_in_json_context():
     with pytest.raises(ProtocolError):
         decode_value({"__ndbuf__": 0, "dtype": "<i8", "shape": [1]})
-
-
-# ----------------------------------------------------------------------
-# spooled payloads
-# ----------------------------------------------------------------------
-def test_spool_roundtrip_and_unlink(tmp_path):
-    path = tmp_path / "reply-0.bin"
-    value = {"kind": "bat", "head": np.arange(2048),
-             "tail": np.arange(2048) % 7}
-    body = encode_binary_message(value)
-    nbytes = write_spooled_payload(path, body)
-    assert nbytes == len(body) == path.stat().st_size
-    decoded = read_spooled_payload(path, expected_bytes=nbytes)
-    assert result_checksum(decode_value(decoded)) \
-        == result_checksum(value)
-    assert not decoded["head"].flags.writeable     # mmap view
-    assert not path.exists()                       # unlinked after read
-
-
-def test_spool_missing_file_raises_retryable_spool_error(tmp_path):
-    with pytest.raises(SpoolError):
-        read_spooled_payload(tmp_path / "vanished.bin")
-    from repro.errors import is_retryable
-    assert is_retryable(SpoolError) is True
-
-
-def test_spool_truncation_and_length_mismatch_raise_typed(tmp_path):
-    path = tmp_path / "reply-1.bin"
-    nbytes = write_spooled_payload(
-        path, encode_binary_message({"col": np.arange(1000)}))
-    # announced length contradicts the file
-    with pytest.raises(SpoolError):
-        read_spooled_payload(path, expected_bytes=nbytes + 1,
-                             unlink=False)
-    # physically truncated file: the decode itself fails typed
-    with open(path, "r+b") as handle:
-        handle.truncate(nbytes // 2)
-    with pytest.raises(SpoolError):
-        read_spooled_payload(path)
 
 
 # ----------------------------------------------------------------------
@@ -503,19 +441,6 @@ def test_result_cache_byte_budget_is_a_hard_ceiling():
                       {"col": np.zeros(budget, dtype=np.int64)}) is False
     assert cache.get((1, "big")) is None
     assert cache.snapshot()["weight"] <= budget
-
-
-def test_result_cache_ttl_expires_lazily():
-    clock = [0.0]
-    cache = WeightedLRU(1 << 20, ttl_s=10.0, clock=lambda: clock[0])
-    _put_reply(cache, (1, "q"), _bat(0))
-    clock[0] = 9.0
-    assert cache.get((1, "q")) is not None
-    clock[0] = 11.0
-    assert cache.get((1, "q")) is None
-    snap = cache.snapshot()
-    assert snap["expirations"] == 1
-    assert snap["weight"] == 0          # expiry returned the bytes
 
 
 def test_result_cache_generation_invalidation():

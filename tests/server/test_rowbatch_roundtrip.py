@@ -5,8 +5,8 @@ infinities and -0.0, bool, unicode and empty strings, reference
 columns, a ``None``-bearing object column; zero rows, one field;
 sliced, strided and big-endian columns — take the path a served result
 takes: encoded once in the worker, its outcome pickled through the
-worker pipe, held in the result cache, then sent inline as a binary
-frame or written to a spool file, and decoded by the client.  Wherever
+worker pipe, held in the result cache, then sent as a binary frame
+and decoded by the client.  Wherever
 it is decoded the value must still be a batch with the same
 ``result_checksum``, and that checksum must equal the one of the plain
 row list ``list(batch)``: the digest is a function of the rows, not of
@@ -32,9 +32,8 @@ from repro.errors import ProtocolError
 from repro.moa.values import Ref, Row, RowBatch
 from repro.monet import multiproc
 from repro.monet.multiproc import TaskOutcome, result_checksum
-from repro.server import (WeightedLRU, decode_value,
-                          read_spooled_payload, recv_frame,
-                          send_binary_frame, write_spooled_payload)
+from repro.server import (WeightedLRU, decode_value, recv_frame,
+                          send_binary_frame)
 from repro.server.protocol import (decode_binary_message,
                                    encode_binary_message)
 
@@ -140,14 +139,9 @@ def _inline(body):
         right.close()
 
 
-@pytest.fixture(scope="module")
-def spool_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("spool")
-
-
 @settings(max_examples=120, deadline=None)
 @given(batches())
-def test_every_hop_keeps_the_digest(spool_dir, batch):
+def test_every_hop_keeps_the_digest(batch):
     digest = result_checksum(batch)
     rows = list(batch)
     # representation-independent: the row list hashes the same
@@ -160,14 +154,7 @@ def test_every_hop_keeps_the_digest(spool_dir, batch):
     body = _through_cache(outcome.body)
     assert body == outcome.body          # cached bytes, served as-is
 
-    def spooled(body):
-        path = str(spool_dir / "reply.bin")
-        nbytes = write_spooled_payload(path, body)
-        return decode_value(read_spooled_payload(
-            path, expected_bytes=nbytes))
-
-    arrivals = {"worker": outcome.value(), "inline": _inline(body),
-                "spool": spooled(body)}
+    arrivals = {"worker": outcome.value(), "inline": _inline(body)}
     for hop, canonical in arrivals.items():
         assert result_checksum(canonical) == outcome.checksum, hop
         arrived = canonical["value"]

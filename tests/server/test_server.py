@@ -22,8 +22,7 @@ from repro.monet import MILProgram, MonetKernel, Var
 from repro.monet.multiproc import (result_checksum, run_program_serial,
                                    ship_value)
 from repro.server import QueryClient, QueryServer, QueryService
-from repro.server.protocol import (decode_binary_message, decode_value,
-                                   send_frame)
+from repro.server.protocol import decode_binary_message, decode_value
 from repro.sql.suite import sql_text
 from repro.tpcd import QUERIES, load_tpcd, open_tpcd
 from repro.tpcd.loader import save_tpcd
@@ -58,12 +57,10 @@ def server(db_dir):
 
 
 @pytest.fixture(scope="module")
-def spool_server(db_dir, tmp_path_factory):
-    """A server with a spool directory and no result cache, so every
-    request executes and each client picks inline or spooled replies."""
+def uncached_server(db_dir):
+    """A server with no result cache, so every request executes."""
     service = QueryService(db_dir, procs=2)
-    spool_dir = tmp_path_factory.mktemp("spool")
-    with QueryServer(service, spool_dir=str(spool_dir)) as srv:
+    with QueryServer(service) as srv:
         yield srv
     service.close()
 
@@ -78,7 +75,7 @@ def _connect(server):
 # ----------------------------------------------------------------------
 def test_hello_and_ping(server):
     with _connect(server) as client:
-        assert client.protocol == 2
+        assert client.protocol == 3
         assert client.generation == 1
         assert client.ping() == 1
 
@@ -174,9 +171,13 @@ def test_malformed_requests_raise_typed_errors(server):
     with _connect(server) as client:
         with pytest.raises(ProtocolError):
             client.moa("")
-        # the retired hand-driver request is just an unknown type now
-        with pytest.raises(ProtocolError, match="unknown request type"):
-            client._request({"type": "tpcd", "number": 6})
+        # retired requests (the hand-driver query, the spool
+        # negotiation) are just unknown types now
+        for retired in ({"type": "tpcd", "number": 6},
+                        {"type": "wire", "spool": True}):
+            with pytest.raises(ProtocolError,
+                               match="unknown request type"):
+                client._request(retired)
         with pytest.raises(SqlParseError):
             client.sql("select frum lineitem")
         # the connection survives an error frame
@@ -200,21 +201,6 @@ def test_sql_over_the_wire_matches_the_moa_path(server,
         for number in (1, 3, 6):
             reply = client.sql(sql_text(number))
             assert reply.checksum == serial_checksums[number]
-
-
-def test_sql_served_on_both_wire_formats(spool_server,
-                                        serial_checksums):
-    """Both ways a reply travels — inline after its header, or as a
-    spool file — serve the serial checksum."""
-    host, port = spool_server.address
-    checksums = {}
-    for spool in (False, True):
-        with QueryClient(host, port, spool=spool,
-                         spool_threshold=0) as client:
-            reply = client.sql(sql_text(3))
-            assert reply.spooled is spool
-            checksums[spool] = reply.checksum
-    assert checksums[False] == checksums[True] == serial_checksums[3]
 
 
 def test_sql_prepared_plans_are_cached_per_worker(server):
@@ -284,9 +270,9 @@ NESTED_MOA = "project[<name : n, supplies : s>](Supplier)"
 
 
 def test_rows_wide_request_builds_no_row_until_iterated(
-        db_dir, tiny_tpcd_db, monkeypatch, tmp_path):
+        db_dir, tiny_tpcd_db, monkeypatch):
     """A count, not a timing: serving a set of flat tuples end to end
-    — worker, parent, inline or spooled, client — constructs zero ``Row``
+    — worker, parent, client — constructs zero ``Row``
     objects; iterating the reply builds exactly one per row.  The
     counter is a shared-memory integer the forked workers inherit, so
     their constructions are counted too (the nested query proves it
@@ -307,23 +293,20 @@ def test_rows_wide_request_builds_no_row_until_iterated(
     monkeypatch.setattr(Row, "__init__", counting)
     service = QueryService(db_dir, procs=2)
     try:
-        with QueryServer(service, spool_dir=str(tmp_path)) as srv:
+        with QueryServer(service) as srv:
             host, port = srv.address
-            for wire in ("inline", "spool"):
-                with QueryClient(host, port, spool=wire == "spool",
-                                 spool_threshold=0) as client:
-                    for _ in range(4):      # reaches both workers
-                        reply = client.sql(ROWS_WIDE_K5)
-                    assert reply.spooled is (wire == "spool")
-                    assert built.value == 0, wire
-                    assert isinstance(reply.value, RowBatch)
-                    assert len(reply.value) == len(expected) > 100
-                    assert reply.value[0] == expected[0]
-                    assert built.value == 1, wire   # the one indexed
-                    built.value = 0
-                    assert list(reply.value) == expected
-                    assert built.value == len(expected), wire
-                    built.value = 0
+            with QueryClient(host, port) as client:
+                for _ in range(4):          # reaches both workers
+                    reply = client.sql(ROWS_WIDE_K5)
+                assert built.value == 0
+                assert isinstance(reply.value, RowBatch)
+                assert len(reply.value) == len(expected) > 100
+                assert reply.value[0] == expected[0]
+                assert built.value == 1         # the one indexed
+                built.value = 0
+                assert list(reply.value) == expected
+                assert built.value == len(expected)
+                built.value = 0
             with QueryClient(host, port) as client:
                 # a nested set needs Rows inside the worker, and the
                 # counter sees them (Bags do not ship: typed error)
@@ -479,28 +462,22 @@ def test_result_cache_stays_within_budget_and_invalidates(db_dir):
 
 
 # ----------------------------------------------------------------------
-# the one reply path: worker-encoded bytes, inline or spooled
+# the one reply path: worker-encoded bytes after a JSON header
 # ----------------------------------------------------------------------
-def test_json_and_binary_wires_serve_identical_checksums(
-        spool_server, serial_checksums):
-    """Both ways the one reply encoding travels — inline after the
-    JSON header frame, or as a spool file — serve the serial checksums
-    (the name dates from the retired base64-in-JSON reply wire)."""
-    host, port = spool_server.address
-    with QueryClient(host, port) as inline_client, \
-            QueryClient(host, port, spool=True,
-                        spool_threshold=0) as spool_client:
-        assert inline_client.spooling is False
-        assert spool_client.spooling is True
+def test_every_query_executes_and_serves_the_serial_checksum(
+        uncached_server, serial_checksums):
+    """With no result cache to answer for them, all 15 queries execute
+    and serve the serial checksums; every reply's bytes reach the
+    client (payload plus header frames)."""
+    host, port = uncached_server.address
+    with QueryClient(host, port) as client:
+        payload_bytes = 0
         for number in sorted(QUERIES):
-            inline = inline_client.sql(sql_text(number))
-            spooled = spool_client.sql(sql_text(number))
-            assert not inline.spooled and spooled.spooled
-            assert inline.checksum == spooled.checksum \
-                == serial_checksums[number]
-            assert inline.payload_bytes == spooled.payload_bytes
-        assert inline_client.bytes_received \
-            > spool_client.bytes_received > 0
+            reply = client.sql(sql_text(number))
+            assert reply.result_cached is False
+            assert reply.checksum == serial_checksums[number]
+            payload_bytes += reply.payload_bytes
+        assert client.bytes_received > payload_bytes > 0
 
 
 def test_binary_wire_ships_columns_smaller_than_json(server):
@@ -521,33 +498,13 @@ def test_binary_wire_ships_columns_smaller_than_json(server):
     assert received < raw * 4 / 3
 
 
-def test_unknown_wire_format_answers_typed_and_survives(server):
-    """A malformed ``wire`` request answers a typed error and leaves the
-    connection as it was.  (Requests no longer name a format — replies
-    have one encoding — so the spool threshold is what can be
-    malformed.)"""
-    from repro.server.protocol import recv_frame as _recv
-    from repro.server.protocol import send_frame as _send
-    with _connect(server) as client:
-        for threshold in (-3, True, "big"):
-            _send(client._sock, {"type": "wire", "spool": True,
-                                 "spool_threshold": threshold})
-            reply = _recv(client._sock)
-            assert reply["type"] == "error"
-            assert reply["error"] == "WireFormatError"
-            assert reply["retryable"] is False
-            # the connection (and its inline replies) survive
-            assert client.ping() == 1
-        assert client.sql(sql_text(6)).spooled is False
-
-
 def test_server_process_never_encodes_or_decodes_a_payload(
-        db_dir, serial_checksums, tmp_path, monkeypatch):
+        db_dir, serial_checksums, monkeypatch):
     """The worker encodes a reply once; the server only forwards the
     bytes.  With the value codec rigged to fail on the server's own
-    threads once its pool has started, inline, spooled and cache-hit
-    replies to sql, moa and mil requests still arrive, carrying the
-    serial checksums."""
+    threads once its pool has started, executed and cache-hit replies
+    to sql, moa and mil requests still arrive, carrying the serial
+    checksums."""
     from repro.server import protocol
 
     program = MILProgram()
@@ -563,7 +520,7 @@ def test_server_process_never_encodes_or_decodes_a_payload(
                      serial_checksums[1])}
 
     service = QueryService(db_dir, procs=2, result_cache_bytes=1 << 20)
-    server = QueryServer(service, spool_dir=str(tmp_path))
+    server = QueryServer(service)
     server.start()
     try:
         host, port = server.address
@@ -584,106 +541,14 @@ def test_server_process_never_encodes_or_decodes_a_payload(
         for name in ("encode_value", "decode_value",
                      "encode_binary_message", "decode_binary_message"):
             rig(name)
-        for spool in (False, True):
-            with QueryClient(host, port, spool=spool,
-                             spool_threshold=0) as client:
+        for lap in (0, 1):
+            with QueryClient(host, port) as client:
                 for kind, (call, expected) in sorted(calls.items()):
                     reply = call(client)
                     assert reply.checksum == expected, kind
-                    assert reply.spooled is spool, kind
-                    assert reply.result_cached is spool, kind  # 2nd lap
+                    assert reply.result_cached is (lap == 1), kind
                     assert call(client).result_cached is True, kind
         assert rigged == []
-    finally:
-        server.stop()
-        service.close()
-
-
-def test_unread_spool_file_is_removed_on_stop(db_dir, tmp_path):
-    """A spooled reply whose client never reads it does not outlive
-    the server."""
-    service = QueryService(db_dir, procs=1)
-    spool_dir = tmp_path / "spool"
-    server = QueryServer(service, spool_dir=str(spool_dir))
-    server.start()
-    try:
-        host, port = server.address
-        client = QueryClient(host, port, spool=True, spool_threshold=0)
-        assert client.spooling is True
-        send_frame(client._sock, {"type": "sql", "query": sql_text(6)})
-        client._sock.close()                # gone without reading
-        deadline = time.monotonic() + 30
-        while service.stats()["counters"]["results"] < 1 \
-                and time.monotonic() < deadline:
-            time.sleep(0.01)
-    finally:
-        server.stop()
-        service.close()
-    assert list(spool_dir.iterdir()) == []
-
-
-def test_spool_fast_path_ships_files_and_cleans_up(
-        db_dir, serial_checksums, tmp_path):
-    service = QueryService(db_dir, procs=1)
-    spool_dir = tmp_path / "spool"
-    server = QueryServer(service, spool_dir=str(spool_dir))
-    server.start()
-    try:
-        host, port = server.address
-        with QueryClient(host, port, spool=True,
-                         spool_threshold=0) as client:
-            assert client.spooling is True
-            for number in (1, 6, 12):
-                reply = client.sql(sql_text(number))
-                assert reply.spooled is True
-                assert reply.checksum == serial_checksums[number]
-            assert client.spool_bytes > 0
-            # every spool file was unlinked after its one read
-            assert list(spool_dir.iterdir()) == []
-        # a client that does not opt in never sees a spooled reply
-        with QueryClient(host, port) as client:
-            assert client.spooling is False
-            assert client.sql(sql_text(6)).spooled is False
-    finally:
-        server.stop()
-        service.close()
-
-
-def test_spool_vanished_file_is_retried_via_spool_error(
-        db_dir, serial_checksums, tmp_path, monkeypatch):
-    """A spool file torn out from under the client surfaces as the
-    retryable SpoolError; the retry budget re-ships the payload."""
-    import repro.server.client as client_mod
-    from repro.errors import SpoolError
-    service = QueryService(db_dir, procs=1)
-    spool_dir = tmp_path / "spool"
-    server = QueryServer(service, spool_dir=str(spool_dir))
-    server.start()
-    try:
-        host, port = server.address
-        real_read = client_mod.read_spooled_payload
-        failures = {"left": 1}
-
-        def flaky_read(path, expected_bytes=None, unlink=True):
-            if failures["left"]:
-                failures["left"] -= 1
-                raise SpoolError("spool file vanished (injected)")
-            return real_read(path, expected_bytes=expected_bytes,
-                             unlink=unlink)
-
-        monkeypatch.setattr(client_mod, "read_spooled_payload",
-                            flaky_read)
-        with QueryClient(host, port, spool=True, spool_threshold=0,
-                         retries=2, backoff_base=0.01) as client:
-            reply = client.sql(sql_text(6))
-            assert reply.checksum == serial_checksums[6]
-            assert client.retries_used == 1
-        # without a retry budget the typed error surfaces
-        failures["left"] = 1
-        with QueryClient(host, port, spool=True,
-                         spool_threshold=0) as client:
-            with pytest.raises(SpoolError):
-                client.sql(sql_text(6))
     finally:
         server.stop()
         service.close()
@@ -709,8 +574,7 @@ def test_stats_shape_and_latency_percentiles(server):
     assert stats["inflight"] == 0
 
 
-def test_fault_simulation_is_pay_per_use(db_dir, serial_checksums,
-                                         tmp_path):
+def test_fault_simulation_is_pay_per_use(db_dir, serial_checksums):
     """Default requests simulate nothing and report no ``faults``; a
     ``buffer_stats`` request reports its own cold-start count — the
     in-process one, whatever the worker ran before — moves
@@ -728,13 +592,11 @@ def test_fault_simulation_is_pay_per_use(db_dir, serial_checksums,
 
     service = QueryService(db_dir, procs=1,
                            result_cache_bytes=1 << 20)
-    with QueryServer(service, spool_dir=str(tmp_path)) as srv:
+    with QueryServer(service) as srv:
         host, port = srv.address
         total = 0
-        for spool in (False, True):
-            with QueryClient(host, port, spool=spool,
-                             spool_threshold=0) as client:
-                assert client.spooling is spool
+        for _lap in range(2):
+            with QueryClient(host, port) as client:
                 plain = client.sql(sql_text(6))
                 assert plain.faults is None
                 assert client.stats()["buffer"]["faults"] == total
