@@ -203,6 +203,24 @@ def test_sql_over_the_wire_matches_the_moa_path(server,
             assert reply.checksum == serial_checksums[number]
 
 
+def test_sql_served_on_both_wire_formats(server, uncached_server,
+                                        serial_checksums):
+    """Both sources of a reply's bytes — a worker execution, and the
+    result cache re-sending the bytes a worker encoded earlier — serve
+    the serial checksum for Q3.  (The name dates from the retired
+    spool, the second way a reply once travelled.)"""
+    text = sql_text(3)
+    with _connect(uncached_server) as client:
+        executed = client.sql(text)
+        assert executed.result_cached is False
+    with _connect(server) as client:
+        client.sql(text)
+        cached = client.sql(text)
+        assert cached.result_cached is True
+    assert executed.checksum == cached.checksum == serial_checksums[3]
+    assert executed.payload_bytes == cached.payload_bytes
+
+
 def test_sql_prepared_plans_are_cached_per_worker(server):
     text = sql_text(6)
     with _connect(server) as client:
@@ -464,11 +482,12 @@ def test_result_cache_stays_within_budget_and_invalidates(db_dir):
 # ----------------------------------------------------------------------
 # the one reply path: worker-encoded bytes after a JSON header
 # ----------------------------------------------------------------------
-def test_every_query_executes_and_serves_the_serial_checksum(
+def test_json_and_binary_wires_serve_identical_checksums(
         uncached_server, serial_checksums):
     """With no result cache to answer for them, all 15 queries execute
     and serve the serial checksums; every reply's bytes reach the
-    client (payload plus header frames)."""
+    client, its JSON header frame plus its binary payload frame.  (The
+    name dates from the retired base64-in-JSON reply wire.)"""
     host, port = uncached_server.address
     with QueryClient(host, port) as client:
         payload_bytes = 0
@@ -496,6 +515,28 @@ def test_binary_wire_ships_columns_smaller_than_json(server):
     assert raw <= reply.payload_bytes < raw + 512
     assert reply.payload_bytes < received < reply.payload_bytes + 1024
     assert received < raw * 4 / 3
+
+
+def test_unknown_wire_format_answers_typed_and_survives(
+        server, serial_checksums):
+    """The retired ``wire`` request, in any of the shapes a spool
+    client once sent, answers a typed, non-retryable "unknown request
+    type" error and leaves the connection serving replies."""
+    from repro.server.protocol import recv_frame as _recv
+    from repro.server.protocol import send_frame as _send
+    with _connect(server) as client:
+        for threshold in (None, -3, True, "big"):
+            request = {"type": "wire", "spool": True}
+            if threshold is not None:
+                request["spool_threshold"] = threshold
+            _send(client._sock, request)
+            reply = _recv(client._sock)
+            assert reply["type"] == "error"
+            assert reply["error"] == "ProtocolError"
+            assert "unknown request type" in reply["message"]
+            assert reply["retryable"] is False
+            assert client.ping() == 1
+        assert client.sql(sql_text(6)).checksum == serial_checksums[6]
 
 
 def test_server_process_never_encodes_or_decodes_a_payload(
