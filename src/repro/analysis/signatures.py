@@ -262,13 +262,11 @@ def _sig_semijoin(stmt, args):
     return out
 
 
-def _sig_headdiff(op):
-    def rule(stmt, args):
-        ab = _bat(op, 0, args[0])
-        cd = _bat(op, 1, args[1])
-        _comparable(op, "head against head", ab.head, cd.head)
-        return ab.subsequence()
-    return rule
+def _sig_antijoin(stmt, args):
+    ab = _bat("antijoin", 0, args[0])
+    cd = _bat("antijoin", 1, args[1])
+    _comparable("antijoin", "head against head", ab.head, cd.head)
+    return ab.subsequence()
 
 
 def _sig_mirror(stmt, args):
@@ -454,12 +452,6 @@ def _sig_pairjoin(stmt, args):
                    hordered=True)
 
 
-def _sig_sort(stmt, args):
-    ab = _bat("sort", 0, args[0])
-    return BatType(ab.head, ab.tail, ab.count, ab.count_exact,
-                   hkey=ab.hkey, tkey=ab.tkey, tordered=True)
-
-
 def _sig_sortby(stmt, args):
     if not args:
         raise SignatureError("sortby needs a carrier BAT")
@@ -498,16 +490,6 @@ def _sig_union(stmt, args):
     _same_atom("union", "tail concatenation", ab.tail, cd.tail)
     return BatType(ab.head or cd.head, ab.tail or cd.tail,
                    _add(ab.count, cd.count))
-
-
-def _sig_setop(op):
-    def rule(stmt, args):
-        ab = _bat(op, 0, args[0])
-        cd = _bat(op, 1, args[1])
-        _comparable(op, "head against head", ab.head, cd.head)
-        _comparable(op, "tail against tail", ab.tail, cd.tail)
-        return ab.subsequence()
-    return rule
 
 
 class Signature:
@@ -553,9 +535,7 @@ SIGNATURES = {
     "select": Signature("select", (2, 3, 5), _sig_select, pure=True),
     "join": Signature("join", (2,), _sig_join, pure=True),
     "semijoin": Signature("semijoin", (2,), _sig_semijoin, pure=True),
-    "antijoin": Signature("antijoin", (2,), _sig_headdiff("antijoin"),
-                          pure=True),
-    "kdiff": Signature("kdiff", (2,), _sig_headdiff("kdiff"), pure=True),
+    "antijoin": Signature("antijoin", (2,), _sig_antijoin, pure=True),
     "mirror": Signature("mirror", (1,), _sig_mirror, pure=True),
     "ident": Signature("ident", (1,), _sig_ident, pure=True),
     "unique": Signature("unique", (1,), _sig_unique, pure=True),
@@ -567,14 +547,9 @@ SIGNATURES = {
     "mark": Signature("mark", (1, 2), _sig_mark, pure=True),
     "number": Signature("number", (1, 2), _sig_number, pure=True),
     "pairjoin": Signature("pairjoin", None, _sig_pairjoin, pure=True),
-    "sort": Signature("sort", (1,), _sig_sort, pure=True),
     "sortby": Signature("sortby", None, _sig_sortby, pure=True),
     "slice": Signature("slice", (3,), _sig_slice, pure=True),
     "union": Signature("union", (2,), _sig_union, pure=True),
-    "difference": Signature("difference", (2,), _sig_setop("difference"),
-                            pure=True),
-    "intersection": Signature("intersection", (2,),
-                              _sig_setop("intersection"), pure=True),
 }
 
 

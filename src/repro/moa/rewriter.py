@@ -383,28 +383,27 @@ class Rewriter:
         left = self._as_top(self.compile_set(node.left, scope))
         right = self._as_top(self.compile_set(node.right, scope))
         elem_type = self.type_of(node).element
+        # elements compare by value, which for objects is their identity
+        # (oid values), regardless of how each side's elements are keyed
         if isinstance(elem_type, ClassRef):
-            # compare by *object identity* (oid values), regardless of
-            # how each side's elements are keyed
-            left_vals = self.value_col(left)
-            right_vals = self.value_col(right)
-            left_ids = self._value_ident(left_vals)
-            right_ids = self._value_ident(right_vals)
-            carrier = self.emit(_SETOP_MIL[node.kind],
-                                [left_ids, right_ids], hint=node.kind[:3])
-            return SetComp(carrier, ObjectRep(elem_type.class_name),
-                           elem_type)
-        if isinstance(elem_type, BaseType):
-            left_vals = self.value_col(left)
-            right_vals = self.value_col(right)
-            left_ids = self._value_ident(left_vals)
-            right_ids = self._value_ident(right_vals)
-            carrier = self.emit(_SETOP_MIL[node.kind],
-                                [left_ids, right_ids], hint=node.kind[:3])
-            return SetComp(carrier, InlineAtomRep(elem_type.atom.name),
-                           elem_type)
-        raise RewriteError("set operations over %s elements are not "
-                           "supported" % elem_type.render())
+            rep = ObjectRep(elem_type.class_name)
+        elif isinstance(elem_type, BaseType):
+            rep = InlineAtomRep(elem_type.atom.name)
+        else:
+            raise RewriteError("set operations over %s elements are not "
+                               "supported" % elem_type.render())
+        left_vals = self.value_col(left)
+        right_vals = self.value_col(right)
+        left_ids = self._value_ident(left_vals)
+        right_ids = self._value_ident(right_vals)
+        carrier = self.emit(_SETOP_MIL[node.kind], [left_ids, right_ids],
+                            hint=node.kind[:3])
+        if node.kind != "union":
+            # antijoin/semijoin keep the left operand's repeated elements
+            # (project[order](Item) names an order once per item); the
+            # result of a set operation holds each element once
+            carrier = self.emit("unique", [carrier], hint="uq")
+        return SetComp(carrier, rep, elem_type)
 
     def _value_ident(self, col):
         mirrored = self.emit("mirror", [col.var], hint="vm")
@@ -846,7 +845,7 @@ class _Scalar:
 
 _SETOP_MIL = {
     "union": "union",
-    "difference": "kdiff",
+    "difference": "antijoin",
     "intersection": "semijoin",
 }
 

@@ -12,12 +12,11 @@ format of the paper's Figure 10.
 import time
 
 from ..errors import MILError
-from .operators import (aggregate_all, antijoin, difference, fill_zero,
-                        group1, group2,
-                        ident, intersection, join, kdiff, mark, multiplex,
-                        number, pairjoin, select_eq, select_range, semijoin,
-                        set_aggregate, slice_bunches, sort_positions,
-                        sort_tail, union, unique)
+from .operators import (aggregate_all, antijoin, fill_zero, group1,
+                        group2, ident, join, mark, multiplex, number,
+                        pairjoin, select_eq, select_range, semijoin,
+                        set_aggregate, slice_bunches, sort_positions, union,
+                        unique)
 from .buffer import get_manager
 
 
@@ -251,7 +250,6 @@ _OPS = {
     "join": lambda s, a: join(a[0], a[1], name=s.target),
     "semijoin": lambda s, a: semijoin(a[0], a[1], name=s.target),
     "antijoin": lambda s, a: antijoin(a[0], a[1], name=s.target),
-    "kdiff": lambda s, a: kdiff(a[0], a[1], name=s.target),
     "mirror": lambda s, a: a[0].mirror(),
     "ident": lambda s, a: ident(a[0], name=s.target),
     "unique": lambda s, a: unique(a[0], name=s.target),
@@ -265,10 +263,7 @@ _OPS = {
     "number": lambda s, a: number(a[0], a[1] if len(a) > 1 else 0,
                                   name=s.target),
     "pairjoin": lambda s, a: pairjoin(a, name=s.target),
-    "sort": lambda s, a: sort_tail(a[0], name=s.target),
     "sortby": _op_sortby,
     "slice": lambda s, a: slice_bunches(a[0], a[1], a[2], name=s.target),
     "union": lambda s, a: union(a[0], a[1], name=s.target),
-    "difference": lambda s, a: difference(a[0], a[1], name=s.target),
-    "intersection": lambda s, a: intersection(a[0], a[1], name=s.target),
 }

@@ -3,10 +3,8 @@
 This package is the public operator surface of the kernel substrate::
 
     mirror, select_range, select_eq, join, semijoin, antijoin, unique,
-    group1, group2, multiplex, set_aggregate, aggregate_all,
-    union, difference, intersection, kdiff, kintersect,
-    sort_tail, sort_head, sort_positions, slice_bunches,
-    count, fetch, exist, mark, number
+    group1, group2, multiplex, set_aggregate, aggregate_all, union,
+    sort_tail, sort_head, sort_positions, slice_bunches, mark, number
 
 Every operator materialises its result and never mutates operands
 (section 4.2); property propagation and run-time implementation choice
@@ -51,9 +49,8 @@ group        unary/binary       factorised int codes: a direct-address
                                 pass for integer keys with a compact span
                                 (no sort), ``np.unique`` otherwise; pair
                                 codes combined in int64
-unique/      code path          joint int64 BUN pair codes; membership
-set ops                         as in hashsemijoin; first-occurrence
-                                order preserved
+unique/      code path          int64 BUN pair codes; first-occurrence
+union                           order preserved
 multiplex    heap codes         one BAT operand with a string tail: the
                                 function once per distinct heap value
                                 present, then one gather by heap index
@@ -84,22 +81,22 @@ from .aggregate import (AGGREGATES, aggregate_all, fill_zero,
                         set_aggregate)
 from .group import group1, group2
 from .join import join, join_positions, pairjoin
-from .misc import count, exist, fetch, ident, mark, mirror, number
+from .misc import ident, mark, mirror, number
 from .multiplex import (function_names, get_function, multiplex,
                         register_function)
 from .select import select_eq, select_range
 from .semijoin import antijoin, semijoin
-from .setops import difference, intersection, kdiff, kintersect, union, unique
+from .setops import union, unique
 from .sort import slice_bunches, sort_head, sort_positions, sort_tail
 
 __all__ = [
     "AGGREGATES", "aggregate_all", "fill_zero", "set_aggregate",
     "group1", "group2",
     "join", "join_positions", "pairjoin",
-    "count", "exist", "fetch", "ident", "mark", "mirror", "number",
+    "ident", "mark", "mirror", "number",
     "function_names", "get_function", "multiplex", "register_function",
     "select_eq", "select_range",
     "antijoin", "semijoin",
-    "difference", "intersection", "kdiff", "kintersect", "union", "unique",
+    "union", "unique",
     "slice_bunches", "sort_head", "sort_positions", "sort_tail",
 ]

@@ -1,13 +1,10 @@
-"""Small MIL utilities: mirror, count, fetch, exist, mark.
+"""Small MIL utilities: mirror, mark, number, ident.
 
 ``mark`` numbers the BUNs of a BAT with fresh dense oids; MOA's
 rewriter uses it to mint element ids for join pairs and projected
 tuples, the way Monet's ``mark`` supports intermediate-result oids.
 """
 
-import numpy as np
-
-from .. import atoms as _atoms
 from ..buffer import get_manager
 from ..column import VoidColumn
 from ..properties import Props
@@ -20,30 +17,6 @@ def mirror(ab, name=None):
     if name is not None:
         out.name = name
     return out
-
-
-def count(ab):
-    """Number of BUNs."""
-    return len(ab)
-
-
-def fetch(ab, position):
-    """The BUN at one position, as a Python pair."""
-    return ab.bun(position)
-
-
-def exist(ab, value):
-    """True when some tail value equals ``value``."""
-    manager = get_manager()
-    with manager.operator("exist"):
-        manager.access_column(ab.tail)
-        encoded = ab.tail.encode(value)
-        if encoded is None:
-            return False
-        keys = ab.tail.keys()
-        if keys.dtype == object:
-            return value in set(keys)
-        return bool(np.any(keys == encoded))
 
 
 def mark(ab, base=0, name=None):

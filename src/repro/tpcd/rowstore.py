@@ -130,9 +130,6 @@ class RowStore:
             manager.access_heap(table.heap)
         return {column: table.columns[column] for column in columns}
 
-    def all_rows(self, table_name):
-        return np.arange(self.tables[table_name].n_rows)
-
     # ------------------------------------------------------------------
     # query implementations
     # ------------------------------------------------------------------

@@ -59,7 +59,7 @@ STATS = catalog_stats_from_kernel(KERNEL)
 #: step kinds a generated plan may chain; each consumes an (oid,int)
 #: BAT and produces another, so any step can feed any later step
 STEP_KINDS = ("select", "mirror_mirror", "join_rates", "unique",
-              "slice", "union_self", "difference_self")
+              "slice", "union_self", "antijoin_self")
 
 
 def _emit_step(program, kind, source, lo, hi):
@@ -77,7 +77,7 @@ def _emit_step(program, kind, source, lo, hi):
         return program.emit("slice", [source, 0, max(lo, hi)])
     if kind == "union_self":
         return program.emit("union", [source, source])
-    return program.emit("difference", [source, source])
+    return program.emit("antijoin", [source, source])
 
 
 def _build_plan(base, steps):

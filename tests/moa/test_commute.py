@@ -8,6 +8,11 @@ criterion for the implementation of MOA on MIL.
 
 import pytest
 
+from repro.analysis.signatures import SIGNATURES
+from repro.monet import mil
+from repro.sql import prepare_sql
+from repro.sql.suite import EXTRAS, sql_queries
+
 QUERIES = [
     # selections: point, range, conjunction, navigation, general preds
     "select[=(returnflag, 'R')](Item)",
@@ -74,6 +79,14 @@ QUERIES = [
     "difference(Item, select[=(returnflag, 'R')](Item))",
     "intersection(Item, select[=(returnflag, 'R')](Item))",
     "union(project[returnflag](Item), project[returnflag](Item))",
+    "difference(project[returnflag](Item), "
+    "project[returnflag](select[=(returnflag, 'R')](Item)))",
+    "intersection(project[returnflag](Item), "
+    "project[returnflag](select[=(returnflag, 'R')](Item)))",
+    # left operands naming an element more than once
+    "intersection(project[order](Item), project[%0](Order))",
+    "difference(project[order](Item), "
+    "project[order](select[=(returnflag, 'A')](Item)))",
     "difference(project[%0](Order), "
     "project[order](select[=(returnflag, 'R')](Item)))",
     # membership
@@ -115,6 +128,32 @@ QUERIES = [
 @pytest.mark.parametrize("query", QUERIES)
 def test_commutes(small_db, query):
     small_db.check_commutes(query)
+
+
+def test_compilers_emit_exactly_the_mil_ops(small_db, tiny_tpcd_db,
+                                            monkeypatch):
+    """MIL has an operator only if something compiles to it: the SQL
+    plans (EXTRAS included) plus MOA's set operations over class and
+    base-type elements emit every op in ``mil._OPS``, and nothing
+    else."""
+    emitted = set()
+    run_compiled = tiny_tpcd_db.run_compiled
+
+    def recording(compiled):
+        # holed SQL phases are compiled only once their literals are known
+        emitted.update(stmt.op for stmt in compiled.program)
+        return run_compiled(compiled)
+
+    monkeypatch.setattr(tiny_tpcd_db, "run_compiled", recording)
+    for text in list(sql_queries().values()) + list(EXTRAS.values()):
+        prepare_sql(tiny_tpcd_db, text).run()
+    setops = [q for q in QUERIES
+              if q.startswith(("union(", "difference(", "intersection("))]
+    assert len(setops) == 9
+    for text in setops:
+        _resolved, compiled = small_db.compile(text)
+        emitted.update(stmt.op for stmt in compiled.program)
+    assert emitted == set(mil._OPS) == set(SIGNATURES)
 
 
 def test_empty_results_commute(small_db):

@@ -263,6 +263,14 @@ def test_mil_unknown_op_and_unbound_var():
     program.emit("warp", [Var("nope")])
     with pytest.raises(MILError):
         MILInterpreter(kernel).run(program)
+    # ops MIL no longer has are unknown, even over bound BATs
+    kernel.bulk_load("B", "oid", [1, 2], "int", [5, 5])
+    for op, arity in (("sort", 1), ("difference", 2), ("intersection", 2),
+                      ("kdiff", 2)):
+        retired = MILProgram()
+        retired.emit(op, [Var("B")] * arity)
+        with pytest.raises(MILError, match="unknown MIL op %r" % op):
+            MILInterpreter(kernel).run(retired)
     program2 = MILProgram()
     program2.emit("mirror", [Var("nope")])
     with pytest.raises(MILError):

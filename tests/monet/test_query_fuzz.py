@@ -191,26 +191,6 @@ def naive_union(ab, cd):
     return heads[keep], tails[keep]
 
 
-def naive_difference(ab, cd):
-    heads, tails = _buns(ab)
-    members = set(_pairs(cd))
-    keep = [pos for pos, pair in enumerate(_pairs(ab))
-            if pair not in members]
-    return heads[keep], tails[keep]
-
-
-def naive_intersection(ab, cd):
-    heads, tails = _buns(ab)
-    members = set(_pairs(cd))
-    seen = set()
-    keep = []
-    for pos, pair in enumerate(_pairs(ab)):
-        if pair in members and pair not in seen:
-            seen.add(pair)
-            keep.append(pos)
-    return heads[keep], tails[keep]
-
-
 # ----------------------------------------------------------------------
 # strategies
 # ----------------------------------------------------------------------
@@ -392,10 +372,6 @@ def test_setops_differential(left, right):
     ab = _bat("long", left, "long", [v % 3 for v in left])
     cd = _bat("long", right, "long", [v % 3 for v in right])
     _assert_matches_naive(lambda: ops.unique(ab), naive_unique(ab))
-    _assert_matches_naive(lambda: ops.difference(ab, cd),
-                       naive_difference(ab, cd))
-    _assert_matches_naive(lambda: ops.intersection(ab, cd),
-                       naive_intersection(ab, cd))
     _assert_matches_naive(lambda: ops.union(ab, cd), naive_union(ab, cd))
 
 
@@ -406,10 +382,7 @@ def test_setops_differential_nan_tails(left, right):
     cd = _bat("oid", [v % 4 for v in _heads(len(right))], "double",
               right)
     _assert_matches_naive(lambda: ops.unique(ab), naive_unique(ab))
-    _assert_matches_naive(lambda: ops.difference(ab, cd),
-                       naive_difference(ab, cd))
-    _assert_matches_naive(lambda: ops.intersection(ab, cd),
-                       naive_intersection(ab, cd))
+    _assert_matches_naive(lambda: ops.union(ab, cd), naive_union(ab, cd))
 
 
 def test_empty_bats_every_op():
@@ -423,16 +396,15 @@ def test_empty_bats_every_op():
          naive_semijoin(empty, other)),
         (lambda: ops.semijoin(other, empty),
          naive_semijoin(other, empty)),
+        (lambda: ops.antijoin(empty, other),
+         naive_antijoin(empty, other)),
+        (lambda: ops.antijoin(other, empty),
+         naive_antijoin(other, empty)),
         (lambda: ops.select_range(empty, 0, 1),
          naive_select_range(empty, 0, 1)),
         (lambda: ops.unique(empty), naive_unique(empty)),
-        (lambda: ops.difference(empty, other),
-         naive_difference(empty, other)),
-        (lambda: ops.difference(other, empty),
-         naive_difference(other, empty)),
-        (lambda: ops.intersection(other, empty),
-         naive_intersection(other, empty)),
         (lambda: ops.union(empty, other), naive_union(empty, other)),
+        (lambda: ops.union(other, empty), naive_union(other, empty)),
         (lambda: ops.group1(empty), naive_group1(empty)),
     ]
     for op_fn, expected in cases:
@@ -531,13 +503,15 @@ _TPCD_CASES = {
                   lambda o: naive_aggregate("sum", o["order_price"])),
     "unique": (lambda o: ops.unique(o["items_lo"]),
                lambda o: naive_unique(o["items_lo"])),
-    "difference": (lambda o: ops.difference(o["items_lo"], o["items_hi"]),
-                   lambda o: naive_difference(o["items_lo"],
+    # Moa difference/intersection of two Item subsets, as the rewriter
+    # compiles them: head-wise on the element oids
+    "difference": (lambda o: ops.antijoin(o["items_lo"], o["items_hi"]),
+                   lambda o: naive_antijoin(o["items_lo"],
+                                            o["items_hi"])),
+    "intersection": (lambda o: ops.semijoin(o["items_lo"],
+                                            o["items_hi"]),
+                     lambda o: naive_semijoin(o["items_lo"],
                                               o["items_hi"])),
-    "intersection": (lambda o: ops.intersection(o["items_lo"],
-                                                o["items_hi"]),
-                     lambda o: naive_intersection(o["items_lo"],
-                                                  o["items_hi"])),
     "select": (lambda o: ops.select_range(o["item_price"], 1000.0,
                                           50000.0),
                lambda o: naive_select_range(o["item_price"], 1000.0,
@@ -598,8 +572,8 @@ def test_tpcd_string_keys_match_decoded_strings(tpcd_operands):
 # ----------------------------------------------------------------------
 # composite random plans
 # ----------------------------------------------------------------------
-_PLAN_OPS = ("join", "semijoin", "select", "unique", "difference",
-             "intersection", "union", "group")
+_PLAN_OPS = ("join", "semijoin", "antijoin", "select", "unique",
+             "union", "group")
 
 
 @given(int_lists, int_lists,
@@ -629,6 +603,9 @@ def test_random_plan_differential(left, right, steps):
         elif op_name == "semijoin":
             op_fn = lambda a=ab, c=cd: ops.semijoin(a, c)
             expected = naive_semijoin(ab, cd)
+        elif op_name == "antijoin":
+            op_fn = lambda a=ab, c=cd: ops.antijoin(a, c)
+            expected = naive_antijoin(ab, cd)
         elif op_name == "select":
             low, high = sorted((pick_a, pick_b))
             op_fn = lambda a=ab, lo=low, hi=high: \
@@ -637,12 +614,6 @@ def test_random_plan_differential(left, right, steps):
         elif op_name == "unique":
             op_fn = lambda a=ab: ops.unique(a)
             expected = naive_unique(ab)
-        elif op_name == "difference":
-            op_fn = lambda a=ab, c=cd: ops.difference(a, c)
-            expected = naive_difference(ab, cd)
-        elif op_name == "intersection":
-            op_fn = lambda a=ab, c=cd: ops.intersection(a, c)
-            expected = naive_intersection(ab, cd)
         elif op_name == "union":
             op_fn = lambda a=ab, c=cd: ops.union(a, c)
             expected = naive_union(ab, cd)

@@ -285,12 +285,10 @@ def test_setops_nan_tails_follow_ieee_semantics():
     cd = bat_from_pairs("oid", "double", [(0, nan), (2, 1.5)])
     # no NaN BUN ever duplicates another, so unique keeps all of them
     assert len(ops.unique(ab)) == 4
-    # ... none is a member of the other operand either
-    diff = ops.difference(ab, cd)
-    assert len(diff) == 3                        # only (2, 1.5) matches
-    assert [h for h, _t in diff.to_pairs()] == [0, 1, 0]
-    inter = ops.intersection(ab, cd)
-    assert inter.to_pairs() == [(2, 1.5)]
+    # ... nor one of the other operand: union drops only (2, 1.5)
+    merged = ops.union(ab, cd)
+    assert len(merged) == 5
+    assert [h for h, _t in merged.to_pairs()] == [0, 1, 0, 2, 0]
 
 
 def test_group_nan_tails_match_naive_partition():
@@ -569,23 +567,18 @@ def test_join_str_tail_spec(left_pairs, right_pairs):
 def test_setops_str_tails_spec(left_pairs, right_pairs):
     ab = bat_from_pairs("oid", "string", left_pairs)
     cd = bat_from_pairs("oid", "string", right_pairs)
-    diff = ops.difference(ab, cd).to_pairs()
-    assert diff == [p for p in left_pairs
-                    if p not in set(right_pairs)]
-    inter = ops.intersection(ab, cd).to_pairs()
-    seen = set()
-    expected = []
-    for p in left_pairs:
-        if p in set(right_pairs) and p not in seen:
-            seen.add(p)
-            expected.append(p)
-    assert inter == expected
     uniq = ops.unique(ab).to_pairs()
     first = []
     for p in left_pairs:
         if p not in first:
             first.append(p)
     assert uniq == first
+    # the operands hold separate heaps: equal strings, unequal indices
+    merged = ops.union(ab, cd).to_pairs()
+    for p in right_pairs:
+        if p not in first:
+            first.append(p)
+    assert merged == first
 
 
 @settings(max_examples=50, deadline=None)
@@ -594,10 +587,9 @@ def test_setops_double_tails_spec(left_pairs, right_pairs):
     # float tails must never be routed through integer offset coding
     ab = bat_from_pairs("oid", "double", left_pairs)
     cd = bat_from_pairs("oid", "double", right_pairs)
-    diff = ops.difference(ab, cd).to_pairs()
-    assert diff == [p for p in left_pairs if p not in set(right_pairs)]
-    inter = {p for p in ops.intersection(ab, cd).to_pairs()}
-    assert inter == set(left_pairs) & set(right_pairs)
+    first = list(dict.fromkeys(left_pairs + right_pairs))
+    assert ops.union(ab, cd).to_pairs() == first
+    assert ops.unique(ab).to_pairs() == list(dict.fromkeys(left_pairs))
 
 
 def test_joint_codes_float_not_truncated():

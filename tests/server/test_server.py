@@ -1006,6 +1006,17 @@ def test_unbudgeted_service_verifies_mil_but_admits_everything(db_dir):
             bad.emit("mirror", [Var("nope")])
             with pytest.raises(PlanVerificationError):
                 client.mil(bad, ["x"])
+            # ...including ops MIL no longer has, over catalog BATs
+            for op, arity in (("sort", 1), ("difference", 2),
+                              ("intersection", 2), ("kdiff", 2)):
+                retired = MILProgram()
+                retired.emit(op, [Var("Item_quantity"),
+                                  Var("Item_discount")][:arity],
+                             target="x")
+                with pytest.raises(PlanVerificationError,
+                                   match="unknown MIL op %r" % op):
+                    client.mil(retired, ["x"])
+                assert client.ping() == 1   # the connection survives
             # ...but big well-formed plans pass (no budget configured)
             reply = client.moa(QUERIES[1].texts()[0])
             assert reply.checksum
