@@ -153,9 +153,14 @@ def test_antijoin_spec():
     cd = _bat([(1, 0), (3, 0)])
     out = ops.antijoin(ab, cd)
     assert out.to_pairs() == [(2, 20)]
-    # head-wise: the right operand's tails play no part
-    assert ops.antijoin(_bat([(1, 10), (2, 20)]),
-                        _bat([(2, 99)])).to_pairs() == [(1, 10)]
+
+
+def test_kdiff():
+    # key difference is antijoin: head-wise, the right operand's tails
+    # play no part
+    a = _bat([(1, 10), (2, 20)])
+    b = _bat([(2, 99)])
+    assert ops.antijoin(a, b).to_pairs() == [(1, 10)]
 
 
 def test_semijoin_sync_fast_path():
