@@ -29,9 +29,10 @@ class Column:
 
     def __init__(self, atom):
         self.atom = _atoms.atom(atom)
-        #: ``(inverse, first_pos, n_groups)`` of this column's distinct
-        #: keys, cached by the first set-aggregate grouped on it (the
-        #: column is immutable, so the factorization never goes stale)
+        #: ``(inverse, first_pos, n_groups, counts)`` of this column's
+        #: distinct keys, cached by the first set-aggregate grouped on
+        #: it (the column is immutable, so the factorization never goes
+        #: stale); semijoins with this column as left head read it too
         self.grouping = None
 
     def __len__(self):

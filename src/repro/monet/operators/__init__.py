@@ -41,14 +41,21 @@ join         hashjoin           fallback: MultiMap (argsort +
                                 ``searchsorted`` group expand), per call
 semijoin     syncsemijoin       operands synced: the left operand's columns
 semijoin     datavectorsemijoin left carries a datavector: cached LOOKUP
-semijoin     mergesemijoin      both heads ordered: bool table over a
-                                compact integer span, else binary search
-semijoin     hashsemijoin       fallback: bool table over a compact
-                                integer span, else sort + binary search
-group        unary/binary       factorised int codes: a direct-address
-                                pass for integer keys with a compact span
-                                (no sort), ``np.unique`` otherwise; pair
-                                codes combined in int64
+semijoin     mergesemijoin      both heads ordered; membership as for
+                                hashsemijoin
+semijoin     hashsemijoin       fallback.  Membership: a void left head,
+                                or one dense by its properties, by
+                                position (no gather over its keys); a left
+                                head with a cached grouping once per
+                                distinct value (all members: columns
+                                shared); else a bool table over a compact
+                                integer span, or sort + binary search
+group        unary/binary       factorised int codes: a presence table
+                                over a compact integer span (no sort, no
+                                first positions), ``np.unique`` otherwise;
+                                a compact refining key joins the pair code
+                                as ``key - min`` directly; the operand's
+                                head column is shared, not copied
 unique/      code path          int64 BUN pair codes; first-occurrence
 union                           order preserved
 multiplex    heap codes         one BAT operand with a string tail: the
@@ -57,13 +64,16 @@ multiplex    heap codes         one BAT operand with a string tail: the
 multiplex    synced             operands synced (or one BAT): one numpy
                                 expression over the tails
 multiplex    aligned            fallback: natural join on heads first
-aggregate    grouped            one grouping per head column (cached on
-                                it; the same factorization as group),
-                                then ``np.bincount`` (count/avg/float
-                                sum), argsort + ``np.add.reduceat`` (int
-                                sum past 2**53, exact), min/max by
-                                scatter-reduce over integer order ranks
-                                (ints, oids, strings), argsort over float
+aggregate    grouped            one grouping per head column, cached on
+                                it with first positions and counts
+                                (count/avg reuse the counts); then
+                                ``np.bincount`` (avg/float sum, int sum
+                                below 2**53), argsort + ``np.add.reduceat``
+                                (int sum past 2**53, exact); min/max of a
+                                tail constant per group by position (first
+                                / last), else scatter-reduce over integer
+                                order ranks (ints, oids, strings), argsort
+                                over float
 ===========  =================  ===========================================
 
 The direct-address tables (``keyjoin``'s slots, the semijoin bool

@@ -12,13 +12,25 @@ Supported aggregate functions: ``sum, count, avg, min, max``.  Grouped
 min/max on variable-size atoms (strings) work through the heap's value
 ranks, so every comparable atom is supported.
 
-Nothing here sorts on the common path.  The head's grouping is
+Nothing here sorts on the common path, and a grouped aggregate pays
+O(rows) once per head column, in its grouping.  The head's grouping is
 :func:`~repro.monet.vectorized.grouping`: a direct-address pass for
 integer keys with a compact span (oids, group ids, heap indices), with
-``np.unique`` only for wide spans and floats.  Grouped min/max over
-integer ranks (ints, oids, and strings through heap ranks) is an O(n)
-scatter-reduce (:func:`~repro.monet.vectorized.grouped_extreme`);
-float ranks keep a stable argsort.
+``np.unique`` only for wide spans and floats.  It is cached on the head
+column with each group's first position and row count, so ``{count}``
+and ``{avg}`` reuse the counts rather than recount them.
+
+Grouped min/max first checks whether every tail key equals its group's
+first key — what the rewriter's key extraction (``{min}`` of the
+grouping attribute per group) always meets.  Then the minimum is the
+tail at each group's first position and the maximum the tail at its
+last: exactly the tie rule below, so ``-0.0``/``0.0`` ties stay
+byte-exact, and NaN keys, equal to nothing, never qualify.  A bounded
+prefix is compared first, so a tail that varies inside its groups
+pays almost nothing for the test.  Otherwise min/max over integer
+ranks (ints, oids, and strings through heap ranks) is an O(n)
+scatter-reduce (:func:`~repro.monet.vectorized.grouped_extreme`); float
+ranks keep a stable argsort.
 """
 
 import numpy as np
@@ -62,9 +74,9 @@ def set_aggregate(func, ab, name=None):
     with manager.operator("{%s}" % func):
         manager.access_column(ab.head)
         manager.access_column(ab.tail)
-        inverse, first_pos, n_groups = _grouping(ab.head)
-        head = ab.head.take(first_pos)
-        tail = _grouped(func, ab.tail, inverse, n_groups)
+        grouping = _grouping(ab.head)
+        head = ab.head.take(grouping[1])
+        tail = _grouped(func, ab.tail, grouping)
     # heads come out in ascending key order; for var-size atoms key
     # order is heap order, not value order, so ordered cannot be set.
     # NaN heads (one group each, after the others) are neither a key
@@ -77,16 +89,17 @@ def set_aggregate(func, ab, name=None):
 
 
 def _grouping(column):
-    """``(inverse, first_pos, n_groups)`` of a head column, cached on it."""
+    """``(inverse, first_pos, n_groups, counts)`` of a head column,
+    cached on it."""
     if column.grouping is None:
         column.grouping = grouping(column.keys())
     return column.grouping
 
 
-def _grouped(func, tail_col, inverse, n_groups):
+def _grouped(func, tail_col, grouping):
+    inverse, first_pos, n_groups, counts = grouping
     if func == "count":
-        counts = np.bincount(inverse, minlength=n_groups)
-        return FixedColumn(_atoms.LONG, counts.astype(np.int64))
+        return FixedColumn(_atoms.LONG, counts)
     if func == "sum":
         atom = _sum_atom(tail_col.atom)
         if atom.dtype.kind in "iu":
@@ -94,9 +107,7 @@ def _grouped(func, tail_col, inverse, n_groups):
             # bincount accumulates in float64: exact only while every
             # partial sum stays below 2**53.  Otherwise fall back to
             # the all-integer argsort + reduceat kernel.
-            bound = int(np.abs(values).max()) * len(values) if \
-                len(values) else 0
-            if bound >= 2 ** 53:
+            if _magnitude_bound(values) >= 2 ** 53:
                 return FixedColumn(atom, grouped_sum(values, inverse,
                                                      n_groups))
             sums = grouped_weighted_sum(inverse, values, n_groups)
@@ -107,14 +118,44 @@ def _grouped(func, tail_col, inverse, n_groups):
     if func == "avg":
         values = np.asarray(tail_col.logical(), dtype=np.float64)
         sums = grouped_weighted_sum(inverse, values, n_groups)
-        counts = np.bincount(inverse, minlength=n_groups)
         return FixedColumn(_atoms.DOUBLE, sums / np.maximum(counts, 1))
-    # min / max via order ranks so strings work too
-    extreme = grouped_extreme(func, tail_col.order_keys(), inverse,
-                              n_groups)
+    extreme = _constant_extreme(func, tail_col.keys(), inverse, first_pos)
+    if extreme is None:
+        # min / max via order ranks so strings work too
+        extreme = grouped_extreme(func, tail_col.order_keys(), inverse,
+                                  n_groups)
     if np.any((extreme < 0) | (extreme >= len(tail_col))):
         raise OperatorError("aggregate over empty group")
     return tail_col.take(extreme)
+
+
+#: rows of a tail compared with their groups' first keys before the
+#: whole column is: a tail that varies inside its groups shows it early
+_CONSTANT_PROBE = 1024
+
+
+def _constant_extreme(func, keys, inverse, first_pos):
+    """Each group's min (first) or max (last) position when every key
+    equals its group's first key, else ``None``."""
+    first_keys = keys[first_pos]
+    probe = _CONSTANT_PROBE
+    if not (np.array_equal(keys[:probe], first_keys[inverse[:probe]])
+            and np.array_equal(keys[probe:],
+                               first_keys[inverse[probe:]])):
+        return None
+    if func == "min":
+        return first_pos
+    last = np.full(len(first_pos), -1, dtype=np.int64)
+    np.maximum.at(last, inverse, np.arange(len(inverse), dtype=np.int64))
+    return last
+
+
+def _magnitude_bound(values):
+    """``max |v| * len(values)`` of int64 values, in Python ints (so
+    ``-2**63`` does not wrap): no partial sum exceeds it."""
+    if not len(values):
+        return 0
+    return max(-int(values.min()), int(values.max())) * len(values)
 
 
 def fill_zero(agg, carrier, name=None):
@@ -160,14 +201,17 @@ def aggregate_all(func, ab):
             return n
         if n == 0:
             return 0 if func == "sum" else None
+        if func == "sum" and ab.tail.atom.name in ("short", "int", "long"):
+            # exact: int64 while no partial sum can leave it, else
+            # Python ints
+            values = np.asarray(ab.tail.logical(), dtype=np.int64)
+            if _magnitude_bound(values) < 2 ** 63:
+                return int(values.sum())
+            return sum(values.tolist())
         if func in ("sum", "avg"):
             values = np.asarray(ab.tail.logical(), dtype=np.float64)
             total = float(values.sum())
-            if func == "sum":
-                if ab.tail.atom.name in ("short", "int", "long"):
-                    return int(round(total))
-                return total
-            return total / n
+            return total if func == "sum" else total / n
         ranks = np.asarray(ab.tail.order_keys())
         position = int(np.argmin(ranks) if func == "min"
                        else np.argmax(ranks))

@@ -18,11 +18,21 @@ operators.  Handing out those oids needs no sort when the keys are
 integers with a compact span — heap indices of a string column, oids,
 the previous group's codes: :func:`~repro.monet.vectorized.factorize`
 marks the keys present in a direct-address table over the span and
-numbers them in table order.  Wide spans and floats go through
-``np.unique``; NaN keys each get their own oid.
-"""
+numbers them in table order, with no first-position scatter.  Wide
+spans and floats go through ``np.unique``; NaN keys each get their own
+oid.
 
-import numpy as np
+Grouping costs one pass over the rows and nothing more:
+
+* a key that already is a column of group codes (dense ``0..k-1``)
+  is its own code column — no table gather;
+* the binary form refines by a compact integer key directly: the
+  mixed-radix code ``left * span + (key - min)`` is monotone in the
+  key, so one factorization of it yields the same dense oids as
+  factorizing the key first (:func:`~repro.monet.vectorized.refine_codes`);
+* the result shares the operand's head column instead of copying it:
+  its BUNs are the operand's, in the operand's order.
+"""
 
 from ...errors import OperatorError
 from .. import atoms as _atoms
@@ -30,7 +40,7 @@ from ..buffer import get_manager
 from ..column import FixedColumn
 from ..optimizer import get_optimizer
 from ..properties import Props, synced
-from ..vectorized import combine_codes
+from ..vectorized import refine_codes
 from .common import factorize, result_bat
 from .join import join_positions
 
@@ -47,9 +57,8 @@ def group1(ab, name=None):
     tail = FixedColumn(_atoms.OID, codes)
     props = Props(hkey=ab.props.hkey, hordered=ab.props.hordered,
                   tkey=(n_groups == len(ab)))
-    out = result_bat(ab.head.take(np.arange(len(ab), dtype=np.int64)),
-                     tail, name=name, props=props, alignment=ab.alignment)
-    return out
+    return result_bat(ab.head, tail, name=name, props=props,
+                      alignment=ab.alignment)
 
 
 def group2(grp, cd, name=None):
@@ -64,9 +73,7 @@ def group2(grp, cd, name=None):
     with manager.operator("group"):
         if optimizer.dynamic and synced(grp, cd):
             optimizer.record("group", "binary-synced")
-            left_codes = np.asarray(grp.tail.logical(), dtype=np.int64)
             right_keys = cd.tail.keys()
-            head_positions = np.arange(len(grp), dtype=np.int64)
         else:
             optimizer.record("group", "binary-hash")
             if not cd.props.hkey:
@@ -79,21 +86,18 @@ def group2(grp, cd, name=None):
                 raise OperatorError(
                     "binary group: second operand misses %d heads"
                     % (len(grp) - len(left_pos)))
-            left_codes = np.asarray(
-                grp.tail.logical(), dtype=np.int64)[left_pos]
+            # every left BUN matched one head-unique right BUN, in
+            # left-major order: left_pos is the identity
             right_keys = cd.tail.keys()[right_pos]
-            head_positions = left_pos
         manager.access_column(grp.tail)
         manager.access_column(cd.tail)
-        right_codes, n_right = factorize(right_keys)
-        combined = combine_codes(left_codes, right_codes, n_right)
-        codes, n_groups = factorize(combined)
+        codes, n_groups = refine_codes(grp.tail.logical(), right_keys)
         manager.access_column(grp.head)
     tail = FixedColumn(_atoms.OID, codes)
     props = Props(hkey=grp.props.hkey, hordered=grp.props.hordered,
                   tkey=(n_groups == len(grp)))
-    return result_bat(grp.head.take(head_positions), tail, name=name,
-                      props=props, alignment=grp.alignment)
+    return result_bat(grp.head, tail, name=name, props=props,
+                      alignment=grp.alignment)
 
 
 def _as_join_operand(grp):

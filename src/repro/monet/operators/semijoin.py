@@ -22,11 +22,22 @@ implementations exist, dispatched at run time on operand state
   ascend already, so membership is a binary search with no sort.
 * ``hashsemijoin`` — the generic fallback: sort, then the same search.
 
-Both mask variants (and ``antijoin``) first try a direct-address bool
-table over the right heads' span when the keys are integers and that
-span is compact — the oids of a selection inside a class extent — so
-membership is a scatter and a gather, not a search; the dispatch names
-stay as they are.
+Both mask variants pick how to test membership from the left head
+(section 5.1's property-driven choice; the dispatch names stay as they
+are):
+
+* a left head that is void, or dense by its properties (``hkey``,
+  ``hordered``, integer, ``last - first + 1 == n``: a class extent),
+  answers by position — the right keys are scattered into a bool table
+  over the left range, and the result head is ``positions + base``,
+  with no gather over the left keys;
+* a left head whose grouping is already cached (a member index an
+  aggregate grouped on) tests membership once per distinct value; when
+  every value is a member the result shares the operand's columns;
+* otherwise a direct-address bool table over the right heads' span
+  when the keys are integers and that span is compact, so membership
+  is a scatter and a gather, not a search — ``antijoin`` always takes
+  this one.
 
 ``antijoin`` (``{ ab | a not in heads(CD) }``) is the complement,
 needed by set difference and NOT EXISTS-style queries.
@@ -39,8 +50,8 @@ from ..buffer import get_manager
 from ..column import FixedColumn, equality_keys
 from ..optimizer import get_optimizer
 from ..properties import Props, synced
-from ..vectorized import membership_mask
-from .common import result_bat, take_subsequence
+from ..vectorized import member_positions, membership_mask
+from .common import result_bat, subsequence_props, take_subsequence
 
 
 def semijoin(ab, cd, name=None):
@@ -65,21 +76,11 @@ def antijoin(ab, cd, name=None):
     """``{ ab | a not in heads(CD) }`` — complement of semijoin."""
     manager = get_manager()
     with manager.operator("antijoin"):
-        mask = _membership_mask(ab, cd, manager)
-        positions = np.nonzero(~mask)[0]
+        manager.access_column(ab.head)
+        manager.access_column(cd.head)
+        positions = np.flatnonzero(~_member_mask(ab, cd))
         manager.access_column(ab.tail, positions)
     return take_subsequence(ab, positions, name=name)
-
-
-def _membership_mask(ab, cd, manager):
-    # compact integer keys (oids inside a class extent) probe a bool
-    # table; other fixed-width keys fall back to a binary search over
-    # the sorted right keys; the per-BUN Python set probe survives for
-    # object-dtype keys
-    left_keys, right_keys = equality_keys(ab.head, cd.head)
-    manager.access_column(ab.head)
-    manager.access_column(cd.head)
-    return membership_mask(left_keys, right_keys)
 
 
 def _syncsemijoin(ab, name):
@@ -91,13 +92,73 @@ def _syncsemijoin(ab, name):
 def _masksemijoin(ab, cd, name, label):
     manager = get_manager()
     with manager.operator(label):
-        mask = _membership_mask(ab, cd, manager)
-        positions = np.nonzero(mask)[0]
+        manager.access_column(ab.head)
+        manager.access_column(cd.head)
+        base = _dense_base(ab, cd)
+        if base is not None:
+            positions = _positional_members(ab, cd, base)
+        elif ab.head.grouping is not None:
+            positions = _grouped_members(ab, cd)
+        else:
+            positions = np.flatnonzero(_member_mask(ab, cd))
         manager.access_column(ab.tail, positions)
-    out = take_subsequence(ab, positions, name=name)
+    if base is not None and not ab.head.is_void() \
+            and len(positions) < len(ab):
+        # a dense head is rebuilt from the positions, not gathered
+        head = FixedColumn(ab.head.atom, positions + base,
+                           label=ab.head.heaps[0].label)
+        out = result_bat(head, ab.tail.take(positions), name=name,
+                         props=subsequence_props(ab))
+    else:
+        out = take_subsequence(ab, positions, name=name)
     if len(out) != len(ab):
         out.alignment = ("semijoin", ab.alignment, cd.identity)
     return out
+
+
+def _dense_base(ab, cd):
+    """First key of a left head holding exactly ``base .. base + n - 1``
+    in order — void, or dense by its properties — when the right keys
+    are integers too; else ``None``."""
+    if not _integer(cd.head):
+        return None
+    head = ab.head
+    if head.is_void():
+        return head.seqbase
+    if not (ab.props.hkey and ab.props.hordered and _integer(head)
+            and len(head)):
+        return None
+    keys = head.keys()
+    base = int(keys[0])
+    return base if int(keys[-1]) - base + 1 == len(keys) else None
+
+
+def _integer(column):
+    return not column.atom.varsized and column.atom.dtype.kind in "iu"
+
+
+def _positional_members(ab, cd, base):
+    """Left positions whose head is a right key, by position."""
+    return member_positions(base, len(ab), cd.head.keys())
+
+
+def _grouped_members(ab, cd):
+    """Left positions whose head is a right key, tested once per
+    distinct left head value through the head's cached grouping."""
+    inverse, first_pos = ab.head.grouping[:2]
+    member = membership_mask(
+        *equality_keys(ab.head.take(first_pos), cd.head))
+    if member.all():
+        return np.arange(len(ab), dtype=np.int64)
+    return np.flatnonzero(member[inverse])
+
+
+def _member_mask(ab, cd):
+    """Per left row: is its head a right key?  Compact integer keys
+    (oids inside a class extent) probe a bool table; other fixed-width
+    keys a binary search over the sorted right keys; object keys the
+    per-BUN Python set."""
+    return membership_mask(*equality_keys(ab.head, cd.head))
 
 
 def _datavectorsemijoin(ab, cd, name):

@@ -20,11 +20,14 @@ operator layer dispatches onto:
   key array (merge joins, the datavector extent): no sort at all.
 * :func:`membership_mask` — membership for semijoin/antijoin and the
   set operations: a direct-address bool table for compact integer
-  keys, a binary search into the sorted right keys otherwise.
-* :func:`factorize` / :func:`grouping` / :func:`joint_codes` /
-  :func:`first_occurrence` — dense integer coding of key (pairs), the
-  building block for group/aggregate/unique/set-op kernels; compact
-  integer keys are coded by direct address, without a sort.
+  keys, a binary search into the sorted right keys otherwise;
+  :func:`member_positions` answers it by position when the left keys
+  are a dense range.
+* :func:`factorize` / :func:`grouping` / :func:`refine_codes` /
+  :func:`joint_codes` / :func:`first_occurrence` — dense integer coding
+  of key (pairs), the building block for group/aggregate/unique/set-op
+  kernels; compact integer keys are coded by direct address, without a
+  sort, and only :func:`grouping` pays for first positions and counts.
 * :func:`grouped_sum` — exact per-group sums via stable argsort +
   ``np.add.reduceat``.
 * :func:`grouped_extreme` — per-group min/max positions, an O(n)
@@ -68,7 +71,8 @@ import numpy as np
 
 __all__ = [
     "MultiMap", "join_match", "key_table", "key_lookup", "sorted_lookup",
-    "membership_mask", "factorize", "grouping",
+    "membership_mask", "member_positions", "factorize", "grouping",
+    "refine_codes",
     "joint_codes", "combine_codes", "combine_codes_pair",
     "first_occurrence", "grouped_sum", "grouped_weighted_sum",
     "grouped_extreme", "pin_malloc_thresholds",
@@ -365,34 +369,79 @@ def membership_mask(left_keys, right_keys):
     return sorted_lookup(right_keys, left_keys)[0]
 
 
-def _table_codes(keys):
-    """``(codes, first_pos, n)`` of integer keys by direct address, or
-    ``None`` when the keys are not integers or their span fails the
-    compactness rule.
-
-    No sort: one ``np.minimum.at`` scatter of positions into a table
-    over the key span finds each present key's first position, and a
-    running count over the table's present slots numbers the keys
-    densely in sorted order.  The result is ``np.unique(keys,
-    return_index=True, return_inverse=True)``'s contract: codes in
-    sorted distinct-key order, ``first_pos[c]`` the first position of
-    code ``c``, ``n`` distinct keys.
+def member_positions(base, n, keys):
+    """Ascending positions ``p`` in ``[0, n)`` with ``base + p`` among
+    the integer ``keys``: membership in a dense key range ``base ..
+    base + n - 1`` answered by position — one scatter of the keys into
+    a bool table over the range, no gather over the range's own keys.
+    Keys outside the range (of any integer dtype) hit nothing.
     """
-    if keys.dtype.kind not in "iu":
+    table = np.zeros(n + 1, dtype=bool)
+    table[_offsets(np.asarray(keys), base, n)] = True
+    return np.flatnonzero(table[:n])
+
+
+def _table_offsets(keys):
+    """``(offsets, span)`` of integer keys whose span passes the
+    compactness rule: ``offsets[i] = keys[i] - min(keys)`` as int64, in
+    ``[0, span)``.  ``None`` for other keys and for empty ones.
+
+    Every key lies inside its own span, so no offset needs the
+    sentinel of :func:`_offsets`; int64 keys starting at 0 (group
+    codes, heap indices, extent oids) are their own offsets, uncopied.
+    """
+    if keys.dtype.kind not in "iu" or len(keys) == 0:
         return None
-    if len(keys) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), 0
-    base = int(keys.min())
-    span = _table_span(base, keys.max(), len(keys))
+    lo = int(keys.min())
+    span = _table_span(lo, keys.max(), len(keys))
     if span is None:
         return None
-    offsets = _offsets(keys, base, span)
+    offsets = keys.astype(np.int64, copy=False)
+    if lo:
+        offsets = offsets - np.int64(lo)
+    return offsets, span
+
+
+def _present_codes(offsets, present):
+    """``(codes, n)``: each offset numbered by its rank among the
+    ``present`` table slots.  When every slot is present the offsets
+    already are those ranks — a column of group codes comes back as
+    its own codes, with no gather."""
+    if present.all():
+        return offsets, len(present)
+    code = np.cumsum(present, dtype=np.int64) - 1
+    return code[offsets], int(code[-1]) + 1
+
+
+def _table_codes(keys):
+    """``(codes, first_pos, n, counts)`` of integer keys by direct
+    address, or ``None`` when the keys are not integers or their span
+    fails the compactness rule.
+
+    No sort: a ``np.bincount`` over the key span counts each key (the
+    counts double as the presence table), one ``np.minimum.at`` scatter
+    of positions finds each present key's first position, and a running
+    count over the present slots numbers the keys densely in sorted
+    order.  The result is ``np.unique(keys, return_index=True,
+    return_inverse=True, return_counts=True)``'s contract: codes in
+    sorted distinct-key order, ``first_pos[c]`` the first position of
+    code ``c``, ``n`` distinct keys, ``counts[c]`` rows per code.
+    """
+    if keys.dtype.kind in "iu" and len(keys) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), 0, empty.copy()
+    table = _table_offsets(keys)
+    if table is None:
+        return None
+    offsets, span = table
+    counts = np.bincount(offsets, minlength=span)
     first = np.full(span, len(keys), dtype=np.int64)
     np.minimum.at(first, offsets, np.arange(len(keys), dtype=np.int64))
-    present = first < len(keys)
-    code = np.cumsum(present, dtype=np.int64) - 1
-    return code[offsets], first[present], int(code[-1]) + 1
+    present = counts > 0
+    codes, n = _present_codes(offsets, present)
+    if n == span:
+        return codes, first, n, counts
+    return codes, first[present], n, counts[present]
 
 
 def factorize(keys):
@@ -401,8 +450,10 @@ def factorize(keys):
     Fixed-width keys get codes in *sorted* distinct-key order (the
     contract the group operators rely on for dense group oids); object
     keys get first-seen codes, which preserves equality but not order.
-    Integer keys with a compact span are coded by direct address
-    (:func:`_table_codes`, no sort); ``np.unique`` codes the rest.
+    Integer keys with a compact span are coded by direct address — a
+    presence table over the span and a running count over it, no sort
+    and no first positions (only :func:`grouping` needs those);
+    ``np.unique`` codes the rest.
 
     NaN keys are **pairwise distinct** (IEEE: NaN != NaN, which is also
     what the dict reference computes): each NaN row receives its own
@@ -421,9 +472,12 @@ def factorize(keys):
                 code = table[key] = len(table)
             codes[pos] = code
         return codes, len(table)
-    coded = _table_codes(keys)
-    if coded is not None:
-        return coded[0], coded[2]
+    table = _table_offsets(keys)
+    if table is not None:
+        offsets, span = table
+        present = np.zeros(span, dtype=bool)
+        present[offsets] = True
+        return _present_codes(offsets, present)
     if keys.dtype.kind == "f":
         nan_mask = np.isnan(keys)
         n_nan = int(nan_mask.sum())
@@ -440,8 +494,9 @@ def factorize(keys):
 
 
 def grouping(keys):
-    """(codes, first_pos, n): :func:`factorize` plus the first position
-    of each code — the grouping a set-aggregate derives from its head.
+    """(codes, first_pos, n, counts): :func:`factorize` plus the first
+    position and the row count of each code — the grouping a
+    set-aggregate derives from its head.
 
     Compact integer keys take one direct-address pass; any other keys
     are factorized first (NaN keys pairwise distinct), and their dense
@@ -452,6 +507,31 @@ def grouping(keys):
     if coded is None:
         coded = _table_codes(factorize(keys)[0])
     return coded
+
+
+def refine_codes(high_codes, low_keys):
+    """(codes, n): dense codes of the ``(high, low)`` pairs, numbered in
+    sorted pair order — the refinement of a binary ``group``.
+
+    ``high_codes`` are the codes of the groups so far.  When they are
+    non-negative (group oids are) and ``low`` is a compact integer key,
+    the key enters the mixed-radix code as ``key - min(low)`` directly
+    if the combined span is compact too: that map is monotone in the
+    key, so the dense codes equal those of factorizing the key first,
+    which every other key does.
+    """
+    high_codes = np.asarray(high_codes, dtype=np.int64)
+    low_keys = np.asarray(low_keys)
+    if len(high_codes) == 0:
+        return np.empty(0, dtype=np.int64), 0
+    table = _table_offsets(low_keys)
+    if table is not None and int(high_codes.min()) >= 0:
+        offsets, span = table
+        n_high = int(high_codes.max()) + 1
+        if _table_span(0, n_high * span - 1, len(offsets)) is not None:
+            return factorize(high_codes * span + offsets)
+    low_codes, n_low = factorize(low_keys)
+    return factorize(combine_codes(high_codes, low_codes, n_low))
 
 
 def joint_codes(left_keys, right_keys):

@@ -9,6 +9,8 @@ criterion for the implementation of MOA on MIL.
 import pytest
 
 from repro.analysis.signatures import SIGNATURES
+from repro.moa import MOADatabase, Schema
+from repro.moa.types import LONG
 from repro.monet import mil
 from repro.sql import prepare_sql
 from repro.sql.suite import EXTRAS, sql_queries
@@ -172,3 +174,25 @@ def test_empty_class_commutes(small_db):
         "project[<name : n, count(%supplies) : c>](Supplier)").rows
     by_name = {r["n"]: r["c"] for r in physical}
     assert by_name["s2"] == 0
+
+
+def test_integer_sums_commute_exactly():
+    """A long column whose sum float64 cannot hold (2**53 + 1): the
+    physical ``sum()`` and ``{sum}`` equal the reference evaluator's
+    Python-int sums exactly, not within the diagram's float tolerance."""
+    schema = Schema()
+    schema.define("Entry", [("kind", LONG), ("amount", LONG)])
+    db = MOADatabase(schema)
+    db.load({"Entry": {0: {"kind": 1, "amount": 2 ** 53},
+                       1: {"kind": 1, "amount": 1},
+                       2: {"kind": 2, "amount": -2 ** 63},
+                       3: {"kind": 2, "amount": 1}}})
+    total, expected = db.check_commutes(
+        "sum(project[amount](select[=(kind, 1)](Entry)))")
+    assert total == expected == 2 ** 53 + 1
+    rows, expected = db.check_commutes(
+        "project[<kind : k, sum(project[amount](%group)) : s>]"
+        "(nest[kind](Entry))")
+    pairs = [sorted((row["k"], row["s"]) for row in side)
+             for side in (rows, expected)]
+    assert pairs[0] == pairs[1] == [(1, 2 ** 53 + 1), (2, -2 ** 63 + 1)]

@@ -8,7 +8,11 @@
   synced joins must not leak a false ``key``/``ordered`` flag);
 * **one grouping** — Q1's eight aggregates and two key extractions
   derive their shared grouping once, and neither its ``group`` calls
-  nor its aggregates sort (counted);
+  nor its aggregates sort (counted); past the grouping Q1 pays per
+  group, not per row: its key extractions take the group-constant
+  ``{min}``, its extent semijoin answers by position, its member-index
+  semijoin through the cached grouping, and its ``group`` calls make
+  no first-position scatter (counted per statement);
 * **stored layouts** — no ``hashjoin`` runs at all (every join inner
   is synced, void, ordered, a datavector attribute or a compact integer
   key) and no multiplex decodes a whole string column (counted, not
@@ -20,20 +24,21 @@
 """
 
 import importlib
-from collections import Counter
+from collections import Counter, defaultdict
 
+import numpy as np
 import pytest
 
 from plan_oracle import (CountingCalls, CountingSorts, answers, passes_off,
                          sql_texts)
 from repro.moa import session
 from repro.moa.rewriter import Rewriter
-from repro.monet import (MILInterpreter, bat_from_pairs, dispatch_disabled,
-                         mil, vectorized, verify)
+from repro.monet import (MILInterpreter, bat_from_pairs, compute_props,
+                         dispatch_disabled, mil, vectorized, verify)
 from repro.monet.accelerators.datavector import has_datavector
 from repro.monet.column import VarColumn
 from repro.monet.heap import VarHeap
-from repro.monet.operators import aggregate, group
+from repro.monet.operators import aggregate
 from repro.sql import prepare_sql
 from repro.sql.suite import sql_text
 from repro.tpcd import QUERIES, generate, load_tpcd
@@ -104,7 +109,8 @@ def test_q1_groups_and_aggregates_without_sorting(sf005_db, monkeypatch):
     over integer ranks.  The counter is proven live on a wide-span
     group and a float min, where the sorts come back."""
     counting = CountingSorts()
-    for module in (vectorized, aggregate, group):
+    # group.py calls no numpy itself: its kernels live in vectorized
+    for module in (vectorized, aggregate):
         monkeypatch.setattr(module, "np", counting)
     for name in ("group1", "group2", "set_aggregate"):
         monkeypatch.setattr(mil, name, counting.inside(getattr(mil, name)))
@@ -114,6 +120,107 @@ def test_q1_groups_and_aggregates_without_sorting(sf005_db, monkeypatch):
     mil.set_aggregate("min", bat_from_pairs("oid", "double",
                                             [(0, 1.5), (0, 0.5)]))
     assert counting.calls["unique"] > 0 and counting.calls["argsort"] > 0
+
+
+class PathLog:
+    """Which implementation each MIL statement ran, by its target.
+
+    :meth:`statement` wraps an operator the interpreter calls (it
+    notes the statement's target while the operator runs); :meth:`path`
+    wraps one implementation inside it and logs its label under that
+    target."""
+
+    def __init__(self):
+        self.target = None
+        self.paths = defaultdict(list)
+
+    def statement(self, operator):
+        def running(*args, name=None, **kwargs):
+            self.target = name
+            try:
+                return operator(*args, name=name, **kwargs)
+            finally:
+                self.target = None
+        return running
+
+    def path(self, label, func, when=lambda result: True):
+        def taken(*args, **kwargs):
+            result = func(*args, **kwargs)
+            if when(result):
+                self.paths[self.target].append(label)
+            return result
+        return taken
+
+
+class CountingAt:
+    """Stands in for ``np`` in :mod:`repro.monet.vectorized`, logging
+    every ``np.minimum.at`` scatter to a :class:`PathLog`."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def __getattr__(self, name):
+        return self if name == "minimum" else getattr(np, name)
+
+    def __call__(self, *args, **kwargs):          # np.minimum(...)
+        return np.minimum(*args, **kwargs)
+
+    def at(self, *args, **kwargs):                # np.minimum.at(...)
+        self.log.paths[self.log.target].append("minimum.at")
+        return np.minimum.at(*args, **kwargs)
+
+
+def test_q1_pays_its_rows_once_in_the_grouping(sf005_db, monkeypatch):
+    """A count, not a timing: in one run of prepared Q1 both key
+    extractions take the group-constant ``{min}``, ``sel2 :=
+    semijoin(Item, q1)`` answers by position on the dense extent,
+    ``sidx18 := semijoin(members11, key13)`` through the member
+    index's cached grouping, and neither ``group`` makes an
+    ``np.minimum.at`` scatter.  Each counter is then proven live on an
+    operand where its fast path must not fire."""
+    semijoin_module = importlib.import_module(
+        "repro.monet.operators.semijoin")
+    log = PathLog()
+    for name in ("semijoin", "set_aggregate", "group1", "group2"):
+        monkeypatch.setattr(mil, name, log.statement(getattr(mil, name)))
+    for label, helper in (("positional", "_positional_members"),
+                          ("grouped", "_grouped_members"),
+                          ("masked", "_member_mask")):
+        monkeypatch.setattr(semijoin_module, helper, log.path(
+            label, getattr(semijoin_module, helper)))
+    monkeypatch.setattr(aggregate, "_constant_extreme", log.path(
+        "constant", aggregate._constant_extreme,
+        when=lambda positions: positions is not None))
+    monkeypatch.setattr(aggregate, "grouped_extreme", log.path(
+        "scatter", aggregate.grouped_extreme))
+    monkeypatch.setattr(vectorized, "np", CountingAt(log))
+    prepare_sql(sf005_db, sql_text(1)).run()
+    paths = log.paths
+    # the first key extraction derives the member index's grouping:
+    # the one first-position scatter of the plan
+    assert paths["key13"] == ["minimum.at", "constant"]
+    assert paths["key15"] == ["constant"]
+    assert paths["sel2"] == ["positional"]
+    assert paths["sidx18"] == ["grouped"]
+    assert paths["grp9"] == paths["grp10"] == []
+
+    # live: a tail varying inside its groups, a head neither dense nor
+    # grouped, then grouped by an aggregate; the aggregate's grouping
+    # is where first positions are scattered
+    varying = bat_from_pairs("oid", "long", [(4, 2), (9, 1), (4, 1)])
+    probe = bat_from_pairs("oid", "long", [(4, 0)])
+    mil.semijoin(varying, probe, name="live_masked")
+    mil.set_aggregate("min", varying, name="live_min")
+    mil.semijoin(varying, probe, name="live_grouped")
+    dense = bat_from_pairs("oid", "long", [(4, 0), (5, 1)])
+    dense.props = compute_props(dense)
+    mil.semijoin(dense, probe, name="live_positional")
+    assert paths["live_min"].count("scatter") == 1
+    assert "minimum.at" in paths["live_min"]
+    assert "constant" not in paths["live_min"]
+    assert paths["live_masked"] == ["masked"]
+    assert paths["live_grouped"] == ["grouped"]
+    assert paths["live_positional"] == ["positional"]
 
 
 def test_no_hashjoin_on_a_datavector_and_no_string_decode_in_multiplex(

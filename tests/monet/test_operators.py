@@ -348,6 +348,71 @@ def test_aggregate_all_empty():
     assert ops.aggregate_all("min", bat) is None
 
 
+def test_grouped_long_sum_is_exact_at_the_int64_minimum():
+    # the exactness bound is |v| * n in Python ints: abs(-2**63) wraps
+    # in int64 and used to send this group down the float64 bincount
+    ab = bat_from_pairs("oid", "long", [(0, -2 ** 63), (0, 1), (1, 5)])
+    assert ops.set_aggregate("sum", ab).to_pairs() == [(0, -2 ** 63 + 1),
+                                                       (1, 5)]
+
+
+def test_aggregate_all_long_sum_is_exact():
+    # float64 cannot hold 2**53 + 1; the sum of integer atoms is exact
+    # in int64, and in Python ints past it
+    assert ops.aggregate_all("sum", bat_from_pairs(
+        "oid", "long", [(0, 2 ** 53), (1, 1)])) == 2 ** 53 + 1
+    assert ops.aggregate_all("sum", bat_from_pairs(
+        "oid", "long", [(0, 2 ** 62), (1, 2 ** 62), (2, 2 ** 62)])) \
+        == 3 * 2 ** 62
+    assert ops.aggregate_all("sum", bat_from_pairs(
+        "oid", "int", [(0, -3), (1, 1)])) == -2
+
+
+def test_group_constant_min_max_keep_the_tie_rule():
+    # every tail equals its group's first key: min is the first
+    # position's value, max the last one's (-0.0 and 0.0 are equal
+    # keys with different bytes); a NaN key never takes the shortcut
+    ab = bat_from_pairs("oid", "double",
+                        [(1, -0.0), (2, 7.5), (1, 0.0), (2, 7.5)])
+    low = ops.set_aggregate("min", ab).tail.logical()
+    high = ops.set_aggregate("max", ab).tail.logical()
+    assert [repr(v) for v in low.tolist()] == ["-0.0", "7.5"]
+    assert [repr(v) for v in high.tolist()] == ["0.0", "7.5"]
+    nan = bat_from_pairs("oid", "double", [(1, float("nan")), (1, 2.0)])
+    assert ops.set_aggregate("min", nan).tail.logical().tolist() == [2.0]
+
+
+def test_count_and_avg_reuse_the_cached_group_counts():
+    ab = bat_from_pairs("oid", "double",
+                        [(2, 1.0), (1, 2.0), (2, 3.0), (2, 5.0)])
+    counts = ops.set_aggregate("count", ab)
+    assert counts.to_pairs() == [(1, 1), (2, 3)]
+    assert ab.head.grouping[3] is counts.tail.logical()
+    assert ops.set_aggregate("avg", ab).to_pairs() == [(1, 2.0), (2, 3.0)]
+
+
+def test_semijoin_on_a_dense_head_answers_by_position():
+    # heads 10..14 in order, keys: a dense range; right keys out of
+    # range, duplicated and unordered
+    ab = _bat([(10, 0), (11, 1), (12, 2), (13, 3), (14, 4)])
+    cd = bat_from_pairs("oid", "int",
+                        [(14, 0), (9, 0), (12, 0), (14, 0), (99, 0)])
+    out = ops.semijoin(ab, cd)
+    assert out.to_pairs() == [(12, 2), (14, 4)]
+    verify(out)
+    assert ops.semijoin(ab, _bat([])).to_pairs() == []
+
+
+def test_semijoin_through_a_cached_grouping():
+    ab = bat_from_pairs("oid", "int", [(3, 0), (1, 1), (3, 2), (2, 3)])
+    ops.set_aggregate("count", ab)            # caches the head grouping
+    assert ab.head.grouping is not None
+    out = ops.semijoin(ab, _bat([(3, 0), (2, 0)]))
+    assert out.to_pairs() == [(3, 0), (3, 2), (2, 3)]
+    every = ops.semijoin(ab, _bat([(1, 0), (2, 0), (3, 0)]))
+    assert every.head is ab.head and every.tail is ab.tail
+
+
 def test_unknown_aggregate():
     ab = _bat([(1, 1)])
     with pytest.raises(OperatorError):

@@ -31,14 +31,14 @@ import contextlib
 import numpy as np
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
-from repro.monet import (MILInterpreter, MILProgram, Var,
-                         bat_from_columns_values, compute_props,
-                         dispatch_disabled)
+from repro.monet import (BAT, MILInterpreter, MILProgram, Var,
+                         bat_dense_head, bat_from_columns_values,
+                         compute_props, dispatch_disabled)
 from repro.monet import operators as ops
 from repro.monet import vectorized as vz
-from repro.monet.column import equality_keys
+from repro.monet.column import column_from_values, equality_keys
 from repro.monet.multiproc import result_checksum
 from repro.monet.operators import naive
 
@@ -159,6 +159,44 @@ def naive_aggregate(func, ab):
         else:
             out_tails.append(max(members))
     return out_heads, np.asarray(out_tails)
+
+
+def naive_extreme(func, ab):
+    """Grouped min/max with the kernels' tie rule: the first position
+    among tied minima, the last among tied maxima; NaN ranks above
+    every number and ties with NaN (the stable float argsort)."""
+    heads, tails = _buns(ab)
+    keys = heads.tolist()
+    values = tails.tolist() if tails.dtype != object else list(tails)
+
+    def rank(value):
+        if isinstance(value, float):
+            return (1, 0.0) if value != value else (0, value)
+        return (0, value)
+
+    best = {}
+    for pos, (key, value) in enumerate(zip(keys, values)):
+        if key not in best:
+            best[key] = pos
+            continue
+        held, new = rank(values[best[key]]), rank(value)
+        if (new < held) if func == "min" else (new >= held):
+            best[key] = pos
+    chosen = [best[key] for key in sorted(best)]
+    first = {}
+    for pos, key in enumerate(keys):
+        first.setdefault(key, pos)
+    return heads[[first[key] for key in sorted(best)]], tails[chosen]
+
+
+def naive_group2(grp, cd):
+    """Codes of (group, refining key) pairs in sorted pair order, the
+    refining keys coded first (NaN keys pairwise distinct)."""
+    right, _n = naive_group_codes(cd.tail.keys())
+    pairs = list(zip(grp.tail.logical().tolist(), right.tolist()))
+    rank = {pair: code for code, pair in enumerate(sorted(set(pairs)))}
+    return _buns(grp)[0], np.asarray([rank[p] for p in pairs],
+                                     dtype=np.int64)
 
 
 def _pairs(bat):
@@ -364,6 +402,122 @@ def test_aggregate_differential_int(keys, func, floats_tail):
         (func == "sum" and not floats_tail)
     _assert_matches_naive(lambda: ops.set_aggregate(func, ab),
                        naive_aggregate(func, ab), exact=exact)
+
+
+#: per-atom tail values of the group-constant fuzz; a 0.0 group mixes
+#: -0.0 and 0.0 rows (equal keys, different bytes)
+_CONSTANT_POOLS = {
+    "long": st.sampled_from([-2 ** 63, -1, 0, 5, 2 ** 63 - 1]),
+    "double": st.sampled_from([-1.5, 0.0, 2.0, 1e300, float("nan")]),
+    "string": strings,
+}
+
+
+@st.composite
+def group_constant_tails(draw):
+    """``(atom, heads, tails)`` whose tails are constant per head group
+    — the shape of a key extraction — or, when ``broken``, with one row
+    changed, so the group-constant test has to fail over to the
+    scatter-reduce."""
+    atom = draw(st.sampled_from(sorted(_CONSTANT_POOLS)))
+    pool = _CONSTANT_POOLS[atom]
+    heads = draw(st.lists(ints, min_size=1, max_size=24))
+    value = {head: draw(pool) for head in sorted(set(heads))}
+    tails = []
+    for head in heads:
+        tail = value[head]
+        if atom == "double" and tail == 0.0:
+            tail = draw(st.sampled_from([-0.0, 0.0]))
+        tails.append(tail)
+    if draw(st.booleans()):
+        tails[draw(st.integers(0, len(tails) - 1))] = draw(pool)
+    return atom, heads, tails
+
+
+@given(group_constant_tails(), st.sampled_from(["min", "max"]))
+@example(("double", [1, 2, 1, 1], [-0.0, 2.0, -0.0, 0.0]), "max")
+@example(("double", [1, 2, 1, 1], [0.0, 2.0, -0.0, -0.0]), "min")
+@example(("double", [3, 3], [float("nan"), float("nan")]), "max")
+@settings(**SETTINGS)
+def test_group_constant_extremes_differential(case, func):
+    atom, heads, tails = case
+    ab = _bat("long", heads, atom, tails)
+    _assert_matches_naive(lambda: ops.set_aggregate(func, ab),
+                          naive_extreme(func, ab))
+
+
+@pytest.mark.parametrize("func", ["min", "max"])
+def test_group_constant_test_reads_past_its_probe(func):
+    # 3000 rows in 3 groups, constant but for one row far past the
+    # probed prefix: the whole-column comparison must catch it
+    heads = [pos % 3 for pos in range(3000)]
+    tails = [float(head) for head in heads]
+    tails[2500] = -7.0 if func == "min" else 9.0
+    ab = _bat("long", heads, "double", tails)
+    _assert_matches_naive(lambda: ops.set_aggregate(func, ab),
+                          naive_extreme(func, ab))
+    assert ops.set_aggregate(func, ab).tail.logical()[2500 % 3] == \
+        tails[2500]
+
+
+@st.composite
+def dense_semijoins(draw):
+    """``(left, right)``: a left operand whose head is a dense oid range
+    at a non-zero seqbase — stored, or void — against right keys below,
+    inside and past that range, duplicated, or none at all."""
+    base = draw(st.sampled_from([7, 120_000, 2 ** 40]))
+    n = draw(st.integers(1, 40))
+    tails = column_from_values("long", [v * 3 for v in range(n)])
+    if draw(st.booleans()):
+        left = bat_dense_head(tails, seqbase=base)
+    else:
+        left = BAT(column_from_values("oid", range(base, base + n)), tails)
+        left.props = compute_props(left)
+    keys = draw(st.lists(st.integers(base - 3, base + n + 3), max_size=24))
+    right = _bat("long", keys, "long", _heads(len(keys)),
+                 props=draw(st.booleans()))
+    return left, right
+
+
+@given(dense_semijoins())
+@settings(**SETTINGS)
+def test_dense_head_semijoin_differential(case):
+    left, right = case
+    _assert_matches_naive(lambda: ops.semijoin(left, right),
+                          naive_semijoin(left, right))
+
+
+@given(int_lists, int_lists, st.booleans())
+@settings(**SETTINGS)
+def test_grouped_head_semijoin_differential(left, right, superset):
+    ab = _bat("long", left, "long", _heads(len(left)))
+    ops.set_aggregate("count", ab)         # caches the head's grouping
+    keys = right + left if superset else right
+    cd = _bat("long", keys, "long", _heads(len(keys)))
+    _assert_matches_naive(lambda: ops.semijoin(ab, cd),
+                          naive_semijoin(ab, cd))
+
+
+#: refining keys: a compact span, and one too wide for a table
+_refining_keys = st.one_of(
+    st.lists(ints, min_size=24, max_size=24),
+    st.lists(st.sampled_from([-2 ** 62, -5, 0, 2 ** 40, 2 ** 62]),
+             min_size=24, max_size=24))
+
+
+@given(int_lists, _refining_keys, st.booleans())
+@settings(**SETTINGS)
+def test_group2_differential(left, refining, synced):
+    ab = _bat("oid", _heads(len(left)), "long", left, props=True)
+    grp = ops.group1(ab)
+    tail = column_from_values("long", refining[:len(left)])
+    if synced:
+        cd = BAT(ab.head, tail, alignment=ab.alignment)
+    else:
+        cd = BAT(column_from_values("oid", _heads(len(left))), tail)
+        cd.props = compute_props(cd)
+    _assert_matches_naive(lambda: ops.group2(grp, cd),
+                          naive_group2(grp, cd))
 
 
 @given(int_lists, int_lists)

@@ -347,8 +347,9 @@ def test_factorize_and_first_occurrence_across_the_span_boundary(keys):
     assert np.array_equal(np.unique(keys)[codes], keys)
     assert np.array_equal(vz.first_occurrence(keys),
                           naive.first_occurrence(keys))
-    grouped_codes, first_pos, grouped_n = vz.grouping(keys)
+    grouped_codes, first_pos, grouped_n, counts = vz.grouping(keys)
     assert np.array_equal(grouped_codes, codes) and grouped_n == n
+    assert np.array_equal(counts, np.bincount(codes, minlength=n))
     assert np.array_equal(np.sort(first_pos),
                           naive.first_occurrence(keys))
     assert np.array_equal(codes[first_pos], np.arange(n))
