@@ -270,7 +270,7 @@ class Materializer:
     def _lookup(self, source, ids):
         """Tail values of the head-unique BAT ``source`` at ``ids``."""
         bat = resolve_source(source, self.resolver)
-        heads = bat.head.logical()
+        heads = bat.head.keys()
         if len(heads) == len(ids) and (heads == ids).all():
             # synchronous with the asking set and in its order: the
             # tail already is the answer

@@ -197,10 +197,7 @@ def _contains(column, value):
     encoded = column.encode(value)
     if encoded is None:
         return False
-    keys = column.keys()
-    if keys.dtype == object:
-        return value in set(keys)
-    return bool(np.any(keys == encoded))
+    return bool(np.any(column.keys() == encoded))
 
 
 # ----------------------------------------------------------------------

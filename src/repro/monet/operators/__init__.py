@@ -56,8 +56,9 @@ group        unary/binary       factorised int codes: a presence table
                                 a compact refining key joins the pair code
                                 as ``key - min`` directly; the operand's
                                 head column is shared, not copied
-unique/      code path          int64 BUN pair codes; first-occurrence
-union                           order preserved
+unique/      code path          dense BUN codes (head codes refined by
+union                           the tail keys); first occurrences from
+                                their grouping, in BUN order
 multiplex    heap codes         one BAT operand with a string tail: the
                                 function once per distinct heap value
                                 present, then one gather by heap index

@@ -212,7 +212,7 @@ def aggregate_all(func, ab):
             values = np.asarray(ab.tail.logical(), dtype=np.float64)
             total = float(values.sum())
             return total if func == "sum" else total / n
-        ranks = np.asarray(ab.tail.order_keys())
-        position = int(np.argmin(ranks) if func == "min"
-                       else np.argmax(ranks))
+        # one group: the tie and NaN rules of the grouped {min}/{max}
+        position = grouped_extreme(func, ab.tail.order_keys(),
+                                   np.zeros(n, dtype=np.int64), 1)[0]
         return ab.tail.value(position)

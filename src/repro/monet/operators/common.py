@@ -2,8 +2,6 @@
 
 from ...errors import OperatorError
 from ..bat import BAT
-from ..vectorized import MultiMap
-from ..vectorized import factorize as _factorize
 
 
 def subsequence_props(ab):
@@ -30,21 +28,6 @@ def take_subsequence(ab, positions, name=None):
     out = ab.take(positions, name=name)
     out.props = subsequence_props(ab)
     return out
-
-
-def factorize(keys):
-    """(codes, n_distinct): dense int codes per distinct key, sorted order."""
-    return _factorize(keys)
-
-
-def build_multimap(keys):
-    """Positions-by-key :class:`~repro.monet.vectorized.MultiMap`.
-
-    Array-backed (argsort + searchsorted) for fixed-width keys, dict
-    backed for object keys; shared by join and pairjoin so the per-BUN
-    dict build exists in exactly one place.
-    """
-    return MultiMap(keys)
 
 
 def require_nonempty_signature(ab, cd, op):

@@ -40,8 +40,8 @@ from ..buffer import get_manager
 from ..column import FixedColumn
 from ..optimizer import get_optimizer
 from ..properties import Props, synced
-from ..vectorized import refine_codes
-from .common import factorize, result_bat
+from ..vectorized import factorize, refine_codes
+from .common import result_bat
 from .join import join_positions
 
 

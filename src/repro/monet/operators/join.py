@@ -47,9 +47,9 @@ from ..buffer import get_manager
 from ..column import column_from_values, equality_keys
 from ..optimizer import get_optimizer
 from ..properties import Props, mirror_alignment
-from ..vectorized import (combine_codes_pair, joint_codes, key_lookup,
-                          key_table, sorted_lookup)
-from .common import build_multimap, require_nonempty_signature, result_bat
+from ..vectorized import (MultiMap, factorize, key_lookup, key_table,
+                          refine_codes, sorted_lookup)
+from .common import require_nonempty_signature, result_bat
 
 
 def join(ab, cd, name=None):
@@ -93,7 +93,7 @@ def join_positions(ab, cd):
     the aligned multiplex.
     """
     left_keys, right_keys = equality_keys(ab.tail, cd.head)
-    return build_multimap(right_keys).match(left_keys)
+    return MultiMap(right_keys).match(left_keys)
 
 
 def pairjoin(operands, name=None):
@@ -116,7 +116,7 @@ def pairjoin(operands, name=None):
         right_ids, right_gather = _side_alignment(rights, manager)
         left_codes, right_codes = _composite_codes(
             lefts, left_gather, rights, right_gather)
-        left_pos, right_pos = build_multimap(right_codes).match(left_codes)
+        left_pos, right_pos = MultiMap(right_codes).match(left_codes)
         out_left = left_ids[left_pos]
         out_right = right_ids[right_pos]
     head = column_from_values("oid", out_left)
@@ -141,41 +141,35 @@ def _side_alignment(key_bats, manager):
             raise OperatorError("pairjoin key columns must be "
                                 "head-unique")
         first_keys, bat_keys = equality_keys(first.head, bat.head)
-        gathers.append(build_multimap(bat_keys).lookup_first(first_keys))
+        gathers.append(MultiMap(bat_keys).lookup_first(first_keys))
     return ids, gathers
 
 
 def _composite_codes(lefts, left_gather, rights, right_gather):
     """Dense int64 composite-key code per element, both sides jointly.
 
-    Key columns are factorised slot by slot through a coding shared by
-    the two sides (equal values — across heaps too — get equal codes);
-    a missing head gets the per-slot sentinel code, matching the old
-    ``None`` tuple component.  Slot codes are combined and re-densified
-    pairwise, so the composite stays within int64 regardless of arity.
+    Each slot's keys are factorised over the concatenation of the two
+    sides, so equal values — across heaps too — get equal codes; a
+    missing head gets the per-slot sentinel code, matching the old
+    ``None`` tuple component, so two missing heads still match.  The
+    slot codes refine one another slot by slot (:func:`refine_codes`),
+    which keeps the composite dense whatever the arity, and the result
+    is split at the left length.
     """
     manager = get_manager()
-    total_left = total_right = None
+    n_left = len(left_gather[0])
+    codes = None
     for slot, (lbat, rbat) in enumerate(zip(lefts, rights)):
         manager.access_column(lbat.tail)
         manager.access_column(rbat.tail)
         lraw, rraw = equality_keys(lbat.tail, rbat.tail)
         lkeys, lmissing = _gather_keys(lraw, left_gather[slot])
         rkeys, rmissing = _gather_keys(rraw, right_gather[slot])
-        lcodes, rcodes, n = joint_codes(lkeys, rkeys)
-        lcodes[lmissing] = n
-        rcodes[rmissing] = n
-        if total_left is None:
-            total_left, total_right = lcodes, rcodes
-        else:
-            # the pair form keeps the two sides jointly coded even when
-            # the mixed-radix product would overflow int64 on wide
-            # composite keys (it then factorises the pairs jointly)
-            total_left, total_right, _domain = combine_codes_pair(
-                total_left, lcodes, total_right, rcodes, n + 1)
-            total_left, total_right, _n = joint_codes(
-                total_left, total_right)
-    return total_left, total_right
+        slot_codes, n = factorize(np.concatenate([lkeys, rkeys]))
+        slot_codes[np.concatenate([lmissing, rmissing])] = n
+        codes = slot_codes if codes is None \
+            else refine_codes(codes, slot_codes)[0]
+    return codes[:n_left], codes[n_left:]
 
 
 def _gather_keys(raw, positions):

@@ -15,26 +15,26 @@ import numpy as np
 
 
 def _items(keys):
-    if getattr(keys, "dtype", None) == object:
-        return enumerate(keys)
-    return enumerate(keys.tolist())
+    """(position, key) pairs with the keys as Python values, so ints
+    compare exactly and strings keep their own equality."""
+    return enumerate(np.asarray(keys).tolist())
 
 
 def build_multimap(keys):
     """dict key -> list of positions, over an equality-key array."""
     table = {}
-    for pos, key in _items(np.asarray(keys)):
+    for pos, key in _items(keys):
         table.setdefault(key, []).append(pos)
     return table
 
 
-def join_match(left_keys, right_keys):
+def match(left_keys, right_keys):
     """(left_pos, right_pos) per matching pair; left-major, rights in
     build (ascending position) order."""
     table = build_multimap(right_keys)
     lefts = []
     rights = []
-    for pos, key in _items(np.asarray(left_keys)):
+    for pos, key in _items(left_keys):
         hits = table.get(key)
         if hits:
             lefts.extend([pos] * len(hits))
@@ -45,23 +45,16 @@ def join_match(left_keys, right_keys):
 
 def membership_mask(left_keys, right_keys):
     """Per-BUN set probe membership test."""
-    left_keys = np.asarray(left_keys)
-    members = set(np.asarray(right_keys).tolist()
-                  if getattr(right_keys, "dtype", None) != object
-                  else right_keys)
-    return np.fromiter((k in members for k in _values(left_keys)),
+    members = {key for _pos, key in _items(right_keys)}
+    return np.fromiter((key in members for _pos, key in _items(left_keys)),
                        dtype=bool, count=len(left_keys))
-
-
-def _values(keys):
-    return keys if keys.dtype == object else keys.tolist()
 
 
 def first_occurrence(codes):
     """First-occurrence positions of each code, in BUN order."""
     seen = set()
     positions = []
-    for pos, code in _items(np.asarray(codes)):
+    for pos, code in _items(codes):
         if code not in seen:
             seen.add(code)
             positions.append(pos)
@@ -85,8 +78,8 @@ def grouped_extreme(func, ranks, codes, n_groups):
     -0.0 ties 0.0.  A group no BUN reaches keeps ``-1``."""
     best = [None] * int(n_groups)
     positions = [-1] * int(n_groups)
-    for pos, (rank, code) in enumerate(zip(_values(np.asarray(ranks)),
-                                           np.asarray(codes).tolist())):
+    for (pos, rank), code in zip(_items(ranks),
+                                 np.asarray(codes).tolist()):
         key = (1, 0) if rank != rank else (0, rank)
         held = best[code]
         if held is None or (key < held if func == "min" else key >= held):
@@ -101,7 +94,7 @@ def factorize(keys):
     group kernels rely on)."""
     table = {}
     codes = np.empty(len(keys), dtype=np.int64)
-    for pos, key in _items(np.asarray(keys)):
+    for pos, key in _items(keys):
         code = table.get(key)
         if code is None:
             code = table[key] = len(table)
@@ -113,7 +106,7 @@ def lookup_first(right_keys, probe_keys):
     """First-match position per probe key, -1 when absent."""
     table = build_multimap(right_keys)
     out = np.full(len(probe_keys), -1, dtype=np.int64)
-    for pos, key in _items(np.asarray(probe_keys)):
+    for pos, key in _items(probe_keys):
         hits = table.get(key)
         if hits:
             out[pos] = hits[0]

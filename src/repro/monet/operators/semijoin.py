@@ -155,9 +155,8 @@ def _grouped_members(ab, cd):
 
 def _member_mask(ab, cd):
     """Per left row: is its head a right key?  Compact integer keys
-    (oids inside a class extent) probe a bool table; other fixed-width
-    keys a binary search over the sorted right keys; object keys the
-    per-BUN Python set."""
+    (oids inside a class extent) probe a bool table; other keys a
+    binary search over the sorted right keys."""
     return membership_mask(*equality_keys(ab.head, cd.head))
 
 

@@ -9,13 +9,12 @@ the head-wise ``antijoin`` and ``semijoin``, followed by ``unique``.
 First-occurrence order is preserved, so ordered/key properties of the
 operand survive.
 
-BUNs are compared through dense int64 *pair codes* (head and tail
-equality keys factorised, then combined into one code per BUN — see
-:mod:`repro.monet.vectorized`), so the dedup scan runs over contiguous
-arrays (first occurrences from a direct-address table over compact
-codes, else ``np.unique``) instead of per-BUN Python set probes.
-Object-dtype keys (never produced by the column layouts, which compare
-var atoms on heap indices) fall back to the tuple-and-set path.
+BUNs are compared through dense int64 *BUN codes*: the head keys'
+codes refined by the tail keys (:func:`~repro.monet.vectorized.refine_codes`,
+the one coding of composite keys), so the dedup scan runs over
+contiguous arrays — the first occurrences are the first positions of
+the codes' grouping, from a direct-address table — instead of per-BUN
+Python set probes.
 
 NaN tails follow IEEE semantics, exactly like the join/semijoin
 kernels and the tuple-and-set reference: a NaN equals nothing, itself
@@ -28,28 +27,9 @@ import numpy as np
 
 from ..buffer import get_manager
 from ..optimizer import get_optimizer
-from ..vectorized import combine_codes, factorize, first_occurrence
+from ..vectorized import factorize, grouping, refine_codes
 from .common import take_subsequence
 from ..bat import concat_bats
-
-
-def _bun_codes(ab):
-    """Per-BUN int64 pair codes: equal codes mean equal (head, tail)
-    BUN pairs.  ``None`` for object-dtype keys (use
-    :func:`_pair_keys`)."""
-    hk, tk = ab.head.keys(), ab.tail.keys()
-    if hk.dtype == object or tk.dtype == object:
-        return None
-    h_codes, _n_h = factorize(hk)
-    t_codes, n_t = factorize(tk)
-    return combine_codes(h_codes, t_codes, n_t)
-
-
-def _pair_keys(ab):
-    """Tuple pair-keys fallback for object-dtype equality keys."""
-    hk, tk = ab.head.keys(), ab.tail.keys()
-    return list(zip(hk.tolist() if hk.dtype != object else hk,
-                    tk.tolist() if tk.dtype != object else tk))
 
 
 def unique(ab, name=None):
@@ -66,17 +46,9 @@ def unique(ab, name=None):
     optimizer.record("unique", "hash")
     with manager.operator("unique"):
         manager.access_bat(ab)
-        codes = _bun_codes(ab)
-        if codes is not None:
-            positions = first_occurrence(codes)
-        else:
-            seen = set()
-            positions = []
-            for pos, pair in enumerate(_pair_keys(ab)):
-                if pair not in seen:
-                    seen.add(pair)
-                    positions.append(pos)
-            positions = np.asarray(positions, dtype=np.int64)
+        codes, _n = refine_codes(factorize(ab.head.keys())[0],
+                                 ab.tail.keys())
+        positions = np.sort(grouping(codes)[1])
     return take_subsequence(ab, positions, name=name)
 
 

@@ -117,8 +117,6 @@ def _is_ordered(keys):
 def _is_key(keys):
     if len(keys) <= 1:
         return True
-    if keys.dtype == object:
-        return len(set(keys)) == len(keys)
     # a strictly increasing column is a key, which O(n) settles for
     # every extent and loaded oid head; anything else (NaN included)
     # takes the sort

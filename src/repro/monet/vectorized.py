@@ -8,11 +8,8 @@ This module is the single home for the array-native primitives the
 operator layer dispatches onto:
 
 * :class:`MultiMap` — positions-by-key lookup built once per inner
-  operand (argsort + ``searchsorted`` for fixed-width keys, a dict for
-  object keys), replacing the per-BUN dict builds that used to live in
-  ``operators/common.py`` and ``operators/join.py``.
-* :func:`join_match` — equi-join position matching in left-major
-  order, fully vectorised for fixed-width keys.
+  operand (argsort + ``searchsorted``, plus a direct-address bucket
+  table for compact integer keys): the join and pairjoin matches.
 * :func:`key_table` / :func:`key_lookup` — a direct-address slot
   array over *unique* integer keys with a compact range: a probe is a
   subtraction and a gather (the key joins).
@@ -23,22 +20,27 @@ operator layer dispatches onto:
   keys, a binary search into the sorted right keys otherwise;
   :func:`member_positions` answers it by position when the left keys
   are a dense range.
-* :func:`factorize` / :func:`grouping` / :func:`refine_codes` /
-  :func:`joint_codes` / :func:`first_occurrence` — dense integer coding
-  of key (pairs), the building block for group/aggregate/unique/set-op
-  kernels; compact integer keys are coded by direct address, without a
-  sort, and only :func:`grouping` pays for first positions and counts.
+* :func:`factorize` / :func:`grouping` / :func:`refine_codes` — dense
+  integer coding of keys, the building block for the group, aggregate,
+  unique and pairjoin kernels.  A composite key is coded one way: the
+  codes of its first part refined by each further part; compact
+  integer keys are coded by direct address, without a sort, and only
+  :func:`grouping` pays for first positions and counts.
 * :func:`grouped_sum` — exact per-group sums via stable argsort +
   ``np.add.reduceat``.
 * :func:`grouped_extreme` — per-group min/max positions, an O(n)
   scatter-reduce over integer ranks.
 
-Every kernel keeps a slow-path fallback for ``object``-dtype keys
-(variable-size atoms normally compare on heap *indices*, so the
-fallback only triggers for exotic key arrays), and each fast path is
-BUN-for-BUN order-identical to the naive implementation it replaced:
-left-major match order, ascending inner positions per key,
-first-occurrence semantics for deduplication.
+Every key a kernel takes comes from a column's ``keys()`` or from
+:func:`~repro.monet.column.equality_keys`: a ``bool``, ``int16``,
+``int32``, ``int64`` or ``float32``/``float64`` array (var atoms
+compare on their int32/int64 heap indices).  That is the kernels' one
+precondition, and no kernel re-checks it: every integer key fits int64,
+so direct-address offsets are exact, and any two operands compare
+exactly under numpy's common type.  Each fast path is BUN-for-BUN
+order-identical to the naive implementation it replaced: left-major
+match order, ascending inner positions per key, first-occurrence
+semantics for deduplication.
 
 NaN keys follow IEEE semantics *everywhere*: a NaN never equals
 anything, itself included — matching both the clipped-prefix probes of
@@ -46,12 +48,6 @@ anything, itself included — matching both the clipped-prefix probes of
 NaN objects as distinct keys).  The coded paths enforce this by
 masking NaN keys to their own fresh codes instead of letting
 ``np.unique`` collapse them (its ``equal_nan`` default).
-
-Integer keys compare exactly, whatever their dtypes: every
-direct-address table shares one compactness rule (:func:`_table_span`)
-that refuses keys past int64, offsets are computed so they cannot wrap
-(:func:`_offsets`), and a signed operand against a ``uint64`` one —
-whose common numpy type is float64 — takes the exact Python-int path.
 
 Every kernel runs in the calling thread.  Parallelism lives one level
 up, in worker processes (:mod:`repro.monet.multiproc`): splitting one
@@ -70,30 +66,11 @@ import os
 import numpy as np
 
 __all__ = [
-    "MultiMap", "join_match", "key_table", "key_lookup", "sorted_lookup",
+    "MultiMap", "key_table", "key_lookup", "sorted_lookup",
     "membership_mask", "member_positions", "factorize", "grouping",
-    "refine_codes",
-    "joint_codes", "combine_codes", "combine_codes_pair",
-    "first_occurrence", "grouped_sum", "grouped_weighted_sum",
+    "refine_codes", "grouped_sum", "grouped_weighted_sum",
     "grouped_extreme", "pin_malloc_thresholds",
 ]
-
-
-def _is_object(keys):
-    return getattr(keys, "dtype", None) == object
-
-
-def _mixed_sign(left, right):
-    """True for integer operands with no exact common dtype (a signed
-    one against ``uint64``: numpy would compare them as float64)."""
-    return (left.dtype.kind in "iu" and right.dtype.kind in "iu"
-            and np.result_type(left.dtype, right.dtype).kind == "f")
-
-
-def _python_keys(keys):
-    """Keys as hashable values that compare exactly (Python ints for
-    integer arrays); object arrays pass through."""
-    return keys if _is_object(keys) else keys.tolist()
 
 
 #: Direct-address tables are built when the integer key domain spans at
@@ -101,79 +78,58 @@ def _python_keys(keys):
 _DENSE_FLOOR = 1 << 16
 _DENSE_FACTOR = 4
 
-#: Largest int64; keys beyond it never get a direct-address table.
-_INT64_MAX = np.iinfo(np.int64).max
-
 
 def _table_span(lo, hi, n):
     """Size of a direct-address table over integer keys in ``[lo, hi]``
     serving ``n`` keys, or ``None`` when no table should be built.
 
     The one compactness rule of this module: the span may not exceed
-    ``max(_DENSE_FLOOR, _DENSE_FACTOR * n)``, and keys past int64 (only
-    ``uint64`` has them) never qualify, so :func:`_offsets` is exact.
+    ``max(_DENSE_FLOOR, _DENSE_FACTOR * n)``.
     """
-    lo, hi = int(lo), int(hi)
-    span = hi - lo + 1
-    if hi > _INT64_MAX or span > max(_DENSE_FLOOR, _DENSE_FACTOR * n):
+    span = int(hi) - int(lo) + 1
+    if span > max(_DENSE_FLOOR, _DENSE_FACTOR * n):
         return None
     return span
 
 
 def _offsets(keys, base, span):
     """Table index per integer key: ``key - base`` for keys inside
-    ``[base, base + span)``, else ``span`` (the sentinel slot).
+    ``[base, base + span)``, else ``-1`` or ``span``.
 
-    Exact for every integer dtype.  ``base`` and ``base + span - 1``
-    lie in int64, so the wrapped int64 difference, read unsigned, is
-    below ``span`` exactly when the key is in range; ``uint64`` keys
-    past int64 are sent to the sentinel explicitly.
+    Every table here has ``span + 1`` slots, the last one the sentinel,
+    and numpy reads index ``-1`` as that last slot, so one clip sends
+    every key outside the range to the sentinel.  A difference that
+    wraps int64 lands outside ``[0, span)`` too: ``base + span - 1`` is
+    itself an int64, so no key outside the range can wrap into it.
     """
     index = keys.astype(np.int64, copy=False) - np.int64(base)
-    unsigned = index.view(np.uint64)
-    np.minimum(unsigned, np.uint64(span), out=unsigned)
-    if keys.dtype == np.uint64:
-        index[keys > np.uint64(_INT64_MAX)] = span
+    np.clip(index, -1, span, out=index)
     return index
 
 
 class MultiMap:
     """Positions-by-key lookup over one key array.
 
-    For fixed-width keys the map is *array-backed*: a stable argsort of
-    the keys plus the sorted key array, so that every probe is a pair
-    of binary searches and a slice — no Python-level hashing at all.
-    Integer keys whose value domain is compact additionally get a
-    *direct-address* table (per-key bucket boundaries indexed by
-    ``key - base``), turning whole-column probes into pure array
-    gathers — the positional-lookup trick Monet's void columns are
-    built on.  Object-dtype keys (only reachable through exotic key
-    arrays; var atoms compare on heap indices) fall back to a dict of
-    position lists.
+    The map is a stable argsort of the keys plus the sorted key array,
+    so that every probe is a pair of binary searches and a slice — no
+    Python-level hashing at all.  Integer keys whose value domain is
+    compact additionally get a *direct-address* table (per-key bucket
+    boundaries indexed by ``key - base``), turning whole-column probes
+    into pure array gathers — the positional-lookup trick Monet's void
+    columns are built on.
 
     Because the argsort is *stable*, positions of equal keys appear in
     ascending BUN order, exactly like the insertion-ordered dict the
     operators used to build — so match output order is unchanged.
     """
 
-    __slots__ = ("n_entries", "order", "sorted_keys", "table",
-                 "base", "starts", "_n_matchable")
+    __slots__ = ("n_entries", "order", "sorted_keys", "base", "starts",
+                 "ends", "_n_matchable")
 
     def __init__(self, keys):
         keys = np.asarray(keys)
         self.n_entries = len(keys)
-        self.base = None
-        self.starts = None
-        if _is_object(keys):
-            table = {}
-            for pos, key in enumerate(keys):
-                table.setdefault(key, []).append(pos)
-            self.table = table
-            self.order = None
-            self.sorted_keys = None
-            self._n_matchable = len(keys)
-            return
-        self.table = None
+        self.base = self.starts = self.ends = None
         self.order = np.argsort(keys, kind="stable")
         self.sorted_keys = keys[self.order]
         # NaN keys sort to the end; they must never match anything
@@ -189,28 +145,20 @@ class MultiMap:
             if span is not None:
                 counts = np.bincount(_offsets(self.sorted_keys, base, span),
                                      minlength=span)
+                bounds = np.cumsum(counts, dtype=np.int64)
                 self.base = base
-                # a trailing empty bucket answers the sentinel offset
-                self.starts = np.concatenate(
-                    ([0], np.cumsum(counts), [self.n_entries])
-                ).astype(np.int64)
-
-    @property
-    def vectorised(self):
-        return self.table is None
-
-    def _slow(self, probe_keys):
-        """True when probes must go through the exact dict path."""
-        return (self.table is not None or _is_object(probe_keys)
-                or _mixed_sign(self.sorted_keys, probe_keys))
+                # bucket i spans starts[i]:ends[i]; the trailing empty
+                # bucket answers the sentinel offset
+                self.starts = np.concatenate(([0], bounds))
+                self.ends = np.concatenate((bounds, [self.n_entries]))
 
     def _ranges(self, probe_keys):
         """(lo, hi) bucket bounds per probe; absent keys get empty
         ranges.  Direct-address for integer probes when the table
         exists, two binary searches otherwise."""
         if self.starts is not None and probe_keys.dtype.kind in "iu":
-            index = _offsets(probe_keys, self.base, len(self.starts) - 2)
-            return self.starts[index], self.starts[index + 1]
+            index = _offsets(probe_keys, self.base, len(self.starts) - 1)
+            return self.starts[index], self.ends[index]
         lo = np.minimum(np.searchsorted(self.sorted_keys, probe_keys,
                                         side="left"),
                         self._n_matchable)
@@ -226,14 +174,11 @@ class MultiMap:
         order with ascending match positions per probe — BUN-for-BUN
         the order the naive dict loop produced.
         """
-        probe_keys = np.asarray(probe_keys)
-        if self._slow(probe_keys):
-            return self._match_slow(probe_keys)
-        lo, hi = self._ranges(probe_keys)
+        lo, hi = self._ranges(np.asarray(probe_keys))
         counts = hi - lo
         total = int(counts.sum())
         probe_pos = np.repeat(
-            np.arange(len(probe_keys), dtype=np.int64), counts)
+            np.arange(len(counts), dtype=np.int64), counts)
         if total == 0:
             return probe_pos, np.empty(0, dtype=np.int64)
         # ramp[j] walks lo[i] .. hi[i]-1 for each surviving probe i
@@ -243,50 +188,16 @@ class MultiMap:
                 + np.repeat(lo.astype(np.int64), counts))
         return probe_pos, self.order[ramp].astype(np.int64)
 
-    def _as_table(self):
-        """Dict view of the mapping (for the exact slow path)."""
-        if self.table is not None:
-            return self.table
-        table = {}
-        for rank, key in enumerate(self.sorted_keys.tolist()):
-            table.setdefault(key, []).append(int(self.order[rank]))
-        return table
-
-    def _match_slow(self, probe_keys):
-        table = self._as_table()
-        lefts = []
-        rights = []
-        for pos, key in enumerate(_python_keys(probe_keys)):
-            hits = table.get(key)
-            if hits:
-                lefts.extend([pos] * len(hits))
-                rights.extend(hits)
-        return (np.asarray(lefts, dtype=np.int64),
-                np.asarray(rights, dtype=np.int64))
-
     def lookup_first(self, probe_keys):
         """First-match position per probe key, ``-1`` when absent."""
-        probe_keys = np.asarray(probe_keys)
-        out = np.full(len(probe_keys), -1, dtype=np.int64)
-        if self._slow(probe_keys):
-            table = self._as_table()
-            for pos, key in enumerate(_python_keys(probe_keys)):
-                hits = table.get(key)
-                if hits:
-                    out[pos] = hits[0]
-            return out
-        lo, hi = self._ranges(probe_keys)
+        lo, hi = self._ranges(np.asarray(probe_keys))
+        out = np.full(len(lo), -1, dtype=np.int64)
         found = hi > lo
         out[found] = self.order[lo[found]]
         return out
 
     def __len__(self):
         return self.n_entries
-
-
-def join_match(left_keys, right_keys):
-    """(left_pos, right_pos) of every equi-matching pair, left-major."""
-    return MultiMap(right_keys).match(left_keys)
 
 
 def key_table(keys):
@@ -313,7 +224,7 @@ def key_table(keys):
 def key_lookup(table, probe_keys):
     """``(probe_pos, key_pos)`` of the probes that hit a
     :func:`key_table`: one gather, probe order, at most one match each
-    — what :func:`join_match` returns against unique keys."""
+    — what :meth:`MultiMap.match` returns against unique keys."""
     base, slot = table
     found = slot[_offsets(np.asarray(probe_keys), base, len(slot) - 1)]
     probe_pos = np.nonzero(found >= 0)[0]
@@ -341,19 +252,13 @@ def membership_mask(left_keys, right_keys):
 
     Integer keys whose right-side span passes the compactness rule go
     through a direct-address bool table over that span (one scatter,
-    one gather).  Other fixed-width keys take one binary search per
-    left key over the right keys, sorted first unless one comparison
-    pass finds them ascending already.  Object keys and mixed-sign
-    integers keep the exact set probe.  NaN keys are members of nothing
-    on every path (IEEE semantics, like the set reference).
+    one gather).  Other keys take one binary search per left key over
+    the right keys, sorted first unless one comparison pass finds them
+    ascending already.  NaN keys are members of nothing on every path
+    (IEEE semantics, like the set reference).
     """
     left_keys = np.asarray(left_keys)
     right_keys = np.asarray(right_keys)
-    if (_is_object(left_keys) or _is_object(right_keys)
-            or _mixed_sign(left_keys, right_keys)):
-        members = set(_python_keys(right_keys))
-        return np.fromiter((k in members for k in _python_keys(left_keys)),
-                           dtype=bool, count=len(left_keys))
     if len(right_keys) == 0 or len(left_keys) == 0:
         return np.zeros(len(left_keys), dtype=bool)
     if left_keys.dtype.kind in "iu" and right_keys.dtype.kind in "iu":
@@ -374,7 +279,7 @@ def member_positions(base, n, keys):
     the integer ``keys``: membership in a dense key range ``base ..
     base + n - 1`` answered by position — one scatter of the keys into
     a bool table over the range, no gather over the range's own keys.
-    Keys outside the range (of any integer dtype) hit nothing.
+    Keys outside the range hit nothing.
     """
     table = np.zeros(n + 1, dtype=bool)
     table[_offsets(np.asarray(keys), base, n)] = True
@@ -445,11 +350,10 @@ def _table_codes(keys):
 
 
 def factorize(keys):
-    """(codes, n_distinct): dense int64 code per key.
+    """(codes, n_distinct): dense int64 code per key, numbered in
+    *sorted* distinct-key order (the contract the group operators rely
+    on for dense group oids).
 
-    Fixed-width keys get codes in *sorted* distinct-key order (the
-    contract the group operators rely on for dense group oids); object
-    keys get first-seen codes, which preserves equality but not order.
     Integer keys with a compact span are coded by direct address — a
     presence table over the span and a running count over it, no sort
     and no first positions (only :func:`grouping` needs those);
@@ -463,15 +367,6 @@ def factorize(keys):
     keys = np.asarray(keys)
     if len(keys) == 0:
         return np.empty(0, dtype=np.int64), 0
-    if _is_object(keys):
-        table = {}
-        codes = np.empty(len(keys), dtype=np.int64)
-        for pos, key in enumerate(keys):
-            code = table.get(key)
-            if code is None:
-                code = table[key] = len(table)
-            codes[pos] = code
-        return codes, len(table)
     table = _table_offsets(keys)
     if table is not None:
         offsets, span = table
@@ -496,7 +391,8 @@ def factorize(keys):
 def grouping(keys):
     """(codes, first_pos, n, counts): :func:`factorize` plus the first
     position and the row count of each code — the grouping a
-    set-aggregate derives from its head.
+    set-aggregate derives from its head, and the first occurrences
+    ``unique`` keeps.
 
     Compact integer keys take one direct-address pass; any other keys
     are factorized first (NaN keys pairwise distinct), and their dense
@@ -511,163 +407,33 @@ def grouping(keys):
 
 def refine_codes(high_codes, low_keys):
     """(codes, n): dense codes of the ``(high, low)`` pairs, numbered in
-    sorted pair order — the refinement of a binary ``group``.
+    sorted pair order — the refinement of a binary ``group``, and how
+    every composite key is coded.
 
-    ``high_codes`` are the codes of the groups so far.  When they are
-    non-negative (group oids are) and ``low`` is a compact integer key,
-    the key enters the mixed-radix code as ``key - min(low)`` directly
-    if the combined span is compact too: that map is monotone in the
-    key, so the dense codes equal those of factorizing the key first,
-    which every other key does.
+    ``high_codes`` are the codes of the groups so far; negative codes,
+    or a largest code at or past the row count, are factorized first,
+    which keeps their order.  The pair then enters
+    the mixed-radix code ``high * n_low + low``, bounded by rows², so it
+    cannot overflow int64.  A compact integer ``low`` key enters it as
+    ``key - min(low)`` directly if the combined span is compact too:
+    that map is monotone in the key, so the dense codes equal those of
+    factorizing the key first, which every other key does.
     """
     high_codes = np.asarray(high_codes, dtype=np.int64)
     low_keys = np.asarray(low_keys)
-    if len(high_codes) == 0:
+    n = len(high_codes)
+    if n == 0:
         return np.empty(0, dtype=np.int64), 0
+    n_high = int(high_codes.max()) + 1
+    if n_high > n or int(high_codes.min()) < 0:
+        high_codes, n_high = factorize(high_codes)
     table = _table_offsets(low_keys)
-    if table is not None and int(high_codes.min()) >= 0:
+    if table is not None:
         offsets, span = table
-        n_high = int(high_codes.max()) + 1
-        if _table_span(0, n_high * span - 1, len(offsets)) is not None:
+        if _table_span(0, n_high * span - 1, n) is not None:
             return factorize(high_codes * span + offsets)
     low_codes, n_low = factorize(low_keys)
-    return factorize(combine_codes(high_codes, low_codes, n_low))
-
-
-def joint_codes(left_keys, right_keys):
-    """(left_codes, right_codes, n): one coding shared by both arrays.
-
-    Equal keys receive equal codes across the two operands — the
-    cross-operand analogue of :func:`factorize`, used by the set
-    operations to compare BUNs of two BATs.  Codes are non-negative
-    and bounded by ``n`` but not necessarily dense: integer keys with
-    a compact value domain are *offset-coded* (``key - min``), which
-    skips the sort entirely.  Offset codes lie in ``[0, n)`` with ``n``
-    itself compact, so a later :func:`membership_mask` over them always
-    takes its table path.
-    """
-    left_keys = np.asarray(left_keys)
-    right_keys = np.asarray(right_keys)
-    n_left = len(left_keys)
-    total = n_left + len(right_keys)
-    if total == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), 0
-    if (_is_object(left_keys) or _is_object(right_keys)
-            or _mixed_sign(left_keys, right_keys)):
-        both = np.concatenate([left_keys.astype(object),
-                               right_keys.astype(object)])
-        codes, n = factorize(both)
-        return codes[:n_left], codes[n_left:], n
-    if left_keys.dtype.kind in "iu" and right_keys.dtype.kind in "iu":
-        bounds = [(int(a.min()), int(a.max()))
-                  for a in (left_keys, right_keys) if len(a)]
-        lo = min(b[0] for b in bounds)
-        domain = _table_span(lo, max(b[1] for b in bounds), total)
-        if domain is not None:
-            return (_offsets(left_keys, lo, domain),
-                    _offsets(right_keys, lo, domain), domain)
-    both = np.concatenate([left_keys, right_keys])
-    codes, n = factorize(both)
-    return codes[:n_left], codes[n_left:], n
-
-
-def _combine_overflows(max_high, n_low):
-    """True when ``high * n_low + low`` can exceed int64 for codes
-    bounded by ``max_high`` / ``n_low`` (checked in Python ints): the
-    mixed-radix arithmetic would wrap and alias distinct pairs."""
-    return (int(max_high) + 1) * int(n_low) - 1 > _INT64_MAX
-
-
-def _factorize_pairs(high_codes, low_codes):
-    """(codes, n): dense int64 codes over (high, low) pairs.
-
-    The overflow fallback for :func:`combine_codes`: a lexicographic
-    sort of the pairs plus a run-boundary scan.  Codes come out in
-    sorted (high, low) order — the same order the mixed-radix
-    arithmetic induces — so the fallback changes density, never
-    relative order.
-    """
-    order = np.lexsort((low_codes, high_codes))
-    sorted_high = high_codes[order]
-    sorted_low = low_codes[order]
-    fresh = np.empty(len(order), dtype=bool)
-    fresh[0] = True
-    fresh[1:] = ((sorted_high[1:] != sorted_high[:-1])
-                 | (sorted_low[1:] != sorted_low[:-1]))
-    compact = np.cumsum(fresh) - 1
-    codes = np.empty(len(order), dtype=np.int64)
-    codes[order] = compact
-    return codes, int(compact[-1]) + 1
-
-
-def combine_codes(high_codes, low_codes, n_low):
-    """One int64 code per row from two per-column codes.
-
-    Equality of the combined code is equality of the (high, low) pair;
-    ``n_low`` bounds the low codes (``max(low) < n_low``).  Wide
-    domains that would overflow int64 (offset-coded composites from
-    :func:`joint_codes` can reach ``2**63``) fall back to joint
-    factorization of the pairs — codes from *separate* calls are then
-    no longer comparable, so cross-operand callers must use
-    :func:`combine_codes_pair`.
-    """
-    high_codes = np.asarray(high_codes, dtype=np.int64)
-    low_codes = np.asarray(low_codes, dtype=np.int64)
-    n_low = max(1, int(n_low))
-    if len(high_codes) and _combine_overflows(high_codes.max(), n_low):
-        codes, _n = _factorize_pairs(high_codes, low_codes)
-        return codes
-    return high_codes * n_low + low_codes
-
-
-def combine_codes_pair(high_left, low_left, high_right, low_right,
-                       n_low):
-    """Combined (high, low) codes for two operands, jointly coded.
-
-    The cross-operand form of :func:`combine_codes`: equal pairs get
-    equal codes *across* the two operands (the property the set
-    operations compare BUNs with).  Returns ``(left, right, domain)``
-    with every code below ``domain``.  When the mixed-radix product
-    would overflow int64, both operands' pairs are factorised jointly
-    so the shared coding survives the fallback.
-    """
-    high_left = np.asarray(high_left, dtype=np.int64)
-    low_left = np.asarray(low_left, dtype=np.int64)
-    high_right = np.asarray(high_right, dtype=np.int64)
-    low_right = np.asarray(low_right, dtype=np.int64)
-    n_low = max(1, int(n_low))
-    max_high = 0
-    for side in (high_left, high_right):
-        if len(side):
-            max_high = max(max_high, int(side.max()))
-    if _combine_overflows(max_high, n_low):
-        n_left = len(high_left)
-        codes, n = _factorize_pairs(
-            np.concatenate([high_left, high_right]),
-            np.concatenate([low_left, low_right]))
-        return codes[:n_left], codes[n_left:], n
-    return (high_left * n_low + low_left,
-            high_right * n_low + low_right,
-            (max_high + 1) * n_low)
-
-
-def first_occurrence(codes):
-    """Positions of the first occurrence of each code, ascending.
-
-    The vectorised form of the ``seen``-set dedup loop: taking these
-    positions keeps first occurrences in original BUN order.  Compact
-    integer codes find them by direct address, others by ``np.unique``.
-    """
-    codes = np.asarray(codes)
-    if len(codes) == 0:
-        return np.empty(0, dtype=np.int64)
-    coded = _table_codes(codes)
-    if coded is not None:
-        first = coded[1]
-    else:
-        _uniq, first = np.unique(codes, return_index=True)
-    return np.sort(first).astype(np.int64)
+    return factorize(high_codes * n_low + low_codes)
 
 
 def grouped_sum(values, codes, n_groups):

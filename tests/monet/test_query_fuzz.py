@@ -81,7 +81,7 @@ def _assert_matches_naive(op_fn, expected_buns, exact=True):
 # naive engine: reference semantics from the BUN-at-a-time kernels
 # ----------------------------------------------------------------------
 def naive_join(ab, cd):
-    left, right = naive.join_match(*equality_keys(ab.tail, cd.head))
+    left, right = naive.match(*equality_keys(ab.tail, cd.head))
     heads, tails = _buns(ab)[0], _buns(cd)[1]
     return heads[left], tails[right]
 
@@ -716,8 +716,8 @@ def test_tpcd_string_keys_match_decoded_strings(tpcd_operands):
         codes = equality_keys(left, right)
         strings = [np.asarray(column.logical(), dtype=object)
                    for column in (left, right)]
-        for got, want in zip(vz.join_match(*codes),
-                             naive.join_match(*strings)):
+        for got, want in zip(vz.MultiMap(codes[1]).match(codes[0]),
+                             naive.match(*strings)):
             assert np.array_equal(got, want)
         assert np.array_equal(vz.membership_mask(*codes),
                               naive.membership_mask(*strings))

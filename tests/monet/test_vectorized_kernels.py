@@ -5,8 +5,8 @@ Python dict/set/loop implementations that now live on as executable
 references in :mod:`repro.monet.operators.naive`.  Hypothesis drives
 both over the same inputs and asserts BUN-for-BUN identical output —
 including match order, first-occurrence order, empty operands,
-all-duplicate keys, huge key spreads (which disable the direct-address
-table) and object-dtype keys (which exercise the dict fallback).
+all-duplicate keys and huge key spreads (which disable the
+direct-address table).
 
 A second block runs whole *operators* differentially across atom types
 (int, dbl, str/var-sized, oid/void heads), since the kernels only pay
@@ -16,7 +16,7 @@ off if the operator wiring preserved the algebra's semantics.
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.monet import (bat_dense_head, bat_from_pairs, compute_props,
                          verify)
@@ -30,16 +30,14 @@ _wide_ints = st.lists(
     st.integers(-2 ** 62, 2 ** 62) | st.integers(-50, 50), max_size=25)
 _floats = st.lists(st.floats(allow_nan=False, allow_infinity=False,
                              width=32), max_size=30)
-_strs = st.lists(st.sampled_from(["a", "b", "abc", "", "zz", "q"]),
-                 max_size=25)
 
 
 def _int_arr(values):
     return np.asarray(values, dtype=np.int64)
 
 
-def _obj_arr(values):
-    return np.asarray(values, dtype=object)
+def _match(left, right):
+    return vz.MultiMap(right).match(left)
 
 
 def _assert_same(pair_a, pair_b):
@@ -53,16 +51,16 @@ def _assert_same(pair_a, pair_b):
 @settings(max_examples=80, deadline=None)
 @given(_ints, _ints)
 def test_join_match_matches_naive(left, right):
-    _assert_same(vz.join_match(_int_arr(left), _int_arr(right)),
-                 naive.join_match(_int_arr(left), _int_arr(right)))
+    _assert_same(_match(_int_arr(left), _int_arr(right)),
+                 naive.match(_int_arr(left), _int_arr(right)))
 
 
 @settings(max_examples=40, deadline=None)
 @given(_wide_ints, _wide_ints)
 def test_join_match_wide_spread(left, right):
     # huge key spreads must not build (or mis-index) the dense table
-    _assert_same(vz.join_match(_int_arr(left), _int_arr(right)),
-                 naive.join_match(_int_arr(left), _int_arr(right)))
+    _assert_same(_match(_int_arr(left), _int_arr(right)),
+                 naive.match(_int_arr(left), _int_arr(right)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -70,16 +68,7 @@ def test_join_match_wide_spread(left, right):
 def test_join_match_floats(left, right):
     la = np.asarray(left, dtype=np.float64)
     ra = np.asarray(right, dtype=np.float64)
-    _assert_same(vz.join_match(la, ra), naive.join_match(la, ra))
-
-
-@settings(max_examples=40, deadline=None)
-@given(_strs, _strs)
-def test_join_match_object_fallback(left, right):
-    la, ra = _obj_arr(left), _obj_arr(right)
-    mm = vz.MultiMap(ra)
-    assert not mm.vectorised or len(right) == 0
-    _assert_same(mm.match(la), naive.join_match(la, ra))
+    _assert_same(_match(la, ra), naive.match(la, ra))
 
 
 def test_join_match_nan_never_matches():
@@ -87,8 +76,8 @@ def test_join_match_nan_never_matches():
     nan = float("nan")
     la = np.asarray([1.0, nan, 2.0], dtype=np.float64)
     ra = np.asarray([nan, 2.0, nan], dtype=np.float64)
-    _assert_same(vz.join_match(la, ra), naive.join_match(la, ra))
-    lp, rp = vz.join_match(la, ra)
+    _assert_same(_match(la, ra), naive.match(la, ra))
+    lp, rp = _match(la, ra)
     assert list(lp) == [2] and list(rp) == [1]
     mm = vz.MultiMap(ra)
     assert len(mm.match(np.asarray([nan]))[0]) == 0
@@ -96,25 +85,19 @@ def test_join_match_nan_never_matches():
                           naive.lookup_first(ra, la))
 
 
-def test_lookup_first_object_probes_on_array_map():
-    mm = vz.MultiMap(_int_arr([5, 7, 5, 9]))
-    probes = _obj_arr([7, 42])
-    assert list(mm.lookup_first(probes)) == [1, -1]
-
-
 def test_join_match_all_duplicates():
     left = _int_arr([7] * 10)
     right = _int_arr([7] * 8)
-    lp, rp = vz.join_match(left, right)
+    lp, rp = _match(left, right)
     assert len(lp) == 80
-    _assert_same((lp, rp), naive.join_match(left, right))
+    _assert_same((lp, rp), naive.match(left, right))
 
 
 def test_join_match_empty_operands():
     empty = _int_arr([])
     some = _int_arr([1, 2, 2])
     for la, ra in [(empty, some), (some, empty), (empty, empty)]:
-        _assert_same(vz.join_match(la, ra), naive.join_match(la, ra))
+        _assert_same(_match(la, ra), naive.match(la, ra))
 
 
 #: float keys for membership: NaN (a member of nothing), both zeros
@@ -132,7 +115,6 @@ def _float_arr(values):
 @given(st.one_of(
     st.tuples(_ints.map(_int_arr), _ints.map(_int_arr)),
     st.tuples(_wide_ints.map(_int_arr), _wide_ints.map(_int_arr)),
-    st.tuples(_strs.map(_obj_arr), _strs.map(_obj_arr)),
     st.tuples(_member_floats.map(_float_arr),
               _member_floats.map(_float_arr)),
     st.tuples(_ints.map(_int_arr), _member_floats.map(_float_arr)),
@@ -155,16 +137,15 @@ def test_membership_mask_domain_table_matches_isin(spread):
                           naive.membership_mask(left, right))
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.uint64],
-                         ids=["int64", "uint64"])
+@pytest.mark.parametrize("dtype", [np.int64], ids=["int64"])
 def test_joint_codes_wide_int_keys_preserve_equality(dtype):
-    # keys too spread for offset coding take the factorize path
+    # keys too spread for a direct-address table, coded across two
+    # operands by factorizing their concatenation (as pairjoin does)
     rng = np.random.default_rng(8)
     left = (rng.integers(0, 1000, size=700) * (2 ** 40)).astype(dtype)
     right = (rng.integers(0, 1000, size=400) * (2 ** 40)).astype(dtype)
-    lc, rc, n = vz.joint_codes(left, right)
     both_keys = np.concatenate([left, right])
-    both_codes = np.concatenate([lc, rc])
+    both_codes, n = vz.factorize(both_keys)
     assert np.array_equal(_equality_partition(both_keys),
                           _equality_partition(both_codes))
     assert both_codes.max() < n
@@ -182,7 +163,8 @@ def test_lookup_first_matches_naive(right, probes):
 @given(_ints)
 def test_first_occurrence_matches_naive(values):
     arr = _int_arr(values)
-    assert np.array_equal(vz.first_occurrence(arr),
+    # unique keeps the first positions of its codes' grouping
+    assert np.array_equal(np.sort(vz.grouping(arr)[1]),
                           naive.first_occurrence(arr))
 
 
@@ -213,9 +195,8 @@ def test_factorize_round_trip(values):
 @given(_ints, _ints)
 def test_joint_codes_preserve_equality(left, right):
     la, ra = _int_arr(left), _int_arr(right)
-    lc, rc, n = vz.joint_codes(la, ra)
     both_keys = np.concatenate([la, ra])
-    both_codes = np.concatenate([lc, rc])
+    both_codes, n = vz.factorize(both_keys)
     for i in range(len(both_keys)):
         same_key = both_keys == both_keys[i]
         same_code = both_codes == both_codes[i]
@@ -265,9 +246,8 @@ def test_factorize_nan_partition_matches_naive(values):
 def test_joint_codes_nan_never_equal(left, right):
     la = np.asarray(left, dtype=np.float64)
     ra = np.asarray(right, dtype=np.float64)
-    lc, rc, n = vz.joint_codes(la, ra)
     both_keys = np.concatenate([la, ra])
-    both_codes = np.concatenate([lc, rc])
+    both_codes, n = vz.factorize(both_keys)
     for i in range(len(both_keys)):
         same_key = both_keys == both_keys[i]     # IEEE: NaN rows empty
         if np.isnan(both_keys[i]):
@@ -322,17 +302,8 @@ def _spanned_ints(draw):
     return np.asarray(offsets, dtype=np.int64) + np.int64(base)
 
 
-@st.composite
-def _high_uint64(draw):
-    """uint64 keys around and past 2**63, compact spans."""
-    base = draw(st.sampled_from([0, 2 ** 63 - 3, 2 ** 63, 2 ** 64 - 40]))
-    offsets = draw(st.lists(st.integers(0, 30), min_size=1, max_size=20))
-    return np.asarray([base + o for o in offsets], dtype=np.uint64)
-
-
 _coded_keys = st.one_of(
-    _ints.map(_int_arr), _wide_ints.map(_int_arr), _spanned_ints(),
-    _high_uint64())
+    _ints.map(_int_arr), _wide_ints.map(_int_arr), _spanned_ints())
 
 
 @settings(max_examples=60, deadline=None)
@@ -345,8 +316,6 @@ def test_factorize_and_first_occurrence_across_the_span_boundary(keys):
                           _equality_partition(ref_codes))
     # codes number the distinct keys in sorted order, exactly
     assert np.array_equal(np.unique(keys)[codes], keys)
-    assert np.array_equal(vz.first_occurrence(keys),
-                          naive.first_occurrence(keys))
     grouped_codes, first_pos, grouped_n, counts = vz.grouping(keys)
     assert np.array_equal(grouped_codes, codes) and grouped_n == n
     assert np.array_equal(counts, np.bincount(codes, minlength=n))
@@ -354,8 +323,7 @@ def test_factorize_and_first_occurrence_across_the_span_boundary(keys):
                           naive.first_occurrence(keys))
     assert np.array_equal(codes[first_pos], np.arange(n))
     span = int(keys.max()) - int(keys.min()) + 1 if len(keys) else 0
-    compact = span <= _BOUNDARY and (span == 0 or int(keys.max()) < 2 ** 63)
-    assert (vz._table_codes(keys) is not None) == compact
+    assert (vz._table_codes(keys) is not None) == (span <= _BOUNDARY)
 
 
 def test_table_codes_span_rule_scales_with_rows():
@@ -370,7 +338,7 @@ def test_table_codes_span_rule_scales_with_rows():
 
 
 _extreme_ranks = st.one_of(
-    _ints.map(_int_arr), _wide_ints.map(_int_arr), _high_uint64(),
+    _ints.map(_int_arr), _wide_ints.map(_int_arr),
     st.lists(st.sampled_from([-1.5, -0.0, 0.0, 2.0, float("inf"),
                               float("nan")]),
              max_size=25).map(lambda v: np.asarray(v, dtype=np.float64)))
@@ -429,6 +397,32 @@ def test_set_aggregate_min_max_match_naive(case):
                             [tails[picked[c]] for c in by_head])
 
 
+_scalar_tails = st.one_of(
+    st.tuples(st.just("long"), st.lists(
+        st.integers(-3, 3) | st.integers(-2 ** 62, 2 ** 62), min_size=1,
+        max_size=12)),
+    st.tuples(st.just("double"), st.lists(
+        st.sampled_from([-0.0, 0.0, 1.0, 2.0, float("nan")]), min_size=1,
+        max_size=12)),
+    st.tuples(st.just("string"), st.lists(
+        st.sampled_from(["a", "b", "abc", ""]), min_size=1, max_size=12)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalar_tails)
+@example(("double", [2.0, float("nan"), 1.0]))
+@example(("double", [0.0, -0.0]))
+def test_scalar_min_max_match_the_one_group_aggregate(case):
+    # min()/max() over a whole tail are {min}/{max} over one group:
+    # the same NaN rule (above every number) and the same ties (first
+    # for min, last for max, so -0.0 and 0.0 keep their signs)
+    tail_atom, tails = case
+    bat = bat_from_pairs("oid", tail_atom, [(0, t) for t in tails])
+    for func in ("min", "max"):
+        grouped = ops.set_aggregate(func, bat).tail.logical()
+        assert _same_values([ops.aggregate_all(func, bat)], grouped)
+
+
 def test_set_aggregate_nan_heads_each_their_own_group():
     nan = float("nan")
     bat = bat_from_pairs("double", "long", [(nan, 1), (nan, 2), (1.0, 3)])
@@ -468,47 +462,50 @@ def test_set_aggregate_nan_heads_match_per_bun_reference(heads, data):
 
 
 # ----------------------------------------------------------------------
-# combine_codes: int64 overflow guard
+# composite keys: dense codes refined part by part, never overflowing
 # ----------------------------------------------------------------------
 def test_combine_codes_plain_arithmetic_unchanged():
-    combined = vz.combine_codes([3, 0, 3], [1, 2, 1], 10)
-    assert list(combined) == [31, 2, 31]
+    # (3, 1), (0, 2), (3, 1): numbered in sorted pair order
+    codes, n = vz.refine_codes([3, 0, 3], [1, 2, 1])
+    assert list(codes) == [1, 0, 1] and n == 2
 
 
 def test_combine_codes_overflow_falls_back_to_pair_codes():
-    # offset-coded domains from joint_codes can reach 2**40 per slot;
-    # the mixed-radix product would wrap int64 and alias pairs
+    # high codes and low keys of 2**40: a mixed-radix product of the
+    # raw values would wrap int64 and alias pairs
     high = np.asarray([2 ** 40, 2 ** 40, 1, 0], dtype=np.int64)
-    low = np.asarray([0, 1, 0, 0], dtype=np.int64)
-    n_low = 2 ** 40
-    combined = vz.combine_codes(high, low, n_low)
-    assert combined.dtype == np.int64
-    assert combined.min() >= 0                  # no wrap-around
+    low = np.asarray([0, 2 ** 40, 0, 2 ** 40], dtype=np.int64)
+    combined, n = vz.refine_codes(high, low)
+    assert combined.dtype == np.int64 and n == 4
     # pair equality/inequality preserved, order = sorted (high, low)
-    assert len(set(combined.tolist())) == 4
+    assert sorted(combined.tolist()) == [0, 1, 2, 3]
     assert list(np.argsort(combined)) == [3, 2, 0, 1]
-    # without the guard this would alias: (2**40)*(2**40) wraps to 0
-    wrapped = high * np.int64(n_low) + low
-    assert wrapped.min() < 0 or len(set(wrapped.tolist())) < 4
+    # the raw product aliases: 2**40 * (2**40 + 1) wraps to 2**40
+    wrapped = high * np.int64(2 ** 40 + 1) + low
+    assert len(set(wrapped.tolist())) < 4
 
 
 def test_combine_codes_pair_keeps_sides_comparable_on_overflow():
-    n_low = 2 ** 40
-    left_high = np.asarray([2 ** 40, 5], dtype=np.int64)
-    left_low = np.asarray([7, 3], dtype=np.int64)
-    right_high = np.asarray([2 ** 40, 2 ** 40], dtype=np.int64)
-    right_low = np.asarray([7, 8], dtype=np.int64)
-    lc, rc, n = vz.combine_codes_pair(left_high, left_low,
-                                      right_high, right_low, n_low)
-    assert lc[0] == rc[0]                   # same (high, low) pair
-    assert lc[0] != rc[1] and lc[1] not in (rc[0], rc[1])
-    assert max(int(lc.max()), int(rc.max())) < n
+    # pairjoin over two wide key columns per side: only the equal
+    # composite (2**40, 7) matches
+    big = 2 ** 40
+    l1 = _bat([(0, big), (1, 5)], tail="long")
+    l2 = _bat([(0, 7), (1, 3)], tail="long")
+    r1 = _bat([(10, big), (11, big)], tail="long")
+    r2 = _bat([(10, 7), (11, 8)], tail="long")
+    out = ops.pairjoin([l1, l2, r1, r2])
+    assert out.to_pairs() == [(0, 10)]
 
 
 def test_combine_codes_pair_no_overflow_matches_arithmetic():
-    lc, rc, n = vz.combine_codes_pair([2, 0], [1, 1], [2], [1], 10)
-    assert list(lc) == [21, 1] and list(rc) == [21]
-    assert n == 30
+    # both sides coded jointly: factorize over the concatenation, then
+    # refine, as pairjoin does — equal pairs get equal codes
+    n_left = 2
+    high, _n = vz.factorize(np.asarray([2, 0, 2]))
+    codes, n = vz.refine_codes(high, np.asarray([1, 1, 1]))
+    left, right = codes[:n_left], codes[n_left:]
+    assert list(left) == [1, 0] and list(right) == [1]
+    assert n == 2
 
 
 def test_multimap_scalar_probes():
@@ -525,9 +522,9 @@ def test_multimap_dense_vs_sorted_agree():
     assert dense.starts is not None        # compact domain => dense
     sparse = vz.MultiMap(keys * (2 ** 40))  # spread out => binary search
     assert sparse.starts is None
-    _assert_same(dense.match(probes), naive.join_match(probes, keys))
+    _assert_same(dense.match(probes), naive.match(probes, keys))
     _assert_same(sparse.match(probes * (2 ** 40)),
-                 naive.join_match(probes * (2 ** 40), keys * (2 ** 40)))
+                 naive.match(probes * (2 ** 40), keys * (2 ** 40)))
 
 
 # ----------------------------------------------------------------------
@@ -594,10 +591,8 @@ def test_setops_double_tails_spec(left_pairs, right_pairs):
 
 
 def test_joint_codes_float_not_truncated():
-    from repro.monet import vectorized as vz
-    la = np.asarray([2.5, 2.0], dtype=np.float64)
-    ra = np.asarray([2.0], dtype=np.float64)
-    lc, rc, _n = vz.joint_codes(la, ra)
+    codes, _n = vz.factorize(np.asarray([2.5, 2.0, 2.0], dtype=np.float64))
+    lc, rc = codes[:2], codes[2:]
     assert lc[0] != rc[0] and lc[1] == rc[0]
 
 

@@ -11,6 +11,14 @@ one dict comparison:
     with passes_off():
         expected = answers(db)
     assert answers(db) == expected
+
+Run as a script, it prints one ``name sf seed digest`` line per
+:func:`answers` entry at SF 0.002 and 0.01, seeds 7 and 11 — 144 lines
+whose diff compares two checkouts' answers:
+
+    PYTHONPATH=src python tests/plan_oracle.py > mine.txt
+    PYTHONPATH=../other/src python tests/plan_oracle.py > theirs.txt
+    diff mine.txt theirs.txt
 """
 
 import contextlib
@@ -22,7 +30,11 @@ from repro.moa import rewriter
 from repro.monet.multiproc import result_checksum, ship_value
 from repro.sql.runtime import execute_sql
 from repro.sql.suite import EXTRAS, sql_queries
-from repro.tpcd import QUERIES
+from repro.tpcd import QUERIES, generate, load_tpcd
+
+#: the scale factors and seeds the script digests
+SCALES = (0.002, 0.01)
+SEEDS = (7, 11)
 
 
 @contextlib.contextmanager
@@ -100,3 +112,15 @@ def answers(db):
         digests["sql " + name] = result_checksum(
             ship_value(execute_sql(db, text)))
     return digests
+
+
+def main():
+    for scale in SCALES:
+        for seed in SEEDS:
+            db, _report = load_tpcd(generate(scale=scale, seed=seed))
+            for name, digest in answers(db).items():
+                print(name, scale, seed, digest)
+
+
+if __name__ == "__main__":
+    main()
