@@ -26,15 +26,32 @@ Published rewrite rules honoured literally:
   to a selection on the *full* tail-sorted attribute BAT followed by
   joins back along the reference path — exactly the Q13 plan
   ``orders := select(Order_clerk, ...); items := join(Item_order,
-  orders)``.
+  orders)`` (Figure 10, emitted statement for statement).
 * ``nest`` compiles to ``group`` (+ binary ``group`` per extra key),
   key extraction, and a member index, like Figure 5's grouping block.
 * Aggregates over nested sets compile to one set-aggregate
   ``{g}(join(index, values))`` — "nested aggregates in one go".
+
+Two rules of our own make a selection pay per survivor; both are
+algebraic identities over the MIL they replace:
+
+* **range fusion** — a lower and an upper literal bound on the same
+  attribute path, and no other bound on it, are one range:
+  ``semijoin(semijoin(A, select(b, l, nil)), select(b, nil, h)) =
+  semijoin(A, select(b, l, h))``, one binary search instead of two
+  selections and two semijoins (Q6's shipdate and discount ranges).
+  Two bounds on the same side are not fused.
+* **join-back through the carrier** — the paper's join-back probes
+  every object of the path's first class.  Once earlier predicates
+  have filtered the carrier, a path predicate walks the path forward
+  from the carrier instead: ``join(semijoin(Item_order, carrier),
+  select(Order_orderdate, ...))``, the navigation order of
+  :meth:`Rewriter._columnize`.  The first predicate on a class extent
+  keeps the join-back, and with it the Figure 10 plan.
 """
 
 from ..analysis.verify import catalog_stats_from_kernel, check_program
-from ..errors import RewriteError
+from ..errors import AtomError, RewriteError
 from ..monet import atoms as _atoms
 from ..monet.mil import MILProgram, Var
 from ..monet.optimizer import optimize
@@ -175,27 +192,36 @@ class Rewriter:
             # flattened selection over all sets at once
             elems = self.emit("mirror", [comp.index], hint="elems")
             inner_comp = SetComp(elems, comp.inner, comp.elem_type)
-            for predicate in node.predicates:
-                inner_comp = self._apply_predicate(inner_comp, predicate)
+            inner_comp = self._apply_predicates(inner_comp, node.predicates)
             index = self.emit("mirror", [inner_comp.carrier], hint="nsel")
             return NestedComp(index, comp.inner, comp.elem_type)
-        for predicate in node.predicates:
-            comp = self._apply_predicate(comp, predicate)
+        return self._apply_predicates(comp, node.predicates)
+
+    def _apply_predicates(self, comp, predicates):
+        """Filter the carrier by each conjunct in turn (an ``and`` is
+        split into its operands).  A lower and an upper literal bound
+        on one attribute path — and no other bound on it — fuse into one
+        range selection, applied where the first of the two stands."""
+        conjuncts = []
+        for predicate in predicates:
+            _split_conjunction(predicate, conjuncts)
+        comparisons = [self._literal_comparison(comp, predicate)
+                       for predicate in conjuncts]
+        for predicate, comparison in _fuse_ranges(conjuncts, comparisons):
+            comp = self._apply_predicate(comp, predicate, comparison)
         return comp
 
-    def _apply_predicate(self, comp, predicate):
+    def _apply_predicate(self, comp, predicate, comparison):
         """SET(semijoin(A, T(f(X))), X): filter the carrier."""
-        if isinstance(predicate, ast.BinOp) and predicate.op == "and":
-            comp = self._apply_predicate(comp, predicate.left)
-            return self._apply_predicate(comp, predicate.right)
         if isinstance(predicate, ast.In):
             return self._apply_membership(comp, predicate, anti=False)
         if isinstance(predicate, ast.UnOp) and predicate.op == "not" \
                 and isinstance(predicate.operand, ast.In):
             return self._apply_membership(comp, predicate.operand,
                                           anti=True)
-        qualifying = self._indexable_predicate(comp, predicate)
-        if qualifying is None:
+        if comparison is not None:
+            qualifying = self._indexable_predicate(comp, *comparison)
+        else:
             boolean = self.compile_expr(predicate, comp)
             if not isinstance(boolean, Col):
                 raise RewriteError("predicate %s is not scalar"
@@ -206,11 +232,14 @@ class Rewriter:
                             hint="sel")
         return SetComp(carrier, comp.inner, comp.elem_type)
 
-    def _indexable_predicate(self, comp, predicate):
-        """Fast path: ``cmp(attribute-path, literal)`` compiles to a
-        selection on the full tail-sorted attribute BAT, walked back
-        through the reference path with joins (the Q13 plan).  Returns
-        the qualifying-ids Var, or None when not applicable."""
+    def _literal_comparison(self, comp, predicate):
+        """``(bat_names, select_bounds)`` of a ``cmp(attribute-path,
+        literal)`` predicate, or None.  ``select_bounds`` are the
+        arguments after the BAT of the ``select`` it compiles to:
+        ``[value]`` for ``=``, ``[low, high, low_incl, high_incl]``
+        with one bound nil for ``<``, ``<=``, ``>``, ``>=``.  ``!=``
+        and a literal the attribute's atom cannot hold exactly go
+        through the generic path."""
         if not isinstance(predicate, ast.BinOp):
             return None
         op, left, right = predicate.op, predicate.left, predicate.right
@@ -218,25 +247,39 @@ class Rewriter:
                                                             ast.Literal):
             left, right = right, left
             op = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-        if not isinstance(right, ast.Literal):
+        if not isinstance(right, ast.Literal) \
+                or op not in ("=", "<", "<=", ">", ">="):
             return None
         path = self._attr_path(comp, left)
         if path is None:
             return None
         bat_names, value_atom = path
-        literal = _atoms.atom(value_atom).coerce(right.value)
-        deepest = bat_names[-1]
+        try:
+            literal = _atoms.atom(value_atom).coerce(right.value)
+        except AtomError:
+            return None    # e.g. 24.5 against an int: compare by value
         if op == "=":
-            qualifying = self.emit("select", [deepest, literal],
-                                   hint="q")
-        elif op in ("<", "<=", ">", ">="):
-            low = literal if op in (">", ">=") else None
-            high = literal if op in ("<", "<=") else None
-            args = [deepest, low, high,
-                    op != ">", op != "<"]
-            qualifying = self.emit("select", args, hint="q")
-        else:
-            return None   # '!=' goes through the generic path
+            return bat_names, [literal]
+        low = literal if op in (">", ">=") else None
+        high = literal if op in ("<", "<=") else None
+        return bat_names, [low, high, op != ">", op != "<"]
+
+    def _indexable_predicate(self, comp, bat_names, select_bounds):
+        """The qualifying-ids Var of a literal comparison: a selection
+        on the full tail-sorted attribute BAT at the end of the path.
+
+        On the class extent it is walked back through the reference
+        path with joins (the Q13 plan of Figure 10).  On a carrier that
+        earlier predicates already filtered, the path is walked forward
+        from the carrier instead (:meth:`_restricted_chain`) and joined
+        with the selection once, so no join probes a whole attribute
+        BAT for objects the carrier no longer holds."""
+        qualifying = self.emit("select", [bat_names[-1]] + select_bounds,
+                               hint="q")
+        extent = self.flat.extent_name(comp.inner.class_name)
+        if len(bat_names) > 1 and comp.carrier.name != extent:
+            reached = self._restricted_chain(bat_names[:-1], comp)
+            return self.emit("join", [reached, qualifying], hint="q")
         for bat_name in reversed(bat_names[:-1]):
             qualifying = self.emit("join", [bat_name, qualifying],
                                    hint="q")
@@ -815,6 +858,39 @@ class Rewriter:
     def _compile_in(self, node, comp):
         raise RewriteError("in() is only supported as a selection "
                            "predicate")
+
+
+def _split_conjunction(predicate, out):
+    """Append the operands of nested ``and`` s to ``out``, in order."""
+    if isinstance(predicate, ast.BinOp) and predicate.op == "and":
+        _split_conjunction(predicate.left, out)
+        _split_conjunction(predicate.right, out)
+    else:
+        out.append(predicate)
+
+
+def _fuse_ranges(conjuncts, comparisons):
+    """``(predicate, comparison)`` pairs of the conjuncts, with range
+    bounds fused: where a path has exactly one lower and one upper bound
+    (``None`` comparisons are other predicates), the first of the two
+    becomes the two-sided ``select`` and the second is dropped."""
+    bounds = {}
+    for position, comparison in enumerate(comparisons):
+        if comparison is not None and len(comparison[1]) == 4:
+            path = tuple(var.name for var in comparison[0])
+            bounds.setdefault(path, []).append(position)
+    fused = list(comparisons)
+    dropped = set()
+    for first, second in (p for p in bounds.values() if len(p) == 2):
+        bat_names, one = comparisons[first]
+        other = comparisons[second][1]
+        if (one[0] is None) == (other[0] is None):
+            continue          # two bounds on the same side
+        lower, upper = (one, other) if one[0] is not None else (other, one)
+        fused[first] = (bat_names, [lower[0], upper[1], lower[2], upper[3]])
+        dropped.add(second)
+    return [(predicate, comparison) for position, (predicate, comparison)
+            in enumerate(zip(conjuncts, fused)) if position not in dropped]
 
 
 def _unwrap_via(rep):

@@ -228,7 +228,7 @@ def _feed(digest, value):
                    + str(value.shape).encode() + b":")
             if value.dtype.kind == "f":
                 value = _one_nan(value)
-            update(np.ascontiguousarray(value).tobytes())
+            update(np.ascontiguousarray(value).reshape(-1).view(np.uint8))
     elif is_batch(value):
         _feed_table(digest, value.names, len(value),
                     zip(value.ref_classes, value.columns))

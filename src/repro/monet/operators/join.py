@@ -24,7 +24,8 @@ binary model (section 4.2).  Implementations, chosen at run time:
   onto the extent, so this equals ``hashjoin`` without sorting the
   inner head — the path-navigation joins (``join(nav, Item_price)``).
 * ``keyjoin`` — the inner head is an integer key whose value span is
-  compact (the oids of an intermediate inside a class extent): one
+  compact against the inner and outer lengths together (the oids of
+  an intermediate inside a class extent, probed by a longer outer): one
   scatter builds ``slot[key - base] = position`` and every outer BUN
   is a subtraction and a gather.  A key inner gives each outer BUN at
   most one match, so this equals ``hashjoin`` without its sort and
@@ -73,7 +74,7 @@ def join(ab, cd, name=None):
         return _datavectorjoin(ab, cd, name)
     if (optimizer.dynamic and cd.props.hkey and _integer(ab.tail)
             and _integer(cd.head)):
-        table = key_table(cd.head.keys())
+        table = key_table(cd.head.keys(), len(ab))
         if table is not None:
             optimizer.record("join", "keyjoin")
             return _keyjoin(ab, cd, table, name)

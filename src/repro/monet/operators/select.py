@@ -12,9 +12,12 @@ Two implementations exist, chosen at run time (section 5.1):
   tail-sorted precisely to enable this ("in order to use binary search
   selection", section 5.2).  IO cost: a few probe pages plus the
   contiguous result range — the ``ceil(sX / C_bat)`` term of the
-  section 5.2.2 model.
+  section 5.2.2 model.  A string tail is searched by position, so only
+  the values the search visits are decoded.
 * ``scan`` — the generic fallback: one sequential pass over the tail.
 """
+
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -85,30 +88,38 @@ def _select_scan(ab, low, high, name, low_inclusive, high_inclusive):
 def _select_binsearch(ab, low, high, name, low_inclusive, high_inclusive):
     manager = get_manager()
     with manager.operator("select.binsearch"):
-        values = ab.tail.logical()
-        n = len(values)
+        n = len(ab)
         if low is not None:
-            low = ab.tail.atom.coerce(low)
             side = "left" if low_inclusive else "right"
-            lo_pos = int(np.searchsorted(values, low, side=side))
+            lo_pos = _search(ab.tail, ab.tail.atom.coerce(low), side)
         else:
             lo_pos = 0
         if high is not None:
-            high = ab.tail.atom.coerce(high)
             side = "right" if high_inclusive else "left"
-            hi_pos = int(np.searchsorted(values, high, side=side))
+            hi_pos = _search(ab.tail, ab.tail.atom.coerce(high), side)
         else:
             hi_pos = n
         hi_pos = max(lo_pos, hi_pos)
-        # probes to locate the range, then a sequential read of it
-        for heap in ab.tail.heaps:
-            width = getattr(heap, "width", None) or 1
-            manager.access_probes(heap, 2, n, width)
-        positions = np.arange(lo_pos, hi_pos, dtype=np.int64)
-        manager.access_column(ab.tail, positions)
-        manager.access_column(ab.head, positions)
+        if manager.enabled:
+            # probes to locate the range, then a sequential read of it
+            for heap in ab.tail.heaps:
+                width = getattr(heap, "width", None) or 1
+                manager.access_probes(heap, 2, n, width)
+            positions = np.arange(lo_pos, hi_pos, dtype=np.int64)
+            manager.access_column(ab.tail, positions)
+            manager.access_column(ab.head, positions)
     out = ab.slice(lo_pos, hi_pos, name=name)
     out.props = ab.props.copy()
     if lo_pos == 0 and hi_pos == len(ab):
         out.alignment = ab.alignment
     return out
+
+
+def _search(tail, value, side):
+    """``np.searchsorted(tail.logical(), value, side)`` over an ordered
+    tail.  A var-sized tail is bisected by position, decoding only the
+    O(log n) values the search visits instead of the whole column."""
+    if not tail.atom.varsized:
+        return int(np.searchsorted(tail.logical(), value, side=side))
+    search = bisect_left if side == "left" else bisect_right
+    return search(range(len(tail)), value, key=tail.value)

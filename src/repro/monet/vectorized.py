@@ -49,6 +49,14 @@ NaN objects as distinct keys).  The coded paths enforce this by
 masking NaN keys to their own fresh codes instead of letting
 ``np.unique`` collapse them (its ``equal_nan`` default).
 
+Every direct-address table here obeys one compactness rule,
+:func:`_table_span`: the table's span may not exceed ``max(2**16, 4 *
+n)``, where ``n`` counts the keys the table serves — the build keys
+*and* the probes.  The alternative to a table is a sort plus a binary
+search per probe, so a small build side probed by a long one (a
+filtered key-join inner, a semijoin's right side) still earns a table
+over a span much wider than itself.
+
 Every kernel runs in the calling thread.  Parallelism lives one level
 up, in worker processes (:mod:`repro.monet.multiproc`): splitting one
 operator over threads measured slower than serial on the TPC-D plans
@@ -74,7 +82,8 @@ __all__ = [
 
 
 #: Direct-address tables are built when the integer key domain spans at
-#: most ``max(_DENSE_FLOOR, _DENSE_FACTOR * n)`` values.
+#: most ``max(_DENSE_FLOOR, _DENSE_FACTOR * n)`` values, ``n`` the keys
+#: the table serves.
 _DENSE_FLOOR = 1 << 16
 _DENSE_FACTOR = 4
 
@@ -84,7 +93,13 @@ def _table_span(lo, hi, n):
     serving ``n`` keys, or ``None`` when no table should be built.
 
     The one compactness rule of this module: the span may not exceed
-    ``max(_DENSE_FLOOR, _DENSE_FACTOR * n)``.
+    ``max(_DENSE_FLOOR, _DENSE_FACTOR * n)``.  ``n`` counts every key
+    the table serves — the keys it is built from *plus* the keys that
+    probe it — because that is what the alternative, a sort and a
+    binary search per probe, pays for: zeroing a table a few times the
+    size of build and probe side together costs less than sorting.  A
+    small build side probed by a long one (a filtered inner of a key
+    join) therefore still gets its table.
     """
     span = int(hi) - int(lo) + 1
     if span > max(_DENSE_FLOOR, _DENSE_FACTOR * n):
@@ -200,20 +215,21 @@ class MultiMap:
         return self.n_entries
 
 
-def key_table(keys):
+def key_table(keys, n_probes=0):
     """``(base, slot)`` direct-address table over *unique* integer keys.
 
     ``slot[key - base]`` is the position holding ``key`` and ``-1``
     where no position does; the extra last slot is the ``-1`` every
     out-of-range probe lands on.  Returns ``None`` for non-integer or
-    empty keys and for keys whose span fails the compactness rule.
-    Built per call in one scatter — no sort.
+    empty keys and for keys whose span fails the compactness rule,
+    which counts the keys and the ``n_probes`` keys that will probe
+    the table.  Built per call in one scatter — no sort.
     """
     keys = np.asarray(keys)
     if keys.dtype.kind not in "iu" or len(keys) == 0:
         return None
     base = int(keys.min())
-    span = _table_span(base, keys.max(), len(keys))
+    span = _table_span(base, keys.max(), len(keys) + n_probes)
     if span is None:
         return None
     slot = np.full(span + 1, -1, dtype=np.int64)

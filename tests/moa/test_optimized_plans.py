@@ -2,7 +2,8 @@
 
 * **differential** — all 15 Moa drivers and all 21 ``sql.suite`` texts
   answer checksum-identically to the pass-less compile
-  (``tests/plan_oracle.py``) at two scale factors;
+  (``tests/plan_oracle.py``) at two scale factors, and to the 144
+  digests checked in as ``tests/plan_oracle_digests.txt``;
 * **properties** — every intermediate BAT of every passed plan
   declares only properties its data has (shared head columns and
   synced joins must not leak a false ``key``/``ordered`` flag);
@@ -29,8 +30,8 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 
-from plan_oracle import (CountingCalls, CountingSorts, answers, passes_off,
-                         sql_texts)
+from plan_oracle import (DIGESTS_FILE, CountingCalls, CountingSorts,
+                         answers, digest_lines, passes_off, sql_texts)
 from repro.moa import session
 from repro.moa.rewriter import Rewriter
 from repro.monet import (MILInterpreter, bat_from_pairs, compute_props,
@@ -54,6 +55,12 @@ def sf005_db():
 def sf02_db():
     db, _report = load_tpcd(generate(scale=0.02, seed=7))
     return db
+
+
+def test_answers_equal_the_checked_in_digests():
+    # the 144 answers of tests/plan_oracle.py, recomputed: a change
+    # that moves one fails here, not only in a diff of two checkouts
+    assert list(digest_lines()) == DIGESTS_FILE.read_text().splitlines()
 
 
 @pytest.mark.parametrize("scale", ["sf005", "sf02"])
@@ -335,8 +342,12 @@ def test_no_plan_grows_and_the_tpcd_plans_shrink(tiny_tpcd_db):
             emitted[name] = _statements(tiny_tpcd_db, text)
         assert passed[name] <= emitted[name], name
     tpcd = [name for name in passed if name.startswith("Q")]
-    assert sum(emitted[name] for name in tpcd) == 720
-    assert sum(passed[name] for name in tpcd) <= 635
+    # 720 emitted / 628 passed until a lower and an upper bound on one
+    # path fused into one range select (two statements fewer each) and
+    # a path predicate on a filtered carrier began to restrict the
+    # path's first BAT to the carrier (one statement more each)
+    assert sum(emitted[name] for name in tpcd) == 701
+    assert sum(passed[name] for name in tpcd) <= 609
     assert (emitted["Q01"], passed["Q01"]) == (76, 51)
 
 

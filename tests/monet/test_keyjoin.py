@@ -7,13 +7,17 @@ integer offsets.
   included (missing, out-of-range, duplicate and negative outer keys,
   int32/int64 on either side, empty operands, a span at and one past
   the compactness threshold, a reopened mmap kernel), and is chosen
-  only under its side conditions;
+  only under its side conditions — among them the compactness rule,
+  which counts the outer's probes as well as the inner's keys;
 * compact-range ``membership_mask`` — a bool table over the right
   keys' span equals the naive set probe on the same edge cases;
 * no wraparound — int32 and int64 keys at their extremes, on either
   side, compare exactly in every direct-address kernel, with the naive
   kernels as the oracle.
 """
+
+import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -111,6 +115,75 @@ def test_keyjoin_span_threshold(span, variant):
     assert out.to_pairs() == reference.to_pairs() \
         == [(0, 0), (1, 70), (2, 10 * (span - 1))]
     verify(out)
+
+
+def _naive_pairs(outer, inner):
+    left, right = naive.match(outer.tail.keys(), inner.head.keys())
+    heads, tails = outer.head.logical(), inner.tail.logical()
+    return list(zip(heads[left].tolist(), tails[right].tolist()))
+
+
+def test_a_small_inner_probed_by_a_long_outer_takes_the_table(monkeypatch):
+    """The compactness rule counts the probes: an inner of 100 keys
+    spanning 100,000 values fails ``max(2**16, 4 * 100)`` but fits
+    ``4 * (100 + 30,000)``, so the join scatters a table instead of
+    sorting (counted, not timed) and equals the naive join."""
+    join_module = importlib.import_module("repro.monet.operators.join")
+    calls = Counter()
+    for variant in ("_keyjoin", "_hashjoin"):
+        def counting(*args, _variant=variant, _kernel=getattr(
+                join_module, variant)):
+            calls[_variant] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(join_module, variant, counting)
+    rng = np.random.default_rng(7)
+    span = 100_000
+    keys = np.concatenate(([0, span - 1],
+                           rng.choice(np.arange(1, span - 1), 98,
+                                      replace=False)))
+    assert span > max(FLOOR, vz._DENSE_FACTOR * len(keys))
+    inner = _inner(rng.permutation(keys).tolist())
+    outer = _outer(rng.integers(-5, span + 5, 30_000).tolist()
+                   + keys[:50].tolist())
+    assert span <= vz._DENSE_FACTOR * (len(inner) + len(outer))
+    out = ops.join(outer, inner)
+    assert calls == Counter(_keyjoin=1)
+    assert out.to_pairs() == _naive_pairs(outer, inner)
+    assert len(out) >= 50
+
+
+@st.composite
+def probed_spans(draw):
+    """A small inner whose span lies just inside or just past the
+    probe-counting bound ``4 * (n_inner + n_outer)``, and past the
+    build-side-only bound ``max(2**16, 4 * n_inner)`` either way."""
+    n_inner = draw(st.integers(2, 30))
+    n_outer = draw(st.integers(2 ** 14, 2 ** 14 + 64))
+    bound = vz._DENSE_FACTOR * (n_inner + n_outer)
+    span = bound + draw(st.sampled_from([0, 1]))
+    inner_keys = draw(st.lists(st.integers(1, span - 2), unique=True,
+                               min_size=n_inner - 2, max_size=n_inner - 2))
+    keys = draw(st.permutations([0, span - 1] + inner_keys))
+    base = draw(st.sampled_from([-60, 0, 150_000]))
+    keys = [base + k for k in keys]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    probes = rng.choice(np.asarray(keys + [base - 1, base + span]),
+                        n_outer)
+    return _outer(probes.tolist()), _inner(keys), span <= bound
+
+
+@settings(**dict(SETTINGS, max_examples=15))
+@given(case=probed_spans())
+def test_keyjoin_across_the_probe_counting_boundary(case):
+    outer, inner, compact = case
+    out = ops.join(outer, inner)
+    assert get_optimizer().last["join"] == (
+        "keyjoin" if compact else "hashjoin")
+    with dispatch_disabled():
+        reference = ops.join(outer, inner)
+    assert out.to_pairs() == reference.to_pairs() \
+        == _naive_pairs(outer, inner)
+    assert out.props == reference.props
 
 
 def test_keyjoin_on_a_reopened_kernel(tmp_path):

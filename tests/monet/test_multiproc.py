@@ -388,3 +388,52 @@ def test_result_checksum_has_one_nan_in_arrays_too():
     # still a digest of the values otherwise
     assert result_checksum(np.array([1.0, 2.0])) \
         != result_checksum(quiet)
+
+
+#: digests of arrays fed to :func:`result_checksum`, recorded while the
+#: array branch still hashed a ``tobytes()`` copy of each array; the
+#: zero-copy feed must reproduce them byte for byte
+ARRAY_DIGESTS = {
+    "bool": "639dd5d26bf99bceaeaf28b35fb2a602bd37d015",
+    "int32": "763bc86aed6fd0037467541c16de626efcb78530",
+    "int64": "5ed96cb9fed7b8099b9020224684f7c16462d29a",
+    "int64 strided": "1761fa539a0260ca9fb29b66ba8a50c1d037dc2a",
+    "int32 big-endian": "9252fb935a9043662bd342d7c88e19c5c9c7eeb3",
+    "float64": "bb755abb0adff49bccf387f34d2deb25f72b569a",
+    "float64 nan": "b6462ed7cd2175d6c34c190207d15d08064404b5",
+    "float32 nan": "3717c1830f17d2bebf030d9e3096e515d3a82ee0",
+    "float64 0-d": "bda39a08192139ce1b5a36b496295e0ac40f3e0d",
+    "float64 empty": "769867ff591a11333e5e592f3ee9fa2c33932d4d",
+}
+
+
+def test_array_digests_equal_the_copying_encoding():
+    """The array branch feeds sha1 the array's own contiguous buffer;
+    the digests are those of the ``tobytes()`` copy it replaced, for
+    every dtype a result carries (bools, ints of either byte order,
+    floats with NaN payloads, strided, 0-d and empty arrays)."""
+    import hashlib
+    import struct
+    import numpy as np
+    odd_nan = np.frombuffer(struct.pack("<Q", 0x7FF8000000000123),
+                            dtype="<f8")[0]
+    values = {
+        "bool": np.array([True, False, True]),
+        "int32": np.arange(-3, 4, dtype=np.int32),
+        "int64": np.array([0, -1, 2 ** 40], dtype=np.int64),
+        "int64 strided": np.arange(12, dtype=np.int64).reshape(3, 4)[:, ::2],
+        "int32 big-endian": np.arange(5, dtype=">i4"),
+        "float64": np.array([0.5, -0.0, 1e300]),
+        "float64 nan": np.array([1.0, np.nan, odd_nan, -np.nan]),
+        "float32 nan": np.array([np.nan, 2.5], dtype=np.float32),
+        "float64 0-d": np.array(3.25),
+        "float64 empty": np.empty(0),
+    }
+    assert {name: result_checksum(value)
+            for name, value in values.items()} == ARRAY_DIGESTS
+    # the recorded encoding: tag, dtype, shape, then a copy of the bytes
+    value = values["int64 strided"]
+    copied = hashlib.sha1(b"A" + value.dtype.str.encode()
+                          + str(value.shape).encode() + b":"
+                          + np.ascontiguousarray(value).tobytes())
+    assert copied.hexdigest() == ARRAY_DIGESTS["int64 strided"]
