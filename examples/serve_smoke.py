@@ -32,7 +32,12 @@ workers' minor faults per executed request from
 counter is missing.
 
 Replies arrive as a header frame plus the worker-encoded payload
-frame.
+frame.  One ``mil`` request fetches every fixed-width ``Item`` column
+whole — a reply above the wide cut-off
+(:data:`~repro.monet.multiproc.WIDE_BODY_BYTES`) even at SF 0.0005, so
+its body crosses the worker pipe raw with the checksum overlapped —
+and its checksum is diffed against the same program run on this
+process's own kernel.
 
 This is both the README's client example and the CI server-smoke job::
 
@@ -53,8 +58,10 @@ import time
 
 from repro.errors import SqlParseError, SqlUnsupportedError
 from repro.moa.values import RowBatch
+from repro.monet import MILProgram, MonetKernel, Var
 from repro.monet.buffer import BufferManager, use
-from repro.monet.multiproc import result_checksum, ship_value
+from repro.monet.multiproc import (WIDE_BODY_BYTES, result_checksum,
+                                   run_program_serial, ship_value)
 from repro.server import QueryClient
 from repro.sql import execute_sql
 from repro.sql.suite import sql_text
@@ -208,6 +215,38 @@ def accounted_lap(host, port, expected, cold_faults):
     return sum(cold_faults.values())
 
 
+#: Every fixed-width Item column: fetched whole, a wide reply.
+WIDE_COLUMNS = ("Item_order", "Item_part", "Item_supplier",
+                "Item_quantity", "Item_extendedprice", "Item_discount",
+                "Item_tax", "Item_shipdate")
+
+
+def wide_lap(host, port, db_dir):
+    """Fetch whole Item columns (twice: the second may be a result-
+    cache hit) and diff each reply against the in-process kernel."""
+    program = MILProgram()
+    fetch = []
+    for index, name in enumerate(WIDE_COLUMNS):
+        fetch.append("c%d" % index)
+        program.emit("slice", [Var(name), 0, 2 ** 31 - 1],
+                     target=fetch[-1])
+    _env, expected = run_program_serial(MonetKernel.open(db_dir),
+                                        program, fetch)
+    with QueryClient(host, port) as client:
+        for _lap in range(2):
+            reply = client.mil(program, fetch)
+            if reply.payload_bytes < WIDE_BODY_BYTES:
+                raise AssertionError(
+                    "the Item column fetch is %d bytes, below the %d-"
+                    "byte wide cut-off" % (reply.payload_bytes,
+                                           WIDE_BODY_BYTES))
+            if reply.checksum != expected:
+                raise AssertionError(
+                    "the wide Item column fetch diverged: served %s, "
+                    "in-process %s" % (reply.checksum, expected))
+    return reply.payload_bytes
+
+
 #: Requests :func:`_check_sql_errors` makes fail on purpose.  The
 #: server counts each in ``stats()["counters"]["errors"]``; any other
 #: error there fails the smoke.
@@ -277,6 +316,9 @@ def main(argv=None):
             for tid, exc in failures:
                 print("client %d FAILED: %r" % (tid, exc))
             return 1
+        wide_bytes = wide_lap(host, port, args.db_dir)
+        print("wide reply: %d Item columns, %d bytes, checksum matches "
+              "the in-process kernel" % (len(WIDE_COLUMNS), wide_bytes))
         with QueryClient(host, port) as client:
             unaccounted = client.stats()["buffer"]["faults"]
         lap_faults = accounted_lap(host, port, expected, cold_faults)

@@ -190,6 +190,16 @@ class MappedVarHeap(VarHeap):
     def values(self, new_values):
         self._values = new_values
 
+    def decode_one(self, index):
+        """Value ``index``, read from the mapped body alone until the
+        value list exists — a binary search on a reopened string
+        column decodes only the values it visits."""
+        if self._values is not None:
+            return self._values[int(index)]
+        index = int(index)
+        start, end = self._offsets[index:index + 2]
+        return bytes(self._body[start:end - 1]).decode("utf-8")
+
     @property
     def lookup(self):
         if self._lookup is None:

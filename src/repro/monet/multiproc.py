@@ -35,15 +35,32 @@ Every task result is reduced to a canonical form (:func:`ship_value`),
 fingerprinted with **sha1** (:func:`result_checksum`) and encoded
 once as a binary columnar message
 (:func:`repro.server.protocol.encode_binary_message`) *inside the
-worker*.  The outcome carries those bytes through the pipe; nothing
-on the parent side decodes them unless a caller asks for the value
-(:meth:`TaskOutcome.value`) — the server forwards them to its clients
-as they are.  A set-of-tuples result is one columnar ``RowBatch`` in
-the worker and decodes back into one; its digest is computed over its
-columns and equals the digest of the same rows held as a Python list.
-The checksum is the contract the benchmarks and CI assert: a
-multi-process run must be checksum-identical to the serial execution
-of the same queries.
+worker*.  Nothing on the parent side decodes the encoded body unless
+a caller asks for the value (:meth:`TaskOutcome.value`) — the server
+forwards it to its clients as it is.  A set-of-tuples result is one
+columnar ``RowBatch`` in the worker and decodes back into one; its
+digest is computed over its columns and equals the digest of the same
+rows held as a Python list.  The checksum is the contract the
+benchmarks and CI assert: a multi-process run must be
+checksum-identical to the serial execution of the same queries.
+
+A body travels one of two ways, by its size:
+
+* below :data:`WIDE_BODY_BYTES` it rides inside the pickled outcome,
+  one message on the worker's socketpair, checksummed first;
+* from :data:`WIDE_BODY_BYTES` up it is never pickled.  The worker
+  sends a pickled announcement ``("body", nbytes)``, writes the body
+  as raw bytes on the same socketpair, then sends the outcome with
+  its checksum and no body.  The checksum runs on the worker's one
+  hasher thread (started for its first wide body) while the main thread
+  writes the body — hashlib releases the GIL on large buffers, so
+  the two overlap.  The parent reads the body with ``os.readv`` into
+  one buffer sized from the announcement and hands it on as a
+  read-only ``memoryview``; an ``err`` in place of the outcome (the
+  checksum raised, or a fault fired) drops that buffer.
+
+The parent's read of a wide body is bounded like the wait for any
+reply: the per-task deadline and the worker's death both end it.
 
 Warm pool
 ---------
@@ -77,6 +94,8 @@ import hashlib
 import multiprocessing
 import os
 import pickle
+import queue
+import select
 import threading
 import time
 from collections import deque
@@ -106,16 +125,27 @@ DEFAULT_PROCS = 2
 #: Seconds between liveness/timeout checks while a task is in flight.
 _POLL_INTERVAL = 0.05
 
+#: Encoded bodies of at least this many bytes cross the worker pipe
+#: raw, with the checksum overlapped (see "Result shipping" above);
+#: smaller ones ride in the pickled outcome.  Set from a served round
+#: trip on a 2-core host: below ~230 KB the announcement message and
+#: the hasher hand-off (~25 us) cost more than the pickle copy and the
+#: overlapped hash save (2-4 % slower at 115-172 KB), above it the raw
+#: path wins (11 % at 0.9 MB).  CHANGES.md has the table.
+WIDE_BODY_BYTES = 256 * 1024
+
 #: Chaos injection points of the worker loop (fired *inside* worker
 #: processes; ship a plan via ``MultiprocExecutor(fault_plan=...)``).
-#: ``crash`` at ``start``/``mid`` surfaces as WorkerCrashedError on
-#: the task; after ``post_result`` the parent already has the outcome
-#: and the idle death is retried transparently; ``delay`` at ``mid``
-#: drives the per-task timeout kill.  ``raise`` anywhere ships a typed
-#: InjectedFaultError back like any task failure.
+#: ``crash`` at ``start``/``mid``/``body_sent`` surfaces as
+#: WorkerCrashedError on the task; after ``post_result`` the parent
+#: already has the outcome and the idle death is retried
+#: transparently; ``delay`` at ``mid`` or ``body_sent`` drives the
+#: per-task timeout kill.  ``raise`` anywhere ships a typed
+#: InjectedFaultError back like any task failure.  ``body_sent`` fires
+#: only on the wide path, between the raw body and the outcome.
 faults.declare(
     "multiproc.task.start", "multiproc.task.mid",
-    "multiproc.task.post_result",
+    "multiproc.task.body_sent", "multiproc.task.post_result",
 )
 
 
@@ -367,6 +397,9 @@ class TaskOutcome:
     ``body`` is the canonical value (:func:`ship_value` form) the
     worker fingerprinted as ``checksum``, encoded once as a binary
     columnar message: opaque bytes until :meth:`value` decodes them.
+    A body below :data:`WIDE_BODY_BYTES` is ``bytes``; a wider one is
+    a read-only ``memoryview`` of the one buffer the parent read it
+    into.
     """
 
     __slots__ = ("key", "checksum", "body", "elapsed_ms", "stats",
@@ -537,6 +570,12 @@ def _run_accounted(run, ctx, task):
 
 
 def _run_task(task, buffer_stats=False):
+    """Execute one task and encode its result.
+
+    Returns ``(outcome, canonical)``: the outcome carries the encoded
+    body, its ``checksum`` is left for the caller to fill in from
+    ``canonical`` (serially, or overlapped with shipping a wide body).
+    """
     # the codec lives with the wire protocol; imported here, inside
     # the worker, so the monet layer never imports the server layer at
     # module scope
@@ -547,7 +586,6 @@ def _run_task(task, buffer_stats=False):
     if entry is None:
         raise MILError("unknown multiproc task kind %r" % (kind,))
     run, warmup = entry
-    faults_before = _minor_faults()
     ctx = WorkerContext()
     if warmup is not None:
         # resolve the catalog before the timer: the first task on each
@@ -563,14 +601,12 @@ def _run_task(task, buffer_stats=False):
     # encoding first: a value the codec cannot carry fails here with
     # the codec's typed ProtocolError, shipped back like any failure
     body = encode_binary_message(canonical)
-    checksum = result_checksum(canonical)
     opened = _STATE["db"].kernel if _STATE.get("db") is not None \
         else _STATE["kernel"]
     generation = opened.generation if opened is not None \
         else _STATE["generation"]
-    return TaskOutcome(key, checksum, body, elapsed_ms, stats,
-                       generation, os.getpid(), extra=extra,
-                       minor_faults=_minor_faults() - faults_before)
+    return TaskOutcome(key, None, body, elapsed_ms, stats,
+                       generation, os.getpid(), extra=extra), canonical
 
 
 def _minor_faults():
@@ -579,6 +615,71 @@ def _minor_faults():
     if resource is None:
         return 0
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+class _Hasher:
+    """The worker's one checksum thread, started once, for its first
+    wide body.
+
+    :meth:`submit` hands it a canonical value; :meth:`result` waits for
+    ``(checksum, error)``.  Every submit is followed by exactly one
+    result, so a checksum can never be read by the wrong task.
+    """
+
+    __slots__ = ("_jobs", "_results")
+
+    def __init__(self):
+        self._jobs = queue.SimpleQueue()
+        self._results = queue.SimpleQueue()
+        threading.Thread(target=self._loop, name="mp-hasher",
+                         daemon=True).start()
+
+    def _loop(self):
+        while True:
+            canonical = self._jobs.get()
+            try:
+                self._results.put((result_checksum(canonical), None))
+            except Exception as exc:   # noqa: BLE001 — shipped as err
+                self._results.put((None, exc))
+
+    def submit(self, canonical):
+        self._jobs.put(canonical)
+
+    def result(self):
+        return self._results.get()
+
+
+def _write_all(fd, data):
+    """Write every byte of ``data`` to ``fd`` (raw, no framing)."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _ship_body(conn, outcome, canonical, hasher):
+    """Send a wide body raw; returns the message that must follow it.
+
+    The hasher checksums ``canonical`` while the body is in the pipe.
+    The returned ``("ok", outcome)`` carries the checksum and no body;
+    ``("err", exc)`` (the checksum raised, or a fault fired) tells the
+    parent to drop the body it read.
+    """
+    body, outcome.body = outcome.body, None
+    hasher.submit(canonical)
+    try:
+        conn.send(("body", len(body)))
+        _write_all(conn.fileno(), body)
+    finally:
+        # drained on every path, the broken pipe included
+        checksum, error = hasher.result()
+    try:
+        if error is not None:
+            raise error
+        faults.fire("multiproc.task.body_sent")
+    except BaseException as exc:           # noqa: BLE001 — shipped
+        return ("err", exc)
+    outcome.checksum = checksum
+    return ("ok", outcome)
 
 
 def _worker_main(parent_conn, conn, init_args):
@@ -593,6 +694,10 @@ def _worker_main(parent_conn, conn, init_args):
     if parent_conn is not None:
         parent_conn.close()
     _worker_init(*init_args)
+    # started on the first wide body, not here: a second thread alive
+    # while this fresh fork first maps the catalog made that open ~3x
+    # slower (12-16 -> 36-57 ms measured on a 2-core host)
+    hasher = None
     while True:
         try:
             job = conn.recv()
@@ -601,16 +706,28 @@ def _worker_main(parent_conn, conn, init_args):
         if job is None:
             break
         task, buffer_stats = job
+        faults_before = _minor_faults()
+        message = None                 # stays None: a wide body ships
         try:
             faults.fire("multiproc.task.start")
-            message = ("ok", _run_task(task, buffer_stats))
+            outcome, canonical = _run_task(task, buffer_stats)
             # between execution and the reply: a crash here loses a
             # finished result (the parent must treat it as crashed),
             # a delay here overruns the per-task timeout
             faults.fire("multiproc.task.mid")
+            if len(outcome.body) < WIDE_BODY_BYTES:
+                outcome.checksum = result_checksum(canonical)
+                message = ("ok", outcome)
         except BaseException as exc:       # noqa: BLE001 — shipped
             message = ("err", exc)
         try:
+            if message is None:
+                if hasher is None:
+                    hasher = _Hasher()
+                message = _ship_body(conn, outcome, canonical, hasher)
+            if message[0] == "ok":
+                # encode and checksum included, the hasher's too
+                outcome.minor_faults = _minor_faults() - faults_before
             conn.send(message)
             faults.fire("multiproc.task.post_result")
         except (pickle.PicklingError, TypeError, AttributeError):
@@ -679,14 +796,26 @@ class PendingTask:
         return "PendingTask(%r, %s)" % (self.task[1], state)
 
 
+class _Lost(Exception):
+    """The worker died before its reply was complete."""
+
+
+class _Overdue(Exception):
+    """The task's deadline passed before its reply was complete."""
+
+
 class _WorkerHandle:
     """One worker process + the parent's end of its pipe."""
 
-    __slots__ = ("process", "conn")
+    __slots__ = ("process", "conn", "poller")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
+        #: readiness of the pipe: a bare poll(2), where
+        #: ``Connection.poll`` builds a selector per call
+        self.poller = select.poll()
+        self.poller.register(conn.fileno(), select.POLLIN)
 
     @property
     def pid(self):
@@ -882,57 +1011,93 @@ class MultiprocExecutor:
         pending.dispatched.set()
         deadline = None if pending.timeout is None \
             else time.monotonic() + pending.timeout
+        try:
+            status, payload = self._await_reply(worker, deadline)
+        except _Overdue:
+            # reclaim the slot: kill the overdue worker outright
+            # (it may be wedged in a kernel call) and respawn
+            self.timeouts += 1
+            worker.kill()
+            self._respawn(slot)
+            pending._fail(QueryTimeoutError(
+                "task %r exceeded its %.3fs timeout (worker pid "
+                "%s killed and respawned)"
+                % (pending.task[1], pending.timeout, pending.pid)))
+            return
+        except _Lost:
+            self._on_crash(slot, worker, pending)
+            return
+        if status == "ok":
+            pending._fulfill(payload)
+        else:
+            pending._fail(payload)
+
+    def _await_reply(self, worker, deadline):
+        """The worker's ``(status, payload)`` for the task it runs.
+
+        A wide body announced ahead of the outcome is read into one
+        buffer and becomes the outcome's :attr:`TaskOutcome.body`; an
+        ``err`` in its place drops the buffer.  Raises :class:`_Lost`
+        when the worker dies first, :class:`_Overdue` when the
+        deadline passes first — mid-body included.
+        """
+        status, payload = self._recv(worker, deadline)
+        if status != "body":
+            return status, payload
+        body = self._read_body(worker, payload, deadline)
+        status, payload = self._recv(worker, deadline)
+        if status == "ok":
+            payload.body = body
+        return status, payload
+
+    def _recv(self, worker, deadline):
+        self._wait_readable(worker, deadline)
+        try:
+            return worker.conn.recv()
+        except Exception as exc:       # noqa: BLE001 — see below
+            # EOF/EPIPE (worker died) but also any failure to
+            # *reconstruct* the shipped message (e.g. a custom
+            # exception whose __init__ rejects pickle's re-call): the
+            # message is lost either way, so treat the worker as
+            # crashed rather than leave the task unfulfilled and this
+            # pump dead
+            raise _Lost() from exc
+
+    @classmethod
+    def _read_body(cls, worker, nbytes, deadline):
+        """``nbytes`` raw bytes off the worker's pipe, read into one
+        buffer; returned as a read-only ``memoryview`` of it."""
+        view = memoryview(bytearray(nbytes))
+        fd = worker.conn.fileno()
+        got = 0
+        while got < nbytes:
+            cls._wait_readable(worker, deadline)
+            try:
+                count = os.readv(fd, [view[got:]])
+            except OSError as exc:
+                raise _Lost() from exc
+            if not count:
+                raise _Lost()              # EOF mid-body: it died
+            got += count
+        return view.toreadonly()
+
+    @staticmethod
+    def _wait_readable(worker, deadline):
+        """Return once the worker's pipe has bytes to read (or its
+        EOF); raise :class:`_Lost`/:class:`_Overdue` when the worker
+        exits or the deadline passes first.  Data that raced the
+        worker's exit is still readable, so it is never lost."""
         while True:
             wait = _POLL_INTERVAL if deadline is None else max(
                 0.0, min(_POLL_INTERVAL, deadline - time.monotonic()))
-            try:
-                ready = worker.conn.poll(wait)
-            except (OSError, ValueError):
-                ready = False
-            if ready:
-                try:
-                    status, body = worker.conn.recv()
-                except Exception:      # noqa: BLE001 — see below
-                    # EOF/EPIPE (worker died) but also any failure to
-                    # *reconstruct* the shipped message (e.g. a custom
-                    # exception whose __init__ rejects pickle's
-                    # re-call): the message is lost either way, so
-                    # treat the worker as crashed rather than leave
-                    # the task unfulfilled and this pump dead
-                    self._on_crash(slot, worker, pending)
-                    return
-                if status == "ok":
-                    pending._fulfill(body)
-                else:
-                    pending._fail(body)
+            if worker.poller.poll(wait * 1000.0):
                 return
             if not worker.process.is_alive():
-                # drain a result that raced the exit before declaring
-                # the task lost
-                try:
-                    if worker.conn.poll(0):
-                        status, body = worker.conn.recv()
-                        if status == "ok":
-                            pending._fulfill(body)
-                        else:
-                            pending._fail(body)
-                        self._on_crash(slot, worker, None)
-                        return
-                except (EOFError, OSError):
-                    pass
-                self._on_crash(slot, worker, pending)
-                return
+                if worker.poller.poll(0):
+                    return
+                raise _Lost()
             if deadline is not None and time.monotonic() > deadline:
-                # reclaim the slot: kill the overdue worker outright
-                # (it may be wedged in a kernel call) and respawn
-                self.timeouts += 1
-                worker.kill()
-                self._respawn(slot)
-                pending._fail(QueryTimeoutError(
-                    "task %r exceeded its %.3fs timeout (worker pid "
-                    "%s killed and respawned)"
-                    % (pending.task[1], pending.timeout, pending.pid)))
-                return
+                raise _Overdue()
 
     def _on_crash(self, slot, worker, pending):
         worker.kill()

@@ -38,7 +38,16 @@ ndarray **views** over the received bytes: zero copies on the reply
 path.
 
 A reply travels one way: the JSON ``result`` header frame followed by
-the body as one binary frame (:func:`send_reply`).
+the body as one binary frame (:func:`send_reply`).  Neither end copies
+the body on this hop: the sender writes the length words, the header
+and the body as one gather write (``sendmsg``) of the buffers they
+are, and :func:`recv_frame` reads a frame with ``recv_into`` into one
+buffer sized from its length word, then decodes a binary one in place
+into read-only arrays.  A body at or above
+:data:`repro.monet.multiproc.WIDE_BODY_BYTES` reaches the server the
+same way — raw bytes read into one buffer, never pickled — so a wide
+reply is one buffer per process from the worker's encoder to the
+client's arrays.
 
 Value codec
 -----------
@@ -105,22 +114,47 @@ _MARKERS = frozenset(("__ndo__", "__ndbuf__", "__row__",
 # framing
 # ----------------------------------------------------------------------
 def _send_frames(sock, *frames):
-    """Write ``(flag, body)`` frames with one ``sendall``, through the
-    chaos injection points.  An oversized frame is refused before any
-    byte goes out."""
+    """Write ``(flag, body)`` frames, through the chaos injection
+    points.  An oversized frame is refused before any byte goes out.
+
+    The length words and bodies go out as one gather write
+    (``sendmsg``), never joined into a copy, so a wide body crosses
+    this hop as the buffer it already is."""
     for _flag, body in frames:
         if len(body) > MAX_FRAME_BYTES:
             raise ProtocolError("refusing to send %d-byte frame (max %d)"
                                 % (len(body), MAX_FRAME_BYTES))
     faults.fire("protocol.send.reset")
-    data = b"".join(part for flag, body in frames
-                    for part in (_LENGTH.pack(flag | len(body)), body))
+    parts = [part for flag, body in frames
+             for part in (_LENGTH.pack(flag | len(body)), body)]
     spec = faults.fire("protocol.send.torn")
     if spec is not None:
-        sock.sendall(data[:_LENGTH.size + int(
-            (len(data) - _LENGTH.size) * spec.fraction)])
+        total = sum(len(part) for part in parts)
+        _send_parts(sock, parts, _LENGTH.size + int(
+            (total - _LENGTH.size) * spec.fraction))
         spec.conclude()
-    sock.sendall(data)
+    _send_parts(sock, parts)
+
+
+def _send_parts(sock, parts, limit=None):
+    """``sendall`` over a list of buffers (the first ``limit`` bytes
+    of them, when given): one ``sendmsg`` per attempt, resumed after a
+    short write."""
+    views = []
+    for part in parts:
+        view = memoryview(part).cast("B")
+        if limit is not None:
+            view = view[:max(0, limit)]
+            limit -= len(view)
+        if view:
+            views.append(view)
+    while views:
+        sent = sock.sendmsg(views)
+        while sent:
+            if sent < len(views[0]):
+                views[0] = views[0][sent:]
+                break
+            sent -= len(views.pop(0))
 
 
 def _json_bytes(obj):
@@ -152,15 +186,16 @@ def send_reply(sock, header, body):
 
 
 def _recv_exact(sock, nbytes):
-    chunks = []
-    remaining = nbytes
-    while remaining:
-        chunk = sock.recv(min(remaining, 1 << 20))
-        if not chunk:
+    """Exactly ``nbytes`` read into one buffer (``recv_into``, no
+    per-chunk allocations); ``None`` on EOF before the last byte."""
+    view = memoryview(bytearray(nbytes))
+    got = 0
+    while got < nbytes:
+        count = sock.recv_into(view[got:])
+        if not count:
             return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+        got += count
+    return view
 
 
 def recv_frame(sock, meter=None):
@@ -193,9 +228,10 @@ def recv_frame(sock, meter=None):
     if meter is not None:
         meter(_LENGTH.size + length)
     if binary:
-        return decode_binary_message(body)
+        # read-only: the decoded arrays are views of this one buffer
+        return decode_binary_message(body.toreadonly())
     try:
-        return json.loads(body.decode("utf-8"))
+        return json.loads(str(body, "utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError("undecodable frame: %s" % exc) from exc
 

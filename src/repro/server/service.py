@@ -51,6 +51,7 @@ import threading
 import time
 from collections import deque
 
+from .. import faults
 from ..analysis.verify import catalog_stats_from_manifest, check_program
 from ..bench.harness import percentiles
 from ..errors import (ProtocolError, ServerOverloadedError,
@@ -66,6 +67,11 @@ LATENCY_WINDOW = 4096
 
 #: Admission-stats cache entries kept (generations seen recently).
 ADMISSION_STATS_CACHE = 4
+
+#: Chaos injection point between a new session's generation read and
+#: the fork of that generation's pool (see :mod:`repro.faults`): a
+#: ``delay`` there opens the window a concurrent save must land in.
+faults.declare("service.session.fork")
 
 
 def _budget_options(budget):
@@ -221,16 +227,27 @@ class QueryService:
                 entry.sessions += 1
                 return Session(self, generation, entry)
         with self._create_lock:
-            # re-check under the creation lock: a concurrent connect
-            # may have built this generation's pool already
-            with self._pool_lock:
-                if self._closed:
-                    raise ProtocolError("service is shut down")
-                entry = self._pools.get(generation)
-                if entry is not None:
-                    entry.sessions += 1
-                    return Session(self, generation, entry)
-            executor = self._make_executor(generation)   # slow: forks
+            for retry in (False, True):
+                # re-check under the creation lock: a concurrent
+                # connect may have built this generation's pool already
+                with self._pool_lock:
+                    if self._closed:
+                        raise ProtocolError("service is shut down")
+                    entry = self._pools.get(generation)
+                    if entry is not None:
+                        entry.sessions += 1
+                        return Session(self, generation, entry)
+                faults.fire("service.session.fork")
+                executor = self._make_executor(generation)  # slow: forks
+                current = catalog_generation(self.db_dir)
+                if retry or current == generation:
+                    break
+                # a save landed between the read and the fork and
+                # pruned the files this pool would map: retry once on
+                # the newer generation instead of failing the
+                # session's first request with CatalogChangedError
+                executor.close()
+                generation = current
             with self._pool_lock:
                 if self._closed:
                     closed = True

@@ -9,7 +9,10 @@ against the same catalog generation — a fault may cost an operation
 
 import multiprocessing
 
-from repro.monet.multiproc import result_checksum, ship_value
+import numpy as np
+
+from repro.monet.multiproc import (WIDE_BODY_BYTES, register_task_kind,
+                                   result_checksum, ship_value)
 from repro.sql.suite import sql_text
 from repro.tpcd import QUERIES, open_tpcd
 
@@ -22,6 +25,25 @@ SQL_TASKS = ("repro.server.tasks",)
 def sql_task(number, key=None):
     """The worker task running TPC-D query ``number``'s SQL text."""
     return ("sql", key or "q%d" % number, sql_text(number))
+
+def _wide(ctx, task):
+    """A result whose encoded body is above the wide cut-off, so it
+    crosses the worker pipe raw (forked workers inherit this kind)."""
+    return wide_value(), None
+
+
+register_task_kind("wide", _wide)
+
+
+def wide_value():
+    """The canonical value the ``wide`` task kind ships."""
+    return {"kind": "value",
+            "value": np.arange(WIDE_BODY_BYTES // 8 + 512) * 0.5}
+
+
+def wide_task(key="w"):
+    return ("wide", key)
+
 
 #: Queries the per-point differential checks replay — a spread of
 #: scan/aggregate (Q1, Q6) and join/order (Q12) shapes.  The full

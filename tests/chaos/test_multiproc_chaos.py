@@ -14,19 +14,26 @@ schedules (e.g. crash the second task of each worker, so a resubmit
 landing on a fresh worker survives).
 """
 
+import multiprocessing
+import os
+import time
+
 import pytest
 
 from repro import faults
 from repro.errors import (InjectedFaultError, QueryTimeoutError,
                           WorkerCrashedError)
-from repro.monet.multiproc import MultiprocExecutor
+from repro.monet.multiproc import (MultiprocExecutor, _Lost, _Overdue,
+                                   _WorkerHandle, result_checksum)
 
-from chaos_utils import HAVE_FORK, SQL_TASKS, sql_task
+from chaos_utils import (HAVE_FORK, SQL_TASKS, sql_task, wide_task,
+                         wide_value)
 
 pytestmark = pytest.mark.skipif(
     not HAVE_FORK, reason="worker pools fork; spawn is too slow")
 
 MULTIPROC_POINTS = ("multiproc.task.start", "multiproc.task.mid",
+                    "multiproc.task.body_sent",
                     "multiproc.task.post_result")
 
 
@@ -123,3 +130,85 @@ def test_delayed_reply_past_timeout_is_a_typed_timeout(
         # 1.5s delay but an unbounded resubmit just waits it out
         outcome = _run(pool, 6)
         assert outcome.checksum == serial_checksums[6]
+
+
+# ----------------------------------------------------------------------
+# wide bodies: faults between the raw body and the outcome
+# ----------------------------------------------------------------------
+def test_worker_crash_between_body_and_outcome_is_typed_and_recoverable(
+        db_dir):
+    expected = result_checksum(wide_value())
+    plan = faults.FaultPlan().arm("multiproc.task.body_sent",
+                                  action="crash", skip=1)
+    with _pool(db_dir, plan) as pool:
+        first = pool.submit(wide_task("w1")).result(timeout=120)
+        assert first.checksum == expected          # hit 1: skipped
+        with pytest.raises(WorkerCrashedError):    # hit 2: crash
+            pool.submit(wide_task("w2")).result(timeout=120)
+        assert pool.crashes == 1
+        retry = pool.submit(wide_task("w3")).result(timeout=120)
+        assert retry.checksum == expected
+        assert retry.pid != first.pid
+        assert pool.respawns >= 1
+
+
+def test_raise_between_body_and_outcome_drops_the_body(db_dir):
+    expected = result_checksum(wide_value())
+    plan = faults.FaultPlan().arm("multiproc.task.body_sent",
+                                  action="raise")
+    with _pool(db_dir, plan) as pool:
+        with pytest.raises(InjectedFaultError):
+            pool.submit(wide_task("w1")).result(timeout=120)
+        [pid] = pool.worker_pids()
+        outcome = pool.submit(wide_task("w2")).result(timeout=120)
+        assert outcome.checksum == expected
+        assert bytes(outcome.body) == bytes(
+            pool.submit(wide_task("w3")).result(timeout=120).body)
+        assert pool.worker_pids() == [pid]
+        assert pool.crashes == 0
+
+
+def test_delay_between_body_and_outcome_is_the_task_timeout(db_dir):
+    expected = result_checksum(wide_value())
+    plan = faults.FaultPlan().arm("multiproc.task.body_sent",
+                                  action="delay", delay_s=3.0)
+    with _pool(db_dir, plan) as pool:
+        started = time.monotonic()
+        with pytest.raises(QueryTimeoutError):
+            pool.submit(wide_task("w1"), timeout=0.5).result(timeout=120)
+        # the parent gave up at the deadline, not after the stall
+        assert time.monotonic() - started < 2.5
+        assert pool.timeouts == 1
+        outcome = pool.submit(wide_task("w2")).result(timeout=120)
+        assert outcome.checksum == expected
+
+
+class _FakeProcess:
+    pid = 0
+
+    def __init__(self):
+        self.alive = True
+
+    def is_alive(self):
+        return self.alive
+
+
+def test_body_read_stalled_mid_body_ends_at_deadline_or_death():
+    """A worker that stops writing halfway through its body: the
+    parent's read ends at the task deadline, and at the worker's death
+    even when the pipe never reports EOF (another process may hold a
+    copy of the worker's end)."""
+    parent_end, worker_end = multiprocessing.Pipe(duplex=True)
+    worker = _WorkerHandle(_FakeProcess(), parent_end)
+    try:
+        os.write(worker_end.fileno(), b"x" * 1000)   # a quarter
+        started = time.monotonic()
+        with pytest.raises(_Overdue):
+            MultiprocExecutor._read_body(worker, 4000, started + 0.2)
+        assert 0.2 <= time.monotonic() - started < 2.0
+        worker.process.alive = False
+        with pytest.raises(_Lost):
+            MultiprocExecutor._read_body(worker, 4000, None)
+    finally:
+        parent_end.close()
+        worker_end.close()

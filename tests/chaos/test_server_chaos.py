@@ -24,8 +24,9 @@ from repro.errors import (AuthError, ConnectionLostError,
 from repro.server import (MAX_FRAME_BYTES, QueryClient, QueryServer,
                           QueryService, recv_frame, send_frame)
 from repro.sql.suite import sql_text
+from repro.tpcd import load_tpcd, open_tpcd, save_tpcd
 
-from chaos_utils import HAVE_FORK
+from chaos_utils import HAVE_FORK, wide_value
 
 pytestmark = pytest.mark.skipif(
     not HAVE_FORK, reason="server tests fork worker pools")
@@ -57,11 +58,12 @@ def test_chaos_suite_covers_every_declared_point():
         "storage.manifest.renamed",
         # tests/chaos/test_multiproc_chaos.py
         "multiproc.task.start", "multiproc.task.mid",
-        "multiproc.task.post_result",
+        "multiproc.task.body_sent", "multiproc.task.post_result",
         # this module
         "protocol.send.reset", "protocol.send.torn",
         "protocol.recv.delay", "server.handle.delay",
         "server.reply.drop", "server.reply.reset",
+        "service.session.fork",
     }
     assert set(faults.registered_points()) == covered
 
@@ -151,6 +153,40 @@ def test_torn_binary_frame_is_detected_not_decoded():
         # half a binary frame is as undecodable as half a JSON one
         with pytest.raises(ProtocolError):
             recv_frame(right)
+    finally:
+        right.close()
+
+
+def test_torn_wide_reply_is_detected_not_decoded():
+    """The reply's frames go out as one gather write of separate
+    buffers; a tear still cuts them at a byte, not at a buffer."""
+    from repro.server import encode_binary_message, send_reply
+    body = memoryview(bytearray(
+        encode_binary_message(wide_value()))).toreadonly()
+    left, right = socket.socketpair()
+    received = {}
+
+    def reader():
+        try:
+            received["header"] = recv_frame(right)
+            recv_frame(right)
+        except ProtocolError as exc:
+            received["error"] = exc
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        plan = faults.FaultPlan().arm("protocol.send.torn",
+                                      action="tear", fraction=0.5)
+        with faults.use(plan):
+            with pytest.raises(InjectedFaultError):
+                send_reply(left, {"type": "result"}, body)
+        left.close()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        # the header frame arrived whole, the body frame torn: typed
+        assert received["header"] == {"type": "result"}
+        assert isinstance(received["error"], ProtocolError)
     finally:
         right.close()
 
@@ -435,4 +471,47 @@ def test_drain_deadline_sends_typed_error_to_stragglers(db_dir):
         client.close()
     finally:
         server.stop()
+        service.close()
+
+
+# ----------------------------------------------------------------------
+# a save racing a new session's pool
+# ----------------------------------------------------------------------
+def test_save_between_session_read_and_fork_serves_the_newer_generation(
+        tiny_tpcd, tmp_path, serial_checksums):
+    """A writer saving while a new session forks its pool used to pin
+    the session to the generation it had just pruned, so its first
+    request failed with CatalogChangedError.  The session now retries
+    once on the generation on disk."""
+    db_dir = tmp_path / "db"
+    load_tpcd(tiny_tpcd, db_dir=db_dir)
+    plan = faults.FaultPlan().arm("service.session.fork",
+                                  action="delay", delay_s=1.0)
+    saved = threading.Event()
+
+    def writer():
+        while not plan.fired("service.session.fork"):
+            time.sleep(0.005)
+        db, _report = open_tpcd(db_dir)
+        save_tpcd(db, db_dir)
+        saved.set()
+
+    service = QueryService(db_dir, procs=1)
+    try:
+        thread = threading.Thread(target=writer)
+        with faults.use(plan):
+            thread.start()
+            session = service.session()
+        thread.join(timeout=30)
+        # the save finished inside the window, before the re-check
+        assert saved.is_set()
+        with session:
+            # the old pin: CatalogChangedError here, from the worker
+            # opening a generation whose files the save had pruned
+            response = session.execute({"type": "sql",
+                                        "query": sql_text(6)})
+        assert session.generation == response["generation"] == 2
+        assert response["checksum"] == serial_checksums[6]
+        assert service.pool_generations() == [2]
+    finally:
         service.close()

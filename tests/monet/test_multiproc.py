@@ -12,6 +12,7 @@ import multiprocessing
 import os
 import signal
 
+import numpy as np
 import pytest
 
 from repro import faults
@@ -21,7 +22,8 @@ from repro.monet import (MILProgram, MonetKernel, MultiprocExecutor,
                          Var, result_checksum, run_program_serial,
                          ship_value)
 from repro.monet import buffer
-from repro.monet.multiproc import register_task_kind
+from repro.monet.multiproc import WIDE_BODY_BYTES, register_task_kind
+from repro.server.protocol import encode_binary_message
 from repro.sql import execute_sql
 from repro.sql.suite import sql_text
 from repro.tpcd import QUERIES, load_tpcd, open_tpcd
@@ -138,6 +140,38 @@ def _unencodable(ctx, task):
 
 
 register_task_kind("unencodable", _unencodable)
+
+
+def sized_value(size):
+    """A canonical value whose encoded body is exactly ``size`` bytes."""
+    count = size
+    for _attempt in range(8):
+        value = {"kind": "value",
+                 "value": np.arange(count, dtype=np.uint8)}
+        excess = len(encode_binary_message(value)) - size
+        if not excess:
+            return value
+        count -= excess
+    raise AssertionError("no value encodes to %d bytes" % size)
+
+
+def _sized(ctx, task):
+    """Test task kind: a result whose body is ``task[2]`` bytes."""
+    return sized_value(task[2]), None
+
+
+register_task_kind("sized", _sized)
+
+
+def _unhashable(ctx, task):
+    """Test task kind: a wide result the codec carries and the
+    checksum refuses (a dict whose keys do not sort)."""
+    return {"kind": "value",
+            "value": {1: np.zeros(WIDE_BODY_BYTES, dtype=np.uint8),
+                      "a": 0}}, None
+
+
+register_task_kind("unhashable", _unhashable)
 
 
 def test_accounted_faults_do_not_depend_on_worker_history(db_dir):
@@ -437,3 +471,44 @@ def test_array_digests_equal_the_copying_encoding():
                           + str(value.shape).encode() + b":"
                           + np.ascontiguousarray(value).tobytes())
     assert copied.hexdigest() == ARRAY_DIGESTS["int64 strided"]
+
+
+# ----------------------------------------------------------------------
+# wide bodies: raw on the pipe, checksum overlapped
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("offset", [-1, 0, 4096],
+                         ids=["below", "at", "above"])
+def test_bodies_around_the_cut_off_equal_the_encoder(executor, offset):
+    size = WIDE_BODY_BYTES + offset
+    canonical = sized_value(size)
+    outcome = executor.submit(("sized", "s", size)).result(timeout=60)
+    assert len(outcome.body) == size
+    assert bytes(outcome.body) == encode_binary_message(canonical)
+    assert outcome.checksum == result_checksum(canonical)
+    # from the cut-off up the body skipped pickle and landed in one
+    # read-only buffer; below it, it arrived inside the outcome
+    wide = size >= WIDE_BODY_BYTES
+    assert isinstance(outcome.body, memoryview if wide else bytes)
+    if wide:
+        assert outcome.body.readonly
+    array = outcome.value()["value"]
+    assert not array.flags.writeable
+    with pytest.raises(ValueError):
+        array[0] = 1
+
+
+def test_checksum_error_after_a_wide_body_is_typed_and_worker_survives(
+        db_dir):
+    with MultiprocExecutor(db_dir, procs=1,
+                           task_modules=SQL_TASKS) as pool:
+        size = WIDE_BODY_BYTES + 8
+        assert pool.submit(("sized", "s0", size)).result(timeout=60)
+        [pid] = pool.worker_pids()
+        with pytest.raises(TypeError):
+            pool.submit(("unhashable", "u")).result(timeout=60)
+        # the body read ahead of the error was dropped and the pipe
+        # stayed in step: the same worker serves the next wide body
+        outcome = pool.submit(("sized", "s1", size)).result(timeout=60)
+        assert outcome.checksum == result_checksum(sized_value(size))
+        assert pool.worker_pids() == [pid]
+        assert pool.crashes == 0

@@ -141,10 +141,13 @@ def test_mmap_reopen_is_zero_copy_and_lazy(tmp_path):
     assert len(heap) == 3            # length known without decoding
     assert heap.nbytes == sum(len(v) + 1 for v in
                               ("cherry", "apple", "banana"))
-    # first decode materialises values + lookup lazily
+    # one value decodes from the mapped body alone
     assert name.tail.value(0) == "cherry"
-    assert heap.decoded
+    assert not heap.decoded
+    # the first lookup materialises values + lookup lazily
     assert heap.lookup["banana"] == 2
+    assert heap.decoded
+    assert name.tail.value(2) == "banana"
 
 
 def test_saving_reopened_kernel_does_not_decode(tmp_path):

@@ -19,10 +19,11 @@ from repro.errors import (ProtocolError, QueryTimeoutError,
                           ServerError, ServerOverloadedError,
                           SqlParseError)
 from repro.monet import MILProgram, MonetKernel, Var
-from repro.monet.multiproc import (result_checksum, run_program_serial,
-                                   ship_value)
+from repro.monet.multiproc import (WIDE_BODY_BYTES, result_checksum,
+                                   run_program_serial, ship_value)
 from repro.server import QueryClient, QueryServer, QueryService
-from repro.server.protocol import decode_binary_message, decode_value
+from repro.server.protocol import (decode_binary_message, decode_value,
+                                   encode_binary_message, encode_program)
 from repro.sql.suite import sql_text
 from repro.tpcd import QUERIES, load_tpcd, open_tpcd
 from repro.tpcd.loader import save_tpcd
@@ -1021,3 +1022,59 @@ def test_unbudgeted_service_verifies_mil_but_admits_everything(db_dir):
             reply = client.moa(QUERIES[1].texts()[0])
             assert reply.checksum
     service.close()
+
+
+# ----------------------------------------------------------------------
+# wide replies: one buffer per hop
+# ----------------------------------------------------------------------
+#: Every fixed-width Item column, fetched whole: a reply above the wide
+#: cut-off at the fixture's scale.
+WIDE_COLUMNS = ("Item_order", "Item_part", "Item_supplier",
+                "Item_quantity", "Item_extendedprice", "Item_discount",
+                "Item_tax", "Item_shipdate")
+
+
+def _wide_fetch(db_dir):
+    """``(program, fetch, serial env, serial checksum)``."""
+    program = MILProgram()
+    fetch = []
+    for index, name in enumerate(WIDE_COLUMNS):
+        fetch.append("c%d" % index)
+        program.emit("slice", [Var(name), 0, 2 ** 31 - 1],
+                     target=fetch[-1])
+    env, checksum = run_program_serial(MonetKernel.open(db_dir),
+                                       program, fetch)
+    return program, fetch, env, checksum
+
+
+def test_wide_reply_matches_serial_and_decodes_read_only(uncached_server,
+                                                        db_dir):
+    program, fetch, _env, expected = _wide_fetch(db_dir)
+    with _connect(uncached_server) as client:
+        reply = client.mil(program, fetch)
+    assert reply.payload_bytes >= WIDE_BODY_BYTES
+    assert reply.checksum == expected
+    for bat in reply.value.values():
+        assert not bat["head"].flags.writeable
+        assert not bat["tail"].flags.writeable
+
+
+def test_wide_result_cache_hit_serves_the_same_bytes(db_dir):
+    program, fetch, env, expected = _wide_fetch(db_dir)
+    request = {"type": "mil", "program": encode_program(program),
+               "fetch": fetch}
+    service = QueryService(db_dir, procs=1, result_cache_bytes=1 << 22)
+    try:
+        with service.session() as session:
+            first = session.execute(request)
+            second = session.execute(request)
+    finally:
+        service.close()
+    assert first["result_cached"] is False
+    assert second["result_cached"] is True
+    # read raw into one buffer the server hands on read-only
+    assert isinstance(first["body"], memoryview)
+    assert first["body"].readonly
+    assert bytes(second["body"]) == bytes(first["body"]) \
+        == encode_binary_message(env)
+    assert second["checksum"] == first["checksum"] == expected

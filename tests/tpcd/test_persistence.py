@@ -15,6 +15,7 @@ import pytest
 from repro.monet import MonetKernel
 from repro.monet.column import FixedColumn, VarColumn
 from repro.monet.storage import residency_snapshot
+from repro.tpcd import loader
 from repro.tpcd import (QUERIES, load_tpcd, open_tpcd, peek_tpcd_meta,
                         tpcd_schema)
 
@@ -83,7 +84,31 @@ def test_simulated_fault_traces_survive_reopen(tiny_tpcd_db,
             % (number, warm, fresh)
 
 
-def test_load_tpcd_db_dir_caches_and_warm_starts(tiny_tpcd, tmp_path):
+def _forbidden(name):
+    def phase(*_args, **_kwargs):
+        raise AssertionError("a warm start ran %s" % name)
+    return phase
+
+
+class _NoDbgen:
+    """A dataset whose generated contents must not be read: only the
+    ``(scale, seed)`` a warm start compares with the saved meta."""
+
+    def __init__(self, dataset):
+        self.scale = dataset.scale
+        self.seed = dataset.seed
+
+    @property
+    def columns(self):
+        raise AssertionError("a warm start read the generated columns")
+
+    @property
+    def data(self):
+        raise AssertionError("a warm start read the generated data")
+
+
+def test_load_tpcd_db_dir_caches_and_warm_starts(tiny_tpcd, tmp_path,
+                                                 monkeypatch):
     db_dir = tmp_path / "cache"
     cold_db, cold_report = load_tpcd(tiny_tpcd, db_dir=db_dir)
     assert not cold_report.warm
@@ -96,11 +121,38 @@ def test_load_tpcd_db_dir_caches_and_warm_starts(tiny_tpcd, tmp_path):
     warm_db, warm_report = load_tpcd(tiny_tpcd, db_dir=db_dir)
     assert warm_report.warm
     assert warm_report.total_s < cold_report.total_s
+    # the same property as a count: a warm start runs no dbgen (never
+    # reads the generated columns) and none of the load phases
+    with monkeypatch.context() as patch:
+        for phase in ("flatten", "create_datavectors", "reorder_on_tail"):
+            patch.setattr(loader, phase, _forbidden(phase))
+        _db, counted = load_tpcd(_NoDbgen(tiny_tpcd), db_dir=db_dir)
+    assert counted.warm
+    assert counted.datavector_s == counted.reorder_s == 0.0
     assert QUERIES[13].run(warm_db) == QUERIES[13].run(cold_db)
     # the logical store is re-attached, so the Figure 6 commute check
     # (physical vs reference evaluator) still works on a warm start
     assert warm_db.flat.data is tiny_tpcd.data
     warm_db.check_commutes(QUERIES[13].texts()[0])
+
+
+def test_reopened_string_search_decodes_only_what_it_visits(
+        tiny_tpcd_db, saved_db_dir):
+    from repro.monet.operators.select import select_eq
+    memory = tiny_tpcd_db.kernel.get("Customer_name")
+    assert memory.props.tordered        # the binary-search path
+    wanted = memory.tail.value(len(memory) // 3)
+    reopened = MonetKernel.open(saved_db_dir).get("Customer_name")
+    heap = reopened.tail.heap
+    assert not heap.decoded
+    found = select_eq(reopened, wanted)
+    assert not heap.decoded             # O(log n) values, not the heap
+    expected = select_eq(memory, wanted)
+    assert len(found) == len(expected) >= 1
+    assert found.head.logical().tolist() == \
+        expected.head.logical().tolist()
+    assert found.tail.logical().tolist() == \
+        expected.tail.logical().tolist() == [wanted] * len(found)
 
 
 def test_mismatched_cache_is_ignored(tiny_tpcd, tmp_path):
