@@ -95,7 +95,6 @@ import multiprocessing
 import os
 import pickle
 import queue
-import select
 import threading
 import time
 from collections import deque
@@ -807,15 +806,11 @@ class _Overdue(Exception):
 class _WorkerHandle:
     """One worker process + the parent's end of its pipe."""
 
-    __slots__ = ("process", "conn", "poller")
+    __slots__ = ("process", "conn")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
-        #: readiness of the pipe: a bare poll(2), where
-        #: ``Connection.poll`` builds a selector per call
-        self.poller = select.poll()
-        self.poller.register(conn.fileno(), select.POLLIN)
 
     @property
     def pid(self):
@@ -1090,10 +1085,10 @@ class MultiprocExecutor:
         while True:
             wait = _POLL_INTERVAL if deadline is None else max(
                 0.0, min(_POLL_INTERVAL, deadline - time.monotonic()))
-            if worker.poller.poll(wait * 1000.0):
+            if worker.conn.poll(wait):
                 return
             if not worker.process.is_alive():
-                if worker.poller.poll(0):
+                if worker.conn.poll(0):
                     return
                 raise _Lost()
             if deadline is not None and time.monotonic() > deadline:

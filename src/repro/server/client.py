@@ -212,7 +212,8 @@ class QueryClient:
         """One frame; transport failures (EOF, reset, torn frame,
         timeout) raise :class:`~repro.errors.ConnectionLostError`."""
         try:
-            frame = recv_frame(self._sock, meter=self._meter)
+            frame = recv_frame(self._sock, meter=self._meter,
+                               trusted=True)
         except socket.timeout as exc:
             raise ConnectionLostError(
                 "timed out after %.3gs awaiting the reply"

@@ -41,9 +41,12 @@ A reply travels one way: the JSON ``result`` header frame followed by
 the body as one binary frame (:func:`send_reply`).  Neither end copies
 the body on this hop: the sender writes the length words, the header
 and the body as one gather write (``sendmsg``) of the buffers they
-are, and :func:`recv_frame` reads a frame with ``recv_into`` into one
-buffer sized from its length word, then decodes a binary one in place
-into read-only arrays.  A body at or above
+are, and the client's :func:`recv_frame` reads a reply frame with
+``recv_into`` into one buffer sized from its length word, then decodes
+a binary one in place into read-only arrays.  Only a ``trusted`` read
+(the client's, from its own server) sizes a buffer from a length word:
+the server reads every frame it receives in chunks, so its memory
+grows only with the bytes a peer actually sends.  A body at or above
 :data:`repro.monet.multiproc.WIDE_BODY_BYTES` reaches the server the
 same way — raw bytes read into one buffer, never pickled — so a wide
 reply is one buffer per process from the worker's encoder to the
@@ -185,20 +188,36 @@ def send_reply(sock, header, body):
     _send_frames(sock, (0, _json_bytes(header)), (_BINARY_FLAG, body))
 
 
-def _recv_exact(sock, nbytes):
-    """Exactly ``nbytes`` read into one buffer (``recv_into``, no
-    per-chunk allocations); ``None`` on EOF before the last byte."""
-    view = memoryview(bytearray(nbytes))
-    got = 0
-    while got < nbytes:
-        count = sock.recv_into(view[got:])
-        if not count:
+def _recv_exact(sock, nbytes, trusted=False):
+    """Exactly ``nbytes``; ``None`` on EOF before the last byte.
+
+    From a ``trusted`` peer the bytes land in one buffer sized from the
+    announced length (``recv_into``: no per-chunk allocations, no
+    join).  From any other peer memory grows only with the bytes that
+    arrive (chunks of at most 1 MiB, joined at the end), so a length
+    word alone cannot make the reader commit the frame's size.
+    """
+    if trusted:
+        view = memoryview(bytearray(nbytes))
+        got = 0
+        while got < nbytes:
+            count = sock.recv_into(view[got:])
+            if not count:
+                return None
+            got += count
+        return view.toreadonly()
+    chunks = []
+    remaining = nbytes
+    while remaining:
+        chunk = sock.recv(min(remaining, 1 << 20))
+        if not chunk:
             return None
-        got += count
-    return view
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
 
 
-def recv_frame(sock, meter=None):
+def recv_frame(sock, meter=None, trusted=False):
     """Read one frame; ``None`` on clean EOF at a frame boundary.
 
     Handles both frame kinds: a flagged length word parses the
@@ -210,6 +229,12 @@ def recv_frame(sock, meter=None):
     it with an error frame before hanging up instead of silently
     dropping the connection.  ``meter``, when given, is called with
     the frame's total on-wire byte count (length word included).
+
+    ``trusted`` is for a peer whose length words are believed — the
+    client reading replies from its own server: the payload is read
+    into one buffer sized from the length word.  Without it (the
+    server reading requests from any peer, the handshake included)
+    the reader's memory grows only with the bytes actually received.
     """
     faults.fire("protocol.recv.delay")
     header = _recv_exact(sock, _LENGTH.size)
@@ -221,7 +246,7 @@ def recv_frame(sock, meter=None):
     if length > MAX_FRAME_BYTES:
         raise FrameTooLargeError("refusing %d-byte frame (max %d)"
                                  % (length, MAX_FRAME_BYTES))
-    body = _recv_exact(sock, length)
+    body = _recv_exact(sock, length, trusted)
     if body is None:
         raise ProtocolError("connection closed mid-frame "
                             "(%d bytes expected)" % length)
@@ -229,7 +254,7 @@ def recv_frame(sock, meter=None):
         meter(_LENGTH.size + length)
     if binary:
         # read-only: the decoded arrays are views of this one buffer
-        return decode_binary_message(body.toreadonly())
+        return decode_binary_message(body)
     try:
         return json.loads(str(body, "utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:

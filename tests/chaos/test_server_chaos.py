@@ -12,6 +12,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -346,6 +347,30 @@ def test_auth_token_gate(db_dir, serial_checksums):
     finally:
         server.stop()
         service.close()
+
+
+def test_announced_frame_costs_the_server_nothing_before_its_bytes(db_dir):
+    """A peer that announces a frame just under the cap at the
+    handshake and then sends nothing: the server, parked reading it,
+    must not have allocated the announced size."""
+    service = QueryService(db_dir, procs=1)
+    server = QueryServer(service, auth_token="open-sesame")
+    server.start()
+    peer = socket.create_connection(server.address)
+    tracemalloc.start()
+    try:
+        assert recv_frame(peer)["type"] == "hello"
+        before, _peak = tracemalloc.get_traced_memory()
+        peer.sendall(struct.pack(">I", MAX_FRAME_BYTES - 1))
+        time.sleep(0.5)                  # the handler reads the word
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        peer.close()
+        server.stop()
+        service.close()
+    assert after - before < 16 << 20
+    assert peak - before < 16 << 20
 
 
 # ----------------------------------------------------------------------

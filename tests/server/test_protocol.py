@@ -9,6 +9,7 @@ lets the client re-verify a served payload byte-for-byte.
 import json
 import socket
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,43 @@ def test_frame_size_guard():
     finally:
         left.close()
         right.close()
+
+
+def test_untrusted_read_grows_only_with_the_bytes_received():
+    """A length word alone must not make the reader commit the frame's
+    size: announce 64 MiB, send 1 KiB, hang up."""
+    announced = 64 << 20
+    left, right = socket.socketpair()
+    try:
+        left.sendall(announced.to_bytes(4, "big") + b"x" * 1024)
+        left.close()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError):
+                recv_frame(right)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    finally:
+        right.close()
+    assert peak < 4 << 20
+
+
+@pytest.mark.parametrize("trusted", [False, True])
+def test_binary_frame_decodes_read_only_either_way(trusted):
+    env = {"a": np.arange(1 << 16, dtype=np.int64)}
+    left, right = socket.socketpair()
+    try:
+        sender = threading.Thread(target=send_binary_frame, args=(
+            left, encode_binary_message(env)))
+        sender.start()
+        received = recv_frame(right, trusted=trusted)
+        sender.join()
+    finally:
+        left.close()
+        right.close()
+    assert not received["a"].flags.writeable
+    assert np.array_equal(received["a"], env["a"])
 
 
 def test_undecodable_frame():
