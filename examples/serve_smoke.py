@@ -35,7 +35,7 @@ Replies arrive as a header frame plus the worker-encoded payload
 frame.  One ``mil`` request fetches every fixed-width ``Item`` column
 whole — a reply above the wide cut-off
 (:data:`~repro.monet.multiproc.WIDE_BODY_BYTES`) even at SF 0.0005, so
-its body crosses the worker pipe raw with the checksum overlapped —
+its body crosses the worker pipe raw, never pickled —
 and its checksum is diffed against the same program run on this
 process's own kernel.
 

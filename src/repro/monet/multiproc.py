@@ -47,17 +47,21 @@ checksum-identical to the serial execution of the same queries.
 A body travels one of two ways, by its size:
 
 * below :data:`WIDE_BODY_BYTES` it rides inside the pickled outcome,
-  one message on the worker's socketpair, checksummed first;
+  one message on the worker's socketpair;
 * from :data:`WIDE_BODY_BYTES` up it is never pickled.  The worker
   sends a pickled announcement ``("body", nbytes)``, writes the body
   as raw bytes on the same socketpair, then sends the outcome with
-  its checksum and no body.  The checksum runs on the worker's one
-  hasher thread (started for its first wide body) while the main thread
-  writes the body — hashlib releases the GIL on large buffers, so
-  the two overlap.  The parent reads the body with ``os.readv`` into
-  one buffer sized from the announcement and hands it on as a
-  read-only ``memoryview``; an ``err`` in place of the outcome (the
-  checksum raised, or a fault fired) drops that buffer.
+  its checksum and no body.  The parent reads the body with
+  ``os.readv`` into one buffer sized from the announcement and hands
+  it on as a read-only ``memoryview``; an ``err`` in place of the
+  outcome (a fault fired) drops that buffer.
+
+Either way the checksum is computed first, on the worker's one thread.
+Hashing on a second worker thread while the body ships was built and
+measured: with the parent reading at the same time that is three
+busy threads on a 2-core host, preempting one another: 9-11
+involuntary context switches in the parent process per 3.6 MB reply,
+against under 0.5 without the thread.
 
 The parent's read of a wide body is bounded like the wait for any
 reply: the per-task deadline and the worker's death both end it.
@@ -94,7 +98,6 @@ import hashlib
 import multiprocessing
 import os
 import pickle
-import queue
 import threading
 import time
 from collections import deque
@@ -125,12 +128,10 @@ DEFAULT_PROCS = 2
 _POLL_INTERVAL = 0.05
 
 #: Encoded bodies of at least this many bytes cross the worker pipe
-#: raw, with the checksum overlapped (see "Result shipping" above);
-#: smaller ones ride in the pickled outcome.  Set from a served round
-#: trip on a 2-core host: below ~230 KB the announcement message and
-#: the hasher hand-off (~25 us) cost more than the pickle copy and the
-#: overlapped hash save (2-4 % slower at 115-172 KB), above it the raw
-#: path wins (11 % at 0.9 MB).  CHANGES.md has the table.
+#: raw (see "Result shipping" above); smaller ones ride in the pickled
+#: outcome.  Set from a served round trip on a 2-core host, measured
+#: while the checksum still ran on a second thread: the raw path lost
+#: below ~230 KB and won above it.  CHANGES.md has the tables.
 WIDE_BODY_BYTES = 256 * 1024
 
 #: Chaos injection points of the worker loop (fired *inside* worker
@@ -569,12 +570,6 @@ def _run_accounted(run, ctx, task):
 
 
 def _run_task(task, buffer_stats=False):
-    """Execute one task and encode its result.
-
-    Returns ``(outcome, canonical)``: the outcome carries the encoded
-    body, its ``checksum`` is left for the caller to fill in from
-    ``canonical`` (serially, or overlapped with shipping a wide body).
-    """
     # the codec lives with the wire protocol; imported here, inside
     # the worker, so the monet layer never imports the server layer at
     # module scope
@@ -585,6 +580,7 @@ def _run_task(task, buffer_stats=False):
     if entry is None:
         raise MILError("unknown multiproc task kind %r" % (kind,))
     run, warmup = entry
+    faults_before = _minor_faults()
     ctx = WorkerContext()
     if warmup is not None:
         # resolve the catalog before the timer: the first task on each
@@ -600,12 +596,14 @@ def _run_task(task, buffer_stats=False):
     # encoding first: a value the codec cannot carry fails here with
     # the codec's typed ProtocolError, shipped back like any failure
     body = encode_binary_message(canonical)
+    checksum = result_checksum(canonical)
     opened = _STATE["db"].kernel if _STATE.get("db") is not None \
         else _STATE["kernel"]
     generation = opened.generation if opened is not None \
         else _STATE["generation"]
-    return TaskOutcome(key, None, body, elapsed_ms, stats,
-                       generation, os.getpid(), extra=extra), canonical
+    return TaskOutcome(key, checksum, body, elapsed_ms, stats,
+                       generation, os.getpid(), extra=extra,
+                       minor_faults=_minor_faults() - faults_before)
 
 
 def _minor_faults():
@@ -616,38 +614,6 @@ def _minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-class _Hasher:
-    """The worker's one checksum thread, started once, for its first
-    wide body.
-
-    :meth:`submit` hands it a canonical value; :meth:`result` waits for
-    ``(checksum, error)``.  Every submit is followed by exactly one
-    result, so a checksum can never be read by the wrong task.
-    """
-
-    __slots__ = ("_jobs", "_results")
-
-    def __init__(self):
-        self._jobs = queue.SimpleQueue()
-        self._results = queue.SimpleQueue()
-        threading.Thread(target=self._loop, name="mp-hasher",
-                         daemon=True).start()
-
-    def _loop(self):
-        while True:
-            canonical = self._jobs.get()
-            try:
-                self._results.put((result_checksum(canonical), None))
-            except Exception as exc:   # noqa: BLE001 — shipped as err
-                self._results.put((None, exc))
-
-    def submit(self, canonical):
-        self._jobs.put(canonical)
-
-    def result(self):
-        return self._results.get()
-
-
 def _write_all(fd, data):
     """Write every byte of ``data`` to ``fd`` (raw, no framing)."""
     view = memoryview(data)
@@ -655,29 +621,20 @@ def _write_all(fd, data):
         view = view[os.write(fd, view):]
 
 
-def _ship_body(conn, outcome, canonical, hasher):
+def _ship_body(conn, outcome):
     """Send a wide body raw; returns the message that must follow it.
 
-    The hasher checksums ``canonical`` while the body is in the pipe.
     The returned ``("ok", outcome)`` carries the checksum and no body;
-    ``("err", exc)`` (the checksum raised, or a fault fired) tells the
-    parent to drop the body it read.
+    ``("err", exc)`` (a fault fired) tells the parent to drop the body
+    it read.
     """
     body, outcome.body = outcome.body, None
-    hasher.submit(canonical)
+    conn.send(("body", len(body)))
+    _write_all(conn.fileno(), body)
     try:
-        conn.send(("body", len(body)))
-        _write_all(conn.fileno(), body)
-    finally:
-        # drained on every path, the broken pipe included
-        checksum, error = hasher.result()
-    try:
-        if error is not None:
-            raise error
         faults.fire("multiproc.task.body_sent")
     except BaseException as exc:           # noqa: BLE001 — shipped
         return ("err", exc)
-    outcome.checksum = checksum
     return ("ok", outcome)
 
 
@@ -693,10 +650,6 @@ def _worker_main(parent_conn, conn, init_args):
     if parent_conn is not None:
         parent_conn.close()
     _worker_init(*init_args)
-    # started on the first wide body, not here: a second thread alive
-    # while this fresh fork first maps the catalog made that open ~3x
-    # slower (12-16 -> 36-57 ms measured on a 2-core host)
-    hasher = None
     while True:
         try:
             job = conn.recv()
@@ -705,28 +658,19 @@ def _worker_main(parent_conn, conn, init_args):
         if job is None:
             break
         task, buffer_stats = job
-        faults_before = _minor_faults()
-        message = None                 # stays None: a wide body ships
         try:
             faults.fire("multiproc.task.start")
-            outcome, canonical = _run_task(task, buffer_stats)
+            message = ("ok", _run_task(task, buffer_stats))
             # between execution and the reply: a crash here loses a
             # finished result (the parent must treat it as crashed),
             # a delay here overruns the per-task timeout
             faults.fire("multiproc.task.mid")
-            if len(outcome.body) < WIDE_BODY_BYTES:
-                outcome.checksum = result_checksum(canonical)
-                message = ("ok", outcome)
         except BaseException as exc:       # noqa: BLE001 — shipped
             message = ("err", exc)
         try:
-            if message is None:
-                if hasher is None:
-                    hasher = _Hasher()
-                message = _ship_body(conn, outcome, canonical, hasher)
-            if message[0] == "ok":
-                # encode and checksum included, the hasher's too
-                outcome.minor_faults = _minor_faults() - faults_before
+            if message[0] == "ok" \
+                    and len(message[1].body) >= WIDE_BODY_BYTES:
+                message = _ship_body(conn, message[1])
             conn.send(message)
             faults.fire("multiproc.task.post_result")
         except (pickle.PicklingError, TypeError, AttributeError):

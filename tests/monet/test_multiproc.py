@@ -474,7 +474,7 @@ def test_array_digests_equal_the_copying_encoding():
 
 
 # ----------------------------------------------------------------------
-# wide bodies: raw on the pipe, checksum overlapped
+# wide bodies: raw on the pipe
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("offset", [-1, 0, 4096],
                          ids=["below", "at", "above"])
@@ -497,7 +497,7 @@ def test_bodies_around_the_cut_off_equal_the_encoder(executor, offset):
         array[0] = 1
 
 
-def test_checksum_error_after_a_wide_body_is_typed_and_worker_survives(
+def test_checksum_error_on_a_wide_body_is_typed_and_worker_survives(
         db_dir):
     with MultiprocExecutor(db_dir, procs=1,
                            task_modules=SQL_TASKS) as pool:
@@ -506,8 +506,9 @@ def test_checksum_error_after_a_wide_body_is_typed_and_worker_survives(
         [pid] = pool.worker_pids()
         with pytest.raises(TypeError):
             pool.submit(("unhashable", "u")).result(timeout=60)
-        # the body read ahead of the error was dropped and the pipe
-        # stayed in step: the same worker serves the next wide body
+        # the checksum runs before anything ships, so no body went
+        # out and the pipe stayed in step: the same worker serves the
+        # next wide body
         outcome = pool.submit(("sized", "s1", size)).result(timeout=60)
         assert outcome.checksum == result_checksum(sized_value(size))
         assert pool.worker_pids() == [pid]
