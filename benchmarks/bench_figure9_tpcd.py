@@ -5,10 +5,10 @@ relational baseline ("DB2" column) and the flattened MOA/Monet engine
 ("Monet" column), simulated cold-cache page faults for both, the Item
 selectivity, and the Figure 9 comment — plus the geometric-mean QppD
 row.  Absolute times differ from 1997 hardware (and our SF is
-laptop-sized), but the comparison columns reproduce the paper's
-*shape*: Monet wins clearly on the fault metric for moderate
-selectivities (Q3,4,6,7,9,10,14) and loses where selectivity is very
-low or the whole wide table is touched (Q1, Q2, Q11, Q13).
+laptop-sized).  The last line names the queries on which each side
+wins the fault metric; which ones they are depends on the scale
+factor and on the catalog's column widths, so the script reports them
+rather than this docstring.
 
 Two more columns check the fault simulator against a real pager: the
 distinct pages the simulator charged to the mapped heaps in one cold
@@ -119,7 +119,8 @@ def _print_figure9():
         rows,
         title="Figure 9: TPC-D results (baseline row-store vs "
               "flattened MOA-on-Monet)"))
-    monet_wins = sum(1 for r in _RESULTS.values()
-                     if r["monet_faults"] < r["rel_faults"])
-    print("Monet wins on the fault metric for %d/15 queries"
-          % monet_wins)
+    losses = ["Q%d" % number for number, r in sorted(_RESULTS.items())
+              if r["monet_faults"] >= r["rel_faults"]]
+    print("Monet wins on the fault metric for %d/15 queries; it loses "
+          "on %s" % (len(_RESULTS) - len(losses),
+                     ", ".join(losses) or "none"))

@@ -32,12 +32,14 @@ workers' minor faults per executed request from
 counter is missing.
 
 Replies arrive as a header frame plus the worker-encoded payload
-frame.  One ``mil`` request fetches every fixed-width ``Item`` column
-whole — a reply above the wide cut-off
+frame.  One ``mil`` request fetches every ``Item`` attribute column
+whole, as stored and mirrored — a reply above the wide cut-off
 (:data:`~repro.monet.multiproc.WIDE_BODY_BYTES`) even at SF 0.0005, so
-its body crosses the worker pipe raw, never pickled —
-and its checksum is diffed against the same program run on this
-process's own kernel.
+its body crosses the worker pipe raw, never pickled.  Its checksum is
+diffed against the same program run on this process's own kernel,
+and every column must arrive in the width the catalog stores it in
+(integer columns are stored in the narrowest of int16/int32/int64
+that holds them).
 
 This is both the README's client example and the CI server-smoke job::
 
@@ -215,23 +217,27 @@ def accounted_lap(host, port, expected, cold_faults):
     return sum(cold_faults.values())
 
 
-#: Every fixed-width Item column: fetched whole, a wide reply.
-WIDE_COLUMNS = ("Item_order", "Item_part", "Item_supplier",
-                "Item_quantity", "Item_extendedprice", "Item_discount",
-                "Item_tax", "Item_shipdate")
-
-
 def wide_lap(host, port, db_dir):
-    """Fetch whole Item columns (twice: the second may be a result-
-    cache hit) and diff each reply against the in-process kernel."""
+    """Fetch every Item attribute column whole, as stored and mirrored
+    (twice: the second may be a result-cache hit) and diff each reply
+    against the in-process kernel: the same checksum, and every column
+    in the width the catalog stores it in.  Returns ``(columns,
+    payload bytes)``."""
+    kernel = MonetKernel.open(db_dir)
+    names = [name for name in kernel.names() if name.startswith("Item_")]
     program = MILProgram()
     fetch = []
-    for index, name in enumerate(WIDE_COLUMNS):
-        fetch.append("c%d" % index)
+    stored = {}
+    for name in names:
+        bat = kernel.get(name)
+        fetch.append("c%d" % len(fetch))
         program.emit("slice", [Var(name), 0, 2 ** 31 - 1],
                      target=fetch[-1])
-    _env, expected = run_program_serial(MonetKernel.open(db_dir),
-                                        program, fetch)
+        stored[fetch[-1]] = ship_value(bat)
+        fetch.append("c%d" % len(fetch))
+        program.emit("mirror", [Var(fetch[-2])], target=fetch[-1])
+        stored[fetch[-1]] = ship_value(bat.mirror())
+    _env, expected = run_program_serial(kernel, program, fetch)
     with QueryClient(host, port) as client:
         for _lap in range(2):
             reply = client.mil(program, fetch)
@@ -244,7 +250,15 @@ def wide_lap(host, port, db_dir):
                 raise AssertionError(
                     "the wide Item column fetch diverged: served %s, "
                     "in-process %s" % (reply.checksum, expected))
-    return reply.payload_bytes
+            for target, expected_bat in stored.items():
+                for side in ("head", "tail"):
+                    served = reply.value[target][side].dtype
+                    if served != expected_bat[side].dtype:
+                        raise AssertionError(
+                            "%s.%s arrived as %s, stored as %s"
+                            % (target, side, served,
+                               expected_bat[side].dtype))
+    return len(names), reply.payload_bytes
 
 
 #: Requests :func:`_check_sql_errors` makes fail on purpose.  The
@@ -316,9 +330,10 @@ def main(argv=None):
             for tid, exc in failures:
                 print("client %d FAILED: %r" % (tid, exc))
             return 1
-        wide_bytes = wide_lap(host, port, args.db_dir)
-        print("wide reply: %d Item columns, %d bytes, checksum matches "
-              "the in-process kernel" % (len(WIDE_COLUMNS), wide_bytes))
+        wide_columns, wide_bytes = wide_lap(host, port, args.db_dir)
+        print("wide reply: %d Item columns, stored and mirrored, %d "
+              "bytes, checksum and stored widths match the in-process "
+              "kernel" % (wide_columns, wide_bytes))
         with QueryClient(host, port) as client:
             unaccounted = client.stats()["buffer"]["faults"]
         lap_faults = accounted_lap(host, port, expected, cold_faults)

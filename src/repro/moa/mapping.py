@@ -194,10 +194,11 @@ def flatten(schema, columns, kernel, datavectors=False, reorder=False,
 def _load_extent(kernel, flat, class_name, oids):
     # extent[oid, void], per section 6
     from ..monet.bat import BAT
-    from ..monet.column import VoidColumn, column_from_values
+    from ..monet.column import VoidColumn
+    from ..monet.kernel import catalog_column
     from ..monet.properties import compute_props
     name = flat.extent_name(class_name)
-    head = column_from_values("oid", oids, label=name + ".head")
+    head = catalog_column("oid", oids, label=name + ".head")
     extent = BAT(head, VoidColumn(0, len(oids)),
                  alignment=kernel.group_alignment(class_name))
     extent.props = compute_props(extent)

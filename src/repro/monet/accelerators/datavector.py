@@ -46,9 +46,10 @@ class DataVectorRegistry:
 
     def __init__(self, class_name, extent_column, check=True):
         # asanyarray keeps a reopened extent as its zero-copy memmap
-        # view; ``check=False`` (storage reopen path) skips the eager
-        # ascending scan, which would otherwise fault in every page
-        extent = np.asanyarray(extent_column.logical(), dtype=np.int64)
+        # view, at the width it is stored in; ``check=False`` (storage
+        # reopen path) skips the eager ascending scan, which would
+        # otherwise fault in every page
+        extent = np.asanyarray(extent_column.logical())
         if check and len(extent) > 1 and not np.all(extent[:-1] < extent[1:]):
             raise OperatorError(
                 "datavector extent for %s must be strictly ascending"

@@ -93,6 +93,24 @@ class Column:
         return False
 
 
+#: the signed integer widths a column of an integer atom may be stored
+#: in, narrowest first; int16 is the narrowest integer key the kernels
+#: take (:mod:`repro.monet.vectorized`)
+INT_WIDTHS = (np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64))
+
+
+def _stored_dtype(atom, data):
+    """The dtype a :class:`FixedColumn` of ``atom`` stores ``data`` in:
+    the atom's own, unless ``data`` is an integer array of a narrower
+    width of :data:`INT_WIDTHS` and the atom is an integer atom."""
+    dtype = atom.dtype
+    stored = getattr(data, "dtype", None)
+    if dtype.kind == "i" and stored in INT_WIDTHS \
+            and stored.itemsize < dtype.itemsize:
+        return stored
+    return dtype
+
+
 class FixedColumn(Column):
     """Fixed-width atom values stored in a dense numpy array."""
 
@@ -104,11 +122,13 @@ class FixedColumn(Column):
             raise BATError("atom %s is variable-size; use VarColumn"
                            % self.atom.name)
         # asanyarray keeps np.memmap views intact, so columns reopened
-        # from the storage layer stay zero-copy windows onto the file
-        self.data = np.asanyarray(data, dtype=self.atom.dtype)
+        # from the storage layer stay zero-copy windows onto the file;
+        # an integer array narrower than the atom keeps its width
+        self.data = np.asanyarray(data, dtype=_stored_dtype(self.atom,
+                                                            data))
         if self.data.ndim != 1:
             raise BATError("column data must be one-dimensional")
-        self._heap = FixedHeap(self.data, self.atom.width, label)
+        self._heap = FixedHeap(self.data, self.data.itemsize, label)
 
     def __len__(self):
         return len(self.data)
@@ -140,6 +160,10 @@ class FixedColumn(Column):
 
     def encode(self, value):
         return self.atom.coerce(value)
+
+    @property
+    def width(self):
+        return self.data.itemsize
 
     @property
     def heaps(self):

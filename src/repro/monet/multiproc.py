@@ -129,10 +129,13 @@ _POLL_INTERVAL = 0.05
 
 #: Encoded bodies of at least this many bytes cross the worker pipe
 #: raw (see "Result shipping" above); smaller ones ride in the pickled
-#: outcome.  Set from a served round trip on a 2-core host, measured
-#: while the checksum still ran on a second thread: the raw path lost
-#: below ~230 KB and won above it.  CHANGES.md has the tables.
-WIDE_BODY_BYTES = 256 * 1024
+#: outcome.  Set from a served round trip of one whole-column ``mil``
+#: fetch on a 2-core host, two servers (every body raw, every body
+#: pickled) answering in alternation, median of 120 round trips per
+#: size and side, three sweeps over 128-768 KiB: raw/pickled read
+#: 1.002-1.028 at 256 KiB and 1.005-1.021 at 384 KiB, 0.959-0.997 at
+#: 512 KiB and 0.950-0.971 at 768 KiB.  CHANGES.md has the tables.
+WIDE_BODY_BYTES = 512 * 1024
 
 #: Chaos injection points of the worker loop (fired *inside* worker
 #: processes; ship a plan via ``MultiprocExecutor(fault_plan=...)``).
@@ -224,6 +227,14 @@ def result_checksum(value):
     the storage width of a column, which is what lets every path (Moa
     drivers, SQL, worker, wire, cache hit) be compared by checksum.  A
     set with no rows digests as the empty list.
+
+    A bare numpy array — a shipped BAT's head or tail, what a ``mil``
+    fetch returns — digests its dtype and raw bytes, so a BAT digest
+    *does* carry the width its column is stored in: an int16 column
+    and the equal int64 one digest apart.  Catalog integer columns are
+    stored in their narrowest width (:func:`repro.monet.kernel
+    .narrowest`), the same in every process that maps one catalog, so
+    served and in-process digests of it still agree.
     """
     digest = hashlib.sha1()
     _feed(digest, value)

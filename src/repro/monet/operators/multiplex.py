@@ -21,6 +21,11 @@ thousand part names, not every BUN.  No BUN is decoded.
 
 Scalar (non-BAT) arguments are broadcast, e.g. ``[-](1.0, discount)``.
 
+A catalog integer column may be stored narrower than its atom (see
+:func:`repro.monet.kernel.narrowest`); every function sees its
+operands at the atom's own width, so ``int16 * int16`` cannot wrap
+and a literal beyond int16 cannot overflow.
+
 The function registry is extensible (:func:`register_function`),
 mirroring MIL's run-time command extensibility.
 """
@@ -106,7 +111,8 @@ def multiplex(fname, *operands, name=None):
                 for op in operands:
                     if hasattr(op, "head"):
                         manager.access_column(op.tail)
-                        arrays.append(op.tail.logical())
+                        arrays.append(_atom_width(op.tail,
+                                                  op.tail.logical()))
                     else:
                         arrays.append(op)
                 result = func.impl(*arrays)
@@ -169,8 +175,17 @@ def _align_on_heads(bats, manager):
     arrays = []
     for bat, pos in zip(bats, aligned_positions):
         manager.access_column(bat.tail, pos)
-        arrays.append(bat.tail.logical()[pos])
+        arrays.append(_atom_width(bat.tail, bat.tail.logical()[pos]))
     return positions, arrays
+
+
+def _atom_width(column, values):
+    """``values`` of ``column`` as its atom's dtype (a no-op unless the
+    column is a narrow integer one)."""
+    dtype = column.atom.dtype
+    if dtype is None or values.dtype == dtype:
+        return values
+    return values.astype(dtype)
 
 
 def _result_atom(func, operands):

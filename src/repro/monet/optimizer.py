@@ -119,6 +119,18 @@ def optimize(program, roots):
 _PLAIN_LITERALS = frozenset((bool, int, str, type(None)))
 
 
+def literal_key(value):
+    """The key a literal enters an expression key as, typed so that
+    ``1``, ``1.0`` and ``True`` differ, and so do ``0.0`` and ``-0.0``;
+    ``None`` for an opaque literal, which keys nothing."""
+    kind = type(value)
+    if kind is float:
+        return (float, value.hex())
+    if kind in _PLAIN_LITERALS:
+        return (kind, value)
+    return None
+
+
 def merge_common_subexpressions(program, roots):
     """Equation 1 of the module docstring; returns statements removed."""
     # imported here: the analysis layer imports monet at module scope
@@ -150,12 +162,11 @@ def merge_common_subexpressions(program, roots):
                 # unique); a catalog name is tagged so that it can never
                 # collide with a target of the same spelling
                 key.append(name if name in defined else ("catalog", name))
-            elif kind is float:
-                key.append((float, arg.hex()))       # keeps -0.0 apart
-            elif kind in _PLAIN_LITERALS:
-                key.append((kind, arg))
             else:
-                mergeable = False                    # an opaque literal
+                typed = literal_key(arg)
+                if typed is None:
+                    mergeable = False                # an opaque literal
+                key.append(typed)
             args.append(arg)
         if renamed:
             stmt = MILStmt(target, stmt.op, args, fn=stmt.fn,

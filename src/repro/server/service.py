@@ -54,8 +54,8 @@ from collections import deque
 from .. import faults
 from ..analysis.verify import catalog_stats_from_manifest, check_program
 from ..bench.harness import percentiles
-from ..errors import (ProtocolError, ServerOverloadedError,
-                      WorkerCrashedError)
+from ..errors import (CatalogChangedError, ProtocolError,
+                      ServerOverloadedError, WorkerCrashedError)
 from ..monet.buffer import BufferStats
 from ..monet.multiproc import MultiprocExecutor
 from ..monet.storage import as_backend, catalog_generation
@@ -188,7 +188,8 @@ class QueryService:
                           "result_cache_hits": 0, "crash_retries": 0,
                           "quota_rejections": 0, "auth_failures": 0,
                           "drain_rejections": 0, "plan_rejections": 0,
-                          "result_bytes": 0, "worker_minor_faults": 0}
+                          "result_bytes": 0, "worker_minor_faults": 0,
+                          "session_repins": 0}
         self._latencies = deque(maxlen=LATENCY_WINDOW)
         self._buffer = BufferStats()
         #: (generation, pid) -> latest cumulative plan-cache snapshot
@@ -415,10 +416,11 @@ class QueryService:
         else:
             self._admit(timeout)
             try:
-                outcome = self._submit_with_retry(session, task, timeout,
-                                                  buffer_stats)
+                outcome = self._submit_pinned(session, task, timeout,
+                                              buffer_stats)
             finally:
                 self._leave()
+            full_key = (session.generation, cache_key)
             extra = outcome.extra or {}
             with self._stats_lock:
                 self._counters["worker_minor_faults"] += \
@@ -447,6 +449,7 @@ class QueryService:
                 self.result_cache.put(full_key, (header, body),
                                       weight=len(body))
             response = dict(header)
+        session.answered = True
         response["body"] = body
         response["service_ms"] = round(
             (time.monotonic() - started) * 1000.0, 4)
@@ -456,6 +459,34 @@ class QueryService:
         self._count("result_bytes", len(body))
         self._record_latency(started)
         return response
+
+    def _submit_pinned(self, session, task, timeout, buffer_stats):
+        """:meth:`_submit_with_retry`, moving a session that has had no
+        answer yet to the generation on disk once.
+
+        A pool's workers map the catalog at their first task.  A save
+        landing after :meth:`session` re-checked the generation but
+        before that first task prunes the files the workers would map,
+        and they fail with ``CatalogChangedError``.  Nothing has been
+        answered at the old generation then, so the session re-pins
+        to the new one — as if it had connected after the save — and
+        the request runs once more.  A session that already has an
+        answer keeps its snapshot and gets the typed error.
+        """
+        try:
+            return self._submit_with_retry(session, task, timeout,
+                                           buffer_stats)
+        except CatalogChangedError:
+            if session.answered:
+                raise
+        self._count("session_repins")
+        fresh = self.session()
+        previous = (session.generation, session.entry)
+        session.generation, session.entry = fresh.generation, fresh.entry
+        fresh._released = True              # the session owns it now
+        self._release(*previous)
+        return self._submit_with_retry(session, task, timeout,
+                                       buffer_stats)
 
     def _submit_with_retry(self, session, task, timeout,
                            buffer_stats=False):
@@ -594,12 +625,15 @@ class Session:
     :mod:`repro.monet.storage`, lifted to the serving layer.
     """
 
-    __slots__ = ("service", "generation", "entry", "_released")
+    __slots__ = ("service", "generation", "entry", "answered",
+                 "_released")
 
     def __init__(self, service, generation, entry):
         self.service = service
         self.generation = generation
         self.entry = entry
+        #: True once a request of this session got a result
+        self.answered = False
         self._released = False
 
     def execute(self, request):

@@ -25,6 +25,7 @@ from ..errors import SqlUnsupportedError
 from ..moa import ast as moa_ast
 from ..moa.rewriter import rewrite
 from ..moa.typecheck import resolve
+from ..monet.optimizer import literal_key
 
 
 class Hole(moa_ast.Node):
@@ -99,77 +100,82 @@ class LoweredQuery:
 # ----------------------------------------------------------------------
 # hole substitution (structure-preserving MOA tree copy)
 # ----------------------------------------------------------------------
-def _copy_moa(node, values):
+def _copy_moa(node, fill):
     a = moa_ast
     if isinstance(node, Hole):
-        return a.Literal(_coerce(values[node.index], node.atom_name),
-                         node.atom_name)
+        return fill(node)
     if isinstance(node, a.Extent):
         return a.Extent(node.class_name)
     if isinstance(node, a.Select):
-        return a.Select(_copy_moa(node.input, values),
-                        [_copy_moa(p, values) for p in node.predicates])
+        return a.Select(_copy_moa(node.input, fill),
+                        [_copy_moa(p, fill) for p in node.predicates])
     if isinstance(node, a.Project):
-        return a.Project(_copy_moa(node.input, values),
-                         [(_copy_moa(e, values), n)
+        return a.Project(_copy_moa(node.input, fill),
+                         [(_copy_moa(e, fill), n)
                           for e, n in node.items])
     if isinstance(node, a.Join):
-        return a.Join(_copy_moa(node.left, values),
-                      _copy_moa(node.right, values),
-                      _copy_moa(node.left_key, values),
-                      _copy_moa(node.right_key, values))
+        return a.Join(_copy_moa(node.left, fill),
+                      _copy_moa(node.right, fill),
+                      _copy_moa(node.left_key, fill),
+                      _copy_moa(node.right_key, fill))
     if isinstance(node, a.Semijoin):
-        return a.Semijoin(_copy_moa(node.left, values),
-                          _copy_moa(node.right, values),
-                          _copy_moa(node.left_key, values),
-                          _copy_moa(node.right_key, values),
+        return a.Semijoin(_copy_moa(node.left, fill),
+                          _copy_moa(node.right, fill),
+                          _copy_moa(node.left_key, fill),
+                          _copy_moa(node.right_key, fill),
                           anti=node.anti)
     if isinstance(node, a.SetOp):
-        return a.SetOp(node.kind, _copy_moa(node.left, values),
-                       _copy_moa(node.right, values))
+        return a.SetOp(node.kind, _copy_moa(node.left, fill),
+                       _copy_moa(node.right, fill))
     if isinstance(node, a.Nest):
-        return a.Nest(_copy_moa(node.input, values),
-                      [(_copy_moa(e, values), n) for e, n in node.keys],
+        return a.Nest(_copy_moa(node.input, fill),
+                      [(_copy_moa(e, fill), n) for e, n in node.keys],
                       node.group_name)
     if isinstance(node, a.Unnest):
-        return a.Unnest(_copy_moa(node.input, values), node.attr)
+        return a.Unnest(_copy_moa(node.input, fill), node.attr)
     if isinstance(node, a.Sort):
-        return a.Sort(_copy_moa(node.input, values),
-                      [(_copy_moa(e, values), d) for e, d in node.keys])
+        return a.Sort(_copy_moa(node.input, fill),
+                      [(_copy_moa(e, fill), d) for e, d in node.keys])
     if isinstance(node, a.Top):
-        return a.Top(_copy_moa(node.input, values), node.n)
+        return a.Top(_copy_moa(node.input, fill), node.n)
     if isinstance(node, a.Element):
         return a.Element()
     if isinstance(node, a.Name):
         return a.Name(node.name)
     if isinstance(node, a.Attr):
-        return a.Attr(_copy_moa(node.base, values), node.name)
+        return a.Attr(_copy_moa(node.base, fill), node.name)
     if isinstance(node, a.Pos):
-        return a.Pos(_copy_moa(node.base, values), node.index)
+        return a.Pos(_copy_moa(node.base, fill), node.index)
     if isinstance(node, a.Literal):
         return a.Literal(node.value, node.atom_name)
     if isinstance(node, a.BinOp):
-        return a.BinOp(node.op, _copy_moa(node.left, values),
-                       _copy_moa(node.right, values))
+        return a.BinOp(node.op, _copy_moa(node.left, fill),
+                       _copy_moa(node.right, fill))
     if isinstance(node, a.UnOp):
-        return a.UnOp(node.op, _copy_moa(node.operand, values))
+        return a.UnOp(node.op, _copy_moa(node.operand, fill))
     if isinstance(node, a.Call):
         return a.Call(node.fname,
-                      [_copy_moa(x, values) for x in node.args])
+                      [_copy_moa(x, fill) for x in node.args])
     if isinstance(node, a.Aggregate):
-        return a.Aggregate(node.func, _copy_moa(node.input, values))
+        return a.Aggregate(node.func, _copy_moa(node.input, fill))
     if isinstance(node, a.TupleCons):
-        return a.TupleCons([(_copy_moa(e, values), n)
+        return a.TupleCons([(_copy_moa(e, fill), n)
                             for e, n in node.items])
     if isinstance(node, a.In):
-        return a.In(_copy_moa(node.item, values),
-                    _copy_moa(node.input, values))
+        return a.In(_copy_moa(node.item, fill),
+                    _copy_moa(node.input, fill))
     raise SqlUnsupportedError("cannot copy MOA node %r" % node)
 
 
-def fill_holes(tree, values):
-    """A copy of ``tree`` with every Hole replaced by a Literal."""
-    return _copy_moa(tree, values)
+def fill_holes(tree, values, filled=None):
+    """A copy of ``tree`` with every Hole replaced by a Literal; each
+    literal's value is appended to ``filled`` when a list is given."""
+    def fill(hole):
+        value = _coerce(values[hole.index], hole.atom_name)
+        if filled is not None:
+            filled.append(value)
+        return moa_ast.Literal(value, hole.atom_name)
+    return _copy_moa(tree, fill)
 
 
 def _coerce(value, atom_name):
@@ -229,11 +235,13 @@ class PreparedSql:
     Hole-free moa phases are compiled (resolve + rewrite, whose single
     verification also enforces ``budget``) once here, so a rejected
     plan never gets cached — matching what the plan cache does for Moa
-    text.  Holed phases are re-resolved per run once their literals are
-    known (they are tiny scalar-threshold queries; the heavy phases
-    have no holes).  The catalog stats every compile verifies against
-    are derived once per prepared query, unless the caller passes
-    them."""
+    text.  Holed phases are compiled once their literals are known
+    (they are tiny scalar-threshold queries; the heavy phases have no
+    holes), and each keeps its last plan, keyed by its literals typed
+    as the optimizer keys them: a run whose scalars repeat compiles
+    nothing.  A phase with an opaque literal recompiles every run.  The
+    catalog stats every compile verifies against are derived once per
+    prepared query, unless the caller passes them."""
 
     def __init__(self, db, lowered, budget=None, catalog=None):
         self.db = db
@@ -245,6 +253,8 @@ class PreparedSql:
             self._compile(phase.tree)
             if phase.kind == "moa" and not phase.has_holes else None
             for phase in lowered.phases]
+        #: phase index -> (literal key, plan) of its last holed compile
+        self._holed = {}
 
     def _compile(self, tree):
         resolved = resolve(tree, self.db.schema)
@@ -253,14 +263,30 @@ class PreparedSql:
 
     def run(self):
         values = []
-        for phase, compiled in zip(self.lowered.phases, self._compiled):
+        for index, (phase, compiled) in enumerate(
+                zip(self.lowered.phases, self._compiled)):
             if phase.kind == "py":
                 values.append(eval_py(phase.expr, values))
                 continue
             if compiled is None:
-                compiled = self._compile(fill_holes(phase.tree, values))
+                compiled = self._compile_holed(index, phase.tree, values)
             values.append(self.db.run_compiled(compiled))
         return values[-1]
+
+    def _compile_holed(self, index, tree, values):
+        """The plan of a holed phase for the literals ``values`` fill
+        in: its last plan when they key the same, else a fresh compile,
+        kept only once it passed verification."""
+        filled = []
+        tree = fill_holes(tree, values, filled)
+        key = tuple(literal_key(value) for value in filled)
+        last = self._holed.get(index)
+        if last is not None and last[0] == key:
+            return last[1]
+        compiled = self._compile(tree)
+        if None not in key:
+            self._holed[index] = (key, compiled)
+        return compiled
 
 
 def prepare_sql(db, text, budget=None, catalog=None):

@@ -540,3 +540,51 @@ def test_save_between_session_read_and_fork_serves_the_newer_generation(
         assert service.pool_generations() == [2]
     finally:
         service.close()
+
+
+def test_save_between_session_and_first_open_serves_the_newer_generation(
+        tiny_tpcd, tmp_path, serial_checksums):
+    """The last window of the race above: a save landing after
+    ``session()`` re-checked the generation, but before the new pool's
+    workers first map the catalog (lazily, at their first task),
+    prunes the files they would map.  The session had no answer at the
+    old generation yet, so its first request re-pins it to the new one
+    and runs once more instead of failing with CatalogChangedError."""
+    db_dir = tmp_path / "db"
+    load_tpcd(tiny_tpcd, db_dir=db_dir)
+    service = QueryService(db_dir, procs=1)
+    try:
+        with service.session() as session:
+            assert session.generation == 1
+            db, _report = open_tpcd(db_dir)
+            save_tpcd(db, db_dir)
+            response = session.execute({"type": "sql",
+                                        "query": sql_text(6)})
+            assert session.generation == response["generation"] == 2
+            assert response["checksum"] == serial_checksums[6]
+        assert service.stats()["counters"]["session_repins"] == 1
+        assert service.pool_generations() == [2]
+    finally:
+        service.close()
+
+
+def test_a_session_with_an_answer_keeps_its_generation(
+        tiny_tpcd, tmp_path, serial_checksums):
+    """Only a session with no answer yet moves: once its workers have
+    mapped the catalog, a later save is invisible to it."""
+    db_dir = tmp_path / "db"
+    load_tpcd(tiny_tpcd, db_dir=db_dir)
+    service = QueryService(db_dir, procs=1)
+    try:
+        with service.session() as session:
+            first = session.execute({"type": "sql", "query": sql_text(6)})
+            db, _report = open_tpcd(db_dir)
+            save_tpcd(db, db_dir)
+            second = session.execute({"type": "sql",
+                                      "query": sql_text(14)})
+            assert first["generation"] == second["generation"] \
+                == session.generation == 1
+            assert second["checksum"] == serial_checksums[14]
+        assert service.stats()["counters"]["session_repins"] == 0
+    finally:
+        service.close()

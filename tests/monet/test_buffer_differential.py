@@ -220,12 +220,27 @@ def test_disabled_manager_accounts_nothing():
 #: whole attribute BATs (faults summed over the 15 queries 599 -> 530;
 #: Q4 25 -> 24, Q5 57 -> 46, Q6 45 -> 38, Q7 38 -> 35, Q8 41 -> 21,
 #: Q10 58 -> 45, Q12 40 -> 36, Q14 36 -> 31, Q15 40 -> 35, the rest
-#: unchanged; Q1's and Q13's plans did not move).
+#: unchanged; Q1's and Q13's plans did not move).  Both moved again,
+#: plans unchanged, when catalog integer columns began to be stored in
+#: the narrowest of int16/int32/int64 holding them: at this scale every
+#: oid fits int16, so a 3,044-row Item oid column is 6,088 bytes (2
+#: pages) instead of 24,352 (6 pages), an Item ``int``/date tail 2
+#: pages instead of 3, and a 750-row Order oid column 1 page instead of
+#: 2.  Faults summed over the 15 queries 530 -> 359: every
+#: ``semijoin.hash`` over the Item extent's head reads 2 pages, not 6
+#: (Q1, Q5-Q8, Q10, Q13-Q15: 6 -> 2; Q3 8 -> 3, Q4 2 -> 1); a
+#: ``join.keyjoin`` of two Item oid columns 4, not 12 (Q5, Q13); the
+#: datavector semijoins and joins and the binary-search selects read
+#: their narrower vectors, heads and tails.  Per query: Q1 48 -> 38, Q3
+#: 41 -> 27, Q4 24 -> 13, Q5 46 -> 24, Q6 38 -> 28, Q7 35 -> 19, Q8 21
+#: -> 12, Q9 56 -> 38, Q10 45 -> 34, Q12 36 -> 22, Q13 49 -> 31, Q14
+#: 31 -> 22, Q15 35 -> 26; Q2 and Q11 read only columns of at most a
+#: page either way.  The hits fell with the pages re-read.
 COLD_TRACE = {
-    1: (48, 154), 2: (15, 12), 3: (41, 52), 4: (24, 32), 5: (46, 30),
-    6: (38, 13), 7: (35, 29), 8: (21, 3), 9: (56, 83), 10: (45, 48),
-    11: (10, 17), 12: (36, 64), 13: (49, 21), 14: (31, 37),
-    15: (35, 96),
+    1: (38, 144), 2: (15, 12), 3: (27, 36), 4: (13, 19), 5: (24, 18),
+    6: (28, 7), 7: (19, 25), 8: (12, 3), 9: (38, 47), 10: (34, 32),
+    11: (10, 17), 12: (22, 50), 13: (31, 17), 14: (22, 24),
+    15: (26, 71),
 }
 
 #: Q1 under a 40-page budget right after the runs above:
@@ -235,8 +250,12 @@ COLD_TRACE = {
 #: and from (82, 140, 156, 40) when Q1's two ``join(ident(x), col)``
 #: statements became synced joins that touch no page; and from
 #: (78, 112, 133, 40) when ``group`` began to share its operand's head
-#: column: one transient copy fewer competes for the pages.
-Q1_SPILL_TRACE = (78, 124, 121, 40)
+#: column: one transient copy fewer competes for the pages; and from
+#: (78, 124, 121, 40) when catalog integer columns were narrowed (see
+#: above): Q1's cold faults fell 48 -> 38, and the intermediates it
+#: gathers from int16 Item columns are int16 too, so fewer pages
+#: compete for the 40 and 20 fewer are evicted.
+Q1_SPILL_TRACE = (63, 119, 101, 40)
 
 
 def test_cold_fault_traces_equal_their_recorded_values():

@@ -346,13 +346,17 @@ def test_buffer_tracks_pages_per_heap():
 
 
 def test_residency_report_against_real_pager(tmp_path):
-    n = 64 * PAGESIZE // 8          # 64 pages of int64 per column
+    # 64 pages of int64 per column once; the values 0 .. n-1 fit
+    # int16, the width a catalog column of them is stored in, so the
+    # column is n * 2 bytes: 16 pages
+    n = 64 * PAGESIZE // 8
     kernel = MonetKernel()
     kernel.bulk_load("big", "oid", list(range(n)), "long",
                      list(range(n)), group="G")
     kernel.save(tmp_path / "db")
     reopened = MonetKernel.open(tmp_path / "db")
     bat = reopened.get("big")
+    assert bat.tail.data.dtype == np.int16
     before = residency_snapshot(reopened)
     if not before:
         pytest.skip("smaps residency accounting unavailable")
@@ -367,8 +371,8 @@ def test_residency_report_against_real_pager(tmp_path):
     rows, totals = residency_report(reopened, manager, before=before)
     tail_rows = [row for row in rows if row["label"] == "big.tail"]
     assert tail_rows
-    assert tail_rows[0]["simulated_pages"] == 64
-    assert tail_rows[0]["resident_pages"] >= 64
+    assert tail_rows[0]["simulated_pages"] == 16
+    assert tail_rows[0]["resident_pages"] >= 16
 
 
 def test_residency_helpers_degrade_gracefully(tmp_path):

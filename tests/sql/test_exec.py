@@ -77,3 +77,65 @@ def test_scalar_result_is_a_python_scalar(tiny_tpcd_db):
     value = execute_sql(tiny_tpcd_db,
                         "select sum(l_quantity) as q from lineitem")
     assert isinstance(float(value), float)
+
+
+def _counting_rewrite(monkeypatch):
+    from repro.sql import runtime
+    compiles = []
+    rewrite = runtime.rewrite
+
+    def counting(*args, **kwargs):
+        compiles.append(args[0])
+        return rewrite(*args, **kwargs)
+    monkeypatch.setattr(runtime, "rewrite", counting)
+    return compiles
+
+
+@pytest.mark.parametrize("number", [11, 15])
+def test_holed_phase_compiles_once_per_scalar(number, tiny_tpcd_db,
+                                              monkeypatch):
+    from repro.sql import runtime
+    prepared = prepare_sql(tiny_tpcd_db, sql_text(number))
+    compiles = _counting_rewrite(monkeypatch)
+    first = result_checksum(ship_value(prepared.run()))
+    assert len(compiles) == 1           # the holed phase, at its scalar
+    assert result_checksum(ship_value(prepared.run())) == first
+    assert len(compiles) == 1           # the same scalar: the kept plan
+    # a changed scalar recompiles, and its plan replaces the kept one
+    run_compiled = tiny_tpcd_db.run_compiled
+    answers = iter([1234.5, 1234.5, 0.0, -0.0])
+
+    def scalar_changes(compiled):
+        value = run_compiled(compiled)
+        if compiled is prepared._compiled[0]:
+            return next(answers)
+        return value
+    monkeypatch.setattr(tiny_tpcd_db, "run_compiled", scalar_changes)
+    prepared.run()
+    assert len(compiles) == 2
+    prepared.run()
+    assert len(compiles) == 2
+    prepared.run()                      # 0.0
+    assert len(compiles) == 3
+    prepared.run()                      # -0.0 keys apart from 0.0
+    assert len(compiles) == 4
+    assert runtime.literal_key(0.0) != runtime.literal_key(-0.0)
+    assert len({runtime.literal_key(value)
+                for value in (1, 1.0, True)}) == 3
+
+
+def test_a_rejected_holed_plan_is_never_kept(tiny_tpcd_db, monkeypatch):
+    from repro.errors import PlanVerificationError
+    from repro.sql import runtime
+    prepared = prepare_sql(tiny_tpcd_db, sql_text(11))
+
+    def rejecting(*_args, **_kwargs):
+        raise PlanVerificationError("rejected")
+    monkeypatch.setattr(runtime, "rewrite", rejecting)
+    with pytest.raises(PlanVerificationError):
+        prepared.run()
+    assert prepared._holed == {}
+    monkeypatch.undo()
+    compiles = _counting_rewrite(monkeypatch)
+    prepared.run()
+    assert len(compiles) == 1

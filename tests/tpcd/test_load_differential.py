@@ -3,10 +3,12 @@
 ``load_tpcd`` flattens dbgen's class columns a column at a time;
 ``loader_reference.py`` holds the loader it replaced, which flattened
 the eagerly built logical store object by object.  Loading the same
-dataset both ways must give equal catalogs — atoms, dtypes, heap value
-order, indices, props, alignment groups and datavectors, BAT by BAT —
-and byte-identical ``save_tpcd`` directories.  The logical store the
-reference evaluator reads is built only when something reads it.
+dataset both ways must give equal catalogs — atoms, dtypes (each
+integer column in the narrowest width holding it, by the reference's
+own rule), heap value order, indices, props, alignment groups and
+datavectors, BAT by BAT — and byte-identical ``save_tpcd``
+directories.  The logical store the reference evaluator reads is
+built only when something reads it.
 """
 
 import os
@@ -82,7 +84,13 @@ def test_columnar_load_equals_reference_load(scale, seed, tmp_path):
     db, _report = load_tpcd(dataset)
     view = reference._logical_view(dataset.tables)
     expected = _reference_load(view)
+    # the state holds every fixed column's dtype, and the reference
+    # narrows integer columns by its own rule: the widths are diffed
     assert _catalog_state(db.kernel) == _catalog_state(expected.kernel)
+    items = len(db.kernel.get("Item"))
+    assert db.kernel.get("Item").head.data.dtype \
+        == (np.int16 if items < 2 ** 15 else np.int32)
+    assert db.kernel.get("Item_quantity").tail.data.dtype == np.int16
     save_tpcd(db, tmp_path / "columnar", dataset)
     save_tpcd(expected, tmp_path / "reference", dataset)
     assert _directory_bytes(tmp_path / "columnar") == \

@@ -182,3 +182,52 @@ def test_open_missing_dir_raises(tmp_path):
     with pytest.raises(CatalogError):
         open_tpcd(tmp_path / "not-there")
     assert peek_tpcd_meta(tmp_path / "not-there") is None
+
+
+def _widen_saved_columns(db_dir):
+    """Rewrite a saved catalog the way it was saved before integer
+    columns were narrowed: every fixed integer column file (BAT heads
+    and tails, datavector vectors) at its atom's own width."""
+    import json
+    from repro.monet import atoms
+    path = db_dir / "catalog.json"
+    manifest = json.loads(path.read_text())
+    widened = 0
+
+    def widen(spec):
+        nonlocal widened
+        if spec.get("kind") != "fixed":
+            return
+        dtype = np.dtype(spec["dtype"])
+        wide = atoms.atom(spec["atom"]).dtype.newbyteorder("<")
+        if dtype.kind == "i" and dtype != wide:
+            data = np.fromfile(db_dir / spec["file"], dtype=dtype)
+            data.astype(wide).tofile(db_dir / spec["file"])
+            spec["dtype"] = wide.str
+            widened += 1
+    for entry in manifest["bats"].values():
+        widen(entry["head"])
+        widen(entry["tail"])
+        vector = entry.get("accel", {}).get("datavector")
+        if vector is not None:
+            widen(vector["vector"])
+    path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    return widened
+
+
+def test_a_catalog_saved_at_full_width_still_opens(tiny_tpcd, tmp_path):
+    """No format change came with narrow columns: the manifest records
+    each column's dtype, so a catalog saved with every integer column
+    at its atom's width opens as it was saved and answers alike."""
+    db_dir = tmp_path / "db"
+    narrow, _report = load_tpcd(tiny_tpcd, db_dir=db_dir)
+    assert _widen_saved_columns(db_dir) > 50
+    wide, report = open_tpcd(db_dir)
+    assert report.warm
+    item = wide.kernel.get("Item_quantity")
+    assert item.head.data.dtype == np.int64
+    assert item.tail.data.dtype == np.int32
+    assert isinstance(item.tail.data, np.memmap)
+    for number in sorted(QUERIES):
+        assert QUERIES[number].run(wide) == QUERIES[number].run(narrow), \
+            "Q%d differs on the full-width catalog" % number
