@@ -21,13 +21,11 @@ check on such a program was executing it.  This package provides:
 
 from .signatures import SIGNATURES, signature_for
 from .verify import (Finding, PlanBudget, VerifiedPlan, check_program,
-                     catalog_stats_from_kernel,
-                     catalog_stats_from_manifest, live_statements,
+                     catalog_stats_from_kernel, live_statements,
                      verify_program)
 
 __all__ = [
     "Finding", "PlanBudget", "SIGNATURES", "VerifiedPlan",
-    "catalog_stats_from_kernel", "catalog_stats_from_manifest",
-    "check_program", "live_statements", "signature_for",
-    "verify_program",
+    "catalog_stats_from_kernel", "check_program", "live_statements",
+    "signature_for", "verify_program",
 ]

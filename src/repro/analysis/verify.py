@@ -40,6 +40,9 @@ from ..monet.mil import Var
 from .signatures import (ANY, BatType, ScalarType, SignatureError,
                          SIGNATURES)
 
+#: Bytes per page of the static page-fault bound (the cost model's).
+_PAGE_SIZE = CostModelParams().page_size
+
 
 class Finding:
     """One verifier diagnosis, anchored to a statement."""
@@ -70,22 +73,20 @@ class PlanBudget:
 
     ``max_rows`` bounds the largest single intermediate (BUNs),
     ``max_bytes`` the total bytes materialised across all statements,
-    ``max_pages`` the total page-fault bound under ``params`` (a
-    :class:`~repro.costmodel.iomodel.CostModelParams`; only its
-    ``page_size`` matters here).  ``None`` disables a limit.  A bound
-    the verifier cannot derive (missing catalog stats) counts as
-    exceeding any configured limit — admission control must be
-    conservative, not hopeful.
+    ``max_pages`` the total page-fault bound in the cost model's
+    4096-byte pages.  ``None`` disables a limit.  A bound the verifier
+    cannot derive (missing catalog stats) counts as exceeding any
+    configured limit — admission control must be conservative, not
+    hopeful.  A budget pickles, so a server ships it to its workers
+    as it is.
     """
 
-    __slots__ = ("max_rows", "max_bytes", "max_pages", "params")
+    __slots__ = ("max_rows", "max_bytes", "max_pages")
 
-    def __init__(self, max_rows=None, max_bytes=None, max_pages=None,
-                 params=None):
+    def __init__(self, max_rows=None, max_bytes=None, max_pages=None):
         self.max_rows = max_rows
         self.max_bytes = max_bytes
         self.max_pages = max_pages
-        self.params = params or CostModelParams()
 
     def describe(self):
         parts = []
@@ -157,8 +158,8 @@ def _props_flag(value):
 
 
 def _column_atom(column):
-    """The stored atom name: ``void`` for virtual dense-oid columns
-    (matching the manifest's ``kind``), the atom name otherwise."""
+    """The stored atom name: ``void`` for virtual dense-oid columns,
+    the atom name otherwise."""
     from ..monet.column import VoidColumn
     if isinstance(column, VoidColumn):
         return "void"
@@ -166,13 +167,10 @@ def _column_atom(column):
 
 
 def catalog_stats_from_kernel(kernel):
-    """Abstract types for every BAT in a live kernel catalog.
-
-    Derives the same :class:`~repro.analysis.signatures.BatType` a
-    :func:`catalog_stats_from_manifest` over the saved form would —
-    virtual columns report ``void`` either way, so parent-side (mil)
-    and worker-side (moa) admission see identical stats.
-    """
+    """Abstract types for every BAT in a live kernel catalog: atoms
+    (virtual columns report ``void``), exact counts and the declared
+    key/order properties.  A served worker derives them once from the
+    catalog it maps and checks every plan kind against them."""
     stats = {}
     for name in kernel.names():
         bat = kernel.get(name)
@@ -184,31 +182,6 @@ def catalog_stats_from_kernel(kernel):
             hordered=_props_flag(bat.props.hordered),
             tordered=_props_flag(bat.props.tordered))
     return stats
-
-
-def catalog_stats_from_manifest(manifest):
-    """Abstract types from an on-disk manifest dict — no column data
-    is touched, so a server can derive admission stats from the
-    mmap catalog's metadata alone."""
-    stats = {}
-    for name, entry in manifest.get("bats", {}).items():
-        head, tail = entry["head"], entry["tail"]
-        flags = set(entry.get("props", ()))
-        stats[name] = BatType(
-            _manifest_atom(head), _manifest_atom(tail),
-            int(head.get("length", tail.get("length", 0))),
-            count_exact=True,
-            hkey=_props_flag("hkey" in flags),
-            tkey=_props_flag("tkey" in flags),
-            hordered=_props_flag("hordered" in flags),
-            tordered=_props_flag("tordered" in flags))
-    return stats
-
-
-def _manifest_atom(column_entry):
-    if column_entry.get("kind") == "void":
-        return "void"
-    return column_entry.get("atom")
 
 
 # ----------------------------------------------------------------------
@@ -247,8 +220,8 @@ def live_statements(program, roots=None):
 def verify_program(program, catalog=None, budget=None, roots=None):
     """Statically verify a MIL program; returns a :class:`VerifiedPlan`.
 
-    ``catalog`` maps BAT names to :class:`BatType` stats (see the
-    ``catalog_stats_from_*`` builders); without it, unresolved names
+    ``catalog`` maps BAT names to :class:`BatType` stats (see
+    :func:`catalog_stats_from_kernel`); without it, unresolved names
     are assumed well-typed and reference checking is skipped.
     ``budget`` is an optional :class:`PlanBudget`; ``roots`` narrows
     the liveness analysis to the variables a caller will actually
@@ -337,12 +310,10 @@ def verify_program(program, catalog=None, budget=None, roots=None):
 
     plan_rows = None if rows_unknown else max_rows
     plan_bytes = None if bytes_unknown else total_bytes
-    params = budget.params if budget is not None else CostModelParams()
     plan_pages = None
     if not bytes_unknown:
         plan_pages = sum(
-            math.ceil(b / params.page_size)
-            for _r, b in stmt_bounds if b)
+            math.ceil(b / _PAGE_SIZE) for _r, b in stmt_bounds if b)
     if budget is not None:
         _check_budget(budget, plan_rows, plan_bytes, plan_pages,
                       findings)
@@ -377,7 +348,7 @@ def _check_budget(budget, plan_rows, plan_bytes, plan_pages, findings):
 def check_program(program, catalog=None, budget=None, roots=None):
     """Verify and raise on errors; returns the :class:`VerifiedPlan`.
 
-    The one-call form the rewriter and the server admission path use:
+    The one-call form the rewriter and the served ``mil`` kind use:
     :class:`~repro.errors.PlanVerificationError` for malformed plans,
     :class:`~repro.errors.PlanBudgetExceededError` for well-formed
     plans that blow the static budget.

@@ -20,6 +20,7 @@ mirroring Monet's "base type extensibility" (section 2).
 """
 
 import datetime
+import math
 
 import numpy as np
 
@@ -103,12 +104,25 @@ def _coerce_int_factory(name, lo, hi):
     return coerce
 
 
-def _coerce_float(value):
-    if isinstance(value, (bool, np.bool_)):
-        raise AtomError("cannot coerce bool to float")
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return float(value)
-    raise AtomError("cannot coerce %r to float" % (value,))
+def _coerce_float_factory(name, dtype):
+    limit = float(np.finfo(dtype).max)
+
+    def coerce(value):
+        if isinstance(value, (bool, np.bool_)):
+            raise AtomError("cannot coerce bool to %s" % name)
+        if isinstance(value, (int, float, np.integer, np.floating)):
+            try:
+                fvalue = float(value)
+            except OverflowError:           # an int beyond any double
+                raise AtomError("int too large for %s" % name) from None
+            # nan and +-inf are values of the atom; a finite value its
+            # dtype cannot hold would silently become +-inf
+            if abs(fvalue) > limit and math.isfinite(fvalue):
+                raise AtomError("%r out of range for %s" % (value, name))
+            return fvalue
+        raise AtomError("cannot coerce %r to %s" % (value, name))
+
+    return coerce
 
 
 def _coerce_str(value):
@@ -206,9 +220,11 @@ register_atom(Atom("long", np.int64, 8, int,
                    _coerce_int_factory("long", *_I64), str))
 register_atom(Atom("oid", np.int64, 8, int,
                    _coerce_int_factory("oid", 0, _I64[1]), str))
-register_atom(Atom("float", np.float32, 4, float, _coerce_float,
+register_atom(Atom("float", np.float32, 4, float,
+                   _coerce_float_factory("float", np.float32),
                    lambda v: repr(float(v))))
-register_atom(Atom("double", np.float64, 8, float, _coerce_float,
+register_atom(Atom("double", np.float64, 8, float,
+                   _coerce_float_factory("double", np.float64),
                    lambda v: repr(float(v))))
 register_atom(Atom("string", None, 4, lambda t: t, _coerce_str, str))
 register_atom(Atom("instant", np.int32, 4,

@@ -345,6 +345,14 @@ def _column_from_array(spec, values, label):
             <= bounds[1]:
         return None
     if spec.dtype.kind == "f":
+        if values.dtype.kind == "f" \
+                and values.dtype.itemsize > spec.dtype.itemsize:
+            # a finite value the atom cannot hold would cast to +-inf:
+            # the per-value path raises for it
+            finite = values[np.isfinite(values)]
+            if len(finite) \
+                    and np.abs(finite).max() > np.finfo(spec.dtype).max:
+                return None
         # through float64, like the per-value path's Python floats
         data = values.astype(np.float64).astype(spec.dtype, copy=False)
     else:

@@ -27,6 +27,12 @@ A task is one raw tuple ``(kind, key, ...)`` handed to
 ``("mil", key, program, fetch)`` — interprets a whole MIL program
 against the worker's catalog; query text arrives through the kinds
 the server registers (``sql``/``moa``, see :mod:`repro.server.tasks`).
+Every kind verifies its plan in the worker, before a statement runs:
+against the catalog stats the worker derives once from the kernel it
+maps (:meth:`WorkerContext.catalog`), and against the ``plan_budget``
+worker option when one is set.  A rejected plan fails its task with a
+typed :class:`~repro.errors.PlanVerificationError` (or its budget
+subclass).
 
 Result shipping
 ---------------
@@ -495,6 +501,14 @@ class WorkerContext:
         """A per-worker scratch dict for handler-owned caches."""
         return _STATE.setdefault("handler_state", {})
 
+    def catalog(self):
+        """Catalog stats of the worker's kernel for the plan verifier,
+        derived once: a worker serves one pinned generation for life."""
+        if _STATE.get("catalog") is None:
+            from ..analysis.verify import catalog_stats_from_kernel
+            _STATE["catalog"] = catalog_stats_from_kernel(self.kernel())
+        return _STATE["catalog"]
+
     def kernel(self):
         """The worker's :class:`MonetKernel`, opened once and kept."""
         return _worker_kernel()
@@ -504,8 +518,7 @@ class WorkerContext:
         return _worker_db()
 
 
-def _worker_init(db_dir, expected_generation, page_size,
-                 lock_timeout, task_modules=(),
+def _worker_init(db_dir, expected_generation, task_modules=(),
                  worker_options=None, fault_plan=None):
     import importlib
 
@@ -513,8 +526,8 @@ def _worker_init(db_dir, expected_generation, page_size,
     # injection works under spawn too; None = chaos layer off
     faults.set_plan(fault_plan)
     _STATE.update(db_dir=db_dir, generation=expected_generation,
-                  page_size=page_size, lock_timeout=lock_timeout,
-                  kernel=None, db=None, options=dict(worker_options or {}))
+                  kernel=None, db=None, catalog=None,
+                  options=dict(worker_options or {}))
     for module in task_modules:
         # registrations must exist in every process: under spawn the
         # child starts from a fresh interpreter, so importing here is
@@ -532,8 +545,7 @@ def _worker_kernel():
             from .kernel import MonetKernel
             _STATE["kernel"] = MonetKernel.open(
                 _STATE["db_dir"],
-                expected_generation=_STATE["generation"],
-                lock_timeout=_STATE["lock_timeout"])
+                expected_generation=_STATE["generation"])
     return _STATE["kernel"]
 
 
@@ -546,18 +558,20 @@ def _worker_db():
         db, _report = open_tpcd(
             _STATE["db_dir"],
             expected_generation=_STATE["generation"],
-            lock_timeout=_STATE["lock_timeout"],
             kernel=_STATE.get("kernel"))
         _STATE["db"] = db
     return _STATE["db"]
 
 
 def _task_mil_warmup(ctx, task):
-    ctx.kernel()
+    ctx.catalog()
 
 
 def _task_mil(ctx, task):
+    from ..analysis.verify import check_program
     _kind, _key, program, fetch = task
+    check_program(program, catalog=ctx.catalog(),
+                  budget=ctx.options.get("plan_budget"), roots=set(fetch))
     interpreter = MILInterpreter(ctx.kernel())
     interpreter.run(program)
     return {name: ship_value(interpreter.value(name))
@@ -574,7 +588,7 @@ def _run_accounted(run, ctx, task):
     the task, so a long-lived worker holds no resident set and the
     counts equal an in-process cold run of the same plan.
     """
-    manager = BufferManager(page_size=_STATE["page_size"])
+    manager = BufferManager()
     with use_manager(manager):
         canonical, extra = run(ctx, task)
     return canonical, extra, manager.snapshot()
@@ -812,7 +826,9 @@ class MultiprocExecutor:
         :func:`register_task_kind` calls exist in each process.
     worker_options:
         Picklable dict exposed to task handlers as
-        :attr:`WorkerContext.options` (e.g. plan-cache sizing).
+        :attr:`WorkerContext.options`: ``plan_budget`` (a
+        :class:`~repro.analysis.verify.PlanBudget` every plan kind is
+        checked against), plan-cache sizing.
     fault_plan:
         Optional :class:`repro.faults.FaultPlan` installed in every
         worker process (chaos testing); ``None`` — the default — keeps
@@ -820,8 +836,7 @@ class MultiprocExecutor:
     """
 
     def __init__(self, db_dir, procs=DEFAULT_PROCS,
-                 expected_generation=None, page_size=4096,
-                 lock_timeout=None, task_modules=(),
+                 expected_generation=None, task_modules=(),
                  worker_options=None, fault_plan=None):
         from .storage import catalog_generation
         self.db_dir = os.fspath(db_dir)
@@ -831,8 +846,7 @@ class MultiprocExecutor:
         self.generation = expected_generation
         self._context = multiprocessing.get_context(
             default_start_method())
-        self._init_args = (self.db_dir, self.generation, page_size,
-                           lock_timeout,
+        self._init_args = (self.db_dir, self.generation,
                            tuple(task_modules),
                            dict(worker_options or {}), fault_plan)
         #: tasks crashed + workers respawned since start (observability)

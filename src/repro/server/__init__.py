@@ -8,10 +8,11 @@ concurrent clients over a length-prefixed socket protocol
 **binary columnar message** that ships columns as raw little-endian
 buffers — and executes them through a :class:`QueryService`: per-generation warm
 worker pools (workers ``MonetKernel.open`` the catalog once, stay
-resident, and encode every result once), an LRU plan cache keyed by
-query text + catalog generation, an optional byte-weighted result
-cache over the encoded replies, admission control (max
-in-flight, bounded queue, per-query timeout), and a stats endpoint
+resident, and encode every result once), an LRU plan cache per
+worker keyed by query text, plan verification in the worker for every
+plan kind, an optional byte-weighted result cache over the encoded
+replies, admission control (max in-flight, bounded queue, per-query
+timeout), and a stats endpoint
 exposing latency percentiles, cache hit rates, and merged
 buffer-manager fault accounting.
 

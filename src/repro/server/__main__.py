@@ -19,8 +19,10 @@ import sys
 import threading
 
 from ..analysis.verify import PlanBudget
+from ..monet.multiproc import DEFAULT_PROCS
 from .server import QueryServer
 from .service import QueryService
+from .tasks import DEFAULT_PLAN_CACHE_SIZE
 
 
 def main(argv=None):
@@ -37,9 +39,10 @@ def main(argv=None):
     parser.add_argument("--port", type=int, default=7777,
                         help="TCP port (0 = ephemeral, printed on "
                              "stdout)")
-    parser.add_argument("--procs", type=int, default=2,
+    parser.add_argument("--procs", type=int, default=DEFAULT_PROCS,
                         help="worker processes per generation pool")
-    parser.add_argument("--plan-cache", type=int, default=64,
+    parser.add_argument("--plan-cache", type=int,
+                        default=DEFAULT_PLAN_CACHE_SIZE,
                         metavar="N",
                         help="per-worker LRU plan-cache capacity "
                              "(0 disables)")

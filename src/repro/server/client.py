@@ -110,17 +110,19 @@ class QueryClient:
 
     The catalog generation pinned at connect time is
     :attr:`generation`; every reply carries the generation it was
-    served from, which for this connection never changes — reconnect
-    (explicitly, or implicitly through a retry after a lost
-    connection) to observe a writer's bump.
+    served from.  Once the connection has had an answer that
+    generation no longer changes — reconnect (explicitly, or
+    implicitly through a retry after a lost connection) to observe a
+    writer's bump.  The first answer may come from a newer generation
+    than the hello's: a save landing before it re-pins the session
+    (see :meth:`repro.server.service.QueryService._submit_pinned`).
+    Every decoded result is re-checksummed against the shipped sha1.
 
     Parameters
     ----------
     connect_timeout:
         Seconds to establish the TCP connection (and, per frame, to
         complete the hello/auth handshake).
-    verify:
-        Re-checksum every decoded result against the shipped sha1.
     auth_token:
         Shared secret presented when the server's hello demands auth.
     retries:
@@ -137,13 +139,12 @@ class QueryClient:
     """
 
     def __init__(self, host, port, connect_timeout=10.0,
-                 verify=True, auth_token=None, retries=0,
+                 auth_token=None, retries=0,
                  backoff_base=0.05, backoff_max=2.0,
                  request_timeout=None):
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout
-        self.verify = verify
         self.auth_token = auth_token
         self.retries = max(0, int(retries))
         self.backoff_base = float(backoff_base)
@@ -306,8 +307,7 @@ class QueryClient:
             raise ProtocolError("expected a result frame, got %r"
                                 % (response.get("type"),))
         canonical = decode_value(response["payload"])
-        if self.verify and \
-                result_checksum(canonical) != response["checksum"]:
+        if result_checksum(canonical) != response["checksum"]:
             raise ProtocolError(
                 "shipped payload does not match its sha1 checksum "
                 "(%s)" % response["checksum"])

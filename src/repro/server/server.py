@@ -2,8 +2,11 @@
 
 Each accepted connection becomes a :class:`~repro.server.service.
 Session` (pinning the catalog generation current at accept time) and
-receives a ``hello`` frame carrying that generation.  The connection
-then speaks a strict request/response protocol — one frame in, one
+receives a ``hello`` frame carrying that generation.  A save landing
+before the session's first answer re-pins it once, so that answer and
+every later one come from the newer generation; each ``result``
+carries the generation it was served from.  The connection then
+speaks a strict request/response protocol — one frame in, one
 frame out — over :mod:`repro.server.protocol` framing:
 
 ================  ====================================================
@@ -30,7 +33,10 @@ the worker encoded (see :mod:`repro.server.protocol`), forwarded
 without being decoded here.
 
 Failures never tear the connection: any :class:`~repro.errors.
-ReproError` becomes an ``error`` frame ``{"error": <class name>,
+ReproError` — a plan the worker's verifier refused included
+(:class:`~repro.errors.PlanVerificationError`, or
+:class:`~repro.errors.PlanBudgetExceededError` over the service's
+budget) — becomes an ``error`` frame ``{"error": <class name>,
 "message": ..., "retryable": bool}`` the client re-raises as the
 matching typed exception (the ``retryable`` bit is the server-side
 :data:`~repro.errors.RETRYABLE` verdict, for clients that do not

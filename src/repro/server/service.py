@@ -9,18 +9,24 @@ the multi-process dispatcher:
   pool matching the generation on disk *when the session starts*, so
   a writer bumping the catalog mid-session never changes what an open
   session sees (new sessions get a new pool at the new generation,
-  old pools retire once their last pinned session ends);
+  old pools retire once their last pinned session ends); a save that
+  lands while a new session's pool starts, before the session's
+  first answer, re-pins that session once to the newer generation;
 * **admission control** — at most ``max_inflight`` requests execute
   at once, at most ``max_queue`` wait; beyond that (or when the queue
   wait exceeds the request's timeout budget) the request is refused
-  with a typed :class:`~repro.errors.ServerOverloadedError`; when a
-  ``plan_budget`` is configured, ``mil`` plans are additionally
-  **statically verified and budget-checked** before admission (and
-  ``moa`` plans after worker-side compilation), so a malformed or
-  over-budget plan answers a typed error without executing anything;
+  with a typed :class:`~repro.errors.ServerOverloadedError`;
+* **plan verification** — every plan kind (``moa``, ``sql``, ``mil``)
+  is **statically verified**, and budget-checked against a configured
+  ``plan_budget``, in the worker that would run it, before any MIL
+  statement executes (see :mod:`repro.server.tasks`); the parent
+  derives no catalog stats and only counts the typed rejections;
 * **per-query timeout** — forwarded to the dispatcher, which kills
   and respawns the worker running an overdue query
   (:class:`~repro.errors.QueryTimeoutError`);
+* **degraded mode** — a request whose worker crashed mid-query is
+  resubmitted once to the respawned worker; a second crash answers a
+  typed :class:`~repro.errors.ServerOverloadedError`;
 * **caches** — the workers' plan caches (see
   :mod:`repro.server.tasks`) report their counters through every
   outcome, and an optional parent-side **result cache** short-circuits
@@ -52,34 +58,24 @@ import time
 from collections import deque
 
 from .. import faults
-from ..analysis.verify import catalog_stats_from_manifest, check_program
 from ..bench.harness import percentiles
-from ..errors import (CatalogChangedError, ProtocolError,
-                      ServerOverloadedError, WorkerCrashedError)
+from ..errors import (CatalogChangedError, PlanVerificationError,
+                      ProtocolError, ServerOverloadedError,
+                      WorkerCrashedError)
 from ..monet.buffer import BufferStats
-from ..monet.multiproc import MultiprocExecutor
-from ..monet.storage import as_backend, catalog_generation
+from ..monet.multiproc import DEFAULT_PROCS, MultiprocExecutor
+from ..monet.storage import catalog_generation
 from .cache import WeightedLRU
 from .protocol import decode_program
+from .tasks import DEFAULT_PLAN_CACHE_SIZE
 
 #: Sliding-window size for latency percentiles.
 LATENCY_WINDOW = 4096
-
-#: Admission-stats cache entries kept (generations seen recently).
-ADMISSION_STATS_CACHE = 4
 
 #: Chaos injection point between a new session's generation read and
 #: the fork of that generation's pool (see :mod:`repro.faults`): a
 #: ``delay`` there opens the window a concurrent save must land in.
 faults.declare("service.session.fork")
-
-
-def _budget_options(budget):
-    """The picklable ``worker_options`` form of a ``PlanBudget``."""
-    if budget is None:
-        return None
-    return {"max_rows": budget.max_rows, "max_bytes": budget.max_bytes,
-            "max_pages": budget.max_pages}
 
 
 def _valid_timeout(timeout):
@@ -126,33 +122,24 @@ class QueryService:
     default_timeout:
         Per-query timeout in seconds applied when a request carries
         none (``None`` = unbounded).
-    crash_retries:
-        How many times a request whose worker crashed mid-query is
-        transparently resubmitted (to a freshly respawned worker)
-        before the service degrades it to a typed
-        :class:`~repro.errors.ServerOverloadedError`.
     fault_plan:
         A :class:`~repro.faults.FaultPlan` shipped to every worker
         pool (chaos testing only; ``None`` = off).
     plan_budget:
-        A :class:`~repro.analysis.verify.PlanBudget` enforced at
-        admission (``None`` = unlimited).  ``mil`` plans are verified
-        and budget-checked parent-side — before the admission queue,
-        before any worker sees them — against stats derived from the
-        catalog manifest alone; ``moa`` plans are budget-checked in
-        the worker right after compilation, before execution.  Either
-        way an over-budget plan answers a typed
-        :class:`~repro.errors.PlanBudgetExceededError` (and a
-        malformed ``mil`` plan a
-        :class:`~repro.errors.PlanVerificationError`) without ever
-        executing a statement.
+        A :class:`~repro.analysis.verify.PlanBudget` shipped to every
+        worker (``None`` = unlimited).  Each worker checks every plan
+        kind against it after compilation, before execution: an
+        over-budget plan answers a typed
+        :class:`~repro.errors.PlanBudgetExceededError` (a malformed
+        one a :class:`~repro.errors.PlanVerificationError`, budget or
+        not) without ever executing a statement.
     """
 
-    def __init__(self, db_dir, procs=2, plan_cache_size=64,
+    def __init__(self, db_dir, procs=DEFAULT_PROCS,
+                 plan_cache_size=DEFAULT_PLAN_CACHE_SIZE,
                  result_cache_bytes=0,
                  max_inflight=8, max_queue=32,
-                 default_timeout=None, lock_timeout=None,
-                 page_size=4096, crash_retries=1,
+                 default_timeout=None,
                  fault_plan=None, plan_budget=None):
         self.db_dir = db_dir
         self.procs = max(1, int(procs))
@@ -160,13 +147,8 @@ class QueryService:
         self.max_inflight = max(1, int(max_inflight))
         self.max_queue = max(0, int(max_queue))
         self.default_timeout = default_timeout
-        self.crash_retries = max(0, int(crash_retries))
-        self._lock_timeout = lock_timeout
-        self._page_size = page_size
         self._fault_plan = fault_plan
         self.plan_budget = plan_budget
-        #: generation -> manifest-derived admission stats (bounded)
-        self._admission_stats = {}
         self.result_cache = WeightedLRU(result_cache_bytes)
 
         self._pool_lock = threading.Lock()
@@ -209,12 +191,9 @@ class QueryService:
         return MultiprocExecutor(
             self.db_dir, procs=self.procs,
             expected_generation=generation,
-            page_size=self._page_size,
-            lock_timeout=self._lock_timeout,
             task_modules=("repro.server.tasks",),
             worker_options={"plan_cache_size": self.plan_cache_size,
-                            "plan_budget":
-                                _budget_options(self.plan_budget)},
+                            "plan_budget": self.plan_budget},
             fault_plan=self._fault_plan)
 
     def session(self):
@@ -228,27 +207,20 @@ class QueryService:
                 entry.sessions += 1
                 return Session(self, generation, entry)
         with self._create_lock:
-            for retry in (False, True):
-                # re-check under the creation lock: a concurrent
-                # connect may have built this generation's pool already
-                with self._pool_lock:
-                    if self._closed:
-                        raise ProtocolError("service is shut down")
-                    entry = self._pools.get(generation)
-                    if entry is not None:
-                        entry.sessions += 1
-                        return Session(self, generation, entry)
-                faults.fire("service.session.fork")
-                executor = self._make_executor(generation)  # slow: forks
-                current = catalog_generation(self.db_dir)
-                if retry or current == generation:
-                    break
-                # a save landed between the read and the fork and
-                # pruned the files this pool would map: retry once on
-                # the newer generation instead of failing the
-                # session's first request with CatalogChangedError
-                executor.close()
-                generation = current
+            # re-check under the creation lock: a concurrent connect
+            # may have built this generation's pool already
+            with self._pool_lock:
+                if self._closed:
+                    raise ProtocolError("service is shut down")
+                entry = self._pools.get(generation)
+                if entry is not None:
+                    entry.sessions += 1
+                    return Session(self, generation, entry)
+            # a save landing from here on prunes the files this pool
+            # would map; the session's first request re-pins it (see
+            # _submit_pinned)
+            faults.fire("service.session.fork")
+            executor = self._make_executor(generation)      # slow: forks
             with self._pool_lock:
                 if self._closed:
                     closed = True
@@ -350,44 +322,6 @@ class QueryService:
                 ["mil", request["program"], fetch], sort_keys=True)
         raise ProtocolError("unknown request type %r" % (rtype,))
 
-    def _admission_stats_for(self, generation):
-        """Manifest-derived catalog stats for the verifier, cached.
-
-        Reads only the manifest (no column data is mapped in the
-        parent).  The manifest on disk may be newer than ``generation``
-        when a writer bumped the catalog under an open session; the
-        freshest readable stats are still the right conservative basis
-        for admission, so they are used and cached under the
-        generation they describe.
-        """
-        stats = self._admission_stats.get(generation)
-        if stats is not None:
-            return stats
-        manifest = as_backend(self.db_dir).read_manifest()
-        stats = catalog_stats_from_manifest(manifest)
-        if len(self._admission_stats) >= ADMISSION_STATS_CACHE:
-            self._admission_stats.clear()
-        self._admission_stats[manifest.get("generation", 0)] = stats
-        return stats
-
-    def _verify_admission(self, session, task):
-        """Statically verify a ``mil`` plan before admitting it.
-
-        Raises :class:`~repro.errors.PlanVerificationError` (malformed)
-        or :class:`~repro.errors.PlanBudgetExceededError` (over the
-        configured :attr:`plan_budget`) — either way the plan never
-        reaches the admission queue, let alone a worker.
-        """
-        _kind, _key, program, fetch = task
-        try:
-            check_program(program,
-                          catalog=self._admission_stats_for(
-                              session.generation),
-                          budget=self.plan_budget, roots=set(fetch))
-        except Exception:
-            self._count("plan_rejections")
-            raise
-
     def execute(self, session, request):
         """One executable request -> one result response dict.
 
@@ -404,8 +338,6 @@ class QueryService:
         if not isinstance(buffer_stats, bool):
             raise ProtocolError("'buffer_stats' must be a boolean")
         task, cache_key = self._task_for(request)
-        if task[0] == "mil":
-            self._verify_admission(session, task)
         full_key = (session.generation, cache_key)
         cached = None if buffer_stats \
             else self.result_cache.get(full_key)
@@ -418,6 +350,11 @@ class QueryService:
             try:
                 outcome = self._submit_pinned(session, task, timeout,
                                               buffer_stats)
+            except PlanVerificationError:
+                # the worker's verifier refused the plan before any
+                # statement ran (the budget subclass included)
+                self._count("plan_rejections")
+                raise
             finally:
                 self._leave()
             full_key = (session.generation, cache_key)
@@ -465,13 +402,14 @@ class QueryService:
         answer yet to the generation on disk once.
 
         A pool's workers map the catalog at their first task.  A save
-        landing after :meth:`session` re-checked the generation but
-        before that first task prunes the files the workers would map,
-        and they fail with ``CatalogChangedError``.  Nothing has been
-        answered at the old generation then, so the session re-pins
-        to the new one — as if it had connected after the save — and
-        the request runs once more.  A session that already has an
-        answer keeps its snapshot and gets the typed error.
+        landing after :meth:`session` read the generation — while the
+        pool forks, or before its workers' first task — prunes the
+        files the workers would map, and they fail with
+        ``CatalogChangedError``.  Nothing has been answered at the old
+        generation then, so the session re-pins to the new one — as
+        if it had connected after the save — and the request runs once
+        more.  A session that already has an answer keeps its snapshot
+        and gets the typed error.
         """
         try:
             return self._submit_with_retry(session, task, timeout,
@@ -488,34 +426,31 @@ class QueryService:
         return self._submit_with_retry(session, task, timeout,
                                        buffer_stats)
 
-    def _submit_with_retry(self, session, task, timeout,
-                           buffer_stats=False):
-        """Submit, transparently resubmitting over worker crashes.
+    def _submit_with_retry(self, session, task, timeout, buffer_stats):
+        """Submit, transparently resubmitting once over a worker crash.
 
         Every request here is an idempotent read against a pinned
         generation, so resubmitting a crashed one (the executor has
-        already respawned the worker) is safe.  Once the retry budget
-        is spent the request degrades to a typed
+        already respawned the worker) is safe.  A second crash
+        degrades the request to a typed
         :class:`~repro.errors.ServerOverloadedError` — the pool is
         respawning faster than it can serve.
         """
-        attempts = 0
-        while True:
-            try:
-                return session.entry.executor.submit(
-                    task, timeout=timeout,
-                    buffer_stats=buffer_stats).result()
-            except WorkerCrashedError as exc:
-                if attempts >= self.crash_retries:
-                    if self.crash_retries == 0:
-                        raise
-                    self._count("overloads")
-                    raise ServerOverloadedError(
-                        "worker pool is respawning after repeated "
-                        "crashes (%d resubmits): %s"
-                        % (attempts, exc)) from exc
-                attempts += 1
-                self._count("crash_retries")
+        def attempt():
+            return session.entry.executor.submit(
+                task, timeout=timeout, buffer_stats=buffer_stats).result()
+
+        try:
+            return attempt()
+        except WorkerCrashedError:
+            self._count("crash_retries")
+        try:
+            return attempt()
+        except WorkerCrashedError as exc:
+            self._count("overloads")
+            raise ServerOverloadedError(
+                "worker pool is respawning after repeated crashes "
+                "(1 resubmit): %s" % exc) from exc
 
     # ------------------------------------------------------------------
     # stats

@@ -14,15 +14,21 @@ module scope.
 query against the worker's pinned-generation TPC-D catalog through a
 per-worker **LRU plan cache** (a
 :class:`~repro.server.cache.WeightedLRU` whose entries weigh 1
-each): query text + catalog generation ->
-compiled :class:`~repro.moa.rewriter.RewriteResult` (flattened MIL
-program + result rep).  A hit skips parse/typecheck/rewrite entirely
-and re-executes the cached MIL plan
-(:meth:`~repro.moa.session.MOADatabase.run_compiled`).  The key
-carries the generation the worker is pinned to, so a pool serving a
-newer snapshot can never resurrect a stale plan — invalidation on
-generation bump falls out of the keying (new generation = new pool =
-cold cache, and any shared cache keyed this way misses).
+each): query text -> compiled
+:class:`~repro.moa.rewriter.RewriteResult` (flattened MIL program +
+result rep).  A hit skips parse/typecheck/rewrite entirely and
+re-executes the cached MIL plan
+(:meth:`~repro.moa.session.MOADatabase.run_compiled`).  The key needs
+no generation: a worker serves one pinned generation for life, and a
+catalog bump brings a new pool with cold caches.
+
+A miss verifies the compiled plan before it runs, like every kind
+(see :mod:`repro.monet.multiproc`): against the catalog stats
+:meth:`~repro.monet.multiproc.WorkerContext.catalog` derives once
+from the worker's kernel, and against the service's ``plan_budget``
+worker option, a :class:`~repro.analysis.verify.PlanBudget`.  A
+rejected plan never enters the cache, so every resubmission is
+re-checked (and re-rejected) the same way.
 
 Each outcome ships ``extra = {"plan_cached": bool, "plan_cache":
 {hits, misses, evictions, size, capacity, ...}}`` — the cumulative
@@ -32,7 +38,6 @@ here as the batch the materializer built: no ``Row`` exists in the
 worker.
 """
 
-from ..analysis.verify import PlanBudget, catalog_stats_from_kernel
 from ..moa.rewriter import rewrite
 from ..monet.multiproc import register_task_kind, ship_value
 from .cache import WeightedLRU
@@ -51,28 +56,9 @@ def _plan_cache(ctx):
     return cache
 
 
-def _plan_budget(ctx):
-    """The service's admission budget, shipped as a plain dict."""
-    options = ctx.options.get("plan_budget")
-    if not options:
-        return None
-    return PlanBudget(max_rows=options.get("max_rows"),
-                      max_bytes=options.get("max_bytes"),
-                      max_pages=options.get("max_pages"))
-
-
-def _catalog(ctx):
-    """Catalog stats of the worker's database, derived once: a worker
-    serves one pinned generation for its whole life."""
-    catalog = ctx.state.get("catalog")
-    if catalog is None:
-        catalog = ctx.state["catalog"] = \
-            catalog_stats_from_kernel(ctx.db().kernel)
-    return catalog
-
-
 def _moa_warmup(ctx, task):
     ctx.db()
+    ctx.catalog()
 
 
 def _run_sql(ctx, task):
@@ -81,21 +67,21 @@ def _run_sql(ctx, task):
     resolve/rewrite/verify/execute pipeline as ``moa``).  The worker's
     plan cache holds the :class:`~repro.sql.runtime.PreparedSql`
     (hole-free phases pre-compiled and budget-checked) under
-    ``("sql", text, generation)``, so the key space is disjoint from
-    the ``moa`` entries while sharing the same LRU capacity and
-    counters."""
+    ``("sql", text)``, so the key space is disjoint from the ``moa``
+    entries while sharing the same LRU capacity and counters."""
     _kind, _key, text = task
     db = ctx.db()
     cache = _plan_cache(ctx)
-    key = ("sql", text, ctx.generation)
+    key = ("sql", text)
     prepared = cache.get(key)
     hit = prepared is not None
     if not hit:
         from ..sql.runtime import prepare_sql
         # an over-budget or malformed query raises here, before the
         # put: a rejected SQL plan never enters the cache either
-        prepared = prepare_sql(db, text, budget=_plan_budget(ctx),
-                               catalog=_catalog(ctx))
+        prepared = prepare_sql(db, text,
+                               budget=ctx.options.get("plan_budget"),
+                               catalog=ctx.catalog())
         cache.put(key, prepared)
     value = prepared.run()
     extra = {"plan_cached": hit, "plan_cache": cache.snapshot()}
@@ -106,16 +92,14 @@ def _run_moa(ctx, task):
     _kind, _key, text = task
     db = ctx.db()
     cache = _plan_cache(ctx)
-    key = (text, ctx.generation)
+    key = ("moa", text)
     compiled = cache.get(key)
     hit = compiled is not None
     if not hit:
-        # the rewriter's one verification also enforces the service's
-        # static admission budget, before a single statement runs.  A
-        # rejected plan never enters the cache, so every resubmission
-        # is re-checked (and re-rejected) the same way.
+        # the rewriter's one verification also enforces the budget
         compiled = rewrite(db.prepare(text), db.flat,
-                           catalog=_catalog(ctx), budget=_plan_budget(ctx))
+                           catalog=ctx.catalog(),
+                           budget=ctx.options.get("plan_budget"))
         cache.put(key, compiled)
     value = db.run_compiled(compiled)
     extra = {"plan_cached": hit, "plan_cache": cache.snapshot()}

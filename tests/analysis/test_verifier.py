@@ -10,11 +10,10 @@ The acceptance contract of this suite:
   warning, whether or not an earlier statement read the catalog BAT:
   the interpreter writes its own environment, never the catalog;
 * verifying a TPC-D plan costs at most 5 % of running it (floored at
-  1 ms), because the server verifies before it admits;
+  1 ms), because a served worker verifies every plan before it runs;
 * budget violations raise :class:`~repro.errors.
   PlanBudgetExceededError`, everything else :class:`~repro.errors.
-  PlanVerificationError`, and manifest-derived stats agree with
-  kernel-derived ones so the server can verify from metadata alone.
+  PlanVerificationError`.
 """
 
 import statistics
@@ -26,12 +25,10 @@ from repro.errors import (MILError, PlanBudgetExceededError,
                           PlanVerificationError)
 from repro.monet import MILProgram, MonetKernel, Var
 from repro.monet import bat_from_columns_values
-from repro.monet.storage import as_backend
 from repro.analysis.verify import (PlanBudget, catalog_stats_from_kernel,
-                                   catalog_stats_from_manifest,
                                    check_program, live_statements,
                                    verify_program)
-from repro.tpcd import QUERIES, load_tpcd
+from repro.tpcd import QUERIES
 
 
 @pytest.fixture(scope="module")
@@ -154,24 +151,14 @@ def test_budget_error_is_a_verification_error_subclass():
     assert issubclass(PlanVerificationError, MILError)
 
 
-# ----------------------------------------------------------------------
-# catalog stats: kernel and manifest derivations agree
-# ----------------------------------------------------------------------
-def test_manifest_stats_match_kernel_stats(tiny_tpcd, tmp_path):
-    db_dir = tmp_path / "db"
-    db, _report = load_tpcd(tiny_tpcd, db_dir=db_dir)
-    from_kernel = catalog_stats_from_kernel(db.kernel)
-    manifest = as_backend(db_dir).read_manifest()
-    from_manifest = catalog_stats_from_manifest(manifest)
-    assert set(from_kernel) == set(from_manifest)
-    for name, expected in from_kernel.items():
-        got = from_manifest[name]
-        assert (got.head, got.tail) == (expected.head, expected.tail), \
-            name
-        assert got.count == expected.count, name
-        assert (got.hkey, got.tkey, got.hordered, got.tordered) == \
-            (expected.hkey, expected.tkey, expected.hordered,
-             expected.tordered), name
+def test_budget_pickles_as_it_is():
+    """A service ships its budget to workers as it is (pickled under
+    the ``spawn`` start method)."""
+    import pickle
+    budget = pickle.loads(pickle.dumps(PlanBudget(max_rows=5,
+                                                  max_pages=3)))
+    assert (budget.max_rows, budget.max_bytes, budget.max_pages) \
+        == (5, None, 3)
 
 
 # ----------------------------------------------------------------------

@@ -504,10 +504,11 @@ def test_drain_deadline_sends_typed_error_to_stragglers(db_dir):
 # ----------------------------------------------------------------------
 def test_save_between_session_read_and_fork_serves_the_newer_generation(
         tiny_tpcd, tmp_path, serial_checksums):
-    """A writer saving while a new session forks its pool used to pin
-    the session to the generation it had just pruned, so its first
-    request failed with CatalogChangedError.  The session now retries
-    once on the generation on disk."""
+    """A writer saving while a new session forks its pool pins the
+    session to the generation it has just pruned.  The session's
+    first request meets CatalogChangedError in the worker, so the
+    service re-pins the session, which has no answer yet, once to the
+    generation on disk and runs the request there."""
     db_dir = tmp_path / "db"
     load_tpcd(tiny_tpcd, db_dir=db_dir)
     plan = faults.FaultPlan().arm("service.session.fork",
@@ -528,16 +529,17 @@ def test_save_between_session_read_and_fork_serves_the_newer_generation(
             thread.start()
             session = service.session()
         thread.join(timeout=30)
-        # the save finished inside the window, before the re-check
+        # the save finished inside the window, before the fork
         assert saved.is_set()
         with session:
-            # the old pin: CatalogChangedError here, from the worker
+            # without the re-pin: CatalogChangedError here, from the worker
             # opening a generation whose files the save had pruned
             response = session.execute({"type": "sql",
                                         "query": sql_text(6)})
         assert session.generation == response["generation"] == 2
         assert response["checksum"] == serial_checksums[6]
         assert service.pool_generations() == [2]
+        assert service.stats()["counters"]["session_repins"] == 1
     finally:
         service.close()
 

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.errors import AtomError
 from repro.monet import atoms as _atoms
 from repro.monet import bat_from_pairs
 from repro.monet import operators as ops
@@ -92,6 +93,9 @@ def _outcome(build):
 # rounded to float64 first (a Python float) this int lands on a
 # float32 tie, rounded once it does not
 @example(atom="float", values=np.array([2 ** 60 + 2 ** 36 + 1]))
+# a finite double beyond float32's range, and an int beyond any double
+@example(atom="float", values=np.array([1.0, 1e300]))
+@example(atom="double", values=_object_array([10 ** 400]))
 def test_array_path_equals_per_value_path(atom, values):
     bulk = _outcome(lambda: column_from_values(atom, values))
     assert bulk == _outcome(lambda: column_from_values(atom,
@@ -99,6 +103,26 @@ def test_array_path_equals_per_value_path(atom, values):
     if isinstance(bulk, tuple) and bulk[0] == "fixed":
         column = column_from_values(atom, values)
         assert not np.shares_memory(column.data, values)
+
+
+@pytest.mark.parametrize("atom, values", [
+    ("float", [1e300]),
+    ("float", np.array([-1e300])),
+    ("float", _object_array([10 ** 40])),
+    ("double", [10 ** 400]),
+    ("double", _object_array([-(10 ** 400)])),
+])
+def test_out_of_range_float_values_raise_atom_error(atom, values):
+    with pytest.raises(AtomError, match="out of range|too large"):
+        column_from_values(atom, values)
+
+
+@pytest.mark.parametrize("atom", ["float", "double"])
+def test_nan_and_infinities_stay_float_values(atom):
+    values = [np.nan, np.inf, -np.inf]
+    for given in (values, np.array(values)):
+        data = column_from_values(atom, given).data
+        assert np.isnan(data[0]) and data[1:].tolist() == [np.inf, -np.inf]
 
 
 @pytest.mark.parametrize("atom, values, distinct", [

@@ -123,14 +123,14 @@ def test_mil_program_over_the_wire(server, db_dir):
 
 def test_catalog_shadowing_mil_plan_is_served_like_serial(db_dir):
     """A plan may read catalog ``Item_quantity`` and then assign that
-    name: admission lints it as a ``shadows-catalog`` warning, not an
-    error; the served answer is the serial one (the read before the
+    name: the worker's verifier lints it as a ``shadows-catalog``
+    warning, not an error; the served answer is the serial one (the
+    read before the
     assignment sees the catalog BAT, the read after it the variable);
     and a later request on the same worker still reads the catalog BAT
     unchanged, because the interpreter writes only its environment."""
-    from repro.analysis.verify import (catalog_stats_from_manifest,
+    from repro.analysis.verify import (catalog_stats_from_kernel,
                                        check_program)
-    from repro.monet.storage import as_backend
 
     program = MILProgram()
     program.emit("aggr_all", [Var("Item_quantity")], fn="sum",
@@ -147,9 +147,7 @@ def test_catalog_shadowing_mil_plan_is_served_like_serial(db_dir):
     assert env["after"]["value"] == 2 * env["before"]["value"] > 0
     _probe_env, probe_expected = run_program_serial(kernel, probe,
                                                     ["column"])
-    stats = catalog_stats_from_manifest(
-        as_backend(db_dir).read_manifest())
-    plan = check_program(program, catalog=stats,
+    plan = check_program(program, catalog=catalog_stats_from_kernel(kernel),
                          roots={"before", "after"})
     assert [(finding.level, finding.code, finding.index)
             for finding in plan.findings] \
@@ -866,7 +864,7 @@ def test_caches_stay_correct_while_workers_crash(rewritable_db,
     subject."""
     plan = faults.FaultPlan().arm("multiproc.task.start",
                                   action="crash", skip=3, times=1)
-    service = QueryService(rewritable_db, procs=1, crash_retries=1,
+    service = QueryService(rewritable_db, procs=1,
                            result_cache_bytes=1 << 20,
                            fault_plan=plan)
     failures = []
@@ -943,7 +941,8 @@ def test_caches_stay_correct_while_workers_crash(rewritable_db,
 
 
 # ----------------------------------------------------------------------
-# static plan admission (verifier + budget, before any worker runs)
+# static plan admission (verifier + budget, in the worker, before any
+# MIL statement runs)
 # ----------------------------------------------------------------------
 def test_error_frames_carry_the_retryability_verdict():
     from repro.errors import PlanBudgetExceededError
@@ -971,13 +970,13 @@ def test_plan_budget_rejects_before_any_worker_executes(db_dir):
             # a single statement runs, typed across the wire
             with pytest.raises(PlanBudgetExceededError):
                 client.moa(QUERIES[1].texts()[0])
-            # malformed mil: rejected parent-side, pre-admission
+            # malformed mil: rejected by the worker's verifier
             bad = MILProgram()
             bad.emit("join", [Var("not_a_bat"),
                               Var("Item_quantity")])
             with pytest.raises(PlanVerificationError):
                 client.mil(bad, ["whatever"])
-            # over-budget mil: also rejected parent-side
+            # over-budget mil: rejected there too
             big = MILProgram()
             big.emit("join", [Var("Item_part"), Var("Part_name")])
             with pytest.raises(PlanBudgetExceededError):
@@ -989,9 +988,9 @@ def test_plan_budget_rejects_before_any_worker_executes(db_dir):
             assert client.mil(ok, ["n"]).value == {"n": 9}
             counters = client.stats()["counters"]
     service.close()
-    # both mil rejections were counted, and of the four executable
+    # all three rejections were counted, and of the four executable
     # requests only the under-budget plan ever produced a result
-    assert counters["plan_rejections"] == 2, counters
+    assert counters["plan_rejections"] == 3, counters
     assert counters["results"] == 1, counters
 
 
@@ -1022,6 +1021,91 @@ def test_unbudgeted_service_verifies_mil_but_admits_everything(db_dir):
             reply = client.moa(QUERIES[1].texts()[0])
             assert reply.checksum
     service.close()
+
+
+def _rejected_requests():
+    """``(request, typed error)`` for one plan of every kind that a
+    ``max_rows=50`` budget refuses, plus a malformed ``mil`` plan."""
+    from repro.errors import PlanBudgetExceededError, PlanVerificationError
+
+    big = MILProgram()
+    big.emit("join", [Var("Item_part"), Var("Part_name")], target="x")
+    malformed = MILProgram()
+    malformed.emit("join", [Var("not_a_bat"), Var("Item_quantity")],
+                   target="x")
+    return [
+        ({"type": "moa", "query": QUERIES[1].texts()[0]},
+         PlanBudgetExceededError),
+        ({"type": "sql", "query": sql_text(1)}, PlanBudgetExceededError),
+        ({"type": "mil", "program": encode_program(big), "fetch": ["x"]},
+         PlanBudgetExceededError),
+        ({"type": "mil", "program": encode_program(malformed),
+          "fetch": ["x"]}, PlanVerificationError),
+    ]
+
+
+def test_every_plan_kind_is_rejected_once_in_the_worker(db_dir):
+    """Each kind's refused plan answers its typed error and bumps
+    ``plan_rejections`` exactly once, a resubmission included (a
+    refused plan never enters a plan cache), and produces no result."""
+    from repro.analysis.verify import PlanBudget
+
+    service = QueryService(db_dir, procs=1,
+                           plan_budget=PlanBudget(max_rows=50))
+    try:
+        with service.session() as session:
+            for request, error in _rejected_requests():
+                for _attempt in range(2):
+                    before = service.stats()["counters"]
+                    with pytest.raises(error):
+                        session.execute(request)
+                    after = service.stats()["counters"]
+                    assert after["plan_rejections"] \
+                        == before["plan_rejections"] + 1, request
+                    assert after["results"] == before["results"]
+    finally:
+        service.close()
+
+
+def test_the_parent_never_verifies_or_derives_catalog_stats(
+        db_dir, serial_checksums, monkeypatch):
+    """Every plan kind is verified in its worker only: with the
+    verifier and the catalog-stats derivation rigged to fail in this
+    process once the pool has forked, a malformed ``mil`` plan is still
+    refused, typed, and well-formed plans of every kind still answer
+    their serial checksums."""
+    from repro.analysis import verify
+    from repro.errors import PlanVerificationError
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("the parent verified a plan")
+
+    kernel = MonetKernel.open(db_dir)
+    ok = MILProgram()
+    window = ok.emit("slice", [Var("Item_quantity"), 0, 9])
+    ok.emit("aggr_all", [window], fn="count", target="n")
+    _env, ok_checksum = run_program_serial(kernel, ok, ["n"])
+    bad = MILProgram()
+    bad.emit("mirror", [Var("nope")], target="x")
+    service = QueryService(db_dir, procs=1)
+    try:
+        with service.session() as session:
+            monkeypatch.setattr(verify, "verify_program", forbidden)
+            monkeypatch.setattr(verify, "_column_atom", forbidden)
+            with pytest.raises(PlanVerificationError):
+                session.execute({"type": "mil", "fetch": ["x"],
+                                 "program": encode_program(bad)})
+            served = session.execute({"type": "mil", "fetch": ["n"],
+                                      "program": encode_program(ok)})
+            assert served["checksum"] == ok_checksum
+            served = session.execute({"type": "moa",
+                                      "query": QUERIES[1].texts()[0]})
+            assert served["checksum"] == serial_checksums[1]
+            served = session.execute({"type": "sql",
+                                      "query": sql_text(6)})
+            assert served["checksum"] == serial_checksums[6]
+    finally:
+        service.close()
 
 
 # ----------------------------------------------------------------------

@@ -120,9 +120,8 @@ def test_load_tpcd_db_dir_caches_and_warm_starts(tiny_tpcd, tmp_path,
 
     warm_db, warm_report = load_tpcd(tiny_tpcd, db_dir=db_dir)
     assert warm_report.warm
-    assert warm_report.total_s < cold_report.total_s
-    # the same property as a count: a warm start runs no dbgen (never
-    # reads the generated columns) and none of the load phases
+    # a warm start runs no dbgen (never reads the generated columns)
+    # and none of the load phases
     with monkeypatch.context() as patch:
         for phase in ("flatten", "create_datavectors", "reorder_on_tail"):
             patch.setattr(loader, phase, _forbidden(phase))
