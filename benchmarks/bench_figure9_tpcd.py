@@ -12,9 +12,9 @@ rather than this docstring.
 
 Two more columns check the fault simulator against a real pager: the
 distinct pages the simulator charged to the mapped heaps in one cold
-run, and the pages the OS really faulted into those mappings (Rss
-deltas from ``/proc/self/smaps``), each query on a freshly reopened
-catalog.  They are reported, not gated: the kernel's fault-around
+run, and the pages the OS really faulted into those mappings (deltas
+of the present bits over each heap's pages in ``/proc/self/pagemap``),
+each query on a freshly reopened catalog.  They are reported, not gated: the kernel's fault-around
 differs from host to host.
 """
 

@@ -163,12 +163,19 @@ def build_datavector(attr_bat, registry):
     into extent (oid) order — the "projection on tail column" of
     section 6 when the BAT is already oid-ordered.
     """
-    heads = np.asarray(attr_bat.head.logical(), dtype=np.int64)
-    hit, positions = sorted_lookup(registry.extent, heads)
-    if len(registry.extent) == 0 or not hit.all():
-        raise OperatorError("attribute BAT %r has oids outside the extent"
-                            % (attr_bat.name,))
-    order = np.argsort(positions, kind="stable")
+    heads = np.asarray(attr_bat.head.logical())
+    if len(registry.extent) and np.array_equal(heads, registry.extent):
+        # heads already in extent order (every attribute at load time,
+        # before the reorder): the tail in BUN order, still a copy so
+        # the vector keeps a heap of its own
+        order = np.arange(len(heads), dtype=np.int64)
+    else:
+        hit, positions = sorted_lookup(registry.extent,
+                                       heads.astype(np.int64, copy=False))
+        if len(registry.extent) == 0 or not hit.all():
+            raise OperatorError("attribute BAT %r has oids outside the "
+                                "extent" % (attr_bat.name,))
+        order = np.argsort(positions, kind="stable")
     vector = attr_bat.tail.take(order)
     accel = DataVector(registry, vector)
     attr_bat.accel["datavector"] = accel

@@ -24,6 +24,20 @@ from ..errors import HeapError
 _HEAP_IDS = itertools.count(1)
 
 
+def utf8_column(strings, terminator=""):
+    """``(lengths, data)``: the UTF-8 byte length of every string as
+    an int64 array, and their encodings back to back, each followed by
+    the ASCII ``terminator`` (which ``lengths`` does not count)."""
+    joined = terminator.join(strings) + (terminator if len(strings)
+                                         else "")
+    data = joined.encode("utf-8")
+    if len(data) == len(joined):        # pure ASCII: bytes == chars
+        sizes = map(len, strings)
+    else:
+        sizes = (len(item.encode("utf-8")) for item in strings)
+    return np.fromiter(sizes, dtype=np.int64, count=len(strings)), data
+
+
 class Heap:
     """Common bookkeeping for all heap kinds.
 

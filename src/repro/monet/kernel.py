@@ -138,9 +138,10 @@ class MonetKernel:
     def save(self, target, meta=None, lock_timeout=None):
         """Persist the whole catalog to a directory (or backend).
 
-        Writes one raw little-endian file per heap plus a JSON catalog
-        manifest; accelerator heaps (datavectors, hash indexes) are
-        included.  The save holds the directory's exclusive catalog
+        Streams every heap into one raw little-endian file (each heap
+        at a page-aligned offset, one fsync) plus a JSON catalog
+        manifest; accelerator heaps (datavector vectors and extents)
+        are included.  The save holds the directory's exclusive catalog
         lock and bumps the manifest generation counter (see
         :mod:`repro.monet.storage`).  Returns the manifest dict.
         """
@@ -153,6 +154,7 @@ class MonetKernel:
              lock_timeout=None):
         """Reopen a saved catalog with zero-copy ``np.memmap`` columns.
 
+        The heap file is mapped once and every column is a view of it.
         Properties, alignment groups and accelerators are restored from
         the manifest; no heap data is read eagerly.
         ``expected_generation`` pins the open to one catalog

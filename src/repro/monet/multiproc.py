@@ -118,6 +118,7 @@ except ImportError:                         # not a POSIX platform
 from .. import faults
 from ..errors import MILError, QueryTimeoutError, WorkerCrashedError
 from .buffer import BufferManager, use as use_manager
+from .heap import utf8_column
 from .mil import MILInterpreter
 
 __all__ = [
@@ -125,7 +126,6 @@ __all__ = [
     "TaskOutcome", "WorkerContext", "default_start_method", "is_batch",
     "is_ref", "is_row", "register_task_kind", "result_checksum",
     "run_program_serial", "ship_value",
-    "utf8_column",
 ]
 
 DEFAULT_PROCS = 2
@@ -391,18 +391,6 @@ def _feed_column(digest, ref_class, values):
     else:
         update(b"f")
         update(np.ascontiguousarray(_one_nan(values), dtype="<f8"))
-
-
-def utf8_column(strings):
-    """``(lengths, data)``: the UTF-8 byte length of every string as
-    an int64 array, and their encodings back to back."""
-    joined = "".join(strings)
-    data = joined.encode("utf-8")
-    if len(data) == len(joined):        # pure ASCII: bytes == chars
-        sizes = map(len, strings)
-    else:
-        sizes = (len(item.encode("utf-8")) for item in strings)
-    return np.fromiter(sizes, dtype=np.int64, count=len(strings)), data
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ TPC-D queries additionally need multi-attribute ORDER BY and top-N
 import numpy as np
 
 from ..buffer import get_manager
+from ..column import INT_WIDTHS
 from ..properties import Props, fresh_alignment
 from .common import result_bat
 
@@ -20,6 +21,9 @@ def sort_tail(ab, ascending=True, name=None):
     with manager.operator("sort"):
         manager.access_bat(ab)
         ranks = np.asarray(ab.tail.order_keys())
+        if ab.tail.atom.varsized:
+            ranks = ranks.astype(_rank_dtype(len(ab.tail.heap)),
+                                 copy=False)
         order = np.argsort(ranks, kind="stable")
         if not ascending:
             order = order[::-1]
@@ -27,6 +31,16 @@ def sort_tail(ab, ascending=True, name=None):
     out.props = Props(hkey=ab.props.hkey, tkey=ab.props.tkey,
                       tordered=ascending)
     return out
+
+
+def _rank_dtype(n_values):
+    """The narrowest of :data:`INT_WIDTHS` holding ranks ``0 .. n-1``:
+    numpy's stable sort takes its radix path on int16 ranks, and the
+    permutation does not depend on the width."""
+    for dtype in INT_WIDTHS:
+        if n_values <= np.iinfo(dtype).max:
+            return dtype
+    return INT_WIDTHS[-1]
 
 
 def sort_head(ab, ascending=True, name=None):

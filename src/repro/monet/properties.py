@@ -28,6 +28,7 @@ import itertools
 import numpy as np
 
 from ..errors import PropertyError
+from .vectorized import _table_span
 
 _ALIGN_IDS = itertools.count(1)
 
@@ -118,10 +119,19 @@ def _is_key(keys):
     if len(keys) <= 1:
         return True
     # a strictly increasing column is a key, which O(n) settles for
-    # every extent and loaded oid head; anything else (NaN included)
-    # takes the sort
+    # every extent and loaded oid head
     if np.all(keys[:-1] < keys[1:]):
         return True
+    # integer keys over a compact span (var-column ranks among them)
+    # mark a bool table and count the marks; floats (NaN included) and
+    # wide spans take the sort
+    if keys.dtype.kind == "i":
+        lo = int(keys.min())
+        span = _table_span(lo, keys.max(), len(keys))
+        if span is not None:
+            seen = np.zeros(span, dtype=bool)
+            seen[keys.astype(np.int64, copy=False) - np.int64(lo)] = True
+            return int(np.count_nonzero(seen)) == len(keys)
     return len(np.unique(keys)) == len(keys)
 
 

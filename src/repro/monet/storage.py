@@ -7,10 +7,11 @@ heap files plus a catalog.  This module reproduces that design for the
 kernel in :mod:`repro.monet.kernel`:
 
 * :class:`HeapStorage` — the backend interface.  Two implementations
-  exist: :class:`MemoryBackend` (arrays held in a process-local dict,
-  the degenerate "current behaviour" transport used by tests) and
-  :class:`MmapBackend` (one raw little-endian file per heap under a
-  directory, reopened as ``np.memmap`` views).
+  exist: :class:`MemoryBackend` (files held as byte arrays in a
+  process-local dict, the degenerate "current behaviour" transport
+  used by tests) and :class:`MmapBackend` (a directory; each save
+  streams every heap into one raw little-endian file, which an open
+  maps once and hands out as ``np.memmap`` views).
 * a JSON **catalog manifest** (``catalog.json``) describing every BAT:
   name, head/tail atom types and layouts, the declared properties
   (key/ordered), alignment groups (so ``synced`` relationships survive
@@ -20,36 +21,50 @@ kernel in :mod:`repro.monet.kernel`:
   fixed-width columns are served as zero-copy ``np.memmap`` views and
   var heaps decode lazily, so opening a database touches no heap
   pages.
-* residency helpers (:func:`mapped_file_rss`,
-  :func:`resident_page_count`, :func:`residency_report`) that compare
-  the *simulated* page-fault accounting of
-  :mod:`repro.monet.buffer` against the pages the OS actually faulted
-  into the process for the mapped files — turning the paper's central
-  observable into a testable claim.
+* residency helpers (:func:`heap_resident_pages`,
+  :func:`residency_report`, plus :func:`mapped_file_rss` and
+  :func:`resident_page_count`) that compare the *simulated* page-fault
+  accounting of :mod:`repro.monet.buffer` against the pages the OS
+  actually faulted into the process for each heap's view, read from
+  the page table (``/proc/self/pagemap``) — turning the paper's
+  central observable into a testable claim.
 * the **shared-catalog protocol** that makes one saved directory safe
   for many concurrent processes (:class:`CatalogLock`,
   :func:`catalog_generation`).  The manifest carries a monotonically
   increasing *generation counter*; every save acquires an exclusive
   advisory file lock (``catalog.lock``, ``flock``), bumps the counter
   and rewrites the manifest atomically (write-temp + rename), and
-  every open reads the manifest and maps its heap files under a shared
+  every open reads the manifest and maps its heap file under a shared
   lock.  Because heap files are only ever replaced via ``rename`` and
-  never truncated in place, a reader that already mapped a heap keeps
-  reading its opened generation untouched (the old inodes stay alive
-  under the mappings) — a writer can never tear pages out from under
-  an open reader.  A reader that loses the race between reading a
+  never truncated in place, a reader that already mapped a generation
+  keeps reading it untouched (the old inode stays alive under the
+  mapping) — a writer can never tear pages out from under an open
+  reader.  A reader that loses the race between reading a
   manifest and mapping its files (the writer pruned them first) sees a
   :class:`~repro.errors.HeapError`, detects the generation moved, and
   retries on the new manifest; see :func:`open_kernel`.
 
-File layout (all arrays little-endian, ``tofile`` raw format)::
+File layout (all arrays little-endian, raw)::
 
-    <dir>/catalog.json            the manifest (written last)
-    <dir>/<bat>.head.col          FixedColumn data array
-    <dir>/<bat>.tail.idx          VarColumn heap-index array (int32)
-    <dir>/vh<N>.off, vh<N>.body   VarHeap offsets (int64) + NUL-
-                                  terminated UTF-8 bodies
-    <dir>/<bat>.dv.*              datavector value vector per attribute
+    <dir>/catalog.json     the manifest (written last)
+    <dir>/g<N>.heaps       every heap of generation N, each at a
+                           HEAP_ALIGN (4096) byte offset: FixedColumn
+                           data arrays, VarColumn heap-index arrays
+                           (int32), VarHeap offsets (int64) and NUL-
+                           terminated UTF-8 bodies, datavector value
+                           vectors and stand-alone extents
+
+Every column spec names its ``file`` and byte ``offset``; a var heap
+spec names ``offsets``/``offsets_offset`` and ``body``/``body_offset``.
+The save streams the heaps into one staged file, fsyncs it once and
+renames it, so a save costs one fsync however many heaps it holds, and
+an open costs one mapping.  Catalogs of version 1 hold one file per
+heap (``<bat>.head.col``, ``<bat>.tail.idx``, ``vh<K>.off``/``.body``,
+``_dv.<class>.extent``) and specs without offsets; the same reader
+opens them, reading each file from byte 0.  Sharing one file, heaps
+also share the kernel's fault-around window (up to 16 pages mapped
+around a faulting page), so a touch near a heap's edge can show a
+neighbour's first pages resident.
 
 A manifest from an older build may still list a ``hash``/``hash_tail``
 accelerator slot on a BAT.  Reopening ignores it, and the next save
@@ -57,6 +72,7 @@ prunes its files like any other unreferenced heap.
 """
 
 import contextlib
+import io
 import json
 import mmap as _mmap
 import os
@@ -76,14 +92,19 @@ from . import atoms as _atoms
 from .accelerators.datavector import DataVector, DataVectorRegistry
 from .bat import BAT
 from .column import FixedColumn, VarColumn, VoidColumn
-from .heap import MappedVarHeap, VarHeap
+from .heap import MappedVarHeap, VarHeap, utf8_column
 from .properties import Props, fresh_alignment
 
 FORMAT = "repro-bat-catalog"
-VERSION = 1
+#: 2: every heap of a save in one ``g<N>.heaps`` file, specs carry
+#: byte offsets (version-1 catalogs, one file per heap, still open)
+VERSION = 2
 MANIFEST = "catalog.json"
 LOCKFILE = "catalog.lock"
 PAGESIZE = _mmap.PAGESIZE
+
+#: Byte alignment of every heap inside a save's heap file
+HEAP_ALIGN = 4096
 
 #: How long lock acquisition waits before CatalogLockTimeout.
 DEFAULT_LOCK_TIMEOUT = 10.0
@@ -256,14 +277,40 @@ def _le(dtype):
 # ----------------------------------------------------------------------
 # backends
 # ----------------------------------------------------------------------
-class HeapStorage:
-    """Backend interface: named flat arrays plus one JSON manifest."""
+class HeapFile:
+    """One save's heaps streamed back to back into one file.
 
-    def write_array(self, name, array):
+    Every heap starts at a :data:`HEAP_ALIGN`-aligned offset, so no two
+    heaps share a page and a reader's view of one heap is page-aligned.
+    """
+
+    def __init__(self, name, handle):
+        self.name = name
+        self._handle = handle
+        self.size = 0
+
+    def append(self, array):
+        """Write ``array`` little-endian at the next aligned offset;
+        returns that offset."""
+        array = np.ascontiguousarray(array, dtype=_le(array.dtype))
+        offset = -(-self.size // HEAP_ALIGN) * HEAP_ALIGN
+        self._handle.write(bytes(offset - self.size))
+        self._handle.write(array.view(np.uint8))
+        self.size = offset + array.nbytes
+        return offset
+
+
+class HeapStorage:
+    """Backend interface: named heap files plus one JSON manifest."""
+
+    def heap_file(self, name):
+        """Context manager yielding a :class:`HeapFile` named ``name``;
+        the file is complete and durable once the block exits."""
         raise NotImplementedError
 
-    def read_array(self, name, dtype, length):
-        """The named array as ``dtype[length]``; raises HeapError."""
+    def map_file(self, name):
+        """The named file's bytes as a ``uint8`` array; raises
+        HeapError when it is missing."""
         raise NotImplementedError
 
     def write_manifest(self, manifest):
@@ -304,24 +351,21 @@ class MemoryBackend(HeapStorage):
     """
 
     def __init__(self):
-        self._arrays = {}
+        self._files = {}
         self._manifest = None
 
-    def write_array(self, name, array):
-        self._arrays[name] = np.ascontiguousarray(array, dtype=_le(array.dtype))
+    @contextlib.contextmanager
+    def heap_file(self, name):
+        buffer = io.BytesIO()
+        yield HeapFile(name, buffer)
+        self._files[name] = np.frombuffer(buffer.getvalue(), dtype=np.uint8)
 
-    def read_array(self, name, dtype, length):
+    def map_file(self, name):
         try:
-            array = self._arrays[name]
+            return self._files[name]
         except KeyError:
-            raise HeapError("heap array %r missing from storage" % name) \
+            raise HeapError("heap file %r missing from storage" % name) \
                 from None
-        dtype = np.dtype(dtype)
-        if array.nbytes != dtype.itemsize * length:
-            raise HeapError(
-                "heap array %r truncated: %d bytes stored, manifest "
-                "says %d" % (name, array.nbytes, dtype.itemsize * length))
-        return array if array.dtype == dtype else array.view(dtype)
 
     def write_manifest(self, manifest):
         self._manifest = json.loads(json.dumps(manifest))
@@ -335,8 +379,8 @@ class MemoryBackend(HeapStorage):
         return self._manifest is not None
 
     def prune(self, keep):
-        for name in [n for n in self._arrays if n not in keep]:
-            del self._arrays[name]
+        for name in [n for n in self._files if n not in keep]:
+            del self._files[name]
 
 
 class MmapBackend(HeapStorage):
@@ -356,24 +400,23 @@ class MmapBackend(HeapStorage):
             self._lock = CatalogLock(self._file(LOCKFILE))
         return self._lock
 
-    def write_array(self, name, array):
+    @contextlib.contextmanager
+    def heap_file(self, name):
         os.makedirs(self.path, exist_ok=True)
-        array = np.ascontiguousarray(array, dtype=_le(array.dtype))
-        # write-to-temp + fsync + rename: ``array`` may be an np.memmap
-        # of the destination itself (saving a kernel back to the
+        # write-to-temp + fsync + rename: the heaps may be np.memmap
+        # views of this directory's files (saving a kernel back to the
         # directory it was opened from) — truncating in place would
         # SIGBUS the copy; skipping the fsync would let the post-crash
         # filesystem keep the rename but drop the bytes
         staging = self._file(name + ".tmp")
-        spec = faults.fire("storage.write_array.torn")
-        if spec is not None:
-            payload = array.tobytes()
-            with open(staging, "wb") as handle:
-                handle.write(payload[:int(len(payload)
-                                          * spec.fraction)])
-            spec.conclude()
         with open(staging, "wb") as handle:
-            array.tofile(handle)
+            heaps = HeapFile(name, handle)
+            yield heaps
+            spec = faults.fire("storage.write_array.torn")
+            if spec is not None:
+                handle.flush()
+                handle.truncate(int(heaps.size * spec.fraction))
+                spec.conclude()
             handle.flush()
             faults.fire("storage.write_array.staged")
             os.fsync(handle.fileno())
@@ -381,22 +424,16 @@ class MmapBackend(HeapStorage):
         os.replace(staging, self._file(name))
         faults.fire("storage.write_array.renamed")
 
-    def read_array(self, name, dtype, length):
+    def map_file(self, name):
         path = self._file(name)
-        dtype = np.dtype(dtype)
-        expected = dtype.itemsize * length
         try:
-            actual = os.path.getsize(path)
+            size = os.path.getsize(path)
         except OSError:
             raise HeapError("heap file %r missing from %s"
                             % (name, self.path)) from None
-        if actual != expected:
-            raise HeapError(
-                "heap file %r truncated: %d bytes on disk, manifest "
-                "says %d" % (name, actual, expected))
-        if length == 0:
-            return np.empty(0, dtype=dtype)
-        return np.memmap(path, dtype=dtype, mode="r", shape=(length,))
+        if size == 0:                     # mmap cannot map an empty file
+            return np.empty(0, dtype=np.uint8)
+        return np.memmap(path, dtype=np.uint8, mode="r")
 
     def write_manifest(self, manifest):
         os.makedirs(self.path, exist_ok=True)
@@ -417,9 +454,8 @@ class MmapBackend(HeapStorage):
         os.replace(staging, self._file(MANIFEST))
         faults.fire("storage.manifest.renamed")
         # one directory fsync after the manifest rename makes the whole
-        # save durable: every heap file of this generation was fsynced
-        # before its own rename, and all the renames live in this one
-        # directory
+        # save durable: the generation's heap file was fsynced before
+        # its rename, and both renames live in this one directory
         self.sync_directory()
 
     def read_manifest(self):
@@ -442,8 +478,8 @@ class MmapBackend(HeapStorage):
 
     #: suffixes this backend ever writes — pruning is limited to them
     #: so foreign files in the directory are never touched
-    _OWNED_SUFFIXES = (".col", ".idx", ".off", ".body", ".order",
-                       ".keys", ".extent", ".tmp")
+    _OWNED_SUFFIXES = (".heaps", ".col", ".idx", ".off", ".body",
+                       ".order", ".keys", ".extent", ".tmp")
 
     def prune(self, keep):
         try:
@@ -522,11 +558,11 @@ def _previous_generation(backend):
 def generation_prefix(generation):
     """File-name prefix scoping heap files to one generation.
 
-    Every save writes its heaps under fresh names (``g<N>.…``), so the
-    previous generation's files are never renamed over or truncated:
+    Every save writes its heaps under a fresh name (``g<N>.heaps``), so
+    the previous generation's file is never renamed over or truncated:
     a save killed at *any* point before its manifest rename leaves the
     old generation byte-for-byte intact, and the new generation's
-    half-written files are unreferenced orphans for the recovery
+    half-written file is an unreferenced orphan for the recovery
     sweep.  Pre-existing catalogs with unprefixed names keep opening
     unchanged — readers take file names from the manifest."""
     return "g%d." % generation
@@ -539,9 +575,10 @@ def save_kernel(kernel, target, meta=None, lock_timeout=None):
     """Persist a kernel catalog; returns the manifest dict.
 
     Every catalog BAT is written with its properties, alignment group
-    and datavector value vector; shared var heaps are written once and
-    re-shared on open.  The manifest is written last, so a crashed save
-    never leaves an openable-but-inconsistent database behind.
+    and datavector value vector, all heaps into one file; shared var
+    heaps are written once and re-shared on open.  The manifest is
+    written last, so a crashed save never leaves an
+    openable-but-inconsistent database behind.
 
     The whole save runs under the backend's **exclusive** catalog lock
     and bumps the manifest's generation counter, so concurrent savers
@@ -568,38 +605,36 @@ def _save_kernel_locked(kernel, backend, meta):
     var_heaps = {}
     bats = {}
     registries = dict(kernel.registries)
-    for name in kernel.names():
-        bat = kernel.get(name)
-        entry = {
-            "head": _save_column(backend, var_heaps, prefix,
-                                 name + ".head", bat.head),
-            "tail": _save_column(backend, var_heaps, prefix,
-                                 name + ".tail", bat.tail),
-            "props": [flag for flag in _PROP_FLAGS
-                      if getattr(bat.props, flag)],
-            "alignment": groups.index_of(bat.alignment),
-        }
-        accel = _save_accelerators(backend, var_heaps, prefix, name,
-                                   bat, registries)
-        if accel:
-            entry["accel"] = accel
-        bats[name] = entry
     datavectors = {}
-    for class_name, registry in sorted(registries.items()):
-        # when the registry's extent column is a catalog BAT's head
-        # (the create_datavectors construction), record the share so
-        # the reopen re-attaches the same heap — otherwise the fault
-        # accounting would charge extent pages to two distinct heaps
-        shared = _extent_bat_of(kernel, registry)
-        if shared is not None:
-            datavectors[class_name] = {"extent_bat": shared}
-            continue
-        stem = prefix + "_dv.%s.extent" % class_name
-        backend.write_array(stem, np.asarray(registry.extent,
+    with backend.heap_file(prefix + "heaps") as heaps:
+        for name in kernel.names():
+            bat = kernel.get(name)
+            entry = {
+                "head": _save_column(heaps, var_heaps, bat.head),
+                "tail": _save_column(heaps, var_heaps, bat.tail),
+                "props": [flag for flag in _PROP_FLAGS
+                          if getattr(bat.props, flag)],
+                "alignment": groups.index_of(bat.alignment),
+            }
+            accel = _save_accelerators(heaps, var_heaps, bat, registries)
+            if accel:
+                entry["accel"] = accel
+            bats[name] = entry
+        for class_name, registry in sorted(registries.items()):
+            # when the registry's extent column is a catalog BAT's head
+            # (the create_datavectors construction), record the share
+            # so the reopen re-attaches the same heap — otherwise the
+            # fault accounting would charge extent pages to two
+            # distinct heaps
+            shared = _extent_bat_of(kernel, registry)
+            if shared is not None:
+                datavectors[class_name] = {"extent_bat": shared}
+                continue
+            offset = heaps.append(np.asarray(registry.extent,
                                              dtype=np.int64))
-        datavectors[class_name] = {"extent": {
-            "file": stem, "dtype": "<i8",
-            "length": len(registry.extent)}}
+            datavectors[class_name] = {"extent": {
+                "file": heaps.name, "offset": offset, "dtype": "<i8",
+                "length": len(registry.extent)}}
     faults.fire("storage.save.heaps_written")
     manifest = {
         "format": FORMAT,
@@ -677,35 +712,31 @@ class _AlignmentGroups:
         return index
 
 
-def _save_column(backend, var_heaps, prefix, stem, column):
+def _save_column(heaps, var_heaps, column):
     if isinstance(column, VoidColumn):
         return {"kind": "void", "seqbase": column.seqbase,
                 "length": column.length}
     if isinstance(column, VarColumn):
-        heap_key = _save_var_heap(backend, var_heaps, prefix,
-                                  column.heap)
-        file_name = prefix + stem + ".idx"
-        backend.write_array(file_name, column.indices)
+        heap_key = _save_var_heap(heaps, var_heaps, column.heap)
         return {"kind": "var", "atom": column.atom.name,
-                "file": file_name, "dtype": "<i4",
+                "file": heaps.name,
+                "offset": heaps.append(column.indices), "dtype": "<i4",
                 "length": len(column), "heap": heap_key,
                 "label": column._index_heap.label}
     if isinstance(column, FixedColumn):
-        dtype = _le(column.data.dtype)
-        file_name = prefix + stem + ".col"
-        backend.write_array(file_name, column.data)
         return {"kind": "fixed", "atom": column.atom.name,
-                "file": file_name, "dtype": dtype.str,
+                "file": heaps.name, "offset": heaps.append(column.data),
+                "dtype": _le(column.data.dtype).str,
                 "length": len(column), "label": column._heap.label}
     raise CatalogError("cannot persist column type %s"
                        % type(column).__name__)
 
 
-def _save_var_heap(backend, var_heaps, prefix, heap):
+def _save_var_heap(heaps, var_heaps, heap):
     """Write ``heap`` once per save; ``var_heaps`` maps heap id ->
     (key, manifest spec).  Keys count heaps in save (catalog) order,
-    so equal catalogs save byte-identical directories whatever order
-    the process allocated their heaps in."""
+    so equal catalogs save byte-identical files whatever order the
+    process allocated their heaps in."""
     saved = var_heaps.get(heap.heap_id)
     if saved is not None:
         return saved[0]
@@ -714,26 +745,20 @@ def _save_var_heap(backend, var_heaps, prefix, heap):
         offsets = np.asarray(heap._offsets, dtype=np.int64)
         body = np.asarray(heap._body, dtype=np.uint8)
     else:
-        encoded = [value.encode("utf-8") for value in heap.values]
-        offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
-        if encoded:
-            np.cumsum([len(piece) + 1 for piece in encoded],
-                      out=offsets[1:])
-        body = np.frombuffer(b"".join(piece + b"\0" for piece in encoded),
-                             dtype=np.uint8)
-    backend.write_array(prefix + key + ".off", offsets)
-    backend.write_array(prefix + key + ".body", body)
+        lengths, data = utf8_column(heap.values, terminator="\0")
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths + 1, out=offsets[1:])
+        body = np.frombuffer(data, dtype=np.uint8)
     var_heaps[heap.heap_id] = (key, {
-        "offsets": prefix + key + ".off",
-        "body": prefix + key + ".body",
+        "offsets": heaps.name, "offsets_offset": heaps.append(offsets),
+        "body": heaps.name, "body_offset": heaps.append(body),
         "count": int(len(offsets) - 1),
         "body_bytes": int(offsets[-1]) if len(offsets) else 0,
         "label": heap.label})
     return key
 
 
-def _save_accelerators(backend, var_heaps, prefix, name, bat,
-                       registries):
+def _save_accelerators(heaps, var_heaps, bat, registries):
     accel = {}
     vector = bat.accel.get("datavector")
     if vector is not None:
@@ -741,8 +766,7 @@ def _save_accelerators(backend, var_heaps, prefix, name, bat,
                               vector.registry)
         accel["datavector"] = {
             "class": vector.registry.class_name,
-            "vector": _save_column(backend, var_heaps, prefix,
-                                   name + ".dv", vector.vector),
+            "vector": _save_column(heaps, var_heaps, vector.vector),
         }
     return accel
 
@@ -822,8 +846,9 @@ def open_kernel(target, buffer_manager=None, kernel=None,
                 retries=OPEN_RETRIES):
     """Reopen a saved catalog; returns a populated MonetKernel.
 
-    Columns come back as ``np.memmap`` views (mmap backend) and var
-    heaps decode lazily, so no heap data is read eagerly; properties
+    Columns come back as ``np.memmap`` views of one mapping per heap
+    file (mmap backend) and var heaps decode lazily, so no heap data
+    is read eagerly; properties
     are restored from the manifest rather than recomputed, and BATs of
     one alignment group come back mutually synced.
 
@@ -891,7 +916,7 @@ def _open_manifest(backend, manifest, kernel, buffer_manager):
             # re-share the extent BAT's head heap (see save side)
             column = kernel.get(extent_bat).head
         elif extent_spec is not None:
-            extent = _read_spec_array(backend, extent_spec)
+            extent = opener.array(extent_spec)
             column = FixedColumn(_atoms.OID, extent, label=class_name)
             _note_mapped(column._heap, extent)
             column._heap.persistent = True
@@ -937,14 +962,6 @@ def _open_props(flags):
     return Props(**{flag: True for flag in flags})
 
 
-def _read_spec_array(backend, spec):
-    try:
-        return backend.read_array(spec["file"], spec["dtype"],
-                                  spec["length"])
-    except KeyError as exc:
-        raise CatalogError("column spec misses key %s" % exc) from None
-
-
 def _note_mapped(heap, *arrays):
     mapped = tuple(array for array in arrays
                    if isinstance(array, np.memmap))
@@ -953,25 +970,56 @@ def _note_mapped(heap, *arrays):
 
 
 class _Opener:
-    """Column/heap reader that de-duplicates shared var heaps."""
+    """Column/heap reader: maps each distinct file once and hands out
+    views of it, and de-duplicates shared var heaps."""
 
     def __init__(self, backend, var_specs):
         self.backend = backend
         self.var_specs = var_specs
         self._heaps = {}
+        self._files = {}
+
+    def view(self, name, dtype, length, offset=0):
+        """``dtype[length]`` at byte ``offset`` of file ``name`` — an
+        ``np.memmap`` view of the file's one mapping (mmap backend).
+        A spec written before heaps shared a file has no offset: its
+        file is the heap, read at 0."""
+        blob = self._files.get(name)
+        if blob is None:
+            blob = self._files[name] = self.backend.map_file(name)
+        dtype = np.dtype(dtype)
+        if not isinstance(offset, int) or offset < 0 \
+                or not isinstance(length, int) or length < 0:
+            raise CatalogError("bad heap extent (offset %r, length %r) "
+                               "in manifest" % (offset, length))
+        end = offset + dtype.itemsize * length
+        if end > len(blob):
+            raise HeapError(
+                "heap file %r truncated: %d bytes on disk, manifest "
+                "reads up to %d" % (name, len(blob), end))
+        if length == 0:
+            return np.empty(0, dtype=dtype)
+        return blob[offset:end].view(dtype)
+
+    def array(self, spec):
+        try:
+            return self.view(spec["file"], spec["dtype"], spec["length"],
+                             spec.get("offset", 0))
+        except KeyError as exc:
+            raise CatalogError("column spec misses key %s" % exc) from None
 
     def column(self, spec):
         kind = spec.get("kind")
         if kind == "void":
             return VoidColumn(spec["seqbase"], spec["length"])
         if kind == "fixed":
-            data = _read_spec_array(self.backend, spec)
+            data = self.array(spec)
             column = FixedColumn(_atoms.atom(spec["atom"]), data,
                                  label=spec.get("label", ""))
             _note_mapped(column._heap, column.data)
             return column
         if kind == "var":
-            indices = _read_spec_array(self.backend, spec)
+            indices = self.array(spec)
             heap = self.var_heap(spec["heap"])
             column = VarColumn(_atoms.atom(spec["atom"]), indices, heap,
                                label=spec.get("label", ""))
@@ -986,10 +1034,10 @@ class _Opener:
         spec = self.var_specs.get(key)
         if spec is None:
             raise CatalogError("var heap %r missing from manifest" % key)
-        offsets = self.backend.read_array(spec["offsets"], "<i8",
-                                          spec["count"] + 1)
-        body = self.backend.read_array(spec["body"], "|u1",
-                                       spec["body_bytes"])
+        offsets = self.view(spec["offsets"], "<i8", spec["count"] + 1,
+                            spec.get("offsets_offset", 0))
+        body = self.view(spec["body"], "|u1", spec["body_bytes"],
+                         spec.get("body_offset", 0))
         heap = MappedVarHeap(offsets, body, label=spec.get("label", ""))
         self._heaps[key] = heap
         return heap
@@ -1046,6 +1094,8 @@ def _smaps_rss_by_path():
 def mapped_file_rss(path, rss_table=None):
     """Bytes of ``path`` faulted into *this* process's mappings.
 
+    Counts per file, so it cannot split a save's one heap file by
+    heap; :func:`heap_resident_pages` reads the page table instead.
     Pass a precomputed :func:`_smaps_rss_by_path` table when querying
     many files — each fresh parse walks every VMA of the process.
     """
@@ -1102,31 +1152,71 @@ def iter_catalog_heaps(kernel):
                     yield heap
 
 
-def heap_resident_pages(heap, page_size=PAGESIZE, rss_table=None):
-    """Real faulted-in pages of one mmap-backed heap, or ``None``."""
+def _present_pages(array, pagemap):
+    """Pages of ``array``'s address range present in this process's
+    page table — what smaps' ``Rss`` counts, but for any range, so
+    one heap of a shared file counts alone.  ``pagemap`` is an open
+    ``/proc/self/pagemap`` (one 64-bit entry per virtual page, bit 63
+    "present"); returns ``None`` when it cannot be read."""
+    if array.nbytes == 0:
+        return 0
+    address = array.__array_interface__["data"][0]
+    first = address // PAGESIZE
+    count = (address + array.nbytes - 1) // PAGESIZE - first + 1
+    try:
+        pagemap.seek(first * 8)
+        raw = pagemap.read(count * 8)
+    except OSError:
+        return None
+    if len(raw) != count * 8:
+        return None
+    entries = np.frombuffer(raw, dtype="<u8")
+    return int(np.count_nonzero(entries >> np.uint64(63)))
+
+
+@contextlib.contextmanager
+def _open_pagemap():
+    """``/proc/self/pagemap`` opened for reading, or ``None`` where the
+    platform has none."""
+    try:
+        handle = open("/proc/self/pagemap", "rb", buffering=0)
+    except OSError:
+        yield None
+        return
+    with handle:
+        yield handle
+
+
+def heap_resident_pages(heap, page_size=PAGESIZE, pagemap=None):
+    """Real faulted-in pages of one mmap-backed heap (in units of
+    ``page_size``), or ``None``."""
     arrays = getattr(heap, "mapped", None)
     if not arrays:
         return None
-    if rss_table is None:
-        rss_table = _smaps_rss_by_path()
+    if pagemap is None:
+        with _open_pagemap() as handle:
+            if handle is None:
+                return None
+            return heap_resident_pages(heap, page_size, handle)
     total = 0
     for array in arrays:
-        rss = mapped_file_rss(getattr(array, "filename", None),
-                              rss_table)
-        if rss is None:
+        pages = _present_pages(array, pagemap)
+        if pages is None:
             return None
-        total += rss
-    return total // page_size
+        total += pages
+    return total * PAGESIZE // page_size
 
 
 def residency_snapshot(kernel, page_size=PAGESIZE):
     """heap_id -> real resident pages, for every mmap-backed heap."""
-    rss_table = _smaps_rss_by_path()
     snapshot = {}
-    for heap in iter_catalog_heaps(kernel):
-        pages = heap_resident_pages(heap, page_size, rss_table)
-        if pages is not None:
-            snapshot[heap.heap_id] = pages
+    with _open_pagemap() as pagemap:
+        if pagemap is None:
+            return snapshot
+        for heap in iter_catalog_heaps(kernel):
+            pages = heap_resident_pages(heap, page_size, pagemap)
+            if pages is not None:
+                snapshot[heap.heap_id] = pages
     return snapshot
 
 
@@ -1141,12 +1231,12 @@ def residency_report(kernel, manager, before=None, page_size=PAGESIZE):
     Figure 9/10 fault traces.
     """
     before = before or {}
-    rss_table = _smaps_rss_by_path()
     touched = manager.touched_page_counts()
     rows = []
     total_sim = total_real = 0
+    reals = residency_snapshot(kernel, page_size)
     for heap in iter_catalog_heaps(kernel):
-        real = heap_resident_pages(heap, page_size, rss_table)
+        real = reals.get(heap.heap_id)
         if real is None:
             continue
         real_delta = max(0, real - before.get(heap.heap_id, 0))

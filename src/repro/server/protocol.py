@@ -82,8 +82,9 @@ import numpy as np
 
 from .. import faults
 from ..errors import EvaluationError, FrameTooLargeError, ProtocolError
+from ..monet.heap import utf8_column
 from ..monet.mil import MILProgram, MILStmt, Var
-from ..monet.multiproc import is_batch, is_ref, is_row, utf8_column
+from ..monet.multiproc import is_batch, is_ref, is_row
 
 #: Refuse frames above this many payload bytes (2**28 = 256 MiB).
 MAX_FRAME_BYTES = 1 << 28

@@ -40,6 +40,7 @@ first:
 
 import datetime
 import functools
+import itertools
 
 import numpy as np
 
@@ -114,6 +115,15 @@ def generate(scale=0.001, seed=42):
     return TPCDDataset(scale, seed, tables, counts)
 
 
+def _vocabulary(pattern, *words):
+    """Every ``pattern % combination`` of ``words``, last list
+    fastest, as an object array: a column drawing one combination per
+    row indexes it instead of formatting each row."""
+    return np.array([pattern % combination
+                     for combination in itertools.product(*words)],
+                    dtype=object)
+
+
 def _gen_supplier(rng, counts, tables):
     n = counts["supplier"]
     nation = rng.integers(0, counts["nation"], size=n)
@@ -134,11 +144,10 @@ def _gen_part(rng, counts, tables):
     syllable_1 = rng.integers(0, len(text.TYPE_SYLLABLE_1), size=n)
     syllable_2 = rng.integers(0, len(text.TYPE_SYLLABLE_2), size=n)
     syllable_3 = rng.integers(0, len(text.TYPE_SYLLABLE_3), size=n)
-    types = np.array(["%s %s %s" % (text.TYPE_SYLLABLE_1[a],
-                                    text.TYPE_SYLLABLE_2[b],
-                                    text.TYPE_SYLLABLE_3[c])
-                      for a, b, c in zip(syllable_1, syllable_2,
-                                         syllable_3)], dtype=object)
+    types = _vocabulary("%s %s %s", text.TYPE_SYLLABLE_1,
+                        text.TYPE_SYLLABLE_2, text.TYPE_SYLLABLE_3)[
+        (syllable_1 * len(text.TYPE_SYLLABLE_2) + syllable_2)
+        * len(text.TYPE_SYLLABLE_3) + syllable_3]
     colour_idx = rng.integers(0, len(text.PART_COLOURS), size=(n, 2))
     names = np.array(["%s %s part %d"
                       % (text.PART_COLOURS[int(a)],
@@ -146,14 +155,11 @@ def _gen_part(rng, counts, tables):
                       for i, (a, b) in enumerate(colour_idx)],
                      dtype=object)
     manufacturer = rng.integers(1, 6, size=n)
-    container = np.array(["%s %s"
-                          % (text.CONTAINERS_1[int(a)],
-                             text.CONTAINERS_2[int(b)])
-                          for a, b in zip(
-                              rng.integers(0, len(text.CONTAINERS_1),
-                                           size=n),
-                              rng.integers(0, len(text.CONTAINERS_2),
-                                           size=n))], dtype=object)
+    container_1 = rng.integers(0, len(text.CONTAINERS_1), size=n)
+    container_2 = rng.integers(0, len(text.CONTAINERS_2), size=n)
+    container = _vocabulary("%s %s", text.CONTAINERS_1,
+                            text.CONTAINERS_2)[
+        container_1 * len(text.CONTAINERS_2) + container_2]
     # spec retail price formula: 90000 + (i%20001)/10 + 100*(i%1000),
     # all divided by 100
     indices = np.arange(n)
@@ -161,8 +167,8 @@ def _gen_part(rng, counts, tables):
         / 100.0
     tables["part"] = {
         "name": names,
-        "manufacturer": np.array(["Manufacturer#%d" % m
-                                  for m in manufacturer], dtype=object),
+        "manufacturer": _vocabulary("Manufacturer#%d", range(1, 6))[
+            manufacturer - 1],
         "brand": np.array([text.brand(int(m), i)
                            for i, m in enumerate(manufacturer)],
                           dtype=object),
@@ -219,9 +225,9 @@ def _gen_orders_items(rng, counts, tables):
                              size=n_order).astype(np.int32)
     priorities = np.array(text.ORDER_PRIORITIES, dtype=object)[
         rng.integers(0, len(text.ORDER_PRIORITIES), size=n_order)]
-    clerks = np.array([text.clerk_name(int(c)) for c in
-                       rng.integers(0, counts["clerk"], size=n_order)],
-                      dtype=object)
+    clerks = np.array([text.clerk_name(c) for c in
+                       range(counts["clerk"])], dtype=object)[
+        rng.integers(0, counts["clerk"], size=n_order)]
 
     items_per_order = rng.integers(1, 8, size=n_order)
     n_item = int(items_per_order.sum())

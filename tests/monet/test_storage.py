@@ -19,9 +19,12 @@ from repro.monet import (MemoryBackend, MmapBackend, MonetKernel,
 from repro.monet.buffer import BufferManager, use
 from repro.monet.heap import MappedVarHeap, VarHeap
 from repro.monet.properties import synced, verify
-from repro.monet.storage import (PAGESIZE, heap_resident_pages,
-                                 mapped_file_rss, resident_page_count,
-                                 residency_report, residency_snapshot)
+from repro.monet.storage import (HEAP_ALIGN, PAGESIZE, heap_resident_pages,
+                                 iter_catalog_heaps, mapped_file_rss,
+                                 resident_page_count, residency_report,
+                                 residency_snapshot)
+
+from storage_v1 import unpack_catalog
 
 
 def build_kernel():
@@ -207,10 +210,12 @@ def test_saves_of_equal_catalogs_are_byte_identical(tmp_path):
 
 def test_manifest_keyed_by_heap_id_still_opens_and_prunes(tmp_path):
     # catalogs saved before keys counted save order named each var
-    # heap vh<heap id>: they reopen unchanged, and the next save
-    # replaces those files with save-order ones
+    # heap vh<heap id> (in the one-file-per-heap layout of the time):
+    # they reopen unchanged, and the next save replaces those files
+    # with one packed heap file
     kernel = build_kernel()
     kernel.save(tmp_path / "db")
+    unpack_catalog(tmp_path / "db")
     manifest_path = tmp_path / "db" / "catalog.json"
     manifest = json.loads(manifest_path.read_text())
     renamed = {}
@@ -358,8 +363,7 @@ def test_residency_report_against_real_pager(tmp_path):
     bat = reopened.get("big")
     assert bat.tail.data.dtype == np.int16
     before = residency_snapshot(reopened)
-    if not before:
-        pytest.skip("smaps residency accounting unavailable")
+    assert before, "pagemap residency accounting unavailable"
     # a fresh mapping has faulted nothing in yet — the no-eager-read
     # guarantee, observed through the real pager
     assert all(pages == 0 for pages in before.values())
@@ -451,3 +455,152 @@ def test_mapped_var_heap_sorted_order(tmp_path):
     order, _rank = heap.sorted_order()
     assert [heap.values[i] for i in order] == \
         ["apple", "banana", "cherry"]
+
+
+def _heap_specs(manifest):
+    """``(file, offset, nbytes)`` of every heap a manifest lists."""
+    specs = []
+
+    def column(spec):
+        if spec["kind"] != "void":
+            specs.append((spec["file"], spec["offset"],
+                          np.dtype(spec["dtype"]).itemsize
+                          * spec["length"]))
+    for entry in manifest["bats"].values():
+        column(entry["head"])
+        column(entry["tail"])
+        if "datavector" in entry.get("accel", {}):
+            column(entry["accel"]["datavector"]["vector"])
+    for spec in manifest["var_heaps"].values():
+        specs.append((spec["offsets"], spec["offsets_offset"],
+                      8 * (spec["count"] + 1)))
+        specs.append((spec["body"], spec["body_offset"],
+                      spec["body_bytes"]))
+    return specs
+
+
+def _column_bytes(column):
+    if hasattr(column, "indices"):
+        return np.asarray(column.indices).tobytes()
+    return np.asarray(column.data).tobytes()
+
+
+def test_packed_save_reopens_every_heap_byte_identical(tmp_path):
+    # one heap file per save, every heap at its own aligned offset,
+    # no two heaps overlapping; each reopens with the bytes it had
+    kernel = build_kernel()
+    manifest = kernel.save(tmp_path / "db")
+    assert set(os.listdir(tmp_path / "db")) == {
+        "g1.heaps", "catalog.json", "catalog.lock"}
+    specs = sorted(_heap_specs(manifest), key=lambda spec: spec[1])
+    assert len(specs) > 10
+    assert {spec[0] for spec in specs} == {"g1.heaps"}
+    assert all(offset % HEAP_ALIGN == 0 for _file, offset, _n in specs)
+    for (_f, offset, nbytes), (_g, following, _m) in zip(specs,
+                                                         specs[1:]):
+        assert offset + nbytes <= following
+    reopened = MonetKernel.open(tmp_path / "db")
+    for name in kernel.names():
+        original, copy = kernel.get(name), reopened.get(name)
+        for side in ("head", "tail"):
+            old, new = getattr(original, side), getattr(copy, side)
+            if hasattr(old, "data") or hasattr(old, "indices"):
+                assert _column_bytes(new) == _column_bytes(old), \
+                    (name, side)
+            if hasattr(old, "heap"):
+                assert new.heap.values == old.heap.values, name
+        if "datavector" in original.accel:
+            assert _column_bytes(copy.accel["datavector"].vector) == \
+                _column_bytes(original.accel["datavector"].vector), name
+
+
+def test_a_per_file_catalog_still_opens_and_resaves_packed(tmp_path):
+    # a version-1 catalog (one raw file per heap, no offsets) opens
+    # through the same reader, and its next save packs it
+    kernel = build_kernel()
+    kernel.save(tmp_path / "db")
+    assert unpack_catalog(tmp_path / "db") > 10
+    on_disk = set(os.listdir(tmp_path / "db"))
+    assert "g1.heaps" not in on_disk
+    assert any(name.endswith(".col") for name in on_disk)
+    reopened = MonetKernel.open(tmp_path / "db")
+    assert isinstance(reopened.get("T_price").tail.data, np.memmap)
+    for name in kernel.names():
+        assert reopened.get(name).to_pairs() == \
+            kernel.get(name).to_pairs(), name
+        assert reopened.get(name).props == kernel.get(name).props
+    assert list(reopened.get("T_name").accel["datavector"].vector
+                .logical()) == ["cherry", "apple", "banana", "apple"]
+    reopened.save(tmp_path / "db")
+    assert set(os.listdir(tmp_path / "db")) == {
+        "g2.heaps", "catalog.json", "catalog.lock"}
+    again = MonetKernel.open(tmp_path / "db")
+    for name in kernel.names():
+        assert again.get(name).to_pairs() == kernel.get(name).to_pairs()
+
+
+def _mapping_of(array):
+    """The ``mmap`` object at the bottom of an array's base chain."""
+    base = array
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base
+
+
+def test_an_open_maps_its_heap_file_once(tmp_path):
+    kernel = build_kernel()
+    kernel.save(tmp_path / "db")
+    opened = [MonetKernel.open(tmp_path / "db") for _ in range(2)]
+    for reopened in opened:
+        arrays = [array for heap in iter_catalog_heaps(reopened)
+                  for array in getattr(heap, "mapped", ())]
+        assert len(arrays) > 10
+        assert all(isinstance(array, np.memmap) for array in arrays)
+        assert len({id(_mapping_of(array)) for array in arrays}) == 1
+    # each open maps its own generation's file
+    assert _mapping_of(opened[0].get("T_price").tail.data) is not \
+        _mapping_of(opened[1].get("T_price").tail.data)
+
+
+def test_pagemap_residency_equals_smaps_rss_on_a_single_heap_file(
+        tmp_path):
+    # a void-headed BAT saves one heap, so its heap file is that heap
+    # alone and smaps' per-file Rss is the heap's residency too
+    per_page = PAGESIZE // 8
+    kernel = MonetKernel()
+    kernel.dense_bat("one", "long",
+                     np.arange(64 * per_page, dtype=np.int64) << 40)
+    manifest = kernel.save(tmp_path / "db")
+    assert len(_heap_specs(manifest)) == 1
+    reopened = MonetKernel.open(tmp_path / "db")
+    data = reopened.get("one").tail.data
+    assert data.dtype == np.int64
+    heap = reopened.get("one").tail.heaps[0]
+    path = str(tmp_path / "db" / "g1.heaps")
+    assert heap_resident_pages(heap) == mapped_file_rss(path) // PAGESIZE \
+        == 0
+    int(np.asarray(data[8 * per_page:24 * per_page]).sum())
+    resident = heap_resident_pages(heap)
+    assert resident == mapped_file_rss(path) // PAGESIZE
+    assert 16 <= resident <= 64
+
+
+def test_var_heap_saves_nul_terminated_utf8():
+    # one encode of the whole heap gives the bytes and offsets a
+    # per-value encode gives, multi-byte and empty values included
+    values = ["", "é", "x中文", "abc", "\U0001f600z"]
+    kernel = MonetKernel()
+    kernel.bulk_load("S", "oid", list(range(len(values))), "string",
+                     values)
+    backend = MemoryBackend()
+    manifest = kernel.save(backend)
+    (spec,) = manifest["var_heaps"].values()
+    blob = backend.map_file(spec["body"])
+    encoded = [value.encode("utf-8") + b"\0" for value in values]
+    body = blob[spec["body_offset"]:][:spec["body_bytes"]]
+    assert body.tobytes() == b"".join(encoded)
+    offsets = blob[spec["offsets_offset"]:][:8 * (spec["count"] + 1)]
+    assert offsets.view("<i8").tolist() == \
+        [0] + np.cumsum([len(piece) for piece in encoded]).tolist()
+    assert MonetKernel.open(backend).get("S").to_pairs() == \
+        kernel.get("S").to_pairs()

@@ -134,3 +134,69 @@ def test_clerk_pool(ds):
 def test_dates_convertible(ds):
     day = int(ds.tables["orders"]["orderdate"][0])
     assert 1992 <= days_to_date(day).year <= 1998
+
+
+class _RecordingGenerator:
+    """A numpy Generator that keeps every ``integers`` draw, in order."""
+
+    def __init__(self, generator):
+        self._generator = generator
+        self.draws = []
+
+    def integers(self, low, high=None, size=None, **kwargs):
+        drawn = self._generator.integers(low, high, size=size, **kwargs)
+        self.draws.append(((low, high), drawn))
+        return drawn
+
+    def __getattr__(self, name):
+        return getattr(self._generator, name)
+
+
+def _draw_after(draws, bounds, size):
+    """Index of the first draw of ``bounds`` and ``size`` rows."""
+    return next(index for index, (drawn_bounds, values)
+                in enumerate(draws) if drawn_bounds == bounds
+                and len(values) == size)
+
+
+@pytest.mark.parametrize("scale,seed", [(0.0005, 3), (0.002, 8)])
+def test_vocabulary_columns_equal_the_per_row_formulas(scale, seed,
+                                                       monkeypatch):
+    """Part type, container and manufacturer and the order clerk index
+    a table of every name; each row equals the name formatted from the
+    row's own draws, as the spec's per-row formulas give it."""
+    from repro.tpcd import dbgen, text
+    recorders = []
+    real = np.random.Generator
+
+    def recording(bit_generator):
+        recorders.append(_RecordingGenerator(real(bit_generator)))
+        return recorders[-1]
+    monkeypatch.setattr(dbgen.np.random, "Generator", recording)
+    ds = generate(scale=scale, seed=seed)
+    monkeypatch.undo()
+    draws = recorders[0].draws
+    n_part, n_order = ds.counts["part"], ds.counts["order"]
+    part = ds.tables["part"]
+    first = _draw_after(draws, (0, len(text.TYPE_SYLLABLE_1)), n_part)
+    syllables = [values for _bounds, values in draws[first:first + 3]]
+    assert part["type"].tolist() == [
+        "%s %s %s" % (text.TYPE_SYLLABLE_1[a], text.TYPE_SYLLABLE_2[b],
+                      text.TYPE_SYLLABLE_3[c])
+        for a, b, c in zip(*syllables)]
+    maker = _draw_after(draws, (1, 6), n_part)
+    assert part["manufacturer"].tolist() == [
+        "Manufacturer#%d" % m for m in draws[maker][1]]
+    # the two container words are drawn right after the manufacturer
+    assert [bounds for bounds, _values in draws[maker + 1:maker + 3]] \
+        == [(0, len(text.CONTAINERS_1)), (0, len(text.CONTAINERS_2))]
+    sizes, kinds = draws[maker + 1][1], draws[maker + 2][1]
+    assert part["container"].tolist() == [
+        "%s %s" % (text.CONTAINERS_1[a], text.CONTAINERS_2[b])
+        for a, b in zip(sizes, kinds)]
+    priority = _draw_after(draws, (0, len(text.ORDER_PRIORITIES)),
+                           n_order)
+    bounds, clerks = draws[priority + 1]
+    assert bounds == (0, ds.counts["clerk"])
+    assert ds.tables["orders"]["clerk"].tolist() == [
+        text.clerk_name(c) for c in clerks]

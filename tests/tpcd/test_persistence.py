@@ -58,13 +58,31 @@ def test_reopen_serves_memmap_views_without_eager_read(saved_db_dir):
 
     # the real pager agrees: nothing was faulted in by the open...
     snapshot = residency_snapshot(kernel)
-    if not snapshot:
-        pytest.skip("smaps residency accounting unavailable")
+    assert snapshot, "pagemap residency accounting unavailable"
     assert all(pages == 0 for pages in snapshot.values())
     # ...until a query actually runs
     QUERIES[1].run(reopened)
     after = residency_snapshot(kernel)
     assert sum(after.values()) > 0
+
+
+def test_an_open_maps_one_file_whatever_the_heap_count(saved_db_dir):
+    # a warm open costs one mapping, not one per heap: every heap is a
+    # view of the generation's one heap file
+    from repro.monet.storage import iter_catalog_heaps
+    reopened, _report = open_tpcd(saved_db_dir)
+    mappings = set()
+    views = 0
+    for heap in iter_catalog_heaps(reopened.kernel):
+        for array in getattr(heap, "mapped", ()):
+            assert isinstance(array, np.memmap)
+            base = array
+            while isinstance(base, np.ndarray):
+                base = base.base
+            mappings.add(id(base))
+            views += 1
+    assert views > 150
+    assert len(mappings) == 1
 
 
 def test_simulated_fault_traces_survive_reopen(tiny_tpcd_db,
@@ -112,6 +130,8 @@ def test_load_tpcd_db_dir_caches_and_warm_starts(tiny_tpcd, tmp_path,
     db_dir = tmp_path / "cache"
     cold_db, cold_report = load_tpcd(tiny_tpcd, db_dir=db_dir)
     assert not cold_report.warm
+    assert cold_report.save_s > 0
+    assert load_tpcd(tiny_tpcd)[1].save_s == 0.0      # nothing saved
     meta = peek_tpcd_meta(db_dir)
     assert meta is not None
     assert meta["scale"] == tiny_tpcd.scale
@@ -120,6 +140,7 @@ def test_load_tpcd_db_dir_caches_and_warm_starts(tiny_tpcd, tmp_path,
 
     warm_db, warm_report = load_tpcd(tiny_tpcd, db_dir=db_dir)
     assert warm_report.warm
+    assert warm_report.save_s == 0.0
     # a warm start runs no dbgen (never reads the generated columns)
     # and none of the load phases
     with monkeypatch.context() as patch:
@@ -185,10 +206,14 @@ def test_open_missing_dir_raises(tmp_path):
 
 def _widen_saved_columns(db_dir):
     """Rewrite a saved catalog the way it was saved before integer
-    columns were narrowed: every fixed integer column file (BAT heads
-    and tails, datavector vectors) at its atom's own width."""
+    columns were narrowed: one file per heap (the layout of that time,
+    :func:`storage_v1.unpack_catalog`) and every fixed integer column
+    file (BAT heads and tails, datavector vectors) at its atom's own
+    width."""
     import json
     from repro.monet import atoms
+    from storage_v1 import unpack_catalog
+    assert unpack_catalog(db_dir) > 100
     path = db_dir / "catalog.json"
     manifest = json.loads(path.read_text())
     widened = 0
@@ -217,7 +242,8 @@ def _widen_saved_columns(db_dir):
 def test_a_catalog_saved_at_full_width_still_opens(tiny_tpcd, tmp_path):
     """No format change came with narrow columns: the manifest records
     each column's dtype, so a catalog saved with every integer column
-    at its atom's width opens as it was saved and answers alike."""
+    at its atom's width, one file per heap, opens as it was saved and
+    answers alike."""
     db_dir = tmp_path / "db"
     narrow, _report = load_tpcd(tiny_tpcd, db_dir=db_dir)
     assert _widen_saved_columns(db_dir) > 50

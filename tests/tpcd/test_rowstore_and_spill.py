@@ -110,7 +110,8 @@ def test_old_rowstore_section_is_ignored_then_pruned(tmp_path, tiny_tpcd):
     manifest = backend.read_manifest()
     quantity = np.asarray(tiny_tpcd.tables["item"]["quantity"])
     old_file = "g1._rowstore.item.quantity.col"
-    backend.write_array(old_file, quantity)
+    quantity.astype(quantity.dtype.newbyteorder("<")).tofile(
+        db_dir / old_file)
     manifest["rowstore"] = {"tables": {"item": {"quantity": {
         "file": old_file, "dtype": quantity.dtype.str,
         "length": len(quantity)}}}}
