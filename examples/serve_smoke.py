@@ -32,11 +32,10 @@ workers' minor faults per executed request from
 counter is missing.
 
 Replies arrive as a header frame plus the worker-encoded payload
-frame.  One ``mil`` request fetches every ``Item`` attribute column
-whole, as stored and mirrored — a reply above the wide cut-off
-(:data:`~repro.monet.multiproc.WIDE_BODY_BYTES`) even at SF 0.0005, so
-its body crosses the worker pipe raw, never pickled.  Its checksum is
-diffed against the same program run on this process's own kernel,
+frame, the same two frames the worker sent the server.  One ``mil``
+request fetches every ``Item`` attribute column whole, as stored and
+mirrored — a reply of several hundred KB even at SF 0.0005.  Its
+checksum is diffed against the same program run on this process's own kernel,
 and every column must arrive in the width the catalog stores it in
 (integer columns are stored in the narrowest of int16/int32/int64
 that holds them).
@@ -62,8 +61,8 @@ from repro.errors import SqlParseError, SqlUnsupportedError
 from repro.moa.values import RowBatch
 from repro.monet import MILProgram, MonetKernel, Var
 from repro.monet.buffer import BufferManager, use
-from repro.monet.multiproc import (WIDE_BODY_BYTES, result_checksum,
-                                   run_program_serial, ship_value)
+from repro.monet.multiproc import (result_checksum, run_program_serial,
+                                   ship_value)
 from repro.server import QueryClient
 from repro.sql import execute_sql
 from repro.sql.suite import sql_text
@@ -241,11 +240,6 @@ def wide_lap(host, port, db_dir):
     with QueryClient(host, port) as client:
         for _lap in range(2):
             reply = client.mil(program, fetch)
-            if reply.payload_bytes < WIDE_BODY_BYTES:
-                raise AssertionError(
-                    "the Item column fetch is %d bytes, below the %d-"
-                    "byte wide cut-off" % (reply.payload_bytes,
-                                           WIDE_BODY_BYTES))
             if reply.checksum != expected:
                 raise AssertionError(
                     "the wide Item column fetch diverged: served %s, "

@@ -6,10 +6,11 @@ behind a manifest, and this module turns that directory into a live,
 concurrently-readable store.  A :class:`MultiprocExecutor` owns a pool
 of **worker processes**; each worker
 
-* ``MonetKernel.open``/``open_tpcd``-s the *same* ``db_dir`` itself —
-  the heap files arrive as ``np.memmap`` views, so the page cache is
-  shared between every worker and nothing is ever copied through a
-  pipe at load time (no dbgen, no bulk load),
+* ``open_tpcd``-s the *same* ``db_dir`` itself, once — the heap files
+  arrive as ``np.memmap`` views, so the page cache is shared between
+  every worker and nothing is ever copied through a pipe at load time
+  (no dbgen, no bulk load); ``mil`` tasks run on the kernel under that
+  database,
 * pins the catalog **generation** the parent observed
   (``expected_generation``), so a save racing the fan-out surfaces as
   a typed :class:`~repro.errors.CatalogChangedError` instead of
@@ -50,27 +51,33 @@ rows held as a Python list.  The checksum is the contract the
 benchmarks and CI assert: a multi-process run must be
 checksum-identical to the serial execution of the same queries.
 
-A body travels one of two ways, by its size:
+Every reply crosses the worker's socketpair as the two frames a client
+reads (:func:`repro.server.protocol.send_reply`, one gather write): a
+JSON header frame, then one binary body frame.  The header carries
+``status`` and, for ``ok``, the outcome's fields; the body is the
+encoded message, or for ``err`` the pickled exception, so an error
+keeps its exact type (one that does not pickle degrades to
+:class:`~repro.errors.MILError` text).  No result is pickled.  The
+parent reads each frame into one buffer sized from its length word
+(:func:`repro.server.protocol.recv_reply`; a small reply costs one
+read) and hands the body on as a read-only ``memoryview``.  A body
+above
+:data:`repro.server.protocol.MAX_FRAME_BYTES` is refused in the worker
+before a byte goes out and fails its task with the typed
+:class:`~repro.errors.ProtocolError`.
 
-* below :data:`WIDE_BODY_BYTES` it rides inside the pickled outcome,
-  one message on the worker's socketpair;
-* from :data:`WIDE_BODY_BYTES` up it is never pickled.  The worker
-  sends a pickled announcement ``("body", nbytes)``, writes the body
-  as raw bytes on the same socketpair, then sends the outcome with
-  its checksum and no body.  The parent reads the body with
-  ``os.readv`` into one buffer sized from the announcement and hands
-  it on as a read-only ``memoryview``; an ``err`` in place of the
-  outcome (a fault fired) drops that buffer.
+The checksum is computed first, on the worker's one thread.  Hashing
+on a second worker thread while the body ships was built and
+measured: with the parent reading at the same time that is three busy
+threads on a 2-core host, preempting one another: 9-11 involuntary
+context switches in the parent process per 3.6 MB reply, against
+under 0.5 without the thread.
 
-Either way the checksum is computed first, on the worker's one thread.
-Hashing on a second worker thread while the body ships was built and
-measured: with the parent reading at the same time that is three
-busy threads on a 2-core host, preempting one another: 9-11
-involuntary context switches in the parent process per 3.6 MB reply,
-against under 0.5 without the thread.
-
-The parent's read of a wide body is bounded like the wait for any
-reply: the per-task deadline and the worker's death both end it.
+The parent's read of a reply is bounded like the wait for any reply:
+the per-task deadline and the worker's death both end it, mid-frame
+included.  A reply that fails part-way in the worker (a torn write)
+leaves the pipe out of step, so the worker exits and the task
+surfaces as :class:`~repro.errors.WorkerCrashedError`.
 
 Warm pool
 ---------
@@ -104,6 +111,8 @@ import hashlib
 import multiprocessing
 import os
 import pickle
+import select
+import socket
 import threading
 import time
 from collections import deque
@@ -116,8 +125,9 @@ except ImportError:                         # not a POSIX platform
     resource = None
 
 from .. import faults
-from ..errors import MILError, QueryTimeoutError, WorkerCrashedError
-from .buffer import BufferManager, use as use_manager
+from ..errors import (MILError, ProtocolError, QueryTimeoutError,
+                      WorkerCrashedError)
+from .buffer import BufferManager, BufferStats, use as use_manager
 from .heap import utf8_column
 from .mil import MILInterpreter
 
@@ -133,28 +143,17 @@ DEFAULT_PROCS = 2
 #: Seconds between liveness/timeout checks while a task is in flight.
 _POLL_INTERVAL = 0.05
 
-#: Encoded bodies of at least this many bytes cross the worker pipe
-#: raw (see "Result shipping" above); smaller ones ride in the pickled
-#: outcome.  Set from a served round trip of one whole-column ``mil``
-#: fetch on a 2-core host, two servers (every body raw, every body
-#: pickled) answering in alternation, median of 120 round trips per
-#: size and side, three sweeps over 128-768 KiB: raw/pickled read
-#: 1.002-1.028 at 256 KiB and 1.005-1.021 at 384 KiB, 0.959-0.997 at
-#: 512 KiB and 0.950-0.971 at 768 KiB.  CHANGES.md has the tables.
-WIDE_BODY_BYTES = 512 * 1024
-
 #: Chaos injection points of the worker loop (fired *inside* worker
 #: processes; ship a plan via ``MultiprocExecutor(fault_plan=...)``).
-#: ``crash`` at ``start``/``mid``/``body_sent`` surfaces as
-#: WorkerCrashedError on the task; after ``post_result`` the parent
-#: already has the outcome and the idle death is retried
-#: transparently; ``delay`` at ``mid`` or ``body_sent`` drives the
-#: per-task timeout kill.  ``raise`` anywhere ships a typed
-#: InjectedFaultError back like any task failure.  ``body_sent`` fires
-#: only on the wide path, between the raw body and the outcome.
+#: ``crash`` at ``start``/``mid`` surfaces as WorkerCrashedError on the
+#: task; after ``post_result`` the parent already has the outcome and
+#: the idle death is retried transparently; ``delay`` at ``mid``
+#: drives the per-task timeout kill.  ``raise`` at ``start``/``mid``
+#: ships a typed InjectedFaultError back like any task failure.  The
+#: reply itself goes out through the wire's ``protocol.send.*`` points.
 faults.declare(
     "multiproc.task.start", "multiproc.task.mid",
-    "multiproc.task.body_sent", "multiproc.task.post_result",
+    "multiproc.task.post_result",
 )
 
 
@@ -401,10 +400,10 @@ class TaskOutcome:
 
     ``body`` is the canonical value (:func:`ship_value` form) the
     worker fingerprinted as ``checksum``, encoded once as a binary
-    columnar message: opaque bytes until :meth:`value` decodes them.
-    A body below :data:`WIDE_BODY_BYTES` is ``bytes``; a wider one is
-    a read-only ``memoryview`` of the one buffer the parent read it
-    into.
+    columnar message: opaque until :meth:`value` decodes it.  It is
+    always a read-only ``memoryview`` of the one buffer the parent
+    read the reply's body frame into.  The other fields arrive in the
+    reply's JSON header frame.
     """
 
     __slots__ = ("key", "checksum", "body", "elapsed_ms", "stats",
@@ -451,7 +450,7 @@ def register_task_kind(kind, run, warmup=None):
     ``run(ctx, task)`` receives a :class:`WorkerContext` and the raw
     task tuple and returns ``(canonical_value, extra)`` where
     ``canonical_value`` is the :func:`ship_value`-style payload to
-    checksum and encode, and ``extra`` is an optional picklable
+    checksum and encode, and ``extra`` is an optional JSON-able
     metadata dict for :attr:`TaskOutcome.extra`.  ``warmup(ctx, task)`` runs
     *before* the task timer — resolve catalogs there so the first task
     on a worker pays the (milliseconds-scale) mmap open, not the query.
@@ -498,12 +497,17 @@ class WorkerContext:
         return _STATE["catalog"]
 
     def kernel(self):
-        """The worker's :class:`MonetKernel`, opened once and kept."""
-        return _worker_kernel()
+        """The worker's :class:`MonetKernel`: the one under :meth:`db`."""
+        return self.db().kernel
 
     def db(self):
-        """The worker's TPC-D :class:`MOADatabase`, opened once."""
-        return _worker_db()
+        """The worker's TPC-D :class:`MOADatabase`, opened once and
+        kept (any saved catalog opens: its schema is read lazily)."""
+        if _STATE["db"] is None:
+            from ..tpcd.loader import open_tpcd
+            _STATE["db"], _report = open_tpcd(
+                _STATE["db_dir"], expected_generation=_STATE["generation"])
+        return _STATE["db"]
 
 
 def _worker_init(db_dir, expected_generation, task_modules=(),
@@ -514,41 +518,13 @@ def _worker_init(db_dir, expected_generation, task_modules=(),
     # injection works under spawn too; None = chaos layer off
     faults.set_plan(fault_plan)
     _STATE.update(db_dir=db_dir, generation=expected_generation,
-                  kernel=None, db=None, catalog=None,
+                  db=None, catalog=None,
                   options=dict(worker_options or {}))
     for module in task_modules:
         # registrations must exist in every process: under spawn the
         # child starts from a fresh interpreter, so importing here is
         # what makes register_task_kind calls take effect fleet-wide
         importlib.import_module(module)
-
-
-def _worker_kernel():
-    if _STATE.get("kernel") is None:
-        if _STATE.get("db") is not None:
-            # a mixed workload reuses the query path's open kernel
-            # instead of mapping every heap file a second time
-            _STATE["kernel"] = _STATE["db"].kernel
-        else:
-            from .kernel import MonetKernel
-            _STATE["kernel"] = MonetKernel.open(
-                _STATE["db_dir"],
-                expected_generation=_STATE["generation"])
-    return _STATE["kernel"]
-
-
-def _worker_db():
-    if _STATE.get("db") is None:
-        from ..tpcd.loader import open_tpcd
-        # a mixed workload wraps the MIL path's open kernel instead
-        # of mapping the whole catalog a second time (and vice versa:
-        # _worker_kernel reuses this db's kernel)
-        db, _report = open_tpcd(
-            _STATE["db_dir"],
-            expected_generation=_STATE["generation"],
-            kernel=_STATE.get("kernel"))
-        _STATE["db"] = db
-    return _STATE["db"]
 
 
 def _task_mil_warmup(ctx, task):
@@ -583,6 +559,7 @@ def _run_accounted(run, ctx, task):
 
 
 def _run_task(task, buffer_stats=False):
+    """Execute one task; its ``ok`` reply as ``(header, body)``."""
     # the codec lives with the wire protocol; imported here, inside
     # the worker, so the monet layer never imports the server layer at
     # module scope
@@ -610,13 +587,30 @@ def _run_task(task, buffer_stats=False):
     # the codec's typed ProtocolError, shipped back like any failure
     body = encode_binary_message(canonical)
     checksum = result_checksum(canonical)
-    opened = _STATE["db"].kernel if _STATE.get("db") is not None \
-        else _STATE["kernel"]
-    generation = opened.generation if opened is not None \
-        else _STATE["generation"]
-    return TaskOutcome(key, checksum, body, elapsed_ms, stats,
-                       generation, os.getpid(), extra=extra,
-                       minor_faults=_minor_faults() - faults_before)
+    db = _STATE["db"]
+    header = {
+        "status": "ok", "key": key, "checksum": checksum,
+        "elapsed_ms": elapsed_ms,
+        "generation": _STATE["generation"] if db is None
+        else db.kernel.generation,
+        "pid": os.getpid(), "extra": extra,
+        "stats": None if stats is None else stats.as_dict(),
+        "minor_faults": _minor_faults() - faults_before,
+    }
+    return header, body
+
+
+def _error_reply(task, exc):
+    """A failed task's ``err`` reply as ``(header, body)``: the body is
+    the pickled exception, so its exact type survives; one that does
+    not pickle degrades to :class:`~repro.errors.MILError` text."""
+    try:
+        body = pickle.dumps(exc)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        body = pickle.dumps(MILError(
+            "worker result for task %r could not be shipped: %r"
+            % (task[1], exc)))
+    return {"status": "err", "key": task[1]}, body
 
 
 def _minor_faults():
@@ -627,33 +621,9 @@ def _minor_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def _write_all(fd, data):
-    """Write every byte of ``data`` to ``fd`` (raw, no framing)."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _ship_body(conn, outcome):
-    """Send a wide body raw; returns the message that must follow it.
-
-    The returned ``("ok", outcome)`` carries the checksum and no body;
-    ``("err", exc)`` (a fault fired) tells the parent to drop the body
-    it read.
-    """
-    body, outcome.body = outcome.body, None
-    conn.send(("body", len(body)))
-    _write_all(conn.fileno(), body)
-    try:
-        faults.fire("multiproc.task.body_sent")
-    except BaseException as exc:           # noqa: BLE001 — shipped
-        return ("err", exc)
-    return ("ok", outcome)
-
-
 def _worker_main(parent_conn, conn, init_args):
     """The worker process loop: recv ``(task, buffer_stats)``,
-    execute, send outcome.
+    execute, send the reply frames.
 
     Exceptions are shipped back per task — the worker survives a
     failing task.  ``None`` is the shutdown sentinel.  The
@@ -663,6 +633,8 @@ def _worker_main(parent_conn, conn, init_args):
     if parent_conn is not None:
         parent_conn.close()
     _worker_init(*init_args)
+    from ..server.protocol import send_reply
+    sock = socket.fromfd(conn.fileno(), socket.AF_UNIX, socket.SOCK_STREAM)
     while True:
         try:
             job = conn.recv()
@@ -673,27 +645,26 @@ def _worker_main(parent_conn, conn, init_args):
         task, buffer_stats = job
         try:
             faults.fire("multiproc.task.start")
-            message = ("ok", _run_task(task, buffer_stats))
+            reply = _run_task(task, buffer_stats)
             # between execution and the reply: a crash here loses a
             # finished result (the parent must treat it as crashed),
             # a delay here overruns the per-task timeout
             faults.fire("multiproc.task.mid")
         except BaseException as exc:       # noqa: BLE001 — shipped
-            message = ("err", exc)
+            reply = _error_reply(task, exc)
         try:
-            if message[0] == "ok" \
-                    and len(message[1].body) >= WIDE_BODY_BYTES:
-                message = _ship_body(conn, message[1])
-            conn.send(message)
+            try:
+                send_reply(sock, *reply)
+            except (ProtocolError, TypeError, ValueError) as exc:
+                # refused whole before a byte went out: a body above
+                # the frame cap, or a header JSON cannot carry
+                send_reply(sock, *_error_reply(task, exc))
             faults.fire("multiproc.task.post_result")
-        except (pickle.PicklingError, TypeError, AttributeError):
-            # an unpicklable result/exception must not kill the
-            # worker: degrade to a typed, always-picklable error
-            conn.send(("err", MILError(
-                "worker result for task %r could not be shipped: %r"
-                % (task[1], message[1]))))
-        except (BrokenPipeError, OSError):
+        except Exception:                  # noqa: BLE001 — see below
+            # the parent is gone, or a reply failed part-way and the
+            # pipe is out of step: either way this worker is done
             break
+    sock.close()
     conn.close()
 
 
@@ -763,11 +734,22 @@ class _Overdue(Exception):
 class _WorkerHandle:
     """One worker process + the parent's end of its pipe."""
 
-    __slots__ = ("process", "conn")
+    __slots__ = ("process", "conn", "sock", "_poll")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
+        #: the same socket as ``conn``, for reading reply frames
+        self.sock = socket.fromfd(conn.fileno(), socket.AF_UNIX,
+                                  socket.SOCK_STREAM)
+        poller = select.poll()
+        poller.register(self.sock, select.POLLIN)
+        self._poll = poller.poll
+
+    def readable(self, timeout):
+        """Whether a byte (or EOF) is there to read within ``timeout``
+        seconds: one ``poll`` call, no selector built per wait."""
+        return bool(self._poll(timeout * 1000.0))
 
     @property
     def pid(self):
@@ -780,6 +762,10 @@ class _WorkerHandle:
         except (OSError, ValueError):
             pass
         self.process.join()
+        self.close()
+
+    def close(self):
+        self.sock.close()
         self.conn.close()
 
     def shutdown(self):
@@ -792,7 +778,7 @@ class _WorkerHandle:
         if self.process.is_alive():
             self.process.kill()
             self.process.join()
-        self.conn.close()
+        self.close()
 
 
 class MultiprocExecutor:
@@ -984,54 +970,39 @@ class MultiprocExecutor:
         else:
             pending._fail(payload)
 
-    def _await_reply(self, worker, deadline):
-        """The worker's ``(status, payload)`` for the task it runs.
-
-        A wide body announced ahead of the outcome is read into one
-        buffer and becomes the outcome's :attr:`TaskOutcome.body`; an
-        ``err`` in its place drops the buffer.  Raises :class:`_Lost`
-        when the worker dies first, :class:`_Overdue` when the
-        deadline passes first — mid-body included.
-        """
-        status, payload = self._recv(worker, deadline)
-        if status != "body":
-            return status, payload
-        body = self._read_body(worker, payload, deadline)
-        status, payload = self._recv(worker, deadline)
-        if status == "ok":
-            payload.body = body
-        return status, payload
-
-    def _recv(self, worker, deadline):
-        self._wait_readable(worker, deadline)
-        try:
-            return worker.conn.recv()
-        except Exception as exc:       # noqa: BLE001 — see below
-            # EOF/EPIPE (worker died) but also any failure to
-            # *reconstruct* the shipped message (e.g. a custom
-            # exception whose __init__ rejects pickle's re-call): the
-            # message is lost either way, so treat the worker as
-            # crashed rather than leave the task unfulfilled and this
-            # pump dead
-            raise _Lost() from exc
-
     @classmethod
-    def _read_body(cls, worker, nbytes, deadline):
-        """``nbytes`` raw bytes off the worker's pipe, read into one
-        buffer; returned as a read-only ``memoryview`` of it."""
-        view = memoryview(bytearray(nbytes))
-        fd = worker.conn.fileno()
-        got = 0
-        while got < nbytes:
-            cls._wait_readable(worker, deadline)
-            try:
-                count = os.readv(fd, [view[got:]])
-            except OSError as exc:
-                raise _Lost() from exc
-            if not count:
-                raise _Lost()              # EOF mid-body: it died
-            got += count
-        return view.toreadonly()
+    def _await_reply(cls, worker, deadline):
+        """The worker's ``(status, payload)`` for the task it runs: a
+        :class:`TaskOutcome`, or the exception the task raised.
+
+        Raises :class:`_Lost` when the worker dies first (or its
+        reply cannot be read back), :class:`_Overdue` when the
+        deadline passes first — mid-frame included.
+        """
+        from ..server.protocol import recv_reply
+        try:
+            header, body = recv_reply(
+                worker.sock, lambda: cls._wait_readable(worker, deadline))
+        except (ProtocolError, OSError) as exc:
+            raise _Lost() from exc         # EOF or garbage mid-reply
+        try:
+            if header["status"] != "ok":
+                return "err", pickle.loads(body)
+            stats = header["stats"]
+            return "ok", TaskOutcome(
+                header["key"], header["checksum"], body,
+                header["elapsed_ms"],
+                None if stats is None else BufferStats(**stats),
+                header["generation"], header["pid"],
+                extra=header["extra"],
+                minor_faults=header["minor_faults"])
+        except Exception as exc:       # noqa: BLE001 — see below
+            # a malformed header, or an exception pickle cannot
+            # re-create (e.g. a custom __init__ rejecting pickle's
+            # re-call): the message is lost either way, so treat the
+            # worker as crashed rather than leave the task unfulfilled
+            # and this pump dead
+            raise _Lost() from exc
 
     @staticmethod
     def _wait_readable(worker, deadline):
@@ -1042,10 +1013,10 @@ class MultiprocExecutor:
         while True:
             wait = _POLL_INTERVAL if deadline is None else max(
                 0.0, min(_POLL_INTERVAL, deadline - time.monotonic()))
-            if worker.conn.poll(wait):
+            if worker.readable(wait):
                 return
             if not worker.process.is_alive():
-                if worker.conn.poll(0):
+                if worker.readable(0):
                     return
                 raise _Lost()
             if deadline is not None and time.monotonic() > deadline:

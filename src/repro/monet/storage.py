@@ -21,13 +21,14 @@ kernel in :mod:`repro.monet.kernel`:
   fixed-width columns are served as zero-copy ``np.memmap`` views and
   var heaps decode lazily, so opening a database touches no heap
   pages.
-* residency helpers (:func:`heap_resident_pages`,
-  :func:`residency_report`, plus :func:`mapped_file_rss` and
-  :func:`resident_page_count`) that compare the *simulated* page-fault
+* residency helpers (:func:`heap_resident_pages` and
+  :func:`residency_report`) that compare the *simulated* page-fault
   accounting of :mod:`repro.monet.buffer` against the pages the OS
   actually faulted into the process for each heap's view, read from
   the page table (``/proc/self/pagemap``) — turning the paper's
-  central observable into a testable claim.
+  central observable into a testable claim.  :func:`mapped_file_rss`
+  reads the same count per file from ``smaps``, the reference the
+  page-table meter is checked against.
 * the **shared-catalog protocol** that makes one saved directory safe
   for many concurrent processes (:class:`CatalogLock`,
   :func:`catalog_generation`).  The manifest carries a monotonically
@@ -1106,32 +1107,6 @@ def mapped_file_rss(path, rss_table=None):
     if rss_table is None:
         return None
     return rss_table.get(os.path.abspath(path), 0)
-
-
-def resident_page_count(array, page_size=PAGESIZE):
-    """Pages of a mapped array resident in memory, via ``mincore``.
-
-    Reports page-cache residency of the mapped range; returns ``None``
-    when ``mincore`` is unavailable (non-POSIX platforms).
-    """
-    import ctypes
-    array = np.asanyarray(array)
-    if array.nbytes == 0:
-        return 0
-    try:
-        libc = ctypes.CDLL(None, use_errno=True)
-        mincore = libc.mincore
-    except (OSError, AttributeError):
-        return None
-    address = array.__array_interface__["data"][0]
-    start = address - (address % page_size)
-    length = array.nbytes + (address - start)
-    n_pages = -(-length // page_size)
-    vec = (ctypes.c_ubyte * n_pages)()
-    result = mincore(ctypes.c_void_p(start), ctypes.c_size_t(length), vec)
-    if result != 0:
-        return None
-    return int(sum(byte & 1 for byte in vec))
 
 
 def iter_catalog_heaps(kernel):

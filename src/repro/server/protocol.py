@@ -37,20 +37,21 @@ depend on its own length.  Decoding resolves markers to read-only
 ndarray **views** over the received bytes: zero copies on the reply
 path.
 
-A reply travels one way: the JSON ``result`` header frame followed by
-the body as one binary frame (:func:`send_reply`).  Neither end copies
-the body on this hop: the sender writes the length words, the header
+A reply travels one way, on both of its hops: the JSON header frame
+followed by the body as one binary frame (:func:`send_reply`).  The
+worker process that encoded a result sends it to the server this way,
+and the server forwards the body it read to the client the same way.
+No end copies the body: the sender writes the length words, the header
 and the body as one gather write (``sendmsg``) of the buffers they
-are, and the client's :func:`recv_frame` reads a reply frame with
-``recv_into`` into one buffer sized from its length word, then decodes
-a binary one in place into read-only arrays.  Only a ``trusted`` read
-(the client's, from its own server) sizes a buffer from a length word:
-the server reads every frame it receives in chunks, so its memory
-grows only with the bytes a peer actually sends.  A body at or above
-:data:`repro.monet.multiproc.WIDE_BODY_BYTES` reaches the server the
-same way — raw bytes read into one buffer, never pickled — so a wide
-reply is one buffer per process from the worker's encoder to the
-client's arrays.
+are, and a ``trusted`` reader (:func:`read_frame`: the server reading
+its own workers, the client reading its own server) reads each frame
+with ``recv_into`` into one buffer sized from its length word (the
+server reads a worker's reply ahead, 64 KiB at a time, so a small
+reply costs one read and only those first bytes are copied).  The
+client then decodes a binary frame in place into read-only arrays;
+the server never decodes it (:func:`recv_reply`).  The server reads
+every frame a client sends in chunks, so its memory grows only with
+the bytes a peer actually sends.
 
 Value codec
 -----------
@@ -218,48 +219,115 @@ def _recv_exact(sock, nbytes, trusted=False):
     return b"".join(chunks)
 
 
-def recv_frame(sock, meter=None, trusted=False):
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
+def read_frame(sock, trusted=False):
+    """One frame, undecoded: ``(binary, payload)``, or ``None`` on a
+    clean EOF at a frame boundary.
 
-    Handles both frame kinds: a flagged length word parses the
-    payload as a binary columnar message (array leaves come back as
-    read-only ndarray views over the received bytes), otherwise as
-    JSON.  An announced length above :data:`MAX_FRAME_BYTES` raises
-    the typed :class:`~repro.errors.FrameTooLargeError` (a
-    ProtocolError subclass) before any allocation; the server answers
-    it with an error frame before hanging up instead of silently
-    dropping the connection.  ``meter``, when given, is called with
-    the frame's total on-wire byte count (length word included).
-
-    ``trusted`` is for a peer whose length words are believed — the
-    client reading replies from its own server: the payload is read
-    into one buffer sized from the length word.  Without it (the
-    server reading requests from any peer, the handshake included)
-    the reader's memory grows only with the bytes actually received.
+    Parses the length word and its binary flag, refuses an announced
+    length above :data:`MAX_FRAME_BYTES` with the typed
+    :class:`~repro.errors.FrameTooLargeError` (a ProtocolError
+    subclass) before any allocation, and raises ProtocolError on a
+    mid-frame truncation.  ``trusted`` is for a peer whose length words
+    are believed: the payload is read into one buffer sized from the
+    length word and returned as a read-only ``memoryview``.
     """
-    faults.fire("protocol.recv.delay")
-    header = _recv_exact(sock, _LENGTH.size)
-    if header is None:
+    word = _recv_exact(sock, _LENGTH.size, True)
+    if word is None:
         return None
-    (word,) = _LENGTH.unpack(header)
-    binary = bool(word & _BINARY_FLAG)
+    (word,) = _LENGTH.unpack(word)
     length = word & ~_BINARY_FLAG
     if length > MAX_FRAME_BYTES:
         raise FrameTooLargeError("refusing %d-byte frame (max %d)"
                                  % (length, MAX_FRAME_BYTES))
-    body = _recv_exact(sock, length, trusted)
-    if body is None:
+    payload = _recv_exact(sock, length, trusted)
+    if payload is None:
         raise ProtocolError("connection closed mid-frame "
                             "(%d bytes expected)" % length)
-    if meter is not None:
-        meter(_LENGTH.size + length)
-    if binary:
-        # read-only: the decoded arrays are views of this one buffer
-        return decode_binary_message(body)
+    return bool(word & _BINARY_FLAG), payload
+
+
+def _json_payload(payload):
     try:
-        return json.loads(str(body, "utf-8"))
+        return json.loads(str(payload, "utf-8"))
     except (UnicodeDecodeError, ValueError) as exc:
         raise ProtocolError("undecodable frame: %s" % exc) from exc
+
+
+def recv_frame(sock, meter=None, trusted=False):
+    """Read and decode one frame; ``None`` on clean EOF at a frame
+    boundary.
+
+    A binary frame decodes as a binary columnar message (array leaves
+    come back as read-only ndarray views over the received bytes), any
+    other as JSON.  Framing, the size cap (the server answers a
+    :class:`~repro.errors.FrameTooLargeError` with an error frame
+    before hanging up) and ``trusted`` are :func:`read_frame`'s;
+    without ``trusted`` (the server reading requests from any peer,
+    the handshake included) the reader's memory grows only with the
+    bytes actually received.  ``meter``, when given, is called with the
+    frame's total on-wire byte count (length word included).
+    """
+    faults.fire("protocol.recv.delay")
+    frame = read_frame(sock, trusted)
+    if frame is None:
+        return None
+    binary, payload = frame
+    if meter is not None:
+        meter(_LENGTH.size + len(payload))
+    if binary:
+        # read-only: the decoded arrays are views of this one buffer
+        return decode_binary_message(payload)
+    return _json_payload(payload)
+
+
+#: Bytes :class:`_ReadAhead` asks the socket for per read: every
+#: reply of a served SQL mix fits, and it costs about 2 us to allocate.
+_READ_AHEAD = 64 << 10
+
+
+class _ReadAhead:
+    """A trusted peer's socket, read ahead into one scratch buffer, so
+    a reply of a few KB costs one ``recv_into`` for both its frames
+    (each read releases the GIL, and every re-acquire can queue behind
+    the server's other threads).  A read at least the scratch size
+    goes straight into the caller's buffer.  ``wait()`` runs before
+    every read of the socket: it returns once a byte (or EOF) is there
+    to read, or raises to abandon the reply."""
+
+    __slots__ = ("sock", "wait", "scratch", "ahead")
+
+    def __init__(self, sock, wait):
+        self.sock = sock
+        self.wait = wait
+        self.scratch = memoryview(bytearray(_READ_AHEAD))
+        self.ahead = self.scratch[:0]
+
+    def recv_into(self, view):
+        if not self.ahead:
+            self.wait()
+            if len(view) >= len(self.scratch):
+                return self.sock.recv_into(view)
+            self.ahead = self.scratch[:self.sock.recv_into(self.scratch)]
+        count = min(len(view), len(self.ahead))
+        view[:count] = self.ahead[:count]
+        self.ahead = self.ahead[count:]
+        return count
+
+
+def recv_reply(sock, wait):
+    """Read one :func:`send_reply` pair from a trusted peer that sends
+    nothing else until it is asked again: the JSON header decoded, the
+    body the read-only buffer it was read into, left encoded.  ``wait``
+    as in :class:`_ReadAhead`.  Raises ProtocolError when the peer
+    closes first or the frames are not a JSON header followed by a
+    binary body."""
+    stream = _ReadAhead(sock, wait)
+    header = read_frame(stream, True)
+    body = None if header is None else read_frame(stream, True)
+    if body is None or header[0] or not body[0]:
+        raise ProtocolError("expected a reply: a JSON header frame, "
+                            "then a binary body frame")
+    return _json_payload(header[1]), body[1]
 
 
 # ----------------------------------------------------------------------

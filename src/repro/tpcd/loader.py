@@ -148,8 +148,7 @@ def save_tpcd(db, db_dir, dataset=None, meta=None):
     return db.kernel.save(db_dir, meta=full_meta)
 
 
-def open_tpcd(db_dir, expected_generation=None, lock_timeout=None,
-              kernel=None):
+def open_tpcd(db_dir, expected_generation=None, lock_timeout=None):
     """Reopen a saved TPC-D database; returns (MOADatabase, LoadReport).
 
     Needs no dataset at all — this is the dbgen-skipping warm start.
@@ -161,28 +160,11 @@ def open_tpcd(db_dir, expected_generation=None, lock_timeout=None,
     ``expected_generation`` pins the open to one shared-catalog
     generation (see :mod:`repro.monet.storage`) — the multi-process
     dispatcher passes it so every worker serves the same snapshot.
-    Passing an already-opened ``kernel`` wraps it instead of mapping
-    the catalog a second time (the dispatcher's mixed MIL + query
-    workloads use this).
     """
     started = time.perf_counter()
-    if kernel is None:
-        kernel = MonetKernel.open(
-            db_dir, expected_generation=expected_generation,
-            lock_timeout=lock_timeout)
-    elif expected_generation is not None \
-            and kernel.generation != expected_generation:
-        # the pin binds pre-opened kernels too: a cached kernel from
-        # an older (or rolled-forward) generation must not silently
-        # masquerade as the pinned snapshot
-        from ..errors import CatalogChangedError, StaleCatalogError
-        if (kernel.generation or 0) < expected_generation:
-            raise StaleCatalogError(
-                "pre-opened kernel serves generation %s, caller "
-                "pinned %d" % (kernel.generation, expected_generation))
-        raise CatalogChangedError(
-            "pre-opened kernel serves generation %s, caller pinned %d"
-            % (kernel.generation, expected_generation))
+    kernel = MonetKernel.open(
+        db_dir, expected_generation=expected_generation,
+        lock_timeout=lock_timeout)
     schema = tpcd_schema()
     db = MOADatabase(schema, kernel=kernel)
     db.flat = FlattenedDatabase(schema, kernel, None)

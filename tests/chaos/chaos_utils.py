@@ -11,8 +11,8 @@ import multiprocessing
 
 import numpy as np
 
-from repro.monet.multiproc import (WIDE_BODY_BYTES, register_task_kind,
-                                   result_checksum, ship_value)
+from repro.monet.multiproc import (register_task_kind, result_checksum,
+                                   ship_value)
 from repro.sql.suite import sql_text
 from repro.tpcd import QUERIES, open_tpcd
 
@@ -27,8 +27,8 @@ def sql_task(number, key=None):
     return ("sql", key or "q%d" % number, sql_text(number))
 
 def _wide(ctx, task):
-    """A result whose encoded body is above the wide cut-off, so it
-    crosses the worker pipe raw (forked workers inherit this kind)."""
+    """A wide result: its body fills the pipe many times over, so a
+    reply is read in many chunks (forked workers inherit this kind)."""
     return wide_value(), None
 
 
@@ -38,7 +38,7 @@ register_task_kind("wide", _wide)
 def wide_value():
     """The canonical value the ``wide`` task kind ships."""
     return {"kind": "value",
-            "value": np.arange(WIDE_BODY_BYTES // 8 + 512) * 0.5}
+            "value": np.arange(80 << 10) * 0.5}
 
 
 def wide_task(key="w"):

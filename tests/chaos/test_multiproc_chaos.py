@@ -16,6 +16,7 @@ landing on a fresh worker survives).
 
 import multiprocessing
 import os
+import struct
 import time
 
 import pytest
@@ -25,6 +26,7 @@ from repro.errors import (InjectedFaultError, QueryTimeoutError,
                           WorkerCrashedError)
 from repro.monet.multiproc import (MultiprocExecutor, _Lost, _Overdue,
                                    _WorkerHandle, result_checksum)
+from repro.server.protocol import encode_binary_message
 
 from chaos_utils import (HAVE_FORK, SQL_TASKS, sql_task, wide_task,
                          wide_value)
@@ -33,7 +35,6 @@ pytestmark = pytest.mark.skipif(
     not HAVE_FORK, reason="worker pools fork; spawn is too slow")
 
 MULTIPROC_POINTS = ("multiproc.task.start", "multiproc.task.mid",
-                    "multiproc.task.body_sent",
                     "multiproc.task.post_result")
 
 
@@ -133,44 +134,50 @@ def test_delayed_reply_past_timeout_is_a_typed_timeout(
 
 
 # ----------------------------------------------------------------------
-# wide bodies: faults between the raw body and the outcome
+# the reply frames: the wire's send points on the worker hop
 # ----------------------------------------------------------------------
-def test_worker_crash_between_body_and_outcome_is_typed_and_recoverable(
-        db_dir):
-    expected = result_checksum(wide_value())
-    plan = faults.FaultPlan().arm("multiproc.task.body_sent",
-                                  action="crash", skip=1)
+def _assert_in_step(pool, key):
+    """The pool's next reply is the encoder's output, byte for byte."""
+    outcome = pool.submit(wide_task(key)).result(timeout=120)
+    assert bytes(outcome.body) == encode_binary_message(wide_value())
+    assert outcome.checksum == result_checksum(wide_value())
+    return outcome
+
+
+def test_reply_torn_then_crash_is_typed_and_recoverable(db_dir):
+    plan = faults.FaultPlan().arm("protocol.send.torn", action="tear",
+                                  fraction=0.5, then="crash", skip=1)
     with _pool(db_dir, plan) as pool:
-        first = pool.submit(wide_task("w1")).result(timeout=120)
-        assert first.checksum == expected          # hit 1: skipped
-        with pytest.raises(WorkerCrashedError):    # hit 2: crash
+        first = _assert_in_step(pool, "w1")        # hit 1: skipped
+        with pytest.raises(WorkerCrashedError):    # hit 2: torn, dies
             pool.submit(wide_task("w2")).result(timeout=120)
         assert pool.crashes == 1
-        retry = pool.submit(wide_task("w3")).result(timeout=120)
-        assert retry.checksum == expected
+        retry = _assert_in_step(pool, "w3")
         assert retry.pid != first.pid
         assert pool.respawns >= 1
 
 
-def test_raise_between_body_and_outcome_drops_the_body(db_dir):
-    expected = result_checksum(wide_value())
-    plan = faults.FaultPlan().arm("multiproc.task.body_sent",
-                                  action="raise")
+@pytest.mark.parametrize("point, arm", [
+    ("protocol.send.torn", dict(action="tear", fraction=0.0001)),
+    ("protocol.send.torn", dict(action="tear", fraction=0.5)),
+    ("protocol.send.reset", dict(action="raise")),
+], ids=["torn-header", "torn-body", "reset"])
+def test_reply_failing_part_way_costs_its_task_alone(db_dir, point, arm):
+    """A reply the worker could not finish (torn inside the header
+    frame or the body frame, or reset before a byte) leaves its pipe
+    out of step, so the worker exits: that task surfaces typed, and
+    the respawned worker's replies are exact."""
+    plan = faults.FaultPlan().arm(point, skip=1, **arm)
     with _pool(db_dir, plan) as pool:
-        with pytest.raises(InjectedFaultError):
-            pool.submit(wide_task("w1")).result(timeout=120)
-        [pid] = pool.worker_pids()
-        outcome = pool.submit(wide_task("w2")).result(timeout=120)
-        assert outcome.checksum == expected
-        assert bytes(outcome.body) == bytes(
-            pool.submit(wide_task("w3")).result(timeout=120).body)
-        assert pool.worker_pids() == [pid]
-        assert pool.crashes == 0
+        _assert_in_step(pool, "w1")                # hit 1: skipped
+        with pytest.raises(WorkerCrashedError):
+            pool.submit(wide_task("w2")).result(timeout=120)
+        assert pool.crashes == 1
+        _assert_in_step(pool, "w3")               # respawned: hit 1
 
 
-def test_delay_between_body_and_outcome_is_the_task_timeout(db_dir):
-    expected = result_checksum(wide_value())
-    plan = faults.FaultPlan().arm("multiproc.task.body_sent",
+def test_delay_in_the_reply_is_the_task_timeout(db_dir):
+    plan = faults.FaultPlan().arm("protocol.send.reset",
                                   action="delay", delay_s=3.0)
     with _pool(db_dir, plan) as pool:
         started = time.monotonic()
@@ -179,8 +186,7 @@ def test_delay_between_body_and_outcome_is_the_task_timeout(db_dir):
         # the parent gave up at the deadline, not after the stall
         assert time.monotonic() - started < 2.5
         assert pool.timeouts == 1
-        outcome = pool.submit(wide_task("w2")).result(timeout=120)
-        assert outcome.checksum == expected
+        _assert_in_step(pool, "w2")
 
 
 class _FakeProcess:
@@ -194,21 +200,25 @@ class _FakeProcess:
 
 
 def test_body_read_stalled_mid_body_ends_at_deadline_or_death():
-    """A worker that stops writing halfway through its body: the
+    """A worker that stops writing halfway through its body frame: the
     parent's read ends at the task deadline, and at the worker's death
     even when the pipe never reports EOF (another process may hold a
     copy of the worker's end)."""
     parent_end, worker_end = multiprocessing.Pipe(duplex=True)
     worker = _WorkerHandle(_FakeProcess(), parent_end)
     try:
-        os.write(worker_end.fileno(), b"x" * 1000)   # a quarter
+        header = b'{"status":"ok"}'
+        os.write(worker_end.fileno(),
+                 struct.pack(">I", len(header)) + header
+                 + struct.pack(">I", 0x80000000 | 4000)
+                 + b"x" * 1000)                  # a quarter of the body
         started = time.monotonic()
         with pytest.raises(_Overdue):
-            MultiprocExecutor._read_body(worker, 4000, started + 0.2)
+            MultiprocExecutor._await_reply(worker, started + 0.2)
         assert 0.2 <= time.monotonic() - started < 2.0
         worker.process.alive = False
         with pytest.raises(_Lost):
-            MultiprocExecutor._read_body(worker, 4000, None)
+            MultiprocExecutor._await_reply(worker, None)
     finally:
-        parent_end.close()
+        worker.close()
         worker_end.close()

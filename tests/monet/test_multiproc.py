@@ -22,7 +22,8 @@ from repro.monet import (MILProgram, MonetKernel, MultiprocExecutor,
                          Var, result_checksum, run_program_serial,
                          ship_value)
 from repro.monet import buffer
-from repro.monet.multiproc import WIDE_BODY_BYTES, register_task_kind
+from repro.monet.multiproc import register_task_kind
+from repro.server import protocol
 from repro.server.protocol import encode_binary_message
 from repro.sql import execute_sql
 from repro.sql.suite import sql_text
@@ -142,21 +143,13 @@ def _unencodable(ctx, task):
 register_task_kind("unencodable", _unencodable)
 
 
-def sized_value(size):
-    """A canonical value whose encoded body is exactly ``size`` bytes."""
-    count = size
-    for _attempt in range(8):
-        value = {"kind": "value",
-                 "value": np.arange(count, dtype=np.uint8)}
-        excess = len(encode_binary_message(value)) - size
-        if not excess:
-            return value
-        count -= excess
-    raise AssertionError("no value encodes to %d bytes" % size)
+def sized_value(nbytes):
+    """A canonical value carrying one ``nbytes``-byte array."""
+    return {"kind": "value", "value": np.arange(nbytes, dtype=np.uint8)}
 
 
 def _sized(ctx, task):
-    """Test task kind: a result whose body is ``task[2]`` bytes."""
+    """Test task kind: a result carrying a ``task[2]``-byte array."""
     return sized_value(task[2]), None
 
 
@@ -167,7 +160,7 @@ def _unhashable(ctx, task):
     """Test task kind: a wide result the codec carries and the
     checksum refuses (a dict whose keys do not sort)."""
     return {"kind": "value",
-            "value": {1: np.zeros(WIDE_BODY_BYTES, dtype=np.uint8),
+            "value": {1: np.zeros(1 << 20, dtype=np.uint8),
                       "a": 0}}, None
 
 
@@ -254,17 +247,29 @@ def test_workers_reject_mismatched_generation(db_dir):
             _run_sql(pool, (6,))
 
 
-def test_open_tpcd_pin_binds_preopened_kernels(db_dir):
-    """The generation pin must hold even when a cached kernel is
-    wrapped instead of freshly opened."""
-    kernel = MonetKernel.open(db_dir)
-    with pytest.raises(StaleCatalogError):
-        open_tpcd(db_dir, expected_generation=kernel.generation + 1,
-                  kernel=kernel)
-    db, _report = open_tpcd(db_dir,
-                            expected_generation=kernel.generation,
-                            kernel=kernel)
-    assert db.kernel is kernel
+def test_mil_pool_serves_a_catalog_that_is_not_tpcd(tmp_path):
+    """A worker maps any saved catalog through its one database; the
+    ``mil`` kind runs on the kernel under it."""
+    kernel = MonetKernel()
+    kernel.bulk_load("points", "oid", np.arange(500),
+                     "long", np.arange(500) % 37)
+    kernel.bulk_load("weights", "oid", np.arange(500),
+                     "dbl", np.linspace(0.0, 1.0, 500))
+    kernel.save(tmp_path / "custom")
+    program = MILProgram()
+    picked = program.emit("select", [Var("points"), 5, 20],
+                          target="picked")
+    joined = program.emit("join", [picked, Var("weights")])
+    program.emit("aggr_all", [joined], fn="sum", target="total")
+    fetch = ["picked", "total"]
+    _env, checksum = run_program_serial(
+        MonetKernel.open(tmp_path / "custom"), program, fetch)
+    with MultiprocExecutor(tmp_path / "custom", procs=1) as pool:
+        for key in ("c1", "c2"):
+            outcome = pool.submit(("mil", key, program, fetch)).result(
+                timeout=60)
+            assert outcome.checksum == checksum
+            assert outcome.generation == pool.generation
 
 
 # ----------------------------------------------------------------------
@@ -474,34 +479,51 @@ def test_array_digests_equal_the_copying_encoding():
 
 
 # ----------------------------------------------------------------------
-# wide bodies: raw on the pipe
+# reply frames: one path at every size
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("offset", [-1, 0, 4096],
-                         ids=["below", "at", "above"])
-def test_bodies_around_the_cut_off_equal_the_encoder(executor, offset):
-    size = WIDE_BODY_BYTES + offset
-    canonical = sized_value(size)
-    outcome = executor.submit(("sized", "s", size)).result(timeout=60)
-    assert len(outcome.body) == size
+SIZES = {"1B": 1, "2KiB": 2 << 10, "64KiB": 64 << 10,
+         "511KiB": 511 << 10, "512KiB": 512 << 10, "4MiB": 4 << 20}
+
+
+@pytest.mark.parametrize("nbytes", list(SIZES.values()), ids=list(SIZES))
+def test_bodies_of_every_size_equal_the_encoder(executor, nbytes):
+    canonical = sized_value(nbytes)
+    outcome = executor.submit(("sized", "s", nbytes)).result(timeout=60)
+    # whatever its size, the body crossed the pipe as one binary frame
+    # and landed in one read-only buffer
+    assert isinstance(outcome.body, memoryview)
+    assert outcome.body.readonly
     assert bytes(outcome.body) == encode_binary_message(canonical)
     assert outcome.checksum == result_checksum(canonical)
-    # from the cut-off up the body skipped pickle and landed in one
-    # read-only buffer; below it, it arrived inside the outcome
-    wide = size >= WIDE_BODY_BYTES
-    assert isinstance(outcome.body, memoryview if wide else bytes)
-    if wide:
-        assert outcome.body.readonly
     array = outcome.value()["value"]
+    assert len(array) == nbytes
     assert not array.flags.writeable
     with pytest.raises(ValueError):
         array[0] = 1
+
+
+def test_oversized_result_fails_typed_in_the_worker(db_dir, monkeypatch):
+    """A body above the frame cap is refused in the worker before a
+    byte goes out: the task fails with the codec's typed error and the
+    same worker serves the next reply in step."""
+    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 64 << 10)
+    with MultiprocExecutor(db_dir, procs=1,
+                           task_modules=SQL_TASKS) as pool:
+        [pid] = pool.worker_pids()
+        with pytest.raises(ProtocolError, match="refusing"):
+            pool.submit(("sized", "big", 65 << 10)).result(timeout=60)
+        outcome = pool.submit(("sized", "s", 60 << 10)).result(timeout=60)
+        assert bytes(outcome.body) == encode_binary_message(
+            sized_value(60 << 10))
+        assert pool.worker_pids() == [pid]
+        assert pool.crashes == 0
 
 
 def test_checksum_error_on_a_wide_body_is_typed_and_worker_survives(
         db_dir):
     with MultiprocExecutor(db_dir, procs=1,
                            task_modules=SQL_TASKS) as pool:
-        size = WIDE_BODY_BYTES + 8
+        size = 1 << 20
         assert pool.submit(("sized", "s0", size)).result(timeout=60)
         [pid] = pool.worker_pids()
         with pytest.raises(TypeError):

@@ -21,8 +21,7 @@ from repro.monet.heap import MappedVarHeap, VarHeap
 from repro.monet.properties import synced, verify
 from repro.monet.storage import (HEAP_ALIGN, PAGESIZE, heap_resident_pages,
                                  iter_catalog_heaps, mapped_file_rss,
-                                 resident_page_count, residency_report,
-                                 residency_snapshot)
+                                 residency_report, residency_snapshot)
 
 from storage_v1 import unpack_catalog
 
@@ -382,9 +381,6 @@ def test_residency_report_against_real_pager(tmp_path):
 def test_residency_helpers_degrade_gracefully(tmp_path):
     assert mapped_file_rss(None) is None
     assert mapped_file_rss(str(tmp_path / "unmapped.bin")) in (0, None)
-    in_memory = np.arange(1024, dtype=np.int64)
-    pages = resident_page_count(in_memory)
-    assert pages is None or pages >= 0
     plain_heap_bat = MonetKernel()
     plain_heap_bat.bulk_load("m", "oid", [0, 1], "long", [1, 2])
     for column in (plain_heap_bat.get("m").head,

@@ -9,6 +9,8 @@ own, so every assertion below rides on verified payloads).
 """
 
 import multiprocessing
+import pathlib
+import runpy
 import threading
 import time
 
@@ -19,8 +21,8 @@ from repro.errors import (ProtocolError, QueryTimeoutError,
                           ServerError, ServerOverloadedError,
                           SqlParseError)
 from repro.monet import MILProgram, MonetKernel, Var
-from repro.monet.multiproc import (WIDE_BODY_BYTES, result_checksum,
-                                   run_program_serial, ship_value)
+from repro.monet.multiproc import (result_checksum, run_program_serial,
+                                   ship_value)
 from repro.server import QueryClient, QueryServer, QueryService
 from repro.server.protocol import (decode_binary_message, decode_value,
                                    encode_binary_message, encode_program)
@@ -422,7 +424,8 @@ def test_result_cache_hits_cannot_be_corrupted_by_clients(db_dir):
     """Regression for the serving-path shallow copy: every served
     response used to share its nested payload with the cached entry,
     so one caller mutating a reply poisoned later hits.  A response's
-    header is a fresh dict per request and its body immutable bytes."""
+    header is a fresh dict per request and its body a read-only
+    buffer."""
     service = QueryService(db_dir, procs=1,
                            result_cache_bytes=1 << 20)
     try:
@@ -430,7 +433,7 @@ def test_result_cache_hits_cannot_be_corrupted_by_clients(db_dir):
             request = {"type": "sql", "query": sql_text(1)}
             first = session.execute(request)
             expected = first["checksum"]
-            assert isinstance(first["body"], bytes)
+            assert memoryview(first["body"]).readonly
             # trash the served structures in place
             decode_value(decode_binary_message(first["body"])).clear()
             first.clear()
@@ -1114,7 +1117,7 @@ def test_the_parent_never_verifies_or_derives_catalog_stats(
 def _wide_fetch(db_dir):
     """``(program, fetch, serial env, serial checksum)`` of every Item
     attribute column fetched whole, as stored and mirrored: a reply
-    above the wide cut-off at the fixture's scale.  With integer
+    of several hundred KB at the fixture's scale.  With integer
     columns in their narrowest width, the eight fixed-width columns
     this fetched before are 153 KB at SF 0.0005, every Item attribute
     column 295 KB, and both orientations of them 590 KB."""
@@ -1134,10 +1137,10 @@ def _wide_fetch(db_dir):
 
 def test_wide_reply_matches_serial_and_decodes_read_only(uncached_server,
                                                         db_dir):
-    program, fetch, _env, expected = _wide_fetch(db_dir)
+    program, fetch, env, expected = _wide_fetch(db_dir)
     with _connect(uncached_server) as client:
         reply = client.mil(program, fetch)
-    assert reply.payload_bytes >= WIDE_BODY_BYTES
+    assert reply.payload_bytes == len(encode_binary_message(env))
     assert reply.checksum == expected
     for bat in reply.value.values():
         for side in ("head", "tail"):
@@ -1166,3 +1169,29 @@ def test_wide_result_cache_hit_serves_the_same_bytes(db_dir):
     assert bytes(second["body"]) == bytes(first["body"]) \
         == encode_binary_message(env)
     assert second["checksum"] == first["checksum"] == expected
+
+
+# ----------------------------------------------------------------------
+# results the codec has no form for
+# ----------------------------------------------------------------------
+def test_paper_nested_query_fails_closed_and_the_worker_serves_on(
+        uncached_server, serial_checksums):
+    """The section 4.3.2 query answers sets of parts per supplier
+    (``Bag`` values), which the wire codec cannot carry: the worker's
+    encoder refuses it, the typed error crosses the worker's ``err``
+    reply and the wire, and the connection, the worker and the crash
+    count are untouched."""
+    examples = pathlib.Path(__file__).resolve().parents[2] / "examples"
+    query = runpy.run_path(str(examples / "nested_sets.py"))["QUERY"]
+    with _connect(uncached_server) as client:
+        before = client.stats()["pools"]
+        with pytest.raises(ProtocolError,
+                           match="cannot encode value of type Bag"):
+            client.moa(query)
+        # the same connection answers the next request, verified
+        assert client.sql(sql_text(6)).checksum == serial_checksums[6]
+        after = client.stats()["pools"]
+    assert {generation: (pool["pids"], pool["crashes"])
+            for generation, pool in after.items()} \
+        == {generation: (pool["pids"], pool["crashes"])
+            for generation, pool in before.items()}

@@ -13,6 +13,8 @@ self-consistent.
 
 import pytest
 
+from repro.errors import TypeCheckError
+from repro.sql import execute_sql
 from repro.sql.oracle import (canonical_rows, check_query, check_result,
                               load_oracle, rows_equivalent)
 from repro.sql.suite import EXTRAS, GAPS, sql_queries
@@ -36,6 +38,35 @@ def test_tpcd_queries_match_sqlite(number, tiny_tpcd_db, oracle):
 @pytest.mark.parametrize("name", sorted(EXTRAS))
 def test_extra_constructs_match_sqlite(name, tiny_tpcd_db, oracle):
     check_query(tiny_tpcd_db, oracle, EXTRAS[name])
+
+
+#: Lowering paths no TPC-D text or EXTRAS entry reaches: ``select *``
+#: (star expansion), HAVING over an aggregate the select list does not
+#: project, and an ordinal ORDER BY.
+UNCOVERED_SHAPES = {
+    "star": "select * from nation, region "
+            "where n_regionkey = r_regionkey",
+    "having_unprojected": "select l_returnflag from lineitem "
+                          "group by l_returnflag "
+                          "having sum(l_quantity) > 100",
+    "order_by_ordinal": "select l_returnflag, count(*) as n "
+                        "from lineitem group by l_returnflag order by 1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNCOVERED_SHAPES))
+def test_uncovered_lowering_paths_match_sqlite(name, tiny_tpcd_db,
+                                               oracle):
+    check_query(tiny_tpcd_db, oracle, UNCOVERED_SHAPES[name])
+
+
+def test_ordinal_order_by_a_key_column_is_refused_typed(tiny_tpcd_db):
+    """A key column lowers to a reference, which Moa does not order:
+    sorting on it is a typed refusal, not a wrong order."""
+    with pytest.raises(TypeCheckError, match="not comparable"):
+        execute_sql(tiny_tpcd_db,
+                    "select n_name, n_nationkey from nation "
+                    "order by 2 desc")
 
 
 def test_gaps_name_only_unreproduced_queries():
