@@ -23,7 +23,9 @@ attributes)``:
 
 * ``oids`` — the class extent, ascending;
 * a base or reference attribute — one array aligned with ``oids``
-  (a reference as its target's oid);
+  (a reference as its target's oid; a string attribute may come
+  factorized, as a :class:`~repro.monet.column.Coded` of codes into a
+  vocabulary, which becomes the BAT's heap without per-value work);
 * a tuple attribute — a dict of such arrays, one per field;
 * a set attribute — ``(owners, elements)``, one BUN per element:
   ``owners`` holds each element's owner oid, grouped by owner in oid
@@ -49,6 +51,7 @@ import functools
 import numpy as np
 
 from ..errors import MappingError
+from ..monet.column import Coded
 from ..monet.mil import Var
 from .schema import Schema
 from .structures import (AtomRep, InlineAtomRep, InlineRefRep, Mirrored,
@@ -375,6 +378,8 @@ def _logical_values(value_type, column):
 
 
 def _as_list(values):
+    if isinstance(values, Coded):
+        values = values.decode()
     # ndarray.tolist() hands back Python ints/floats/strs
     return values.tolist() if isinstance(values, np.ndarray) \
         else list(values)

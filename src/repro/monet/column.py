@@ -297,21 +297,50 @@ _BULK_FIXED = {
 }
 
 
+class Coded:
+    """A var column handed over factorized: ``codes``, an integer
+    array with one entry per value, indexing ``values``, the
+    vocabulary (a list or an array).  Value ``i`` of the column is
+    ``values[codes[i]]``; a vocabulary entry no code names is no
+    value of the column, and an entry may repeat."""
+
+    __slots__ = ("codes", "values")
+
+    def __init__(self, codes, values):
+        self.codes = codes
+        self.values = values
+
+    def __len__(self):
+        return len(self.codes)
+
+    def decode(self):
+        """The column as an object array of its values."""
+        return np.asarray(self.values, dtype=object)[self.codes]
+
+
 def column_from_values(atom, values, label=""):
     """Build the appropriate column kind for ``atom`` from Python values.
 
     A one-dimensional numpy array is coerced a column at a time, with
     ``Atom.coerce``'s semantics: a numeric array for a fixed atom is
-    kind- and range-checked once and cast, and a var atom's values
-    are interned in first-appearance order, coercing each *distinct*
-    value once.  Whatever that path cannot vouch for (lists, object
-    arrays of fixed atoms, a wrong kind, a value out of range) is
-    coerced value by value, which raises the per-value error.  The
-    column never aliases ``values``.
+    kind- and range-checked once and cast.  A var atom's column takes
+    :class:`Coded` input as it is, and an object array is first
+    factorized into codes and distinct values by one dict pass.  Either
+    way the heap interns the values in first-appearance order, coercing
+    each *distinct* value once, and the indices are one gather.  A code
+    outside the vocabulary raises :class:`BATError`.  Whatever the bulk
+    paths cannot vouch for (lists, object arrays of fixed atoms, a
+    wrong kind, a value out of range) is coerced value by value, which
+    raises the per-value error.  The column never aliases ``values``.
     """
     spec = _atoms.atom(atom)
     if spec.name == "void":
         raise BATError("void columns are built with VoidColumn(seqbase, n)")
+    if isinstance(values, Coded):
+        if not spec.varsized:
+            raise BATError("coded input needs a var atom, not %s"
+                           % spec.name)
+        return _var_column(spec, values.codes, values.values, label)
     if isinstance(values, np.ndarray) and values.ndim == 1:
         column = _column_from_array(spec, values, label)
         if column is not None:
@@ -322,20 +351,53 @@ def column_from_values(atom, values, label=""):
     return FixedColumn(spec, np.asarray(coerced, dtype=spec.dtype), label)
 
 
+def _factorize(values):
+    """``(codes, distinct)`` of an object array in one dict pass:
+    ``distinct`` in first-appearance order and ``values ==
+    distinct[codes]``; None for an unhashable value."""
+    distinct = {}
+    try:
+        codes = np.fromiter(
+            (distinct.setdefault(v, len(distinct)) for v in values.tolist()),
+            dtype=np.int64, count=len(values))
+    except TypeError:           # an unhashable value: coerce rejects it
+        return None
+    return codes, list(distinct)
+
+
+def _var_column(spec, codes, values, label):
+    """The var column ``values[codes]`` with a fresh heap.
+
+    The heap takes the vocabulary entries the codes name, in order of
+    their first code, each coerced once; the indices are one gather
+    through the entry -> heap index ``remap``."""
+    codes = np.asarray(codes)
+    if codes.ndim != 1 or codes.dtype.kind not in "iu":
+        raise BATError("codes must be a one-dimensional integer array, "
+                       "not %s" % codes.dtype)
+    values = values.tolist() if isinstance(values, np.ndarray) \
+        else list(values)
+    n = len(codes)
+    if n and not 0 <= int(codes.min()) <= int(codes.max()) < len(values):
+        raise BATError("codes must lie in 0..%d" % (len(values) - 1))
+    first = np.full(len(values), n, dtype=np.int64)
+    np.minimum.at(first, codes, np.arange(n, dtype=np.int64))
+    used = np.flatnonzero(first < n)
+    used = used[np.argsort(first[used])]
+    heap, interned = VarHeap.interned(list(map(
+        spec.coerce, map(values.__getitem__, used.tolist()))), label)
+    remap = np.zeros(len(values), dtype=np.int32)
+    remap[used] = interned
+    return VarColumn(spec, remap[codes], heap, label)
+
+
 def _column_from_array(spec, values, label):
     """The bulk path of :func:`column_from_values`, or None."""
     if spec.varsized:
-        distinct = {}
-        try:
-            codes = np.fromiter(
-                (distinct.setdefault(v, len(distinct))
-                 for v in values.tolist()),
-                dtype=np.int64, count=len(values))
-        except TypeError:           # an unhashable value: coerce rejects it
+        factorized = _factorize(values)
+        if factorized is None:
             return None
-        heap = VarHeap(label)
-        interned = heap.insert_many([spec.coerce(v) for v in distinct])
-        return VarColumn(spec, interned[codes], heap, label)
+        return _var_column(spec, *factorized, label)
     bulk = _BULK_FIXED.get(spec.name)
     if bulk is None or values.dtype.kind not in bulk[0]:
         return None

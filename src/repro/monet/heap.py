@@ -115,6 +115,27 @@ class VarHeap(Heap):
         return np.fromiter((insert(v) for v in values), dtype=np.int32,
                            count=len(values) if hasattr(values, "__len__") else -1)
 
+    @classmethod
+    def interned(cls, values, label=""):
+        """``(heap, indices)``: a new heap of the list ``values``, filled
+        in bulk — one dict over the values, ``nbytes`` from one
+        :func:`utf8_column` — and the int32 index of every value.  Only
+        values that repeat take a second pass, one dict probe per value,
+        to number them."""
+        lookup = dict(zip(values, range(len(values))))
+        if len(lookup) == len(values):
+            indices = np.arange(len(values), dtype=np.int32)
+        else:       # the dict kept each value's first place: renumber
+            lookup = dict(zip(lookup, range(len(lookup))))
+            indices = np.fromiter(map(lookup.__getitem__, values),
+                                  dtype=np.int32, count=len(values))
+        heap = cls(label)
+        heap.values = list(lookup)
+        heap.lookup = lookup
+        lengths, _data = utf8_column(heap.values)
+        heap._body_bytes = int(lengths.sum()) + len(heap.values)
+        return heap, indices
+
     def find(self, value):
         """Index of ``value`` or ``None`` when absent."""
         return self.lookup.get(value)

@@ -13,7 +13,10 @@ frames re-raise as the matching typed exception from
 
 Result payloads arrive as one binary frame after their JSON header:
 raw little-endian column buffers, decoded zero-copy into read-only
-ndarrays.
+ndarrays.  Replies are read through one
+:class:`~repro.server.protocol.ReadAhead` stream per connection, so a
+small reply's two frames cost one socket read; a reconnect starts a
+fresh stream.
 
 Resilience (opt-in via ``retries``)
 -----------------------------------
@@ -50,7 +53,8 @@ from ..errors import (AuthError, ConnectionLostError, ProtocolError,
                       RetriesExhaustedError, ServerDrainingError,
                       ServerError, ServerOverloadedError)
 from ..monet.multiproc import result_checksum
-from .protocol import decode_value, encode_program, recv_frame, send_frame
+from .protocol import (ReadAhead, decode_value, encode_program, recv_frame,
+                       send_frame)
 
 
 class ClientReply:
@@ -160,6 +164,7 @@ class QueryClient:
         self._ids = itertools.count(1)
         self._id_prefix = "c%08x" % self._rng.getrandbits(32)
         self._sock = None
+        self._stream = None
         self._connect()
 
     def _connect(self):
@@ -197,6 +202,7 @@ class QueryClient:
             raise
         sock.settimeout(self.request_timeout)
         self._sock = sock
+        self._stream = ReadAhead(sock)
         #: wire protocol version the server speaks
         self.protocol = hello.get("protocol")
         #: catalog generation this session is pinned to
@@ -213,7 +219,7 @@ class QueryClient:
         """One frame; transport failures (EOF, reset, torn frame,
         timeout) raise :class:`~repro.errors.ConnectionLostError`."""
         try:
-            frame = recv_frame(self._sock, meter=self._meter,
+            frame = recv_frame(self._stream, meter=self._meter,
                                trusted=True)
         except socket.timeout as exc:
             raise ConnectionLostError(

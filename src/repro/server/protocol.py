@@ -280,23 +280,24 @@ def recv_frame(sock, meter=None, trusted=False):
     return _json_payload(payload)
 
 
-#: Bytes :class:`_ReadAhead` asks the socket for per read: every
+#: Bytes :class:`ReadAhead` asks the socket for per read: every
 #: reply of a served SQL mix fits, and it costs about 2 us to allocate.
 _READ_AHEAD = 64 << 10
 
 
-class _ReadAhead:
+class ReadAhead:
     """A trusted peer's socket, read ahead into one scratch buffer, so
     a reply of a few KB costs one ``recv_into`` for both its frames
     (each read releases the GIL, and every re-acquire can queue behind
-    the server's other threads).  A read at least the scratch size
-    goes straight into the caller's buffer.  ``wait()`` runs before
-    every read of the socket: it returns once a byte (or EOF) is there
-    to read, or raises to abandon the reply."""
+    the other threads).  A read at least the scratch size goes straight
+    into the caller's buffer.  Bytes read ahead belong to the stream:
+    one stream reads a connection for as long as it lives.  ``wait()``,
+    when given, runs before every read of the socket: it returns once a
+    byte (or EOF) is there to read, or raises to abandon the reply."""
 
     __slots__ = ("sock", "wait", "scratch", "ahead")
 
-    def __init__(self, sock, wait):
+    def __init__(self, sock, wait=None):
         self.sock = sock
         self.wait = wait
         self.scratch = memoryview(bytearray(_READ_AHEAD))
@@ -304,7 +305,8 @@ class _ReadAhead:
 
     def recv_into(self, view):
         if not self.ahead:
-            self.wait()
+            if self.wait is not None:
+                self.wait()
             if len(view) >= len(self.scratch):
                 return self.sock.recv_into(view)
             self.ahead = self.scratch[:self.sock.recv_into(self.scratch)]
@@ -318,10 +320,10 @@ def recv_reply(sock, wait):
     """Read one :func:`send_reply` pair from a trusted peer that sends
     nothing else until it is asked again: the JSON header decoded, the
     body the read-only buffer it was read into, left encoded.  ``wait``
-    as in :class:`_ReadAhead`.  Raises ProtocolError when the peer
+    as in :class:`ReadAhead`.  Raises ProtocolError when the peer
     closes first or the frames are not a JSON header followed by a
     binary body."""
-    stream = _ReadAhead(sock, wait)
+    stream = ReadAhead(sock, wait)
     header = read_frame(stream, True)
     body = None if header is None else read_frame(stream, True)
     if body is None or header[0] or not body[0]:

@@ -21,17 +21,25 @@ Everything is driven by one ``numpy`` PCG64 generator seeded from the
 ``seed`` argument: equal (scale, seed) pairs produce identical
 databases on every platform.
 
-The data is generated as columns and served in three shapes, columns
-first:
+The data is generated as columns.  A string column is never built
+string by string for the load: a column drawn from a small vocabulary
+(flags, modes, priorities, segments, clerks, part types, containers,
+manufacturers, brands) is drawn as codes into that vocabulary, at the
+narrowest integer width, and a column of (nearly) unique values (names,
+addresses, phones) is ``arange`` codes over its strings.  Either is a
+:class:`~repro.monet.column.Coded`.  The columns are served in three
+shapes, columns first:
 
 * ``dataset.tables`` — arrays per *relational* table (region, nation,
-  supplier, customer, part, partsupp, orders, item), used by the
-  row-store baseline of :mod:`repro.tpcd.rowstore` and the sqlite
-  oracle of :mod:`repro.sql.oracle`,
-* ``dataset.columns`` — the same arrays per Figure 1 *class*, nested
-  sets as ``(owners, elements)`` arrays: the flattening input (see
-  :mod:`repro.moa.mapping`), which the loader turns into BATs a
-  column at a time,
+  supplier, customer, part, partsupp, orders, item), a string column
+  as an object array made by one gather ``vocabulary[codes]`` on first
+  read; used by the row-store baseline of :mod:`repro.tpcd.rowstore`,
+  the sqlite oracle of :mod:`repro.sql.oracle` and the query drivers,
+* ``dataset.columns`` — the same columns per Figure 1 *class*, string
+  columns still coded and nested sets as ``(owners, elements)``
+  arrays: the flattening input (see :mod:`repro.moa.mapping`), which
+  the loader turns into BATs a column at a time, each vocabulary
+  becoming a var heap with no per-value step,
 * ``dataset.data`` — the logical object store ``{class: {oid:
   {attr: value}}}`` the reference evaluator reads, derived from
   ``columns`` on first read (nothing on the load or query path reads
@@ -47,6 +55,7 @@ import numpy as np
 from ..errors import DBGenError
 from ..moa.mapping import columns_to_objects
 from ..monet.atoms import date_to_days
+from ..monet.column import Coded
 from . import text
 from .schema import tpcd_schema
 
@@ -57,14 +66,27 @@ END_DATE = date_to_days(datetime.date(1998, 8, 2))
 
 
 class TPCDDataset:
-    """The generated database: tables, class columns, logical store."""
+    """The generated database: tables, class columns, logical store.
 
-    def __init__(self, scale, seed, tables, counts):
+    ``coded`` holds the generator's tables with every string column
+    as :class:`~repro.monet.column.Coded` codes plus vocabulary; the
+    class columns keep that form and ``tables`` decodes it on first
+    read (a load never reads it)."""
+
+    def __init__(self, scale, seed, coded, counts):
         self.scale = scale
         self.seed = seed
-        self.tables = tables
         self.counts = counts
-        self.columns = _class_columns(tables)
+        self.columns = _class_columns(coded)
+        self._coded = coded
+
+    @functools.cached_property
+    def tables(self):
+        """The relational tables, each string column an object array."""
+        return {name: {column: values.decode()
+                       if isinstance(values, Coded) else values
+                       for column, values in table.items()}
+                for name, table in self._coded.items()}
 
     @functools.cached_property
     def data(self):
@@ -100,9 +122,9 @@ def generate(scale=0.001, seed=42):
         "clerk": _count(1_000, scale, 25),
     }
     tables = {}
-    tables["region"] = {"name": np.array(text.REGIONS, dtype=object)}
+    tables["region"] = {"name": _distinct(text.REGIONS)}
     tables["nation"] = {
-        "name": np.array([n for n, _r in text.NATIONS], dtype=object),
+        "name": _distinct([n for n, _r in text.NATIONS]),
         "region": np.array([r for _n, r in text.NATIONS], dtype=np.int64),
     }
     _gen_supplier(rng, counts, tables)
@@ -115,25 +137,39 @@ def generate(scale=0.001, seed=42):
     return TPCDDataset(scale, seed, tables, counts)
 
 
+def _coded(codes, vocabulary):
+    """A string column drawing ``vocabulary[codes]``, with the codes
+    kept at the narrowest signed width indexing the vocabulary."""
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
+        if len(vocabulary) <= np.iinfo(dtype).max + 1:
+            break
+    return Coded(np.asarray(codes).astype(dtype, copy=False), vocabulary)
+
+
+def _distinct(strings):
+    """A string column formatted row by row, whose values (names,
+    addresses, phones) are (nearly) all distinct: ``arange`` codes over
+    the strings.  Phones repeat above SF 0.06; the heap takes a
+    repeated value once."""
+    return _coded(np.arange(len(strings)), strings)
+
+
 def _vocabulary(pattern, *words):
     """Every ``pattern % combination`` of ``words``, last list
-    fastest, as an object array: a column drawing one combination per
-    row indexes it instead of formatting each row."""
-    return np.array([pattern % combination
-                     for combination in itertools.product(*words)],
-                    dtype=object)
+    fastest: a column drawing one combination per row codes it by
+    its index here instead of formatting each row."""
+    return [pattern % combination
+            for combination in itertools.product(*words)]
 
 
 def _gen_supplier(rng, counts, tables):
     n = counts["supplier"]
     nation = rng.integers(0, counts["nation"], size=n)
     tables["supplier"] = {
-        "name": np.array([text.supplier_name(i) for i in range(n)],
-                         dtype=object),
-        "address": np.array(["addr sup %d" % i for i in range(n)],
-                            dtype=object),
-        "phone": np.array([text.phone(int(nation[i]), i)
-                           for i in range(n)], dtype=object),
+        "name": _distinct([text.supplier_name(i) for i in range(n)]),
+        "address": _distinct(["addr sup %d" % i for i in range(n)]),
+        "phone": _distinct([text.phone(int(nation[i]), i)
+                            for i in range(n)]),
         "acctbal": np.round(rng.uniform(-999.99, 9999.99, size=n), 2),
         "nation": nation.astype(np.int64),
     }
@@ -144,22 +180,22 @@ def _gen_part(rng, counts, tables):
     syllable_1 = rng.integers(0, len(text.TYPE_SYLLABLE_1), size=n)
     syllable_2 = rng.integers(0, len(text.TYPE_SYLLABLE_2), size=n)
     syllable_3 = rng.integers(0, len(text.TYPE_SYLLABLE_3), size=n)
-    types = _vocabulary("%s %s %s", text.TYPE_SYLLABLE_1,
-                        text.TYPE_SYLLABLE_2, text.TYPE_SYLLABLE_3)[
+    types = _coded(
         (syllable_1 * len(text.TYPE_SYLLABLE_2) + syllable_2)
-        * len(text.TYPE_SYLLABLE_3) + syllable_3]
+        * len(text.TYPE_SYLLABLE_3) + syllable_3,
+        _vocabulary("%s %s %s", text.TYPE_SYLLABLE_1,
+                    text.TYPE_SYLLABLE_2, text.TYPE_SYLLABLE_3))
     colour_idx = rng.integers(0, len(text.PART_COLOURS), size=(n, 2))
-    names = np.array(["%s %s part %d"
-                      % (text.PART_COLOURS[int(a)],
-                         text.PART_COLOURS[int(b)], i)
-                      for i, (a, b) in enumerate(colour_idx)],
-                     dtype=object)
+    names = _distinct(["%s %s part %d"
+                       % (text.PART_COLOURS[int(a)],
+                          text.PART_COLOURS[int(b)], i)
+                       for i, (a, b) in enumerate(colour_idx)])
     manufacturer = rng.integers(1, 6, size=n)
     container_1 = rng.integers(0, len(text.CONTAINERS_1), size=n)
     container_2 = rng.integers(0, len(text.CONTAINERS_2), size=n)
-    container = _vocabulary("%s %s", text.CONTAINERS_1,
-                            text.CONTAINERS_2)[
-        container_1 * len(text.CONTAINERS_2) + container_2]
+    container = _coded(container_1 * len(text.CONTAINERS_2) + container_2,
+                       _vocabulary("%s %s", text.CONTAINERS_1,
+                                   text.CONTAINERS_2))
     # spec retail price formula: 90000 + (i%20001)/10 + 100*(i%1000),
     # all divided by 100
     indices = np.arange(n)
@@ -167,11 +203,11 @@ def _gen_part(rng, counts, tables):
         / 100.0
     tables["part"] = {
         "name": names,
-        "manufacturer": _vocabulary("Manufacturer#%d", range(1, 6))[
-            manufacturer - 1],
-        "brand": np.array([text.brand(int(m), i)
-                           for i, m in enumerate(manufacturer)],
-                          dtype=object),
+        "manufacturer": _coded(manufacturer - 1, _vocabulary(
+            "Manufacturer#%d", range(1, 6))),
+        # the spec's brand: Brand#MN, M the manufacturer, N = 1 + i % 5
+        "brand": _coded((manufacturer - 1) * 5 + indices % 5, _vocabulary(
+            "Brand#%d%d", range(1, 6), range(1, 6))),
         "type": types,
         "size": rng.integers(1, 51, size=n).astype(np.int64),
         "container": container,
@@ -202,16 +238,15 @@ def _gen_customer(rng, counts, tables):
     n = counts["customer"]
     nation = rng.integers(0, counts["nation"], size=n)
     tables["customer"] = {
-        "name": np.array([text.customer_name(i) for i in range(n)],
-                         dtype=object),
-        "address": np.array(["addr cust %d" % i for i in range(n)],
-                            dtype=object),
-        "phone": np.array([text.phone(int(nation[i]), i + 7)
-                           for i in range(n)], dtype=object),
+        "name": _distinct([text.customer_name(i) for i in range(n)]),
+        "address": _distinct(["addr cust %d" % i for i in range(n)]),
+        "phone": _distinct([text.phone(int(nation[i]), i + 7)
+                            for i in range(n)]),
         "acctbal": np.round(rng.uniform(-999.99, 9999.99, size=n), 2),
         "nation": nation.astype(np.int64),
-        "mktsegment": np.array(text.MARKET_SEGMENTS, dtype=object)[
-            rng.integers(0, len(text.MARKET_SEGMENTS), size=n)],
+        "mktsegment": _coded(
+            rng.integers(0, len(text.MARKET_SEGMENTS), size=n),
+            text.MARKET_SEGMENTS),
     }
 
 
@@ -223,11 +258,11 @@ def _gen_orders_items(rng, counts, tables):
     cust = rng.integers(0, eligible, size=n_order).astype(np.int64)
     orderdate = rng.integers(START_DATE, END_DATE + 1,
                              size=n_order).astype(np.int32)
-    priorities = np.array(text.ORDER_PRIORITIES, dtype=object)[
-        rng.integers(0, len(text.ORDER_PRIORITIES), size=n_order)]
-    clerks = np.array([text.clerk_name(c) for c in
-                       range(counts["clerk"])], dtype=object)[
-        rng.integers(0, counts["clerk"], size=n_order)]
+    priorities = _coded(
+        rng.integers(0, len(text.ORDER_PRIORITIES), size=n_order),
+        text.ORDER_PRIORITIES)
+    clerks = _coded(rng.integers(0, counts["clerk"], size=n_order),
+                    [text.clerk_name(c) for c in range(counts["clerk"])])
 
     items_per_order = rng.integers(1, 8, size=n_order)
     n_item = int(items_per_order.sum())
@@ -256,22 +291,24 @@ def _gen_orders_items(rng, counts, tables):
 
     returned = receiptdate <= CURRENT_DATE
     coin = rng.random(size=n_item) < 0.5
-    returnflag = np.where(returned, np.where(coin, "R", "A"), "N")
-    returnflag = returnflag.astype(object)
-    linestatus = np.where(shipdate <= CURRENT_DATE, "F", "O").astype(object)
+    returnflag = _coded(np.where(returned, np.where(coin, 0, 1), 2),
+                        ["R", "A", "N"])
+    shipped = shipdate <= CURRENT_DATE
+    linestatus = _coded(np.where(shipped, 0, 1), ["F", "O"])
 
-    shipmode = np.array(text.SHIP_MODES, dtype=object)[
-        rng.integers(0, len(text.SHIP_MODES), size=n_item)]
-    shipinstruct = np.array(text.SHIP_INSTRUCTIONS, dtype=object)[
-        rng.integers(0, len(text.SHIP_INSTRUCTIONS), size=n_item)]
+    shipmode = _coded(rng.integers(0, len(text.SHIP_MODES), size=n_item),
+                      text.SHIP_MODES)
+    shipinstruct = _coded(
+        rng.integers(0, len(text.SHIP_INSTRUCTIONS), size=n_item),
+        text.SHIP_INSTRUCTIONS)
 
     # order status: F when all its items shipped, O when none, else P
-    shipped = (linestatus == "F").astype(np.int64)
-    shipped_per_order = np.bincount(item_order, weights=shipped,
+    shipped_per_order = np.bincount(item_order,
+                                    weights=shipped.astype(np.int64),
                                     minlength=n_order)
-    status = np.where(shipped_per_order == items_per_order, "F",
-                      np.where(shipped_per_order == 0, "O", "P"))
-    status = status.astype(object)
+    status = _coded(np.where(shipped_per_order == items_per_order, 0,
+                             np.where(shipped_per_order == 0, 1, 2)),
+                    ["F", "O", "P"])
     line_total = extendedprice * (1.0 - discount) * (1.0 + tax)
     totalprice = np.round(np.bincount(item_order, weights=line_total,
                                       minlength=n_order), 2)
@@ -283,7 +320,7 @@ def _gen_orders_items(rng, counts, tables):
         "orderdate": orderdate,
         "orderpriority": priorities,
         "clerk": clerks,
-        "shippriority": np.array(["0"] * n_order, dtype=object),
+        "shippriority": _coded(np.zeros(n_order, dtype=np.int8), ["0"]),
     }
     tables["item"] = {
         "part": part,
@@ -304,7 +341,8 @@ def _gen_orders_items(rng, counts, tables):
 
 
 def _class_columns(tables):
-    """The Figure 1 classes as flattening columns.
+    """The Figure 1 classes as flattening columns, string columns
+    coded as the generator drew them.
 
     Every extent is ``0..n-1`` over its table's rows.  A nested set
     is the child table's foreign key, stably sorted: the owners come
@@ -323,9 +361,8 @@ def _class_columns(tables):
     part["retailPrice"] = part.pop("retailprice")
     attributes = {
         "Region": {"name": tables["region"]["name"],
-                   "comment": np.array(["region %d" % oid
-                                        for oid in range(n_region)],
-                                       dtype=object)},
+                   "comment": _distinct(["region %d" % oid
+                                         for oid in range(n_region)])},
         "Nation": tables["nation"],
         "Part": part,
         "Supplier": dict(tables["supplier"], supplies=(supplies_owner, {

@@ -12,10 +12,13 @@ Returns a :class:`LoadReport` with per-phase wall-clock seconds and
 the resulting catalog sizes (the paper's "1.6 GB of disk space, of
 which 300 MB in data vectors, 1.3 GB as base data" row).
 
-Each step pays once: the loader's ``key`` flags come from a bool table
-over compact integer columns (no sort), every datavector is the
-attribute's tail as loaded (its heads already are the extent, so no
-search), and the reorder sorts string ranks at the narrowest width.
+Each step pays once: string columns arrive as dbgen's codes, so a
+var heap is its vocabulary with no per-value interning, the loader's
+``key`` flags come from a bool table over compact integer columns (no
+sort), every datavector is the attribute's tail as loaded (its heads
+already are the extent, so no search), and the reorder sorts string
+ranks at the narrowest width and wider keys by the default sort plus a
+tie-fix (:func:`~repro.monet.operators.sort.stable_order`).
 
 With ``db_dir`` the loaded database is persisted through the storage
 layer (:mod:`repro.monet.storage`: every heap in one file, fsynced

@@ -78,7 +78,3 @@ def phone(nation_index, sequence):
     return "%02d-%03d-%03d-%04d" % (
         10 + nation_index, 100 + sequence % 900,
         100 + (sequence * 7) % 900, 1000 + (sequence * 13) % 9000)
-
-
-def brand(manufacturer, sequence):
-    return "Brand#%d%d" % (manufacturer, 1 + sequence % 5)

@@ -250,6 +250,38 @@ def test_binary_frame_socket_roundtrip_zero_copy():
         right.close()
 
 
+def test_read_ahead_stream_reads_a_small_reply_in_one_socket_read():
+    """A client's stream: both frames of a small reply arrive in one
+    read, the bytes it read ahead stay for the next frame, and a body
+    of the scratch size or more is read straight into its buffer."""
+    left, right = socket.socketpair()
+    reads = []
+
+    class Counting:
+        def recv_into(self, view):
+            count = right.recv_into(view)
+            reads.append((len(view), count))
+            return count
+    try:
+        wide = np.arange(10_000, dtype=np.int64)        # 80 KB
+        proto.send_reply(left, {"type": "result", "id": 1},
+                         encode_binary_message({"value": 7}))
+        send_binary_frame(left, encode_binary_message({"value": wide}))
+        left.close()
+        stream = proto.ReadAhead(Counting())
+        assert recv_frame(stream, trusted=True)["id"] == 1
+        assert recv_frame(stream, trusted=True) == {"value": 7}
+        assert len(reads) == 1
+        arrived = recv_frame(stream, trusted=True)["value"]
+        assert arrived.tolist() == wide.tolist()
+        assert not arrived.flags.writeable
+        assert any(size >= 64 << 10 for size, _count in reads[1:])
+        assert recv_frame(stream, trusted=True) is None
+    finally:
+        left.close()
+        right.close()
+
+
 def test_oversize_binary_frame_is_refused_before_allocation():
     left, right = socket.socketpair()
     try:

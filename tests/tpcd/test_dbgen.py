@@ -200,3 +200,40 @@ def test_vocabulary_columns_equal_the_per_row_formulas(scale, seed,
     assert bounds == (0, ds.counts["clerk"])
     assert ds.tables["orders"]["clerk"].tolist() == [
         text.clerk_name(c) for c in clerks]
+
+
+def test_string_columns_load_as_codes_with_no_per_value_interning(
+        monkeypatch):
+    """dbgen hands every string column to the loader as codes into a
+    vocabulary (at the narrowest integer width), and ``tables`` holds
+    the decoded strings: the load factorizes no object array and
+    inserts no heap value one at a time."""
+    from repro.monet import column as column_module
+    from repro.monet.column import Coded
+    from repro.monet.heap import VarHeap
+    from repro.tpcd import load_tpcd
+    factorized, inserted = [], []
+    real_factorize = column_module._factorize
+    real_insert = VarHeap.insert
+    monkeypatch.setattr(column_module, "_factorize", lambda values: (
+        factorized.append(len(values)) or real_factorize(values)))
+    monkeypatch.setattr(VarHeap, "insert", lambda heap, value: (
+        inserted.append(value) or real_insert(heap, value)))
+    dataset = generate(scale=0.002, seed=13)
+    coded = 0
+    for _oids, attributes in dataset.columns.values():
+        for column in attributes.values():
+            if isinstance(column, Coded):
+                coded += 1
+                assert column.codes.dtype.itemsize <= 2
+            elif isinstance(column, np.ndarray):
+                assert column.dtype != object
+    assert coded == 23
+    shipmode = dataset.tables["item"]["shipmode"]
+    assert shipmode.dtype == object and set(shipmode) <= {
+        "REG AIR", "AIR", "RAIL", "SHIP", "TRUCK", "MAIL", "FOB"}
+    load_tpcd(dataset)
+    assert factorized == [] and inserted == []
+    # the counters see the per-value path when it runs
+    column_module.column_from_values("string", shipmode)
+    assert factorized == [len(shipmode)]
