@@ -8,7 +8,11 @@ computed independently in this process.  Every query is sent as
 **SQL text** (:mod:`repro.sql.suite`'s formulation) twice, so the
 server's per-worker plan cache demonstrably engages (the run fails if
 the stats response shows zero plan-cache hits, or counts any request
-error besides the two this script provokes on purpose);
+error besides the two this script provokes on purpose).  The script
+tallies the ``plan_cached`` flag of every reply that executed (a
+result-cache hit replays its original header, so it does not count),
+and fails unless the server's plan-cache hits and misses equal that
+tally;
 single-statement queries are also sent as textual Moa requests,
 asserting the Moa path serves the very checksum the SQL front-end
 does — and one client checks that malformed SQL answers a typed
@@ -125,6 +129,25 @@ def start_server(db_dir, procs, tmp_dir, result_cache_bytes=0):
     return process, host, int(port)
 
 
+class PlanFlags:
+    """Tally of the ``plan_cached`` flags of the replies that executed:
+    a result-cache hit replays its original header, and a ``mil``
+    reply carries no flag."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.hits = self.misses = 0
+
+    def add(self, reply):
+        if reply.result_cached or reply.plan_cached is None:
+            return
+        with self.lock:
+            if reply.plan_cached:
+                self.hits += 1
+            else:
+                self.misses += 1
+
+
 def check_batch(number, reply, serial_value):
     """A served set of tuples is a RowBatch equal, row for row, to
     the serial result (scalars and the empty set pass through)."""
@@ -138,13 +161,15 @@ def check_batch(number, reply, serial_value):
                              "serial rows" % number)
 
 
-def cache_hit_lap(host, port, expected):
+def cache_hit_lap(host, port, expected, flags):
     """With the result cache on, asking twice must hit, and the hit
     must carry an equal batch under the same checksum."""
     with QueryClient(host, port) as client:
         for number in sorted(QUERIES):
             first = client.sql(sql_text(number))
             second = client.sql(sql_text(number))
+            flags.add(first)
+            flags.add(second)
             if not second.result_cached:
                 raise AssertionError("Q%d was not served from the "
                                      "result cache" % number)
@@ -161,7 +186,7 @@ def cache_hit_lap(host, port, expected):
 
 
 def client_pass(host, port, expected, failures, latencies, lock, tid,
-                values):
+                values, flags):
     try:
         with QueryClient(host, port) as client:
             for number in sorted(QUERIES):
@@ -177,6 +202,7 @@ def client_pass(host, port, expected, failures, latencies, lock, tid,
                 check_batch(number, replies[0], values[number])
                 check_batch(number, replies[-1], values[number])
                 for reply in replies:
+                    flags.add(reply)
                     if reply.checksum != expected[number]:
                         raise AssertionError(
                             "Q%d diverged on client %d: "
@@ -197,13 +223,14 @@ def client_pass(host, port, expected, failures, latencies, lock, tid,
             failures.append((tid, exc))
 
 
-def accounted_lap(host, port, expected, cold_faults):
+def accounted_lap(host, port, expected, cold_faults, flags):
     """One lap with ``buffer_stats=True``: every reply's ``faults``
     is this process's own cold-start count for the query, whatever
     the serving worker ran before.  Returns the lap's fault total."""
     with QueryClient(host, port) as client:
         for number in sorted(QUERIES):
             reply = client.sql(sql_text(number), buffer_stats=True)
+            flags.add(reply)
             if reply.checksum != expected[number]:
                 raise AssertionError(
                     "accounted Q%d diverged: served %s, serial %s"
@@ -308,12 +335,13 @@ def main(argv=None):
     print("server up on %s:%d (pid %d)" % (host, port, process.pid))
     try:
         failures, latencies = [], []
+        flags = PlanFlags()
         lock = threading.Lock()
         started = time.perf_counter()
         threads = [threading.Thread(target=client_pass,
                                     args=(host, port, expected,
                                           failures, latencies, lock,
-                                          tid, values))
+                                          tid, values, flags))
                    for tid in range(args.clients)]
         for thread in threads:
             thread.start()
@@ -330,10 +358,10 @@ def main(argv=None):
               "kernel" % (wide_columns, wide_bytes))
         with QueryClient(host, port) as client:
             unaccounted = client.stats()["buffer"]["faults"]
-        lap_faults = accounted_lap(host, port, expected, cold_faults)
+        lap_faults = accounted_lap(host, port, expected, cold_faults,
+                                   flags)
         with QueryClient(host, port) as client:
             stats = client.stats()
-        plan = stats["plan_cache"]
         print("%d clients x %d queries: %d verified replies in %.2fs "
               "(%.1f q/s)" % (args.clients, len(expected),
                               len(latencies), wall,
@@ -342,10 +370,8 @@ def main(argv=None):
               % (stats["latency_ms"]["p50"], stats["latency_ms"]["p95"],
                  stats["latency_ms"]["p99"],
                  stats["latency_ms"]["count"]))
-        print("plan cache: %(hits)d hits / %(misses)d misses "
-              "(hit rate %(hit_rate)s)" % plan)
         if args.result_cache_bytes:
-            cache_hit_lap(host, port, expected)
+            cache_hit_lap(host, port, expected, flags)
             cache = stats["result_cache"]
             print("result cache: %(hits)d hits, %(weight)d/"
                   "%(capacity)d bytes (peak %(peak_weight)d)"
@@ -372,6 +398,16 @@ def main(argv=None):
               "(%.0f per request)"
               % (counters["worker_minor_faults"], executed,
                  counters["worker_minor_faults"] / max(executed, 1)))
+        with QueryClient(host, port) as client:
+            plan = client.stats()["plan_cache"]
+        print("plan cache: %(hits)d hits / %(misses)d misses "
+              "(hit rate %(hit_rate)s)" % plan)
+        if (plan["hits"], plan["misses"]) != (flags.hits, flags.misses):
+            print("FAILED: the server counted %d plan-cache hits and %d "
+                  "misses, the executed replies carried %d and %d"
+                  % (plan["hits"], plan["misses"], flags.hits,
+                     flags.misses))
+            return 1
         errors = counters["errors"]
         if errors != PROVOKED_ERRORS:
             print("FAILED: the server counted %d request errors, %d of "

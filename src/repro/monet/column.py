@@ -99,6 +99,15 @@ class Column:
 INT_WIDTHS = (np.dtype(np.int16), np.dtype(np.int32), np.dtype(np.int64))
 
 
+def narrow_dtype(lo, hi):
+    """The narrowest of :data:`INT_WIDTHS` that covers ``lo .. hi``."""
+    for dtype in INT_WIDTHS:
+        bounds = np.iinfo(dtype)
+        if bounds.min <= lo and hi <= bounds.max:
+            return dtype
+    return INT_WIDTHS[-1]
+
+
 def _stored_dtype(atom, data):
     """The dtype a :class:`FixedColumn` of ``atom`` stores ``data`` in:
     the atom's own, unless ``data`` is an integer array of a narrower
@@ -318,7 +327,7 @@ class Coded:
         return np.asarray(self.values, dtype=object)[self.codes]
 
 
-def column_from_values(atom, values, label=""):
+def column_from_values(atom, values, label="", narrow=False):
     """Build the appropriate column kind for ``atom`` from Python values.
 
     A one-dimensional numpy array is coerced a column at a time, with
@@ -332,6 +341,8 @@ def column_from_values(atom, values, label=""):
     paths cannot vouch for (lists, object arrays of fixed atoms, a
     wrong kind, a value out of range) is coerced value by value, which
     raises the per-value error.  The column never aliases ``values``.
+    With ``narrow`` an integer column is stored as :func:`narrowest`
+    says, an array cast once, straight to that width.
     """
     spec = _atoms.atom(atom)
     if spec.name == "void":
@@ -342,13 +353,34 @@ def column_from_values(atom, values, label=""):
                            % spec.name)
         return _var_column(spec, values.codes, values.values, label)
     if isinstance(values, np.ndarray) and values.ndim == 1:
-        column = _column_from_array(spec, values, label)
+        column = _column_from_array(spec, values, label, narrow)
         if column is not None:
             return column
     if spec.varsized:
         return VarColumn.from_values(spec, values, label=label)
     coerced = [spec.coerce(v) for v in values]
-    return FixedColumn(spec, np.asarray(coerced, dtype=spec.dtype), label)
+    column = FixedColumn(spec, np.asarray(coerced, dtype=spec.dtype), label)
+    return narrowest(column) if narrow else column
+
+
+def narrowest(column):
+    """``column`` stored in the narrowest of :data:`INT_WIDTHS` that
+    covers its min and max when it is an integer column; any other
+    column (bool, float, var, void, empty) as it is.
+
+    Never narrower than int16, the kernels' narrowest key, and never
+    unsigned, so a narrowed column still compares, sorts and probes
+    like the wide one; multiplex arithmetic widens its operands back
+    to the atom's width.
+    """
+    if not isinstance(column, FixedColumn) or column.data.dtype.kind != "i" \
+            or not len(column):
+        return column
+    dtype = narrow_dtype(int(column.data.min()), int(column.data.max()))
+    if dtype.itemsize >= column.data.itemsize:
+        return column
+    return FixedColumn(column.atom, column.data.astype(dtype),
+                       label=column.heaps[0].label)
 
 
 def _factorize(values):
@@ -391,7 +423,7 @@ def _var_column(spec, codes, values, label):
     return VarColumn(spec, remap[codes], heap, label)
 
 
-def _column_from_array(spec, values, label):
+def _column_from_array(spec, values, label, narrow):
     """The bulk path of :func:`column_from_values`, or None."""
     if spec.varsized:
         factorized = _factorize(values)
@@ -402,10 +434,11 @@ def _column_from_array(spec, values, label):
     if bulk is None or values.dtype.kind not in bulk[0]:
         return None
     bounds = bulk[1]
-    if bounds is not None and len(values) \
-            and not bounds[0] <= int(values.min()) <= int(values.max()) \
-            <= bounds[1]:
-        return None
+    lo = None
+    if bounds is not None and len(values):
+        lo, hi = int(values.min()), int(values.max())
+        if not bounds[0] <= lo <= hi <= bounds[1]:
+            return None
     if spec.dtype.kind == "f":
         if values.dtype.kind == "f" \
                 and values.dtype.itemsize > spec.dtype.itemsize:
@@ -417,6 +450,9 @@ def _column_from_array(spec, values, label):
                 return None
         # through float64, like the per-value path's Python floats
         data = values.astype(np.float64).astype(spec.dtype, copy=False)
+    elif narrow and lo is not None:
+        # an integer atom's range check found the min and max already
+        data = values.astype(narrow_dtype(lo, hi))
     else:
         data = values.astype(spec.dtype)
     return FixedColumn(spec, data, label)

@@ -14,8 +14,9 @@ Reproduces the load pipeline of section 6:
 
 Every catalog column is built by :func:`catalog_column`, which stores
 an integer column in the narrowest of int16/int32/int64 that holds its
-values (:func:`narrowest`); the extents, datavectors and reordered
-BATs derived from the loaded BATs keep those widths.
+values (:func:`repro.monet.column.narrowest`); the extents,
+datavectors and reordered BATs derived from the loaded BATs keep those
+widths.
 """
 
 import numpy as np
@@ -25,39 +26,17 @@ from . import atoms as _atoms
 from .accelerators.datavector import DataVectorRegistry, build_datavector
 from .bat import BAT, bat_dense_head
 from .buffer import BufferManager, get_manager
-from .column import INT_WIDTHS, FixedColumn, VoidColumn, column_from_values
+from .column import VoidColumn, column_from_values
 from .operators.sort import sort_tail
 from .properties import compute_props, fresh_alignment
 
 
-def narrowest(column):
-    """``column`` stored in the narrowest of :data:`INT_WIDTHS` that
-    covers its min and max when it is an integer column; any other
-    column (bool, float, var, void, empty) as it is.
-
-    Never narrower than int16, the kernels' narrowest key, and never
-    unsigned, so a narrowed column still compares, sorts and probes
-    like the wide one; multiplex arithmetic widens its operands back
-    to the atom's width.
-    """
-    if not isinstance(column, FixedColumn) or column.data.dtype.kind != "i" \
-            or not len(column):
-        return column
-    lo, hi = int(column.data.min()), int(column.data.max())
-    for dtype in INT_WIDTHS:
-        bounds = np.iinfo(dtype)
-        if bounds.min <= lo and hi <= bounds.max:
-            break
-    if dtype.itemsize >= column.data.itemsize:
-        return column
-    return FixedColumn(column.atom, column.data.astype(dtype),
-                       label=column.heaps[0].label)
-
-
 def catalog_column(atom, values, label=""):
-    """A catalog column: :func:`column_from_values`, then
-    :func:`narrowest` — the one rule every loaded BAT's columns take."""
-    return narrowest(column_from_values(atom, values, label=label))
+    """A catalog column: :func:`column_from_values` with ``narrow`` —
+    :func:`~repro.monet.column.narrowest`, the one rule every loaded
+    BAT's columns take, with an integer array cast once, straight to
+    its narrow width."""
+    return column_from_values(atom, values, label=label, narrow=True)
 
 
 def mark_persistent(bat):

@@ -182,19 +182,20 @@ class MILInterpreter:
             handler = _OPS.get(stmt.op)
             if handler is None:
                 raise MILError("unknown MIL op %r" % stmt.op)
-            faults_before = manager.faults
-            started = time.perf_counter()
+            if trace:
+                faults_before = manager.faults
+                started = time.perf_counter()
             try:
                 result = handler(stmt, args)
             except Exception as exc:
                 raise MILError("MIL statement failed: %s (%s)"
                                % (stmt.render(), exc)) from exc
-            elapsed = (time.perf_counter() - started) * 1000.0
-            self.env[stmt.target] = result
             if trace:
+                elapsed = (time.perf_counter() - started) * 1000.0
                 size = len(result) if hasattr(result, "__len__") else None
                 rows.append(TraceRow(stmt.render(), elapsed,
                                      manager.faults - faults_before, size))
+            self.env[stmt.target] = result
         return MILTrace(rows)
 
     def value(self, name):

@@ -89,10 +89,11 @@ one parent-side pump thread per worker) instead of delegating to
 
 * **warm residency** — workers stay alive between calls with their
   catalog mapped, so a query never pays a reopen;
-* **asynchronous admission** — :meth:`MultiprocExecutor.submit`
-  returns a :class:`PendingTask` immediately, with an optional
-  per-task timeout that *kills and respawns* the worker running an
-  overdue task (:class:`~repro.errors.QueryTimeoutError`);
+* **one bounded queue** — :meth:`MultiprocExecutor.submit` returns a
+  :class:`PendingTask` at once; ``procs`` tasks run, ``max_queue``
+  wait, one more is refused, as is one queued past its timeout
+  (:class:`~repro.errors.ServerOverloadedError`), and a worker whose
+  task overruns it is *killed and respawned* (``QueryTimeoutError``);
 * **crash isolation** — a worker that dies mid-task surfaces as a
   typed :class:`~repro.errors.WorkerCrashedError` on that task alone
   and is respawned; a worker that dies while idle is replaced
@@ -126,7 +127,7 @@ except ImportError:                         # not a POSIX platform
 
 from .. import faults
 from ..errors import (MILError, ProtocolError, QueryTimeoutError,
-                      WorkerCrashedError)
+                      ServerOverloadedError, WorkerCrashedError)
 from .buffer import BufferManager, BufferStats, use as use_manager
 from .heap import utf8_column
 from .mil import MILInterpreter
@@ -237,7 +238,7 @@ def result_checksum(value):
     fetch returns — digests its dtype and raw bytes, so a BAT digest
     *does* carry the width its column is stored in: an int16 column
     and the equal int64 one digest apart.  Catalog integer columns are
-    stored in their narrowest width (:func:`repro.monet.kernel
+    stored in their narrowest width (:func:`repro.monet.column
     .narrowest`), the same in every process that maps one catalog, so
     served and in-process digests of it still agree.
     """
@@ -402,7 +403,8 @@ class TaskOutcome:
     worker fingerprinted as ``checksum``, encoded once as a binary
     columnar message: opaque until :meth:`value` decodes it.  It is
     always a read-only ``memoryview`` of the one buffer the parent
-    read the reply's body frame into.  The other fields arrive in the
+    read the reply's body frame into.  ``key``, ``generation`` and
+    ``pid`` are the parent's own; the other fields arrive in the
     reply's JSON header frame.
     """
 
@@ -420,8 +422,8 @@ class TaskOutcome:
         self.stats = stats
         self.generation = generation
         self.pid = pid
-        #: handler-specific metadata (e.g. the server's ``moa`` kind
-        #: ships ``plan_cached`` + cumulative plan-cache stats here)
+        #: handler-specific metadata (e.g. the server's ``sql`` and
+        #: ``moa`` kinds ship whether the plan cache hit)
         self.extra = extra
         #: the worker's real minor page faults over the whole task,
         #: encode and checksum included (0 without ``resource``)
@@ -472,11 +474,6 @@ class WorkerContext:
     """What a task handler may touch inside a worker process."""
 
     __slots__ = ()
-
-    @property
-    def generation(self):
-        """The catalog generation this worker is pinned to."""
-        return _STATE["generation"]
 
     @property
     def options(self):
@@ -565,7 +562,7 @@ def _run_task(task, buffer_stats=False):
     # module scope
     from ..server.protocol import encode_binary_message
 
-    kind, key = task[0], task[1]
+    kind = task[0]
     entry = _TASK_KINDS.get(kind)
     if entry is None:
         raise MILError("unknown multiproc task kind %r" % (kind,))
@@ -586,14 +583,9 @@ def _run_task(task, buffer_stats=False):
     # encoding first: a value the codec cannot carry fails here with
     # the codec's typed ProtocolError, shipped back like any failure
     body = encode_binary_message(canonical)
-    checksum = result_checksum(canonical)
-    db = _STATE["db"]
     header = {
-        "status": "ok", "key": key, "checksum": checksum,
-        "elapsed_ms": elapsed_ms,
-        "generation": _STATE["generation"] if db is None
-        else db.kernel.generation,
-        "pid": os.getpid(), "extra": extra,
+        "status": "ok", "checksum": result_checksum(canonical),
+        "elapsed_ms": elapsed_ms, "extra": extra,
         "stats": None if stats is None else stats.as_dict(),
         "minor_faults": _minor_faults() - faults_before,
     }
@@ -610,7 +602,7 @@ def _error_reply(task, exc):
         body = pickle.dumps(MILError(
             "worker result for task %r could not be shipped: %r"
             % (task[1], exc)))
-    return {"status": "err", "key": task[1]}, body
+    return {"status": "err"}, body
 
 
 def _minor_faults():
@@ -678,14 +670,16 @@ class PendingTask:
     pipe (used to distinguish never-started from possibly-half-run
     when a worker dies).  :meth:`result` blocks for the outcome and
     re-raises the worker's exception, a
-    :class:`~repro.errors.WorkerCrashedError`, or a
-    :class:`~repro.errors.QueryTimeoutError`.
+    :class:`~repro.errors.WorkerCrashedError`, a
+    :class:`~repro.errors.QueryTimeoutError`, or a queue timeout's
+    :class:`~repro.errors.ServerOverloadedError`.
     """
 
     __slots__ = ("task", "timeout", "buffer_stats", "dispatched",
-                 "_done", "_outcome", "_error", "pid")
+                 "_done", "_outcome", "_error", "pid", "_executor",
+                 "_expires")
 
-    def __init__(self, task, timeout=None, buffer_stats=False):
+    def __init__(self, task, executor, timeout=None, buffer_stats=False):
         self.task = task
         self.timeout = timeout
         self.buffer_stats = buffer_stats
@@ -695,21 +689,40 @@ class PendingTask:
         self._error = None
         #: pid of the worker that ran (or lost) the task, once known
         self.pid = None
+        self._executor = executor
+        #: when a task no worker has taken yet leaves the queue
+        self._expires = None if timeout is None \
+            else time.monotonic() + timeout
 
     def done(self):
         return self._done.is_set()
 
-    def _fulfill(self, outcome):
-        self._outcome = outcome
-        self._done.set()
-
-    def _fail(self, error):
-        self._error = error
+    def _settle(self, result):
+        """Resolve with a :class:`TaskOutcome` or the exception the
+        task fails with."""
+        if isinstance(result, BaseException):
+            self._error = result
+        else:
+            self._outcome = result
         self._done.set()
 
     def result(self, timeout=None):
-        """Block for the :class:`TaskOutcome` (raises on failure)."""
-        if not self._done.wait(timeout):
+        """Block for the :class:`TaskOutcome` (raises on failure).
+
+        A task no worker has taken when its own timeout runs out is
+        taken out of the queue here, by the waiting caller, so the
+        caller is released on time even if no worker frees up.
+        """
+        started = time.monotonic()
+        if self._expires is not None \
+                and (timeout is None or started + timeout > self._expires) \
+                and not self._done.wait(self._expires - started) \
+                and self._executor._unqueue(self):
+            self._settle(ServerOverloadedError(
+                "task %r queued past the %.3fs timeout budget"
+                % (self.task[1], self.timeout)))
+        if not self._done.wait(None if timeout is None
+                               else started + timeout - time.monotonic()):
             raise QueryTimeoutError(
                 "no outcome for task %r within %.3fs"
                 % (self.task[1], timeout))
@@ -789,7 +802,10 @@ class MultiprocExecutor:
     db_dir:
         The saved database directory every worker reopens via mmap.
     procs:
-        Worker process count.
+        Worker process count: the tasks that run at once.
+    max_queue:
+        Tasks that may wait for a worker (``None`` — the default — is
+        unbounded); :meth:`submit` refuses one more.
     expected_generation:
         Catalog generation the workers must observe; defaults to the
         generation on disk when the executor is created, so a save
@@ -809,12 +825,14 @@ class MultiprocExecutor:
         the injection layer off.
     """
 
-    def __init__(self, db_dir, procs=DEFAULT_PROCS,
+    def __init__(self, db_dir, procs=DEFAULT_PROCS, max_queue=None,
                  expected_generation=None, task_modules=(),
                  worker_options=None, fault_plan=None):
         from .storage import catalog_generation
         self.db_dir = os.fspath(db_dir)
         self.procs = max(1, int(procs))
+        self.max_queue = None if max_queue is None \
+            else max(0, int(max_queue))
         if expected_generation is None:
             expected_generation = catalog_generation(self.db_dir)
         self.generation = expected_generation
@@ -829,6 +847,8 @@ class MultiprocExecutor:
         self.respawns = 0
         self._cv = threading.Condition()
         self._queue = deque()
+        #: tasks a pump has taken off the queue and not yet resolved
+        self._running = 0
         self._closing = False
         self._terminated = False
         self._workers = []
@@ -873,27 +893,51 @@ class MultiprocExecutor:
     def submit(self, task, timeout=None, buffer_stats=False):
         """Queue one raw task tuple; returns a :class:`PendingTask`.
 
-        ``timeout`` (seconds) starts when the task is handed to a
-        worker; an overdue worker is killed and respawned and the task
-        fails with :class:`~repro.errors.QueryTimeoutError`.
+        A task beyond ``max_queue`` waiting ones is refused at once
+        with :class:`~repro.errors.ServerOverloadedError`, and so is
+        one still queued when its ``timeout`` (seconds) runs out (see
+        :meth:`PendingTask.result`).  The timeout starts again when
+        the task is handed to a worker; an overdue worker is killed
+        and respawned and the task fails with
+        :class:`~repro.errors.QueryTimeoutError`.
         ``buffer_stats=True`` makes the worker simulate the task's
         page faults from a cold start and ship them as
         :attr:`TaskOutcome.stats` (``None`` otherwise).
         """
-        pending = PendingTask(task, timeout=timeout,
+        pending = PendingTask(task, self, timeout=timeout,
                               buffer_stats=buffer_stats)
         with self._cv:
             if self._closing:
                 raise MILError("executor is shut down")
+            if self.max_queue is not None and len(self._queue) \
+                    + self._running >= self.procs + self.max_queue:
+                raise ServerOverloadedError(
+                    "at %d running and %d queued tasks"
+                    % (self._running, len(self._queue)))
             self._queue.append(pending)
             self._cv.notify()
         return pending
+
+    def _unqueue(self, pending):
+        """Whether ``pending`` was still queued; it is not any more."""
+        with self._cv:
+            try:
+                self._queue.remove(pending)
+            except ValueError:
+                return False
+        return True
+
+    def task_counts(self):
+        """``(running, queued)`` task counts."""
+        with self._cv:
+            return self._running, len(self._queue)
 
     def _next_task(self):
         with self._cv:
             while not self._queue and not self._closing:
                 self._cv.wait()
             if self._queue:
+                self._running += 1
                 return self._queue.popleft()
             return None                              # closing + drained
 
@@ -903,22 +947,28 @@ class MultiprocExecutor:
             if pending is None:
                 break
             try:
-                self._dispatch(slot, pending)
+                result = self._dispatch(slot, pending)
             except BaseException as exc:   # noqa: BLE001 — last line
                 # of defense: a pump that dies strands its slot and
                 # leaves the task's waiter blocked forever, so any
                 # unexpected dispatch failure resolves the task and
                 # recycles the worker instead
-                if not pending.done():
-                    pending._fail(WorkerCrashedError(
-                        "dispatcher failure for task %r: %r"
-                        % (pending.task[1], exc)))
+                result = WorkerCrashedError(
+                    "dispatcher failure for task %r: %r"
+                    % (pending.task[1], exc))
                 self._workers[slot].kill()
                 self._respawn(slot)
+            # free the slot before the caller wakes: a task submitted
+            # right after this one's answer finds the worker idle
+            with self._cv:
+                self._running -= 1
+            pending._settle(result)
         if not self._terminated:
             self._workers[slot].shutdown()
 
     def _dispatch(self, slot, pending, retried=False):
+        """Run ``pending`` on the worker in ``slot``: its
+        :class:`TaskOutcome`, or the exception it fails with."""
         worker = self._workers[slot]
         try:
             if not worker.process.is_alive():
@@ -933,47 +983,44 @@ class MultiprocExecutor:
             worker.kill()
             self._respawn(slot)
             if self._terminated:
-                pending._fail(WorkerCrashedError(
+                return WorkerCrashedError(
                     "executor terminated before task %r ran"
-                    % (pending.task[1],)))
-                return
+                    % (pending.task[1],))
             if retried:
-                pending._fail(WorkerCrashedError(
+                return WorkerCrashedError(
                     "could not hand task %r to a worker (respawn "
                     "failed to produce a usable process)"
-                    % (pending.task[1],)))
-                return
-            self._dispatch(slot, pending, retried=True)
-            return
+                    % (pending.task[1],))
+            return self._dispatch(slot, pending, retried=True)
         pending.pid = worker.pid
         pending.dispatched.set()
         deadline = None if pending.timeout is None \
             else time.monotonic() + pending.timeout
         try:
-            status, payload = self._await_reply(worker, deadline)
+            header, body = self._await_reply(worker, deadline)
+            return self._read_reply(pending, header, body)
         except _Overdue:
             # reclaim the slot: kill the overdue worker outright
             # (it may be wedged in a kernel call) and respawn
             self.timeouts += 1
             worker.kill()
             self._respawn(slot)
-            pending._fail(QueryTimeoutError(
+            return QueryTimeoutError(
                 "task %r exceeded its %.3fs timeout (worker pid "
                 "%s killed and respawned)"
-                % (pending.task[1], pending.timeout, pending.pid)))
-            return
+                % (pending.task[1], pending.timeout, pending.pid))
         except _Lost:
-            self._on_crash(slot, worker, pending)
-            return
-        if status == "ok":
-            pending._fulfill(payload)
-        else:
-            pending._fail(payload)
+            worker.kill()
+            self._respawn(slot)
+            self.crashes += 1
+            return WorkerCrashedError(
+                "worker pid %s died while running task %r (respawned; "
+                "resubmit the task)" % (pending.pid, pending.task[1]))
 
     @classmethod
     def _await_reply(cls, worker, deadline):
-        """The worker's ``(status, payload)`` for the task it runs: a
-        :class:`TaskOutcome`, or the exception the task raised.
+        """The worker's reply frames ``(header, body)`` for the task it
+        runs.
 
         Raises :class:`_Lost` when the worker dies first (or its
         reply cannot be read back), :class:`_Overdue` when the
@@ -981,20 +1028,22 @@ class MultiprocExecutor:
         """
         from ..server.protocol import recv_reply
         try:
-            header, body = recv_reply(
+            return recv_reply(
                 worker.sock, lambda: cls._wait_readable(worker, deadline))
         except (ProtocolError, OSError) as exc:
             raise _Lost() from exc         # EOF or garbage mid-reply
+
+    def _read_reply(self, pending, header, body):
+        """The task's :class:`TaskOutcome`, or the exception it raised."""
         try:
             if header["status"] != "ok":
-                return "err", pickle.loads(body)
+                return pickle.loads(body)
             stats = header["stats"]
-            return "ok", TaskOutcome(
-                header["key"], header["checksum"], body,
+            return TaskOutcome(
+                pending.task[1], header["checksum"], body,
                 header["elapsed_ms"],
                 None if stats is None else BufferStats(**stats),
-                header["generation"], header["pid"],
-                extra=header["extra"],
+                self.generation, pending.pid, extra=header["extra"],
                 minor_faults=header["minor_faults"])
         except Exception as exc:       # noqa: BLE001 — see below
             # a malformed header, or an exception pickle cannot
@@ -1022,15 +1071,6 @@ class MultiprocExecutor:
             if deadline is not None and time.monotonic() > deadline:
                 raise _Overdue()
 
-    def _on_crash(self, slot, worker, pending):
-        worker.kill()
-        self._respawn(slot)
-        if pending is not None:
-            self.crashes += 1
-            pending._fail(WorkerCrashedError(
-                "worker pid %s died while running task %r (respawned; "
-                "resubmit the task)" % (pending.pid, pending.task[1])))
-
     # ------------------------------------------------------------------
     def close(self):
         """Finish queued work, then stop the workers gracefully."""
@@ -1049,7 +1089,7 @@ class MultiprocExecutor:
             self._queue.clear()
             self._cv.notify_all()
         for pending in doomed:
-            pending._fail(WorkerCrashedError(
+            pending._settle(WorkerCrashedError(
                 "executor terminated before task %r ran"
                 % (pending.task[1],)))
         for worker in self._workers:

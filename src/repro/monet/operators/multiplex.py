@@ -22,7 +22,7 @@ thousand part names, not every BUN.  No BUN is decoded.
 Scalar (non-BAT) arguments are broadcast, e.g. ``[-](1.0, discount)``.
 
 A catalog integer column may be stored narrower than its atom (see
-:func:`repro.monet.kernel.narrowest`); every function sees its
+:func:`repro.monet.column.narrowest`); every function sees its
 operands at the atom's own width, so ``int16 * int16`` cannot wrap
 and a literal beyond int16 cannot overflow.
 

@@ -10,7 +10,7 @@ TPC-D queries additionally need multi-attribute ORDER BY and top-N
 import numpy as np
 
 from ..buffer import get_manager
-from ..column import INT_WIDTHS
+from ..column import narrow_dtype
 from ..properties import Props, fresh_alignment
 from .common import result_bat
 
@@ -62,13 +62,10 @@ def stable_order(keys):
 
 
 def _rank_dtype(n_values):
-    """The narrowest of :data:`INT_WIDTHS` holding ranks ``0 .. n-1``:
-    numpy's stable sort takes its radix path on int16 ranks, and the
+    """The narrowest integer width holding ranks ``0 .. n-1``: numpy's
+    stable sort takes its radix path on int16 ranks, and the
     permutation does not depend on the width."""
-    for dtype in INT_WIDTHS:
-        if n_values <= np.iinfo(dtype).max:
-            return dtype
-    return INT_WIDTHS[-1]
+    return narrow_dtype(0, n_values)
 
 
 def sort_head(ab, ascending=True, name=None):

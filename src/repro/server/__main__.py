@@ -40,7 +40,8 @@ def main(argv=None):
                         help="TCP port (0 = ephemeral, printed on "
                              "stdout)")
     parser.add_argument("--procs", type=int, default=DEFAULT_PROCS,
-                        help="worker processes per generation pool")
+                        help="worker processes per generation pool: "
+                             "the requests a pool runs at once")
     parser.add_argument("--plan-cache", type=int,
                         default=DEFAULT_PLAN_CACHE_SIZE,
                         metavar="N",
@@ -51,8 +52,9 @@ def main(argv=None):
                         help="parent-side byte-weighted result-cache "
                              "budget (0 = off); a result weighs its "
                              "encoded reply's bytes")
-    parser.add_argument("--max-inflight", type=int, default=8)
-    parser.add_argument("--max-queue", type=int, default=32)
+    parser.add_argument("--max-queue", type=int, default=32,
+                        help="requests that may wait for a worker, "
+                             "per pool")
     parser.add_argument("--timeout", type=float, default=None,
                         help="default per-query timeout in seconds "
                              "(overdue workers are killed and "
@@ -99,7 +101,7 @@ def main(argv=None):
         args.db_dir, procs=args.procs,
         plan_cache_size=args.plan_cache,
         result_cache_bytes=args.result_cache_bytes,
-        max_inflight=args.max_inflight, max_queue=args.max_queue,
+        max_queue=args.max_queue,
         default_timeout=args.timeout, plan_budget=plan_budget)
     server = QueryServer(service, host=args.host, port=args.port,
                          auth_token=auth_token,
@@ -107,10 +109,11 @@ def main(argv=None):
                          quota_burst=args.quota_burst)
     server.start()
     host, port = server.address
-    print("repro.server: serving %s on %s:%d (procs=%d, "
-          "plan_cache=%d, result_cache_bytes=%d, max_inflight=%d)"
-          % (args.db_dir, host, port, args.procs, args.plan_cache,
-             args.result_cache_bytes, args.max_inflight),
+    print("repro.server: serving %s on %s:%d (procs=%d running and "
+          "max_queue=%d waiting per pool, plan_cache=%d, "
+          "result_cache_bytes=%d)"
+          % (args.db_dir, host, port, args.procs, args.max_queue,
+             args.plan_cache, args.result_cache_bytes),
           flush=True)
     if args.port_file:
         # write-then-rename: pollers that see the file see its content

@@ -1,4 +1,4 @@
-"""The query service: warm pools, admission control, caches, stats.
+"""The query service: warm pools, caches, stats.
 
 A :class:`QueryService` owns everything between the wire protocol and
 the multi-process dispatcher:
@@ -12,31 +12,34 @@ the multi-process dispatcher:
   old pools retire once their last pinned session ends); a save that
   lands while a new session's pool starts, before the session's
   first answer, re-pins that session once to the newer generation;
-* **admission control** — at most ``max_inflight`` requests execute
-  at once, at most ``max_queue`` wait; beyond that (or when the queue
-  wait exceeds the request's timeout budget) the request is refused
-  with a typed :class:`~repro.errors.ServerOverloadedError`;
+* **one queue per pool** — the pool's executor queue is the only one
+  between a request and a worker: ``procs`` requests run per pool,
+  ``max_queue`` wait, and one more (or one queued past its timeout)
+  is refused with a typed :class:`~repro.errors.ServerOverloadedError`
+  that ``counters["overloads"]`` counts;
 * **plan verification** — every plan kind (``moa``, ``sql``, ``mil``)
   is **statically verified**, and budget-checked against a configured
   ``plan_budget``, in the worker that would run it, before any MIL
   statement executes (see :mod:`repro.server.tasks`); the parent
   derives no catalog stats and only counts the typed rejections;
-* **per-query timeout** — forwarded to the dispatcher, which kills
-  and respawns the worker running an overdue query
+* **per-query timeout** — forwarded to the dispatcher, which bounds
+  the queue wait with it and, from dispatch, kills and respawns the
+  worker running an overdue query
   (:class:`~repro.errors.QueryTimeoutError`);
 * **degraded mode** — a request whose worker crashed mid-query is
   resubmitted once to the respawned worker; a second crash answers a
   typed :class:`~repro.errors.ServerOverloadedError`;
-* **caches** — the workers' plan caches (see
-  :mod:`repro.server.tasks`) report their counters through every
-  outcome, and an optional parent-side **result cache** short-circuits
-  repeated identical requests against the same generation;
+* **caches** — the service counts the plan-cache hit or miss every
+  ``sql``/``moa`` outcome reports (see :mod:`repro.server.tasks`), and
+  an optional parent-side **result cache** short-circuits repeated
+  identical requests against the same generation;
 * **opaque payloads** — a result arrives from the worker already
   encoded (:attr:`~repro.monet.multiproc.TaskOutcome.body`); the
   service caches and returns those bytes as they are, so the parent
   never decodes or re-encodes a payload;
 * **stats** — :meth:`QueryService.stats` aggregates request counters,
-  latency percentiles over a sliding window, cache hit rates, the
+  the running and queued tasks of every live pool, latency
+  percentiles over a sliding window, cache hit rates, the
   merged :class:`~repro.monet.buffer.BufferStats` of the requests
   that asked for them, the workers' real minor page faults summed
   over every executed request (``counters["worker_minor_faults"]``),
@@ -116,9 +119,9 @@ class QueryService:
         rows, and a retired generation's entries are dropped wholesale
         when its last pinned session ends).  A result weighs the byte
         length of its encoded body.
-    max_inflight / max_queue:
-        Admission control: concurrent executing requests / bounded
-        wait queue beyond them.
+    max_queue:
+        Requests that may wait for a worker per pool, beyond the
+        ``procs`` running ones.
     default_timeout:
         Per-query timeout in seconds applied when a request carries
         none (``None`` = unbounded).
@@ -137,14 +140,12 @@ class QueryService:
 
     def __init__(self, db_dir, procs=DEFAULT_PROCS,
                  plan_cache_size=DEFAULT_PLAN_CACHE_SIZE,
-                 result_cache_bytes=0,
-                 max_inflight=8, max_queue=32,
+                 result_cache_bytes=0, max_queue=32,
                  default_timeout=None,
                  fault_plan=None, plan_budget=None):
         self.db_dir = db_dir
         self.procs = max(1, int(procs))
         self.plan_cache_size = int(plan_cache_size)
-        self.max_inflight = max(1, int(max_inflight))
         self.max_queue = max(0, int(max_queue))
         self.default_timeout = default_timeout
         self._fault_plan = fault_plan
@@ -160,10 +161,6 @@ class QueryService:
         self._pools = {}                    # generation -> _PoolEntry
         self._closed = False
 
-        self._adm = threading.Condition()
-        self._inflight = 0
-        self._queued = 0
-
         self._stats_lock = threading.Lock()
         self._counters = {"requests": 0, "results": 0, "errors": 0,
                           "timeouts": 0, "overloads": 0,
@@ -174,13 +171,8 @@ class QueryService:
                           "session_repins": 0}
         self._latencies = deque(maxlen=LATENCY_WINDOW)
         self._buffer = BufferStats()
-        #: (generation, pid) -> latest cumulative plan-cache snapshot
-        self._plan_stats = {}
-        #: rollup of snapshots whose worker died or whose pool retired
-        #: (keeps totals cumulative while _plan_stats stays bounded to
-        #: live workers)
-        self._plan_retired = {"hits": 0, "misses": 0, "evictions": 0,
-                              "invalidations": 0}
+        #: plan-cache lookups, counted from each outcome's flag
+        self._plan = {"hits": 0, "misses": 0}
         self._seq = 0
         self._started = time.time()
 
@@ -189,7 +181,7 @@ class QueryService:
     # ------------------------------------------------------------------
     def _make_executor(self, generation):
         return MultiprocExecutor(
-            self.db_dir, procs=self.procs,
+            self.db_dir, procs=self.procs, max_queue=self.max_queue,
             expected_generation=generation,
             task_modules=("repro.server.tasks",),
             worker_options={"plan_cache_size": self.plan_cache_size,
@@ -258,39 +250,6 @@ class QueryService:
             return sorted(self._pools)
 
     # ------------------------------------------------------------------
-    # admission control
-    # ------------------------------------------------------------------
-    def _admit(self, timeout):
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
-        with self._adm:
-            if self._inflight >= self.max_inflight:
-                if self._queued >= self.max_queue:
-                    self._count("overloads")
-                    raise ServerOverloadedError(
-                        "at %d in-flight and %d queued requests"
-                        % (self._inflight, self._queued))
-                self._queued += 1
-                try:
-                    while self._inflight >= self.max_inflight:
-                        remaining = None if deadline is None \
-                            else deadline - time.monotonic()
-                        if remaining is not None and remaining <= 0:
-                            self._count("overloads")
-                            raise ServerOverloadedError(
-                                "queued past the %.3fs timeout budget"
-                                % timeout)
-                        self._adm.wait(remaining)
-                finally:
-                    self._queued -= 1
-            self._inflight += 1
-
-    def _leave(self):
-        with self._adm:
-            self._inflight -= 1
-            self._adm.notify()
-
-    # ------------------------------------------------------------------
     # request execution
     # ------------------------------------------------------------------
     def _task_for(self, request):
@@ -346,7 +305,6 @@ class QueryService:
             header, body = cached
             response = dict(header, result_cached=True)
         else:
-            self._admit(timeout)
             try:
                 outcome = self._submit_pinned(session, task, timeout,
                                               buffer_stats)
@@ -355,18 +313,20 @@ class QueryService:
                 # statement ran (the budget subclass included)
                 self._count("plan_rejections")
                 raise
-            finally:
-                self._leave()
+            except ServerOverloadedError:
+                # a full queue, a queue wait past the timeout, or a
+                # pool stuck respawning
+                self._count("overloads")
+                raise
             full_key = (session.generation, cache_key)
-            extra = outcome.extra or {}
+            plan_cached = (outcome.extra or {}).get("plan_cached")
             with self._stats_lock:
                 self._counters["worker_minor_faults"] += \
                     outcome.minor_faults
                 if outcome.stats is not None:
                     self._buffer.merge(outcome.stats)
-                if "plan_cache" in extra:
-                    self._plan_stats[(outcome.generation,
-                                      outcome.pid)] = extra["plan_cache"]
+                if plan_cached is not None:
+                    self._plan["hits" if plan_cached else "misses"] += 1
             body = outcome.body
             header = {
                 "type": "result",
@@ -374,7 +334,7 @@ class QueryService:
                 "elapsed_ms": round(outcome.elapsed_ms, 4),
                 "generation": outcome.generation,
                 "pid": outcome.pid,
-                "plan_cached": extra.get("plan_cached"),
+                "plan_cached": plan_cached,
                 "result_cached": False,
                 "payload_bytes": len(body),
             }
@@ -447,7 +407,6 @@ class QueryService:
         try:
             return attempt()
         except WorkerCrashedError as exc:
-            self._count("overloads")
             raise ServerOverloadedError(
                 "worker pool is respawning after repeated crashes "
                 "(1 resubmit): %s" % exc) from exc
@@ -481,16 +440,17 @@ class QueryService:
     def stats(self):
         """The aggregate state the ``stats`` request exposes."""
         pools = {}
-        live_workers = set()
+        inflight = queued = 0
         with self._pool_lock:
             for generation, entry in self._pools.items():
                 executor = entry.executor
-                pids = executor.worker_pids()
-                live_workers.update((generation, pid) for pid in pids)
+                running, waiting = executor.task_counts()
+                inflight += running
+                queued += waiting
                 pools[str(generation)] = {
                     "procs": executor.procs,
                     "sessions": entry.sessions,
-                    "pids": pids,
+                    "pids": executor.worker_pids(),
                     "respawns": executor.respawns,
                     "crashes": executor.crashes,
                     "timeouts": executor.timeouts,
@@ -499,31 +459,16 @@ class QueryService:
             counters = dict(self._counters)
             latencies = list(self._latencies)
             buffer_stats = self._buffer.as_dict()
-            # prune snapshots of killed workers / retired pools into
-            # the rollup: totals stay cumulative, the dict stays
-            # bounded by the live fleet
-            for key in [key for key in self._plan_stats
-                        if key not in live_workers]:
-                snapshot = self._plan_stats.pop(key)
-                for name in self._plan_retired:
-                    self._plan_retired[name] += snapshot.get(name, 0)
-            plan = dict(self._plan_retired)
-            plan["workers"] = len(self._plan_stats)
-            for snapshot in self._plan_stats.values():
-                for name in self._plan_retired:
-                    plan[name] += snapshot.get(name, 0)
+            plan = dict(self._plan)
         lookups = plan["hits"] + plan["misses"]
         plan["hit_rate"] = round(plan["hits"] / lookups, 4) \
             if lookups else 0.0
-        with self._adm:
-            inflight, queued = self._inflight, self._queued
         latency = percentiles(latencies)
         latency["count"] = len(latencies)
         return {
             "counters": counters,
             "inflight": inflight,
             "queued": queued,
-            "max_inflight": self.max_inflight,
             "max_queue": self.max_queue,
             "latency_ms": latency,
             "plan_cache": plan,

@@ -30,12 +30,13 @@ worker option, a :class:`~repro.analysis.verify.PlanBudget`.  A
 rejected plan never enters the cache, so every resubmission is
 re-checked (and re-rejected) the same way.
 
-Each outcome ships ``extra = {"plan_cached": bool, "plan_cache":
-{hits, misses, evictions, size, capacity, ...}}`` — the cumulative
-counters of *this worker's* cache — which the parent-side service
-aggregates into the ``stats`` response.  A set-of-tuples result leaves
-here as the batch the materializer built: no ``Row`` exists in the
-worker.
+Each outcome ships ``extra = {"plan_cached": bool}``: whether this
+lookup hit.  The parent-side service counts the hits and misses of
+every pool from those flags for the ``stats`` response.  A plan the
+verifier rejects answers an error and no flag, so the service counts
+it in ``plan_rejections``, not as a miss.  A set-of-tuples result
+leaves here as the batch the materializer built: no ``Row`` exists in
+the worker.
 """
 
 from ..moa.rewriter import rewrite
@@ -83,9 +84,7 @@ def _run_sql(ctx, task):
                                budget=ctx.options.get("plan_budget"),
                                catalog=ctx.catalog())
         cache.put(key, prepared)
-    value = prepared.run()
-    extra = {"plan_cached": hit, "plan_cache": cache.snapshot()}
-    return ship_value(value), extra
+    return ship_value(prepared.run()), {"plan_cached": hit}
 
 
 def _run_moa(ctx, task):
@@ -101,9 +100,7 @@ def _run_moa(ctx, task):
                            catalog=ctx.catalog(),
                            budget=ctx.options.get("plan_budget"))
         cache.put(key, compiled)
-    value = db.run_compiled(compiled)
-    extra = {"plan_cached": hit, "plan_cache": cache.snapshot()}
-    return ship_value(value), extra
+    return ship_value(db.run_compiled(compiled)), {"plan_cached": hit}
 
 
 register_task_kind("moa", _run_moa, warmup=_moa_warmup)

@@ -1,7 +1,7 @@
 """Integer columns stored narrower than their atom.
 
 A catalog integer column is stored in the narrowest of int16/int32/
-int64 that holds its values (:func:`repro.monet.kernel.narrowest`), so
+int64 that holds its values (:func:`repro.monet.column.narrowest`), so
 every operator meets operands of mixed widths: an int16 oid head
 probed by an int64 intermediate, an int32 ``int`` tail added to an
 int64 one.  These tests draw each operand's width independently —
@@ -19,8 +19,8 @@ from hypothesis import given, settings
 
 from repro.monet import BAT, FixedColumn, compute_props
 from repro.monet import operators as ops
-from repro.monet.column import INT_WIDTHS, column_from_values
-from repro.monet.kernel import catalog_column, narrowest
+from repro.monet.column import INT_WIDTHS, column_from_values, narrowest
+from repro.monet.kernel import catalog_column
 from repro.monet.properties import fresh_alignment
 
 _I16 = np.iinfo(np.int16)

@@ -371,6 +371,43 @@ def test_plan_cache_hits_are_observable(db_dir, serial_checksums):
     assert 0.0 < plan["hit_rate"] < 1.0
 
 
+def test_plan_cache_counts_are_the_replies_flags(db_dir):
+    """Two clients over two workers: the service counts each reply's
+    ``plan_cached`` flag once, so its hits and misses are those flags,
+    and every worker misses each text exactly once."""
+    texts = [QUERIES[number].texts()[0] for number in (1, 3, 6)]
+    replies = []
+    lock = threading.Lock()
+    service = QueryService(db_dir, procs=2)
+
+    def client_laps(srv):
+        with _connect(srv) as client:
+            for _lap in range(4):
+                for text in texts:
+                    reply = client.moa(text)
+                    with lock:
+                        replies.append((reply.pid, text,
+                                        reply.plan_cached))
+
+    with QueryServer(service) as srv:
+        threads = [threading.Thread(target=client_laps, args=(srv,))
+                   for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+            assert not thread.is_alive()
+        plan = service.stats()["plan_cache"]
+    service.close()
+    flags = [cached for _pid, _text, cached in replies]
+    assert len(flags) == 24
+    assert len({pid for pid, _text, _cached in replies}) == 2
+    assert plan["hits"] == flags.count(True)
+    assert plan["misses"] == flags.count(False) \
+        == len({(pid, text) for pid, text, _cached in replies})
+    assert plan["hit_rate"] == round(plan["hits"] / 24, 4)
+
+
 def test_result_cache_short_circuits(db_dir, serial_checksums):
     service = QueryService(db_dir, procs=1,
                            result_cache_bytes=1 << 20)
@@ -666,26 +703,49 @@ def test_fault_simulation_is_pay_per_use(db_dir, serial_checksums):
 # ----------------------------------------------------------------------
 # admission control + timeouts
 # ----------------------------------------------------------------------
+def _parking_service(db_dir, park_s, **options):
+    """A one-worker service whose second task parks the worker for
+    ``park_s`` seconds before it runs."""
+    plan = faults.FaultPlan().arm("multiproc.task.start",
+                                  action="delay", delay_s=park_s, skip=1)
+    return QueryService(db_dir, procs=1, fault_plan=plan, **options)
+
+
+def _occupy_the_worker(srv, service):
+    """Send the parked request from a side connection; return its
+    thread once the worker has it."""
+    def side():
+        with _connect(srv) as client:
+            client.sql(sql_text(6))
+
+    thread = threading.Thread(target=side)
+    thread.start()
+    deadline = time.monotonic() + 60.0
+    while service.stats()["inflight"] == 0:
+        assert time.monotonic() < deadline, "the parked task never ran"
+        time.sleep(0.01)
+    return thread
+
+
 def test_admission_overload_is_typed(db_dir):
-    service = QueryService(db_dir, procs=1, max_inflight=1,
-                           max_queue=0)
+    # the pool's queue is the admission: its one worker busy and no
+    # room to wait, a request is refused at once
+    service = _parking_service(db_dir, 2.0, max_queue=0)
     with QueryServer(service) as srv:
         with _connect(srv) as client:
             client.sql(sql_text(6))      # pool warm, service healthy
-            # occupy the only in-flight slot from the side
-            with service._adm:
-                service._inflight += 1
-            try:
-                with pytest.raises(ServerOverloadedError):
-                    client.sql(sql_text(6))
-            finally:
-                with service._adm:
-                    service._inflight -= 1
-                    service._adm.notify()
+            parked = _occupy_the_worker(srv, service)
+            started = time.monotonic()
+            with pytest.raises(ServerOverloadedError):
+                client.sql(sql_text(6))
+            assert time.monotonic() - started < 1.5
+            parked.join(timeout=60)
+            assert not parked.is_alive()
             assert client.sql(sql_text(6)).checksum   # healthy again
             stats = client.stats()
     service.close()
     assert stats["counters"]["overloads"] == 1
+    assert stats["inflight"] == stats["queued"] == 0
 
 
 @pytest.mark.parametrize("timeout", ["5", 0, -1.0, float("nan"), True],
@@ -712,22 +772,45 @@ def test_malformed_timeout_is_refused_before_admission(db_dir, timeout):
 
 
 def test_queue_wait_past_timeout_budget_overloads(db_dir):
-    service = QueryService(db_dir, procs=1, max_inflight=1,
-                           max_queue=4)
+    service = _parking_service(db_dir, 2.0, max_queue=4)
     with QueryServer(service) as srv:
         with _connect(srv) as client:
-            with service._adm:
-                service._inflight += 1
-            try:
-                started = time.monotonic()
-                with pytest.raises(ServerOverloadedError):
-                    client.sql(sql_text(6), timeout=0.2)
-                assert time.monotonic() - started >= 0.2
-            finally:
-                with service._adm:
-                    service._inflight -= 1
-                    service._adm.notify()
+            client.sql(sql_text(6))
+            parked = _occupy_the_worker(srv, service)
+            started = time.monotonic()
+            with pytest.raises(ServerOverloadedError,
+                               match="timeout budget"):
+                client.sql(sql_text(6), timeout=0.2)
+            assert time.monotonic() - started >= 0.2
+            stats = client.stats()
+            parked.join(timeout=60)
+            assert not parked.is_alive()
     service.close()
+    assert stats["counters"]["overloads"] == 1
+    # the refused request left the queue; only the parked one runs
+    assert stats["queued"] == 0 and stats["inflight"] == 1
+
+
+def test_queued_request_is_released_at_its_timeout(db_dir):
+    """Regression: the service admitted up to eight requests and the
+    pool queued them again behind its one worker, so with the default
+    knobs a request with ``timeout=0.2`` waited for the parked task
+    and was answered after ~1.7 s.  The pool's queue is the only one
+    now, and the waiting caller takes its task out of it on time."""
+    service = _parking_service(db_dir, 2.0)
+    with QueryServer(service) as srv:
+        with _connect(srv) as client:
+            client.sql(sql_text(6))
+            parked = _occupy_the_worker(srv, service)
+            started = time.monotonic()
+            with pytest.raises(ServerOverloadedError):
+                client.sql(sql_text(6), timeout=0.2)
+            elapsed = time.monotonic() - started
+            parked.join(timeout=60)
+            assert not parked.is_alive()
+            assert client.sql(sql_text(6)).checksum
+    service.close()
+    assert 0.2 <= elapsed < 1.0, elapsed
 
 
 def test_query_timeout_kills_worker_and_recovers(db_dir,
@@ -1066,6 +1149,9 @@ def test_every_plan_kind_is_rejected_once_in_the_worker(db_dir):
                     assert after["plan_rejections"] \
                         == before["plan_rejections"] + 1, request
                     assert after["results"] == before["results"]
+        # a refused plan is a rejection, not a plan-cache miss
+        assert service.stats()["plan_cache"] \
+            == {"hits": 0, "misses": 0, "hit_rate": 0.0}
     finally:
         service.close()
 
